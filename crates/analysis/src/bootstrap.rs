@@ -5,7 +5,7 @@
 //! distributional assumptions. Deterministic given the seed, like
 //! everything else in this workspace.
 
-use crate::stats::percentile;
+use crate::stats::{interpolate, interpolation_ranks, percentile, percentile_sorted};
 
 /// A two-sided confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,8 +81,64 @@ pub fn bootstrap_ci(
 }
 
 /// Bootstrap CI for the median (the statistic experiments report).
+///
+/// Bit-identical to `bootstrap_ci(xs, |s| percentile(s, 0.5), level,
+/// 1000, seed)`, but a resample is never materialised: `xs` is sorted
+/// once, and each resample draws the same index sequence, counts hits per
+/// rank, and reads the two interpolated order statistics off a cumulative
+/// scan — O(n) per resample with one reused counting buffer.
 pub fn median_ci(xs: &[f64], level: f64, seed: u64) -> Option<ConfInterval> {
-    bootstrap_ci(xs, |s| percentile(s, 0.5), level, 1000, seed)
+    const RESAMPLES: usize = 1000;
+    if xs.is_empty() {
+        return None;
+    }
+    let n = xs.len();
+    let level = level.clamp(0.5, 0.999);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
+    let sorted: Vec<f64> = order.iter().map(|&i| xs[i]).collect();
+    // rank[i] is the sorted position of xs[i]. Values that compare equal
+    // under total_cmp are bit-identical, so how ties are ordered among
+    // themselves cannot change a result.
+    let mut rank = vec![0u32; n];
+    for (pos, &i) in order.iter().enumerate() {
+        rank[i] = pos as u32;
+    }
+    let (lo_rank, hi_rank, frac) = if n == 1 { (0, 0, 0.0) } else { interpolation_ranks(n, 0.5) };
+    let mut rng = XorShift(seed | 1);
+    let mut hits = vec![0u32; n];
+    let mut stats = Vec::with_capacity(RESAMPLES);
+    for _ in 0..RESAMPLES {
+        hits.fill(0);
+        for _ in 0..n {
+            hits[rank[rng.next_index(n)] as usize] += 1;
+        }
+        if n == 1 {
+            stats.push(sorted[0]);
+            continue;
+        }
+        // The resample's sorted order is `sorted` with each position
+        // repeated hits[pos] times: walk it to ranks lo and hi.
+        let (mut seen, mut pos) = (0usize, 0usize);
+        while seen + hits[pos] as usize <= lo_rank {
+            seen += hits[pos] as usize;
+            pos += 1;
+        }
+        let lo = sorted[pos];
+        while seen + hits[pos] as usize <= hi_rank {
+            seen += hits[pos] as usize;
+            pos += 1;
+        }
+        stats.push(interpolate(lo, sorted[pos], frac));
+    }
+    stats.sort_by(f64::total_cmp);
+    let alpha = 1.0 - level;
+    Some(ConfInterval {
+        estimate: percentile_sorted(&sorted, 0.5),
+        lo: percentile_sorted(&stats, alpha / 2.0),
+        hi: percentile_sorted(&stats, 1.0 - alpha / 2.0),
+        level,
+    })
 }
 
 #[cfg(test)]

@@ -59,15 +59,26 @@ impl Summary {
 /// `q` is clamped to `[0, 1]`.
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty sample");
-    let q = q.clamp(0.0, 1.0);
     if sorted.len() == 1 {
         return sorted[0];
     }
-    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi, frac) = interpolation_ranks(sorted.len(), q);
+    interpolate(sorted[lo], sorted[hi], frac)
+}
+
+/// The two order statistics (0-based ranks) and the weight of the upper
+/// one that [`percentile_sorted`] interpolates between for a sample of
+/// `len ≥ 2` values. `q` is clamped to `[0, 1]`.
+pub(crate) fn interpolation_ranks(len: usize, q: f64) -> (usize, usize, f64) {
+    let pos = q.clamp(0.0, 1.0) * (len - 1) as f64;
     let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
+/// Linear interpolation between two order statistics, in exactly the
+/// floating-point operations [`percentile_sorted`] performs.
+pub(crate) fn interpolate(lo: f64, hi: f64, frac: f64) -> f64 {
+    lo * (1.0 - frac) + hi * frac
 }
 
 /// Percentile of an unsorted sample.

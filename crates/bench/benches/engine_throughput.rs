@@ -6,14 +6,20 @@
 //! (`run_*_in`). The arena must be no slower on the cohort engine (it has
 //! almost nothing to reuse) and faster on the exact engine, whose per-run
 //! station/buffer allocations the arena amortizes away.
+//!
+//! `warm_path` times the two non-engine layers a warm re-run spends its
+//! time in: the bootstrap median CI and the store's chunk decode.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
+use jle_analysis::median_ci;
 use jle_engine::{
     run_batch_uniform, run_cohort, run_cohort_in, run_exact, run_exact_in, run_fast_exact,
-    run_fast_exact_in, CohortStations, EngineMetrics, PerStation, SimArena, SimConfig, SimCore,
-    TelemetryObserver, UniformProtocol,
+    run_fast_exact_in, CohortStations, EngineMetrics, PerStation, RunReport, SimArena, SimConfig,
+    SimCore, TelemetryObserver, UniformProtocol,
 };
+use jle_orchestrator::{Fingerprint, ResultStore, WorkSpec, DEFAULT_CODE_SALT};
+use jle_protocols::LeskProtocol;
 use jle_radio::{CdModel, ChannelState};
 use jle_telemetry::MetricRegistry;
 use std::hint::black_box;
@@ -298,10 +304,44 @@ fn bench_telemetry(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_warm_path(c: &mut Criterion) {
+    // The two layers a warm re-run spends its time in, below the
+    // end-to-end `sweep_warm` number: the bootstrap median CI every
+    // jammed unit reports (n = trials per unit in the reference sweep),
+    // and decoding one 32-trial chunk of real reports from the store.
+    let mut group = c.benchmark_group("warm_path");
+    for n in [24usize, 96, 224] {
+        // Slot counts as election runtimes look: small integers, many ties.
+        let xs: Vec<f64> = (0..n as u64).map(|i| (20 + (i * 7919) % 37) as f64).collect();
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::new("median_ci", n), &xs, |b, xs| {
+            b.iter(|| black_box(median_ci(black_box(xs), 0.95, 7)))
+        });
+    }
+    const TRIALS: u64 = 32;
+    let dir = std::env::temp_dir().join(format!("jle-bench-warm-path-{}", std::process::id()));
+    let store = ResultStore::open(&dir).expect("open the bench store");
+    let spec = WorkSpec::new("bench", "warm_path", serde_json::json!({"n": 1024u64}), 0);
+    let key = Fingerprint::of(&spec, DEFAULT_CODE_SALT, std::any::type_name::<RunReport>());
+    let reports: Vec<RunReport> = (0..TRIALS)
+        .map(|seed| {
+            let config = SimConfig::new(1024, CdModel::Strong).with_seed(seed).with_max_slots(4096);
+            run_cohort(&config, &sat(), || LeskProtocol::new(0.5))
+        })
+        .collect();
+    store.write_chunk(&key, 0, TRIALS, &reports).expect("write the bench chunk");
+    group.throughput(Throughput::Elements(TRIALS));
+    group.bench_function(BenchmarkId::new("load_chunk", TRIALS), |b| {
+        b.iter(|| black_box(store.load_chunk::<RunReport>(&key, 0, TRIALS).expect("intact chunk")))
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_cohort, bench_exact, bench_exact_short, bench_batch_throughput,
-        bench_fast_exact, bench_telemetry
+        bench_fast_exact, bench_telemetry, bench_warm_path
 }
 criterion_main!(benches);

@@ -39,7 +39,8 @@ pub mod telemetry;
 
 pub use fingerprint::{canonical_json, canonicalize, Fingerprint, WorkSpec};
 pub use scheduler::{
-    CachePolicy, CancelToken, Interrupted, Orchestrator, DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
+    engine_salt, CachePolicy, CancelToken, Interrupted, Orchestrator, DEFAULT_CHUNK_SIZE,
+    DEFAULT_CODE_SALT,
 };
 pub use store::{ChunkClaim, ResultStore};
 pub use telemetry::{Event, JsonlReporter, Reporter, Stats, StatsSnapshot, StderrProgress};

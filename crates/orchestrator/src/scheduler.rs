@@ -30,6 +30,18 @@ pub const DEFAULT_CHUNK_SIZE: u64 = 32;
 /// recomputed instead of served.
 pub const DEFAULT_CODE_SALT: &str = "jle-sim-v1";
 
+/// The salt [`Orchestrator::engine_mode`] derives from `salt` for an
+/// engine `mode`: unchanged for the default `"exact"` backend, tagged
+/// `+engine=<mode>` otherwise. Exposed so a service that names cache
+/// keys without building an orchestrator names the same store entries.
+pub fn engine_salt(salt: &str, mode: &str) -> String {
+    if mode == "exact" {
+        salt.to_string()
+    } else {
+        format!("{salt}+engine={mode}")
+    }
+}
+
 /// How the scheduler uses the result store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
@@ -213,10 +225,7 @@ impl Orchestrator {
     /// random streams — same spec, different bits — so their results
     /// must never alias in the store.
     pub fn engine_mode(mut self, mode: impl AsRef<str>) -> Self {
-        let mode = mode.as_ref();
-        if mode != "exact" {
-            self.salt = format!("{}+engine={mode}", self.salt);
-        }
+        self.salt = engine_salt(&self.salt, mode.as_ref());
         self
     }
 

@@ -26,11 +26,11 @@
 //! unit cache hit, served in one chunk-load pass.
 
 use crate::protocol::{ClientFrame, ServerFrame, PROTOCOL_VERSION};
-use crate::work::build_trial_fn;
+use crate::work::{build_trial_fn, engine_mode_of};
 use jle_engine::RunReport;
 use jle_orchestrator::{
-    CancelToken, Event, Fingerprint, Interrupted, Orchestrator, Reporter, ResultStore, WorkSpec,
-    DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
+    engine_salt, CancelToken, Event, Fingerprint, Interrupted, Orchestrator, Reporter, ResultStore,
+    WorkSpec, DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
 };
 use jle_telemetry::{
     Counter, Gauge, Histogram, MetricRegistry, SpanGuard, SpanRecorder, TraceContext,
@@ -273,13 +273,17 @@ impl Job {
     fn send_to_subs(subs: &[Subscriber], make: impl Fn(u64) -> ServerFrame, terminal: bool) {
         for sub in subs {
             let frame = make(sub.req_id);
-            if sub.tx.send(format!("{}\n", frame.to_line())).is_ok() {
-                if terminal {
-                    sub.terminal_ctr.inc();
-                } else {
-                    sub.progress_ctr.inc();
-                }
+            // Count before queueing: once the writer holds the frame the
+            // client can read it and scrape this connection's counters
+            // before a later increment lands. A failed send means the
+            // connection is gone, and with it the only reader of these
+            // per-connection counters.
+            if terminal {
+                sub.terminal_ctr.inc();
+            } else {
+                sub.progress_ctr.inc();
             }
+            let _ = sub.tx.send(format!("{}\n", frame.to_line()));
         }
     }
 }
@@ -412,10 +416,11 @@ struct Core {
 }
 
 impl Core {
+    /// The store key `run_job`'s orchestrator files `spec` under, so
+    /// `accepted`/`result` frames name a real store entry.
     fn fingerprint(&self, spec: &WorkSpec) -> String {
-        Fingerprint::of(spec, &self.config.salt, std::any::type_name::<RunReport>())
-            .hex()
-            .to_string()
+        let salt = engine_salt(&self.config.salt, engine_mode_of(&spec.params));
+        Fingerprint::of(spec, &salt, std::any::type_name::<RunReport>()).hex().to_string()
     }
 
     fn request_shutdown(&self) {
@@ -444,6 +449,7 @@ impl Core {
                 std::mem::take(&mut inner.subs)
             };
             let key = job.key.clone();
+            self.m.jobs_failed.inc();
             Job::send_to_subs(
                 &subs,
                 |req_id| ServerFrame::Failed {
@@ -453,7 +459,6 @@ impl Core {
                 },
                 true,
             );
-            self.m.jobs_failed.inc();
         }
         self.work_cv.notify_all();
     }
@@ -516,6 +521,13 @@ impl Core {
                 // race window is tiny, so just ask the client to retry
                 // (the store is warm by then — the retry is a cache hit).
                 if matches!(inner.phase, Phase::Queued | Phase::Running) {
+                    // Counted while the inner lock still holds the result
+                    // back, so no client sees its result before the count.
+                    self.m.submissions.inc();
+                    self.m.dedup_hits.inc();
+                    self.m.dedup_shortcircuit_us.observe(admitted_at.elapsed().as_micros() as u64);
+                    cm.submissions.inc();
+                    cm.dedup.inc();
                     // `accepted` first, subscriber second: the worker
                     // delivering the terminal frame takes this same inner
                     // lock, so once the subscriber is visible its result
@@ -551,11 +563,6 @@ impl Core {
                     retry_after_ms: 20,
                 });
             }
-            self.m.submissions.inc();
-            self.m.dedup_hits.inc();
-            self.m.dedup_shortcircuit_us.observe(admitted_at.elapsed().as_micros() as u64);
-            cm.submissions.inc();
-            cm.dedup.inc();
             return None;
         }
         if st.queue.len() >= self.config.max_queue {
@@ -625,9 +632,10 @@ impl Core {
         st.queue.push_back(job);
         *st.inflight_per_client.entry(client).or_insert(0) += 1;
         self.m.queue_depth.set(queue_depth as f64);
-        drop(st);
+        // Counted before the state lock lets a worker pop the job.
         self.m.submissions.inc();
         cm.submissions.inc();
+        drop(st);
         self.work_cv.notify_one();
         None
     }
@@ -804,7 +812,7 @@ impl Core {
         .chunk_size(self.config.chunk_size)
         .jobs(self.config.mc_jobs)
         .salt(self.config.salt.clone())
-        .engine_mode(crate::work::engine_mode_of(&job.spec.params))
+        .engine_mode(engine_mode_of(&job.spec.params))
         .cancel_token(job.cancel.clone())
         .metrics_registry(&self.registry)
         .tracer(job.tracer.clone())
@@ -890,6 +898,9 @@ impl Core {
                 // merged trace, its tail not observable by construction.
                 let deliver_span = job.tracer.span("sweepd", "deliver");
                 let spans = job.tracer.is_enabled().then(|| Arc::new(job.tracer.export_events()));
+                // Terminal counters move before the frames go out, so a
+                // client that scrapes right after its result sees them.
+                self.m.jobs_completed.inc();
                 Job::send_to_subs(
                     &subs,
                     |req_id| ServerFrame::Result {
@@ -906,13 +917,13 @@ impl Core {
                 );
                 drop(deliver_span);
                 self.m.deliver_us.observe(delivered_at.elapsed().as_micros() as u64);
-                self.m.jobs_completed.inc();
             }
             Ok(Err(interrupted)) => {
                 let completed_trials = interrupted.completed_trials();
                 // Interrupted::ChunkBudgetExhausted cannot happen (no
                 // budget is set); fold it into cancellation regardless.
                 debug_assert!(matches!(interrupted, Interrupted::Cancelled { .. }));
+                self.m.jobs_cancelled.inc();
                 Job::send_to_subs(
                     &subs,
                     |req_id| ServerFrame::Cancelled {
@@ -922,9 +933,9 @@ impl Core {
                     },
                     true,
                 );
-                self.m.jobs_cancelled.inc();
             }
             Err(reason) => {
+                self.m.jobs_failed.inc();
                 Job::send_to_subs(
                     &subs,
                     |req_id| ServerFrame::Failed {
@@ -934,7 +945,6 @@ impl Core {
                     },
                     true,
                 );
-                self.m.jobs_failed.inc();
             }
         }
     }

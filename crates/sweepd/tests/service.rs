@@ -9,7 +9,7 @@
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{run_cohort, RunReport, SimConfig};
-use jle_orchestrator::WorkSpec;
+use jle_orchestrator::{canonicalize, Fingerprint, ResultStore, WorkSpec, DEFAULT_CODE_SALT};
 use jle_protocols::LeskProtocol;
 use jle_radio::CdModel;
 use jle_sweepd::client::{snapshot_counter, SweepClient};
@@ -241,6 +241,45 @@ fn warm_resubmit_is_a_unit_cache_hit() {
         "cache replay is byte-identical"
     );
     assert_eq!(counter(&handle, "jle_sweepd_unit_cache_hits_total"), 1);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+/// Frame keys name store entries: an `exact_election` unit is stored
+/// under the `+engine=fast-exact` salt, and its `accepted`/`result` key
+/// must be that entry's fingerprint, resolvable through the store's spec
+/// index. Cohort keys stay on the plain salt.
+#[test]
+fn frame_keys_resolve_to_store_entries() {
+    let (handle, endpoint, cache) = start("frame-key", |_| {});
+    let mut client = SweepClient::connect(&endpoint).unwrap();
+    let exact = WorkSpec::new(
+        "svc",
+        "exact-key",
+        json!({
+            "kind": "exact_election",
+            "n": 16u64,
+            "cd": CdModel::Strong.to_json_value(),
+            "adv": AdversarySpec::passive().to_json_value(),
+            "max_slots": 4_000u64,
+            "proto": {"proto": "lesk", "eps": 0.5f64},
+        }),
+        21,
+    );
+    let cohort = quick_spec("cohort-key", 22);
+    let store = ResultStore::open(&cache).unwrap();
+    for (spec, salt) in [
+        (&exact, format!("{DEFAULT_CODE_SALT}+engine=fast-exact")),
+        (&cohort, DEFAULT_CODE_SALT.to_string()),
+    ] {
+        let out = client.submit_and_wait(spec, 4, 8, |_| {}).unwrap();
+        let want = Fingerprint::of(spec, &salt, std::any::type_name::<RunReport>());
+        assert_eq!(out.key, want.hex(), "{}: frame key names the store entry", spec.point);
+        let (full, stored) = store.load_spec_info(&out.key).expect("frame key resolves");
+        assert_eq!(full, out.key);
+        assert_eq!(stored, canonicalize(&spec.to_value()));
+        assert!(store.load_chunk::<RunReport>(&want, 0, 4).is_some());
+    }
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(cache);
 }

@@ -1,6 +1,7 @@
 //! Property-based end-to-end tests: safety and liveness hold across
 //! randomly drawn configurations, not just hand-picked ones.
 
+use jamming_leader_election::analysis::{bootstrap_ci, median_ci, percentile, ConfInterval};
 use jamming_leader_election::prelude::*;
 use proptest::prelude::*;
 
@@ -220,4 +221,58 @@ proptest! {
             prop_assert!(r.split_brain.believers.is_empty());
         }
     }
+}
+
+/// The generic bootstrap path `median_ci` must reproduce bit for bit.
+fn generic_median_ci(xs: &[f64], level: f64, seed: u64) -> Option<ConfInterval> {
+    bootstrap_ci(xs, |s| percentile(s, 0.5), level, 1000, seed)
+}
+
+fn assert_median_ci_bits(xs: &[f64], level: f64, seed: u64) {
+    let fast = median_ci(xs, level, seed).expect("non-empty sample");
+    let slow = generic_median_ci(xs, level, seed).expect("non-empty sample");
+    let bits = |ci: &ConfInterval| {
+        (ci.estimate.to_bits(), ci.lo.to_bits(), ci.hi.to_bits(), ci.level.to_bits())
+    };
+    assert_eq!(bits(&fast), bits(&slow), "n={} level={level} seed={seed}", xs.len());
+}
+
+/// The rank-counting `median_ci` is bit-identical to the generic
+/// resample-and-sort bootstrap across sample sizes (odd and even, so both
+/// the exact-rank and the interpolated median), seeds, levels, and
+/// sample shapes.
+#[test]
+fn median_ci_matches_generic_bootstrap_bit_for_bit() {
+    for n in [1usize, 2, 3, 7, 24, 64, 96, 224, 257] {
+        for seed in [0u64, 7, 0xDEAD_BEEF, u64::MAX] {
+            // Distinct, unsorted values with non-trivial fractions.
+            let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+            let distinct: Vec<f64> = (0..n)
+                .map(|_| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (state >> 11) as f64 / (1u64 << 20) as f64 - 2048.0
+                })
+                .collect();
+            // Duplicate-heavy: slot counts the way runtime samples look.
+            let dups: Vec<f64> =
+                (0..n as u64).map(|i| ((i * 7).wrapping_add(seed) % 3) as f64 * 16.0).collect();
+            for level in [0.5, 0.95, 0.99] {
+                assert_median_ci_bits(&distinct, level, seed);
+                assert_median_ci_bits(&dups, level, seed);
+            }
+        }
+    }
+    // Signed zeros are distinct under total_cmp and must land exactly
+    // where the generic sort puts them.
+    let zeros = [0.0, -0.0, 0.0, -0.0, -0.0, 1.0, -1.0, 0.0];
+    for seed in [3u64, 11, 99] {
+        assert_median_ci_bits(&zeros, 0.95, seed);
+        assert_median_ci_bits(&zeros[..5], 0.8, seed);
+    }
+    // Clamped levels take the same path in both.
+    assert_median_ci_bits(&[4.0, 1.0, 9.0, 9.0], 0.1, 5);
+    assert_median_ci_bits(&[4.0, 1.0, 9.0, 9.0], 1.0, 5);
+    assert!(median_ci(&[], 0.95, 1).is_none());
+    assert!(generic_median_ci(&[], 0.95, 1).is_none());
 }
