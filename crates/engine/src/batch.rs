@@ -36,7 +36,11 @@
 //! cache entries (the orchestrator aliases the engine salt — see
 //! `DESIGN.md` §17).
 //!
-//! Two entry families share the lockstep loop:
+//! Each trial is one lane of the core ([`crate::core`]): the adversary,
+//! noise, truth, energy, trace, resolution, and stop-rule steps are the
+//! very code [`crate::SimCore`] runs for a solo trial, so only the station
+//! side differs. Two entry families share one live-mask skeleton around
+//! those lanes:
 //!
 //! * [`run_batch_exact`] / [`run_batch_exact_with`] /
 //!   [`run_batch_exact_faulty`] — the general backend
@@ -53,168 +57,163 @@
 //!   granularity with no per-station draw at all — the `≥10×` sweep
 //!   throughput lever on the `exact_short_runs`-scale workloads.
 
-use crate::config::{SimConfig, StopRule};
-use crate::core::{trace_capacity, ADV_SEED_XOR};
-use crate::faults::{FaultPlan, FaultyStation};
+use crate::config::SimConfig;
+use crate::core::{Jammer, Lane, Tally};
+use crate::faults::FaultPlan;
 use crate::protocol::{Action, Protocol, Status, UniformProtocol};
-use crate::report::{EnergyStats, RunReport};
+use crate::report::RunReport;
 use crate::streams::{slot_material, station_key, StationRng};
 use jle_adversary::AdversarySpec;
-use jle_radio::{cd, ChannelHistory, ChannelState, HistoryView, SlotTruth, Trace};
-use rand::{rngs::SmallRng, Rng, SeedableRng};
+use jle_radio::{cd, CdModel, ChannelState};
+use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// Everything one trial owns that is *not* station state: the adversary
-/// instruments, the channel history, the accumulating report, and the
-/// per-slot scratch the station passes fill in. Field-for-field this is
-/// the per-run state `SimCore::run` keeps on its stack, so the per-slot
-/// methods below replay the core loop's draw order exactly.
-struct TrialLane {
-    strategy: Box<dyn jle_adversary::JamStrategy>,
-    budget: jle_adversary::JamBudget,
-    adv_rng: SmallRng,
-    noise_rng: SmallRng,
-    history: ChannelHistory,
-    report: RunReport,
-    energy: EnergyStats,
-    trace: Option<Trace>,
-    /// Non-terminal stations (awake or parked).
-    active: u64,
-    /// Non-terminal stations currently reporting `finished()`.
-    finished_active: u64,
-    /// All stations (terminal included) reporting `finished()`.
-    finished_total: u64,
-    // Per-slot scratch.
-    want: bool,
-    tx_count: u64,
-    listen_count: u64,
-    lone: Option<u64>,
-    truth: SlotTruth,
+/// The set trials of a word-packed trial mask, in trial order.
+#[inline]
+fn trials(mask: &[u64]) -> Trials<'_> {
+    Trials { mask, w: 0, word: mask.first().copied().unwrap_or(0) }
 }
 
-impl TrialLane {
-    fn new(config: &SimConfig, adversary: &AdversarySpec, seed: u64) -> Self {
-        TrialLane {
-            strategy: adversary.strategy(),
-            budget: adversary.budget(),
-            adv_rng: SmallRng::seed_from_u64(seed ^ ADV_SEED_XOR),
-            noise_rng: SmallRng::seed_from_u64(seed),
-            history: ChannelHistory::new(config.effective_retention(adversary.t_window)),
-            report: RunReport::default(),
-            energy: EnergyStats::default(),
-            trace: if config.record_trace {
-                Some(Trace::with_capacity(trace_capacity(config)))
+/// The set bits of one mask word, lowest first.
+#[inline]
+fn bits(word: u64) -> Trials<'static> {
+    Trials { mask: &[], w: 0, word }
+}
+
+/// Iterator behind [`trials`] and [`bits`]: the word being drained and
+/// its index in `mask`.
+struct Trials<'a> {
+    mask: &'a [u64],
+    w: usize,
+    word: u64,
+}
+
+impl Iterator for Trials<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.w += 1;
+            self.word = *self.mask.get(self.w)?;
+        }
+        let b = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some((self.w << 6) | b)
+    }
+}
+
+/// Clear every set trial of `mask` that `keep` rejects; returns whether
+/// any trial is left.
+fn retain_trials(mask: &mut [u64], mut keep: impl FnMut(usize) -> bool) -> bool {
+    let mut any = false;
+    for (w, word) in mask.iter_mut().enumerate() {
+        for b in bits(*word) {
+            if keep((w << 6) | b) {
+                any = true;
             } else {
-                None
-            },
-            active: config.n,
-            finished_active: 0,
-            finished_total: 0,
-            want: false,
-            tx_count: 0,
-            listen_count: 0,
-            lone: None,
-            truth: SlotTruth::IDLE,
-        }
-    }
-
-    /// The stop-before-playing predicate `SimCore` checks at the top of
-    /// every slot (incremental form, same as the fast backend).
-    fn finished(&self) -> bool {
-        self.finished_total > 0 && self.finished_active == self.active
-    }
-
-    /// Top-of-slot: the commit-first adversary decides before any action
-    /// draw; per-slot scratch resets.
-    fn begin_slot(&mut self) {
-        self.want = self.strategy.decide(&self.history, &self.budget, &mut self.adv_rng);
-        self.tx_count = 0;
-        self.listen_count = 0;
-        self.lone = None;
-    }
-
-    /// Post-action: budget clamp, noise draw, ground truth, energy/trace
-    /// accounting, and first-clean-single resolution — steps 3–5 of the
-    /// core loop, in its exact draw order.
-    fn commit_slot(&mut self, config: &SimConfig, slot: u64, estimate: Option<f64>) {
-        let jam = self.want && self.budget.can_jam();
-        self.budget.advance(jam);
-        let noisy = config.noise_prob > 0.0 && self.noise_rng.gen_bool(config.noise_prob);
-        if noisy {
-            self.report.noise_slots += 1;
-        }
-        self.truth = SlotTruth::new(self.tx_count, jam || noisy);
-        self.energy.transmissions += self.tx_count;
-        self.energy.listens += self.listen_count;
-        if let Some(t) = self.trace.as_mut() {
-            match estimate {
-                Some(u) => t.push_with_estimate(&self.truth, u),
-                None => t.push(&self.truth),
+                *word &= !(1u64 << b);
             }
         }
-        if self.truth.is_clean_single() && self.report.resolved_at.is_none() {
-            self.report.resolved_at = Some(slot);
-            self.report.winner = self.lone;
-        }
     }
-
-    /// End-of-slot bookkeeping and stop rules; returns whether the trial
-    /// retires after this slot.
-    fn end_slot(&mut self, config: &SimConfig, slot: u64) -> bool {
-        self.history.push(&self.truth);
-        self.report.slots = slot + 1;
-        match config.stop {
-            StopRule::FirstCleanSingle => self.report.resolved_at.is_some(),
-            StopRule::AllTerminated => {
-                if self.active == 0 {
-                    self.report.all_terminated = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            StopRule::Horizon => false,
-        }
-    }
-
-    /// Post-loop report assembly (core finalization + the fast backend's
-    /// `timed_out`/`cap_hit` rules); `leaders` is filled by the caller.
-    fn finalize(&mut self, config: &SimConfig) -> RunReport {
-        self.report.counts = self.history.counts();
-        self.report.adv_budget_spent = self.budget.spent_fraction();
-        self.report.energy = self.energy;
-        if let Some(t) = self.trace.take() {
-            self.report.trace = Some(t);
-        }
-        let fin = self.finished();
-        self.report.timed_out = match config.stop {
-            StopRule::FirstCleanSingle => self.report.resolved_at.is_none() && !fin,
-            StopRule::AllTerminated => !self.report.all_terminated,
-            StopRule::Horizon => false,
-        };
-        self.report.cap_hit = self.report.timed_out && self.report.slots == config.max_slots;
-        std::mem::take(&mut self.report)
-    }
+    any
 }
 
-/// Estimate semantics shared with the fast backend: the estimate of the
-/// lowest-indexed non-terminal station of `trial`.
-fn min_engaged_estimate<P: Protocol>(
-    engaged: &[u64],
-    protos: &[P],
-    words: usize,
-    k: usize,
-    trial: usize,
-) -> Option<f64> {
-    let (w, bit) = (trial / 64, trial % 64);
-    let n = protos.len().checked_div(k).unwrap_or(0);
-    for i in 0..n {
-        if engaged[i * words + w] >> bit & 1 != 0 {
-            return protos[i * k + trial].estimate();
+/// A trial mask with the first `k` bits set (padding bits stay clear).
+fn full_mask(k: usize) -> Vec<u64> {
+    let mut mask = vec![u64::MAX; k.div_ceil(64)];
+    if let Some(last) = mask.last_mut() {
+        if !k.is_multiple_of(64) {
+            *last = (1u64 << (k % 64)) - 1;
         }
     }
-    None
+    mask
+}
+
+/// What both batch backends build the same way: one lane per seed and
+/// the station-major (`[station * K + trial]`) counter-stream keys.
+fn lanes_and_keys(
+    config: &SimConfig,
+    adversary: &AdversarySpec,
+    seeds: &[u64],
+) -> (Vec<Lane>, Vec<u64>) {
+    assert!(config.n >= 1, "need at least one station");
+    assert!(config.n <= u64::from(u32::MAX), "batch backend indexes stations with u32");
+    assert!(seeds.len() <= u32::MAX as usize, "batch backend indexes trials with u32");
+    let mut keys = Vec::with_capacity(config.n as usize * seeds.len());
+    for i in 0..config.n {
+        for &s in seeds {
+            keys.push(station_key(s, i));
+        }
+    }
+    let lanes = seeds
+        .iter()
+        .map(|&s| Lane::new(config, Jammer::commit_first(adversary, s), s, None))
+        .collect();
+    (lanes, keys)
+}
+
+/// The station side of a lockstep batch: what differs between the
+/// general and the uniform backend. [`run_lanes`] plays everything else.
+trait LockstepStations {
+    /// Trial `trial`'s finished-counter tally.
+    fn tally(&self, trial: usize) -> &Tally;
+
+    /// Wake and action phases for every live trial, filling each live
+    /// lane's `actions`.
+    fn act(&mut self, slot: u64, live: &[u64], lanes: &mut [Lane]);
+
+    /// The estimate trial `trial`'s trace records: that of its
+    /// lowest-indexed non-terminal station (the fast backend's rule).
+    fn estimate(&self, trial: usize) -> Option<f64>;
+
+    /// Feedback for every live trial from its lane's ground truth.
+    fn feedback(&mut self, slot: u64, config: &SimConfig, live: &[u64], lanes: &[Lane]);
+
+    /// Trial `trial`'s `Leader` stations, in id order.
+    fn leaders(&self, trial: usize) -> Vec<u64>;
+}
+
+/// The lockstep skeleton both batch backends share: each slot retires
+/// finished trials, then walks the live trials' lanes through the same
+/// per-slot sequence [`crate::SimCore`] plays for one (begin, act,
+/// commit, feedback, end), and stopping trials leave the live mask.
+/// Returns the per-trial reports in lane order.
+fn run_lanes(
+    config: &SimConfig,
+    mut lanes: Vec<Lane>,
+    stations: &mut impl LockstepStations,
+) -> Vec<RunReport> {
+    let mut live = full_mask(lanes.len());
+    for slot in 0..config.max_slots {
+        // Retire trials whose stations all finished — before the slot is
+        // played, like the core loop's top-of-slot check.
+        if !retain_trials(&mut live, |k| !stations.tally(k).finished()) {
+            break;
+        }
+        for k in trials(&live) {
+            lanes[k].begin_slot();
+        }
+        stations.act(slot, &live, &mut lanes);
+        for k in trials(&live) {
+            let lane = &mut lanes[k];
+            let estimate = if lane.traced() { stations.estimate(k) } else { None };
+            lane.commit(config, slot, estimate, |actions, _| actions.lone_transmitter);
+        }
+        stations.feedback(slot, config, &live, &lanes);
+        retain_trials(&mut live, |k| {
+            !lanes[k].end_slot(config, slot, None, || stations.tally(k).all_terminated())
+        });
+    }
+    // Statuses are frozen once a trial retires, so one pass at the end
+    // serves every trial.
+    let mut reports = Vec::with_capacity(lanes.len());
+    for (k, lane) in lanes.into_iter().enumerate() {
+        let mut report = lane.finish(config, stations.tally(k).finished(), None);
+        report.leaders = stations.leaders(k);
+        reports.push(report);
+    }
+    reports
 }
 
 /// The general batched lockstep backend: K trials of the same experiment
@@ -222,9 +221,8 @@ fn min_engaged_estimate<P: Protocol>(
 ///
 /// Layout: `protos`/`keys` are station-major (`[station * K + trial]`);
 /// the `awake`/`engaged`/`finished`/`tx`/`sleep` bitplanes are indexed
-/// `[station * words + word]` with one bit per trial; `live` is one word
-/// row of still-running trials. Padding bits (trial ≥ K in the last
-/// word) stay clear in every plane.
+/// `[station * words + word]` with one bit per trial. Padding bits
+/// (trial ≥ K in the last word) stay clear in every plane.
 ///
 /// See the module docs for the bit-identity contract. Construct with
 /// [`BatchExactStations::new`] and drive to completion with
@@ -241,13 +239,13 @@ pub struct BatchExactStations<P> {
     finished: Vec<u64>,
     tx: Vec<u64>,
     sleep: Vec<u64>,
-    live: Vec<u64>,
     /// Merged wake calendar: `(station, trial)` pairs bucketed by wake
     /// slot — the batch-wide image of the fast backend's per-run
     /// `WakeQueue` (drain order within a bucket is unobservable because
     /// waking only sets membership bits).
     calendar: BTreeMap<u64, Vec<(u32, u32)>>,
-    lanes: Vec<TrialLane>,
+    tallies: Vec<Tally>,
+    lanes: Vec<Lane>,
 }
 
 impl<P: Protocol> BatchExactStations<P> {
@@ -262,40 +260,12 @@ impl<P: Protocol> BatchExactStations<P> {
         seeds: &[u64],
         mut factory: impl FnMut(u64, u64) -> P,
     ) -> Self {
-        assert!(config.n >= 1, "need at least one station");
-        let n = config.n as usize;
-        assert!(n <= u32::MAX as usize, "batch backend indexes stations with u32");
-        let k = seeds.len();
-        assert!(k <= u32::MAX as usize, "batch backend indexes trials with u32");
+        let (lanes, keys) = lanes_and_keys(config, adversary, seeds);
+        let (n, k) = (config.n as usize, seeds.len());
         let words = k.div_ceil(64);
-
-        let mut protos = Vec::with_capacity(n * k);
-        let mut keys = Vec::with_capacity(n * k);
-        for station in 0..n as u64 {
-            for (trial, &seed) in seeds.iter().enumerate() {
-                protos.push(factory(trial as u64, station));
-                keys.push(station_key(seed, station));
-            }
-        }
-        let lanes: Vec<TrialLane> =
-            seeds.iter().map(|&s| TrialLane::new(config, adversary, s)).collect();
-
-        let mut live = vec![u64::MAX; words];
-        if let Some(last) = live.last_mut() {
-            if !k.is_multiple_of(64) {
-                *last = (1u64 << (k % 64)) - 1;
-            }
-        }
-        let planes = |full: bool| -> Vec<u64> {
-            if full {
-                (0..n).flat_map(|_| live.iter().copied()).collect()
-            } else {
-                vec![0u64; n * words]
-            }
-        };
-        let (awake, engaged) = (planes(true), planes(true));
-        let (finished, tx, sleep) = (planes(false), planes(false), planes(false));
-
+        let protos = (0..n as u64).flat_map(|i| (0..k as u64).map(move |t| (t, i)));
+        let protos = protos.map(|(trial, station)| factory(trial, station)).collect();
+        let full = full_mask(k).repeat(n);
         let mut set = BatchExactStations {
             config: config.clone(),
             n,
@@ -303,38 +273,22 @@ impl<P: Protocol> BatchExactStations<P> {
             words,
             protos,
             keys,
-            awake,
-            engaged,
-            finished,
-            tx,
-            sleep,
-            live,
+            awake: full.clone(),
+            engaged: full,
+            finished: vec![0; n * words],
+            tx: vec![0; n * words],
+            sleep: vec![0; n * words],
             calendar: BTreeMap::new(),
+            tallies: vec![Tally::new(config.n); k],
             lanes,
         };
         // Construction-time fold, mirroring the fast backend: stations
         // already `finished()` count toward the stop condition; stations
         // already terminal never enter the loop.
         for i in 0..n {
-            let base = i * set.words;
             for trial in 0..k {
-                let (w, b) = (trial / 64, trial % 64);
-                let idx = i * k + trial;
-                let mut fin = false;
-                if set.protos[idx].finished() {
-                    fin = true;
-                    set.finished[base + w] |= 1u64 << b;
-                    set.lanes[trial].finished_total += 1;
-                    set.lanes[trial].finished_active += 1;
-                }
-                if set.protos[idx].status().terminal() {
-                    let lane = &mut set.lanes[trial];
-                    lane.active -= 1;
-                    if fin {
-                        lane.finished_active -= 1;
-                    }
-                    set.awake[base + w] &= !(1u64 << b);
-                    set.engaged[base + w] &= !(1u64 << b);
+                if set.settle(i, trial) {
+                    set.retire(i, trial);
                 }
             }
         }
@@ -345,182 +299,125 @@ impl<P: Protocol> BatchExactStations<P> {
     /// in seed order. Each is bit-identical to the corresponding solo
     /// fast-exact run.
     pub fn run(mut self) -> Vec<RunReport> {
+        let lanes = std::mem::take(&mut self.lanes);
         let config = self.config.clone();
+        run_lanes(&config, lanes, &mut self)
+    }
+
+    /// Fold `(station, trial)`'s current `finished()`/terminal state into
+    /// the trial's tally and the `finished` plane; returns whether the
+    /// station terminated.
+    fn settle(&mut self, i: usize, trial: usize) -> bool {
+        let (w, bit) = (i * self.words + trial / 64, 1u64 << (trial % 64));
+        let proto = &self.protos[i * self.k + trial];
+        let (now, terminal) = (proto.finished(), proto.status().terminal());
+        let was = self.finished[w] & bit != 0;
+        self.tallies[trial].settle(1, was, now, terminal);
+        if now != was {
+            self.finished[w] ^= bit;
+        }
+        terminal
+    }
+
+    /// Take a terminated `(station, trial)` out of the loop for good.
+    fn retire(&mut self, i: usize, trial: usize) {
+        let (w, bit) = (i * self.words + trial / 64, 1u64 << (trial % 64));
+        self.awake[w] &= !bit;
+        self.engaged[w] &= !bit;
+    }
+}
+
+impl<P: Protocol> LockstepStations for BatchExactStations<P> {
+    fn tally(&self, trial: usize) -> &Tally {
+        &self.tallies[trial]
+    }
+
+    fn act(&mut self, slot: u64, live: &[u64], lanes: &mut [Lane]) {
         let (n, k, words) = (self.n, self.k, self.words);
-        for slot in 0..config.max_slots {
-            // 0. Retire trials whose stations all finished — before the
-            // slot is played, like the core loop's top-of-slot check.
-            let mut any_live = false;
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if self.lanes[(w << 6) | b].finished() {
-                        self.live[w] &= !(1u64 << b);
-                    } else {
-                        any_live = true;
-                    }
-                }
+        self.tx.fill(0);
+        self.sleep.fill(0);
+        // Wake phase: pull every (station, trial) whose declared wake
+        // slot has arrived back into the awake planes. Bits of retired
+        // trials are masked by `live` everywhere they could be read, so
+        // the calendar need not know about retirement.
+        while self.calendar.first_key_value().is_some_and(|(&wake, _)| wake <= slot) {
+            let (_, entries) = self.calendar.pop_first().expect("peeked entry exists");
+            for (station, trial) in entries {
+                let (w, b) = (trial as usize / 64, trial as usize % 64);
+                self.awake[station as usize * words + w] |= 1u64 << b;
             }
-            if !any_live {
-                break;
-            }
-
-            // 1. Adversary pre-decisions + scratch reset per live trial.
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.lanes[(w << 6) | b].begin_slot();
-                }
-            }
-            self.tx.fill(0);
-            self.sleep.fill(0);
-
-            // 2. Wake phase: pull every (station, trial) whose declared
-            // wake slot has arrived back into the awake planes. Bits of
-            // retired trials are masked by `live` everywhere they could
-            // be read, so the calendar need not know about retirement.
-            loop {
-                match self.calendar.first_key_value() {
-                    Some((&wake, _)) if wake <= slot => {
-                        let (_, entries) = self.calendar.pop_first().expect("peeked entry exists");
-                        for (station, trial) in entries {
-                            let (w, b) = (trial as usize / 64, trial as usize % 64);
-                            self.awake[station as usize * words + w] |= 1u64 << b;
+        }
+        // Action phase, station-major: the slot's key material is mixed
+        // once for the whole batch.
+        let slot_mat = slot_material(slot);
+        for i in 0..n {
+            let base = i * words;
+            for (w, &live_w) in live.iter().enumerate() {
+                for b in bits(self.awake[base + w] & live_w) {
+                    let trial = (w << 6) | b;
+                    let idx = i * k + trial;
+                    let mut rng = StationRng::with_slot_material(self.keys[idx], slot_mat);
+                    match self.protos[idx].act(slot, &mut rng) {
+                        Action::Transmit => {
+                            self.tx[base + w] |= 1u64 << b;
+                            lanes[trial].actions.record_transmitter(i as u64);
                         }
-                    }
-                    _ => break,
-                }
-            }
-
-            // 3. Action phase, station-major: the slot's key material is
-            // mixed once for the whole batch.
-            let slot_mat = slot_material(slot);
-            for i in 0..n {
-                let base = i * words;
-                for w in 0..words {
-                    let mut m = self.awake[base + w] & self.live[w];
-                    while m != 0 {
-                        let b = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let kk = (w << 6) | b;
-                        let idx = i * k + kk;
-                        let mut rng = StationRng::with_slot_material(self.keys[idx], slot_mat);
-                        match self.protos[idx].act(slot, &mut rng) {
-                            Action::Transmit => {
-                                self.tx[base + w] |= 1u64 << b;
-                                let lane = &mut self.lanes[kk];
-                                lane.tx_count += 1;
-                                lane.lone = if lane.tx_count == 1 { Some(i as u64) } else { None };
-                            }
-                            Action::Listen => self.lanes[kk].listen_count += 1,
-                            Action::Sleep => self.sleep[base + w] |= 1u64 << b,
-                        }
-                    }
-                }
-            }
-
-            // 4. Commit + noise + truth + observers + resolution.
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let kk = (w << 6) | b;
-                    let estimate = if self.lanes[kk].trace.is_some() {
-                        min_engaged_estimate(&self.engaged, &self.protos, words, k, kk)
-                    } else {
-                        None
-                    };
-                    self.lanes[kk].commit_slot(&config, slot, estimate);
-                }
-            }
-
-            // 5. Feedback, station-major, with the fast backend's two
-            // passes fused per (station, trial) — legal because every
-            // per-station effect is independent of the pass order.
-            for i in 0..n {
-                let base = i * words;
-                for w in 0..words {
-                    let mut m = self.awake[base + w] & self.live[w];
-                    while m != 0 {
-                        let b = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let bit = 1u64 << b;
-                        let kk = (w << 6) | b;
-                        let idx = i * k + kk;
-                        let slept = self.sleep[base + w] & bit != 0;
-                        if !slept {
-                            let transmitted = self.tx[base + w] & bit != 0;
-                            let obs = cd::observe(config.cd, transmitted, &self.lanes[kk].truth);
-                            self.protos[idx].feedback(slot, transmitted, obs);
-                        }
-                        let fin = self.protos[idx].finished();
-                        if fin != (self.finished[base + w] & bit != 0) {
-                            self.finished[base + w] ^= bit;
-                            let lane = &mut self.lanes[kk];
-                            if fin {
-                                lane.finished_total += 1;
-                                lane.finished_active += 1;
-                            } else {
-                                lane.finished_total -= 1;
-                                lane.finished_active -= 1;
-                            }
-                        }
-                        if self.protos[idx].status().terminal() {
-                            let lane = &mut self.lanes[kk];
-                            lane.active -= 1;
-                            if fin {
-                                lane.finished_active -= 1;
-                            }
-                            self.awake[base + w] &= !bit;
-                            self.engaged[base + w] &= !bit;
-                        } else if slept {
-                            // `max(slot + 1)` hardens against hints in the
-                            // past; u64::MAX parks the pair forever — it
-                            // stays engaged (and in `active`) without ever
-                            // re-entering the calendar.
-                            let wake = self.protos[idx].wake_hint(slot).max(slot + 1);
-                            self.awake[base + w] &= !bit;
-                            if wake != u64::MAX {
-                                self.calendar.entry(wake).or_default().push((i as u32, kk as u32));
-                            }
-                        }
-                    }
-                }
-            }
-
-            // 6. History, slot count, stop rules; stopping trials retire.
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if self.lanes[(w << 6) | b].end_slot(&config, slot) {
-                        self.live[w] &= !(1u64 << b);
+                        Action::Listen => lanes[trial].actions.listeners += 1,
+                        Action::Sleep => self.sleep[base + w] |= 1u64 << b,
                     }
                 }
             }
         }
+    }
 
-        // Finalization: statuses are frozen once a trial retires, so one
-        // pass at the end serves every trial.
-        let mut reports = Vec::with_capacity(k);
-        for trial in 0..k {
-            let mut leaders = Vec::new();
-            for i in 0..n {
-                if self.protos[i * k + trial].status() == Status::Leader {
-                    leaders.push(i as u64);
+    fn estimate(&self, trial: usize) -> Option<f64> {
+        let (w, bit) = (trial / 64, 1u64 << (trial % 64));
+        (0..self.n)
+            .find(|&i| self.engaged[i * self.words + w] & bit != 0)
+            .and_then(|i| self.protos[i * self.k + trial].estimate())
+    }
+
+    fn feedback(&mut self, slot: u64, config: &SimConfig, live: &[u64], lanes: &[Lane]) {
+        // Station-major, with the fast backend's two passes fused per
+        // (station, trial) — legal because every per-station effect is
+        // independent of the pass order.
+        let (n, k, words) = (self.n, self.k, self.words);
+        for i in 0..n {
+            let base = i * words;
+            for (w, &live_w) in live.iter().enumerate() {
+                for b in bits(self.awake[base + w] & live_w) {
+                    let bit = 1u64 << b;
+                    let trial = (w << 6) | b;
+                    let idx = i * k + trial;
+                    let slept = self.sleep[base + w] & bit != 0;
+                    if !slept {
+                        let transmitted = self.tx[base + w] & bit != 0;
+                        let obs = cd::observe(config.cd, transmitted, lanes[trial].truth());
+                        self.protos[idx].feedback(slot, transmitted, obs);
+                    }
+                    if self.settle(i, trial) {
+                        self.retire(i, trial);
+                    } else if slept {
+                        // `max(slot + 1)` hardens against hints in the
+                        // past; u64::MAX parks the pair forever — it stays
+                        // engaged (and active) without ever re-entering
+                        // the calendar.
+                        let wake = self.protos[idx].wake_hint(slot).max(slot + 1);
+                        self.awake[base + w] &= !bit;
+                        if wake != u64::MAX {
+                            self.calendar.entry(wake).or_default().push((i as u32, trial as u32));
+                        }
+                    }
                 }
             }
-            let mut report = self.lanes[trial].finalize(&config);
-            report.leaders = leaders;
-            reports.push(report);
         }
-        reports
+    }
+
+    fn leaders(&self, trial: usize) -> Vec<u64> {
+        (0..self.n)
+            .filter(|&i| self.protos[i * self.k + trial].status() == Status::Leader)
+            .map(|i| i as u64)
+            .collect()
     }
 }
 
@@ -529,7 +426,6 @@ impl<P> std::fmt::Debug for BatchExactStations<P> {
         f.debug_struct("BatchExactStations")
             .field("n", &self.n)
             .field("trials", &self.k)
-            .field("live", &self.live.iter().map(|w| w.count_ones()).sum::<u32>())
             .finish_non_exhaustive()
     }
 }
@@ -561,8 +457,9 @@ pub fn run_batch_exact(
 }
 
 /// Batched twin of [`run_fast_exact_faulty`](crate::run_fast_exact_faulty):
-/// planned stations are wrapped in [`FaultyStation`] per `(station,
-/// trial)` and the post-run leader-crash verdict comes from the plan.
+/// planned stations are wrapped in [`FaultyStation`](crate::FaultyStation)
+/// per `(station, trial)` and the post-run leader-crash verdict comes from
+/// the plan.
 pub fn run_batch_exact_faulty<F>(
     config: &SimConfig,
     adversary: &AdversarySpec,
@@ -573,30 +470,9 @@ pub fn run_batch_exact_faulty<F>(
 where
     F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
 {
-    let factory = Arc::new(factory);
-    let mut reports =
-        run_batch_exact_with(config, adversary, seeds, |_trial, i| match plan.get(i) {
-            None => factory(i),
-            Some(f) => {
-                let fac = Arc::clone(&factory);
-                Box::new(FaultyStation::new(
-                    f.clone(),
-                    plan.station_seed(i),
-                    Box::new(move || fac(i)),
-                )) as Box<dyn Protocol>
-            }
-        });
+    let mut reports = run_batch_exact(config, adversary, seeds, plan.wrap(factory));
     for report in &mut reports {
-        if report.leaders.len() <= 1 {
-            if let Some(w) = report.leaders.first().copied().or(report.winner) {
-                // Same full-horizon judgement as the per-trial faulty
-                // backends: crash schedules are wall-clock.
-                let horizon = config.max_slots.max(report.slots);
-                if plan.leader_crashed(w, horizon) {
-                    report.leader_crashed = true;
-                }
-            }
-        }
+        plan.judge_leader_crash(config, report);
     }
     reports
 }
@@ -651,17 +527,18 @@ pub struct BatchUniformStations<U> {
     running: Vec<u64>,
     /// Elected leaders (strong-CD clean singles), same layout.
     leader: Vec<u64>,
-    live: Vec<u64>,
-    lanes: Vec<TrialLane>,
+    tallies: Vec<Tally>,
     /// One shared protocol state per trial — the invariant above is what
     /// makes this sufficient.
     shared: Vec<U>,
-    /// Per trial: terminal stations whose frozen `finished()` was `true`.
-    frozen_finished: Vec<u64>,
+    /// Per trial: the `finished()` flag last recorded for the running
+    /// stations (they all share it).
+    shared_finished: Vec<bool>,
     /// Per-slot scratch: per-trial transmission probability, and the
     /// word-mask of trials needing per-station draws (`0 < p < 1`).
     ps: Vec<f64>,
     mid: Vec<u64>,
+    lanes: Vec<Lane>,
 }
 
 /// Lowest-indexed station still running in `trial` (only called when the
@@ -685,261 +562,180 @@ impl<U: UniformProtocol> BatchUniformStations<U> {
         seeds: &[u64],
         mut factory: impl FnMut() -> U,
     ) -> Self {
-        assert!(config.n >= 1, "need at least one station");
-        let n = config.n as usize;
-        assert!(n <= u32::MAX as usize, "batch backend indexes stations with u32");
-        let k = seeds.len();
-        assert!(k <= u32::MAX as usize, "batch backend indexes trials with u32");
+        let (lanes, keys) = lanes_and_keys(config, adversary, seeds);
+        let (n, k) = (config.n as usize, seeds.len());
         let words = k.div_ceil(64);
-
-        let mut keys = Vec::with_capacity(n * k);
-        for station in 0..n as u64 {
-            for &seed in seeds {
-                keys.push(station_key(seed, station));
-            }
-        }
         let shared: Vec<U> = (0..k).map(|_| factory()).collect();
-        let mut lanes: Vec<TrialLane> =
-            seeds.iter().map(|&s| TrialLane::new(config, adversary, s)).collect();
         // Construction-time fold: every station of a finished-at-birth
         // uniform protocol reports finished (and Running), so the trial
         // retires before slot 0 — exactly the fast backend's fold.
-        for (lane, state) in lanes.iter_mut().zip(shared.iter()) {
-            if state.finished() {
-                lane.finished_active = config.n;
-                lane.finished_total = config.n;
-            }
-        }
-
-        let mut live = vec![u64::MAX; words];
-        if let Some(last) = live.last_mut() {
-            if !k.is_multiple_of(64) {
-                *last = (1u64 << (k % 64)) - 1;
-            }
-        }
-        let running: Vec<u64> = (0..n).flat_map(|_| live.iter().copied()).collect();
-
+        let shared_finished: Vec<bool> = shared.iter().map(U::finished).collect();
+        let tallies = shared_finished
+            .iter()
+            .map(|&fin| {
+                let mut tally = Tally::new(config.n);
+                tally.settle(config.n, false, fin, false);
+                tally
+            })
+            .collect();
         BatchUniformStations {
             config: config.clone(),
             n,
             k,
             words,
             keys,
-            running,
+            running: full_mask(k).repeat(n),
             leader: vec![0u64; n * words],
-            live,
-            lanes,
+            tallies,
             shared,
-            frozen_finished: vec![0u64; k],
+            shared_finished,
             ps: vec![0.0; k],
             mid: vec![0u64; words],
+            lanes,
         }
     }
 
     /// Drive every trial to completion; per-trial reports in seed order,
     /// bit-identical to solo fast-exact runs over `PerStation`.
     pub fn run(mut self) -> Vec<RunReport> {
+        let lanes = std::mem::take(&mut self.lanes);
         let config = self.config.clone();
+        run_lanes(&config, lanes, &mut self)
+    }
+}
+
+impl<U: UniformProtocol> LockstepStations for BatchUniformStations<U> {
+    fn tally(&self, trial: usize) -> &Tally {
+        &self.tallies[trial]
+    }
+
+    fn act(&mut self, slot: u64, live: &[u64], lanes: &mut [Lane]) {
+        // One `tx_prob` call per trial resolves the degenerate
+        // probabilities at word granularity; only trials with 0 < p < 1
+        // fall through to per-station draws.
         let (n, k, words) = (self.n, self.k, self.words);
-        for slot in 0..config.max_slots {
-            // 0. Retire all-finished trials before playing the slot.
-            let mut any_live = false;
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if self.lanes[(w << 6) | b].finished() {
-                        self.live[w] &= !(1u64 << b);
-                    } else {
-                        any_live = true;
-                    }
-                }
+        let slot_mat = slot_material(slot);
+        let mut any_mid = false;
+        self.mid.fill(0);
+        for trial in trials(live) {
+            let active = self.tallies[trial].active();
+            if active == 0 {
+                continue; // no running stations: nobody acts
             }
-            if !any_live {
-                break;
-            }
-
-            // 1. Adversary pre-decisions + scratch reset.
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.lanes[(w << 6) | b].begin_slot();
+            // Same clamp-then-gate as PerStation::act, so NaN and
+            // negative probabilities take the no-draw listen path.
+            let p = self.shared[trial].tx_prob(slot).clamp(0.0, 1.0);
+            self.ps[trial] = p;
+            let actions = &mut lanes[trial].actions;
+            if p == 1.0 {
+                actions.transmitters = active;
+                if active == 1 {
+                    actions.lone_transmitter =
+                        Some(find_single_running(&self.running, n, words, trial));
                 }
-            }
-
-            // 2. Action phase. One `tx_prob` call per trial resolves the
-            // degenerate probabilities at word granularity; only trials
-            // with 0 < p < 1 fall through to per-station draws.
-            let slot_mat = slot_material(slot);
-            let mut any_mid = false;
-            self.mid.fill(0);
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let kk = (w << 6) | b;
-                    if self.lanes[kk].active == 0 {
-                        continue; // no running stations: nobody acts
-                    }
-                    // Same clamp-then-gate as PerStation::act, so NaN and
-                    // negative probabilities take the no-draw listen path.
-                    let p = self.shared[kk].tx_prob(slot).clamp(0.0, 1.0);
-                    self.ps[kk] = p;
-                    let lane = &mut self.lanes[kk];
-                    if p == 1.0 {
-                        lane.tx_count = lane.active;
-                        if lane.active == 1 {
-                            lane.lone = Some(find_single_running(&self.running, n, words, kk));
-                        }
-                    } else if p > 0.0 {
-                        self.mid[w] |= 1u64 << b;
-                        any_mid = true;
-                    } else {
-                        // NaN falls through `p > 0.0` to land here too.
-                        lane.listen_count = lane.active;
-                    }
-                }
-            }
-            if any_mid {
-                for i in 0..n {
-                    let (base, ik) = (i * words, i * k);
-                    for w in 0..words {
-                        let mut m = self.running[base + w] & self.live[w] & self.mid[w];
-                        while m != 0 {
-                            let b = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            let kk = (w << 6) | b;
-                            let mut rng =
-                                StationRng::with_slot_material(self.keys[ik + kk], slot_mat);
-                            let p = self.ps[kk];
-                            let lane = &mut self.lanes[kk];
-                            if rng.gen_bool(p) {
-                                lane.tx_count += 1;
-                                lane.lone = if lane.tx_count == 1 { Some(i as u64) } else { None };
-                            } else {
-                                lane.listen_count += 1;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // 3. Commit + noise + truth + observers + resolution. The
-            // estimate of the lowest-indexed non-terminal station is the
-            // shared state's estimate (all running copies are identical).
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let kk = (w << 6) | b;
-                    let estimate = if self.lanes[kk].trace.is_some() && self.lanes[kk].active > 0 {
-                        self.shared[kk].estimate()
-                    } else {
-                        None
-                    };
-                    self.lanes[kk].commit_slot(&config, slot, estimate);
-                }
-            }
-
-            // 4. Feedback: one shared-state update per trial, except on
-            // clean singles where the divergently-updated stations all
-            // terminate (see the invariant in the type docs).
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let kk = (w << 6) | b;
-                    let active = self.lanes[kk].active;
-                    if active == 0 {
-                        continue; // nobody listens; nothing updates
-                    }
-                    let truth = self.lanes[kk].truth;
-                    let bit = 1u64 << b;
-                    if truth.is_clean_single() {
-                        // Terminating stations freeze `finished()` at the
-                        // shared state's pre-on_state value.
-                        let pre_sf = self.shared[kk].finished();
-                        let tx =
-                            self.lanes[kk].lone.expect("clean single has exactly one transmitter")
-                                as usize;
-                        if matches!(config.cd, jle_radio::CdModel::Strong) {
-                            if pre_sf {
-                                self.frozen_finished[kk] += active;
-                            }
-                            for i in 0..n {
-                                self.running[i * words + w] &= !bit;
-                            }
-                            self.leader[tx * words + w] |= bit;
-                            self.lanes[kk].active = 0;
-                        } else {
-                            // Weak/no-CD: listeners terminate NonLeader;
-                            // the transmitter absorbs one Collision.
-                            if pre_sf {
-                                self.frozen_finished[kk] += active - 1;
-                            }
-                            for i in 0..n {
-                                if i != tx {
-                                    self.running[i * words + w] &= !bit;
-                                }
-                            }
-                            self.lanes[kk].active = 1;
-                            self.shared[kk].on_state(slot, ChannelState::Collision);
-                        }
-                    } else {
-                        // Every running station hears the same effective
-                        // state: Null only on empty unjammed slots under
-                        // a CD model that can tell (no-CD collapses Null
-                        // to Collision).
-                        let state = if !truth.jammed
-                            && truth.transmitters == 0
-                            && !matches!(config.cd, jle_radio::CdModel::NoCd)
-                        {
-                            ChannelState::Null
-                        } else {
-                            ChannelState::Collision
-                        };
-                        self.shared[kk].on_state(slot, state);
-                    }
-                    let sf = self.shared[kk].finished();
-                    let lane = &mut self.lanes[kk];
-                    lane.finished_active = if sf { lane.active } else { 0 };
-                    lane.finished_total = self.frozen_finished[kk] + lane.finished_active;
-                }
-            }
-
-            // 5. History, slot count, stop rules.
-            for w in 0..words {
-                let mut m = self.live[w];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if self.lanes[(w << 6) | b].end_slot(&config, slot) {
-                        self.live[w] &= !(1u64 << b);
-                    }
-                }
+            } else if p > 0.0 {
+                self.mid[trial / 64] |= 1u64 << (trial % 64);
+                any_mid = true;
+            } else {
+                // NaN falls through `p > 0.0` to land here too.
+                actions.listeners = active;
             }
         }
-
-        let mut reports = Vec::with_capacity(k);
-        for trial in 0..k {
-            let (w, b) = (trial / 64, trial % 64);
-            let mut leaders = Vec::new();
+        if any_mid {
             for i in 0..n {
-                if self.leader[i * words + w] >> b & 1 != 0 {
-                    leaders.push(i as u64);
+                let (base, ik) = (i * words, i * k);
+                for (w, &live_w) in live.iter().enumerate() {
+                    for b in bits(self.running[base + w] & live_w & self.mid[w]) {
+                        let trial = (w << 6) | b;
+                        let mut rng =
+                            StationRng::with_slot_material(self.keys[ik + trial], slot_mat);
+                        let actions = &mut lanes[trial].actions;
+                        if rng.gen_bool(self.ps[trial]) {
+                            actions.record_transmitter(i as u64);
+                        } else {
+                            actions.listeners += 1;
+                        }
+                    }
                 }
             }
-            let mut report = self.lanes[trial].finalize(&config);
-            report.leaders = leaders;
-            reports.push(report);
         }
-        reports
+    }
+
+    fn estimate(&self, trial: usize) -> Option<f64> {
+        // Every running copy is identical, so the lowest-indexed
+        // non-terminal station's estimate is the shared state's.
+        if self.tallies[trial].active() > 0 {
+            self.shared[trial].estimate()
+        } else {
+            None
+        }
+    }
+
+    fn feedback(&mut self, slot: u64, config: &SimConfig, live: &[u64], lanes: &[Lane]) {
+        // One shared-state update per trial, except on clean singles
+        // where the divergently-updated stations all terminate (see the
+        // invariant in the type docs).
+        let (n, words) = (self.n, self.words);
+        for trial in trials(live) {
+            let active = self.tallies[trial].active();
+            if active == 0 {
+                continue; // nobody listens; nothing updates
+            }
+            let (w, bit) = (trial / 64, 1u64 << (trial % 64));
+            let truth = *lanes[trial].truth();
+            let was = self.shared_finished[trial];
+            if truth.is_clean_single() {
+                // Terminating stations freeze `finished()` at the shared
+                // state's pre-on_state value.
+                let frozen = self.shared[trial].finished();
+                let tx = lanes[trial]
+                    .actions
+                    .lone_transmitter
+                    .expect("clean single has exactly one transmitter")
+                    as usize;
+                if config.cd == CdModel::Strong {
+                    self.tallies[trial].settle(active, was, frozen, true);
+                    for i in 0..n {
+                        self.running[i * words + w] &= !bit;
+                    }
+                    self.leader[tx * words + w] |= bit;
+                } else {
+                    // Weak/no-CD: listeners terminate NonLeader; the
+                    // transmitter absorbs one Collision.
+                    self.tallies[trial].settle(active - 1, was, frozen, true);
+                    for i in (0..n).filter(|&i| i != tx) {
+                        self.running[i * words + w] &= !bit;
+                    }
+                    self.shared[trial].on_state(slot, ChannelState::Collision);
+                }
+            } else {
+                // Every running station hears the same effective state:
+                // Null only on empty unjammed slots under a CD model that
+                // can tell (no-CD collapses Null to Collision).
+                let state =
+                    if !truth.jammed && truth.transmitters == 0 && config.cd != CdModel::NoCd {
+                        ChannelState::Null
+                    } else {
+                        ChannelState::Collision
+                    };
+                self.shared[trial].on_state(slot, state);
+            }
+            let now = self.shared[trial].finished();
+            let tally = &mut self.tallies[trial];
+            tally.settle(tally.active(), was, now, false);
+            self.shared_finished[trial] = now;
+        }
+    }
+
+    fn leaders(&self, trial: usize) -> Vec<u64> {
+        let (w, bit) = (trial / 64, 1u64 << (trial % 64));
+        let mut leaders = Vec::new();
+        for i in 0..self.n {
+            if self.leader[i * self.words + w] & bit != 0 {
+                leaders.push(i as u64);
+            }
+        }
+        leaders
     }
 }
 
@@ -948,7 +744,6 @@ impl<U> std::fmt::Debug for BatchUniformStations<U> {
         f.debug_struct("BatchUniformStations")
             .field("n", &self.n)
             .field("trials", &self.k)
-            .field("live", &self.live.iter().map(|w| w.count_ones()).sum::<u32>())
             .finish_non_exhaustive()
     }
 }

@@ -89,6 +89,11 @@ impl<U: UniformProtocol> StationSet for CohortStations<U> {
         self.proto.finished()
     }
 
+    fn all_terminated(&self) -> bool {
+        // Never asked: `stop_override` replaces the configured rule.
+        false
+    }
+
     fn act(&mut self, slot: u64, config: &SimConfig, rng: &mut SmallRng) -> SlotActions {
         let p = self.proto.tx_prob(slot);
         let k = sample_transmitters(config.n, p, rng);
@@ -125,13 +130,13 @@ impl<U: UniformProtocol> StationSet for CohortStations<U> {
         self.proto.estimate()
     }
 
-    fn should_stop(
-        &mut self,
-        truth: &SlotTruth,
-        config: &SimConfig,
-        _report: &mut RunReport,
-    ) -> bool {
-        truth.is_clean_single() && !config.continue_past_singles
+    /// The cohort backend's own stop rule, the one override of the
+    /// configured [`crate::StopRule`]: stop on the first clean `Single`
+    /// unless `continue_past_singles` is set, whatever `config.stop`
+    /// says, and count a run as timed out only when it hit the cap with
+    /// neither a resolution nor a finished protocol.
+    fn stop_override(&self, truth: &SlotTruth, config: &SimConfig) -> Option<bool> {
+        Some(truth.is_clean_single() && !config.continue_past_singles)
     }
 
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
@@ -142,6 +147,7 @@ impl<U: UniformProtocol> StationSet for CohortStations<U> {
                 report.all_terminated = true;
             }
         }
+        // The stop override's `timed_out`/`cap_hit` (see `stop_override`).
         report.timed_out = report.resolved_at.is_none()
             && !self.proto.finished()
             && report.slots == config.max_slots;

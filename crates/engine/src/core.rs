@@ -3,19 +3,24 @@
 //! Historically the exact, cohort, and faulty engines each hand-rolled the
 //! same slot loop (adversary commit → action sampling → noise → resolution
 //! → bookkeeping → stop rules) with visible drift between the copies. The
-//! core inverts that: [`SimCore`] owns the loop once, and everything that
-//! varies between engines lives behind two small interfaces:
+//! core inverts that: the per-trial half of the loop lives once, in
+//! [`Lane`], and everything that varies between engines lives behind two
+//! small interfaces:
 //!
 //! * [`StationSet`] answers the per-slot station-side questions — who
 //!   transmits, who listens, who is the lone transmitter, what feedback
-//!   the stations receive, when the run stops, and how the final report
-//!   fields are computed. `exact::ExactStations`,
-//!   `cohort::CohortStations`, and `faults::FaultyStations` are the three
-//!   backends; a multi-hop backend would be a fourth implementation, not a
-//!   fourth loop.
+//!   the stations receive, whether they have all finished or terminated,
+//!   and which backend-specific report fields (`leaders`, …) to fill.
+//!   The exact, fast-exact, cohort, faulty, and multi-hop backends all
+//!   implement it; [`SimCore`] drives one lane around any of them.
 //! * [`crate::observer::SlotObserver`] is opt-in per-slot instrumentation
-//!   (trace recording, energy accounting, live throughput) layered on the
-//!   loop without touching it.
+//!   (live throughput, telemetry, split-brain tracking) layered on the
+//!   loop without touching it. Energy accounting and trace recording are
+//!   part of the report contract and live in the lane itself.
+//!
+//! The batched backends ([`crate::batch`]) drive K lanes through the same
+//! per-slot sequence, one lane per trial, so the draw order below holds
+//! for every trial of every engine.
 //!
 //! # The RNG draw-order contract
 //!
@@ -34,10 +39,10 @@
 //! Budget updates, history pushes, observer calls, and feedback delivery
 //! consume no randomness and may not be reordered around the draws above.
 
-use crate::config::SimConfig;
-use crate::observer::{EnergyObserver, SlotObserver, StateProbe, TraceObserver};
+use crate::config::{SimConfig, StopRule};
+use crate::observer::{SlotObserver, StateProbe};
 use crate::protocol::Protocol;
-use crate::report::RunReport;
+use crate::report::{EnergyStats, RunReport};
 use jle_adversary::{AdversarySpec, JamBudget, JamStrategy, Rate};
 use jle_radio::{ChannelHistory, HistoryView, SlotTruth, Trace};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -49,7 +54,7 @@ pub const ADV_SEED_XOR: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Trace preallocation, bounded so absurd `max_slots` caps do not reserve
 /// gigabytes up front.
-pub(crate) fn trace_capacity(config: &SimConfig) -> usize {
+fn trace_capacity(config: &SimConfig) -> usize {
     config.max_slots.min(1 << 20) as usize
 }
 
@@ -147,13 +152,105 @@ pub struct SlotActions {
     pub lone_transmitter: Option<u64>,
 }
 
+impl SlotActions {
+    /// Count one transmitter, keeping its identity while it is alone.
+    #[inline]
+    pub(crate) fn record_transmitter(&mut self, id: u64) {
+        self.transmitters += 1;
+        self.lone_transmitter = if self.transmitters == 1 { Some(id) } else { None };
+    }
+
+    /// Fold per-chunk aggregates in chunk order (deterministic): counts
+    /// add up, and a lone transmitter survives only when the whole slot
+    /// saw exactly one.
+    pub(crate) fn fold(parts: &[SlotActions]) -> SlotActions {
+        let mut total = SlotActions::default();
+        for part in parts {
+            total.transmitters += part.transmitters;
+            total.listeners += part.listeners;
+        }
+        if total.transmitters == 1 {
+            total.lone_transmitter = parts.iter().find_map(|p| p.lone_transmitter);
+        }
+        total
+    }
+}
+
+/// Incremental "finished" bookkeeping for the backends that track
+/// stations individually without rescanning them every slot (fast-exact
+/// and both batch backends, one tally per trial).
+///
+/// It answers the two stop questions — [`Tally::finished`] is the
+/// incremental form of "some station finished, and every non-terminal
+/// station has"; [`Tally::all_terminated`] is "no station is left
+/// running" — from three counters that [`Tally::settle`] keeps in step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tally {
+    /// Non-terminal stations (awake or parked).
+    active: u64,
+    /// Non-terminal stations currently reporting `finished()`.
+    finished_active: u64,
+    /// All stations (terminal included) reporting `finished()`.
+    finished_total: u64,
+}
+
+impl Tally {
+    /// `n` running stations, none finished.
+    pub(crate) fn new(n: u64) -> Self {
+        Tally { active: n, finished_active: 0, finished_total: 0 }
+    }
+
+    /// Stations still running.
+    #[inline]
+    pub(crate) fn active(&self) -> u64 {
+        self.active
+    }
+
+    /// The stop-before-playing predicate.
+    #[inline]
+    pub(crate) fn finished(&self) -> bool {
+        self.finished_total > 0 && self.finished_active == self.active
+    }
+
+    /// The [`StopRule::AllTerminated`] question.
+    #[inline]
+    pub(crate) fn all_terminated(&self) -> bool {
+        self.active == 0
+    }
+
+    /// Record `count` running stations whose `finished()` moved from
+    /// `was` (as last recorded) to `now`, and which left the running set
+    /// if `terminal`. A terminated station keeps counting toward
+    /// `finished_total` with its flag frozen at `now`.
+    #[inline]
+    pub(crate) fn settle(&mut self, count: u64, was: bool, now: bool, terminal: bool) {
+        if now != was {
+            if now {
+                self.finished_total += count;
+                self.finished_active += count;
+            } else {
+                self.finished_total -= count;
+                self.finished_active -= count;
+            }
+        }
+        if terminal {
+            self.active -= count;
+            if now {
+                self.finished_active -= count;
+            }
+        }
+    }
+}
+
 /// The station side of the simulation: everything that differs between
-/// the exact, cohort, and faulty engines.
+/// the exact, cohort, faulty, and multi-hop engines.
 ///
 /// [`SimCore::run`] calls these hooks in a fixed per-slot order — see the
 /// module docs for the draw-order contract each implementation must
-/// respect. To add a fourth backend, implement this trait; do **not**
-/// write another slot loop.
+/// respect. The stop rules, `timed_out`, `cap_hit`, energy, and trace are
+/// the lane's business; a backend only answers [`StationSet::finished`]
+/// and [`StationSet::all_terminated`]. To add another backend, implement
+/// this trait; do **not** write another slot loop.
 pub trait StationSet {
     /// Whether the protocol has finished without a resolution (checked at
     /// the top of every slot; a `true` ends the run before the slot is
@@ -161,6 +258,11 @@ pub trait StationSet {
     fn finished(&self) -> bool {
         false
     }
+
+    /// Whether every station has terminated — the question behind
+    /// [`StopRule::AllTerminated`], asked after each slot's feedback only
+    /// when that rule is configured.
+    fn all_terminated(&self) -> bool;
 
     /// Play the action phase of `slot`: draw station randomness (in
     /// station-index order on the exact engine) and report the aggregate.
@@ -183,7 +285,8 @@ pub trait StationSet {
     fn feedback(&mut self, slot: u64, truth: &SlotTruth, config: &SimConfig);
 
     /// Protocol-internal scalar for traces (LESK's estimate `u`), queried
-    /// only when an observer wants it, after `act` and before `feedback`.
+    /// only when a trace or an observer wants it, after `act` and before
+    /// `feedback`.
     fn estimate(&self) -> Option<f64> {
         None
     }
@@ -198,18 +301,21 @@ pub trait StationSet {
         let _ = out;
     }
 
-    /// Whether the run stops after this slot. May record stop-rule state
-    /// on the report (the exact backend sets
-    /// [`RunReport::all_terminated`] here).
-    fn should_stop(
-        &mut self,
-        truth: &SlotTruth,
-        config: &SimConfig,
-        report: &mut RunReport,
-    ) -> bool;
+    /// A backend-specific stop decision replacing the configured
+    /// [`StopRule`] for this slot. `None` (the default) plays the lane's
+    /// rule. Only [`crate::CohortStations`] overrides it — its stop rule
+    /// (and the `continue_past_singles` switch) predates [`StopRule`] and
+    /// is pinned by the `cohort_*` fixtures — and a backend that
+    /// overrides the stop rule sets `timed_out`/`cap_hit` itself in
+    /// [`StationSet::finalize`].
+    fn stop_override(&self, truth: &SlotTruth, config: &SimConfig) -> Option<bool> {
+        let _ = (truth, config);
+        None
+    }
 
-    /// Fill in the backend-specific report fields (`timed_out`, `cap_hit`,
-    /// `leaders`, …) after the loop ends.
+    /// Fill in the backend-specific report fields (`leaders`, fault
+    /// verdicts, the multi-hop block, …) after the loop ends. The lane
+    /// has already settled every field it owns.
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport);
 }
 
@@ -265,7 +371,7 @@ impl std::fmt::Debug for SimArena {
 
 /// The jam-decision side of a slot: either the paper's commit-first
 /// adversary, or the model-violating oracle used as a negative control.
-enum Jammer {
+pub(crate) enum Jammer {
     /// Decides before seeing the slot's actions (the paper's model).
     CommitFirst { strategy: Box<dyn JamStrategy>, budget: JamBudget, adv_rng: SmallRng },
     /// Decides *after* seeing the transmitter count — deliberately
@@ -274,6 +380,15 @@ enum Jammer {
 }
 
 impl Jammer {
+    /// The paper's adversary for the run seeded `seed`.
+    pub(crate) fn commit_first(adversary: &AdversarySpec, seed: u64) -> Self {
+        Jammer::CommitFirst {
+            strategy: adversary.strategy(),
+            budget: adversary.budget(),
+            adv_rng: SmallRng::seed_from_u64(seed ^ ADV_SEED_XOR),
+        }
+    }
+
     /// The pre-action decision (commit-first strategies draw their
     /// randomness here; the oracle abstains).
     fn pre_decide(&mut self, history: &ChannelHistory) -> bool {
@@ -298,11 +413,185 @@ impl Jammer {
         jam
     }
 
-    /// The enforcer, for post-run budget accounting (read-only).
+    /// The enforcer, for retention sizing and post-run accounting.
     fn budget(&self) -> &JamBudget {
         match self {
             Jammer::CommitFirst { budget, .. } | Jammer::Oracle { budget } => budget,
         }
+    }
+}
+
+/// The per-trial half of the slot loop: everything one run owns that is
+/// not station state — the jammer, the station-stream RNG (which also
+/// feeds the noise draw), the channel history, the accumulating report
+/// with its energy and trace, and the slot's action scratch.
+///
+/// Its methods are the per-slot sequence in draw order:
+/// [`Lane::begin_slot`] (the adversary decides), the backend's action
+/// phase (filling [`Lane::actions`] from [`Lane::rng`]), [`Lane::commit`]
+/// (budget clamp, noise, truth, energy, trace, first clean `Single`), the
+/// backend's feedback from [`Lane::truth`], then [`Lane::end_slot`]
+/// (history, slot count, stop rule) and, after the loop,
+/// [`Lane::finish`]. [`SimCore`] drives one lane; the batch backends
+/// drive one per trial.
+pub(crate) struct Lane {
+    jammer: Jammer,
+    /// The station stream: action draws (legacy backends), the noise
+    /// draw, and the cohort winner draw.
+    pub(crate) rng: SmallRng,
+    history: ChannelHistory,
+    report: RunReport,
+    energy: EnergyStats,
+    trace: Option<Trace>,
+    /// The adversary's pre-action jam request for this slot.
+    want: bool,
+    /// This slot's aggregate actions, filled by the backend.
+    pub(crate) actions: SlotActions,
+    truth: SlotTruth,
+}
+
+impl Lane {
+    /// A lane for the run seeded `seed`, reusing `arena`'s history ring
+    /// and trace allocation when one is given.
+    pub(crate) fn new(
+        config: &SimConfig,
+        jammer: Jammer,
+        seed: u64,
+        mut arena: Option<&mut SimArena>,
+    ) -> Self {
+        let retention = config.effective_retention(jammer.budget().t_window());
+        let history = match arena.as_mut().and_then(|a| a.history.take()) {
+            Some(mut h) => {
+                h.reset(retention);
+                h
+            }
+            None => ChannelHistory::new(retention),
+        };
+        let trace = config.record_trace.then(|| match arena.and_then(|a| a.trace.take()) {
+            Some(mut t) => {
+                t.reset();
+                t
+            }
+            None => Trace::with_capacity(trace_capacity(config)),
+        });
+        Lane {
+            jammer,
+            rng: SmallRng::seed_from_u64(seed),
+            history,
+            report: RunReport::default(),
+            energy: EnergyStats::default(),
+            trace,
+            want: false,
+            actions: SlotActions::default(),
+            truth: SlotTruth::IDLE,
+        }
+    }
+
+    /// This slot's ground truth, as [`Lane::commit`] resolved it.
+    #[inline]
+    pub(crate) fn truth(&self) -> &SlotTruth {
+        &self.truth
+    }
+
+    /// Whether this lane records a trace (and so wants the estimate).
+    #[inline]
+    pub(crate) fn traced(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Top of the slot: the commit-first adversary decides before any
+    /// action draw, and the action scratch clears.
+    #[inline]
+    pub(crate) fn begin_slot(&mut self) {
+        self.want = self.jammer.pre_decide(&self.history);
+        self.actions = SlotActions::default();
+    }
+
+    /// After the action phase: budget clamp (the oracle decides here),
+    /// the noise draw, ground truth, energy and trace accounting, and
+    /// first-clean-`Single` resolution, whose winner `pick_winner` names
+    /// (it may draw from the station stream).
+    #[inline]
+    pub(crate) fn commit(
+        &mut self,
+        config: &SimConfig,
+        slot: u64,
+        estimate: Option<f64>,
+        pick_winner: impl FnOnce(&SlotActions, &mut SmallRng) -> Option<u64>,
+    ) {
+        let jam = self.jammer.commit(self.want, self.actions.transmitters);
+        let noisy = config.noise_prob > 0.0 && self.rng.gen_bool(config.noise_prob);
+        if noisy {
+            self.report.noise_slots += 1;
+        }
+        self.truth = SlotTruth::new(self.actions.transmitters, jam || noisy);
+        self.energy.transmissions += self.actions.transmitters;
+        self.energy.listens += self.actions.listeners;
+        if let Some(t) = self.trace.as_mut() {
+            match estimate {
+                Some(u) => t.push_with_estimate(&self.truth, u),
+                None => t.push(&self.truth),
+            }
+        }
+        if self.truth.is_clean_single() && self.report.resolved_at.is_none() {
+            self.report.resolved_at = Some(slot);
+            self.report.winner = pick_winner(&self.actions, &mut self.rng);
+        }
+    }
+
+    /// End of the slot, after feedback: history push, slot count, and the
+    /// stop rule — the backend's `stop_override` if it has one, else the
+    /// configured [`StopRule`] (`all_terminated` is asked only under
+    /// [`StopRule::AllTerminated`]). Returns whether the run stops.
+    #[inline]
+    pub(crate) fn end_slot(
+        &mut self,
+        config: &SimConfig,
+        slot: u64,
+        stop_override: Option<bool>,
+        all_terminated: impl FnOnce() -> bool,
+    ) -> bool {
+        self.history.push(&self.truth);
+        self.report.slots = slot + 1;
+        if let Some(stop) = stop_override {
+            return stop;
+        }
+        match config.stop {
+            StopRule::FirstCleanSingle => self.report.resolved_at.is_some(),
+            StopRule::AllTerminated => {
+                let done = all_terminated();
+                self.report.all_terminated |= done;
+                done
+            }
+            StopRule::Horizon => false,
+        }
+    }
+
+    /// Post-loop report assembly: channel counts, budget spent, energy,
+    /// trace, and the `timed_out`/`cap_hit` verdict (`finished` is the
+    /// backend's answer at loop exit). Hands the history ring back to
+    /// `arena` when one is given.
+    pub(crate) fn finish(
+        self,
+        config: &SimConfig,
+        finished: bool,
+        arena: Option<&mut SimArena>,
+    ) -> RunReport {
+        let mut report = self.report;
+        report.counts = self.history.counts();
+        report.adv_budget_spent = self.jammer.budget().spent_fraction();
+        report.energy = self.energy;
+        report.trace = self.trace;
+        report.timed_out = match config.stop {
+            StopRule::FirstCleanSingle => report.resolved_at.is_none() && !finished,
+            StopRule::AllTerminated => !report.all_terminated,
+            StopRule::Horizon => false,
+        };
+        report.cap_hit = report.timed_out && report.slots == config.max_slots;
+        if let Some(arena) = arena {
+            arena.history = Some(self.history);
+        }
+        report
     }
 }
 
@@ -330,7 +619,6 @@ impl Jammer {
 pub struct SimCore<'a> {
     config: &'a SimConfig,
     jammer: Jammer,
-    t_window: u64,
     arena: Option<&'a mut SimArena>,
     observers: Vec<&'a mut dyn SlotObserver>,
 }
@@ -340,12 +628,7 @@ impl<'a> SimCore<'a> {
     pub fn new(config: &'a SimConfig, adversary: &AdversarySpec) -> Self {
         SimCore {
             config,
-            jammer: Jammer::CommitFirst {
-                strategy: adversary.strategy(),
-                budget: adversary.budget(),
-                adv_rng: SmallRng::seed_from_u64(config.seed ^ ADV_SEED_XOR),
-            },
-            t_window: adversary.t_window,
+            jammer: Jammer::commit_first(adversary, config.seed),
             arena: None,
             observers: Vec::new(),
         }
@@ -358,7 +641,6 @@ impl<'a> SimCore<'a> {
         SimCore {
             config,
             jammer: Jammer::Oracle { budget: JamBudget::new(eps, t_window) },
-            t_window,
             arena: None,
             observers: Vec::new(),
         }
@@ -371,8 +653,8 @@ impl<'a> SimCore<'a> {
     }
 
     /// Attach an external per-slot observer (may be called repeatedly;
-    /// observers fire in attachment order after the built-in energy and
-    /// trace layers).
+    /// observers fire in attachment order after the lane's own energy
+    /// and trace accounting).
     pub fn observe(mut self, observer: &'a mut dyn SlotObserver) -> Self {
         self.observers.push(observer);
         self
@@ -380,110 +662,63 @@ impl<'a> SimCore<'a> {
 
     /// Drive `stations` through the slot loop and produce the report.
     ///
-    /// This is the only slot loop in the crate; every public `run_*`
-    /// entry point is a thin shim over it.
-    pub fn run<S: StationSet>(mut self, stations: &mut S) -> RunReport {
-        let config = self.config;
+    /// This runs one [`Lane`] (K = 1); every public `run_*`
+    /// entry point except the batched ones is a thin shim over it.
+    pub fn run<S: StationSet>(self, stations: &mut S) -> RunReport {
+        let SimCore { config, jammer, mut arena, mut observers } = self;
         assert!(config.n >= 1, "need at least one station");
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-        let retention = config.effective_retention(self.t_window);
-        let mut history = match self.arena.as_mut().and_then(|a| a.history.take()) {
-            Some(mut h) => {
-                h.reset(retention);
-                h
-            }
-            None => ChannelHistory::new(retention),
-        };
-        let mut energy = EnergyObserver::default();
-        let mut trace_obs = if config.record_trace {
-            let trace = match self.arena.as_mut().and_then(|a| a.trace.take()) {
-                Some(mut t) => {
-                    t.reset();
-                    t
-                }
-                None => Trace::with_capacity(trace_capacity(config)),
-            };
-            Some(TraceObserver::new(trace))
-        } else {
-            None
-        };
-        let wants_estimate =
-            trace_obs.is_some() || self.observers.iter().any(|o| o.wants_estimate());
-        let wants_probes = self.observers.iter().any(|o| o.wants_probes());
+        let mut lane = Lane::new(config, jammer, config.seed, arena.as_deref_mut());
+        let wants_estimate = lane.traced() || observers.iter().any(|o| o.wants_estimate());
+        let wants_probes = observers.iter().any(|o| o.wants_probes());
         let mut probes: Vec<StateProbe> = Vec::new();
-        let mut report = RunReport::default();
 
         for slot in 0..config.max_slots {
             if stations.finished() {
                 break;
             }
             // 1. Commit-first adversaries decide before any action draw.
-            let want = self.jammer.pre_decide(&history);
-
+            lane.begin_slot();
             // 2. Stations act (station-stream draws, index order).
-            let actions = stations.act(slot, config, &mut rng);
-
-            // 3. Budget clamp (oracle decides here), then the noise draw.
-            let jam = self.jammer.commit(want, actions.transmitters);
-            let noisy = config.noise_prob > 0.0 && rng.gen_bool(config.noise_prob);
-            if noisy {
-                report.noise_slots += 1;
-            }
-            let truth = SlotTruth::new(actions.transmitters, jam || noisy);
-
-            // 4. Observers (energy, trace, external layers).
+            lane.actions = stations.act(slot, config, &mut lane.rng);
+            // 3–5. Budget clamp, noise, truth, energy, trace, resolution;
+            // then the external observers.
             let estimate = if wants_estimate { stations.estimate() } else { None };
-            energy.on_slot(slot, &truth, &actions, estimate);
-            if let Some(t) = trace_obs.as_mut() {
-                t.on_slot(slot, &truth, &actions, estimate);
-            }
-            for obs in self.observers.iter_mut() {
-                obs.on_slot(slot, &truth, &actions, estimate);
-            }
-
-            // 5. Resolution: the first clean Single selects the winner.
-            if truth.is_clean_single() && report.resolved_at.is_none() {
-                report.resolved_at = Some(slot);
-                report.winner = stations.pick_winner(&actions, config, &mut rng);
+            lane.commit(config, slot, estimate, |actions, rng| {
+                stations.pick_winner(actions, config, rng)
+            });
+            for obs in observers.iter_mut() {
+                obs.on_slot(slot, lane.truth(), &lane.actions, estimate);
             }
 
-            // 6. Feedback, bookkeeping, stop rules. Probes sample the
-            // *post-feedback* state (consuming no randomness), so a
-            // timeline shows the transition each slot caused.
-            stations.feedback(slot, &truth, config);
+            // 6. Feedback. Probes sample the *post-feedback* state
+            // (consuming no randomness), so a timeline shows the
+            // transition each slot caused.
+            stations.feedback(slot, lane.truth(), config);
             if wants_probes {
                 probes.clear();
                 stations.collect_probes(&mut probes);
-                for obs in self.observers.iter_mut() {
+                for obs in observers.iter_mut() {
                     if obs.wants_probes() {
                         obs.on_probes(slot, &probes);
                     }
                 }
             }
-            history.push(&truth);
-            report.slots = slot + 1;
-            if stations.should_stop(&truth, config, &mut report) {
+            // 7. History, slot count, stop rule.
+            let stop_override = stations.stop_override(lane.truth(), config);
+            if lane.end_slot(config, slot, stop_override, || stations.all_terminated()) {
                 break;
             }
         }
 
-        report.counts = history.counts();
-        report.adv_budget_spent = self.jammer.budget().spent_fraction();
-        energy.finish(&mut report);
-        if let Some(mut t) = trace_obs {
-            t.finish(&mut report);
-        }
-        for obs in self.observers.iter_mut() {
+        let mut report = lane.finish(config, stations.finished(), arena);
+        for obs in observers.iter_mut() {
             obs.finish(&mut report);
         }
         stations.finalize(config, &mut report);
         // Post-finalization pass: observers see the settled report (no
         // randomness, no mutation — telemetry classification lives here).
-        for obs in self.observers.iter_mut() {
+        for obs in observers.iter_mut() {
             obs.after_run(&report);
-        }
-        if let Some(arena) = self.arena {
-            arena.history = Some(history);
         }
         report
     }

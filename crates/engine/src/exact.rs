@@ -11,7 +11,7 @@
 //! [`ExactStations`] supplies the per-station action/feedback semantics
 //! and [`run_exact`] / [`run_exact_in`] are thin shims.
 
-use crate::config::{SimConfig, StopRule};
+use crate::config::SimConfig;
 use crate::core::{SimArena, SimCore, SlotActions, SlotFlags, StationSet};
 use crate::observer::StateProbe;
 use crate::protocol::{Action, Protocol, Status};
@@ -97,6 +97,10 @@ impl StationSet for ExactStations {
             && self.stations.iter().all(|s| s.status().terminal() || s.finished())
     }
 
+    fn all_terminated(&self) -> bool {
+        self.stations.iter().all(|s| s.status().terminal())
+    }
+
     fn act(&mut self, slot: u64, _config: &SimConfig, rng: &mut SmallRng) -> SlotActions {
         let mut actions = SlotActions::default();
         self.flags.begin_slot(); // one memset instead of 2n bool stores
@@ -108,9 +112,7 @@ impl StationSet for ExactStations {
             match st.act(slot, rng) {
                 Action::Transmit => {
                     self.flags.set_transmitted(i);
-                    actions.transmitters += 1;
-                    actions.lone_transmitter =
-                        if actions.transmitters == 1 { Some(i as u64) } else { None };
+                    actions.record_transmitter(i as u64);
                 }
                 Action::Listen => actions.listeners += 1,
                 Action::Sleep => self.flags.set_asleep(i),
@@ -153,33 +155,7 @@ impl StationSet for ExactStations {
         }
     }
 
-    fn should_stop(
-        &mut self,
-        _truth: &SlotTruth,
-        config: &SimConfig,
-        report: &mut RunReport,
-    ) -> bool {
-        match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_some(),
-            StopRule::AllTerminated => {
-                if self.stations.iter().all(|s| s.status().terminal()) {
-                    report.all_terminated = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            StopRule::Horizon => false,
-        }
-    }
-
-    fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
-        report.timed_out = match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_none() && !self.finished(),
-            StopRule::AllTerminated => !report.all_terminated,
-            StopRule::Horizon => false,
-        };
-        report.cap_hit = report.timed_out && report.slots == config.max_slots;
+    fn finalize(&mut self, _config: &SimConfig, report: &mut RunReport) {
         report.leaders = self
             .stations
             .iter()
@@ -221,6 +197,7 @@ pub fn run_exact_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StopRule;
     use crate::protocol::{PerStation, UniformProtocol};
     use jle_adversary::{JamStrategyKind, Rate};
     use jle_radio::{CdModel, ChannelState};

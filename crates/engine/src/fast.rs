@@ -32,9 +32,9 @@
 //! fixtures, and `crates/protocols/tests/cross_engine.rs` holds the
 //! KS/chi-square cross-backend equivalence suite. See `DESIGN.md` §12.
 
-use crate::config::{SimConfig, StopRule};
-use crate::core::{SimArena, SimCore, SlotActions, StationSet};
-use crate::faults::{FaultPlan, FaultyStation};
+use crate::config::SimConfig;
+use crate::core::{SimArena, SimCore, SlotActions, StationSet, Tally};
+use crate::faults::FaultPlan;
 use crate::observer::StateProbe;
 use crate::protocol::{Action, Protocol, Status};
 use crate::report::RunReport;
@@ -43,7 +43,6 @@ use jle_adversary::AdversarySpec;
 use jle_radio::{cd, SlotTruth};
 use rand::rngs::SmallRng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Per-slot action of a prefix position, recorded for the feedback phase.
 const ACT_LISTEN: u8 = 0;
@@ -121,16 +120,6 @@ impl WakeQueue {
     }
 }
 
-/// What one action-phase chunk did, folded deterministically in chunk
-/// order afterwards.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChunkAgg {
-    tx: u64,
-    listen: u64,
-    /// `Some(id)` iff this chunk saw exactly one transmitter.
-    lone: Option<u64>,
-}
-
 /// Drive one chunk of awake stations through the action phase. Each
 /// station draws from its own counter-based stream, so chunks are
 /// mutually independent and the result does not depend on which thread
@@ -141,19 +130,18 @@ fn run_chunk(
     ids: &[u32],
     keys: &[u64],
     slot: u64,
-) -> ChunkAgg {
-    let mut agg = ChunkAgg::default();
+) -> SlotActions {
+    let mut agg = SlotActions::default();
     for ((st, a), &id) in stations.iter_mut().zip(acts.iter_mut()).zip(ids.iter()) {
         let mut rng = StationRng::for_slot(keys[id as usize], slot);
         match st.act(slot, &mut rng) {
             Action::Transmit => {
                 *a = ACT_TRANSMIT;
-                agg.tx += 1;
-                agg.lone = if agg.tx == 1 { Some(id as u64) } else { None };
+                agg.record_transmitter(id as u64);
             }
             Action::Listen => {
                 *a = ACT_LISTEN;
-                agg.listen += 1;
+                agg.listeners += 1;
             }
             Action::Sleep => *a = ACT_SLEEP,
         }
@@ -178,12 +166,7 @@ pub struct FastExactStations {
     finished: Vec<bool>,
     queue: WakeQueue,
     awake_len: usize,
-    /// Non-terminal stations (awake or parked).
-    active: u64,
-    /// Non-terminal stations currently reporting `finished()`.
-    finished_active: u64,
-    /// All stations (terminal included) reporting `finished()`.
-    finished_total: u64,
+    tally: Tally,
     par_threshold: usize,
 }
 
@@ -250,9 +233,7 @@ impl FastExactStations {
             finished,
             queue,
             awake_len: n,
-            active: n as u64,
-            finished_active: 0,
-            finished_total: 0,
+            tally: Tally::new(n as u64),
             par_threshold: Self::DEFAULT_PAR_THRESHOLD,
         };
         // Fold in construction-time state: already-terminal stations never
@@ -260,17 +241,7 @@ impl FastExactStations {
         // condition (mirrors the legacy backend evaluating `finished()`
         // before slot 0).
         for p in (0..n).rev() {
-            let id = set.ids[p] as usize;
-            if set.stations[p].finished() {
-                set.finished[id] = true;
-                set.finished_total += 1;
-                set.finished_active += 1;
-            }
-            if set.stations[p].status().terminal() {
-                set.active -= 1;
-                if set.finished[id] {
-                    set.finished_active -= 1;
-                }
+            if set.settle(p) {
                 set.demote(p);
             }
         }
@@ -318,6 +289,17 @@ impl FastExactStations {
         &*self.stations[self.pos[id as usize] as usize]
     }
 
+    /// Fold position `p`'s current `finished()`/terminal state into the
+    /// tally; returns whether the station terminated.
+    fn settle(&mut self, p: usize) -> bool {
+        let id = self.ids[p] as usize;
+        let st = &self.stations[p];
+        let (now, terminal) = (st.finished(), st.status().terminal());
+        self.tally.settle(1, self.finished[id], now, terminal);
+        self.finished[id] = now;
+        terminal
+    }
+
     /// Move `id` (currently parked outside the prefix) into the awake
     /// prefix.
     fn promote(&mut self, id: usize) {
@@ -351,7 +333,7 @@ impl std::fmt::Debug for FastExactStations {
             .field("n", &self.stations.len())
             .field("awake", &self.awake_len)
             .field("parked", &self.queue.len())
-            .field("active", &self.active)
+            .field("active", &self.tally.active())
             .finish_non_exhaustive()
     }
 }
@@ -359,9 +341,12 @@ impl std::fmt::Debug for FastExactStations {
 impl StationSet for FastExactStations {
     fn finished(&self) -> bool {
         // Incremental form of the legacy predicate `any(finished) &&
-        // all(terminal || finished)`: some station (terminal or not)
-        // finished, and every non-terminal station has.
-        self.finished_total > 0 && self.finished_active == self.active
+        // all(terminal || finished)`.
+        self.tally.finished()
+    }
+
+    fn all_terminated(&self) -> bool {
+        self.tally.all_terminated()
     }
 
     fn act(&mut self, slot: u64, _config: &SimConfig, _rng: &mut SmallRng) -> SlotActions {
@@ -374,15 +359,16 @@ impl StationSet for FastExactStations {
         self.queue = queue;
 
         let awake = self.awake_len;
-        let mut actions = SlotActions::default();
         if awake == 0 {
-            return actions;
+            return SlotActions::default();
         }
-        let workers = rayon::current_num_threads().max(1);
-        if awake >= self.par_threshold && workers > 1 {
+        // Below the threshold, skip the worker-count query: outside a
+        // pool it reads the cgroup CPU quota, which costs syscalls.
+        let workers = if awake >= self.par_threshold { rayon::current_num_threads() } else { 1 };
+        if workers > 1 {
             let chunk_len = awake.div_ceil(workers);
             let n_chunks = awake.div_ceil(chunk_len);
-            let mut partials = vec![ChunkAgg::default(); n_chunks];
+            let mut partials = vec![SlotActions::default(); n_chunks];
             {
                 let (mut st_rest, _) = self.stations.split_at_mut(awake);
                 let (mut act_rest, _) = self.acts.split_at_mut(awake);
@@ -403,29 +389,16 @@ impl StationSet for FastExactStations {
                     }
                 });
             }
-            // Deterministic reduction in chunk order.
-            for agg in &partials {
-                actions.transmitters += agg.tx;
-                actions.listeners += agg.listen;
-            }
-            actions.lone_transmitter = if actions.transmitters == 1 {
-                partials.iter().find_map(|agg| agg.lone)
-            } else {
-                None
-            };
+            SlotActions::fold(&partials)
         } else {
-            let agg = run_chunk(
+            run_chunk(
                 &mut self.stations[..awake],
                 &mut self.acts[..awake],
                 &self.ids[..awake],
                 &self.keys,
                 slot,
-            );
-            actions.transmitters = agg.tx;
-            actions.listeners = agg.listen;
-            actions.lone_transmitter = agg.lone;
+            )
         }
-        actions
     }
 
     fn pick_winner(
@@ -449,26 +422,10 @@ impl StationSet for FastExactStations {
             self.stations[p].feedback(slot, transmitted, obs);
         }
         // Pass 2 (descending, so swap-removal never skips an entry):
-        // refresh the finished counters and demote terminated stations
-        // (out of the loop) and sleepers (into the wake calendar).
+        // refresh the tally and demote terminated stations (out of the
+        // loop) and sleepers (into the wake calendar).
         for p in (0..self.awake_len).rev() {
-            let id = self.ids[p] as usize;
-            let f = self.stations[p].finished();
-            if f != self.finished[id] {
-                self.finished[id] = f;
-                if f {
-                    self.finished_total += 1;
-                    self.finished_active += 1;
-                } else {
-                    self.finished_total -= 1;
-                    self.finished_active -= 1;
-                }
-            }
-            if self.stations[p].status().terminal() {
-                self.active -= 1;
-                if self.finished[id] {
-                    self.finished_active -= 1;
-                }
+            if self.settle(p) {
                 self.demote(p);
             } else if self.acts[p] == ACT_SLEEP {
                 // `max(slot + 1)` hardens against hints in the past;
@@ -476,7 +433,7 @@ impl StationSet for FastExactStations {
                 // keeping it in the `active` count, exactly like a legacy
                 // station that sleeps every remaining slot.
                 let wake = self.stations[p].wake_hint(slot).max(slot + 1);
-                self.queue.push(wake, id as u32);
+                self.queue.push(wake, self.ids[p]);
                 self.demote(p);
             }
         }
@@ -506,33 +463,7 @@ impl StationSet for FastExactStations {
         }
     }
 
-    fn should_stop(
-        &mut self,
-        _truth: &SlotTruth,
-        config: &SimConfig,
-        report: &mut RunReport,
-    ) -> bool {
-        match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_some(),
-            StopRule::AllTerminated => {
-                if self.active == 0 {
-                    report.all_terminated = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            StopRule::Horizon => false,
-        }
-    }
-
-    fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
-        report.timed_out = match config.stop {
-            StopRule::FirstCleanSingle => report.resolved_at.is_none() && !self.finished(),
-            StopRule::AllTerminated => !report.all_terminated,
-            StopRule::Horizon => false,
-        };
-        report.cap_hit = report.timed_out && report.slots == config.max_slots;
+    fn finalize(&mut self, _config: &SimConfig, report: &mut RunReport) {
         let mut leaders: Vec<u64> = self
             .stations
             .iter()
@@ -561,19 +492,7 @@ impl<'p> FastFaultyStations<'p> {
     where
         F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
     {
-        let factory = Arc::new(factory);
-        let inner = FastExactStations::new(config, |i| match plan.get(i) {
-            None => factory(i),
-            Some(f) => {
-                let fac = Arc::clone(&factory);
-                Box::new(FaultyStation::new(
-                    f.clone(),
-                    plan.station_seed(i),
-                    Box::new(move || fac(i)),
-                ))
-            }
-        });
-        FastFaultyStations { inner, plan }
+        FastFaultyStations { inner: FastExactStations::new(config, plan.wrap(factory)), plan }
     }
 }
 
@@ -586,6 +505,10 @@ impl std::fmt::Debug for FastFaultyStations<'_> {
 impl StationSet for FastFaultyStations<'_> {
     fn finished(&self) -> bool {
         self.inner.finished()
+    }
+
+    fn all_terminated(&self) -> bool {
+        self.inner.all_terminated()
     }
 
     fn act(&mut self, slot: u64, config: &SimConfig, rng: &mut SmallRng) -> SlotActions {
@@ -613,27 +536,9 @@ impl StationSet for FastFaultyStations<'_> {
         self.inner.collect_probes(out)
     }
 
-    fn should_stop(
-        &mut self,
-        truth: &SlotTruth,
-        config: &SimConfig,
-        report: &mut RunReport,
-    ) -> bool {
-        self.inner.should_stop(truth, config, report)
-    }
-
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
         self.inner.finalize(config, report);
-        if report.leaders.len() <= 1 {
-            if let Some(w) = report.leaders.first().copied().or(report.winner) {
-                // Same full-horizon judgement as the legacy faulty
-                // backend: crash schedules are wall-clock.
-                let horizon = config.max_slots.max(report.slots);
-                if self.plan.leader_crashed(w, horizon) {
-                    report.leader_crashed = true;
-                }
-            }
-        }
+        self.plan.judge_leader_crash(config, report);
     }
 }
 
@@ -682,6 +587,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StopRule;
     use crate::exact::{run_exact, run_exact_in};
     use crate::faults::{run_exact_faulty, StationFaults};
     use crate::protocol::{PerStation, UniformProtocol};

@@ -364,6 +364,48 @@ impl FaultPlan {
     pub fn leader_crashed(&self, leader: u64, end_slots: u64) -> bool {
         self.get(leader).is_some_and(|f| f.crashed_at_end(end_slots))
     }
+
+    /// `factory` with every planned station wrapped in a
+    /// [`FaultyStation`] seeded from [`FaultPlan::station_seed`];
+    /// stations without a plan entry come from `factory` directly (zero
+    /// overhead). Shared by every faulty backend.
+    pub(crate) fn wrap<F>(&self, factory: F) -> impl Fn(u64) -> Box<dyn Protocol> + '_
+    where
+        F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
+    {
+        let factory = Arc::new(factory);
+        move |i| match self.get(i) {
+            None => factory(i),
+            Some(f) => {
+                let fac = Arc::clone(&factory);
+                Box::new(FaultyStation::new(
+                    f.clone(),
+                    self.station_seed(i),
+                    Box::new(move || fac(i)),
+                ))
+            }
+        }
+    }
+
+    /// The post-run leader-crash verdict every faulty backend shares: when
+    /// the run has at most one leader, and that leader (or, failing one,
+    /// the recorded winner) is crashed at the end of the horizon, set
+    /// [`RunReport::leader_crashed`].
+    ///
+    /// The horizon is the full `max_slots`, not the (possibly early) stop
+    /// slot: crash schedules are wall-clock, so a winner that resolved the
+    /// election at slot 40 and crashes at slot 900 still leaves the
+    /// network leaderless.
+    pub fn judge_leader_crash(&self, config: &SimConfig, report: &mut RunReport) {
+        if report.leaders.len() > 1 {
+            return;
+        }
+        if let Some(w) = report.leaders.first().copied().or(report.winner) {
+            if self.leader_crashed(w, config.max_slots.max(report.slots)) {
+                report.leader_crashed = true;
+            }
+        }
+    }
 }
 
 /// An adapter wrapping any [`Protocol`] with a [`StationFaults`] schedule.
@@ -518,25 +560,17 @@ impl<'p> FaultyStations<'p> {
     where
         F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
     {
-        let factory = Arc::new(factory);
-        let inner = ExactStations::new(config, |i| match plan.get(i) {
-            None => factory(i),
-            Some(f) => {
-                let fac = Arc::clone(&factory);
-                Box::new(FaultyStation::new(
-                    f.clone(),
-                    plan.station_seed(i),
-                    Box::new(move || fac(i)),
-                ))
-            }
-        });
-        FaultyStations { inner, plan }
+        FaultyStations { inner: ExactStations::new(config, plan.wrap(factory)), plan }
     }
 }
 
 impl StationSet for FaultyStations<'_> {
     fn finished(&self) -> bool {
         self.inner.finished()
+    }
+
+    fn all_terminated(&self) -> bool {
+        self.inner.all_terminated()
     }
 
     fn act(&mut self, slot: u64, config: &SimConfig, rng: &mut SmallRng) -> SlotActions {
@@ -564,30 +598,9 @@ impl StationSet for FaultyStations<'_> {
         self.inner.collect_probes(out)
     }
 
-    fn should_stop(
-        &mut self,
-        truth: &SlotTruth,
-        config: &SimConfig,
-        report: &mut RunReport,
-    ) -> bool {
-        self.inner.should_stop(truth, config, report)
-    }
-
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
         self.inner.finalize(config, report);
-        if report.leaders.len() <= 1 {
-            if let Some(w) = report.leaders.first().copied().or(report.winner) {
-                // Judge against the full horizon, not the (possibly
-                // early) stop slot: crash schedules are wall-clock, so a
-                // winner that resolved the election at slot 40 and
-                // crashes at slot 900 still leaves the network
-                // leaderless.
-                let horizon = config.max_slots.max(report.slots);
-                if self.plan.leader_crashed(w, horizon) {
-                    report.leader_crashed = true;
-                }
-            }
-        }
+        self.plan.judge_leader_crash(config, report);
     }
 }
 

@@ -7,11 +7,15 @@
 //! observations filtered by the collision-detection model, and jammed
 //! slots are indistinguishable from collisions.
 //!
-//! ## Architecture: one loop, six backends
+//! ## Architecture: one slot sequence, many station sets
 //!
-//! The slot loop is written exactly once, in [`SimCore`] (see
-//! `DESIGN.md` §10). What varies between simulators is *who the stations
-//! are*, captured by the [`StationSet`] trait:
+//! The per-slot sequence (adversary commit → actions → budget clamp and
+//! noise → ground truth, energy, trace → first clean `Single` → feedback →
+//! history and stop rule) is written exactly once, in the core's
+//! per-trial lane (see `DESIGN.md` §10). [`SimCore`] drives one lane;
+//! the batch backends drive one lane per trial. What varies between
+//! simulators is *who the stations are*, captured by the [`StationSet`]
+//! trait (and, for the batch backends, its lockstep counterpart):
 //!
 //! * [`ExactStations`] / [`run_exact`] — per-station, O(n) per slot;
 //!   required for role-split protocols (`Notification`).
@@ -49,10 +53,12 @@
 //!   [`FastExactStations`] (`Counter` discipline) — single-hop is just
 //!   the complete-graph special case (see `DESIGN.md` §15).
 //!
-//! Instrumentation (energy accounting, trace recording, live throughput)
-//! attaches as composable [`SlotObserver`] layers rather than being inlined
-//! in the loop, and repeated trials on one thread can reuse buffers
-//! through a [`SimArena`] ([`run_exact_in`] / [`run_cohort_in`]).
+//! Optional instrumentation (live throughput, telemetry, split-brain
+//! tracking) attaches as composable [`SlotObserver`] layers rather than
+//! being inlined in the loop; energy and trace accounting are part of
+//! the report contract and live in the lane. Repeated trials on one
+//! thread can reuse buffers through a [`SimArena`] ([`run_exact_in`] /
+//! [`run_cohort_in`]).
 //!
 //! Plus the deterministic Rayon-parallel [`MonteCarlo`] driver used by all
 //! experiments (with a panic-isolating [`MonteCarlo::run_caught`]
@@ -101,7 +107,7 @@ pub use multihop::{
     run_multihop, run_multihop_std, run_multihop_with, MeshMessage, MeshProtocol, MeshStatus,
     MultihopStations, RngDiscipline, StdMesh,
 };
-pub use observer::{EnergyObserver, SlotObserver, StateProbe, ThroughputObserver, TraceObserver};
+pub use observer::{SlotObserver, StateProbe, ThroughputObserver};
 pub use protocol::{Action, PerStation, Protocol, Status, UniformProtocol};
 pub use report::{
     ClusterOutcome, EnergyStats, MultihopReport, Outcome, RunReport, SlotCost, SplitBrainStats,

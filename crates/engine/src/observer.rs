@@ -1,20 +1,20 @@
 //! Per-slot instrumentation layers for the unified core.
 //!
 //! A [`SlotObserver`] sees every played slot (ground truth plus aggregate
-//! actions) and may fill report fields when the run ends. Instrumentation
-//! that used to be inlined in each engine loop — energy accounting, trace
-//! recording — is now an observer, and new layers (live throughput for
-//! the orchestrator, slot taxonomy in `jle-protocols`) compose the same
-//! way without touching the loop.
+//! actions) and may fill report fields when the run ends. Optional layers
+//! (live throughput for the orchestrator, telemetry, split-brain
+//! tracking, slot taxonomy in `jle-protocols`) compose this way without
+//! touching the loop; energy accounting and trace recording are part of
+//! the report contract and live in the core's per-trial lane.
 //!
 //! Observers are strictly passive: they run after the slot's randomness
-//! is drawn and before resolution/feedback, and must not influence the
-//! simulation (the golden-seed suite pins this — attaching or detaching
-//! observers never changes a report's simulation fields).
+//! (winner draw included) is drawn and before feedback, and must not
+//! influence the simulation (the golden-seed suite pins this — attaching
+//! or detaching observers never changes a report's simulation fields).
 
 use crate::core::SlotActions;
-use crate::report::{EnergyStats, RunReport};
-use jle_radio::{SlotTruth, Trace};
+use crate::report::RunReport;
+use jle_radio::SlotTruth;
 
 /// One station's protocol-internal state, sampled at the end of a slot
 /// (after feedback) for replay timelines and state-transition debugging.
@@ -60,8 +60,9 @@ pub trait SlotObserver {
     }
 
     /// Called once per played slot, after the slot's randomness is fully
-    /// drawn and before resolution and feedback. `estimate` is `Some`
-    /// only if [`SlotObserver::wants_estimate`] held for some observer.
+    /// drawn (the winner draw of a resolving slot included) and before
+    /// feedback. `estimate` is `Some` only if
+    /// [`SlotObserver::wants_estimate`] held for some observer.
     fn on_slot(
         &mut self,
         slot: u64,
@@ -111,57 +112,6 @@ impl<O: SlotObserver + ?Sized> SlotObserver for &mut O {
     }
     fn after_run(&mut self, report: &RunReport) {
         (**self).after_run(report)
-    }
-}
-
-/// Energy accounting: sums station-slot expenditures into
-/// [`RunReport::energy`]. Installed by every shim (energy is part of the
-/// report contract), but an ordinary observer nonetheless.
-#[derive(Debug, Default)]
-pub struct EnergyObserver {
-    stats: EnergyStats,
-}
-
-impl SlotObserver for EnergyObserver {
-    fn on_slot(&mut self, _: u64, _: &SlotTruth, actions: &SlotActions, _: Option<f64>) {
-        self.stats.transmissions += actions.transmitters;
-        self.stats.listens += actions.listeners;
-    }
-
-    fn finish(&mut self, report: &mut RunReport) {
-        report.energy = self.stats;
-    }
-}
-
-/// Trace recording: packs every slot (and the protocol estimate, when one
-/// is exposed) into a [`Trace`] deposited on [`RunReport::trace`].
-#[derive(Debug)]
-pub struct TraceObserver {
-    trace: Trace,
-}
-
-impl TraceObserver {
-    /// Record into `trace` (possibly recycled from a
-    /// [`crate::SimArena`]).
-    pub fn new(trace: Trace) -> Self {
-        TraceObserver { trace }
-    }
-}
-
-impl SlotObserver for TraceObserver {
-    fn wants_estimate(&self) -> bool {
-        true
-    }
-
-    fn on_slot(&mut self, _: u64, truth: &SlotTruth, _: &SlotActions, estimate: Option<f64>) {
-        match estimate {
-            Some(u) => self.trace.push_with_estimate(truth, u),
-            None => self.trace.push(truth),
-        }
-    }
-
-    fn finish(&mut self, report: &mut RunReport) {
-        report.trace = Some(std::mem::take(&mut self.trace));
     }
 }
 
@@ -216,33 +166,6 @@ impl<F: FnMut(u64)> SlotObserver for ThroughputObserver<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn energy_observer_accumulates_and_deposits() {
-        let mut e = EnergyObserver::default();
-        let truth = SlotTruth::new(3, false);
-        let actions = SlotActions { transmitters: 3, listeners: 5, lone_transmitter: None };
-        e.on_slot(0, &truth, &actions, None);
-        e.on_slot(1, &truth, &actions, None);
-        let mut report = RunReport::default();
-        e.finish(&mut report);
-        assert_eq!(report.energy.transmissions, 6);
-        assert_eq!(report.energy.listens, 10);
-    }
-
-    #[test]
-    fn trace_observer_records_estimates_when_present() {
-        let mut t = TraceObserver::new(Trace::with_capacity(4));
-        assert!(t.wants_estimate());
-        let actions = SlotActions::default();
-        t.on_slot(0, &SlotTruth::new(0, false), &actions, Some(1.5));
-        t.on_slot(1, &SlotTruth::new(2, true), &actions, None);
-        let mut report = RunReport::default();
-        t.finish(&mut report);
-        let trace = report.trace.expect("deposited");
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.estimates, vec![1.5]);
-    }
 
     #[test]
     fn throughput_observer_batches_and_flushes() {

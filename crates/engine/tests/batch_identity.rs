@@ -3,7 +3,7 @@
 //! that lets the orchestrator cache batch results under the fast-exact
 //! engine salt (DESIGN.md §17).
 //!
-//! Three layers of evidence:
+//! Four layers of evidence:
 //!
 //! 1. **Golden replay** — every committed `fast_*` fixture (pristine,
 //!    noisy, duty-cycled, faulty, churned) re-derives byte-identically
@@ -17,6 +17,10 @@
 //! 3. **Order independence** — a proptest shuffles the seed order and
 //!    demands every per-trial `RunReport` stays byte-identical: trial
 //!    identity depends on the seed alone, never on batch position.
+//! 4. **Strategy matrix** — every `JamStrategyKind` × CD model × stop
+//!    rule × noise level at K = 65, through both batch entry points. The
+//!    history-reading strategies catch a lane that pushes history or
+//!    clamps the budget at the wrong point of a slot.
 
 mod common;
 
@@ -24,7 +28,7 @@ use common::{
     check_against_existing, exact_config, random_jammer, saturating, snapshot, Backoff,
     DutyBackoff, Fixed, MAX_SLOTS, SEED,
 };
-use jle_adversary::AdversarySpec;
+use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{
     run_batch_exact, run_batch_exact_churn, run_batch_exact_faulty, run_batch_uniform,
     run_fast_exact, ChurnPlan, FaultPlan, PerStation, Protocol, RunReport, SimConfig, StationChurn,
@@ -323,4 +327,77 @@ proptest! {
             );
         }
     }
+}
+
+// ---------------------------------------------------- strategy matrix --
+
+/// One instance of every [`JamStrategyKind`], parameterized so each one
+/// actually spends budget inside a short run. The history-reading
+/// strategies (ReactiveNull, AdaptiveEstimator, SweepTargeted, and the
+/// Phased table that switches into them) are the ones that catch a lane
+/// pushing history or clamping the budget at the wrong point of a slot.
+fn every_strategy(n: u64) -> Vec<JamStrategyKind> {
+    vec![
+        JamStrategyKind::None,
+        JamStrategyKind::Saturating,
+        JamStrategyKind::PeriodicFront,
+        JamStrategyKind::Random { prob: 0.6 },
+        JamStrategyKind::ReactiveNull,
+        JamStrategyKind::AdaptiveEstimator { n, protocol_eps: 0.5, band: 2.0, initial_u: 0.0 },
+        JamStrategyKind::Burst { on: 3, off: 4 },
+        JamStrategyKind::FrontLoaded { horizon: 24 },
+        JamStrategyKind::Scripted { pattern: vec![true, false, true, true, false], repeat: true },
+        JamStrategyKind::SweepTargeted { n, band: 1.0 },
+        JamStrategyKind::Phased {
+            phases: vec![
+                (0, JamStrategyKind::Saturating),
+                (16, JamStrategyKind::ReactiveNull),
+                (36, JamStrategyKind::Random { prob: 0.5 }),
+            ],
+        },
+    ]
+}
+
+/// Every strategy × stop rule × noise level under one CD model: batch
+/// exact and batch uniform at K = 65 must equal per-seed fast-exact runs
+/// byte for byte. 65 trials = one full word plus a one-trial tail, so the
+/// live-mask walk crosses a word boundary in every cell.
+fn strategy_matrix_matches_fast_exact(cd: CdModel) {
+    const N: u64 = 8;
+    let seeds: Vec<u64> = (0..65).map(|t| SEED + t).collect();
+    let strategies = every_strategy(N);
+    assert_eq!(strategies.len(), 11, "one entry per JamStrategyKind variant");
+    for kind in &strategies {
+        let adv = AdversarySpec::new(Rate::from_f64(0.4), 12, kind.clone());
+        for stop in [StopRule::FirstCleanSingle, StopRule::AllTerminated, StopRule::Horizon] {
+            for noise in [0.0, 0.05] {
+                let config = SimConfig::new(N, cd)
+                    .with_max_slots(64)
+                    .with_stop(stop)
+                    .with_noise(noise)
+                    .with_trace(true);
+                let what = format!("{} / {cd:?} / {stop:?} / noise {noise}", kind.name());
+                let fast = fast_per_trial(&config, &adv, &seeds, backoff_factory);
+                let exact = run_batch_exact(&config, &adv, &seeds, backoff_factory);
+                assert_all_match(&exact, &fast, &format!("batch-exact {what}"));
+                let uniform = run_batch_uniform(&config, &adv, &seeds, Backoff::new);
+                assert_all_match(&uniform, &fast, &format!("batch-uniform {what}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn strategy_matrix_strong_cd_matches_fast_exact() {
+    strategy_matrix_matches_fast_exact(CdModel::Strong);
+}
+
+#[test]
+fn strategy_matrix_weak_cd_matches_fast_exact() {
+    strategy_matrix_matches_fast_exact(CdModel::Weak);
+}
+
+#[test]
+fn strategy_matrix_no_cd_matches_fast_exact() {
+    strategy_matrix_matches_fast_exact(CdModel::NoCd);
 }
