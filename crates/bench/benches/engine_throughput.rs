@@ -9,6 +9,8 @@
 //!
 //! `warm_path` times the two non-engine layers a warm re-run spends its
 //! time in: the bootstrap median CI and the store's chunk decode.
+//! `sweepd_frames` times the deliver layer of a `jle-sweepd` cache hit:
+//! rendering one result frame and parsing it back into reports.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
@@ -21,8 +23,11 @@ use jle_engine::{
 use jle_orchestrator::{Fingerprint, ResultStore, WorkSpec, DEFAULT_CODE_SALT};
 use jle_protocols::LeskProtocol;
 use jle_radio::{CdModel, ChannelState};
+use jle_sweepd::{ServerFrame, SweepOutcome};
 use jle_telemetry::MetricRegistry;
+use serde::Serialize;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Never-resolving workload: every station always transmits.
 #[derive(Debug, Clone)]
@@ -338,10 +343,59 @@ fn bench_warm_path(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn bench_sweepd_frames(c: &mut Criterion) {
+    // The deliver layer below the end-to-end `sweepd_mixed` number: one
+    // `result` frame of a 224-trial unit (the reference sweep's cohort
+    // size), rendered as the daemon sends it and parsed back into
+    // reports as the client does.
+    const TRIALS: u64 = 224;
+    let reports: Vec<RunReport> = (0..TRIALS)
+        .map(|seed| {
+            let config = SimConfig::new(1024, CdModel::Strong).with_seed(seed).with_max_slots(4096);
+            run_cohort(&config, &sat(), || LeskProtocol::new(0.5))
+        })
+        .collect();
+    let frame = ServerFrame::Result {
+        id: 1,
+        key: "ab".repeat(32),
+        trials: TRIALS,
+        executed_trials: 0,
+        cached_trials: TRIALS,
+        wall_secs: 0.001,
+        results: Arc::new(serde::Value::Seq(
+            reports.iter().map(Serialize::to_json_value).collect(),
+        )),
+        spans: None,
+    };
+    let line = frame.to_line();
+    let mut group = c.benchmark_group("sweepd_frames");
+    group.throughput(Throughput::Bytes(line.len() as u64));
+    group.bench_function(BenchmarkId::new("to_line", TRIALS), |b| {
+        b.iter(|| black_box(black_box(&frame).to_line()))
+    });
+    group.bench_function(BenchmarkId::new("parse", TRIALS), |b| {
+        b.iter(|| black_box(ServerFrame::parse(black_box(&line)).expect("valid frame")))
+    });
+    group.bench_function(BenchmarkId::new("parse_reports", TRIALS), |b| {
+        b.iter(|| {
+            let ServerFrame::Result {
+                key, executed_trials, cached_trials, wall_secs, results, ..
+            } = ServerFrame::parse(black_box(&line)).expect("valid frame")
+            else {
+                unreachable!("a result frame")
+            };
+            let results = Arc::try_unwrap(results).expect("sole owner");
+            let outcome = SweepOutcome { key, executed_trials, cached_trials, wall_secs, results };
+            black_box(outcome.reports().expect("valid reports"))
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_cohort, bench_exact, bench_exact_short, bench_batch_throughput,
-        bench_fast_exact, bench_telemetry, bench_warm_path
+        bench_fast_exact, bench_telemetry, bench_warm_path, bench_sweepd_frames
 }
 criterion_main!(benches);

@@ -340,9 +340,13 @@ impl<'t> MultihopStations<'t> {
     /// Storage-range chunks for the parallel phases, or `None` when the
     /// workload should stay serial.
     fn chunk_plan(&self) -> Option<Vec<(usize, usize)>> {
-        let n = self.order.len();
-        let workers = rayon::current_num_threads().max(1);
-        if n < self.par_threshold || workers < 2 {
+        // Threshold first: outside a pool the thread-count query reads
+        // the cgroup CPU quota, too slow to pay twice per small slot.
+        if self.order.len() < self.par_threshold {
+            return None;
+        }
+        let workers = rayon::current_num_threads();
+        if workers < 2 {
             return None;
         }
         let chunks = plan_chunks(&self.bounds, workers);

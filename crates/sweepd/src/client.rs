@@ -17,6 +17,7 @@ use jle_telemetry::{SpanGuard, SpanRecorder, TraceContext};
 use serde::{Deserialize, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything that can go wrong on the client side.
@@ -334,7 +335,9 @@ impl SweepClient {
                         executed_trials,
                         cached_trials,
                         wall_secs,
-                        results: results.as_ref().clone(),
+                        // The frame holds the only handle; the clone is
+                        // a fallback that never runs on this path.
+                        results: Arc::try_unwrap(results).unwrap_or_else(|r| r.as_ref().clone()),
                     });
                 }
                 ServerFrame::Cancelled { id, completed_trials, .. } if id == submission.req_id => {

@@ -15,9 +15,11 @@
 //!   exhausted per-client share yields `rejected` with a non-zero
 //!   `retry_after_ms` hint — never a dropped connection.
 //! * **Results carry the payload**: `result.results` is the full JSON
-//!   array of per-trial reports, rendered from one shared value so all
+//!   array of per-trial reports. Its text is rendered once per job
+//!   (`ResultPayload`) and spliced into every subscriber's line, so all
 //!   subscribers of a deduped computation receive byte-identical
-//!   payloads.
+//!   payloads. The client moves the parsed tree into the frame: the
+//!   result tree is rendered once, parsed once, and never copied.
 
 use jle_orchestrator::WorkSpec;
 use jle_telemetry::TraceContext;
@@ -252,14 +254,94 @@ impl ServerFrame {
         }
     }
 
-    /// Serialize to one wire line (no trailing newline).
+    /// Serialize to one wire line (no trailing newline). A `result`
+    /// frame splices its payload text after the header instead of
+    /// copying the payload tree into a frame tree; the bytes are the
+    /// generic serializer's.
     pub fn to_line(&self) -> String {
-        serde_json::to_string(self).expect("frame serialization")
+        match self {
+            ServerFrame::Result {
+                id,
+                key,
+                trials,
+                executed_trials,
+                cached_trials,
+                wall_secs,
+                results,
+                spans,
+            } => ResultPayload::render(results, spans.as_deref()).line(
+                *id,
+                key,
+                *trials,
+                *executed_trials,
+                *cached_trials,
+                *wall_secs,
+            ),
+            _ => serde_json::to_string(self).expect("frame serialization"),
+        }
     }
 
     /// Parse one wire line.
     pub fn parse(line: &str) -> Result<Self, serde::Error> {
         serde_json::from_str(line)
+    }
+}
+
+/// The `results` (and `spans`) text of one finished job, rendered once
+/// and spliced into the `result` line of every subscriber.
+#[derive(Debug)]
+pub(crate) struct ResultPayload {
+    results: String,
+    spans: Option<String>,
+}
+
+impl ResultPayload {
+    /// Render the payload trees to JSON text.
+    pub(crate) fn render(results: &Value, spans: Option<&Value>) -> Self {
+        let text = |v: &Value| serde_json::to_string(v).expect("payload serialization");
+        ResultPayload { results: text(results), spans: spans.map(text) }
+    }
+
+    /// One subscriber's `result` line (no trailing newline; the
+    /// capacity leaves room for one). The header keys come first in
+    /// [`frame`] order, then `results` and, when present, `spans`.
+    pub(crate) fn line(
+        &self,
+        id: u64,
+        key: &str,
+        trials: u64,
+        executed_trials: u64,
+        cached_trials: u64,
+        wall_secs: f64,
+    ) -> String {
+        const RESULTS: &str = ",\"results\":";
+        const SPANS: &str = ",\"spans\":";
+        let header = frame(
+            "result",
+            id,
+            vec![
+                ("key", Value::Str(key.to_string())),
+                ("trials", Value::U64(trials)),
+                ("executed_trials", Value::U64(executed_trials)),
+                ("cached_trials", Value::U64(cached_trials)),
+                ("wall_secs", Value::F64(wall_secs)),
+            ],
+        );
+        let header = serde_json::to_string(&header).expect("frame serialization");
+        // The header is a non-empty object: drop its closing brace.
+        let open = &header[..header.len() - 1];
+        let spans_len = self.spans.as_ref().map_or(0, |s| SPANS.len() + s.len());
+        let mut line =
+            String::with_capacity(open.len() + RESULTS.len() + self.results.len() + spans_len + 2);
+        line.push_str(open);
+        line.push_str(RESULTS);
+        line.push_str(&self.results);
+        if let Some(spans) = &self.spans {
+            line.push_str(SPANS);
+            line.push_str(spans);
+        }
+        line.push('}');
+        line
     }
 }
 
@@ -374,8 +456,26 @@ impl Serialize for ServerFrame {
     }
 }
 
+/// Move field `k` out of an object, leaving `null` behind: the first
+/// entry, the one [`Value::get`] finds.
+fn take(v: &mut Value, k: &str) -> Option<Value> {
+    match v {
+        Value::Map(m) => {
+            m.iter_mut().find(|(key, _)| key == k).map(|(_, x)| std::mem::replace(x, Value::Null))
+        }
+        _ => None,
+    }
+}
+
 impl Deserialize for ServerFrame {
     fn from_json_value(v: &Value) -> Result<Self, serde::Error> {
+        Self::from_json_value_owned(v.clone())
+    }
+
+    /// Moves the `result` payload and the `metrics` snapshots out of the
+    /// parsed tree instead of cloning them.
+    fn from_json_value_owned(mut v: Value) -> Result<Self, serde::Error> {
+        let v = &mut v;
         check_schema(v)?;
         let id = get_u64(v, "id")?;
         match get_str(v, "op")?.as_str() {
@@ -418,13 +518,12 @@ impl Deserialize for ServerFrame {
                 cached_trials: get_u64(v, "cached_trials")?,
                 wall_secs: get_f64(v, "wall_secs")?,
                 results: Arc::new(
-                    v.get("results")
-                        .ok_or_else(|| serde::Error::custom("result: missing `results`"))?
-                        .clone(),
+                    take(v, "results")
+                        .ok_or_else(|| serde::Error::custom("result: missing `results`"))?,
                 ),
-                spans: match v.get("spans") {
+                spans: match take(v, "spans") {
                     None | Some(Value::Null) => None,
-                    Some(s) => Some(Arc::new(s.clone())),
+                    Some(s) => Some(Arc::new(s)),
                 },
             }),
             "cancelled" => Ok(ServerFrame::Cancelled {
@@ -447,14 +546,10 @@ impl Deserialize for ServerFrame {
             }),
             "metrics" => Ok(ServerFrame::Metrics {
                 id,
-                server: v
-                    .get("server")
-                    .ok_or_else(|| serde::Error::custom("metrics: missing `server`"))?
-                    .clone(),
-                client: v
-                    .get("client")
-                    .ok_or_else(|| serde::Error::custom("metrics: missing `client`"))?
-                    .clone(),
+                server: take(v, "server")
+                    .ok_or_else(|| serde::Error::custom("metrics: missing `server`"))?,
+                client: take(v, "client")
+                    .ok_or_else(|| serde::Error::custom("metrics: missing `client`"))?,
             }),
             "shutting_down" => Ok(ServerFrame::ShuttingDown { id }),
             "error" => Ok(ServerFrame::Error { id, reason: get_str(v, "reason")? }),
@@ -562,9 +657,76 @@ mod tests {
         for f in frames {
             let line = f.to_line();
             assert!(!line.contains('\n'), "one frame per line: {line}");
+            assert_eq!(line, serde_json::to_string(&f.to_json_value()).unwrap());
             let back = ServerFrame::parse(&line).unwrap();
             assert_eq!(f, back, "{line}");
         }
+    }
+
+    fn result_frame(
+        key: &str,
+        wall_secs: f64,
+        results: serde::Value,
+        spans: Option<serde::Value>,
+    ) -> ServerFrame {
+        ServerFrame::Result {
+            id: 12,
+            key: key.into(),
+            trials: 3,
+            executed_trials: 1,
+            cached_trials: 2,
+            wall_secs,
+            results: Arc::new(results),
+            spans: spans.map(Arc::new),
+        }
+    }
+
+    /// Result frames covering every shape the spliced renderer meets.
+    fn result_frames() -> Vec<ServerFrame> {
+        let nested = json!([
+            json!({"slots": 10u64, "energy": {"max": 3u64, "per": [1u64, 2u64]}, "leader": null}),
+            json!({"slots": 12u64, "energy": {"max": 0u64, "per": []}, "note": "a\"b\n"}),
+        ]);
+        let spans = json!([json!({"name": "execute", "ts": 5u64, "dur": 7u64})]);
+        vec![
+            result_frame("k", 0.25, json!([json!({"slots": 10u64})]), None),
+            result_frame("k", 0.25, json!([json!({"slots": 10u64})]), Some(spans.clone())),
+            result_frame("quote\"back\\slash\nctl\u{1}é", 1.0, json!([]), None),
+            result_frame("k", 0.1 + 0.2, json!([]), Some(json!([]))),
+            result_frame("k", 1e-7, nested.clone(), None),
+            result_frame("k", 12345.678, nested, Some(spans)),
+        ]
+    }
+
+    #[test]
+    fn spliced_result_line_matches_the_generic_serializer() {
+        for f in result_frames() {
+            let oracle = serde_json::to_string(&f.to_json_value()).unwrap();
+            assert_eq!(f.to_line(), oracle);
+            assert_eq!(ServerFrame::parse(&oracle).unwrap(), f, "{oracle}");
+        }
+    }
+
+    #[test]
+    fn result_parse_takes_null_spans_and_the_first_duplicate() {
+        let line = r#"{"v":1,"op":"result","id":4,"key":"k","trials":1,"executed_trials":1,"cached_trials":0,"wall_secs":0.5,"results":[1],"spans":null}"#;
+        let want = ServerFrame::Result {
+            id: 4,
+            key: "k".into(),
+            trials: 1,
+            executed_trials: 1,
+            cached_trials: 0,
+            wall_secs: 0.5,
+            results: Arc::new(json!([1u64])),
+            spans: None,
+        };
+        assert_eq!(ServerFrame::parse(line).unwrap(), want);
+        // Duplicate keys resolve as `Value::get` does: the first wins.
+        let dup = line.replace(r#""results":[1]"#, r#""results":[1],"results":[2]"#);
+        let tree: serde::Value = serde_json::from_str(&dup).unwrap();
+        assert_eq!(tree.get("results"), Some(&json!([1u64])));
+        assert_eq!(ServerFrame::parse(&dup).unwrap(), want);
+        assert_eq!(ServerFrame::from_json_value(&tree).unwrap(), want);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! completion instead hits the warm store through the orchestrator — a
 //! unit cache hit, served in one chunk-load pass.
 
-use crate::protocol::{ClientFrame, ServerFrame, PROTOCOL_VERSION};
+use crate::protocol::{ClientFrame, ResultPayload, ServerFrame, PROTOCOL_VERSION};
 use crate::work::{build_trial_fn, engine_mode_of};
 use jle_engine::RunReport;
 use jle_orchestrator::{
@@ -269,10 +269,20 @@ struct Job {
     inner: Mutex<JobInner>,
 }
 
+/// One frame as the writer queue takes it: its line plus the newline.
+fn wire(frame: &ServerFrame) -> String {
+    let mut line = frame.to_line();
+    line.push('\n');
+    line
+}
+
 impl Job {
-    fn send_to_subs(subs: &[Subscriber], make: impl Fn(u64) -> ServerFrame, terminal: bool) {
+    /// Queue one line per subscriber; `make` renders the line for a
+    /// request id, without its newline.
+    fn send_to_subs(subs: &[Subscriber], make: impl Fn(u64) -> String, terminal: bool) {
         for sub in subs {
-            let frame = make(sub.req_id);
+            let mut line = make(sub.req_id);
+            line.push('\n');
             // Count before queueing: once the writer holds the frame the
             // client can read it and scrape this connection's counters
             // before a later increment lands. A failed send means the
@@ -283,7 +293,7 @@ impl Job {
             } else {
                 sub.progress_ctr.inc();
             }
-            let _ = sub.tx.send(format!("{}\n", frame.to_line()));
+            let _ = sub.tx.send(line);
         }
     }
 }
@@ -452,10 +462,13 @@ impl Core {
             self.m.jobs_failed.inc();
             Job::send_to_subs(
                 &subs,
-                |req_id| ServerFrame::Failed {
-                    id: req_id,
-                    key: key.clone(),
-                    reason: "server shutting down".to_string(),
+                |req_id| {
+                    ServerFrame::Failed {
+                        id: req_id,
+                        key: key.clone(),
+                        reason: "server shutting down".to_string(),
+                    }
+                    .to_line()
                 },
                 true,
             );
@@ -532,17 +545,13 @@ impl Core {
                     // delivering the terminal frame takes this same inner
                     // lock, so once the subscriber is visible its result
                     // frame is guaranteed to queue behind this one.
-                    let _ = tx.send(format!(
-                        "{}\n",
-                        ServerFrame::Accepted {
-                            id: req_id,
-                            key: key.clone(),
-                            trials,
-                            dedup: true,
-                            queue_depth,
-                        }
-                        .to_line()
-                    ));
+                    let _ = tx.send(wire(&ServerFrame::Accepted {
+                        id: req_id,
+                        key: key.clone(),
+                        trials,
+                        dedup: true,
+                        queue_depth,
+                    }));
                     inner.subs.push(Subscriber {
                         client,
                         req_id,
@@ -617,17 +626,13 @@ impl Core {
         let queue_depth = st.queue.len() as u64 + 1;
         // Still under the state lock, so no worker can pop the job (and
         // race its `result` ahead of this frame) until after we enqueue.
-        let _ = tx.send(format!(
-            "{}\n",
-            ServerFrame::Accepted {
-                id: req_id,
-                key: key.clone(),
-                trials,
-                dedup: false,
-                queue_depth
-            }
-            .to_line()
-        ));
+        let _ = tx.send(wire(&ServerFrame::Accepted {
+            id: req_id,
+            key: key.clone(),
+            trials,
+            dedup: false,
+            queue_depth,
+        }));
         st.jobs.insert(key.clone(), Arc::clone(&job));
         st.queue.push_back(job);
         *st.inflight_per_client.entry(client).or_insert(0) += 1;
@@ -667,17 +672,13 @@ impl Core {
         }
         // Same delivery-order rule as `submit`: `accepted` enters the
         // writer queue before the subscriber can receive any frame.
-        let _ = tx.send(format!(
-            "{}\n",
-            ServerFrame::Accepted {
-                id: req_id,
-                key: key.to_string(),
-                trials: job.trials,
-                dedup: true,
-                queue_depth,
-            }
-            .to_line()
-        ));
+        let _ = tx.send(wire(&ServerFrame::Accepted {
+            id: req_id,
+            key: key.to_string(),
+            trials: job.trials,
+            dedup: true,
+            queue_depth,
+        }));
         inner.subs.push(Subscriber {
             client,
             req_id,
@@ -890,28 +891,30 @@ impl Core {
                 let delivered_at = Instant::now();
                 let executed_trials = job.executed_trials.load(Ordering::Relaxed);
                 let cached_trials = job.cached_trials.load(Ordering::Relaxed);
-                let payload: Arc<serde::Value> = Arc::new(serde::Value::Seq(
-                    results.iter().map(Serialize::to_json_value).collect(),
-                ));
+                let results =
+                    serde::Value::Seq(results.iter().map(Serialize::to_json_value).collect());
                 // The deliver span is open while the export happens, so it
                 // reaches the client truncated-at-export — present in the
                 // merged trace, its tail not observable by construction.
                 let deliver_span = job.tracer.span("sweepd", "deliver");
-                let spans = job.tracer.is_enabled().then(|| Arc::new(job.tracer.export_events()));
+                let spans = job.tracer.is_enabled().then(|| job.tracer.export_events());
+                // Rendered once per job: every subscriber's line splices
+                // the same text, so dedup subscribers get identical bytes.
+                let payload = ResultPayload::render(&results, spans.as_ref());
                 // Terminal counters move before the frames go out, so a
                 // client that scrapes right after its result sees them.
                 self.m.jobs_completed.inc();
                 Job::send_to_subs(
                     &subs,
-                    |req_id| ServerFrame::Result {
-                        id: req_id,
-                        key: key.clone(),
-                        trials: job.trials,
-                        executed_trials,
-                        cached_trials,
-                        wall_secs,
-                        results: Arc::clone(&payload),
-                        spans: spans.clone(),
+                    |req_id| {
+                        payload.line(
+                            req_id,
+                            &key,
+                            job.trials,
+                            executed_trials,
+                            cached_trials,
+                            wall_secs,
+                        )
                     },
                     true,
                 );
@@ -926,10 +929,9 @@ impl Core {
                 self.m.jobs_cancelled.inc();
                 Job::send_to_subs(
                     &subs,
-                    |req_id| ServerFrame::Cancelled {
-                        id: req_id,
-                        key: key.clone(),
-                        completed_trials,
+                    |req_id| {
+                        ServerFrame::Cancelled { id: req_id, key: key.clone(), completed_trials }
+                            .to_line()
                     },
                     true,
                 );
@@ -938,10 +940,9 @@ impl Core {
                 self.m.jobs_failed.inc();
                 Job::send_to_subs(
                     &subs,
-                    |req_id| ServerFrame::Failed {
-                        id: req_id,
-                        key: key.clone(),
-                        reason: reason.clone(),
+                    |req_id| {
+                        ServerFrame::Failed { id: req_id, key: key.clone(), reason: reason.clone() }
+                            .to_line()
                     },
                     true,
                 );
@@ -1002,14 +1003,17 @@ impl Reporter for JobReporter {
                 let key = self.job.key.clone();
                 Job::send_to_subs(
                     &inner.subs,
-                    |req_id| ServerFrame::Progress {
-                        id: req_id,
-                        key: key.clone(),
-                        done_trials,
-                        total_trials: self.job.trials,
-                        slots,
-                        trials_per_sec,
-                        eta_secs,
+                    |req_id| {
+                        ServerFrame::Progress {
+                            id: req_id,
+                            key: key.clone(),
+                            done_trials,
+                            total_trials: self.job.trials,
+                            slots,
+                            trials_per_sec,
+                            eta_secs,
+                        }
+                        .to_line()
                     },
                     false,
                 );
@@ -1206,6 +1210,11 @@ impl ServerHandle {
     }
 }
 
+/// The longest client line the daemon buffers, not counting its newline.
+/// A longer one gets an `error` frame and the connection is closed, so a
+/// client that never sends `\n` cannot grow daemon memory without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 fn handle_conn(core: &Arc<Core>, stream: SweepStream) {
     let client = core.next_client.fetch_add(1, Ordering::Relaxed) + 1;
     core.m.connections.inc();
@@ -1229,18 +1238,28 @@ fn handle_conn(core: &Arc<Core>, stream: SweepStream) {
     let conn_registry = MetricRegistry::new();
     let cm = ConnMetrics::new(&conn_registry);
     let send_frame = |frame: &ServerFrame| {
-        let _ = tx.send(format!("{}\n", frame.to_line()));
+        let _ = tx.send(wire(frame));
     };
 
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     let mut first = true;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one that
+        // ends exactly at it.
+        match (&mut reader).take(MAX_FRAME_BYTES as u64 + 1).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
+        if buf.len() > MAX_FRAME_BYTES && buf.last() != Some(&b'\n') {
+            send_frame(&ServerFrame::Error {
+                id: 0,
+                reason: format!("frame exceeds {MAX_FRAME_BYTES} bytes; closing the connection"),
+            });
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;

@@ -351,3 +351,58 @@ fn unix_socket_round_trip() {
     assert!(!sock.exists(), "socket file is cleaned up on exit");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn oversized_frame_gets_an_error_and_a_closed_socket() {
+    use jle_sweepd::server::MAX_FRAME_BYTES;
+    use jle_sweepd::{ClientFrame, ServerFrame};
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, endpoint, cache) = start("oversized", |_| {});
+    let Endpoint::Tcp(addr) = &endpoint else { unreachable!() };
+    let raw = std::net::TcpStream::connect(addr.as_str()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // 2 MiB without a newline. The daemon stops reading at the cap, so the
+    // write may end in a reset; only what comes back matters.
+    let mut flood = raw.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'x'; 2 * MAX_FRAME_BYTES]);
+    });
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match ServerFrame::parse(line.trim()).unwrap() {
+        ServerFrame::Error { reason, .. } => assert!(reason.contains("exceeds"), "{reason}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    line.clear();
+    let closed = matches!(reader.read_line(&mut line), Ok(0) | Err(_));
+    assert!(closed, "the connection is closed after the error, got {line:?}");
+    writer.join().unwrap();
+
+    // A line right at the cap is still read as a frame: it earns a parse
+    // error and the connection stays open for the next one.
+    let mut at_cap = std::net::TcpStream::connect(addr.as_str()).unwrap();
+    at_cap.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut bytes = vec![b'x'; MAX_FRAME_BYTES];
+    bytes.push(b'\n');
+    bytes.extend_from_slice(ClientFrame::Hello { id: 5 }.to_line().as_bytes());
+    bytes.push(b'\n');
+    at_cap.write_all(&bytes).unwrap();
+    let mut reader = BufReader::new(at_cap);
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    match ServerFrame::parse(line.trim()).unwrap() {
+        ServerFrame::Error { reason, .. } => assert!(reason.starts_with("bad frame"), "{reason}"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(matches!(ServerFrame::parse(line.trim()).unwrap(), ServerFrame::Hello { id: 5, .. }));
+
+    // The daemon itself is unharmed: another client still gets its result.
+    let mut client = SweepClient::connect(&endpoint).unwrap();
+    let out = client.submit_and_wait(&quick_spec("after-flood", 9), 4, 8, |_| {}).unwrap();
+    assert_eq!(out.reports().unwrap().len(), 4);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
