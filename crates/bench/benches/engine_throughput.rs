@@ -339,6 +339,26 @@ fn bench_warm_path(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("load_chunk", TRIALS), |b| {
         b.iter(|| black_box(store.load_chunk::<RunReport>(&key, 0, TRIALS).expect("intact chunk")))
     });
+    // Decoding alone, both ways, on one 224-trial report array: the pull
+    // path `from_str` takes, and the `Value` tree it replaced.
+    const DECODE_TRIALS: u64 = 224;
+    let reports: Vec<RunReport> = (0..DECODE_TRIALS)
+        .map(|seed| {
+            let config = SimConfig::new(1024, CdModel::Strong).with_seed(seed).with_max_slots(4096);
+            run_cohort(&config, &sat(), || LeskProtocol::new(0.5))
+        })
+        .collect();
+    let text = serde_json::to_string(&reports).expect("render the reports");
+    group.throughput(Throughput::Elements(DECODE_TRIALS));
+    group.bench_function(BenchmarkId::new("decode_reports", DECODE_TRIALS), |b| {
+        b.iter(|| black_box(serde_json::from_str::<Vec<RunReport>>(black_box(&text)).unwrap()))
+    });
+    group.bench_function(BenchmarkId::new("decode_reports_tree", DECODE_TRIALS), |b| {
+        b.iter(|| {
+            let tree: serde::Value = serde_json::from_str(black_box(&text)).unwrap();
+            black_box(<Vec<RunReport> as serde::Deserialize>::from_json_value(&tree).unwrap())
+        })
+    });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }

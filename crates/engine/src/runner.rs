@@ -8,7 +8,7 @@
 //! the thread schedule.
 
 use rayon::prelude::*;
-use serde::{value::Error, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
@@ -33,8 +33,9 @@ fn sized_pool(jobs: usize) -> &'static rayon::ThreadPool {
     })
 }
 
-/// The result of one trial under [`MonteCarlo::run_caught`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The result of one trial under [`MonteCarlo::run_caught`]. Serialized
+/// externally tagged: `{"Ok": ...}` / `{"Panicked": "msg"}`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TrialOutcome<R> {
     /// The trial completed normally.
     Ok(R),
@@ -72,34 +73,6 @@ impl<R> TrialOutcome<R> {
             TrialOutcome::Ok(_) => None,
             TrialOutcome::Panicked(m) => Some(m),
         }
-    }
-}
-
-// Externally-tagged representation ({"Ok": ...} / {"Panicked": "msg"}),
-// written by hand because the vendored derive does not handle generics.
-impl<R: Serialize> Serialize for TrialOutcome<R> {
-    fn to_json_value(&self) -> Value {
-        match self {
-            TrialOutcome::Ok(r) => Value::Map(vec![("Ok".to_string(), r.to_json_value())]),
-            TrialOutcome::Panicked(m) => {
-                Value::Map(vec![("Panicked".to_string(), Value::Str(m.clone()))])
-            }
-        }
-    }
-}
-
-impl<R: Deserialize> Deserialize for TrialOutcome<R> {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        if let Some(inner) = v.get("Ok") {
-            return R::from_json_value(inner).map(TrialOutcome::Ok);
-        }
-        if let Some(inner) = v.get("Panicked") {
-            return match inner.as_str() {
-                Some(m) => Ok(TrialOutcome::Panicked(m.to_string())),
-                None => Err(Error::custom("TrialOutcome::Panicked payload must be a string")),
-            };
-        }
-        Err(Error::custom(format!("expected TrialOutcome object, found {}", v.kind())))
     }
 }
 
@@ -377,6 +350,13 @@ mod tests {
             assert_eq!(TrialOutcome::<u64>::from_json_value(&v).unwrap(), o);
         }
         assert!(TrialOutcome::<u64>::from_json_value(&serde::Value::Null).is_err());
+        // The externally tagged form cached results are stored in.
+        let tagged = |tag: &str, v: serde::Value| serde::Value::Map(vec![(tag.to_string(), v)]);
+        assert_eq!(TrialOutcome::Ok(17u64).to_json_value(), tagged("Ok", serde::Value::U64(17)));
+        assert_eq!(
+            TrialOutcome::<u64>::Panicked("boom".into()).to_json_value(),
+            tagged("Panicked", serde::Value::Str("boom".into()))
+        );
     }
 
     #[test]

@@ -41,6 +41,16 @@ impl Drop for ChunkClaim {
     }
 }
 
+/// One shard as [`ResultStore::write_chunk`] lays it out. Decoding into it
+/// reads the results straight from the text, without a `Value` tree.
+#[derive(Deserialize)]
+struct ChunkFile<R> {
+    key: String,
+    start: u64,
+    end: u64,
+    results: Vec<R>,
+}
+
 /// The on-disk store rooted at a cache directory (`results/.cache` by
 /// convention).
 #[derive(Debug, Clone)]
@@ -154,8 +164,14 @@ impl ResultStore {
     ) -> Option<Vec<R>> {
         let path = self.chunk_path(key, start, end);
         let text = fs::read_to_string(&path).ok()?;
-        match Self::decode_chunk(&text, key, start, end) {
-            Some(results) => Some(results),
+        let intact = serde_json::from_str::<ChunkFile<R>>(&text).ok().filter(|c| {
+            c.key == key.hex()
+                && c.start == start
+                && c.end == end
+                && c.results.len() as u64 == end - start
+        });
+        match intact {
+            Some(chunk) => Some(chunk.results),
             None => {
                 // Corrupt shard: discard so the slot is recomputed. A
                 // failed delete is harmless — the rewrite replaces it.
@@ -163,26 +179,6 @@ impl ResultStore {
                 None
             }
         }
-    }
-
-    fn decode_chunk<R: Deserialize>(
-        text: &str,
-        key: &Fingerprint,
-        start: u64,
-        end: u64,
-    ) -> Option<Vec<R>> {
-        let v: Value = serde_json::from_str(text).ok()?;
-        if v.get("key")?.as_str()? != key.hex() {
-            return None;
-        }
-        if v.get("start")?.as_u64()? != start || v.get("end")?.as_u64()? != end {
-            return None;
-        }
-        let results = v.get("results")?.as_seq()?;
-        if results.len() as u64 != end - start {
-            return None;
-        }
-        results.iter().map(|r| R::from_json_value(r).ok()).collect()
     }
 
     /// Record the human-readable spec of a unit next to its shards, once.
@@ -305,6 +301,27 @@ mod tests {
         )
         .unwrap();
         assert!(store.load_chunk::<f64>(&k, 0, 3).is_none());
+    }
+
+    #[test]
+    fn reordered_pretty_and_escaped_envelopes_still_load() {
+        let store = tmp_store("envelope");
+        let k = key();
+        let path = store.chunk_path(&k, 0, 2);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let hex = k.hex();
+        for text in [
+            format!(r#"{{"results":[1.5,2.0],"end":2,"start":0,"key":"{hex}"}}"#),
+            format!("{{\n  \"key\": \"{hex}\",\n  \"start\": 0,\n  \"end\": 2,\n  \"results\": [\n    1.5,\n    2.0\n  ]\n}}\n"),
+            format!(r#"{{"k\u0065y":"{hex}","st\u0061rt":0,"end":2,"re\u0073ults":[1.5,2.0]}}"#),
+            format!(r#"{{"key":"{hex}","start":0,"end":2,"note":{{"x":[null]}},"results":[1.5,2.0]}}"#),
+            // Integral floats read as integers, as every u64 field does.
+            format!(r#"{{"key":"{hex}","start":0.0,"end":2,"results":[1.5,2.0]}}"#),
+        ] {
+            fs::write(&path, &text).unwrap();
+            assert_eq!(store.load_chunk::<f64>(&k, 0, 2), Some(vec![1.5, 2.0]), "{text}");
+            assert!(path.exists(), "an intact shard is kept: {text}");
+        }
     }
 
     #[test]

@@ -406,3 +406,35 @@ fn oversized_frame_gets_an_error_and_a_closed_socket() {
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(cache);
 }
+
+#[test]
+fn deeply_nested_frame_gets_an_error_and_the_daemon_keeps_serving() {
+    use jle_sweepd::ServerFrame;
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, endpoint, cache) = start("nested", |_| {});
+    let Endpoint::Tcp(addr) = &endpoint else { unreachable!() };
+    // 10,000 nested arrays: far below the frame cap, far above the
+    // parser's nesting cap. Without the cap this overflows the
+    // connection thread's stack and aborts the whole daemon.
+    let mut bomb = std::net::TcpStream::connect(addr.as_str()).unwrap();
+    bomb.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut bytes = vec![b'['; 10_000];
+    bytes.push(b'\n');
+    bomb.write_all(&bytes).unwrap();
+    let mut reader = BufReader::new(bomb);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match ServerFrame::parse(line.trim()).unwrap() {
+        ServerFrame::Error { reason, .. } => {
+            assert!(reason.contains("nesting deeper than 128 at byte 128"), "{reason}")
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+
+    // A second client on the same daemon still gets its result.
+    let mut client = SweepClient::connect(&endpoint).unwrap();
+    let out = client.submit_and_wait(&quick_spec("after-bomb", 11), 4, 8, |_| {}).unwrap();
+    assert_eq!(out.reports().unwrap().len(), 4);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
