@@ -26,6 +26,7 @@ use jle_radio::{CdModel, ChannelState};
 use jle_sweepd::{ServerFrame, SweepOutcome};
 use jle_telemetry::MetricRegistry;
 use serde::Serialize;
+use serde_json::value::to_raw_value;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -366,8 +367,9 @@ fn bench_warm_path(c: &mut Criterion) {
 fn bench_sweepd_frames(c: &mut Criterion) {
     // The deliver layer below the end-to-end `sweepd_mixed` number: one
     // `result` frame of a 224-trial unit (the reference sweep's cohort
-    // size), rendered as the daemon sends it and parsed back into
-    // reports as the client does.
+    // size), its payload written as the worker writes it (typed, and the
+    // `Value` tree route it replaced), the frame rendered as the daemon
+    // sends it, and parsed back into reports as the client does.
     const TRIALS: u64 = 224;
     let reports: Vec<RunReport> = (0..TRIALS)
         .map(|seed| {
@@ -382,13 +384,21 @@ fn bench_sweepd_frames(c: &mut Criterion) {
         executed_trials: 0,
         cached_trials: TRIALS,
         wall_secs: 0.001,
-        results: Arc::new(serde::Value::Seq(
-            reports.iter().map(Serialize::to_json_value).collect(),
-        )),
+        results: to_raw_value(&reports).expect("render the reports").into(),
         spans: None,
     };
     let line = frame.to_line();
     let mut group = c.benchmark_group("sweepd_frames");
+    group.throughput(Throughput::Elements(TRIALS));
+    group.bench_function(BenchmarkId::new("render_reports", TRIALS), |b| {
+        b.iter(|| black_box(to_raw_value(black_box(&reports)).expect("render the reports")))
+    });
+    group.bench_function(BenchmarkId::new("render_reports_tree", TRIALS), |b| {
+        b.iter(|| {
+            let tree = black_box(&reports).to_json_value();
+            black_box(serde_json::to_string(&tree).expect("render the tree"))
+        })
+    });
     group.throughput(Throughput::Bytes(line.len() as u64));
     group.bench_function(BenchmarkId::new("to_line", TRIALS), |b| {
         b.iter(|| black_box(black_box(&frame).to_line()))
@@ -404,7 +414,7 @@ fn bench_sweepd_frames(c: &mut Criterion) {
             else {
                 unreachable!("a result frame")
             };
-            let results = Arc::try_unwrap(results).expect("sole owner");
+            let results = Box::new(Arc::try_unwrap(results).expect("sole owner"));
             let outcome = SweepOutcome { key, executed_trials, cached_trials, wall_secs, results };
             black_box(outcome.reports().expect("valid reports"))
         })

@@ -41,14 +41,16 @@ impl Drop for ChunkClaim {
     }
 }
 
-/// One shard as [`ResultStore::write_chunk`] lays it out. Decoding into it
-/// reads the results straight from the text, without a `Value` tree.
-#[derive(Deserialize)]
+/// One shard's layout on disk: [`ResultStore::write_chunk`] writes a
+/// `ChunkFile<&[R]>` and [`ResultStore::load_chunk`] reads a
+/// `ChunkFile<Vec<R>>`, both straight from and to text, without a `Value`
+/// tree.
+#[derive(Serialize, Deserialize)]
 struct ChunkFile<R> {
     key: String,
     start: u64,
     end: u64,
-    results: Vec<R>,
+    results: R,
 }
 
 /// The on-disk store rooted at a cache directory (`results/.cache` by
@@ -140,16 +142,8 @@ impl ResultStore {
         let Some(_claim) = self.try_claim_chunk(key, start, end)? else {
             return Ok(());
         };
-        let body = Value::Map(vec![
-            ("key".to_string(), Value::Str(key.hex().to_string())),
-            ("start".to_string(), start.to_json_value()),
-            ("end".to_string(), end.to_json_value()),
-            (
-                "results".to_string(),
-                Value::Seq(results.iter().map(Serialize::to_json_value).collect()),
-            ),
-        ]);
-        let text = serde_json::to_string(&body).expect("chunk serialization");
+        let chunk = ChunkFile { key: key.hex().to_string(), start, end, results };
+        let text = serde_json::to_string(&chunk).expect("chunk serialization");
         self.write_atomic(&self.chunk_path(key, start, end), text.as_bytes())
     }
 
@@ -164,7 +158,7 @@ impl ResultStore {
     ) -> Option<Vec<R>> {
         let path = self.chunk_path(key, start, end);
         let text = fs::read_to_string(&path).ok()?;
-        let intact = serde_json::from_str::<ChunkFile<R>>(&text).ok().filter(|c| {
+        let intact = serde_json::from_str::<ChunkFile<Vec<R>>>(&text).ok().filter(|c| {
             c.key == key.hex()
                 && c.start == start
                 && c.end == end

@@ -10,6 +10,11 @@
 //! floats, exponents, negatives and overflows; pretty whitespace;
 //! truncations; trailing garbage) and hand-picked enum and attribute
 //! edge cases.
+//!
+//! The write direction is held to the same rule: `serde_json::to_string`
+//! (each type writing itself) must give the bytes of the tree writer on
+//! the value's `Value` tree, for every value decoded here and for
+//! hand-picked floats, strings and omitted fields.
 
 use jle_engine::{ClusterOutcome, EnergyStats, MultihopReport, RunReport, SplitBrainStats};
 use jle_radio::history::StateCounts;
@@ -50,14 +55,86 @@ struct Tagged<T> {
     items: Vec<T>,
 }
 
+/// Every field omitted on the way out: writes `{}`.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Omitted {
+    #[serde(skip)]
+    hidden: u64,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    maybe: Option<u64>,
+}
+
+/// Conditional fields before, between and after the ones always written.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Sparse {
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    a: Option<u64>,
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    b: Vec<String>,
+    c: u64,
+    #[serde(skip)]
+    d: bool,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    e: Option<Shape>,
+}
+
+/// Conditional and skipped fields inside struct variants, an empty struct
+/// variant, and a wider tuple variant.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum Variants {
+    Both {
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        x: Option<u64>,
+        #[serde(skip)]
+        hidden: u8,
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        y: Option<f64>,
+    },
+    Empty {},
+    Triple(u8, i32, f32),
+    Unit,
+}
+
+/// Newtype, tuple and unit structs.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Newtype(f64);
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Triple(u64, String, Option<bool>);
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Nothing;
+
+/// Floats of both widths, alone and in containers.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Floats {
+    wide: f64,
+    narrow: f32,
+    all: Vec<f64>,
+    maybe: Option<f32>,
+}
+
+/// `serde_json::to_string(x)` (`x` writes itself) must be the tree
+/// writer's bytes for `x`'s `Value` tree. Returns the text.
+fn writes_agree<T: Serialize + ?Sized>(x: &T) -> String {
+    let direct = serde_json::to_string(x).unwrap();
+    let tree = serde_json::to_string(&x.to_json_value()).unwrap();
+    assert_eq!(direct, tree);
+    direct
+}
+
 /// Decode `s` as `T` both ways and check that they agree. Returns whether
 /// `T` accepted `s`.
-fn agree<T: Deserialize + PartialEq + Debug>(s: &str) -> bool {
+/// An accepted value must also write the tree writer's bytes.
+fn agree<T: Deserialize + Serialize + PartialEq + Debug>(s: &str) -> bool {
     let mut p = Parser::new(s);
     let pull = T::from_parser(&mut p).and_then(|v| p.end().map(|()| v));
     let tree = serde_json::from_str::<Value>(s).and_then(T::from_json_value_owned);
     match (&pull, &tree) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "input {s:?}"),
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a, b, "input {s:?}");
+            writes_agree(b);
+        }
         (Err(_), Err(_)) => {}
         _ => panic!("pull {pull:?} but tree {tree:?} for input {s:?}"),
     }
@@ -73,6 +150,8 @@ fn agree_all(s: &str) -> bool {
     agree::<Shape>(s);
     agree::<Knobs>(s);
     agree::<Tagged<Shape>>(s);
+    agree::<Sparse>(s);
+    agree::<Variants>(s);
     agree::<Option<u64>>(s);
     agree::<Vec<(u64, String)>>(s);
     agree::<Vec<RunReport>>(s);
@@ -365,4 +444,119 @@ fn enums_and_attributes_decode_identically() {
     assert!(knobs.cache.is_empty(), "a skipped field stays at its default");
     let tagged: Tagged<u64> = serde_json::from_str(r#"{"tag":"t","items":[1,2]}"#).unwrap();
     assert_eq!(tagged, Tagged { tag: "t".to_string(), items: vec![1, 2] });
+}
+
+#[test]
+fn reports_write_the_tree_writers_bytes() {
+    for r in reports() {
+        let text = writes_agree(&r);
+        assert_eq!(text.contains("\"multihop\""), r.multihop.is_some(), "{text}");
+    }
+    writes_agree(&reports());
+    writes_agree(reports().as_slice());
+    writes_agree(&&reports()[2]);
+    writes_agree(&Box::new(reports()[1].clone()));
+    writes_agree(&Some(reports()[0].clone()));
+}
+
+#[test]
+fn omitted_fields_write_the_tree_writers_bytes() {
+    assert_eq!(writes_agree(&Omitted { hidden: 5, maybe: None }), "{}");
+    assert_eq!(writes_agree(&Omitted { hidden: 5, maybe: Some(2) }), r#"{"maybe":2}"#);
+    for a in [None, Some(1)] {
+        for b in [vec![], vec!["x".to_string()]] {
+            for e in [None, Some(Shape::Pair(2, "p".to_string()))] {
+                writes_agree(&Sparse { a, b: b.clone(), c: 3, d: true, e });
+            }
+        }
+    }
+    let sparse = Sparse { a: None, b: vec![], c: 3, d: true, e: None };
+    assert_eq!(writes_agree(&sparse), r#"{"c":3}"#);
+    for x in [None, Some(1)] {
+        for y in [None, Some(0.5)] {
+            writes_agree(&Variants::Both { x, hidden: 9, y });
+        }
+    }
+    assert_eq!(writes_agree(&Variants::Both { x: None, hidden: 9, y: None }), r#"{"Both":{}}"#);
+    assert_eq!(writes_agree(&Variants::Empty {}), r#"{"Empty":{}}"#);
+    assert_eq!(writes_agree(&Variants::Triple(255, -7, 0.5)), r#"{"Triple":[255,-7,0.5]}"#);
+    assert_eq!(writes_agree(&Variants::Unit), r#""Unit""#);
+    assert_eq!(writes_agree(&Newtype(2.5)), "2.5");
+    assert_eq!(writes_agree(&Triple(1, "t".to_string(), None)), r#"[1,"t",null]"#);
+    assert_eq!(writes_agree(&Nothing), "null");
+    for shape in [
+        Shape::Unit,
+        Shape::New(7),
+        Shape::Pair(1, "a".to_string()),
+        Shape::Named { a: 1, b: None },
+        Shape::Named { a: 2, b: Some(true) },
+    ] {
+        writes_agree(&shape);
+        writes_agree(&Knobs {
+            id: 1,
+            cache: vec![1, 2],
+            label: "l".to_string(),
+            extra: Some(shape),
+            shapes: vec![Shape::Unit, Shape::New(3)],
+        });
+    }
+    writes_agree(&Tagged { tag: "t".to_string(), items: vec![Some(1u64), None] });
+}
+
+#[test]
+fn floats_write_the_tree_writers_bytes() {
+    let wide = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1e21,
+        1e-7,
+        3.0,
+        -3.0,
+        0.1 + 0.2,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        5e-324,
+        123456789012345680.0,
+    ];
+    let narrow = [f32::NAN, f32::INFINITY, -0.0, 3.0, 0.1, f32::MAX, f32::MIN_POSITIVE, 1e-45];
+    for &w in &wide {
+        for &n in &narrow {
+            writes_agree(&Floats { wide: w, narrow: n, all: wide.to_vec(), maybe: Some(n) });
+        }
+        writes_agree(&w);
+    }
+    for &n in &narrow {
+        writes_agree(&n);
+        writes_agree(&Variants::Triple(0, 0, n));
+    }
+    assert_eq!(
+        writes_agree(&[f64::NAN, f64::INFINITY, -0.0, 1e21, 3.0][..]),
+        "[null,null,-0,1000000000000000000000,3]"
+    );
+    assert_eq!(writes_agree(&0.1f32), "0.10000000149011612");
+}
+
+#[test]
+fn strings_and_integers_write_the_tree_writers_bytes() {
+    let controls: String = (0u8..0x20).map(char::from).collect();
+    let strings = [
+        String::new(),
+        controls,
+        "quote\" back\\slash / \u{7f}".to_string(),
+        "é😀ünï \u{2028}".to_string(),
+        "plain".to_string(),
+    ];
+    for s in &strings {
+        writes_agree(s);
+        writes_agree(s.as_str());
+        writes_agree(&Tagged { tag: s.clone(), items: vec![s.clone()] });
+    }
+    writes_agree(&strings[..]);
+    writes_agree(&(u8::MAX, i8::MIN, u16::MAX, i16::MIN));
+    writes_agree(&(u64::MAX, i64::MIN, i64::MAX, usize::MAX, isize::MIN));
+    writes_agree(&vec![0u32, 9, 10, 99, 100, u32::MAX]);
+    writes_agree(&(true, false, 'c', None::<u8>));
 }

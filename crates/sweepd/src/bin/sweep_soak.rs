@@ -220,7 +220,9 @@ fn main() {
                     match outcome {
                         Ok((s, o)) => {
                             let result_ms = sub_started.elapsed().as_secs_f64() * 1e3;
-                            let len = o.results.as_seq().map(<[Value]>::len).unwrap_or(0) as u64;
+                            // A payload that does not decode counts as
+                            // dropped, like a short one.
+                            let len = o.reports().map_or(0, |r| r.len()) as u64;
                             if len != trials {
                                 eprintln!(
                                     "sweep-soak: short payload for {}: {len}/{trials}",

@@ -9,14 +9,15 @@
 //! drop-in replacement for a local [`jle_orchestrator::Orchestrator`]
 //! call on the same `WorkSpec`.
 
-use crate::protocol::{ClientFrame, ServerFrame, PROTOCOL_VERSION};
+use crate::protocol::{ClientFrame, ServerFrame, MAX_SERVER_FRAME_BYTES, PROTOCOL_VERSION};
 use crate::server::{Endpoint, SweepStream};
 use jle_engine::RunReport;
 use jle_orchestrator::WorkSpec;
 use jle_telemetry::{SpanGuard, SpanRecorder, TraceContext};
-use serde::{Deserialize, Value};
+use serde::Value;
+use serde_json::value::RawValue;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -94,23 +95,16 @@ pub struct SweepOutcome {
     pub cached_trials: u64,
     /// Submission-to-result wall time measured by the server.
     pub wall_secs: f64,
-    /// The raw JSON array of per-trial results, in trial order.
-    pub results: Value,
+    /// The JSON array of per-trial results, in trial order, as the raw
+    /// text the server sent.
+    pub results: Box<RawValue>,
 }
 
 impl SweepOutcome {
-    /// Deserialize the payload into typed reports.
+    /// Decode the payload into typed reports, straight from its text.
     pub fn reports(&self) -> Result<Vec<RunReport>, ClientError> {
-        let seq = self
-            .results
-            .as_seq()
-            .ok_or_else(|| ClientError::Protocol("result payload is not an array".to_string()))?;
-        seq.iter()
-            .map(|v| {
-                RunReport::from_json_value(v)
-                    .map_err(|e| ClientError::Protocol(format!("bad report: {e}")))
-            })
-            .collect()
+        serde_json::from_str(self.results.get())
+            .map_err(|e| ClientError::Protocol(format!("bad result payload: {e}")))
     }
 }
 
@@ -143,6 +137,8 @@ pub struct ProgressUpdate {
 /// One synchronous JSONL connection to a sweep service.
 pub struct SweepClient {
     reader: BufReader<SweepStream>,
+    /// The line [`SweepClient::read_frame`] reads into, reused.
+    line: Vec<u8>,
     writer: SweepStream,
     info: ServerInfo,
     next_id: u64,
@@ -159,6 +155,7 @@ impl SweepClient {
         let writer = stream.try_clone()?;
         let mut client = SweepClient {
             reader: BufReader::new(stream),
+            line: Vec::new(),
             writer,
             info: ServerInfo { proto: String::new(), workers: 0, max_queue: 0, client_share: 0 },
             next_id: 0,
@@ -238,20 +235,7 @@ impl SweepClient {
     }
 
     fn read_frame(&mut self) -> Result<ServerFrame, ClientError> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
-                return Err(ClientError::Protocol("server closed the connection".to_string()));
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            return ServerFrame::parse(trimmed)
-                .map_err(|e| ClientError::Protocol(format!("bad server frame: {e}")));
-        }
+        read_frame_capped(&mut self.reader, &mut self.line, MAX_SERVER_FRAME_BYTES)
     }
 
     /// Submit one unit; does not wait for the result.
@@ -327,7 +311,7 @@ impl SweepClient {
                     ..
                 } if id == submission.req_id => {
                     if let Some(spans) = spans {
-                        self.splice_server_spans(spans.as_ref());
+                        self.splice_server_spans(&spans);
                     }
                     self.inflight_spans.remove(&id);
                     return Ok(SweepOutcome {
@@ -335,9 +319,9 @@ impl SweepClient {
                         executed_trials,
                         cached_trials,
                         wall_secs,
-                        // The frame holds the only handle; the clone is
-                        // a fallback that never runs on this path.
-                        results: Arc::try_unwrap(results).unwrap_or_else(|r| r.as_ref().clone()),
+                        // The frame holds the only handle, so this moves
+                        // the text out; it clones only if shared.
+                        results: Box::new(Arc::unwrap_or_clone(results)),
                     });
                 }
                 ServerFrame::Cancelled { id, completed_trials, .. } if id == submission.req_id => {
@@ -357,11 +341,13 @@ impl SweepClient {
     /// the server block *ends* now — i.e. it nests inside the client's
     /// still-open submit span instead of trailing past it (server and
     /// client clocks share no epoch; the result frame's arrival is the
-    /// one instant both sides witness).
-    fn splice_server_spans(&mut self, events: &Value) {
+    /// one instant both sides witness). The span text becomes a tree only
+    /// here, with tracing on.
+    fn splice_server_spans(&mut self, spans: &RawValue) {
         if !self.tracer.is_enabled() {
             return;
         }
+        let Ok(events) = serde_json::from_str::<Value>(spans.get()) else { return };
         let width = events
             .as_seq()
             .map(|seq| {
@@ -374,7 +360,7 @@ impl SweepClient {
             })
             .unwrap_or(0);
         let at = self.tracer.now_us().saturating_sub(width);
-        self.tracer.import_events(events, at);
+        self.tracer.import_events(&events, at);
     }
 
     /// Submit with bounded backpressure retries, then wait.
@@ -468,6 +454,37 @@ impl SweepClient {
     }
 }
 
+/// Read the next non-blank line from `reader` into `buf` and parse it as a
+/// server frame. A line longer than `cap` bytes is a protocol error: it
+/// is read no further than one byte past the cap, so a hostile or broken
+/// server cannot make the client buffer without bound.
+fn read_frame_capped(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> Result<ServerFrame, ClientError> {
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one that
+        // ends exactly at it.
+        let n = (&mut *reader).take(cap as u64 + 1).read_until(b'\n', buf)?;
+        if n == 0 {
+            return Err(ClientError::Protocol("server closed the connection".to_string()));
+        }
+        if buf.len() > cap && buf.last() != Some(&b'\n') {
+            return Err(ClientError::Protocol(format!("server frame exceeds {cap} bytes")));
+        }
+        let line = std::str::from_utf8(buf)
+            .map_err(|e| ClientError::Protocol(format!("server frame is not UTF-8: {e}")))?;
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        return ServerFrame::parse(trimmed)
+            .map_err(|e| ClientError::Protocol(format!("bad server frame: {e}")));
+    }
+}
+
 fn clone_spec(spec: &WorkSpec) -> WorkSpec {
     WorkSpec {
         experiment: spec.experiment.clone(),
@@ -485,4 +502,59 @@ pub fn snapshot_counter(snapshot: &Value, name: &str) -> Option<u64> {
         .find(|m| m.get("name").and_then(Value::as_str) == Some(name))
         .and_then(|m| m.get("value"))
         .and_then(Value::as_u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read_all(input: &str, cap: usize) -> Vec<Result<ServerFrame, String>> {
+        let mut reader = input.as_bytes();
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            match read_frame_capped(&mut reader, &mut buf, cap) {
+                Err(ClientError::Protocol(e)) if e == "server closed the connection" => break,
+                Err(ClientError::Protocol(e)) if e.contains("exceeds") => {
+                    out.push(Err(e));
+                    break;
+                }
+                got => out.push(got.map_err(|e| e.to_string())),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn server_lines_are_capped() {
+        let hello = ServerFrame::ShuttingDown { id: 3 }.to_line();
+        let input = format!("\n{hello}\n  \n{hello}");
+        // At the cap, with or without the newline, a line reads; blank
+        // lines are skipped.
+        let got = read_all(&input, hello.len());
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert!(got.iter().all(|f| matches!(f, Ok(ServerFrame::ShuttingDown { id: 3 }))));
+        // One byte over, it is an error naming the cap, and nothing past
+        // the cap is read into the buffer.
+        let got = read_all(&input, hello.len() - 1);
+        let want = format!("server frame exceeds {} bytes", hello.len() - 1);
+        assert_eq!(got, vec![Err(want)]);
+        let long = format!("{}\n", "x".repeat(1000));
+        let mut buf = Vec::new();
+        let err = read_frame_capped(&mut long.as_bytes(), &mut buf, 8).unwrap_err();
+        assert!(matches!(err, ClientError::Protocol(ref e) if e.contains("exceeds 8")), "{err}");
+        assert_eq!(buf.len(), 9);
+    }
+
+    #[test]
+    fn bad_lines_are_protocol_errors() {
+        let got = read_all("{\"v\":1}\n", MAX_SERVER_FRAME_BYTES);
+        assert_eq!(
+            got,
+            vec![Err("protocol: bad server frame: frame: missing u64 field `id`".into())]
+        );
+        let mut buf = Vec::new();
+        let err = read_frame_capped(&mut &b"\xff\n"[..], &mut buf, 64).unwrap_err();
+        assert!(matches!(err, ClientError::Protocol(ref e) if e.contains("UTF-8")), "{err}");
+    }
 }

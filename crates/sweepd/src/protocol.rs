@@ -15,15 +15,18 @@
 //!   exhausted per-client share yields `rejected` with a non-zero
 //!   `retry_after_ms` hint — never a dropped connection.
 //! * **Results carry the payload**: `result.results` is the full JSON
-//!   array of per-trial reports. Its text is rendered once per job
-//!   (`ResultPayload`) and spliced into every subscriber's line, so all
-//!   subscribers of a deduped computation receive byte-identical
-//!   payloads. The client moves the parsed tree into the frame: the
-//!   result tree is rendered once, parsed once, and never copied.
+//!   array of per-trial reports. The worker writes it to text once per job
+//!   ([`serde_json::value::to_raw_value`]) and every subscriber's line
+//!   splices that text, so all subscribers of a deduped computation
+//!   receive byte-identical payloads. The client keeps the payload as the
+//!   raw text it received ([`RawValue`]) and decodes it into reports once:
+//!   typed values are written to text once and decoded from text once,
+//!   with no value tree on either side.
 
 use jle_orchestrator::WorkSpec;
 use jle_telemetry::TraceContext;
 use serde::{Deserialize, Serialize, Value};
+use serde_json::value::RawValue;
 use std::sync::Arc;
 
 /// Protocol name + schema version, announced in the `hello` frame.
@@ -31,6 +34,14 @@ pub const PROTOCOL_VERSION: &str = "jle-sweepd-v1";
 
 /// Numeric schema version stamped into every frame as `"v"`.
 pub const SCHEMA: u64 = 1;
+
+/// The longest line a client reads from the server; a longer one is a
+/// protocol error, so a broken or hostile server cannot make a client
+/// buffer without bound. A `result` line is dominated by its payload, at
+/// about 400 bytes per cohort report, and the largest unit meant to go
+/// through the service is 2^17 = 131,072 trials: about 52 MB. The cap
+/// rounds that up to 64 MiB.
+pub const MAX_SERVER_FRAME_BYTES: usize = 64 << 20;
 
 /// Frames a client sends to the server.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,10 +91,10 @@ pub enum ServerFrame {
         eta_secs: f64,
     },
     /// Terminal: the job finished. `results` is the JSON array of
-    /// per-trial reports in trial order. `spans` carries the server-side
-    /// span events of the job (admission → queue → execute → deliver →
-    /// per-run engine spans) when the submission carried a trace context,
-    /// in [`jle_telemetry::SpanRecorder::export_events`] form.
+    /// per-trial reports in trial order, as raw text. `spans` carries the
+    /// server-side span events of the job (admission → queue → execute →
+    /// deliver → per-run engine spans) when the submission carried a trace
+    /// context, in [`jle_telemetry::SpanRecorder::export_events`] form.
     Result {
         id: u64,
         key: String,
@@ -91,8 +102,8 @@ pub enum ServerFrame {
         executed_trials: u64,
         cached_trials: u64,
         wall_secs: f64,
-        results: Arc<Value>,
-        spans: Option<Arc<Value>>,
+        results: Arc<RawValue>,
+        spans: Option<Arc<RawValue>>,
     },
     /// Terminal: the job was cancelled before completion.
     Cancelled { id: u64, key: String, completed_trials: u64 },
@@ -132,12 +143,6 @@ fn get_u64(v: &Value, k: &str) -> Result<u64, serde::Error> {
     v.get(k)
         .and_then(Value::as_u64)
         .ok_or_else(|| serde::Error::custom(format!("frame: missing u64 field `{k}`")))
-}
-
-fn get_f64(v: &Value, k: &str) -> Result<f64, serde::Error> {
-    v.get(k)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| serde::Error::custom(format!("frame: missing f64 field `{k}`")))
 }
 
 fn get_str(v: &Value, k: &str) -> Result<String, serde::Error> {
@@ -255,9 +260,8 @@ impl ServerFrame {
     }
 
     /// Serialize to one wire line (no trailing newline). A `result`
-    /// frame splices its payload text after the header instead of
-    /// copying the payload tree into a frame tree; the bytes are the
-    /// generic serializer's.
+    /// frame writes its header and splices the payload text behind it;
+    /// the bytes are the generic serializer's.
     pub fn to_line(&self) -> String {
         match self {
             ServerFrame::Result {
@@ -269,79 +273,48 @@ impl ServerFrame {
                 wall_secs,
                 results,
                 spans,
-            } => ResultPayload::render(results, spans.as_deref()).line(
-                *id,
-                key,
-                *trials,
-                *executed_trials,
-                *cached_trials,
-                *wall_secs,
-            ),
+            } => {
+                const RESULTS: &str = ",\"results\":";
+                const SPANS: &str = ",\"spans\":";
+                let header = frame(
+                    "result",
+                    *id,
+                    vec![
+                        ("key", Value::Str(key.clone())),
+                        ("trials", Value::U64(*trials)),
+                        ("executed_trials", Value::U64(*executed_trials)),
+                        ("cached_trials", Value::U64(*cached_trials)),
+                        ("wall_secs", Value::F64(*wall_secs)),
+                    ],
+                );
+                let header = serde_json::to_string(&header).expect("frame serialization");
+                // The header is a non-empty object: drop its closing brace.
+                let open = &header[..header.len() - 1];
+                let (results, spans) = (results.get(), spans.as_deref().map(RawValue::get));
+                let spans_len = spans.map_or(0, |s| SPANS.len() + s.len());
+                // Room for the closing brace and the newline the server
+                // pushes.
+                let mut line = String::with_capacity(
+                    open.len() + RESULTS.len() + results.len() + spans_len + 2,
+                );
+                line.push_str(open);
+                line.push_str(RESULTS);
+                line.push_str(results);
+                if let Some(spans) = spans {
+                    line.push_str(SPANS);
+                    line.push_str(spans);
+                }
+                line.push('}');
+                line
+            }
             _ => serde_json::to_string(self).expect("frame serialization"),
         }
     }
 
-    /// Parse one wire line.
+    /// Parse one wire line. The header fields decode straight from the
+    /// text and a `result` payload is kept as the raw text it arrived as.
     pub fn parse(line: &str) -> Result<Self, serde::Error> {
-        serde_json::from_str(line)
-    }
-}
-
-/// The `results` (and `spans`) text of one finished job, rendered once
-/// and spliced into the `result` line of every subscriber.
-#[derive(Debug)]
-pub(crate) struct ResultPayload {
-    results: String,
-    spans: Option<String>,
-}
-
-impl ResultPayload {
-    /// Render the payload trees to JSON text.
-    pub(crate) fn render(results: &Value, spans: Option<&Value>) -> Self {
-        let text = |v: &Value| serde_json::to_string(v).expect("payload serialization");
-        ResultPayload { results: text(results), spans: spans.map(text) }
-    }
-
-    /// One subscriber's `result` line (no trailing newline; the
-    /// capacity leaves room for one). The header keys come first in
-    /// [`frame`] order, then `results` and, when present, `spans`.
-    pub(crate) fn line(
-        &self,
-        id: u64,
-        key: &str,
-        trials: u64,
-        executed_trials: u64,
-        cached_trials: u64,
-        wall_secs: f64,
-    ) -> String {
-        const RESULTS: &str = ",\"results\":";
-        const SPANS: &str = ",\"spans\":";
-        let header = frame(
-            "result",
-            id,
-            vec![
-                ("key", Value::Str(key.to_string())),
-                ("trials", Value::U64(trials)),
-                ("executed_trials", Value::U64(executed_trials)),
-                ("cached_trials", Value::U64(cached_trials)),
-                ("wall_secs", Value::F64(wall_secs)),
-            ],
-        );
-        let header = serde_json::to_string(&header).expect("frame serialization");
-        // The header is a non-empty object: drop its closing brace.
-        let open = &header[..header.len() - 1];
-        let spans_len = self.spans.as_ref().map_or(0, |s| SPANS.len() + s.len());
-        let mut line =
-            String::with_capacity(open.len() + RESULTS.len() + self.results.len() + spans_len + 2);
-        line.push_str(open);
-        line.push_str(RESULTS);
-        line.push_str(&self.results);
-        if let Some(spans) = &self.spans {
-            line.push_str(SPANS);
-            line.push_str(spans);
-        }
-        line.push('}');
-        line
+        serde_json::from_str::<WireFrame>(line)?.into_frame()
     }
 }
 
@@ -412,10 +385,10 @@ impl Serialize for ServerFrame {
                     ("executed_trials", Value::U64(*executed_trials)),
                     ("cached_trials", Value::U64(*cached_trials)),
                     ("wall_secs", Value::F64(*wall_secs)),
-                    ("results", results.as_ref().clone()),
+                    ("results", results.to_json_value()),
                 ];
                 if let Some(spans) = spans {
-                    rest.push(("spans", spans.as_ref().clone()));
+                    rest.push(("spans", spans.to_json_value()));
                 }
                 frame("result", *id, rest)
             }
@@ -456,105 +429,169 @@ impl Serialize for ServerFrame {
     }
 }
 
-/// Move field `k` out of an object, leaving `null` behind: the first
-/// entry, the one [`Value::get`] finds.
-fn take(v: &mut Value, k: &str) -> Option<Value> {
-    match v {
-        Value::Map(m) => {
-            m.iter_mut().find(|(key, _)| key == k).map(|(_, x)| std::mem::replace(x, Value::Null))
+/// Every header field any server frame carries, each optional, and the
+/// payloads as raw text. [`ServerFrame::parse`] decodes a line into it
+/// straight from the text, and the tree path converts a parsed tree into
+/// it; [`WireFrame::into_frame`] then checks the fields the `op` needs.
+/// Like [`Value::get`], the first of duplicate keys wins.
+#[derive(Deserialize)]
+struct WireFrame {
+    #[serde(default)]
+    v: Option<u64>,
+    #[serde(default)]
+    op: Option<String>,
+    #[serde(default)]
+    id: Option<u64>,
+    #[serde(default)]
+    proto: Option<String>,
+    #[serde(default)]
+    workers: Option<u64>,
+    #[serde(default)]
+    max_queue: Option<u64>,
+    #[serde(default)]
+    client_share: Option<u64>,
+    #[serde(default)]
+    key: Option<String>,
+    #[serde(default)]
+    trials: Option<u64>,
+    #[serde(default)]
+    dedup: Option<bool>,
+    #[serde(default)]
+    queue_depth: Option<u64>,
+    #[serde(default)]
+    reason: Option<String>,
+    #[serde(default)]
+    retry_after_ms: Option<u64>,
+    #[serde(default)]
+    done_trials: Option<u64>,
+    #[serde(default)]
+    total_trials: Option<u64>,
+    #[serde(default)]
+    slots: Option<u64>,
+    #[serde(default)]
+    trials_per_sec: Option<f64>,
+    #[serde(default)]
+    eta_secs: Option<f64>,
+    #[serde(default)]
+    executed_trials: Option<u64>,
+    #[serde(default)]
+    cached_trials: Option<u64>,
+    #[serde(default)]
+    wall_secs: Option<f64>,
+    #[serde(default)]
+    results: Option<Box<RawValue>>,
+    #[serde(default)]
+    spans: Option<Box<RawValue>>,
+    #[serde(default)]
+    completed_trials: Option<u64>,
+    #[serde(default)]
+    state: Option<String>,
+    #[serde(default)]
+    subscribers: Option<u64>,
+    #[serde(default)]
+    server: Option<Value>,
+    #[serde(default)]
+    client: Option<Value>,
+}
+
+/// A required header field, or `frame: missing {kind} field `{k}``.
+fn need<T>(x: Option<T>, kind: &str, k: &str) -> Result<T, serde::Error> {
+    x.ok_or_else(|| serde::Error::custom(format!("frame: missing {kind} field `{k}`")))
+}
+
+impl WireFrame {
+    fn into_frame(self) -> Result<ServerFrame, serde::Error> {
+        match need(self.v, "u64", "v")? {
+            SCHEMA => {}
+            other => {
+                return Err(serde::Error::custom(format!("frame: unsupported schema v{other}")))
+            }
         }
-        _ => None,
+        let id = need(self.id, "u64", "id")?;
+        let u = |x: Option<u64>, k: &str| need(x, "u64", k);
+        let f = |x: Option<f64>, k: &str| need(x, "f64", k);
+        let s = |x: Option<String>, k: &str| need(x, "string", k);
+        match need(self.op, "string", "op")?.as_str() {
+            "hello" => Ok(ServerFrame::Hello {
+                id,
+                proto: s(self.proto, "proto")?,
+                workers: u(self.workers, "workers")?,
+                max_queue: u(self.max_queue, "max_queue")?,
+                client_share: u(self.client_share, "client_share")?,
+            }),
+            "accepted" => Ok(ServerFrame::Accepted {
+                id,
+                key: s(self.key, "key")?,
+                trials: u(self.trials, "trials")?,
+                dedup: self
+                    .dedup
+                    .ok_or_else(|| serde::Error::custom("accepted: missing bool `dedup`"))?,
+                queue_depth: u(self.queue_depth, "queue_depth")?,
+            }),
+            "rejected" => Ok(ServerFrame::Rejected {
+                id,
+                reason: s(self.reason, "reason")?,
+                retry_after_ms: u(self.retry_after_ms, "retry_after_ms")?,
+            }),
+            "progress" => Ok(ServerFrame::Progress {
+                id,
+                key: s(self.key, "key")?,
+                done_trials: u(self.done_trials, "done_trials")?,
+                total_trials: u(self.total_trials, "total_trials")?,
+                slots: u(self.slots, "slots")?,
+                trials_per_sec: f(self.trials_per_sec, "trials_per_sec")?,
+                eta_secs: f(self.eta_secs, "eta_secs")?,
+            }),
+            "result" => Ok(ServerFrame::Result {
+                id,
+                key: s(self.key, "key")?,
+                trials: u(self.trials, "trials")?,
+                executed_trials: u(self.executed_trials, "executed_trials")?,
+                cached_trials: u(self.cached_trials, "cached_trials")?,
+                wall_secs: f(self.wall_secs, "wall_secs")?,
+                results: self
+                    .results
+                    .map(Arc::from)
+                    .ok_or_else(|| serde::Error::custom("result: missing `results`"))?,
+                spans: self.spans.map(Arc::from),
+            }),
+            "cancelled" => Ok(ServerFrame::Cancelled {
+                id,
+                key: s(self.key, "key")?,
+                completed_trials: u(self.completed_trials, "completed_trials")?,
+            }),
+            "failed" => Ok(ServerFrame::Failed {
+                id,
+                key: s(self.key, "key")?,
+                reason: s(self.reason, "reason")?,
+            }),
+            "status" => Ok(ServerFrame::Status {
+                id,
+                key: s(self.key, "key")?,
+                state: s(self.state, "state")?,
+                done_trials: u(self.done_trials, "done_trials")?,
+                total_trials: u(self.total_trials, "total_trials")?,
+                subscribers: u(self.subscribers, "subscribers")?,
+            }),
+            "metrics" => Ok(ServerFrame::Metrics {
+                id,
+                server: self
+                    .server
+                    .ok_or_else(|| serde::Error::custom("metrics: missing `server`"))?,
+                client: self
+                    .client
+                    .ok_or_else(|| serde::Error::custom("metrics: missing `client`"))?,
+            }),
+            "shutting_down" => Ok(ServerFrame::ShuttingDown { id }),
+            "error" => Ok(ServerFrame::Error { id, reason: s(self.reason, "reason")? }),
+            other => Err(serde::Error::custom(format!("unknown server op `{other}`"))),
+        }
     }
 }
 
 impl Deserialize for ServerFrame {
     fn from_json_value(v: &Value) -> Result<Self, serde::Error> {
-        Self::from_json_value_owned(v.clone())
-    }
-
-    /// Moves the `result` payload and the `metrics` snapshots out of the
-    /// parsed tree instead of cloning them.
-    fn from_json_value_owned(mut v: Value) -> Result<Self, serde::Error> {
-        let v = &mut v;
-        check_schema(v)?;
-        let id = get_u64(v, "id")?;
-        match get_str(v, "op")?.as_str() {
-            "hello" => Ok(ServerFrame::Hello {
-                id,
-                proto: get_str(v, "proto")?,
-                workers: get_u64(v, "workers")?,
-                max_queue: get_u64(v, "max_queue")?,
-                client_share: get_u64(v, "client_share")?,
-            }),
-            "accepted" => Ok(ServerFrame::Accepted {
-                id,
-                key: get_str(v, "key")?,
-                trials: get_u64(v, "trials")?,
-                dedup: v
-                    .get("dedup")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| serde::Error::custom("accepted: missing bool `dedup`"))?,
-                queue_depth: get_u64(v, "queue_depth")?,
-            }),
-            "rejected" => Ok(ServerFrame::Rejected {
-                id,
-                reason: get_str(v, "reason")?,
-                retry_after_ms: get_u64(v, "retry_after_ms")?,
-            }),
-            "progress" => Ok(ServerFrame::Progress {
-                id,
-                key: get_str(v, "key")?,
-                done_trials: get_u64(v, "done_trials")?,
-                total_trials: get_u64(v, "total_trials")?,
-                slots: get_u64(v, "slots")?,
-                trials_per_sec: get_f64(v, "trials_per_sec")?,
-                eta_secs: get_f64(v, "eta_secs")?,
-            }),
-            "result" => Ok(ServerFrame::Result {
-                id,
-                key: get_str(v, "key")?,
-                trials: get_u64(v, "trials")?,
-                executed_trials: get_u64(v, "executed_trials")?,
-                cached_trials: get_u64(v, "cached_trials")?,
-                wall_secs: get_f64(v, "wall_secs")?,
-                results: Arc::new(
-                    take(v, "results")
-                        .ok_or_else(|| serde::Error::custom("result: missing `results`"))?,
-                ),
-                spans: match take(v, "spans") {
-                    None | Some(Value::Null) => None,
-                    Some(s) => Some(Arc::new(s)),
-                },
-            }),
-            "cancelled" => Ok(ServerFrame::Cancelled {
-                id,
-                key: get_str(v, "key")?,
-                completed_trials: get_u64(v, "completed_trials")?,
-            }),
-            "failed" => Ok(ServerFrame::Failed {
-                id,
-                key: get_str(v, "key")?,
-                reason: get_str(v, "reason")?,
-            }),
-            "status" => Ok(ServerFrame::Status {
-                id,
-                key: get_str(v, "key")?,
-                state: get_str(v, "state")?,
-                done_trials: get_u64(v, "done_trials")?,
-                total_trials: get_u64(v, "total_trials")?,
-                subscribers: get_u64(v, "subscribers")?,
-            }),
-            "metrics" => Ok(ServerFrame::Metrics {
-                id,
-                server: take(v, "server")
-                    .ok_or_else(|| serde::Error::custom("metrics: missing `server`"))?,
-                client: take(v, "client")
-                    .ok_or_else(|| serde::Error::custom("metrics: missing `client`"))?,
-            }),
-            "shutting_down" => Ok(ServerFrame::ShuttingDown { id }),
-            "error" => Ok(ServerFrame::Error { id, reason: get_str(v, "reason")? }),
-            other => Err(serde::Error::custom(format!("unknown server op `{other}`"))),
-        }
+        WireFrame::from_json_value(v)?.into_frame()
     }
 }
 
@@ -562,6 +599,11 @@ impl Deserialize for ServerFrame {
 mod tests {
     use super::*;
     use serde_json::json;
+
+    /// A payload as the server sends it: the tree written to raw text.
+    fn raw(v: Value) -> Arc<RawValue> {
+        Arc::from(serde_json::value::to_raw_value(&v).unwrap())
+    }
 
     fn spec() -> WorkSpec {
         WorkSpec::new("e15", "lesk/n=64", json!({"n": 64u64, "eps": 0.5f64}), 42)
@@ -627,7 +669,7 @@ mod tests {
                 executed_trials: 2,
                 cached_trials: 0,
                 wall_secs: 0.25,
-                results: Arc::new(json!([json!({"slots": 10u64}), json!({"slots": 12u64})])),
+                results: raw(json!([json!({"slots": 10u64}), json!({"slots": 12u64})])),
                 spans: None,
             },
             ServerFrame::Result {
@@ -637,8 +679,8 @@ mod tests {
                 executed_trials: 2,
                 cached_trials: 0,
                 wall_secs: 0.25,
-                results: Arc::new(json!([json!({"slots": 10u64}), json!({"slots": 12u64})])),
-                spans: Some(Arc::new(json!([json!({"name": "execute", "ts": 5u64})]))),
+                results: raw(json!([json!({"slots": 10u64}), json!({"slots": 12u64})])),
+                spans: Some(raw(json!([json!({"name": "execute", "ts": 5u64})]))),
             },
             ServerFrame::Cancelled { id: 5, key: "k".into(), completed_trials: 32 },
             ServerFrame::Failed { id: 6, key: "k".into(), reason: "unsupported".into() },
@@ -676,8 +718,8 @@ mod tests {
             executed_trials: 1,
             cached_trials: 2,
             wall_secs,
-            results: Arc::new(results),
-            spans: spans.map(Arc::new),
+            results: raw(results),
+            spans: spans.map(raw),
         }
     }
 
@@ -717,7 +759,7 @@ mod tests {
             executed_trials: 1,
             cached_trials: 0,
             wall_secs: 0.5,
-            results: Arc::new(json!([1u64])),
+            results: raw(json!([1u64])),
             spans: None,
         };
         assert_eq!(ServerFrame::parse(line).unwrap(), want);
@@ -727,6 +769,63 @@ mod tests {
         assert_eq!(tree.get("results"), Some(&json!([1u64])));
         assert_eq!(ServerFrame::parse(&dup).unwrap(), want);
         assert_eq!(ServerFrame::from_json_value(&tree).unwrap(), want);
+    }
+
+    #[test]
+    fn result_payloads_keep_their_exact_text() {
+        // A payload is carried as the text it arrived as, whitespace and
+        // number spellings included, and written back verbatim.
+        let line = r#"{"v":1,"op":"result","id":4,"key":"k","trials":2,"executed_trials":0,"cached_trials":2,"wall_secs":0.5,"results":[ {"slots": 1.0e1},  {"slots":12} ],"spans":[]}"#;
+        let f = ServerFrame::parse(line).unwrap();
+        let ServerFrame::Result { results, spans, .. } = &f else { panic!("wrong op") };
+        assert_eq!(results.get(), r#"[ {"slots": 1.0e1},  {"slots":12} ]"#);
+        assert_eq!(spans.as_deref().map(RawValue::get), Some("[]"));
+        assert_eq!(f.to_line(), line);
+    }
+
+    #[test]
+    fn missing_header_fields_are_named_on_both_paths() {
+        let cases = [
+            (r#"{"op":"hello","id":1}"#, "frame: missing u64 field `v`"),
+            (r#"{"v":2,"op":"hello","id":1}"#, "frame: unsupported schema v2"),
+            (r#"{"v":1,"op":"hello"}"#, "frame: missing u64 field `id`"),
+            (r#"{"v":1,"id":1}"#, "frame: missing string field `op`"),
+            (r#"{"v":1,"op":"nope","id":1}"#, "unknown server op `nope`"),
+            (r#"{"v":1,"op":"result","id":1,"trials":1}"#, "frame: missing string field `key`"),
+            (
+                r#"{"v":1,"op":"result","id":1,"key":"k","trials":1,"executed_trials":1,"cached_trials":0,"wall_secs":0.5}"#,
+                "result: missing `results`",
+            ),
+            (
+                r#"{"v":1,"op":"progress","id":1,"key":"k","done_trials":1,"total_trials":2,"slots":3,"trials_per_sec":1.5}"#,
+                "frame: missing f64 field `eta_secs`",
+            ),
+            (
+                r#"{"v":1,"op":"accepted","id":1,"key":"k","trials":1,"queue_depth":0}"#,
+                "accepted: missing bool `dedup`",
+            ),
+            (r#"{"v":1,"op":"metrics","id":1,"client":{}}"#, "metrics: missing `server`"),
+        ];
+        for (line, want) in cases {
+            assert_eq!(ServerFrame::parse(line).unwrap_err().to_string(), want, "{line}");
+            let tree: Value = serde_json::from_str(line).unwrap();
+            assert_eq!(ServerFrame::from_json_value(&tree).unwrap_err().to_string(), want);
+        }
+    }
+
+    #[test]
+    fn deeply_nested_result_payload_is_an_error_not_a_stack_overflow() {
+        // 10,000 `[` in `results`: far past the parser's nesting cap, and
+        // enough to overflow a 2 MiB stack without it.
+        let line = format!(
+            r#"{{"v":1,"op":"result","id":4,"key":"k","trials":1,"executed_trials":1,"cached_trials":0,"wall_secs":0.5,"results":{}}}"#,
+            "[".repeat(10_000)
+        );
+        let err = ServerFrame::parse(&line).unwrap_err().to_string();
+        assert!(err.starts_with("nesting deeper than 128 at byte"), "{err}");
+        let closed = line.replace('}', &format!("{}}}", "]".repeat(10_000)));
+        let err = ServerFrame::parse(&closed).unwrap_err().to_string();
+        assert!(err.starts_with("nesting deeper than 128 at byte"), "{err}");
     }
 
     #[test]
@@ -760,7 +859,7 @@ mod tests {
             executed_trials: 1,
             cached_trials: 0,
             wall_secs: 0.1,
-            results: Arc::new(json!([])),
+            results: raw(json!([])),
             spans: None,
         };
         assert!(!f.to_line().contains("spans"), "got {}", f.to_line());

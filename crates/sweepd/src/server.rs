@@ -25,7 +25,7 @@
 //! completion instead hits the warm store through the orchestrator — a
 //! unit cache hit, served in one chunk-load pass.
 
-use crate::protocol::{ClientFrame, ResultPayload, ServerFrame, PROTOCOL_VERSION};
+use crate::protocol::{ClientFrame, ServerFrame, PROTOCOL_VERSION};
 use crate::work::{build_trial_fn, engine_mode_of};
 use jle_engine::RunReport;
 use jle_orchestrator::{
@@ -36,6 +36,7 @@ use jle_telemetry::{
     Counter, Gauge, Histogram, MetricRegistry, SpanGuard, SpanRecorder, TraceContext,
 };
 use serde::Serialize;
+use serde_json::value::{to_raw_value, RawValue};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -891,30 +892,35 @@ impl Core {
                 let delivered_at = Instant::now();
                 let executed_trials = job.executed_trials.load(Ordering::Relaxed);
                 let cached_trials = job.cached_trials.load(Ordering::Relaxed);
-                let results =
-                    serde::Value::Seq(results.iter().map(Serialize::to_json_value).collect());
+                // Written to text once per job, straight from the typed
+                // reports: every subscriber's line splices the same text,
+                // so dedup subscribers get identical bytes.
+                let results: Arc<RawValue> =
+                    to_raw_value(&results).expect("report serialization").into();
                 // The deliver span is open while the export happens, so it
                 // reaches the client truncated-at-export — present in the
                 // merged trace, its tail not observable by construction.
                 let deliver_span = job.tracer.span("sweepd", "deliver");
-                let spans = job.tracer.is_enabled().then(|| job.tracer.export_events());
-                // Rendered once per job: every subscriber's line splices
-                // the same text, so dedup subscribers get identical bytes.
-                let payload = ResultPayload::render(&results, spans.as_ref());
+                let spans: Option<Arc<RawValue>> = job.tracer.is_enabled().then(|| {
+                    to_raw_value(&job.tracer.export_events()).expect("span serialization").into()
+                });
                 // Terminal counters move before the frames go out, so a
                 // client that scrapes right after its result sees them.
                 self.m.jobs_completed.inc();
                 Job::send_to_subs(
                     &subs,
                     |req_id| {
-                        payload.line(
-                            req_id,
-                            &key,
-                            job.trials,
+                        ServerFrame::Result {
+                            id: req_id,
+                            key: key.clone(),
+                            trials: job.trials,
                             executed_trials,
                             cached_trials,
                             wall_secs,
-                        )
+                            results: Arc::clone(&results),
+                            spans: spans.clone(),
+                        }
+                        .to_line()
                     },
                     true,
                 );
