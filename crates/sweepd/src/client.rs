@@ -9,7 +9,9 @@
 //! drop-in replacement for a local [`jle_orchestrator::Orchestrator`]
 //! call on the same `WorkSpec`.
 
-use crate::protocol::{ClientFrame, ServerFrame, MAX_SERVER_FRAME_BYTES, PROTOCOL_VERSION};
+use crate::protocol::{
+    read_line, ClientFrame, LineRead, ServerFrame, MAX_SERVER_FRAME_BYTES, PROTOCOL_VERSION,
+};
 use crate::server::{Endpoint, SweepStream};
 use jle_engine::RunReport;
 use jle_orchestrator::WorkSpec;
@@ -17,7 +19,7 @@ use jle_telemetry::{SpanGuard, SpanRecorder, TraceContext};
 use serde::Value;
 use serde_json::value::RawValue;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -162,7 +164,7 @@ impl SweepClient {
             tracer: SpanRecorder::disabled(),
             inflight_spans: HashMap::new(),
         };
-        let id = client.send(&ClientFrame::Hello { id: 0 })?;
+        let id = client.send(|id| ClientFrame::Hello { id })?;
         match client.read_frame()? {
             ServerFrame::Hello { id: got, proto, workers, max_queue, client_share }
                 if got == id =>
@@ -214,21 +216,12 @@ impl SweepClient {
         Ok(())
     }
 
-    fn send(&mut self, frame: &ClientFrame) -> Result<u64, ClientError> {
+    /// Write the frame `frame` builds for the next request id; returns
+    /// that id.
+    fn send(&mut self, frame: impl FnOnce(u64) -> ClientFrame) -> Result<u64, ClientError> {
         self.next_id += 1;
         let id = self.next_id;
-        let frame = match frame.clone() {
-            ClientFrame::Hello { .. } => ClientFrame::Hello { id },
-            ClientFrame::Submit { spec, trials, trace, .. } => {
-                ClientFrame::Submit { id, spec, trials, trace }
-            }
-            ClientFrame::Subscribe { key, .. } => ClientFrame::Subscribe { id, key },
-            ClientFrame::Status { key, .. } => ClientFrame::Status { id, key },
-            ClientFrame::Cancel { key, .. } => ClientFrame::Cancel { id, key },
-            ClientFrame::Metrics { .. } => ClientFrame::Metrics { id },
-            ClientFrame::Shutdown { .. } => ClientFrame::Shutdown { id },
-        };
-        self.writer.write_all(frame.to_line().as_bytes())?;
+        self.writer.write_all(frame(id).to_line().as_bytes())?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         Ok(id)
@@ -248,8 +241,7 @@ impl SweepClient {
         } else {
             (None, None)
         };
-        let id =
-            self.send(&ClientFrame::Submit { id: 0, spec: clone_spec(spec), trials, trace })?;
+        let id = self.send(|id| ClientFrame::Submit { id, spec: spec.clone(), trials, trace })?;
         loop {
             match self.read_frame()? {
                 ServerFrame::Accepted { id: got, key, dedup, queue_depth, .. } if got == id => {
@@ -399,7 +391,7 @@ impl SweepClient {
 
     /// Withdraw interest in an in-flight key.
     pub fn cancel(&mut self, key: &str) -> Result<(), ClientError> {
-        let id = self.send(&ClientFrame::Cancel { id: 0, key: key.to_string() })?;
+        let id = self.send(|id| ClientFrame::Cancel { id, key: key.to_string() })?;
         loop {
             match self.read_frame()? {
                 ServerFrame::Cancelled { id: got, .. } if got == id => return Ok(()),
@@ -413,7 +405,7 @@ impl SweepClient {
 
     /// One-shot job state by key.
     pub fn status(&mut self, key: &str) -> Result<ServerFrame, ClientError> {
-        let id = self.send(&ClientFrame::Status { id: 0, key: key.to_string() })?;
+        let id = self.send(|id| ClientFrame::Status { id, key: key.to_string() })?;
         loop {
             match self.read_frame()? {
                 f @ ServerFrame::Status { .. } if f.id() == id => return Ok(f),
@@ -428,7 +420,7 @@ impl SweepClient {
     /// Fetch `(server, this-connection)` metric snapshots
     /// (`jle-metrics-v1` JSON values).
     pub fn metrics(&mut self) -> Result<(Value, Value), ClientError> {
-        let id = self.send(&ClientFrame::Metrics { id: 0 })?;
+        let id = self.send(|id| ClientFrame::Metrics { id })?;
         loop {
             match self.read_frame()? {
                 ServerFrame::Metrics { id: got, server, client } if got == id => {
@@ -441,7 +433,7 @@ impl SweepClient {
 
     /// Ask the server to drain and exit.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let id = self.send(&ClientFrame::Shutdown { id: 0 })?;
+        let id = self.send(|id| ClientFrame::Shutdown { id })?;
         loop {
             match self.read_frame() {
                 Ok(ServerFrame::ShuttingDown { id: got }) if got == id => return Ok(()),
@@ -454,25 +446,22 @@ impl SweepClient {
     }
 }
 
-/// Read the next non-blank line from `reader` into `buf` and parse it as a
-/// server frame. A line longer than `cap` bytes is a protocol error: it
-/// is read no further than one byte past the cap, so a hostile or broken
-/// server cannot make the client buffer without bound.
+/// Read the next non-blank line from `reader` into `buf` (at most `cap`
+/// bytes, see [`read_line`]) and parse it as a server frame.
 fn read_frame_capped(
     reader: &mut impl BufRead,
     buf: &mut Vec<u8>,
     cap: usize,
 ) -> Result<ServerFrame, ClientError> {
     loop {
-        buf.clear();
-        // One byte past the cap tells an over-long line from one that
-        // ends exactly at it.
-        let n = (&mut *reader).take(cap as u64 + 1).read_until(b'\n', buf)?;
-        if n == 0 {
-            return Err(ClientError::Protocol("server closed the connection".to_string()));
-        }
-        if buf.len() > cap && buf.last() != Some(&b'\n') {
-            return Err(ClientError::Protocol(format!("server frame exceeds {cap} bytes")));
+        match read_line(reader, buf, cap)? {
+            LineRead::Line => {}
+            LineRead::TooLong => {
+                return Err(ClientError::Protocol(format!("server frame exceeds {cap} bytes")))
+            }
+            LineRead::Closed => {
+                return Err(ClientError::Protocol("server closed the connection".to_string()))
+            }
         }
         let line = std::str::from_utf8(buf)
             .map_err(|e| ClientError::Protocol(format!("server frame is not UTF-8: {e}")))?;
@@ -482,15 +471,6 @@ fn read_frame_capped(
         }
         return ServerFrame::parse(trimmed)
             .map_err(|e| ClientError::Protocol(format!("bad server frame: {e}")));
-    }
-}
-
-fn clone_spec(spec: &WorkSpec) -> WorkSpec {
-    WorkSpec {
-        experiment: spec.experiment.clone(),
-        point: spec.point.clone(),
-        params: spec.params.clone(),
-        base_seed: spec.base_seed,
     }
 }
 

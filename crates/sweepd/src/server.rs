@@ -25,7 +25,7 @@
 //! completion instead hits the warm store through the orchestrator — a
 //! unit cache hit, served in one chunk-load pass.
 
-use crate::protocol::{ClientFrame, ServerFrame, PROTOCOL_VERSION};
+use crate::protocol::{read_line, ClientFrame, LineRead, ServerFrame, PROTOCOL_VERSION};
 use crate::work::{build_trial_fn, engine_mode_of};
 use jle_engine::RunReport;
 use jle_orchestrator::{
@@ -38,7 +38,7 @@ use jle_telemetry::{
 use serde::Serialize;
 use serde_json::value::{to_raw_value, RawValue};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -1251,19 +1251,18 @@ fn handle_conn(core: &Arc<Core>, stream: SweepStream) {
     let mut buf = Vec::new();
     let mut first = true;
     loop {
-        buf.clear();
-        // One byte past the cap tells an over-long line from one that
-        // ends exactly at it.
-        match (&mut reader).take(MAX_FRAME_BYTES as u64 + 1).read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        if buf.len() > MAX_FRAME_BYTES && buf.last() != Some(&b'\n') {
-            send_frame(&ServerFrame::Error {
-                id: 0,
-                reason: format!("frame exceeds {MAX_FRAME_BYTES} bytes; closing the connection"),
-            });
-            break;
+        match read_line(&mut reader, &mut buf, MAX_FRAME_BYTES) {
+            Ok(LineRead::Line) => {}
+            Ok(LineRead::TooLong) => {
+                send_frame(&ServerFrame::Error {
+                    id: 0,
+                    reason: format!(
+                        "frame exceeds {MAX_FRAME_BYTES} bytes; closing the connection"
+                    ),
+                });
+                break;
+            }
+            Ok(LineRead::Closed) | Err(_) => break,
         }
         let Ok(line) = std::str::from_utf8(&buf) else { break };
         let trimmed = line.trim();
