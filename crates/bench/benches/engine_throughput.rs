@@ -154,15 +154,19 @@ fn bench_exact_short(c: &mut Criterion) {
 }
 
 fn bench_batch_throughput(c: &mut Criterion) {
-    // The batched-backend tentpole measurement: K election-scale trials
-    // per call, SoA lockstep, vs the same K trials run one at a time
-    // through the fast-exact backend. `AlwaysCollide` keeps every trial
-    // alive for the full slot budget (uniform never-resolving workload,
-    // the degenerate p == 1.0 word path), so both arms do K × SLOTS slots
-    // of work and the ratio is pure backend overhead. Throughput is in
-    // trials; the acceptance bar (>= 10x at election scale) is gated by
-    // `bench_gate --batch-speedup-threshold` and recorded in
-    // results/BENCH.json.
+    // The batched backend vs the same K trials run one at a time through
+    // the fast-exact backend, in two regimes. Throughput is in trials.
+    //
+    // * `per_trial` / `batch`: `AlwaysCollide` keeps every trial alive
+    //   for the full slot budget on the degenerate `p == 1.0` word path,
+    //   so both arms do K × SLOTS slots of work and the ratio is pure
+    //   backend overhead. No per-station draw runs here; the acceptance
+    //   bar (>= 10x) is gated by `bench_gate --batch-speedup-threshold`
+    //   and recorded in results/BENCH.json.
+    // * `lesk_per_trial` / `lesk_batch`: LESK (ε = 0.5) at n = 256 under
+    //   saturating jamming, run to resolution — the shape of a sweepd
+    //   fresh `exact_election` unit. Nearly every slot has 0 < p < 1, so
+    //   this pair times the batch backend's per-station draw kernel.
     let mut group = c.benchmark_group("batch_throughput");
     const SLOTS: u64 = 16;
     const TRIALS: u64 = 256;
@@ -191,6 +195,28 @@ fn bench_batch_throughput(c: &mut Criterion) {
             })
         });
     }
+    const LESK_MAX_SLOTS: u64 = 50_000;
+    let n = 256u64;
+    group.bench_with_input(BenchmarkId::new("lesk_per_trial", n), &n, |b, &n| {
+        let adv = sat();
+        b.iter(|| {
+            for &seed in &seeds {
+                let config = SimConfig::new(n, CdModel::Strong)
+                    .with_seed(seed)
+                    .with_max_slots(LESK_MAX_SLOTS);
+                black_box(run_fast_exact(&config, &adv, |_| {
+                    Box::new(PerStation::new(LeskProtocol::new(0.5)))
+                }));
+            }
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("lesk_batch", n), &n, |b, &n| {
+        let adv = sat();
+        b.iter(|| {
+            let config = SimConfig::new(n, CdModel::Strong).with_max_slots(LESK_MAX_SLOTS);
+            black_box(run_batch_uniform(&config, &adv, &seeds, || LeskProtocol::new(0.5)))
+        })
+    });
     group.finish();
 }
 

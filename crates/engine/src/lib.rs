@@ -113,5 +113,5 @@ pub use report::{
     ClusterOutcome, EnergyStats, MultihopReport, Outcome, RunReport, SlotCost, SplitBrainStats,
 };
 pub use runner::{catch_trial, panic_count, MonteCarlo, TrialOutcome};
-pub use streams::{fill_block, mix64, slot_material, station_key, StationRng};
+pub use streams::{mix64, slot_material, station_key, StationRng};
 pub use telemetry::{EngineMetrics, TelemetryObserver};

@@ -67,25 +67,54 @@ pub fn slot_material(slot: u64) -> u64 {
     mix64(slot.wrapping_mul(GOLDEN) ^ SLOT_TAG)
 }
 
-/// Batch-width draw derivation: `out[k]` receives draw `draw_index` of
-/// the stream `(seeds[k], station, slot)` — bit-identical to advancing an
-/// independent [`StationRng::new`] per seed, but with the `mix64` key
-/// material shared across the batch (`station` and `slot` mixes plus the
-/// counter offset) hoisted out of the loop, so a 64-trial block costs two
-/// mixes per trial instead of four.
+/// `2^53`: the vendored `gen_bool` compares the top 53 bits of a draw,
+/// scaled into `[0, 1)`, against its probability.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+/// The exact integer threshold of `gen_bool(p)` for `0 < p < 1`:
+/// `t = ceil(p·2^53)`, so that a draw `x` makes `gen_bool(p)` true
+/// exactly when `x >> 11 < t`.
+///
+/// Why it is exact: `gen_bool` tests `(x >> 11) as f64 · 2^-53 < p`.
+/// `y = x >> 11` is below `2^53`, so `y as f64` is exact, and scaling by
+/// a power of two is exact for every `p` in `(0, 1)`, subnormals
+/// included; so the test is the real inequality `y < p·2^53`. For an
+/// integer `y` that is `y < ceil(p·2^53)`, and the ceiling (at most
+/// `2^53`) converts to `u64` without rounding.
+///
+/// `NaN`, `p ≤ 0` and `p ≥ 1` are outside the contract: the batch
+/// backend resolves them on its word paths without a draw.
+#[inline]
+pub(crate) fn gen_bool_threshold(p: f64) -> u64 {
+    debug_assert!(p > 0.0 && p < 1.0, "gen_bool_threshold needs 0 < p < 1, got {p}");
+    (p * TWO_POW_53).ceil() as u64
+}
+
+/// One word of first-draw Bernoulli trials: bit `b` of the result is
+/// set when bit `b` of `mask` is set and the first draw of the stream
+/// `(keys[b], slot_mat)` falls below `thresholds[b]` (a
+/// [`gen_bool_threshold`]). For each such bit this is
+/// `StationRng::with_slot_material(keys[b], slot_mat).gen_bool(p_b)`,
+/// as an integer compare with no float work and no branch on the
+/// outcome. The batch backend's uniform path calls it once per station
+/// and trial word, with `keys` and `thresholds` sliced at the word.
 ///
 /// # Panics
-/// Panics if `out` is shorter than `seeds`.
-pub fn fill_block(seeds: &[u64], station: u64, slot: u64, draw_index: u64, out: &mut [u64]) {
-    assert!(out.len() >= seeds.len(), "output block shorter than the seed batch");
-    let station_mat = mix64(station.wrapping_mul(GOLDEN) ^ STATION_TAG);
-    let slot_mat = slot_material(slot);
-    let ctr_mat = draw_index.wrapping_mul(GOLDEN);
-    for (o, &seed) in out.iter_mut().zip(seeds.iter()) {
-        let key = mix64(seed ^ station_mat);
-        let state = mix64(key ^ slot_mat);
-        *o = mix64(state.wrapping_add(ctr_mat));
+/// Panics if `mask` has a bit set past the end of `keys` or
+/// `thresholds`.
+#[inline]
+pub(crate) fn draw_mask(mask: u64, keys: &[u64], thresholds: &[u64], slot_mat: u64) -> u64 {
+    let mut hits = 0u64;
+    let mut rest = mask;
+    while rest != 0 {
+        let b = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        // The first draw of the stream: counter 0 adds nothing to the
+        // slot state (see `StationRng::next_u64`).
+        let x = mix64(mix64(keys[b] ^ slot_mat));
+        hits |= u64::from(x >> 11 < thresholds[b]) << b;
     }
+    hits
 }
 
 /// A counter-based generator over one station's draws in one slot.
@@ -218,25 +247,116 @@ mod tests {
     }
 
     #[test]
-    fn fill_block_matches_64_independent_station_rngs() {
-        // The batch helper must be a pure re-bracketing of the scalar
-        // derivation: same bits as 64 independent `StationRng::new`
-        // streams advanced to the same draw index.
+    fn draw_mask_matches_64_independent_station_rngs() {
+        // The word kernel must be a pure re-bracketing of the scalar
+        // path: bit `b` is `gen_bool(p_b)` on an independent
+        // `StationRng::new` stream for trial `b`, and unmasked bits stay
+        // clear.
         let seeds: Vec<u64> = (0..64u64).map(|k| mix64(k ^ 0xDEAD_BEEF)).collect();
-        for (station, slot, draw_index) in [(0u64, 0u64, 0u64), (3, 17, 0), (11, 2, 5), (7, 9, 1)] {
-            let mut block = vec![0u64; seeds.len()];
-            fill_block(&seeds, station, slot, draw_index, &mut block);
-            for (k, &seed) in seeds.iter().enumerate() {
-                let mut r = StationRng::new(seed, station, slot);
-                for _ in 0..draw_index {
-                    r.next_u64();
+        let ps: Vec<f64> = (0..64u64).map(|k| (k as f64 + 0.5) / 64.0).collect();
+        let thresholds: Vec<u64> = ps.iter().map(|&p| gen_bool_threshold(p)).collect();
+        for (station, slot) in [(0u64, 0u64), (3, 17), (11, 2), (7, 1_000_003)] {
+            let keys: Vec<u64> = seeds.iter().map(|&s| station_key(s, station)).collect();
+            for mask in [u64::MAX, 0, 0x8000_0000_0000_0001, mix64(station ^ slot)] {
+                let got = draw_mask(mask, &keys, &thresholds, slot_material(slot));
+                for (b, (&seed, &p)) in seeds.iter().zip(&ps).enumerate() {
+                    let want =
+                        mask >> b & 1 == 1 && StationRng::new(seed, station, slot).gen_bool(p);
+                    assert_eq!(
+                        got >> b & 1 == 1,
+                        want,
+                        "trial {b} at (station {station}, slot {slot})"
+                    );
                 }
+            }
+        }
+    }
+
+    /// The vendored `gen_bool(p)` on a fixed draw `x`.
+    fn gen_bool_on(x: u64, p: f64) -> bool {
+        struct Fixed(u64);
+        impl RngCore for Fixed {
+            fn next_u32(&mut self) -> u32 {
+                unreachable!("gen_bool reads one u64")
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        Fixed(x).gen_bool(p)
+    }
+
+    /// Draws whose top 53 bits sit on and around the threshold of `p`,
+    /// plus both ends of the range.
+    fn probe_draws(p: f64) -> Vec<u64> {
+        let t = (p * TWO_POW_53).ceil() as u64;
+        let mut ys = vec![0u64, 1, (1 << 53) - 1];
+        ys.extend(
+            [t.saturating_sub(2), t.saturating_sub(1), t, t + 1]
+                .iter()
+                .map(|&y| y.min((1 << 53) - 1)),
+        );
+        // Every low-bit pattern shares its top bits' verdict.
+        ys.iter().flat_map(|&y| [y << 11, (y << 11) | 0x7FF]).collect()
+    }
+
+    #[test]
+    fn gen_bool_threshold_agrees_with_gen_bool_at_the_edges() {
+        let ulp = 1.0 / TWO_POW_53; // 2^-53
+        let mut ps = vec![
+            f64::from_bits(1), // the smallest subnormal
+            ulp,
+            0.5,
+            1.0 - ulp,
+            f64::from_bits(1.0f64.to_bits() - 1), // the largest f64 below 1
+        ];
+        for k in [1u64, 2, 3, 7, 1 << 20, (1 << 52) + 1, (1 << 53) - 3, (1 << 53) - 1] {
+            let p = k as f64 * ulp;
+            ps.extend([p, f64::from_bits(p.to_bits() + 1), f64::from_bits(p.to_bits() - 1)]);
+        }
+        for p in ps.into_iter().filter(|&p| p > 0.0 && p < 1.0) {
+            let t = gen_bool_threshold(p);
+            for x in probe_draws(p) {
                 assert_eq!(
-                    block[k],
-                    r.next_u64(),
-                    "trial {k} at (station {station}, slot {slot}, draw {draw_index})"
+                    x >> 11 < t,
+                    gen_bool_on(x, p),
+                    "p = {p:e} ({:#x}), x = {x:#x}",
+                    p.to_bits()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn gen_bool_threshold_agrees_with_gen_bool_on_random_pairs() {
+        let mut r = StationRng::new(0x7E57, 0, 0);
+        for _ in 0..200_000 {
+            let x = r.next_u64();
+            // Probabilities spread over every binade down to 2^-64, and
+            // exact multiples of 2^-53 that sit on a draw's grid.
+            let u = r.next_u64();
+            let p = match u % 3 {
+                0 => (r.next_u64() >> 11) as f64 / TWO_POW_53,
+                1 => (r.next_u64() >> 11) as f64 / TWO_POW_53 / (1u64 << (u >> 58)) as f64,
+                _ => ((x >> 11) + (u >> 62)) as f64 / TWO_POW_53,
+            };
+            if p > 0.0 && p < 1.0 {
+                assert_eq!(
+                    x >> 11 < gen_bool_threshold(p),
+                    gen_bool_on(x, p),
+                    "p = {p:e}, x = {x:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn gen_bool_threshold_rejects_word_path_probabilities() {
+        // NaN, p <= 0 and p = 1 never draw: they take the word paths.
+        for p in [f64::NAN, 0.0, -0.0, -0.25, 1.0, 2.0] {
+            let caught = std::panic::catch_unwind(|| gen_bool_threshold(p));
+            assert!(caught.is_err(), "p = {p} must trip the precondition");
         }
     }
 

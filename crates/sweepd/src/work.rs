@@ -369,6 +369,42 @@ mod tests {
     }
 
     #[test]
+    fn exact_election_batch_matches_trial_fn_across_mask_words() {
+        // The traffic the uniform batch kernel serves: LESK and LESU at
+        // n = 256, where almost every slot draws per station at 0 < p < 1.
+        // K = 1, 63, 64, 65 and 129 put the last trial on either side of
+        // every mask-word boundary.
+        let sat = AdversarySpec::new(
+            jle_adversary::Rate::from_f64(0.5),
+            32,
+            jle_adversary::JamStrategyKind::Saturating,
+        );
+        let seeds: Vec<u64> = (0..129u64).map(|t| 0x5EED_0000 + 7 * t).collect();
+        for proto in [json!({"proto": "lesk", "eps": 0.5f64}), json!({"proto": "lesu"})] {
+            for adv in [AdversarySpec::passive(), sat.clone()] {
+                let p = json!({
+                    "kind": "exact_election",
+                    "n": 256u64,
+                    "cd": CdModel::Strong.to_json_value(),
+                    "adv": adv.to_json_value(),
+                    "max_slots": 50_000u64,
+                    "proto": proto.clone(),
+                });
+                let trial_fn = build_trial_fn(&p).unwrap();
+                let batch_fn = build_batch_fn(&p).unwrap();
+                let solo: Vec<RunReport> = seeds.iter().map(|&s| trial_fn(s)).collect();
+                for k in [1usize, 63, 64, 65, 129] {
+                    let batched = batch_fn(&seeds[..k]);
+                    assert_eq!(batched.len(), k);
+                    for (trial, (got, want)) in batched.iter().zip(&solo).enumerate() {
+                        assert_eq!(got, want, "{proto:?} {:?} K={k} trial {trial}", adv.kind);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cohort_units_never_route_through_the_batch_backend() {
         // Cohort bits are not fast-exact bits; offering them a batch
         // path would cache wrong results under the cohort fingerprint.
