@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(eps.allowance(10), 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Rate {
     num: u64,
 }

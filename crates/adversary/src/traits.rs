@@ -31,8 +31,11 @@ pub trait JamStrategy: Send {
 }
 
 /// Serializable description of an adversary: budget parameters plus a
-/// strategy, buildable into a live [`JamStrategy`].
+/// strategy, buildable into a live [`JamStrategy`]. A key no field
+/// declares is refused, here and in every strategy's parameters: a
+/// cache key or a replay that dropped a knob would name another run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AdversarySpec {
     /// The ε of the `(T, 1−ε)` bound.
     pub eps: Rate,

@@ -384,26 +384,22 @@ struct Cli {
 fn measure_sweepd_overhead(samples: u32) -> std::io::Result<(f64, f64)> {
     use jle_engine::SimConfig;
     use jle_orchestrator::{Orchestrator, ResultStore, WorkSpec};
-    use jle_protocols::LeskProtocol;
+    use jle_protocols::{ElectionKind, ElectionParams, LeskProtocol, ProtoParams};
     use jle_sweepd::{Endpoint, ServerConfig, SweepClient, SweepServer};
     use serde::Serialize;
 
     let dir = std::env::temp_dir().join(format!("jle-bench-sweepd-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (n, max_slots, trials) = (64u64, 100_000u64, 32u64);
-    let spec = WorkSpec::new(
-        "bench_gate",
-        "sweepd_overhead",
-        serde_json::json!({
-            "kind": "cohort_election",
-            "n": n,
-            "cd": jle_radio::CdModel::Strong,
-            "adv": AdversarySpec::passive().to_json_value(),
-            "max_slots": max_slots,
-            "proto": {"proto": "lesk", "eps": 0.5f64},
-        }),
-        424_242,
-    );
+    let election = ElectionParams {
+        kind: ElectionKind::Cohort,
+        n,
+        cd: CdModel::Strong,
+        adv: AdversarySpec::passive(),
+        max_slots,
+        proto: ProtoParams::Lesk { eps: 0.5 },
+    };
+    let spec = WorkSpec::new("bench_gate", "sweepd_overhead", election.to_json_value(), 424_242);
 
     let store = ResultStore::open(&dir)?;
     let mut run_direct = || {

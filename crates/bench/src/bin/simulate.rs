@@ -18,8 +18,8 @@ use jle_engine::{
     SimConfig, SimCore, SplitBrainObserver, StopRule,
 };
 use jle_protocols::{
-    lewk, lewu, ArssMacProtocol, BackoffProtocol, ClusterElection, LeaseConfig, LeaseProtocol,
-    LeskProtocol, LesuProtocol, WillardProtocol,
+    lewk, lewu, ArssMacProtocol, BackoffProtocol, ClusterElection, ElectionKind, ElectionParams,
+    LeaseConfig, LeaseProtocol, LeskProtocol, LesuProtocol, ProtoParams, WillardProtocol,
 };
 use jle_radio::{CdModel, Topology};
 use serde::Serialize;
@@ -71,64 +71,12 @@ struct Args {
     topology: String,
 }
 
-/// A parsed `--topology` value: `None` for the single-channel default,
-/// otherwise the interference graph plus the cluster assignment its
-/// constructor implies (unit disks have no canonical clustering — the
-/// cluster protocol treats every node as a singleton cluster there).
+/// A parsed `--topology` value ([`Topology::parse`]): `None` for the
+/// single-channel default, otherwise the interference graph plus the
+/// cluster assignment its constructor implies (unit disks have no
+/// canonical clustering — the cluster protocol treats every node as a
+/// singleton cluster there).
 type ParsedTopology = Option<(Topology, Option<Vec<u32>>)>;
-
-fn parse_topology(spec: &str) -> Result<ParsedTopology, String> {
-    if spec == "complete" {
-        return Ok(None);
-    }
-    let (kind, rest) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("--topology: expected KIND:ARGS, got `{spec}`"))?;
-    let nums: Vec<&str> = rest.split(',').collect();
-    let int = |s: &str, what: &str| -> Result<u64, String> {
-        s.trim().parse::<u64>().map_err(|e| format!("--topology {kind}: {what}: {e}"))
-    };
-    match kind {
-        "dense-linear" => {
-            if nums.len() != 2 {
-                return Err("--topology dense-linear:K,M takes two integers".into());
-            }
-            let (k, m) = (int(nums[0], "K")?, int(nums[1], "M")?);
-            if k == 0 || m == 0 || k > 4_096 || m > 4_096 {
-                return Err("--topology dense-linear: K and M must be in 1..=4096".into());
-            }
-            let (topo, clusters) = Topology::dense_linear(k as u32, m as u32);
-            Ok(Some((topo, Some(clusters))))
-        }
-        "core-tail" => {
-            if nums.len() != 2 {
-                return Err("--topology core-tail:C,T takes two integers".into());
-            }
-            let (c, t) = (int(nums[0], "C")?, int(nums[1], "T")?);
-            if c == 0 || c > 4_096 || t > 4_096 {
-                return Err("--topology core-tail: C must be in 1..=4096, T in 0..=4096".into());
-            }
-            let (topo, clusters) = Topology::core_tail(c as u32, t as u32);
-            Ok(Some((topo, Some(clusters))))
-        }
-        "unit-disk" => {
-            if nums.len() != 3 {
-                return Err("--topology unit-disk:N,R,SEED takes three values".into());
-            }
-            let n = int(nums[0], "N")?;
-            let r: f64 =
-                nums[1].trim().parse().map_err(|e| format!("--topology unit-disk: R: {e}"))?;
-            let seed = int(nums[2], "SEED")?;
-            let topo = Topology::unit_disk(n, r, seed)
-                .map_err(|e| format!("--topology unit-disk: {e}"))?;
-            Ok(Some((topo, None)))
-        }
-        other => Err(format!(
-            "unknown topology kind `{other}` (expected complete, dense-linear, core-tail, \
-             or unit-disk)"
-        )),
-    }
-}
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -313,20 +261,21 @@ fn server_params(args: &Args, adv: &AdversarySpec) -> Option<serde::Value> {
         return None;
     }
     let proto = match args.protocol.as_str() {
-        "lesk" => json!({"proto": "lesk", "eps": args.eps}),
-        "lesu" => json!({"proto": "lesu"}),
-        "backoff" => json!({"proto": "backoff"}),
-        "willard" => json!({"proto": "willard"}),
+        "lesk" => ProtoParams::Lesk { eps: args.eps },
+        "lesu" => ProtoParams::Lesu,
+        "backoff" => ProtoParams::Backoff,
+        "willard" => ProtoParams::Willard,
         _ => return None,
     };
-    Some(json!({
-        "kind": "cohort_election",
-        "n": args.n,
-        "cd": args.cd,
-        "adv": adv.to_json_value(),
-        "max_slots": args.max_slots,
-        "proto": proto,
-    }))
+    let election = ElectionParams {
+        kind: ElectionKind::Cohort,
+        n: args.n,
+        cd: args.cd,
+        adv: adv.clone(),
+        max_slots: args.max_slots,
+        proto,
+    };
+    Some(election.to_json_value())
 }
 
 /// Run the scenario on a resident `jle-sweepd` service and return the
@@ -509,10 +458,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let topology = match parse_topology(&args.topology) {
-        Ok(t) => t,
+    let topology: ParsedTopology = match Topology::parse(&args.topology) {
+        Ok((Topology::Complete, _)) => None,
+        Ok(parsed) => Some(parsed),
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: --topology: {e}");
             std::process::exit(2);
         }
     };

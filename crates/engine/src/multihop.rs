@@ -177,16 +177,19 @@ impl MeshProtocol for StdMesh {
     }
 }
 
-/// Which RNG stream discipline the action phase uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Which RNG stream discipline the action phase uses. Written
+/// `"shared"` / `"counter"` in run specs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum RngDiscipline {
     /// The engine's sequential stream, drawn in station-index order —
     /// bit-identical to [`crate::ExactStations`] on `Complete`.
     #[default]
+    #[serde(rename = "shared")]
     Shared,
     /// Counter-based per-station streams — bit-identical to
     /// [`crate::FastExactStations`] on `Complete` (for protocols honoring
     /// the wake-hint draw contract).
+    #[serde(rename = "counter")]
     Counter,
 }
 

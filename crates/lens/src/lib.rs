@@ -36,5 +36,5 @@ pub use replay::{
     diff, divergence, record, replay, DiffReport, Divergence, ReplayObserver, ReplayOutcome,
     Transition, MAX_CAPTURE, MAX_TRANSITIONS,
 };
-pub use spec::{parse_topology, EngineKind, LensSpec, ProtoSpec, SpecError};
+pub use spec::{EngineKind, LensSpec, SpecError, Stop};
 pub use tracecheck::{check_chrome_trace, TraceReport};

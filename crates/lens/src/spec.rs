@@ -6,31 +6,32 @@
 //! recorded trial bit-for-bit. Two tree shapes parse:
 //!
 //! * `kind == "cohort_election"` / `kind == "exact_election"` — the
-//!   exact trees `jle-sweepd` caches under content fingerprints (see
-//!   `jle_sweepd::work`). Parsing here is key-for-key identical to the
-//!   server's, so any spec recovered from a result-store `spec.json`
-//!   replays on the same engine path the server used. `exact_election`
-//!   trees replay on the fast-exact path regardless of whether the
-//!   server computed them per-trial or through the batched backend —
-//!   the two are bit-identical per trial, which is exactly why the
-//!   server caches them under one fingerprint.
-//! * `kind == "election_run"` — the lens's superset: explicit engine
-//!   selection (`cohort`/`exact`/`fast-exact`/`batch`/`multihop`), stop
-//!   rules, noise, fault/churn plans, topologies, and RNG disciplines.
+//!   exact trees `jle-sweepd` caches under content fingerprints, decoded
+//!   through the same [`ElectionParams`] the server decodes, so any spec
+//!   recovered from a result-store `spec.json` replays on the same engine
+//!   path the server used. `exact_election` trees replay on the
+//!   fast-exact path regardless of whether the server computed them
+//!   per-trial or through the batched backend — the two are bit-identical
+//!   per trial, which is exactly why the server caches them under one
+//!   fingerprint.
+//! * `kind == "election_run"` — the lens's superset, the derived form of
+//!   [`LensSpec`] itself: explicit engine selection
+//!   (`cohort`/`exact`/`fast-exact`/`batch`/`multihop`), stop rules,
+//!   noise, fault/churn plans, topologies, and RNG disciplines.
 //!
-//! Parsing is strict in the same way the server's is: an unrecognized key
-//! anywhere in the tree is an error, never ignored — a replay that
-//! silently dropped a knob would "reproduce" a different run than the one
-//! recorded.
+//! Parsing is strict in the same way the server's is: an unrecognized key,
+//! engine or protocol anywhere in the tree is [`SpecError::Unsupported`],
+//! never ignored — a replay that silently dropped a knob would
+//! "reproduce" a different run than the one recorded.
 
 use jle_adversary::AdversarySpec;
 use jle_engine::{
     ChurnPlan, CohortStations, ExactStations, FastExactStations, FastFaultyStations, FaultPlan,
-    FaultyStations, MeshProtocol, MultihopStations, PerStation, Protocol, RngDiscipline, RunReport,
-    SimConfig, SimCore, SlotObserver, StdMesh, StopRule,
+    FaultyStations, MeshProtocol, MultihopStations, RngDiscipline, RunReport, SimConfig, SimCore,
+    SlotObserver, StdMesh, StopRule,
 };
 use jle_protocols::{
-    BackoffProtocol, ClusterElection, LeskProtocol, LesuProtocol, WillardProtocol,
+    with_uniform_proto, ClusterElection, ElectionKind, ElectionParams, ProtoParams,
 };
 use jle_radio::{CdModel, Topology};
 use serde::{Deserialize, Serialize, Value};
@@ -58,16 +59,29 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+impl From<serde::Error> for SpecError {
+    fn from(e: serde::Error) -> Self {
+        if e.is_unknown() {
+            SpecError::Unsupported(e.to_string())
+        } else {
+            SpecError::Invalid(e.to_string())
+        }
+    }
+}
+
 /// Which simulation backend re-derives the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
     /// Uniform-cohort engine (`run_cohort` path — what `jle-sweepd`
     /// executes for `cohort_election` trees).
+    #[serde(rename = "cohort")]
     Cohort,
     /// Per-station exact engine ([`ExactStations`]; [`FaultyStations`]
     /// when a fault or churn plan is attached).
+    #[serde(rename = "exact")]
     Exact,
     /// Bitset fast path ([`FastExactStations`] / [`FastFaultyStations`]).
+    #[serde(rename = "fast-exact")]
     FastExact,
     /// Batched lockstep backend (`BatchExactStations`). The batch engine
     /// is bit-identical per trial to the fast-exact path by contract
@@ -75,22 +89,17 @@ pub enum EngineKind {
     /// replay under this engine *dispatches onto the fast-exact
     /// stations*. A trial produced by the batched backend replays
     /// bit-exactly here; that is the contract, not a coincidence.
+    #[serde(rename = "batch")]
     Batch,
     /// Topology-aware multi-hop engine ([`MultihopStations`]).
+    #[serde(rename = "multihop")]
     Multihop,
 }
 
 impl EngineKind {
     /// Parse the spec-tree name.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "cohort" => Some(EngineKind::Cohort),
-            "exact" => Some(EngineKind::Exact),
-            "fast-exact" => Some(EngineKind::FastExact),
-            "batch" => Some(EngineKind::Batch),
-            "multihop" => Some(EngineKind::Multihop),
-            _ => None,
-        }
+        Self::from_json_value(&Value::Str(s.to_string())).ok()
     }
 
     /// The spec-tree name (inverse of [`EngineKind::parse`]).
@@ -105,44 +114,54 @@ impl EngineKind {
     }
 }
 
-/// Which protocol every station runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProtoSpec {
-    /// [`LeskProtocol`] with jamming tolerance `eps`.
-    Lesk {
-        /// The protocol's ε parameter.
-        eps: f64,
-    },
-    /// [`LesuProtocol`].
-    Lesu,
-    /// [`BackoffProtocol`].
-    Backoff,
-    /// [`WillardProtocol`].
-    Willard,
-    /// [`ClusterElection`] (multi-hop engine only; runs one election per
-    /// topology cluster).
-    Cluster {
-        /// The per-cluster LESK ε parameter.
-        eps: f64,
-    },
+/// The [`StopRule`] as a spec tree names it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Stop {
+    /// [`StopRule::FirstCleanSingle`].
+    #[default]
+    #[serde(rename = "first-clean-single")]
+    FirstCleanSingle,
+    /// [`StopRule::AllTerminated`].
+    #[serde(rename = "all-terminated")]
+    AllTerminated,
+    /// [`StopRule::Horizon`].
+    #[serde(rename = "horizon")]
+    Horizon,
 }
 
-impl ProtoSpec {
-    /// Human-readable protocol name for timeline headers.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ProtoSpec::Lesk { .. } => "lesk",
-            ProtoSpec::Lesu => "lesu",
-            ProtoSpec::Backoff => "backoff",
-            ProtoSpec::Willard => "willard",
-            ProtoSpec::Cluster { .. } => "cluster",
+impl From<Stop> for StopRule {
+    fn from(stop: Stop) -> Self {
+        match stop {
+            Stop::FirstCleanSingle => StopRule::FirstCleanSingle,
+            Stop::AllTerminated => StopRule::AllTerminated,
+            Stop::Horizon => StopRule::Horizon,
         }
     }
 }
 
-/// One fully-specified deterministic run (see the module docs).
-#[derive(Debug, Clone)]
+/// The `kind` of the lens's own tree shape.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+enum RunKind {
+    #[serde(rename = "election_run")]
+    ElectionRun,
+}
+
+fn is_zero(x: &f64) -> bool {
+    *x == 0.0
+}
+
+fn is_shared(d: &RngDiscipline) -> bool {
+    *d == RngDiscipline::Shared
+}
+
+/// One fully-specified deterministic run (see the module docs). Its
+/// derived form is the `election_run` tree: the lens-only knobs are
+/// omitted at their defaults (`stop` is always written).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct LensSpec {
+    /// Always `election_run`.
+    kind: RunKind,
     /// Backend that re-derives the run.
     pub engine: EngineKind,
     /// Station count.
@@ -154,373 +173,68 @@ pub struct LensSpec {
     /// Slot cap.
     pub max_slots: u64,
     /// Stop rule.
-    pub stop: StopRule,
-    /// Environmental noise probability.
-    pub noise: f64,
+    #[serde(default)]
+    pub stop: Stop,
     /// Protocol.
-    pub proto: ProtoSpec,
+    pub proto: ProtoParams,
+    /// Environmental noise probability.
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub noise: f64,
     /// Fault plan (exact/fast-exact engines only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub faults: Option<FaultPlan>,
     /// Churn plan, lowered onto the faulty backends via
     /// [`ChurnPlan::overlay`] (exact/fast-exact engines only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub churn: Option<ChurnPlan>,
     /// Topology descriptor in CLI form (`complete`, `dense-linear:K,M`,
-    /// `core-tail:C,T`, `unit-disk:N,R,SEED`; multihop engine only).
+    /// `core-tail:C,T`, `unit-disk:N,R,SEED`; see [`Topology::parse`];
+    /// multihop engine only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub topology: Option<String>,
     /// Multi-hop RNG discipline.
+    #[serde(default, skip_serializing_if = "is_shared")]
     pub discipline: RngDiscipline,
-}
-
-fn keys_of(v: &Value) -> Vec<&str> {
-    v.as_map().map(|m| m.iter().map(|(k, _)| k.as_str()).collect()).unwrap_or_default()
-}
-
-fn check_keys(v: &Value, what: &str, allowed: &[&str]) -> Result<(), SpecError> {
-    for k in keys_of(v) {
-        if !allowed.contains(&k) {
-            return Err(SpecError::Unsupported(format!(
-                "{what}: unrecognized key `{k}` (the lens cannot guarantee a faithful replay)"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn req_u64(v: &Value, k: &str, what: &str) -> Result<u64, SpecError> {
-    v.get(k)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| SpecError::Invalid(format!("{what}: missing u64 `{k}`")))
-}
-
-fn req_f64(v: &Value, k: &str, what: &str) -> Result<f64, SpecError> {
-    v.get(k)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| SpecError::Invalid(format!("{what}: missing f64 `{k}`")))
-}
-
-fn parse_proto(proto: &Value, cluster_ok: bool) -> Result<ProtoSpec, SpecError> {
-    let name = proto
-        .get("proto")
-        .and_then(Value::as_str)
-        .ok_or_else(|| SpecError::Invalid("proto: missing string `proto`".into()))?;
-    match name {
-        "lesk" => {
-            check_keys(proto, "proto:lesk", &["proto", "eps"])?;
-            Ok(ProtoSpec::Lesk { eps: req_f64(proto, "eps", "proto:lesk")? })
-        }
-        "lesu" => {
-            check_keys(proto, "proto:lesu", &["proto"])?;
-            Ok(ProtoSpec::Lesu)
-        }
-        "backoff" => {
-            check_keys(proto, "proto:backoff", &["proto"])?;
-            Ok(ProtoSpec::Backoff)
-        }
-        "willard" => {
-            check_keys(proto, "proto:willard", &["proto"])?;
-            Ok(ProtoSpec::Willard)
-        }
-        "cluster" if cluster_ok => {
-            check_keys(proto, "proto:cluster", &["proto", "eps"])?;
-            Ok(ProtoSpec::Cluster { eps: req_f64(proto, "eps", "proto:cluster")? })
-        }
-        other => Err(SpecError::Unsupported(format!("unknown protocol `{other}`"))),
-    }
-}
-
-fn parse_stop(s: &str) -> Result<StopRule, SpecError> {
-    match s {
-        "first-clean-single" => Ok(StopRule::FirstCleanSingle),
-        "all-terminated" => Ok(StopRule::AllTerminated),
-        "horizon" => Ok(StopRule::Horizon),
-        other => Err(SpecError::Invalid(format!("unknown stop rule `{other}`"))),
-    }
-}
-
-fn stop_label(stop: StopRule) -> &'static str {
-    match stop {
-        StopRule::FirstCleanSingle => "first-clean-single",
-        StopRule::AllTerminated => "all-terminated",
-        StopRule::Horizon => "horizon",
-    }
-}
-
-/// Parse a CLI-form topology descriptor into a [`Topology`] plus the
-/// natural cluster assignment, when the generator defines one.
-///
-/// `complete` yields [`Topology::Complete`] and no assignment.
-pub fn parse_topology(spec: &str) -> Result<(Topology, Option<Vec<u32>>), SpecError> {
-    if spec == "complete" {
-        return Ok((Topology::Complete, None));
-    }
-    let (kind, rest) = spec
-        .split_once(':')
-        .ok_or_else(|| SpecError::Invalid(format!("topology: expected KIND:ARGS, got `{spec}`")))?;
-    let nums: Vec<&str> = rest.split(',').collect();
-    let int = |s: &str, what: &str| -> Result<u64, SpecError> {
-        s.trim()
-            .parse::<u64>()
-            .map_err(|e| SpecError::Invalid(format!("topology {kind}: {what}: {e}")))
-    };
-    match kind {
-        "dense-linear" => {
-            if nums.len() != 2 {
-                return Err(SpecError::Invalid(
-                    "topology dense-linear:K,M takes two integers".into(),
-                ));
-            }
-            let (k, m) = (int(nums[0], "K")?, int(nums[1], "M")?);
-            if k == 0 || m == 0 || k > 4_096 || m > 4_096 {
-                return Err(SpecError::Invalid(
-                    "topology dense-linear: K and M must be in 1..=4096".into(),
-                ));
-            }
-            let (topo, clusters) = Topology::dense_linear(k as u32, m as u32);
-            Ok((topo, Some(clusters)))
-        }
-        "core-tail" => {
-            if nums.len() != 2 {
-                return Err(SpecError::Invalid("topology core-tail:C,T takes two integers".into()));
-            }
-            let (c, t) = (int(nums[0], "C")?, int(nums[1], "T")?);
-            if c == 0 || c > 4_096 || t > 4_096 {
-                return Err(SpecError::Invalid(
-                    "topology core-tail: C must be in 1..=4096, T in 0..=4096".into(),
-                ));
-            }
-            let (topo, clusters) = Topology::core_tail(c as u32, t as u32);
-            Ok((topo, Some(clusters)))
-        }
-        "unit-disk" => {
-            if nums.len() != 3 {
-                return Err(SpecError::Invalid(
-                    "topology unit-disk:N,R,SEED takes three values".into(),
-                ));
-            }
-            let n = int(nums[0], "N")?;
-            let r: f64 = nums[1]
-                .trim()
-                .parse()
-                .map_err(|e| SpecError::Invalid(format!("topology unit-disk: R: {e}")))?;
-            let seed = int(nums[2], "SEED")?;
-            if n == 0 || n > 16_384 {
-                return Err(SpecError::Invalid(
-                    "topology unit-disk: N must be in 1..=16384".into(),
-                ));
-            }
-            let topo = Topology::unit_disk(n, r, seed)
-                .map_err(|e| SpecError::Invalid(format!("topology unit-disk: {e}")))?;
-            Ok((topo, None))
-        }
-        other => Err(SpecError::Unsupported(format!("unknown topology kind `{other}`"))),
-    }
 }
 
 impl LensSpec {
     /// Parse a parameter tree (either supported `kind`; module docs).
     pub fn from_params(params: &Value) -> Result<Self, SpecError> {
-        let kind = params
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| SpecError::Invalid("params: missing string `kind`".into()))?;
-        match kind {
-            "cohort_election" => Self::from_cohort_params(params),
-            "exact_election" => Self::from_exact_params(params),
-            "election_run" => Self::from_run_params(params),
-            other => Err(SpecError::Unsupported(format!("unknown work kind `{other}`"))),
+        if params.get("kind").and_then(Value::as_str) == Some("election_run") {
+            let spec = Self::from_json_value(params)?;
+            spec.validate()?;
+            return Ok(spec);
         }
-    }
-
-    /// Parse the `jle-sweepd` `exact_election` cache tree (strictly,
-    /// like the server). These trees are cached under the fast-exact
-    /// engine salt whether the server executed them per-trial or
-    /// through the batched backend, so the replay engine is
-    /// [`EngineKind::FastExact`] — the path both producers are
-    /// bit-identical to.
-    fn from_exact_params(params: &Value) -> Result<Self, SpecError> {
-        check_keys(params, "exact_election", &["kind", "n", "cd", "adv", "max_slots", "proto"])?;
-        let n = req_u64(params, "n", "exact_election")?;
-        let max_slots = req_u64(params, "max_slots", "exact_election")?;
-        let cd_value = params
-            .get("cd")
-            .ok_or_else(|| SpecError::Invalid("exact_election: missing `cd`".into()))?;
-        let cd = CdModel::from_json_value(cd_value)
-            .map_err(|e| SpecError::Invalid(format!("exact_election: bad `cd`: {e}")))?;
-        let adv_value = params
-            .get("adv")
-            .ok_or_else(|| SpecError::Invalid("exact_election: missing `adv`".into()))?;
-        let adv = AdversarySpec::from_json_value(adv_value)
-            .map_err(|e| SpecError::Invalid(format!("exact_election: bad `adv`: {e}")))?;
-        let proto = params
-            .get("proto")
-            .ok_or_else(|| SpecError::Invalid("exact_election: missing `proto`".into()))?;
+        // The `jle-sweepd` cache trees, strictly, like the server. An
+        // `exact_election` tree is cached under the fast-exact engine salt
+        // whether the server executed it per-trial or through the batched
+        // backend, so it replays on the path both are bit-identical to.
+        let election = ElectionParams::decode(params)?;
         Ok(LensSpec {
-            engine: EngineKind::FastExact,
-            n,
-            cd,
-            adv,
-            max_slots,
-            stop: StopRule::FirstCleanSingle,
-            noise: 0.0,
-            proto: parse_proto(proto, false)?,
-            faults: None,
-            churn: None,
-            topology: None,
-            discipline: RngDiscipline::Shared,
-        })
-    }
-
-    /// Parse the `jle-sweepd` cache tree shape (strictly, like the server).
-    fn from_cohort_params(params: &Value) -> Result<Self, SpecError> {
-        check_keys(params, "cohort_election", &["kind", "n", "cd", "adv", "max_slots", "proto"])?;
-        let n = req_u64(params, "n", "cohort_election")?;
-        let max_slots = req_u64(params, "max_slots", "cohort_election")?;
-        let cd_value = params
-            .get("cd")
-            .ok_or_else(|| SpecError::Invalid("cohort_election: missing `cd`".into()))?;
-        let cd = CdModel::from_json_value(cd_value)
-            .map_err(|e| SpecError::Invalid(format!("cohort_election: bad `cd`: {e}")))?;
-        let adv_value = params
-            .get("adv")
-            .ok_or_else(|| SpecError::Invalid("cohort_election: missing `adv`".into()))?;
-        let adv = AdversarySpec::from_json_value(adv_value)
-            .map_err(|e| SpecError::Invalid(format!("cohort_election: bad `adv`: {e}")))?;
-        let proto = params
-            .get("proto")
-            .ok_or_else(|| SpecError::Invalid("cohort_election: missing `proto`".into()))?;
-        Ok(LensSpec {
-            engine: EngineKind::Cohort,
-            n,
-            cd,
-            adv,
-            max_slots,
-            stop: StopRule::FirstCleanSingle,
-            noise: 0.0,
-            proto: parse_proto(proto, false)?,
-            faults: None,
-            churn: None,
-            topology: None,
-            discipline: RngDiscipline::Shared,
-        })
-    }
-
-    /// Parse the lens's extended tree shape.
-    fn from_run_params(params: &Value) -> Result<Self, SpecError> {
-        check_keys(
-            params,
-            "election_run",
-            &[
-                "kind",
-                "engine",
-                "n",
-                "cd",
-                "adv",
-                "max_slots",
-                "proto",
-                "stop",
-                "noise",
-                "faults",
-                "churn",
-                "topology",
-                "discipline",
-            ],
-        )?;
-        let engine_name = params
-            .get("engine")
-            .and_then(Value::as_str)
-            .ok_or_else(|| SpecError::Invalid("election_run: missing string `engine`".into()))?;
-        let engine = EngineKind::parse(engine_name)
-            .ok_or_else(|| SpecError::Unsupported(format!("unknown engine `{engine_name}`")))?;
-        let n = req_u64(params, "n", "election_run")?;
-        let max_slots = req_u64(params, "max_slots", "election_run")?;
-        let cd_value = params
-            .get("cd")
-            .ok_or_else(|| SpecError::Invalid("election_run: missing `cd`".into()))?;
-        let cd = CdModel::from_json_value(cd_value)
-            .map_err(|e| SpecError::Invalid(format!("election_run: bad `cd`: {e}")))?;
-        let adv_value = params
-            .get("adv")
-            .ok_or_else(|| SpecError::Invalid("election_run: missing `adv`".into()))?;
-        let adv = AdversarySpec::from_json_value(adv_value)
-            .map_err(|e| SpecError::Invalid(format!("election_run: bad `adv`: {e}")))?;
-        let stop = match params.get("stop") {
-            Some(v) => parse_stop(v.as_str().ok_or_else(|| {
-                SpecError::Invalid("election_run: `stop` must be a string".into())
-            })?)?,
-            None => StopRule::FirstCleanSingle,
-        };
-        let noise = match params.get("noise") {
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| SpecError::Invalid("election_run: `noise` must be an f64".into()))?,
-            None => 0.0,
-        };
-        if !(0.0..=1.0).contains(&noise) {
-            return Err(SpecError::Invalid("election_run: `noise` must be in [0, 1]".into()));
-        }
-        let faults = match params.get("faults") {
-            Some(v) => Some(
-                FaultPlan::from_json_value(v)
-                    .map_err(|e| SpecError::Invalid(format!("election_run: bad `faults`: {e}")))?,
-            ),
-            None => None,
-        };
-        let churn = match params.get("churn") {
-            Some(v) => Some(
-                ChurnPlan::from_json_value(v)
-                    .map_err(|e| SpecError::Invalid(format!("election_run: bad `churn`: {e}")))?,
-            ),
-            None => None,
-        };
-        let topology = match params.get("topology") {
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| {
-                        SpecError::Invalid("election_run: `topology` must be a string".into())
-                    })?
-                    .to_string(),
-            ),
-            None => None,
-        };
-        let discipline = match params.get("discipline") {
-            Some(v) => match v.as_str() {
-                Some("shared") => RngDiscipline::Shared,
-                Some("counter") => RngDiscipline::Counter,
-                _ => {
-                    return Err(SpecError::Invalid(
-                        "election_run: `discipline` must be \"shared\" or \"counter\"".into(),
-                    ))
-                }
+            kind: RunKind::ElectionRun,
+            engine: match election.kind {
+                ElectionKind::Cohort => EngineKind::Cohort,
+                ElectionKind::Exact => EngineKind::FastExact,
             },
-            None => RngDiscipline::Shared,
-        };
-        let cluster_ok = engine == EngineKind::Multihop;
-        let proto = parse_proto(
-            params
-                .get("proto")
-                .ok_or_else(|| SpecError::Invalid("election_run: missing `proto`".into()))?,
-            cluster_ok,
-        )?;
-        let spec = LensSpec {
-            engine,
-            n,
-            cd,
-            adv,
-            max_slots,
-            stop,
-            noise,
-            proto,
-            faults,
-            churn,
-            topology,
-            discipline,
-        };
-        spec.validate()?;
-        Ok(spec)
+            n: election.n,
+            cd: election.cd,
+            adv: election.adv,
+            max_slots: election.max_slots,
+            stop: Stop::FirstCleanSingle,
+            proto: election.proto,
+            noise: 0.0,
+            faults: None,
+            churn: None,
+            topology: None,
+            discipline: RngDiscipline::Shared,
+        })
     }
 
     /// Cross-field consistency (impossible engine/knob combinations).
     fn validate(&self) -> Result<(), SpecError> {
+        if !(0.0..=1.0).contains(&self.noise) {
+            return Err(SpecError::Invalid("election_run: `noise` must be in [0, 1]".into()));
+        }
         let has_plans = self.faults.is_some() || self.churn.is_some();
         match self.engine {
             EngineKind::Cohort => {
@@ -544,17 +258,25 @@ impl LensSpec {
                         "multihop engine takes no fault/churn plans".into(),
                     ));
                 }
-                let desc = self.topology.as_deref().unwrap_or("complete");
-                let (topo, _) = parse_topology(desc)?;
-                topo.validate_for(self.n).map_err(|e| {
-                    SpecError::Invalid(format!("topology does not fit n={}: {e}", self.n))
-                })?;
+                self.topology()?;
             }
         }
-        if matches!(self.proto, ProtoSpec::Cluster { .. }) && self.engine != EngineKind::Multihop {
+        if matches!(self.proto, ProtoParams::Cluster { .. }) && self.engine != EngineKind::Multihop
+        {
             return Err(SpecError::Invalid("proto `cluster` requires engine=multihop".into()));
         }
         Ok(())
+    }
+
+    /// The multihop run's topology (`complete` when unset) and natural
+    /// cluster assignment, checked against `n`.
+    fn topology(&self) -> Result<(Topology, Option<Vec<u32>>), SpecError> {
+        let desc = self.topology.as_deref().unwrap_or("complete");
+        let (topo, clusters) =
+            Topology::parse(desc).map_err(|e| SpecError::Invalid(format!("topology: {e}")))?;
+        topo.validate_for(self.n)
+            .map_err(|e| SpecError::Invalid(format!("topology does not fit n={}: {e}", self.n)))?;
+        Ok((topo, clusters))
     }
 
     /// Serialize back to a parameter tree. Cohort-engine specs with all
@@ -562,58 +284,21 @@ impl LensSpec {
     /// `cohort_election` shape `jle-sweepd` fingerprints, so a spec
     /// recovered from the result store re-emits its own cache key.
     pub fn to_params(&self) -> Value {
-        let proto = match self.proto {
-            ProtoSpec::Lesk { eps } => Value::Map(vec![
-                ("proto".into(), Value::Str("lesk".into())),
-                ("eps".into(), Value::F64(eps)),
-            ]),
-            ProtoSpec::Lesu => Value::Map(vec![("proto".into(), Value::Str("lesu".into()))]),
-            ProtoSpec::Backoff => Value::Map(vec![("proto".into(), Value::Str("backoff".into()))]),
-            ProtoSpec::Willard => Value::Map(vec![("proto".into(), Value::Str("willard".into()))]),
-            ProtoSpec::Cluster { eps } => Value::Map(vec![
-                ("proto".into(), Value::Str("cluster".into())),
-                ("eps".into(), Value::F64(eps)),
-            ]),
-        };
         let cohort_shape = self.engine == EngineKind::Cohort
-            && self.stop == StopRule::FirstCleanSingle
+            && self.stop == Stop::FirstCleanSingle
             && self.noise == 0.0;
         if cohort_shape {
-            return Value::Map(vec![
-                ("kind".into(), Value::Str("cohort_election".into())),
-                ("n".into(), Value::U64(self.n)),
-                ("cd".into(), self.cd.to_json_value()),
-                ("adv".into(), self.adv.to_json_value()),
-                ("max_slots".into(), Value::U64(self.max_slots)),
-                ("proto".into(), proto),
-            ]);
+            let election = ElectionParams {
+                kind: ElectionKind::Cohort,
+                n: self.n,
+                cd: self.cd,
+                adv: self.adv.clone(),
+                max_slots: self.max_slots,
+                proto: self.proto,
+            };
+            return election.to_json_value();
         }
-        let mut map = vec![
-            ("kind".into(), Value::Str("election_run".into())),
-            ("engine".into(), Value::Str(self.engine.label().into())),
-            ("n".into(), Value::U64(self.n)),
-            ("cd".into(), self.cd.to_json_value()),
-            ("adv".into(), self.adv.to_json_value()),
-            ("max_slots".into(), Value::U64(self.max_slots)),
-            ("stop".into(), Value::Str(stop_label(self.stop).into())),
-            ("proto".into(), proto),
-        ];
-        if self.noise != 0.0 {
-            map.push(("noise".into(), Value::F64(self.noise)));
-        }
-        if let Some(f) = &self.faults {
-            map.push(("faults".into(), f.to_json_value()));
-        }
-        if let Some(c) = &self.churn {
-            map.push(("churn".into(), c.to_json_value()));
-        }
-        if let Some(t) = &self.topology {
-            map.push(("topology".into(), Value::Str(t.clone())));
-        }
-        if self.discipline == RngDiscipline::Counter {
-            map.push(("discipline".into(), Value::Str("counter".into())));
-        }
-        Value::Map(map)
+        self.to_json_value()
     }
 
     /// The same run re-targeted at a different backend (for `--diff`);
@@ -634,26 +319,13 @@ impl LensSpec {
         Ok(spec)
     }
 
-    /// Build the per-station protocol factory for the single-channel
-    /// engines.
-    fn protocol_factory(&self) -> impl Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static {
-        let proto = self.proto;
-        move |_i| match proto {
-            ProtoSpec::Lesk { eps } => Box::new(PerStation::new(LeskProtocol::new(eps))),
-            ProtoSpec::Lesu => Box::new(PerStation::new(LesuProtocol::new())),
-            ProtoSpec::Backoff => Box::new(PerStation::new(BackoffProtocol::new())),
-            ProtoSpec::Willard => Box::new(PerStation::new(WillardProtocol::new())),
-            ProtoSpec::Cluster { .. } => unreachable!("validated: cluster implies multihop"),
-        }
-    }
-
     /// The [`SimConfig`] for `seed` (the workspace convention is
     /// `seed = base_seed + trial_index`; the caller resolves that).
     pub fn config(&self, seed: u64) -> SimConfig {
         let mut config = SimConfig::new(self.n, self.cd)
             .with_seed(seed)
             .with_max_slots(self.max_slots)
-            .with_stop(self.stop);
+            .with_stop(self.stop.into());
         if self.noise > 0.0 {
             config = config.with_noise(self.noise);
         }
@@ -670,26 +342,10 @@ impl LensSpec {
     /// golden-seed contract).
     pub fn run(&self, seed: u64, obs: &mut dyn SlotObserver) -> Result<RunReport, SpecError> {
         let config = self.config(seed);
+        let core = SimCore::new(&config, &self.adv).observe(obs);
         let report = match self.engine {
             EngineKind::Cohort => {
-                let core = SimCore::new(&config, &self.adv);
-                match self.proto {
-                    ProtoSpec::Lesk { eps } => {
-                        core.observe(obs).run(&mut CohortStations::new(LeskProtocol::new(eps)))
-                    }
-                    ProtoSpec::Lesu => {
-                        core.observe(obs).run(&mut CohortStations::new(LesuProtocol::new()))
-                    }
-                    ProtoSpec::Backoff => {
-                        core.observe(obs).run(&mut CohortStations::new(BackoffProtocol::new()))
-                    }
-                    ProtoSpec::Willard => {
-                        core.observe(obs).run(&mut CohortStations::new(WillardProtocol::new()))
-                    }
-                    ProtoSpec::Cluster { .. } => {
-                        unreachable!("validated: cluster implies multihop")
-                    }
-                }
+                with_uniform_proto!(self.proto, make => core.run(&mut CohortStations::new(make())))
             }
             // `Batch` dispatches onto the fast-exact stations: the batched
             // backend is bit-identical per trial by contract (DESIGN.md
@@ -701,36 +357,24 @@ impl LensSpec {
                     (Some(f), None) => Some(f.clone()),
                     (f, Some(c)) => Some(c.overlay(f.as_ref().unwrap_or(&FaultPlan::empty()))),
                 };
+                let factory = self.proto.station_factory();
                 match (self.engine, plan) {
                     (EngineKind::Exact, None) => {
-                        let mut stations = ExactStations::new(&config, self.protocol_factory());
-                        SimCore::new(&config, &self.adv).observe(obs).run(&mut stations)
+                        core.run(&mut ExactStations::new(&config, factory))
                     }
                     (EngineKind::Exact, Some(plan)) => {
-                        let mut stations =
-                            FaultyStations::new(&config, &plan, self.protocol_factory());
-                        SimCore::new(&config, &self.adv).observe(obs).run(&mut stations)
+                        core.run(&mut FaultyStations::new(&config, &plan, factory))
                     }
-                    (EngineKind::FastExact | EngineKind::Batch, None) => {
-                        let mut stations = FastExactStations::new(&config, self.protocol_factory());
-                        SimCore::new(&config, &self.adv).observe(obs).run(&mut stations)
+                    (_, None) => core.run(&mut FastExactStations::new(&config, factory)),
+                    (_, Some(plan)) => {
+                        core.run(&mut FastFaultyStations::new(&config, &plan, factory))
                     }
-                    (EngineKind::FastExact | EngineKind::Batch, Some(plan)) => {
-                        let mut stations =
-                            FastFaultyStations::new(&config, &plan, self.protocol_factory());
-                        SimCore::new(&config, &self.adv).observe(obs).run(&mut stations)
-                    }
-                    _ => unreachable!("match is over Exact | FastExact | Batch"),
                 }
             }
             EngineKind::Multihop => {
-                let desc = self.topology.as_deref().unwrap_or("complete");
-                let (topo, natural_clusters) = parse_topology(desc)?;
-                topo.validate_for(self.n).map_err(|e| {
-                    SpecError::Invalid(format!("topology does not fit n={}: {e}", self.n))
-                })?;
+                let (topo, natural_clusters) = self.topology()?;
                 match self.proto {
-                    ProtoSpec::Cluster { eps } => {
+                    ProtoParams::Cluster { eps } => {
                         let assign =
                             natural_clusters.unwrap_or_else(|| vec![0u32; self.n as usize]);
                         let factory = |i: u64| -> Box<dyn MeshProtocol> {
@@ -739,15 +383,15 @@ impl LensSpec {
                         let mut stations = MultihopStations::new(&config, &topo, factory)
                             .with_discipline(self.discipline)
                             .with_clusters(&assign);
-                        SimCore::new(&config, &self.adv).observe(obs).run(&mut stations)
+                        core.run(&mut stations)
                     }
-                    _ => {
-                        let single = self.protocol_factory();
+                    proto => {
+                        let single = proto.station_factory();
                         let factory =
                             |i: u64| -> Box<dyn MeshProtocol> { Box::new(StdMesh::new(single(i))) };
                         let mut stations = MultihopStations::new(&config, &topo, factory)
                             .with_discipline(self.discipline);
-                        SimCore::new(&config, &self.adv).observe(obs).run(&mut stations)
+                        core.run(&mut stations)
                     }
                 }
             }
@@ -857,12 +501,59 @@ mod tests {
 
     #[test]
     fn topology_parser_accepts_all_cli_forms() {
-        assert!(matches!(parse_topology("complete").unwrap().0, Topology::Complete));
-        let (_, clusters) = parse_topology("dense-linear:3,4").unwrap();
+        assert!(matches!(Topology::parse("complete").unwrap().0, Topology::Complete));
+        let (_, clusters) = Topology::parse("dense-linear:3,4").unwrap();
         assert_eq!(clusters.unwrap().len(), 12);
-        let (_, clusters) = parse_topology("core-tail:4,3").unwrap();
+        let (_, clusters) = Topology::parse("core-tail:4,3").unwrap();
         assert_eq!(clusters.unwrap().len(), 7);
-        assert!(parse_topology("unit-disk:16,0.5,7").is_ok());
-        assert!(parse_topology("moebius:4").is_err());
+        assert!(Topology::parse("unit-disk:16,0.5,7").is_ok());
+        assert!(Topology::parse("moebius:4").is_err());
+    }
+
+    #[test]
+    fn to_params_bytes_are_pinned() {
+        // Flight records embed these trees; the lines were recorded from
+        // the hand-built trees of the parsers the derived types replaced.
+        use jle_adversary::{JamStrategyKind, Rate};
+        use jle_engine::StationFaults;
+        let cohort = json!({
+            "kind": "cohort_election",
+            "n": 32u64,
+            "cd": CdModel::Weak.to_json_value(),
+            "adv": AdversarySpec::new(Rate::from_f64(0.25), 16, JamStrategyKind::Random { prob: 0.5 })
+                .to_json_value(),
+            "max_slots": 100_000u64,
+            "proto": {"proto": "willard"},
+        });
+        let spec = LensSpec::from_params(&cohort).unwrap();
+        assert_eq!(
+            serde_json::to_string(&spec.to_params()).unwrap(),
+            r#"{"kind":"cohort_election","n":32,"cd":"Weak","adv":{"eps":{"num":1073741824},"t_window":16,"kind":{"Random":{"prob":0.5}}},"max_slots":100000,"proto":{"proto":"willard"}}"#
+        );
+        let plan =
+            FaultPlan::new(3).with_station(0, StationFaults::none().crash_with_recovery(40, 400));
+        let churn = ChurnPlan::new(5).with_staggered_joins(8, 0.5, 200);
+        let run = json!({
+            "kind": "election_run",
+            "engine": "fast-exact",
+            "n": 8u64,
+            "cd": CdModel::Strong.to_json_value(),
+            "adv": AdversarySpec::new(Rate::from_f64(0.5), 64, JamStrategyKind::Saturating)
+                .to_json_value(),
+            "max_slots": 20_000u64,
+            "stop": "all-terminated",
+            "proto": {"proto": "lesk", "eps": 0.5f64},
+            "noise": 0.125f64,
+            "faults": plan.to_json_value(),
+            "churn": churn.to_json_value(),
+        });
+        let mut spec = LensSpec::from_params(&run).unwrap();
+        // Every optional key at once (no engine validates this mix; the
+        // writer does not care).
+        spec.topology = Some("dense-linear:2,4".into());
+        spec.discipline = RngDiscipline::Counter;
+        let line = r#"{"kind":"election_run","engine":"fast-exact","n":8,"cd":"Strong","adv":{"eps":{"num":2147483648},"t_window":64,"kind":"Saturating"},"max_slots":20000,"stop":"all-terminated","proto":{"proto":"lesk","eps":0.5},"noise":0.125,"faults":{"seed":3,"faults":{"0":{"wake_at":0,"crash_at":40,"recover_at":400,"deaf":null,"sensing_flip_prob":0}}},"churn":{"seed":5,"churn":{"2":{"join_at":104,"leave_at":null,"rejoin_at":null},"3":{"join_at":127,"leave_at":null,"rejoin_at":null},"5":{"join_at":180,"leave_at":null,"rejoin_at":null},"7":{"join_at":126,"leave_at":null,"rejoin_at":null}}},"topology":"dense-linear:2,4","discipline":"counter"}"#;
+        assert_eq!(serde_json::to_string(&spec.to_params()).unwrap(), line);
+        assert_eq!(serde_json::to_string(&spec).unwrap(), line, "direct writer");
     }
 }

@@ -10,7 +10,7 @@
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{ChurnPlan, FaultPlan, RngDiscipline, StationFaults};
-use jle_lens::{diff, divergence, record, replay, Divergence, EngineKind, LensSpec};
+use jle_lens::{diff, divergence, record, replay, Divergence, EngineKind, LensSpec, SpecError};
 use jle_radio::CdModel;
 use jle_telemetry::FlightRecord;
 use serde::{Deserialize, Serialize, Value};
@@ -228,6 +228,29 @@ fn sweepd_exact_election_tree_parses_onto_fast_exact() {
         LensSpec::from_params(&poisoned).is_err(),
         "unknown exact_election keys must be refused"
     );
+}
+
+#[test]
+fn unknown_adversary_keys_are_refused() {
+    // The adversary subtree is as strict as the rest of the tree: a knob
+    // inside `adv` (or inside a strategy's parameters) the lens does not
+    // know would replay some other jammer.
+    let mut adv = sat_adv();
+    if let Value::Map(m) = &mut adv {
+        m.push(("future_knob".into(), Value::U64(7)));
+    }
+    let random = json!({"eps": {"num": 2147483648u64}, "t_window": 64u64,
+        "kind": {"Random": {"prob": 0.5f64, "future_knob": 7u64}}});
+    for bad_adv in [adv, random] {
+        for mut params in [run_params("exact"), run_params("cohort")] {
+            if let Value::Map(m) = &mut params {
+                m.retain(|(k, _)| k != "adv");
+                m.push(("adv".into(), bad_adv.clone()));
+            }
+            let err = LensSpec::from_params(&params).expect_err("unknown adv key must be refused");
+            assert!(matches!(err, SpecError::Unsupported(_)), "{err}");
+        }
+    }
 }
 
 #[test]

@@ -14,6 +14,7 @@
 //! | Lemma 2.1 bounds & runtime shapes | [`math`] |
 //! | comparison protocols (§1.3) | [`baselines`] |
 //! | multi-hop cluster elections (LESK per cluster + merge) | [`cluster`] |
+//! | one election as a typed parameter tree | [`params`] |
 //!
 //! All selection-resolution protocols implement
 //! [`jle_engine::UniformProtocol`] and run on both the cohort and the
@@ -33,6 +34,7 @@ pub mod lesk;
 pub mod lesu;
 pub mod math;
 pub mod notification;
+pub mod params;
 
 pub use baselines::{ArssMacProtocol, BackoffProtocol, WillardProtocol};
 pub use classify::SlotTaxonomy;
@@ -47,3 +49,4 @@ pub use extensions::{
 pub use lesk::LeskProtocol;
 pub use lesu::LesuProtocol;
 pub use notification::{lewk, lewu, Notification};
+pub use params::{ElectionKind, ElectionParams, ProtoParams};

@@ -1,0 +1,176 @@
+//! The typed election spec: one election of the paper as data.
+//!
+//! An [`ElectionParams`] is the tuple the paper describes an election by —
+//! station count `n`, collision-detection model, `(T, 1−ε)`-bounded
+//! jammer, protocol and slot cap — in the parameter-tree shape the result
+//! store fingerprints, `jle-sweepd` executes and the lens replays. All of
+//! them decode the tree through these derived types, and the builders
+//! write it from them, so no two readers can disagree about what a tree
+//! means and the bytes are the ones the cache keys were recorded from.
+//!
+//! Decoding is strict. A key no type declares is a
+//! [`serde::Error::unknown_field`], and an unknown kind or protocol is a
+//! [`serde::Error::unknown_variant`]; both answer
+//! [`serde::Error::is_unknown`], which readers report as "unsupported"
+//! rather than "invalid". A tree that names a knob this code does not
+//! know is refused, never run without it: that would compute something
+//! under a fingerprint that promises something else.
+
+use jle_adversary::AdversarySpec;
+use jle_engine::{PerStation, Protocol, SimConfig};
+use jle_radio::CdModel;
+use serde::{Deserialize, Serialize, Value};
+
+use crate::{BackoffProtocol, LeskProtocol, LesuProtocol, WillardProtocol};
+
+/// Which engine an election tree runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ElectionKind {
+    /// The O(1)-per-slot cohort engine (`run_cohort`).
+    #[serde(rename = "cohort_election")]
+    Cohort,
+    /// The per-station fast-exact engine, or the batch backend, which is
+    /// bit-identical to it per trial.
+    #[serde(rename = "exact_election")]
+    Exact,
+}
+
+/// The protocol every station runs: `{"proto": "lesk", "eps": 0.5}`,
+/// `{"proto": "lesu"}`, …
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "proto", deny_unknown_fields)]
+pub enum ProtoParams {
+    /// [`LeskProtocol`] with jamming tolerance `eps`.
+    #[serde(rename = "lesk")]
+    Lesk {
+        /// The protocol's ε parameter.
+        eps: f64,
+    },
+    /// [`LesuProtocol`].
+    #[serde(rename = "lesu")]
+    Lesu,
+    /// [`BackoffProtocol`].
+    #[serde(rename = "backoff")]
+    Backoff,
+    /// [`WillardProtocol`].
+    #[serde(rename = "willard")]
+    Willard,
+    /// [`crate::ClusterElection`]: one LESK(`eps`) election per topology
+    /// cluster. Multi-hop only, so no election tree carries it and it has
+    /// no single-channel station.
+    #[serde(rename = "cluster")]
+    Cluster {
+        /// The per-cluster LESK ε parameter.
+        eps: f64,
+    },
+}
+
+/// The protocols an [`ElectionParams`] tree may name.
+const ELECTION_PROTOS: &[&str] = &["lesk", "lesu", "backoff", "willard"];
+
+impl ProtoParams {
+    /// The wire name (`lesk`, `lesu`, …), for labels.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ProtoParams::Lesk { .. } => "lesk",
+            ProtoParams::Lesu => "lesu",
+            ProtoParams::Backoff => "backoff",
+            ProtoParams::Willard => "willard",
+            ProtoParams::Cluster { .. } => "cluster",
+        }
+    }
+
+    /// The per-station factory the single-channel per-station engines
+    /// take: every station runs the protocol through [`PerStation`].
+    ///
+    /// # Panics
+    /// The returned factory panics for [`ProtoParams::Cluster`], which has
+    /// no single-channel station.
+    pub fn station_factory(self) -> impl Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static {
+        move |_| -> Box<dyn Protocol> {
+            match self {
+                ProtoParams::Lesk { eps } => Box::new(PerStation::new(LeskProtocol::new(eps))),
+                ProtoParams::Lesu => Box::new(PerStation::new(LesuProtocol::new())),
+                ProtoParams::Backoff => Box::new(PerStation::new(BackoffProtocol::new())),
+                ProtoParams::Willard => Box::new(PerStation::new(WillardProtocol::new())),
+                ProtoParams::Cluster { .. } => panic!("{}", CLUSTER_IS_MULTIHOP),
+            }
+        }
+    }
+}
+
+#[doc(hidden)]
+pub const CLUSTER_IS_MULTIHOP: &str =
+    "proto `cluster` runs one election per topology cluster, on the multihop engine only";
+
+/// Evaluate `$body` once per uniform protocol of a [`ProtoParams`], with
+/// `$make` bound to a constructor (`impl Fn() -> U`) of that protocol, so
+/// each arm calls a generic engine entry point such as `run_cohort` or
+/// `run_batch_uniform` monomorphised for its protocol: no `match` on the
+/// protocol runs inside the engine's slot loop.
+///
+/// Panics for [`ProtoParams::Cluster`], which is not a uniform protocol;
+/// [`ElectionParams::decode`] never yields it.
+#[macro_export]
+macro_rules! with_uniform_proto {
+    ($proto:expr, $make:ident => $body:expr) => {
+        match $proto {
+            $crate::ProtoParams::Lesk { eps } => {
+                let $make = move || $crate::LeskProtocol::new(eps);
+                $body
+            }
+            $crate::ProtoParams::Lesu => {
+                let $make = $crate::LesuProtocol::new;
+                $body
+            }
+            $crate::ProtoParams::Backoff => {
+                let $make = $crate::BackoffProtocol::new;
+                $body
+            }
+            $crate::ProtoParams::Willard => {
+                let $make = $crate::WillardProtocol::new;
+                $body
+            }
+            $crate::ProtoParams::Cluster { .. } => {
+                panic!("{}", $crate::params::CLUSTER_IS_MULTIHOP)
+            }
+        }
+    };
+}
+
+/// One single-channel election: the `cohort_election` / `exact_election`
+/// parameter tree. Fields are declared in the order the tree's bytes
+/// list them.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct ElectionParams {
+    /// Which engine runs it.
+    pub kind: ElectionKind,
+    /// Station count.
+    pub n: u64,
+    /// Collision-detection model.
+    pub cd: CdModel,
+    /// The `(T, 1−ε)`-bounded jammer.
+    pub adv: AdversarySpec,
+    /// Slot cap.
+    pub max_slots: u64,
+    /// The protocol every station runs.
+    pub proto: ProtoParams,
+}
+
+impl ElectionParams {
+    /// Decode an election tree (module docs). A `cluster` protocol is
+    /// refused as an unknown variant: it is not a single-channel election.
+    pub fn decode(tree: &Value) -> Result<Self, serde::Error> {
+        let params = Self::from_json_value(tree)?;
+        if let ProtoParams::Cluster { .. } = params.proto {
+            return Err(serde::Error::unknown_variant("cluster", ELECTION_PROTOS));
+        }
+        Ok(params)
+    }
+
+    /// The run's [`SimConfig`], before a seed is set.
+    pub fn config(&self) -> SimConfig {
+        SimConfig::new(self.n, self.cd).with_max_slots(self.max_slots)
+    }
+}

@@ -94,6 +94,11 @@ pub enum TopologyError {
         /// The requested node count.
         n: u64,
     },
+    /// A [`Topology::parse`] descriptor is malformed or out of bounds.
+    Descriptor {
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for TopologyError {
@@ -121,6 +126,7 @@ impl std::fmt::Display for TopologyError {
             TopologyError::TooLarge { n } => {
                 write!(f, "graph topology with {n} nodes exceeds the u32 index space")
             }
+            TopologyError::Descriptor { reason } => write!(f, "bad topology descriptor: {reason}"),
         }
     }
 }
@@ -420,6 +426,54 @@ impl Topology {
         (Topology::Graph(Box::new(graph)), clusters_of)
     }
 
+    /// Parse a descriptor in CLI form — `complete`, `dense-linear:K,M`,
+    /// `core-tail:C,T` or `unit-disk:N,R,SEED` — into the topology plus
+    /// the cluster assignment its generator defines (`None` for
+    /// `complete` and for unit disks, which have no canonical
+    /// clustering). Sizes are bounded before anything is built: K, M and
+    /// C in 1..=4096, T in 0..=4096, N in 1..=16384.
+    pub fn parse(spec: &str) -> Result<(Topology, Option<Vec<u32>>), TopologyError> {
+        if spec == "complete" {
+            return Ok((Topology::Complete, None));
+        }
+        let bad = |reason: String| TopologyError::Descriptor { reason };
+        let (kind, rest) =
+            spec.split_once(':').ok_or_else(|| bad(format!("expected KIND:ARGS, got `{spec}`")))?;
+        let int = |s: &str, what: &str| {
+            s.trim().parse::<u64>().map_err(|e| bad(format!("{kind}: {what}: {e}")))
+        };
+        let bounded = |s: &str, what: &str, lo: u64, hi: u64| {
+            let v = int(s, what)?;
+            match u32::try_from(v) {
+                Ok(v32) if (lo..=hi).contains(&v) => Ok(v32),
+                _ => Err(bad(format!("{kind}: {what} must be in {lo}..={hi}"))),
+            }
+        };
+        match (kind, rest.split(',').collect::<Vec<_>>().as_slice()) {
+            ("dense-linear", [k, m]) => {
+                let (k, m) = (bounded(k, "K", 1, 4_096)?, bounded(m, "M", 1, 4_096)?);
+                let (topo, clusters) = Topology::dense_linear(k, m);
+                Ok((topo, Some(clusters)))
+            }
+            ("core-tail", [c, t]) => {
+                let (c, t) = (bounded(c, "C", 1, 4_096)?, bounded(t, "T", 0, 4_096)?);
+                let (topo, clusters) = Topology::core_tail(c, t);
+                Ok((topo, Some(clusters)))
+            }
+            ("unit-disk", [n, r, seed]) => {
+                let n = bounded(n, "N", 1, 16_384)?;
+                let r: f64 = r.trim().parse().map_err(|e| bad(format!("unit-disk: R: {e}")))?;
+                Ok((Topology::unit_disk(n.into(), r, int(seed, "SEED")?)?, None))
+            }
+            ("dense-linear", _) => Err(bad("dense-linear:K,M takes two integers".into())),
+            ("core-tail", _) => Err(bad("core-tail:C,T takes two integers".into())),
+            ("unit-disk", _) => Err(bad("unit-disk:N,R,SEED takes three values".into())),
+            (other, _) => Err(bad(format!(
+                "unknown kind `{other}` (expected complete, dense-linear, core-tail, or unit-disk)"
+            ))),
+        }
+    }
+
     fn check_n(n: u64) -> Result<u32, TopologyError> {
         if n == 0 {
             return Err(TopologyError::Empty);
@@ -529,6 +583,50 @@ pub fn unit_disk_positions(n: u64, seed: u64) -> Vec<(f64, f64)> {
 mod tests {
     use super::*;
     use crate::slot::SlotTruth;
+
+    #[test]
+    fn parse_accepts_all_cli_forms() {
+        assert!(matches!(Topology::parse("complete").unwrap().0, Topology::Complete));
+        let (_, clusters) = Topology::parse("dense-linear:3,4").unwrap();
+        assert_eq!(clusters.unwrap().len(), 12);
+        let (_, clusters) = Topology::parse("core-tail:4,3").unwrap();
+        assert_eq!(clusters.unwrap().len(), 7);
+        let (topo, clusters) = Topology::parse("unit-disk:16,0.5,7").unwrap();
+        assert_eq!((topo.graph().unwrap().n(), clusters), (16, None));
+        assert_eq!(topo, Topology::unit_disk(16, 0.5, 7).unwrap());
+        assert!(Topology::parse("moebius:4").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_sizes_before_building() {
+        // Past the cap — and far past it, where building would allocate
+        // 2^32 positions and loop over every pair — is refused up front.
+        for spec in ["unit-disk:16385,0.5,1", "unit-disk:4294967295,0.5,1", "unit-disk:0,0.5,1"] {
+            let err = Topology::parse(spec).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "bad topology descriptor: unit-disk: N must be in 1..=16384",
+                "{spec}"
+            );
+        }
+        for spec in [
+            "dense-linear:0,4",
+            "dense-linear:4097,1",
+            "dense-linear:4294967297,1",
+            "core-tail:0,1",
+            "core-tail:1,4097",
+            "dense-linear:3",
+            "unit-disk:4,0.5",
+            "unit-disk:4,x,1",
+            "dense-linear",
+        ] {
+            assert!(
+                matches!(Topology::parse(spec), Err(TopologyError::Descriptor { .. })),
+                "{spec}"
+            );
+        }
+        assert!(Topology::parse("core-tail:1,0").is_ok());
+    }
 
     #[test]
     fn resolve_matches_slot_truth_observed() {

@@ -26,12 +26,13 @@
 //! unit cache hit, served in one chunk-load pass.
 
 use crate::protocol::{read_line, ClientFrame, LineRead, ServerFrame, PROTOCOL_VERSION};
-use crate::work::{build_trial_fn, engine_mode_of};
+use crate::work;
 use jle_engine::RunReport;
 use jle_orchestrator::{
     engine_salt, CancelToken, Event, Fingerprint, Interrupted, Orchestrator, Reporter, ResultStore,
     WorkSpec, DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
 };
+use jle_protocols::ElectionParams;
 use jle_telemetry::{
     Counter, Gauge, Histogram, MetricRegistry, SpanGuard, SpanRecorder, TraceContext,
 };
@@ -254,6 +255,8 @@ struct JobInner {
 struct Job {
     key: String,
     spec: WorkSpec,
+    /// `spec.params`, decoded once at admission.
+    election: ElectionParams,
     trials: u64,
     /// Primary submitter, for fair-share accounting.
     client: u64,
@@ -429,8 +432,8 @@ struct Core {
 impl Core {
     /// The store key `run_job`'s orchestrator files `spec` under, so
     /// `accepted`/`result` frames name a real store entry.
-    fn fingerprint(&self, spec: &WorkSpec) -> String {
-        let salt = engine_salt(&self.config.salt, engine_mode_of(&spec.params));
+    fn fingerprint(&self, spec: &WorkSpec, election: &ElectionParams) -> String {
+        let salt = engine_salt(&self.config.salt, work::engine_mode(election));
         Fingerprint::of(spec, &salt, std::any::type_name::<RunReport>()).hex().to_string()
     }
 
@@ -504,10 +507,11 @@ impl Core {
                 retry_after_ms: 0,
             });
         }
-        if let Err(e) = build_trial_fn(&spec.params) {
-            return Some(ServerFrame::Error { id: req_id, reason: e.to_string() });
-        }
-        let key = self.fingerprint(&spec);
+        let election = match work::decode(&spec.params) {
+            Ok(election) => election,
+            Err(e) => return Some(ServerFrame::Error { id: req_id, reason: e.to_string() }),
+        };
+        let key = self.fingerprint(&spec, &election);
         let tracer = match trace {
             Some(ctx) => SpanRecorder::with_trace(ctx),
             None => SpanRecorder::disabled(),
@@ -602,6 +606,7 @@ impl Core {
         let job = Arc::new(Job {
             key: key.clone(),
             spec,
+            election,
             trials,
             client,
             cancel: CancelToken::new(),
@@ -814,7 +819,7 @@ impl Core {
         .chunk_size(self.config.chunk_size)
         .jobs(self.config.mc_jobs)
         .salt(self.config.salt.clone())
-        .engine_mode(engine_mode_of(&job.spec.params))
+        .engine_mode(work::engine_mode(&job.election))
         .cancel_token(job.cancel.clone())
         .metrics_registry(&self.registry)
         .tracer(job.tracer.clone())
@@ -824,45 +829,42 @@ impl Core {
             progress_every: self.config.progress_every,
         });
         let run_tracer = job.tracer.clone();
-        let outcome =
-            build_trial_fn(&job.spec.params).map_err(|e| e.to_string()).and_then(|trial_fn| {
-                // Kinds with a bit-identical batch backend run whole seed
-                // batches per slot-loop pass; everything else stays on the
-                // per-trial path. Either way the chunk layout, seeding,
-                // and fingerprints are identical, so results land in the
-                // same cache entries.
-                let batch_fn = crate::work::build_batch_fn(&job.spec.params).ok();
-                catch_unwind(AssertUnwindSafe(|| match &batch_fn {
-                    Some(batch_fn) => orch.try_run_trials_batched::<RunReport, _>(
-                        &job.spec,
-                        job.trials,
-                        |seeds| {
-                            let _run_span = run_tracer.child_span(
-                                "engine",
-                                format!("batch:{} seeds", seeds.len()),
-                                execute_span_id,
-                            );
-                            batch_fn(seeds)
-                        },
-                    ),
-                    None => orch.try_run_trials::<RunReport, _>(&job.spec, job.trials, |seed| {
-                        let _run_span = run_tracer.child_span(
-                            "engine",
-                            format!("run:seed={seed}"),
-                            execute_span_id,
-                        );
-                        trial_fn(seed)
-                    }),
-                }))
-                .map_err(|panic| {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "worker panicked".to_string());
-                    format!("trial panicked: {msg}")
+        // Kinds with a bit-identical batch backend run whole seed batches
+        // per slot-loop pass; everything else stays on the per-trial
+        // path. Either way the chunk layout, seeding, and fingerprints
+        // are identical, so results land in the same cache entries.
+        let batch_fn = work::batch_fn(&job.election).ok();
+        let outcome = catch_unwind(AssertUnwindSafe(|| match &batch_fn {
+            Some(batch_fn) => {
+                orch.try_run_trials_batched::<RunReport, _>(&job.spec, job.trials, |seeds| {
+                    let _run_span = run_tracer.child_span(
+                        "engine",
+                        format!("batch:{} seeds", seeds.len()),
+                        execute_span_id,
+                    );
+                    batch_fn(seeds)
                 })
-            });
+            }
+            None => {
+                let trial_fn = work::trial_fn(&job.election);
+                orch.try_run_trials::<RunReport, _>(&job.spec, job.trials, |seed| {
+                    let _run_span = run_tracer.child_span(
+                        "engine",
+                        format!("run:seed={seed}"),
+                        execute_span_id,
+                    );
+                    trial_fn(seed)
+                })
+            }
+        }))
+        .map_err(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_string());
+            format!("trial panicked: {msg}")
+        });
         self.m.execute_us.observe(executed_at.elapsed().as_micros() as u64);
         drop(execute_span);
         let wall_secs = job.submitted.elapsed().as_secs_f64();

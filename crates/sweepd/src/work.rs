@@ -7,20 +7,18 @@
 //! one the bench CLIs run locally for the same tree, because both sides
 //! address the same [`jle_orchestrator::ResultStore`] entries.
 //!
-//! That is why parsing is deliberately strict: a parameter tree with an
-//! unknown key (e.g. an experiment's private warm-start knob riding in
-//! `proto`) is rejected as [`WorkError::Unsupported`] instead of being
-//! ignored. Ignoring it would compute *something* under a fingerprint
-//! that promises something else — silent cache poisoning. Clients fall
-//! back to local computation for unsupported trees.
+//! The tree decodes through the one typed election spec,
+//! [`ElectionParams`], which the lens replays and the builders write
+//! too. Decoding is deliberately strict: a parameter tree with an unknown
+//! key (e.g. an experiment's private warm-start knob riding in `proto`),
+//! kind or protocol is rejected as [`WorkError::Unsupported`] instead of
+//! being ignored. Ignoring it would compute *something* under a
+//! fingerprint that promises something else — silent cache poisoning.
+//! Clients fall back to local computation for unsupported trees.
 
-use jle_adversary::AdversarySpec;
-use jle_engine::{
-    run_batch_uniform, run_cohort, run_fast_exact, PerStation, Protocol, RunReport, SimConfig,
-};
-use jle_protocols::{BackoffProtocol, LeskProtocol, LesuProtocol, WillardProtocol};
-use jle_radio::CdModel;
-use serde::{Deserialize, Value};
+use jle_engine::{run_batch_uniform, run_cohort, run_fast_exact, RunReport};
+use jle_protocols::{with_uniform_proto, ElectionKind, ElectionParams};
+use serde::Value;
 
 /// A reconstructed per-trial closure: seed → report.
 pub type TrialFn = Box<dyn Fn(u64) -> RunReport + Send + Sync>;
@@ -54,204 +52,106 @@ impl std::fmt::Display for WorkError {
 
 impl std::error::Error for WorkError {}
 
-fn keys_of(v: &Value) -> Vec<&str> {
-    v.as_map().map(|m| m.iter().map(|(k, _)| k.as_str()).collect()).unwrap_or_default()
-}
-
-fn check_keys(v: &Value, what: &str, allowed: &[&str]) -> Result<(), WorkError> {
-    for k in keys_of(v) {
-        if !allowed.contains(&k) {
-            return Err(WorkError::Unsupported(format!(
-                "{what}: unrecognized key `{k}` (server cannot guarantee faithful reconstruction)"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn req_u64(v: &Value, k: &str, what: &str) -> Result<u64, WorkError> {
-    v.get(k)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| WorkError::Invalid(format!("{what}: missing u64 `{k}`")))
-}
-
-fn req_f64(v: &Value, k: &str, what: &str) -> Result<f64, WorkError> {
-    v.get(k)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| WorkError::Invalid(format!("{what}: missing f64 `{k}`")))
-}
-
-/// The uniform election protocols both election kinds share; the small
-/// closed set keeps reconstruction honest (anything else is
-/// [`WorkError::Unsupported`]).
-#[derive(Debug, Clone, Copy)]
-enum ElectionProto {
-    Lesk(f64),
-    Lesu,
-    Backoff,
-    Willard,
-}
-
-/// The common election parameter tree: fields `n`, `cd`, `adv`,
-/// `max_slots`, and a `proto` subtree naming one uniform protocol.
-fn parse_election(
-    params: &Value,
-    what: &str,
-) -> Result<(SimConfig, AdversarySpec, ElectionProto), WorkError> {
-    check_keys(params, what, &["kind", "n", "cd", "adv", "max_slots", "proto"])?;
-
-    let n = req_u64(params, "n", what)?;
-    let max_slots = req_u64(params, "max_slots", what)?;
-    let cd_value =
-        params.get("cd").ok_or_else(|| WorkError::Invalid(format!("{what}: missing `cd`")))?;
-    let cd = CdModel::from_json_value(cd_value)
-        .map_err(|e| WorkError::Invalid(format!("{what}: bad `cd`: {e}")))?;
-    let adv_value =
-        params.get("adv").ok_or_else(|| WorkError::Invalid(format!("{what}: missing `adv`")))?;
-    let adv = AdversarySpec::from_json_value(adv_value)
-        .map_err(|e| WorkError::Invalid(format!("{what}: bad `adv`: {e}")))?;
-    let proto = params
-        .get("proto")
-        .ok_or_else(|| WorkError::Invalid(format!("{what}: missing `proto`")))?;
-    let name = proto
-        .get("proto")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WorkError::Invalid("proto: missing string `proto`".into()))?;
-    let proto = match name {
-        "lesk" => {
-            check_keys(proto, "proto:lesk", &["proto", "eps"])?;
-            ElectionProto::Lesk(req_f64(proto, "eps", "proto:lesk")?)
-        }
-        "lesu" => {
-            check_keys(proto, "proto:lesu", &["proto"])?;
-            ElectionProto::Lesu
-        }
-        "backoff" => {
-            check_keys(proto, "proto:backoff", &["proto"])?;
-            ElectionProto::Backoff
-        }
-        "willard" => {
-            check_keys(proto, "proto:willard", &["proto"])?;
-            ElectionProto::Willard
-        }
-        other => {
-            return Err(WorkError::Unsupported(format!("unknown election protocol `{other}`")))
-        }
-    };
-    Ok((SimConfig::new(n, cd).with_max_slots(max_slots), adv, proto))
-}
-
-fn station_factory(proto: ElectionProto) -> impl Fn(u64) -> Box<dyn Protocol> {
-    move |_| match proto {
-        ElectionProto::Lesk(eps) => Box::new(PerStation::new(LeskProtocol::new(eps))),
-        ElectionProto::Lesu => Box::new(PerStation::new(LesuProtocol::new())),
-        ElectionProto::Backoff => Box::new(PerStation::new(BackoffProtocol::new())),
-        ElectionProto::Willard => Box::new(PerStation::new(WillardProtocol::new())),
-    }
-}
-
-/// Turn a submitted parameter tree into a runnable trial closure.
+/// Decode a parameter tree into the election it names.
 ///
-/// Supported kinds, both over the election parameter tree (`n`, `cd`,
-/// `adv`, `max_slots`, `proto`):
+/// Supported kinds, both over the election tree (`n`, `cd`, `adv`,
+/// `max_slots`, `proto`):
 ///
 /// * `kind == "cohort_election"` — the O(1)-per-slot cohort engine, as
 ///   produced by `jle_bench::election_params`.
 /// * `kind == "exact_election"` — the same protocol run per-station
-///   through the fast-exact engine ([`run_fast_exact`] over
-///   [`PerStation`]); eligible for batched execution via
-///   [`build_batch_fn`].
+///   through the fast-exact engine ([`run_fast_exact`]); eligible for
+///   batched execution via [`batch_fn`].
 ///
 /// The `proto` subtree names one of the uniform protocols:
 ///
-/// * `{"proto": "lesk", "eps": ε}` — [`LeskProtocol::new`]
-/// * `{"proto": "lesu"}` — [`LesuProtocol::new`]
-/// * `{"proto": "backoff"}` — [`BackoffProtocol::new`]
-/// * `{"proto": "willard"}` — [`WillardProtocol::new`]
+/// * `{"proto": "lesk", "eps": ε}` — `LeskProtocol::new`
+/// * `{"proto": "lesu"}` — `LesuProtocol::new`
+/// * `{"proto": "backoff"}` — `BackoffProtocol::new`
+/// * `{"proto": "willard"}` — `WillardProtocol::new`
 ///
-/// Any extra key anywhere in the tree is [`WorkError::Unsupported`].
-pub fn build_trial_fn(params: &Value) -> Result<TrialFn, WorkError> {
-    let kind = params
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WorkError::Invalid("params: missing string `kind`".into()))?;
-    match kind {
-        "cohort_election" => {
-            let (config, adv, proto) = parse_election(params, "cohort_election")?;
-            Ok(match proto {
-                ElectionProto::Lesk(eps) => Box::new(move |seed| {
-                    run_cohort(&config.clone().with_seed(seed), &adv, || LeskProtocol::new(eps))
-                }),
-                ElectionProto::Lesu => Box::new(move |seed| {
-                    run_cohort(&config.clone().with_seed(seed), &adv, LesuProtocol::new)
-                }),
-                ElectionProto::Backoff => Box::new(move |seed| {
-                    run_cohort(&config.clone().with_seed(seed), &adv, BackoffProtocol::new)
-                }),
-                ElectionProto::Willard => Box::new(move |seed| {
-                    run_cohort(&config.clone().with_seed(seed), &adv, WillardProtocol::new)
-                }),
+/// Any extra key anywhere in the tree, and any other kind or protocol, is
+/// [`WorkError::Unsupported`]; a missing or ill-typed field is
+/// [`WorkError::Invalid`].
+pub fn decode(params: &Value) -> Result<ElectionParams, WorkError> {
+    ElectionParams::decode(params).map_err(|e| {
+        if e.is_unknown() {
+            WorkError::Unsupported(e.to_string())
+        } else {
+            WorkError::Invalid(e.to_string())
+        }
+    })
+}
+
+/// The per-trial closure of a decoded election.
+pub fn trial_fn(election: &ElectionParams) -> TrialFn {
+    let (config, adv) = (election.config(), election.adv.clone());
+    match election.kind {
+        ElectionKind::Cohort => with_uniform_proto!(election.proto, make => Box::new(
+            move |seed| run_cohort(&config.clone().with_seed(seed), &adv, make)
+        )),
+        ElectionKind::Exact => {
+            let proto = election.proto;
+            Box::new(move |seed| {
+                run_fast_exact(&config.clone().with_seed(seed), &adv, proto.station_factory())
             })
         }
-        "exact_election" => {
-            let (config, adv, proto) = parse_election(params, "exact_election")?;
-            Ok(Box::new(move |seed| {
-                run_fast_exact(&config.clone().with_seed(seed), &adv, station_factory(proto))
-            }))
-        }
-        other => Err(WorkError::Unsupported(format!("unknown work kind `{other}`"))),
     }
 }
 
-/// Turn a parameter tree into a batch closure, when the kind has a
-/// batch backend whose per-trial output is bit-identical to its
-/// [`TrialFn`].
+/// The batch closure of a decoded election, when its kind has a batch
+/// backend whose per-trial output is bit-identical to its [`TrialFn`].
 ///
-/// Only `kind == "exact_election"` qualifies today: its per-trial path is
-/// the fast-exact engine, and `jle_engine::run_batch_uniform` is
+/// Only `exact_election` qualifies today: its per-trial path is the
+/// fast-exact engine, and `jle_engine::run_batch_uniform` is
 /// bit-identical to it, so batched chunks and per-trial chunks address
 /// the same cache entries. `cohort_election` is deliberately refused —
 /// cohort bits are *not* fast-exact bits, and routing them through the
 /// batch backend would cache different results under the same
 /// fingerprint (silent poisoning).
-pub fn build_batch_fn(params: &Value) -> Result<BatchFn, WorkError> {
-    let kind = params
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WorkError::Invalid("params: missing string `kind`".into()))?;
-    match kind {
-        "exact_election" => {
-            let (config, adv, proto) = parse_election(params, "exact_election")?;
-            Ok(match proto {
-                ElectionProto::Lesk(eps) => Box::new(move |seeds: &[u64]| {
-                    run_batch_uniform(&config, &adv, seeds, || LeskProtocol::new(eps))
-                }),
-                ElectionProto::Lesu => Box::new(move |seeds: &[u64]| {
-                    run_batch_uniform(&config, &adv, seeds, LesuProtocol::new)
-                }),
-                ElectionProto::Backoff => Box::new(move |seeds: &[u64]| {
-                    run_batch_uniform(&config, &adv, seeds, BackoffProtocol::new)
-                }),
-                ElectionProto::Willard => Box::new(move |seeds: &[u64]| {
-                    run_batch_uniform(&config, &adv, seeds, WillardProtocol::new)
-                }),
-            })
+pub fn batch_fn(election: &ElectionParams) -> Result<BatchFn, WorkError> {
+    match election.kind {
+        ElectionKind::Exact => {
+            let (config, adv) = (election.config(), election.adv.clone());
+            Ok(with_uniform_proto!(election.proto, make => Box::new(
+                move |seeds: &[u64]| run_batch_uniform(&config, &adv, seeds, make)
+            )))
         }
-        "cohort_election" => Err(WorkError::Unsupported(
+        ElectionKind::Cohort => Err(WorkError::Unsupported(
             "cohort_election has no batch backend: cohort bits are not fast-exact bits, and \
              aliasing them would poison the shared cache"
                 .into(),
         )),
-        other => Err(WorkError::Unsupported(format!("unknown work kind `{other}`"))),
     }
 }
 
-/// The orchestrator engine-mode tag under which a tree's results are
-/// cached. `exact_election` results live under the `fast-exact` salt —
+/// The orchestrator engine-mode tag under which an election's results
+/// are cached. `exact_election` results live under the `fast-exact` salt —
 /// whether computed per-trial or batched, the bits are the fast-exact
 /// engine's, so both routes share warm caches with fast-exact sweeps.
-/// Everything else stays on the default salt, leaving existing cohort
+/// Cohort elections stay on the default salt, leaving existing cohort
 /// caches untouched.
+pub fn engine_mode(election: &ElectionParams) -> &'static str {
+    match election.kind {
+        ElectionKind::Exact => "fast-exact",
+        ElectionKind::Cohort => "exact",
+    }
+}
+
+/// Turn a submitted parameter tree into a runnable trial closure
+/// ([`decode`], then [`trial_fn`]).
+pub fn build_trial_fn(params: &Value) -> Result<TrialFn, WorkError> {
+    decode(params).map(|election| trial_fn(&election))
+}
+
+/// Turn a parameter tree into a batch closure ([`decode`], then
+/// [`batch_fn`]).
+pub fn build_batch_fn(params: &Value) -> Result<BatchFn, WorkError> {
+    batch_fn(&decode(params)?)
+}
+
+/// [`engine_mode`] of a parameter tree, read from its `kind` alone:
+/// anything but an `exact_election` stays on the default salt.
 pub fn engine_mode_of(params: &Value) -> &'static str {
     match params.get("kind").and_then(Value::as_str) {
         Some("exact_election") => "fast-exact",
@@ -263,12 +163,16 @@ pub fn engine_mode_of(params: &Value) -> &'static str {
 /// the client-side routing predicate behind the bench CLIs' `--server`
 /// mode (supported trees go to the service, the rest run locally).
 pub fn is_supported(params: &Value) -> bool {
-    build_trial_fn(params).is_ok()
+    decode(params).is_ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jle_adversary::AdversarySpec;
+    use jle_engine::SimConfig;
+    use jle_protocols::LeskProtocol;
+    use jle_radio::CdModel;
     use serde::Serialize;
     use serde_json::json;
 
@@ -435,5 +339,76 @@ mod tests {
             build_trial_fn(&params(json!({"proto": "arss"}))),
             Err(WorkError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn unknown_keys_inside_adv_are_unsupported() {
+        // The adversary's budget and every strategy's parameters are
+        // strict too: a knob the server does not know is never dropped.
+        let mut adv = AdversarySpec::passive().to_json_value();
+        if let Value::Map(m) = &mut adv {
+            m.push(("future_knob".into(), json!(7u64)));
+        }
+        let mut p = params(json!({"proto": "lesu"}));
+        if let Value::Map(m) = &mut p {
+            m.retain(|(k, _)| k != "adv");
+            m.push(("adv".into(), adv));
+        }
+        assert!(matches!(build_trial_fn(&p), Err(WorkError::Unsupported(_))));
+        assert!(!is_supported(&p));
+        let random = json!({"eps": {"num": 2147483648u64}, "t_window": 8u64,
+            "kind": {"Random": {"prob": 0.5f64, "seed_knob": 1u64}}});
+        let mut p = exact_params(json!({"proto": "lesu"}));
+        if let Value::Map(m) = &mut p {
+            m.retain(|(k, _)| k != "adv");
+            m.push(("adv".into(), random));
+        }
+        assert!(matches!(build_batch_fn(&p), Err(WorkError::Unsupported(_))));
+    }
+
+    #[test]
+    fn typed_trees_keep_their_cache_keys() {
+        // Canonical JSON and fingerprints recorded from the hand-built
+        // `json!` trees the bench CLIs submitted before the typed spec:
+        // the typed value must address the same store entries.
+        use jle_adversary::{JamStrategyKind, Rate};
+        use jle_orchestrator::{canonical_json, engine_salt, Fingerprint, WorkSpec};
+        use jle_protocols::{ElectionKind, ProtoParams};
+        let cohort = ElectionParams {
+            kind: ElectionKind::Cohort,
+            n: 64,
+            cd: CdModel::Strong,
+            adv: AdversarySpec::new(Rate::from_f64(0.5), 32, JamStrategyKind::Saturating),
+            max_slots: 100_000,
+            proto: ProtoParams::Lesk { eps: 0.5 },
+        };
+        let exact = ElectionParams {
+            kind: ElectionKind::Exact,
+            n: 256,
+            cd: CdModel::Weak,
+            adv: AdversarySpec::passive(),
+            max_slots: 50_000,
+            proto: ProtoParams::Lesu,
+        };
+        let pinned = [
+            (
+                cohort,
+                r#"{"base_seed":11,"experiment":"e2","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":100000,"n":64,"proto":{"eps":0.5,"proto":"lesk"}},"point":"n=64"}"#,
+                "2d3bbcaf8c75ebf591d378bec7713fdb024d77aed4a860c85d56a70a9d3f74cb",
+            ),
+            (
+                exact,
+                r#"{"base_seed":11,"experiment":"e2","params":{"adv":{"eps":{"num":2147483648},"kind":"None","t_window":1},"cd":"Weak","kind":"exact_election","max_slots":50000,"n":256,"proto":{"proto":"lesu"}},"point":"n=64"}"#,
+                "6263fb9d2f2f368b294da7c0ae5c3763eb6c7d24b4b78634dd8fce1125546237",
+            ),
+        ];
+        for (election, canon, hex) in pinned {
+            let spec = WorkSpec::new("e2", "n=64", election.to_json_value(), 11);
+            assert_eq!(canonical_json(&spec.to_value()), canon);
+            let salt = engine_salt(jle_orchestrator::DEFAULT_CODE_SALT, engine_mode(&election));
+            let fp = Fingerprint::of(&spec, &salt, std::any::type_name::<RunReport>());
+            assert_eq!(fp.hex(), hex);
+            assert_eq!(engine_mode_of(&spec.params), engine_mode(&election));
+        }
     }
 }
