@@ -437,6 +437,20 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_on_a_unit_jammer_is_refused() {
+        let mut v = cohort_params();
+        if let Value::Map(m) = &mut v {
+            m.retain(|(k, _)| k != "adv");
+            m.push((
+                "adv".into(),
+                json!({"eps": {"num": 2147483648u64}, "t_window": 8u64,
+                    "kind": {"None": {"future_knob": 7u64}}}),
+            ));
+        }
+        assert!(matches!(LensSpec::from_params(&v), Err(SpecError::Invalid(_))));
+    }
+
+    #[test]
     fn run_tree_round_trips_through_to_params() {
         let v = json!({
             "kind": "election_run",

@@ -438,7 +438,9 @@ fn enums_and_attributes_decode_identically() {
     for text in texts {
         agree_all(text);
     }
-    assert!(agree::<Shape>(r#"{"Unit":[1,{"a":2}]}"#));
+    // A unit variant takes `null` as its payload and nothing else.
+    assert!(agree::<Shape>(r#"{"Unit":null}"#));
+    assert!(!agree::<Shape>(r#"{"Unit":[1,{"a":2}]}"#));
     assert!(!agree::<Shape>(r#"{"Unit":null,"New":1}"#));
     let knobs: Knobs = serde_json::from_str(r#"{"id":1,"cache":[1,2],"shapes":[]}"#).unwrap();
     assert!(knobs.cache.is_empty(), "a skipped field stays at its default");

@@ -367,6 +367,28 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_on_a_unit_jammer_is_invalid() {
+        // `{"None": payload}` is not the passive jammer: the payload is
+        // ill-typed, so the submission is `Invalid`, not an unknown key.
+        let adv = json!({"eps": {"num": 2147483648u64}, "t_window": 8u64,
+            "kind": {"None": {"future_knob": 7u64}}});
+        let mut p = params(json!({"proto": "lesu"}));
+        if let Value::Map(m) = &mut p {
+            m.retain(|(k, _)| k != "adv");
+            m.push(("adv".into(), adv));
+        }
+        assert!(matches!(build_trial_fn(&p), Err(WorkError::Invalid(_))));
+        assert!(!is_supported(&p));
+        // `{"None": null}` is the passive jammer.
+        let adv = json!({"eps": {"num": 2147483648u64}, "t_window": 8u64, "kind": {"None": null}});
+        if let Value::Map(m) = &mut p {
+            m.retain(|(k, _)| k != "adv");
+            m.push(("adv".into(), adv));
+        }
+        assert!(build_trial_fn(&p).is_ok());
+    }
+
+    #[test]
     fn typed_trees_keep_their_cache_keys() {
         // Canonical JSON and fingerprints recorded from the hand-built
         // `json!` trees the bench CLIs submitted before the typed spec:
