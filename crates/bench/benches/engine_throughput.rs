@@ -8,7 +8,8 @@
 //! station/buffer allocations the arena amortizes away.
 //!
 //! `warm_path` times the two non-engine layers a warm re-run spends its
-//! time in: the bootstrap median CI and the store's chunk decode.
+//! time in: the bootstrap median CI and the store's chunk decode, plus
+//! the JSON tokenizer on its own (`validate_reports`).
 //! `sweepd_frames` times the deliver layer of a `jle-sweepd` cache hit:
 //! rendering one result frame and parsing it back into reports.
 
@@ -26,7 +27,7 @@ use jle_radio::{CdModel, ChannelState};
 use jle_sweepd::{ServerFrame, SweepOutcome};
 use jle_telemetry::MetricRegistry;
 use serde::Serialize;
-use serde_json::value::to_raw_value;
+use serde_json::value::{to_raw_value, RawValue};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -385,6 +386,11 @@ fn bench_warm_path(c: &mut Criterion) {
             let tree: serde::Value = serde_json::from_str(black_box(&text)).unwrap();
             black_box(<Vec<RunReport> as serde::Deserialize>::from_json_value(&tree).unwrap())
         })
+    });
+    // Validating the same array into a `RawValue`, as a client checks a
+    // result frame's payload: the tokenizer alone, no report is built.
+    group.bench_function(BenchmarkId::new("validate_reports", DECODE_TRIALS), |b| {
+        b.iter(|| black_box(serde_json::from_str::<Box<RawValue>>(black_box(&text)).unwrap()))
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
