@@ -162,8 +162,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
     //   for the full slot budget on the degenerate `p == 1.0` word path,
     //   so both arms do K × SLOTS slots of work and the ratio is pure
     //   backend overhead. No per-station draw runs here; the acceptance
-    //   bar (>= 10x) is gated by `bench_gate --batch-speedup-threshold`
-    //   and recorded in results/BENCH.json.
+    //   bar (>= 10x) is gated by `bench_gate`'s fixed batch_speedup
+    //   floor and recorded in results/BENCH.json.
     // * `lesk_per_trial` / `lesk_batch`: LESK (ε = 0.5) at n = 256 under
     //   saturating jamming, run to resolution — the shape of a sweepd
     //   fresh `exact_election` unit. Nearly every slot has 0 < p < 1, so

@@ -289,7 +289,7 @@ fn arms() -> Vec<Arm> {
         // degenerate p == 1.0 word path) run one at a time through the
         // fast-exact backend and as one SoA batch. The pair gates
         // *against each other* in `main`: the batch arm must be at least
-        // --batch-speedup-threshold times faster per trial set.
+        // BATCH_SPEEDUP_FLOOR times faster per trial set.
         Arm {
             group: "batch_speedup",
             name: "per_trial/1024",
@@ -351,26 +351,30 @@ fn baseline_ns(latest: &serde_json::Value, group: &str, arm: &str) -> Option<f64
     latest.get("groups")?.get(group)?.get("results")?.get(arm)?.get("ns_per_iter")?.as_f64()
 }
 
+/// Allowed overhead of the churn wrapper + idle split-brain observer
+/// over the pristine exact run (same-process A/B pair).
+const CHURN_OVERHEAD_LIMIT: f64 = 0.02;
+
+/// Allowed overhead of the idle lens hooks (attached non-probing
+/// observer + disabled span recorder) over the bare exact run
+/// (same-process A/B pair).
+const LENS_OVERHEAD_LIMIT: f64 = 0.02;
+
+/// Minimum throughput ratio of the batched backend over the per-trial
+/// fast-exact loop on the same 256-trial workload (same-process A/B
+/// pair).
+const BATCH_SPEEDUP_FLOOR: f64 = 10.0;
+
+/// Latency budget for a warm-cache submission through an in-process
+/// `jle-sweepd` service (socket round-trips + scheduling + cache
+/// replay), in milliseconds.
+const SWEEPD_BUDGET_MS: f64 = 50.0;
+
 struct Cli {
     threshold: f64,
     samples: u32,
     normalize: bool,
     baseline: String,
-    /// Allowed overhead of the churn wrapper + idle split-brain observer
-    /// over the pristine exact run (same-process A/B pair).
-    churn_overhead_threshold: f64,
-    /// Allowed overhead of the idle lens hooks (attached non-probing
-    /// observer + disabled span recorder) over the bare exact run
-    /// (same-process A/B pair).
-    lens_overhead_threshold: f64,
-    /// Latency budget for a warm-cache submission through an in-process
-    /// `jle-sweepd` service (socket round-trips + scheduling + cache
-    /// replay), in milliseconds.
-    sweepd_budget_ms: f64,
-    /// Minimum throughput ratio of the batched backend over the
-    /// per-trial fast-exact loop on the same 256-trial workload
-    /// (same-process A/B pair; the PR's acceptance floor).
-    batch_speedup_threshold: f64,
 }
 
 /// Same-run A/B pair for the sweepd service path: one work unit computed
@@ -379,7 +383,7 @@ struct Cli {
 /// loopback. Returns best-of-`samples` ns/iter for (direct, server).
 ///
 /// The pair has no recorded baseline — the direct arm is this machine's
-/// own yardstick — so the gate is the absolute `--sweepd-budget-ms`
+/// own yardstick — so the gate is the absolute [`SWEEPD_BUDGET_MS`]
 /// bound on the server arm, not a BENCH.json comparison.
 fn measure_sweepd_overhead(samples: u32) -> std::io::Result<(f64, f64)> {
     use jle_engine::SimConfig;
@@ -442,26 +446,64 @@ fn measure_sweepd_overhead(samples: u32) -> std::io::Result<(f64, f64)> {
     Ok((direct_ns, server_ns))
 }
 
+/// A same-run gate's bound on the ratio `ns(num) / ns(den)` of its arms.
+enum Bound {
+    /// The ratio may exceed 1 by at most this fraction.
+    Overhead(f64),
+    /// The ratio must be at least this factor.
+    Speedup(f64),
+}
+
+/// Same-run A/B gate over arms `group/num` and `group/den`: both were
+/// measured in this process, so their ratio needs no machine-speed
+/// normalization. Prints one verdict line and returns whether the pair
+/// holds `bound`; a pair with an unmeasured arm is skipped.
+fn same_run_gate(
+    rows: &[(String, f64, Option<f64>)],
+    label: &str,
+    group: &str,
+    num: &str,
+    den: &str,
+    bound: Bound,
+) -> bool {
+    let ns = |name: &str| {
+        let want = format!("{group}/{name}");
+        rows.iter().find(|(label, _, _)| *label == want).map(|(_, ns, _)| *ns)
+    };
+    let (Some(num), Some(den)) = (ns(num), ns(den)) else {
+        return true;
+    };
+    let ratio = num / den;
+    let (ok, shown) = match bound {
+        Bound::Overhead(limit) => {
+            let overhead = ratio - 1.0;
+            (
+                overhead <= limit,
+                format!("{:>+7.1}%   (limit {:.0}%)", overhead * 100.0, limit * 100.0),
+            )
+        }
+        Bound::Speedup(floor) => (ratio >= floor, format!("{ratio:>7.1}x   (floor {floor:.0}x)")),
+    };
+    println!("{label:<41}{shown}   {}", if ok { "ok" } else { "FAIL" });
+    ok
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: bench_gate [--threshold <frac>] [--samples <n>] [--normalize] \
-         [--baseline <path>] [--churn-overhead-threshold <frac>]\n\
-         [--lens-overhead-threshold <frac>] [--sweepd-budget-ms <ms>]\n\
-         [--batch-speedup-threshold <ratio>]\n\n\
+         [--baseline <path>]\n\n\
          Fails (exit 1) when a measured engine_throughput arm regresses more\n\
          than <frac> (default 0.10) against the newest results/BENCH.json\n\
          entry. --normalize gates each arm against the median measured/recorded\n\
          ratio instead of the raw ratio, absorbing uniform machine-speed\n\
-         differences (use in CI). The churn_overhead pair additionally gates\n\
-         the disabled open-world stack against its same-run pristine twin\n\
-         (default limit 0.02), the lens_overhead pair gates the idle\n\
-         tracing/probe hooks the same way (default limit 0.02), and the\n\
-         sweepd_overhead pair submits a warm-cache\n\
-         unit through an in-process jle-sweepd and gates the round-trip\n\
-         against --sweepd-budget-ms (default 50). The batch_speedup pair\n\
+         differences (use in CI). Fixed same-run gates ride along: the\n\
+         churn_overhead pair gates the disabled open-world stack against its\n\
+         pristine twin (limit 2%), the lens_overhead pair gates the idle\n\
+         tracing/probe hooks the same way (limit 2%), the batch_speedup pair\n\
          runs the same 256 election-scale trials per-trial and batched and\n\
-         fails unless the batched backend is at least\n\
-         --batch-speedup-threshold (default 10) times faster."
+         fails unless the batched backend is at least 10x faster, and the\n\
+         sweepd_overhead pair submits a warm-cache unit through an in-process\n\
+         jle-sweepd and fails when the round-trip exceeds 50 ms."
     );
     std::process::exit(2);
 }
@@ -472,10 +514,6 @@ fn parse_args(args: &[String]) -> Cli {
         samples: 5,
         normalize: false,
         baseline: "results/BENCH.json".into(),
-        churn_overhead_threshold: 0.02,
-        lens_overhead_threshold: 0.02,
-        sweepd_budget_ms: 50.0,
-        batch_speedup_threshold: 10.0,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -502,40 +540,6 @@ fn parse_args(args: &[String]) -> Cli {
             },
             "--normalize" => cli.normalize = true,
             "--baseline" => cli.baseline = value("--baseline"),
-            "--churn-overhead-threshold" => {
-                match value("--churn-overhead-threshold").parse::<f64>() {
-                    Ok(t) if t > 0.0 => cli.churn_overhead_threshold = t,
-                    _ => {
-                        eprintln!("error: --churn-overhead-threshold expects a positive fraction");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--lens-overhead-threshold" => {
-                match value("--lens-overhead-threshold").parse::<f64>() {
-                    Ok(t) if t > 0.0 => cli.lens_overhead_threshold = t,
-                    _ => {
-                        eprintln!("error: --lens-overhead-threshold expects a positive fraction");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--batch-speedup-threshold" => {
-                match value("--batch-speedup-threshold").parse::<f64>() {
-                    Ok(t) if t > 0.0 => cli.batch_speedup_threshold = t,
-                    _ => {
-                        eprintln!("error: --batch-speedup-threshold expects a positive ratio");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--sweepd-budget-ms" => match value("--sweepd-budget-ms").parse::<f64>() {
-                Ok(t) if t > 0.0 => cli.sweepd_budget_ms = t,
-                _ => {
-                    eprintln!("error: --sweepd-budget-ms expects a positive number");
-                    std::process::exit(2);
-                }
-            },
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("error: unknown argument {other}");
@@ -616,83 +620,47 @@ fn main() {
         }
     }
 
-    // Same-run A/B gate: the open-world stack, fully disabled (empty
-    // churn plan + idle split-brain observer), must be nearly free next
-    // to the pristine exact run measured in the *same* process.
-    let arm_ns = |name: &str| {
-        rows.iter()
-            .find(|(label, _, _)| label == &format!("churn_overhead/{name}"))
-            .map(|(_, ns, _)| *ns)
-    };
-    if let (Some(pristine), Some(wrapped)) = (arm_ns("pristine/1024"), arm_ns("empty_plan/1024")) {
-        let overhead = wrapped / pristine - 1.0;
-        let verdict = if overhead > cli.churn_overhead_threshold {
-            failed = true;
-            "FAIL"
-        } else {
-            "ok"
-        };
-        println!(
-            "churn_overhead (disabled path)           {overhead:>+7.1}%   (limit {:.0}%)   {verdict}",
-            cli.churn_overhead_threshold * 100.0,
-            overhead = overhead * 100.0,
-        );
-    }
-
-    // Same-run A/B gate for the lens hooks' disabled path: an attached
-    // observer that declines probes plus a disabled span recorder must
-    // be nearly free next to the bare exact run from the same process.
-    let lens_ns = |name: &str| {
-        rows.iter()
-            .find(|(label, _, _)| label == &format!("lens_overhead/{name}"))
-            .map(|(_, ns, _)| *ns)
-    };
-    if let (Some(bare), Some(idle)) = (lens_ns("bare/1024"), lens_ns("hooks_idle/1024")) {
-        let overhead = idle / bare - 1.0;
-        let verdict = if overhead > cli.lens_overhead_threshold {
-            failed = true;
-            "FAIL"
-        } else {
-            "ok"
-        };
-        println!(
-            "lens_overhead (disabled path)            {overhead:>+7.1}%   (limit {:.0}%)   {verdict}",
-            cli.lens_overhead_threshold * 100.0,
-            overhead = overhead * 100.0,
-        );
-    }
-
-    // Same-run A/B gate for the batched backend: the SoA lockstep pass
-    // over 256 election-scale trials must beat the per-trial fast-exact
-    // loop on the same workload by at least the acceptance floor. Ratio
-    // of same-process measurements — no machine-speed normalization.
-    let batch_ns = |name: &str| {
-        rows.iter()
-            .find(|(label, _, _)| label == &format!("batch_speedup/{name}"))
-            .map(|(_, ns, _)| *ns)
-    };
-    if let (Some(per_trial), Some(batched)) = (batch_ns("per_trial/1024"), batch_ns("batch/1024")) {
-        let speedup = per_trial / batched;
-        let verdict = if speedup < cli.batch_speedup_threshold {
-            failed = true;
-            "FAIL"
-        } else {
-            "ok"
-        };
-        println!(
-            "batch_speedup (256 trials, n=1024)       {speedup:>7.1}x   (floor {:.0}x)   {verdict}",
-            cli.batch_speedup_threshold,
-        );
+    // Same-run A/B gates. The open-world stack, fully disabled (empty
+    // churn plan + idle split-brain observer), and the lens hooks'
+    // disabled path (an attached observer that declines probes plus a
+    // disabled span recorder) must each be nearly free next to the bare
+    // exact run; the SoA lockstep pass over 256 election-scale trials
+    // must beat the per-trial fast-exact loop on the same workload.
+    let gates = [
+        (
+            "churn_overhead (disabled path)",
+            "churn_overhead",
+            "empty_plan/1024",
+            "pristine/1024",
+            Bound::Overhead(CHURN_OVERHEAD_LIMIT),
+        ),
+        (
+            "lens_overhead (disabled path)",
+            "lens_overhead",
+            "hooks_idle/1024",
+            "bare/1024",
+            Bound::Overhead(LENS_OVERHEAD_LIMIT),
+        ),
+        (
+            "batch_speedup (256 trials, n=1024)",
+            "batch_speedup",
+            "per_trial/1024",
+            "batch/1024",
+            Bound::Speedup(BATCH_SPEEDUP_FLOOR),
+        ),
+    ];
+    for (label, group, num, den, bound) in gates {
+        failed |= !same_run_gate(&rows, label, group, num, den, bound);
     }
 
     // Absolute-budget gate: a warm-cache submission through the resident
     // service (loopback round-trips + admission + scheduling + replay)
-    // must land within --sweepd-budget-ms. The same-run direct arm is
+    // must land within SWEEPD_BUDGET_MS. The same-run direct arm is
     // printed next to it so the service's markup is visible.
     match measure_sweepd_overhead(cli.samples) {
         Ok((direct_ns, server_ns)) => {
             let server_ms = server_ns / 1e6;
-            let verdict = if server_ms > cli.sweepd_budget_ms {
+            let verdict = if server_ms > SWEEPD_BUDGET_MS {
                 failed = true;
                 "FAIL"
             } else {
@@ -701,8 +669,7 @@ fn main() {
             println!("sweepd_overhead/direct_warm  {direct_ns:>12.0} ns/iter   (yardstick)");
             println!(
                 "sweepd_overhead/server_warm  {server_ns:>12.0} ns/iter   \
-                 {server_ms:.2} ms (budget {:.0} ms)   {verdict}",
-                cli.sweepd_budget_ms
+                 {server_ms:.2} ms (budget {SWEEPD_BUDGET_MS:.0} ms)   {verdict}"
             );
         }
         Err(e) => {

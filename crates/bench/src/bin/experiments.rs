@@ -70,9 +70,7 @@ fn usage() -> ! {
          --engine <mode>    exact backend for per-station experiments:\n                     \
          exact (default) | fast-exact (active-set loop, counter-based\n                     \
          per-station streams; statistically equivalent, different bits —\n                     \
-         cache keys are tagged so results never alias) | batch\n                     \
-         (SoA lockstep backend; bit-identical to fast-exact, so it\n                     \
-         shares the fast-exact cache salt)\n  \
+         cache keys are tagged so results never alias)\n  \
          --server <ep>      route supported cohort-election units through a\n                     \
          resident jle-sweepd service (tcp:HOST:PORT or unix:PATH);\n                     \
          unsupported units fall back to local execution"
@@ -147,7 +145,7 @@ fn parse_args(args: &[String]) -> Cli {
             "--engine" => {
                 let v = value("--engine");
                 cli.engine = EngineMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("error: --engine expects exact | fast-exact | batch, got {v:?}");
+                    eprintln!("error: --engine expects exact | fast-exact, got {v:?}");
                     std::process::exit(2);
                 });
             }
@@ -202,10 +200,8 @@ fn build_orchestrator(cli: &Cli, registry: &MetricRegistry, tracer: &SpanRecorde
     }
     // Tag cache keys with the backend: fast-exact results are
     // statistically equivalent but bit-different, so they must never be
-    // served for (or overwrite) exact-mode entries. Batch aliases the
-    // fast-exact tag — its trials are bit-identical, so the two modes
-    // share one warm cache (DESIGN.md §17).
-    orch = orch.engine_mode(cli.engine.cache_tag());
+    // served for (or overwrite) exact-mode entries.
+    orch = orch.engine_mode(cli.engine.label());
     orch.metrics_registry(registry).tracer(tracer.clone())
 }
 

@@ -3,8 +3,8 @@
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{Figure, Summary, Table};
 use jle_engine::{
-    run_batch_exact_with, run_cohort, run_exact, run_fast_exact, Protocol, RunReport, SimConfig,
-    SlotCost, UniformProtocol,
+    run_cohort, run_exact, run_fast_exact, Protocol, RunReport, SimConfig, SlotCost,
+    UniformProtocol,
 };
 use jle_orchestrator::{Orchestrator, WorkSpec};
 use jle_radio::CdModel;
@@ -100,43 +100,24 @@ pub enum EngineMode {
     /// The active-set backend with counter-based per-station streams
     /// ([`jle_engine::run_fast_exact`]): O(awake) per slot.
     FastExact,
-    /// The batched SoA lockstep backend
-    /// ([`jle_engine::run_batch_exact`]): bit-identical per trial to
-    /// [`EngineMode::FastExact`] (DESIGN.md §17), so it shares the
-    /// fast-exact cache tag instead of carrying its own.
-    Batch,
 }
 
 impl EngineMode {
-    /// Parse the CLI spelling (`exact` | `fast-exact` | `batch`).
+    /// Parse the CLI spelling (`exact` | `fast-exact`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "exact" => Some(EngineMode::Exact),
             "fast-exact" => Some(EngineMode::FastExact),
-            "batch" => Some(EngineMode::Batch),
             _ => None,
         }
     }
 
-    /// The CLI spelling.
+    /// The CLI spelling, which is also the cache-key tag
+    /// ([`jle_orchestrator::Orchestrator::engine_mode`]).
     pub fn label(self) -> &'static str {
         match self {
             EngineMode::Exact => "exact",
             EngineMode::FastExact => "fast-exact",
-            EngineMode::Batch => "batch",
-        }
-    }
-
-    /// The cache-key tag ([`jle_orchestrator::Orchestrator::engine_mode`]).
-    ///
-    /// `Batch` deliberately aliases the fast-exact salt: its per-trial
-    /// reports are bit-identical (the `batch-identity` CI job's
-    /// contract), so batched and per-trial sweeps warm each other's
-    /// caches instead of forking the store into twin populations.
-    pub fn cache_tag(self) -> &'static str {
-        match self {
-            EngineMode::Exact => "exact",
-            EngineMode::FastExact | EngineMode::Batch => "fast-exact",
         }
     }
 }
@@ -242,16 +223,6 @@ impl ExpContext {
         match self.engine {
             EngineMode::Exact => run_exact(config, adv, factory),
             EngineMode::FastExact => run_fast_exact(config, adv, factory),
-            // A width-1 batch: the per-trial seed authority is the
-            // explicit slice, which here is the config's own seed.
-            EngineMode::Batch => {
-                let mut factory = factory;
-                run_batch_exact_with(config, adv, &[config.seed], |_trial, station| {
-                    factory(station)
-                })
-                .pop()
-                .expect("one seed yields one report")
-            }
         }
     }
 

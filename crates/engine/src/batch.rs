@@ -9,11 +9,10 @@
 //! couples one trial's randomness to another's — K trials of the same
 //! experiment can advance through the *same* slot loop together:
 //!
-//! * **Structure-of-arrays state.** Protocol states live in one
-//!   `[station-major × trial]` vector; per-station trial membership
-//!   (awake / engaged / finished / transmitted / asleep) lives in
-//!   bitplanes where one `u64` word covers 64 trials, so the per-slot
-//!   bookkeeping walks words, not stations × trials.
+//! * **Structure-of-arrays state.** Per-station trial membership
+//!   (running / leader) lives in bitplanes where one `u64` word covers
+//!   64 trials, so the per-slot bookkeeping walks words, not stations ×
+//!   trials.
 //! * **One pass per slot.** Station iteration, `station_key` material
 //!   ([`slot_material`] is mixed once per slot for the whole batch), and
 //!   protocol-state touching amortize across every live trial.
@@ -25,48 +24,35 @@
 //! **Bit-identity contract:** trial `k` of a batch over `seeds` produces
 //! exactly the [`RunReport`] of
 //! `run_fast_exact(&config.with_seed(seeds[k]), …)`. The `seed` field of
-//! the config handed to the batch entry points is *ignored* — the seed
+//! the config handed to the batch entry point is *ignored* — the seed
 //! slice is the per-trial authority. The fast backend's awake-prefix
 //! permutation order is unobservable (all of its per-slot effects are
 //! set-level: transmitter counts, lone-transmitter identity, per-station
 //! feedback independence, min-id estimates, sorted leader lists), which
-//! is what lets the batch backend fuse the two feedback passes and walk
-//! stations in id order while staying on the fast backend's exact bits.
-//! Because the bits agree, batch results may share the fast backend's
-//! cache entries (the orchestrator aliases the engine salt — see
-//! `DESIGN.md` §17).
+//! is what lets the batch backend walk stations in id order while
+//! staying on the fast backend's exact bits. Because the bits agree,
+//! batch results may share the fast backend's cache entries (the
+//! orchestrator aliases the engine salt — see `DESIGN.md` §17).
 //!
 //! Each trial is one lane of the core ([`crate::core`]): the adversary,
 //! noise, truth, energy, trace, resolution, and stop-rule steps are the
 //! very code [`crate::SimCore`] runs for a solo trial, so only the station
-//! side differs. Two entry families share one live-mask skeleton around
-//! those lanes:
-//!
-//! * [`run_batch_exact`] / [`run_batch_exact_with`] /
-//!   [`run_batch_exact_faulty`] — the general backend
-//!   ([`BatchExactStations`]), one protocol state per `(station, trial)`;
-//!   correct for *any* [`Protocol`], including fault-wrapped and
-//!   duty-cycled stations (a merged wake calendar buckets
-//!   `(station, trial)` pairs by wake slot).
-//! * [`run_batch_uniform`] — the uniform-protocol fast path
-//!   ([`BatchUniformStations`]): every running station of a trial
-//!   provably carries *identical* [`PerStation`](crate::PerStation)-wrapped state (the same
-//!   invariant the cohort backend rests on), so the batch keeps **one**
-//!   shared state per trial, touches it once per slot, resolves
-//!   degenerate transmission probabilities (`p ∈ {0, 1}`) at word
-//!   granularity with no per-station draw at all, and draws the
-//!   mid-probability slots a trial word at a time against exact
-//!   integer thresholds.
+//! side differs. That side is [`BatchUniformStations`], entered through
+//! [`run_batch_uniform`]: every running station of a trial of a
+//! [`UniformProtocol`] carries *identical*
+//! [`PerStation`](crate::PerStation)-wrapped state (the same invariant the
+//! cohort backend rests on), so the batch keeps **one** shared state per
+//! trial. The election protocols sweeps run (LESK, LESU, and the Willard
+//! and backoff baselines) are uniform; fault-wrapped, churned and
+//! duty-cycled stations run per trial on the fast-exact backend instead.
 
 use crate::config::SimConfig;
 use crate::core::{Jammer, Lane, Tally};
-use crate::faults::FaultPlan;
-use crate::protocol::{Action, Protocol, Status, UniformProtocol};
+use crate::protocol::UniformProtocol;
 use crate::report::RunReport;
-use crate::streams::{draw_mask, gen_bool_threshold, slot_material, station_key, StationRng};
+use crate::streams::{draw_mask, gen_bool_threshold, slot_material, station_key};
 use jle_adversary::AdversarySpec;
-use jle_radio::{cd, CdModel, ChannelState};
-use std::collections::BTreeMap;
+use jle_radio::{CdModel, ChannelState};
 
 /// The set trials of a word-packed trial mask, in trial order.
 #[inline]
@@ -130,359 +116,14 @@ fn full_mask(k: usize) -> Vec<u64> {
     mask
 }
 
-/// What both batch backends build the same way: one lane per seed and
-/// the station-major (`[station * K + trial]`) counter-stream keys.
-fn lanes_and_keys(
-    config: &SimConfig,
-    adversary: &AdversarySpec,
-    seeds: &[u64],
-) -> (Vec<Lane>, Vec<u64>) {
-    assert!(config.n >= 1, "need at least one station");
-    assert!(config.n <= u64::from(u32::MAX), "batch backend indexes stations with u32");
-    assert!(seeds.len() <= u32::MAX as usize, "batch backend indexes trials with u32");
-    let mut keys = Vec::with_capacity(config.n as usize * seeds.len());
-    for i in 0..config.n {
-        for &s in seeds {
-            keys.push(station_key(s, i));
-        }
-    }
-    let lanes = seeds
-        .iter()
-        .map(|&s| Lane::new(config, Jammer::commit_first(adversary, s), s, None))
-        .collect();
-    (lanes, keys)
-}
-
-/// The station side of a lockstep batch: what differs between the
-/// general and the uniform backend. [`run_lanes`] plays everything else.
-trait LockstepStations {
-    /// Trial `trial`'s finished-counter tally.
-    fn tally(&self, trial: usize) -> &Tally;
-
-    /// Wake and action phases for every live trial, filling each live
-    /// lane's `actions`.
-    fn act(&mut self, slot: u64, live: &[u64], lanes: &mut [Lane]);
-
-    /// The estimate trial `trial`'s trace records: that of its
-    /// lowest-indexed non-terminal station (the fast backend's rule).
-    fn estimate(&self, trial: usize) -> Option<f64>;
-
-    /// Feedback for every live trial from its lane's ground truth.
-    fn feedback(&mut self, slot: u64, config: &SimConfig, live: &[u64], lanes: &[Lane]);
-
-    /// Trial `trial`'s `Leader` stations, in id order.
-    fn leaders(&self, trial: usize) -> Vec<u64>;
-}
-
-/// The lockstep skeleton both batch backends share: each slot retires
-/// finished trials, then walks the live trials' lanes through the same
-/// per-slot sequence [`crate::SimCore`] plays for one (begin, act,
-/// commit, feedback, end), and stopping trials leave the live mask.
-/// Returns the per-trial reports in lane order.
-fn run_lanes(
-    config: &SimConfig,
-    mut lanes: Vec<Lane>,
-    stations: &mut impl LockstepStations,
-) -> Vec<RunReport> {
-    let mut live = full_mask(lanes.len());
-    for slot in 0..config.max_slots {
-        // Retire trials whose stations all finished — before the slot is
-        // played, like the core loop's top-of-slot check.
-        if !retain_trials(&mut live, |k| !stations.tally(k).finished()) {
-            break;
-        }
-        for k in trials(&live) {
-            lanes[k].begin_slot();
-        }
-        stations.act(slot, &live, &mut lanes);
-        for k in trials(&live) {
-            let lane = &mut lanes[k];
-            let estimate = if lane.traced() { stations.estimate(k) } else { None };
-            lane.commit(config, slot, estimate, |actions, _| actions.lone_transmitter);
-        }
-        stations.feedback(slot, config, &live, &lanes);
-        retain_trials(&mut live, |k| {
-            !lanes[k].end_slot(config, slot, None, || stations.tally(k).all_terminated())
-        });
-    }
-    // Statuses are frozen once a trial retires, so one pass at the end
-    // serves every trial.
-    let mut reports = Vec::with_capacity(lanes.len());
-    for (k, lane) in lanes.into_iter().enumerate() {
-        let mut report = lane.finish(config, stations.tally(k).finished(), None);
-        report.leaders = stations.leaders(k);
-        reports.push(report);
-    }
-    reports
-}
-
-/// The general batched lockstep backend: K trials of the same experiment
-/// advance through one slot loop over structure-of-arrays state.
-///
-/// Layout: `protos`/`keys` are station-major (`[station * K + trial]`);
-/// the `awake`/`engaged`/`finished`/`tx`/`sleep` bitplanes are indexed
-/// `[station * words + word]` with one bit per trial. Padding bits
-/// (trial ≥ K in the last word) stay clear in every plane.
-///
-/// See the module docs for the bit-identity contract. Construct with
-/// [`BatchExactStations::new`] and drive to completion with
-/// [`BatchExactStations::run`]; the `run_batch_*` shims do both.
-pub struct BatchExactStations<P> {
-    config: SimConfig,
-    n: usize,
-    k: usize,
-    words: usize,
-    protos: Vec<P>,
-    keys: Vec<u64>,
-    awake: Vec<u64>,
-    engaged: Vec<u64>,
-    finished: Vec<u64>,
-    tx: Vec<u64>,
-    sleep: Vec<u64>,
-    /// Merged wake calendar: `(station, trial)` pairs bucketed by wake
-    /// slot — the batch-wide image of the fast backend's per-run
-    /// `WakeQueue` (drain order within a bucket is unobservable because
-    /// waking only sets membership bits).
-    calendar: BTreeMap<u64, Vec<(u32, u32)>>,
-    tallies: Vec<Tally>,
-    lanes: Vec<Lane>,
-}
-
-impl<P: Protocol> BatchExactStations<P> {
-    /// Build the lockstep state for one trial per entry of `seeds`.
-    /// `factory(trial, station)` builds each protocol instance; it must
-    /// construct the same station identically for every trial (the
-    /// per-trial variation comes from the seeds, not the factory), which
-    /// every pure factory does by construction.
-    pub fn new(
-        config: &SimConfig,
-        adversary: &AdversarySpec,
-        seeds: &[u64],
-        mut factory: impl FnMut(u64, u64) -> P,
-    ) -> Self {
-        let (lanes, keys) = lanes_and_keys(config, adversary, seeds);
-        let (n, k) = (config.n as usize, seeds.len());
-        let words = k.div_ceil(64);
-        let protos = (0..n as u64).flat_map(|i| (0..k as u64).map(move |t| (t, i)));
-        let protos = protos.map(|(trial, station)| factory(trial, station)).collect();
-        let full = full_mask(k).repeat(n);
-        let mut set = BatchExactStations {
-            config: config.clone(),
-            n,
-            k,
-            words,
-            protos,
-            keys,
-            awake: full.clone(),
-            engaged: full,
-            finished: vec![0; n * words],
-            tx: vec![0; n * words],
-            sleep: vec![0; n * words],
-            calendar: BTreeMap::new(),
-            tallies: vec![Tally::new(config.n); k],
-            lanes,
-        };
-        // Construction-time fold, mirroring the fast backend: stations
-        // already `finished()` count toward the stop condition; stations
-        // already terminal never enter the loop.
-        for i in 0..n {
-            for trial in 0..k {
-                if set.settle(i, trial) {
-                    set.retire(i, trial);
-                }
-            }
-        }
-        set
-    }
-
-    /// Drive every trial to completion and return the per-trial reports
-    /// in seed order. Each is bit-identical to the corresponding solo
-    /// fast-exact run.
-    pub fn run(mut self) -> Vec<RunReport> {
-        let lanes = std::mem::take(&mut self.lanes);
-        let config = self.config.clone();
-        run_lanes(&config, lanes, &mut self)
-    }
-
-    /// Fold `(station, trial)`'s current `finished()`/terminal state into
-    /// the trial's tally and the `finished` plane; returns whether the
-    /// station terminated.
-    fn settle(&mut self, i: usize, trial: usize) -> bool {
-        let (w, bit) = (i * self.words + trial / 64, 1u64 << (trial % 64));
-        let proto = &self.protos[i * self.k + trial];
-        let (now, terminal) = (proto.finished(), proto.status().terminal());
-        let was = self.finished[w] & bit != 0;
-        self.tallies[trial].settle(1, was, now, terminal);
-        if now != was {
-            self.finished[w] ^= bit;
-        }
-        terminal
-    }
-
-    /// Take a terminated `(station, trial)` out of the loop for good.
-    fn retire(&mut self, i: usize, trial: usize) {
-        let (w, bit) = (i * self.words + trial / 64, 1u64 << (trial % 64));
-        self.awake[w] &= !bit;
-        self.engaged[w] &= !bit;
-    }
-}
-
-impl<P: Protocol> LockstepStations for BatchExactStations<P> {
-    fn tally(&self, trial: usize) -> &Tally {
-        &self.tallies[trial]
-    }
-
-    fn act(&mut self, slot: u64, live: &[u64], lanes: &mut [Lane]) {
-        let (n, k, words) = (self.n, self.k, self.words);
-        self.tx.fill(0);
-        self.sleep.fill(0);
-        // Wake phase: pull every (station, trial) whose declared wake
-        // slot has arrived back into the awake planes. Bits of retired
-        // trials are masked by `live` everywhere they could be read, so
-        // the calendar need not know about retirement.
-        while self.calendar.first_key_value().is_some_and(|(&wake, _)| wake <= slot) {
-            let (_, entries) = self.calendar.pop_first().expect("peeked entry exists");
-            for (station, trial) in entries {
-                let (w, b) = (trial as usize / 64, trial as usize % 64);
-                self.awake[station as usize * words + w] |= 1u64 << b;
-            }
-        }
-        // Action phase, station-major: the slot's key material is mixed
-        // once for the whole batch.
-        let slot_mat = slot_material(slot);
-        for i in 0..n {
-            let base = i * words;
-            for (w, &live_w) in live.iter().enumerate() {
-                for b in bits(self.awake[base + w] & live_w) {
-                    let trial = (w << 6) | b;
-                    let idx = i * k + trial;
-                    let mut rng = StationRng::with_slot_material(self.keys[idx], slot_mat);
-                    match self.protos[idx].act(slot, &mut rng) {
-                        Action::Transmit => {
-                            self.tx[base + w] |= 1u64 << b;
-                            lanes[trial].actions.record_transmitter(i as u64);
-                        }
-                        Action::Listen => lanes[trial].actions.listeners += 1,
-                        Action::Sleep => self.sleep[base + w] |= 1u64 << b,
-                    }
-                }
-            }
-        }
-    }
-
-    fn estimate(&self, trial: usize) -> Option<f64> {
-        let (w, bit) = (trial / 64, 1u64 << (trial % 64));
-        (0..self.n)
-            .find(|&i| self.engaged[i * self.words + w] & bit != 0)
-            .and_then(|i| self.protos[i * self.k + trial].estimate())
-    }
-
-    fn feedback(&mut self, slot: u64, config: &SimConfig, live: &[u64], lanes: &[Lane]) {
-        // Station-major, with the fast backend's two passes fused per
-        // (station, trial) — legal because every per-station effect is
-        // independent of the pass order.
-        let (n, k, words) = (self.n, self.k, self.words);
-        for i in 0..n {
-            let base = i * words;
-            for (w, &live_w) in live.iter().enumerate() {
-                for b in bits(self.awake[base + w] & live_w) {
-                    let bit = 1u64 << b;
-                    let trial = (w << 6) | b;
-                    let idx = i * k + trial;
-                    let slept = self.sleep[base + w] & bit != 0;
-                    if !slept {
-                        let transmitted = self.tx[base + w] & bit != 0;
-                        let obs = cd::observe(config.cd, transmitted, lanes[trial].truth());
-                        self.protos[idx].feedback(slot, transmitted, obs);
-                    }
-                    if self.settle(i, trial) {
-                        self.retire(i, trial);
-                    } else if slept {
-                        // `max(slot + 1)` hardens against hints in the
-                        // past; u64::MAX parks the pair forever — it stays
-                        // engaged (and active) without ever re-entering
-                        // the calendar.
-                        let wake = self.protos[idx].wake_hint(slot).max(slot + 1);
-                        self.awake[base + w] &= !bit;
-                        if wake != u64::MAX {
-                            self.calendar.entry(wake).or_default().push((i as u32, trial as u32));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn leaders(&self, trial: usize) -> Vec<u64> {
-        (0..self.n)
-            .filter(|&i| self.protos[i * self.k + trial].status() == Status::Leader)
-            .map(|i| i as u64)
-            .collect()
-    }
-}
-
-impl<P> std::fmt::Debug for BatchExactStations<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchExactStations")
-            .field("n", &self.n)
-            .field("trials", &self.k)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Run `seeds.len()` lockstep trials with statically-dispatched stations
-/// (`factory(trial, station)` builds each one). Returns per-trial reports
-/// in seed order, each bit-identical to
-/// `run_fast_exact(&config.with_seed(seeds[trial]), …)`; the config's own
-/// `seed` field is ignored.
-pub fn run_batch_exact_with<P: Protocol>(
-    config: &SimConfig,
-    adversary: &AdversarySpec,
-    seeds: &[u64],
-    factory: impl FnMut(u64, u64) -> P,
-) -> Vec<RunReport> {
-    BatchExactStations::new(config, adversary, seeds, factory).run()
-}
-
-/// Boxed-factory shim over [`run_batch_exact_with`] — the same factory
-/// shape as [`run_fast_exact`](crate::run_fast_exact), applied to every
-/// trial of the batch.
-pub fn run_batch_exact(
-    config: &SimConfig,
-    adversary: &AdversarySpec,
-    seeds: &[u64],
-    factory: impl Fn(u64) -> Box<dyn Protocol>,
-) -> Vec<RunReport> {
-    run_batch_exact_with(config, adversary, seeds, |_trial, station| factory(station))
-}
-
-/// Batched twin of [`run_fast_exact_faulty`](crate::run_fast_exact_faulty):
-/// planned stations are wrapped in [`FaultyStation`](crate::FaultyStation)
-/// per `(station, trial)` and the post-run leader-crash verdict comes from
-/// the plan.
-pub fn run_batch_exact_faulty<F>(
-    config: &SimConfig,
-    adversary: &AdversarySpec,
-    plan: &FaultPlan,
-    seeds: &[u64],
-    factory: F,
-) -> Vec<RunReport>
-where
-    F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
-{
-    let mut reports = run_batch_exact(config, adversary, seeds, plan.wrap(factory));
-    for report in &mut reports {
-        plan.judge_leader_crash(config, report);
-    }
-    reports
-}
-
-/// The uniform-protocol fast path: K trials of a [`PerStation`](crate::PerStation)-wrapped
-/// [`UniformProtocol`] with **one** shared protocol state per trial.
+/// The batched lockstep backend: K trials of a
+/// [`PerStation`](crate::PerStation)-wrapped [`UniformProtocol`] with
+/// **one** shared protocol state per trial.
 ///
 /// # The uniform-path invariant
 ///
-/// Running a uniform protocol through [`FastExactStations`] gives every
+/// Running a uniform protocol through
+/// [`FastExactStations`](crate::FastExactStations) gives every
 /// station its own `PerStation<U>` copy, but those copies can never
 /// diverge while their stations run: per slot each running copy receives
 /// exactly one `tx_prob` call (identical mutation) and then either
@@ -588,9 +229,22 @@ impl<U: UniformProtocol> BatchUniformStations<U> {
         seeds: &[u64],
         mut factory: impl FnMut() -> U,
     ) -> Self {
-        let (lanes, keys) = lanes_and_keys(config, adversary, seeds);
+        assert!(config.n >= 1, "need at least one station");
+        assert!(config.n <= u64::from(u32::MAX), "batch backend indexes stations with u32");
+        assert!(seeds.len() <= u32::MAX as usize, "batch backend indexes trials with u32");
         let (n, k) = (config.n as usize, seeds.len());
         let words = k.div_ceil(64);
+        // Counter-stream keys, station-major (`[station * K + trial]`).
+        let mut keys = Vec::with_capacity(n * k);
+        for i in 0..config.n {
+            for &s in seeds {
+                keys.push(station_key(s, i));
+            }
+        }
+        let lanes = seeds
+            .iter()
+            .map(|&s| Lane::new(config, Jammer::commit_first(adversary, s), s, None))
+            .collect();
         let shared: Vec<U> = (0..k).map(|_| factory()).collect();
         // Construction-time fold: every station of a finished-at-birth
         // uniform protocol reports finished (and Running), so the trial
@@ -623,18 +277,48 @@ impl<U: UniformProtocol> BatchUniformStations<U> {
 
     /// Drive every trial to completion; per-trial reports in seed order,
     /// bit-identical to solo fast-exact runs over `PerStation`.
+    ///
+    /// Each slot retires finished trials, then walks the live trials'
+    /// lanes through the same per-slot sequence [`crate::SimCore`] plays
+    /// for one (begin, act, commit, feedback, end), and stopping trials
+    /// leave the live mask.
     pub fn run(mut self) -> Vec<RunReport> {
-        let lanes = std::mem::take(&mut self.lanes);
+        let mut lanes = std::mem::take(&mut self.lanes);
         let config = self.config.clone();
-        run_lanes(&config, lanes, &mut self)
+        let mut live = full_mask(lanes.len());
+        for slot in 0..config.max_slots {
+            // Retire trials whose stations all finished — before the slot is
+            // played, like the core loop's top-of-slot check.
+            if !retain_trials(&mut live, |k| !self.tallies[k].finished()) {
+                break;
+            }
+            for k in trials(&live) {
+                lanes[k].begin_slot();
+            }
+            self.act(slot, &live, &mut lanes);
+            for k in trials(&live) {
+                let lane = &mut lanes[k];
+                let estimate = if lane.traced() { self.estimate(k) } else { None };
+                lane.commit(&config, slot, estimate, |actions, _| actions.lone_transmitter);
+            }
+            self.feedback(slot, &config, &live, &lanes);
+            retain_trials(&mut live, |k| {
+                !lanes[k].end_slot(&config, slot, None, || self.tallies[k].all_terminated())
+            });
+        }
+        // Statuses are frozen once a trial retires, so one pass at the end
+        // serves every trial.
+        let mut reports = Vec::with_capacity(lanes.len());
+        for (k, lane) in lanes.into_iter().enumerate() {
+            let mut report = lane.finish(&config, self.tallies[k].finished(), None);
+            report.leaders = self.leaders(k);
+            reports.push(report);
+        }
+        reports
     }
-}
 
-impl<U: UniformProtocol> LockstepStations for BatchUniformStations<U> {
-    fn tally(&self, trial: usize) -> &Tally {
-        &self.tallies[trial]
-    }
-
+    /// The action phase for every live trial, filling each live lane's
+    /// `actions`.
     fn act(&mut self, slot: u64, live: &[u64], lanes: &mut [Lane]) {
         // One `tx_prob` call per trial resolves the degenerate
         // probabilities at word granularity; only trials with 0 < p < 1
@@ -700,6 +384,8 @@ impl<U: UniformProtocol> LockstepStations for BatchUniformStations<U> {
         }
     }
 
+    /// The estimate trial `trial`'s trace records: that of its
+    /// lowest-indexed non-terminal station (the fast backend's rule).
     fn estimate(&self, trial: usize) -> Option<f64> {
         // Every running copy is identical, so the lowest-indexed
         // non-terminal station's estimate is the shared state's.
@@ -710,6 +396,7 @@ impl<U: UniformProtocol> LockstepStations for BatchUniformStations<U> {
         }
     }
 
+    /// Feedback for every live trial from its lane's ground truth.
     fn feedback(&mut self, slot: u64, config: &SimConfig, live: &[u64], lanes: &[Lane]) {
         // One shared-state update per trial, except on clean singles
         // where the divergently-updated stations all terminate (see the
@@ -766,6 +453,7 @@ impl<U: UniformProtocol> LockstepStations for BatchUniformStations<U> {
         }
     }
 
+    /// Trial `trial`'s `Leader` stations, in id order.
     fn leaders(&self, trial: usize) -> Vec<u64> {
         let (w, bit) = (trial / 64, 1u64 << (trial % 64));
         let mut leaders = Vec::new();
@@ -805,10 +493,9 @@ pub fn run_batch_uniform<U: UniformProtocol>(
 mod tests {
     use super::*;
     use crate::config::StopRule;
-    use crate::fast::{run_fast_exact, run_fast_exact_faulty};
-    use crate::protocol::PerStation;
+    use crate::fast::run_fast_exact;
+    use crate::protocol::{PerStation, Protocol};
     use jle_adversary::{JamStrategyKind, Rate};
-    use jle_radio::CdModel;
 
     /// Uniform fixed-probability protocol with state-update counters, so
     /// identity checks cover the `on_state` path, plus a working reset.
@@ -841,38 +528,6 @@ mod tests {
         }
     }
 
-    /// Duty-cycled non-uniform protocol exercising the sleep/wake
-    /// calendar: transmit on its own phase, sleep through a stride.
-    #[derive(Debug)]
-    struct Pulse {
-        phase: u64,
-        stride: u64,
-        status: Status,
-    }
-
-    impl Protocol for Pulse {
-        fn act(&mut self, slot: u64, _rng: &mut dyn rand::RngCore) -> Action {
-            if slot % self.stride == self.phase {
-                Action::Transmit
-            } else {
-                Action::Sleep
-            }
-        }
-        fn feedback(&mut self, _slot: u64, transmitted: bool, obs: jle_radio::Observation) {
-            if obs.heard_single() {
-                self.status = if transmitted { Status::Leader } else { Status::NonLeader };
-            }
-        }
-        fn status(&self) -> Status {
-            self.status
-        }
-        fn wake_hint(&self, slot: u64) -> u64 {
-            let next = slot + 1;
-            let offset = (self.phase + self.stride - next % self.stride) % self.stride;
-            next + offset
-        }
-    }
-
     fn jammer() -> AdversarySpec {
         AdversarySpec::new(Rate::from_f64(0.4), 16, JamStrategyKind::Random { prob: 0.6 })
     }
@@ -893,53 +548,6 @@ mod tests {
             let want = run_fast_exact(&config.clone().with_seed(seed), adv, &factory);
             assert_eq!(got, &want, "trial {trial} (seed {seed:#x}) diverged from fast-exact");
         }
-    }
-
-    #[test]
-    fn general_path_matches_fast_exact_across_cd_models() {
-        for cd in [CdModel::Strong, CdModel::Weak, CdModel::NoCd] {
-            let config = SimConfig::new(9, cd).with_max_slots(600).with_trace(true);
-            let adv = jammer();
-            let seeds = seeds(10);
-            let reports = run_batch_exact(&config, &adv, &seeds, |_| {
-                Box::new(PerStation::new(Fixed::new(0.22)))
-            });
-            assert_reports_match_fast(&config, &adv, &seeds, &reports, |_| {
-                Box::new(PerStation::new(Fixed::new(0.22)))
-            });
-        }
-    }
-
-    #[test]
-    fn general_path_matches_fast_exact_with_noise_and_horizon() {
-        let config = SimConfig::new(5, CdModel::Weak)
-            .with_max_slots(96)
-            .with_stop(StopRule::Horizon)
-            .with_noise(0.15)
-            .with_trace(true);
-        let adv = jammer();
-        let seeds = seeds(7);
-        let reports =
-            run_batch_exact(&config, &adv, &seeds, |_| Box::new(PerStation::new(Fixed::new(0.3))));
-        assert_reports_match_fast(&config, &adv, &seeds, &reports, |_| {
-            Box::new(PerStation::new(Fixed::new(0.3)))
-        });
-    }
-
-    #[test]
-    fn sleep_wake_calendar_matches_fast_exact() {
-        // Duty-cycled stations route through the merged wake calendar;
-        // station 0 never wins (phase collision with station 3).
-        let config = SimConfig::new(6, CdModel::Strong)
-            .with_max_slots(64)
-            .with_stop(StopRule::FirstCleanSingle);
-        let adv = AdversarySpec::passive();
-        let seeds = seeds(5);
-        let factory = |i: u64| -> Box<dyn Protocol> {
-            Box::new(Pulse { phase: i % 3, stride: 3, status: Status::Running })
-        };
-        let reports = run_batch_exact(&config, &adv, &seeds, factory);
-        assert_reports_match_fast(&config, &adv, &seeds, &reports, factory);
     }
 
     #[test]
@@ -994,27 +602,8 @@ mod tests {
     }
 
     #[test]
-    fn faulty_batch_matches_fast_exact_faulty_per_trial() {
-        let config = SimConfig::new(8, CdModel::Strong).with_max_slots(400);
-        let adv = jammer();
-        let plan = FaultPlan::new(0xFA_57);
-        let seeds = seeds(6);
-        let factory = |_i: u64| -> Box<dyn Protocol> { Box::new(PerStation::new(Fixed::new(0.3))) };
-        let reports = run_batch_exact_faulty(&config, &adv, &plan, &seeds, factory);
-        assert_eq!(reports.len(), seeds.len());
-        for (trial, (&seed, got)) in seeds.iter().zip(reports.iter()).enumerate() {
-            let want = run_fast_exact_faulty(&config.clone().with_seed(seed), &adv, &plan, factory);
-            assert_eq!(got, &want, "faulty trial {trial} diverged");
-        }
-    }
-
-    #[test]
     fn empty_seed_slice_yields_no_reports() {
         let config = SimConfig::new(3, CdModel::Strong);
-        let reports = run_batch_exact(&config, &AdversarySpec::passive(), &[], |_| {
-            Box::new(PerStation::new(Fixed::new(0.5)))
-        });
-        assert!(reports.is_empty());
         let reports =
             run_batch_uniform(&config, &AdversarySpec::passive(), &[], || Fixed::new(0.5));
         assert!(reports.is_empty());

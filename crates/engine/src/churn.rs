@@ -356,24 +356,6 @@ where
     crate::fast::run_fast_exact_faulty(config, adversary, &plan, factory)
 }
 
-/// Batched twin of [`run_fast_exact_churn`]: every trial of the batch
-/// runs under the same lowered churn plan, and each per-trial
-/// [`RunReport`] is bit-identical to the solo fast-churn run with that
-/// trial's seed.
-pub fn run_batch_exact_churn<F>(
-    config: &SimConfig,
-    adversary: &AdversarySpec,
-    churn: &ChurnPlan,
-    seeds: &[u64],
-    factory: F,
-) -> Vec<RunReport>
-where
-    F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
-{
-    let plan = churn.overlay(&FaultPlan::empty());
-    crate::batch::run_batch_exact_faulty(config, adversary, &plan, seeds, factory)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //!   loop without touching it. Energy accounting and trace recording are
 //!   part of the report contract and live in the lane itself.
 //!
-//! The batched backends ([`crate::batch`]) drive K lanes through the same
+//! The batched backend ([`crate::batch`]) drives K lanes through the same
 //! per-slot sequence, one lane per trial, so the draw order below holds
 //! for every trial of every engine.
 //!
@@ -178,7 +178,7 @@ impl SlotActions {
 
 /// Incremental "finished" bookkeeping for the backends that track
 /// stations individually without rescanning them every slot (fast-exact
-/// and both batch backends, one tally per trial).
+/// and the batch backend, one tally per trial).
 ///
 /// It answers the two stop questions — [`Tally::finished`] is the
 /// incremental form of "some station finished, and every non-terminal
@@ -432,8 +432,8 @@ impl Jammer {
 /// (budget clamp, noise, truth, energy, trace, first clean `Single`), the
 /// backend's feedback from [`Lane::truth`], then [`Lane::end_slot`]
 /// (history, slot count, stop rule) and, after the loop,
-/// [`Lane::finish`]. [`SimCore`] drives one lane; the batch backends
-/// drive one per trial.
+/// [`Lane::finish`]. [`SimCore`] drives one lane; the batch backend
+/// drives one per trial.
 pub(crate) struct Lane {
     jammer: Jammer,
     /// The station stream: action draws (legacy backends), the noise
@@ -663,7 +663,7 @@ impl<'a> SimCore<'a> {
     /// Drive `stations` through the slot loop and produce the report.
     ///
     /// This runs one [`Lane`] (K = 1); every public `run_*`
-    /// entry point except the batched ones is a thin shim over it.
+    /// entry point except the batched one is a thin shim over it.
     pub fn run<S: StationSet>(self, stations: &mut S) -> RunReport {
         let SimCore { config, jammer, mut arena, mut observers } = self;
         assert!(config.n >= 1, "need at least one station");

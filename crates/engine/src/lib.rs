@@ -13,9 +13,9 @@
 //! noise → ground truth, energy, trace → first clean `Single` → feedback →
 //! history and stop rule) is written exactly once, in the core's
 //! per-trial lane (see `DESIGN.md` §10). [`SimCore`] drives one lane;
-//! the batch backends drive one lane per trial. What varies between
+//! the batch backend drives one lane per trial. What varies between
 //! simulators is *who the stations are*, captured by the [`StationSet`]
-//! trait (and, for the batch backends, its lockstep counterpart):
+//! trait (and, for the batch backend, its own lockstep slot loop):
 //!
 //! * [`ExactStations`] / [`run_exact`] — per-station, O(n) per slot;
 //!   required for role-split protocols (`Notification`).
@@ -31,15 +31,16 @@
 //!   protocol class; tracks one shared state and samples transmitter
 //!   counts binomially, O(1) per slot (n-independent), enabling sweeps to
 //!   millions of stations.
-//! * [`BatchExactStations`] / [`run_batch_exact`] — K trials of the same
-//!   experiment in lockstep with structure-of-arrays state: per-trial
-//!   bitplanes (one `u64` word covers 64 trials per station), a merged
-//!   wake calendar, and one pass per slot over all live trials. Per
-//!   trial **bit-identical** to [`FastExactStations`], so batch results
-//!   share the fast backend's cache entries; resolved trials retire
-//!   early without perturbing the others (draws are coordinate-pure).
-//!   [`run_batch_uniform`] adds a one-shared-state-per-trial fast path
-//!   for the uniform protocol class (see `DESIGN.md` §17).
+//! * [`BatchUniformStations`] / [`run_batch_uniform`] — K trials of the
+//!   same uniform-protocol experiment in lockstep: one shared protocol
+//!   state per trial, per-trial bitplanes (one `u64` word covers 64
+//!   trials per station), and one pass per slot over all live trials.
+//!   Per trial **bit-identical** to [`FastExactStations`] over
+//!   [`PerStation`], so batch results share the fast backend's cache
+//!   entries; resolved trials retire early without perturbing the others
+//!   (draws are coordinate-pure). Uniform-only and observer-free:
+//!   [`FastExactStations`] is the one general per-station counter-stream
+//!   backend, and it hosts observers (see `DESIGN.md` §17).
 //! * [`FaultyStations`] / [`run_exact_faulty`] — the exact backend with
 //!   the [`faults`] subsystem layered on: station crashes, staggered
 //!   wakeups, deafness, and sensing errors, with failures classified by
@@ -85,13 +86,8 @@ pub mod streams;
 pub mod telemetry;
 
 pub use crate::core::{SimArena, SimCore, SlotActions, SlotFlags, StationSet, ADV_SEED_XOR};
-pub use batch::{
-    run_batch_exact, run_batch_exact_faulty, run_batch_exact_with, run_batch_uniform,
-    BatchExactStations, BatchUniformStations,
-};
-pub use churn::{
-    run_batch_exact_churn, run_exact_churn, run_fast_exact_churn, ChurnPlan, StationChurn,
-};
+pub use batch::{run_batch_uniform, BatchUniformStations};
+pub use churn::{run_exact_churn, run_fast_exact_churn, ChurnPlan, StationChurn};
 pub use cohort::{
     run_cohort, run_cohort_against_oracle, run_cohort_in, run_cohort_with, sample_transmitters,
     CohortStations,

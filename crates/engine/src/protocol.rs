@@ -137,44 +137,6 @@ pub trait Protocol: Send {
     }
 }
 
-/// Boxed protocols are protocols: forwarding impl so generic station
-/// containers (`BatchExactStations<P>`) can be instantiated with
-/// `P = Box<dyn Protocol>` — the boxed-factory shims reuse the same
-/// generic slot loop the monomorphized bench path compiles down from.
-impl<P: Protocol + ?Sized> Protocol for Box<P> {
-    fn act(&mut self, slot: u64, rng: &mut dyn RngCore) -> Action {
-        (**self).act(slot, rng)
-    }
-
-    fn feedback(&mut self, slot: u64, transmitted: bool, obs: Observation) {
-        (**self).feedback(slot, transmitted, obs)
-    }
-
-    fn status(&self) -> Status {
-        (**self).status()
-    }
-
-    fn finished(&self) -> bool {
-        (**self).finished()
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        (**self).estimate()
-    }
-
-    fn state_probe(&self) -> Option<(&'static str, Option<f64>)> {
-        (**self).state_probe()
-    }
-
-    fn wake_hint(&self, slot: u64) -> u64 {
-        (**self).wake_hint(slot)
-    }
-
-    fn reset(&mut self) -> bool {
-        (**self).reset()
-    }
-}
-
 /// A uniform protocol: one shared state, one transmission probability per
 /// slot, identical updates at every station.
 ///

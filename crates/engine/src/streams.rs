@@ -60,8 +60,7 @@ pub fn station_key(run_seed: u64, station: u64) -> u64 {
 /// Premixed slot key material: `mix64(slot·GOLDEN ^ SLOT_TAG)`, the part
 /// of [`StationRng::for_slot`] that depends only on the slot. The batch
 /// backend computes it once per slot and reuses it across every
-/// `(station, trial)` stream of that slot via
-/// [`StationRng::with_slot_material`].
+/// `(station, trial)` stream of that slot via `draw_mask`.
 #[inline]
 pub fn slot_material(slot: u64) -> u64 {
     mix64(slot.wrapping_mul(GOLDEN) ^ SLOT_TAG)
@@ -96,7 +95,7 @@ pub(crate) fn gen_bool_threshold(p: f64) -> u64 {
 /// [`gen_bool_threshold`]). For each such bit this is
 /// `StationRng::with_slot_material(keys[b], slot_mat).gen_bool(p_b)`,
 /// as an integer compare with no float work and no branch on the
-/// outcome. The batch backend's uniform path calls it once per station
+/// outcome. The batch backend calls it once per station
 /// and trial word, with `keys` and `thresholds` sliced at the word.
 ///
 /// # Panics
@@ -138,9 +137,9 @@ impl StationRng {
     }
 
     /// Like [`StationRng::for_slot`], with the slot's key material
-    /// already mixed ([`slot_material`]) — the batch backend hoists that
-    /// mix out of its per-station loop since one slot serves every
-    /// `(station, trial)` stream.
+    /// already mixed ([`slot_material`]): one slot's material serves
+    /// every `(station, trial)` stream of a batch, so it is mixed once per
+    /// slot. [`draw_mask`] is specified against this stream.
     #[inline]
     pub fn with_slot_material(key: u64, slot_mat: u64) -> Self {
         StationRng { state: mix64(key ^ slot_mat), ctr: 0 }

@@ -10,14 +10,15 @@
 //!   through the same [`ElectionParams`] the server decodes, so any spec
 //!   recovered from a result-store `spec.json` replays on the same engine
 //!   path the server used. `exact_election` trees replay on the
-//!   fast-exact path regardless of whether the server computed them
-//!   per-trial or through the batched backend — the two are bit-identical
-//!   per trial, which is exactly why the server caches them under one
-//!   fingerprint.
+//!   fast-exact path: the server computes them through the batched
+//!   uniform backend (`run_batch_uniform`), which is bit-identical per
+//!   trial to fast-exact, which is exactly why the server caches them
+//!   under the fast-exact fingerprint. The batch backend hosts no
+//!   observer, so the fast-exact stations are its replay path.
 //! * `kind == "election_run"` — the lens's superset, the derived form of
 //!   [`LensSpec`] itself: explicit engine selection
-//!   (`cohort`/`exact`/`fast-exact`/`batch`/`multihop`), stop rules,
-//!   noise, fault/churn plans, topologies, and RNG disciplines.
+//!   (`cohort`/`exact`/`fast-exact`/`multihop`), stop rules, noise,
+//!   fault/churn plans, topologies, and RNG disciplines.
 //!
 //! Parsing is strict in the same way the server's is: an unrecognized key,
 //! engine or protocol anywhere in the tree is [`SpecError::Unsupported`],
@@ -83,14 +84,6 @@ pub enum EngineKind {
     /// Bitset fast path ([`FastExactStations`] / [`FastFaultyStations`]).
     #[serde(rename = "fast-exact")]
     FastExact,
-    /// Batched lockstep backend (`BatchExactStations`). The batch engine
-    /// is bit-identical per trial to the fast-exact path by contract
-    /// (DESIGN.md §17), and it cannot host a per-slot observer — so a
-    /// replay under this engine *dispatches onto the fast-exact
-    /// stations*. A trial produced by the batched backend replays
-    /// bit-exactly here; that is the contract, not a coincidence.
-    #[serde(rename = "batch")]
-    Batch,
     /// Topology-aware multi-hop engine ([`MultihopStations`]).
     #[serde(rename = "multihop")]
     Multihop,
@@ -108,7 +101,6 @@ impl EngineKind {
             EngineKind::Cohort => "cohort",
             EngineKind::Exact => "exact",
             EngineKind::FastExact => "fast-exact",
-            EngineKind::Batch => "batch",
             EngineKind::Multihop => "multihop",
         }
     }
@@ -208,7 +200,8 @@ impl LensSpec {
         // The `jle-sweepd` cache trees, strictly, like the server. An
         // `exact_election` tree is cached under the fast-exact engine salt
         // whether the server executed it per-trial or through the batched
-        // backend, so it replays on the path both are bit-identical to.
+        // uniform backend, so it replays on the path both are
+        // bit-identical to.
         let election = ElectionParams::decode(params)?;
         Ok(LensSpec {
             kind: RunKind::ElectionRun,
@@ -244,7 +237,7 @@ impl LensSpec {
                     ));
                 }
             }
-            EngineKind::Exact | EngineKind::FastExact | EngineKind::Batch => {
+            EngineKind::Exact | EngineKind::FastExact => {
                 if self.topology.is_some() {
                     return Err(SpecError::Invalid(format!(
                         "{} engine takes no topology (use engine=multihop)",
@@ -347,11 +340,7 @@ impl LensSpec {
             EngineKind::Cohort => {
                 with_uniform_proto!(self.proto, make => core.run(&mut CohortStations::new(make())))
             }
-            // `Batch` dispatches onto the fast-exact stations: the batched
-            // backend is bit-identical per trial by contract (DESIGN.md
-            // §17) and cannot host an observer, so the fast path IS its
-            // replay path.
-            EngineKind::Exact | EngineKind::FastExact | EngineKind::Batch => {
+            EngineKind::Exact | EngineKind::FastExact => {
                 let plan = match (&self.faults, &self.churn) {
                     (None, None) => None,
                     (Some(f), None) => Some(f.clone()),

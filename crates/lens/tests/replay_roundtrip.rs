@@ -167,31 +167,32 @@ fn diff_localizes_genuine_backend_divergence() {
 }
 
 #[test]
-fn batch_engine_roundtrip() {
-    // The `batch` engine label parses, records, re-embeds itself in the
-    // artifact, and replays bit-exactly (on the fast-exact stations).
-    assert_roundtrip(&run_params("batch"), 19);
-}
-
-#[test]
 fn batch_produced_trials_replay_bit_exactly_via_fast_exact() {
     // The cache round-trip the aliased engine salt promises: trials the
-    // batched backend computed (and sweepd would cache under the
+    // batched uniform backend computed for an `exact_election` tree (as
+    // sweepd's batch closure runs them, and caches them under the
     // fast-exact fingerprint) re-derive bit-identically through the
-    // lens's replay path — full RunReport equality, traces included.
-    use jle_engine::{run_batch_exact, PerStation, Protocol, SimConfig};
-    use jle_protocols::LeskProtocol;
+    // lens's replay of that same tree — full RunReport equality.
+    use jle_engine::run_batch_uniform;
+    use jle_protocols::{with_uniform_proto, ElectionParams};
 
-    let params = run_params("batch");
-    let spec = LensSpec::from_params(&params).expect("batch spec parses");
-    assert_eq!(spec.engine, EngineKind::Batch);
+    let params = json!({
+        "kind": "exact_election",
+        "n": 8u64,
+        "cd": CdModel::Strong.to_json_value(),
+        "adv": sat_adv(),
+        "max_slots": 20_000u64,
+        "proto": {"proto": "lesk", "eps": 0.5f64},
+    });
+    let spec = LensSpec::from_params(&params).expect("exact_election spec parses");
+    assert_eq!(spec.engine, EngineKind::FastExact);
 
-    let adv = AdversarySpec::from_json_value(&sat_adv()).unwrap();
-    let config = SimConfig::new(8, CdModel::Strong).with_max_slots(20_000);
+    let election = ElectionParams::decode(&params).expect("tree decodes");
+    let (config, adv) = (election.config(), election.adv.clone());
     let seeds: Vec<u64> = (0..70).map(|t| 1000 + t).collect(); // K % 64 != 0
-    let factory =
-        |_i: u64| -> Box<dyn Protocol> { Box::new(PerStation::new(LeskProtocol::new(0.5))) };
-    let batched = run_batch_exact(&config, &adv, &seeds, factory);
+    let batched = with_uniform_proto!(election.proto, make => {
+        run_batch_uniform(&config, &adv, &seeds, make)
+    });
     assert_eq!(batched.len(), seeds.len());
 
     for (seed, report) in seeds.iter().zip(&batched) {
@@ -254,14 +255,22 @@ fn unknown_adversary_keys_are_refused() {
 }
 
 #[test]
-fn batch_engine_refuses_topology() {
-    // Descriptive refusal, not a panic: batch is a single-channel alias.
-    let mut params = run_params("batch");
+fn fast_exact_engine_refuses_topology() {
+    // Descriptive refusal, not a panic: fast-exact is single-channel.
+    let mut params = run_params("fast-exact");
     if let Value::Map(m) = &mut params {
         m.push(("topology".into(), Value::Str("dense-linear:4,2".into())));
     }
-    let err = LensSpec::from_params(&params).expect_err("topology on batch must fail");
+    let err = LensSpec::from_params(&params).expect_err("topology on fast-exact must fail");
     assert!(err.to_string().contains("topology"), "unexpected error: {err}");
+}
+
+#[test]
+fn batch_engine_label_is_refused_as_unsupported() {
+    // `batch` is not an engine: a tree naming it (external input) is
+    // refused as unsupported, not replayed on some other path.
+    let err = LensSpec::from_params(&run_params("batch")).expect_err("batch engine must fail");
+    assert!(matches!(err, SpecError::Unsupported(_)), "{err}");
 }
 
 #[test]

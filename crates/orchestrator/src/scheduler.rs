@@ -346,7 +346,7 @@ impl Orchestrator {
     /// Batch-aware twin of [`Self::try_run_trials`]: each missing chunk
     /// is executed as contiguous seed *batches* handed to `f` (one result
     /// per seed, in seed order) instead of one closure call per trial —
-    /// the scheduling shape `jle_engine::batch` backends want, where one
+    /// the scheduling shape the `jle_engine::batch` backend wants, where one
     /// slot-loop pass serves a whole batch.
     ///
     /// Everything cache-shaped is unchanged: chunk ranges, fingerprints,
