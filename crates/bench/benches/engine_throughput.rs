@@ -1,11 +1,7 @@
 //! Criterion: per-slot simulation cost — cohort (n-independent) vs exact
-//! (O(n) per slot). Counterpart of experiment E15(b).
-//!
-//! Each engine is measured twice: `fresh` allocates every run (the plain
-//! `run_*` shims), `arena` reuses one [`SimArena`] across iterations
-//! (`run_*_in`). The arena must be no slower on the cohort engine (it has
-//! almost nothing to reuse) and faster on the exact engine, whose per-run
-//! station/buffer allocations the arena amortizes away.
+//! (O(n) per slot). Counterpart of experiment E15(b). Every arm builds
+//! its stations and buffers fresh for each run, as the experiments, the
+//! orchestrator and `jle-sweepd` do.
 //!
 //! `warm_path` times the two non-engine layers a warm re-run spends its
 //! time in: the bootstrap median CI and the store's chunk decode, plus
@@ -17,9 +13,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::median_ci;
 use jle_engine::{
-    run_batch_uniform, run_cohort, run_cohort_in, run_exact, run_exact_in, run_fast_exact,
-    run_fast_exact_in, CohortStations, EngineMetrics, PerStation, RunReport, SimArena, SimConfig,
-    SimCore, TelemetryObserver, UniformProtocol,
+    run_batch_uniform, run_cohort, run_exact, run_fast_exact, CohortStations, EngineMetrics,
+    PerStation, RunReport, SimConfig, SimCore, TelemetryObserver, UniformProtocol,
 };
 use jle_orchestrator::{Fingerprint, ResultStore, WorkSpec, DEFAULT_CODE_SALT};
 use jle_protocols::LeskProtocol;
@@ -39,9 +34,6 @@ impl UniformProtocol for AlwaysCollide {
         1.0
     }
     fn on_state(&mut self, _: u64, _: ChannelState) {}
-    fn reset(&mut self) -> bool {
-        true // stateless: the arena can recycle the station boxes
-    }
 }
 
 fn sat() -> AdversarySpec {
@@ -61,14 +53,6 @@ fn bench_cohort(c: &mut Criterion) {
                 black_box(run_cohort(&config, &adv, || AlwaysCollide))
             })
         });
-        group.bench_with_input(BenchmarkId::new("arena", n), &n, |b, &n| {
-            let adv = sat();
-            let mut arena = SimArena::new();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_cohort_in(&config, &adv, || AlwaysCollide, &mut arena))
-            })
-        });
     }
     group.finish();
 }
@@ -86,32 +70,18 @@ fn bench_exact(c: &mut Criterion) {
                 black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))))
             })
         });
-        group.bench_with_input(BenchmarkId::new("arena", n), &n, |b, &n| {
-            let adv = sat();
-            let mut arena = SimArena::new();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_exact_in(
-                    &config,
-                    &adv,
-                    |_| Box::new(PerStation::new(AlwaysCollide)),
-                    &mut arena,
-                ))
-            })
-        });
     }
     group.finish();
 }
 
 fn bench_exact_short(c: &mut Criterion) {
     // Election-scale runs: a jammed election resolves in tens of slots,
-    // so Monte-Carlo loops run *short* exact simulations back to back and
+    // so Monte-Carlo loops run *short* simulations back to back and
     // per-run setup — n station boxes allocated, initialized, and dropped,
     // plus the flag buffers and history ring — is a real fraction of the
-    // work. This is the regime the arena exists for: `AlwaysCollide` is
-    // resettable, so the arena arm recycles every station box in place
-    // (allocation-free steady state). The long-run groups above only have
-    // to show the arena is never slower.
+    // work. `fresh` is the legacy exact backend's short-run cost (gated
+    // by `bench_gate`); `fast_exact` is the same workload on the
+    // active-set backend.
     let mut group = c.benchmark_group("exact_short_runs");
     const SLOTS: u64 = 16;
     group.sample_size(30);
@@ -123,19 +93,6 @@ fn bench_exact_short(c: &mut Criterion) {
             b.iter(|| {
                 let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
                 black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("arena", n), &n, |b, &n| {
-            let adv = sat();
-            let mut arena = SimArena::new();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_exact_in(
-                    &config,
-                    &adv,
-                    |_| Box::new(PerStation::new(AlwaysCollide)),
-                    &mut arena,
-                ))
             })
         });
         // The bitset fast path on the same short-run workload: the
@@ -277,14 +234,6 @@ fn bench_fast_exact(c: &mut Criterion) {
             b.iter(|| {
                 let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
                 black_box(run_fast_exact(&config, &adv, factory))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("fast_arena", n), &n, |b, &n| {
-            let adv = sat();
-            let mut arena = SimArena::new();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_fast_exact_in(&config, &adv, factory, &mut arena))
             })
         });
     }

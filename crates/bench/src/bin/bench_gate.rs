@@ -16,7 +16,7 @@
 //!
 //! The harness measures a representative arm per `engine_throughput`
 //! group — the cheap slot loop (cohort), the O(n)-per-slot exact backend,
-//! the election-scale arena path, and the active-set fast backend — with
+//! its election-scale short runs, and the active-set fast backend — with
 //! workloads identical to the Criterion bench, so figures are comparable
 //! to the recorded medians. Arms absent from the recorded baseline (new
 //! groups mid-trajectory) are reported but never gate.
@@ -26,10 +26,9 @@
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{
-    run_batch_uniform, run_cohort, run_exact, run_exact_in, run_fast_exact, Action, ChurnPlan,
-    ExactStations, FaultPlan, FaultyStations, LeaderLedger, MultihopStations, PerStation, Protocol,
-    SimArena, SimConfig, SimCore, SlotActions, SlotObserver, SplitBrainObserver, StdMesh,
-    UniformProtocol,
+    run_batch_uniform, run_cohort, run_exact, run_fast_exact, Action, ChurnPlan, ExactStations,
+    FaultPlan, FaultyStations, LeaderLedger, MultihopStations, PerStation, Protocol, SimConfig,
+    SimCore, SlotActions, SlotObserver, SplitBrainObserver, StdMesh, UniformProtocol,
 };
 use jle_radio::{CdModel, ChannelState, Observation, SlotTruth, Topology};
 use jle_telemetry::SpanRecorder;
@@ -45,9 +44,6 @@ impl UniformProtocol for AlwaysCollide {
         1.0
     }
     fn on_state(&mut self, _: u64, _: ChannelState) {}
-    fn reset(&mut self) -> bool {
-        true
-    }
 }
 
 /// The lens's disabled path as an observer: attached but declining
@@ -181,22 +177,14 @@ fn arms() -> Vec<Arm> {
         },
         Arm {
             group: "exact_short_runs",
-            name: "arena/1024",
+            name: "fresh/1024",
             iters: 200,
-            run: {
-                let mut arena = SimArena::new();
-                Box::new(move || {
-                    let adv = sat();
-                    let config =
-                        SimConfig::new(1 << 10, CdModel::Strong).with_seed(7).with_max_slots(16);
-                    black_box(run_exact_in(
-                        &config,
-                        &adv,
-                        |_| Box::new(PerStation::new(AlwaysCollide)),
-                        &mut arena,
-                    ));
-                })
-            },
+            run: Box::new(|| {
+                let adv = sat();
+                let config =
+                    SimConfig::new(1 << 10, CdModel::Strong).with_seed(7).with_max_slots(16);
+                black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))));
+            }),
         },
         // Paired A/B arms for the open-world stack's disabled-path
         // overhead: same workload as exact_slots, once pristine and once

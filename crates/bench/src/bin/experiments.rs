@@ -67,10 +67,11 @@ fn usage() -> ! {
          --trace-out <p>    write a Chrome trace_event JSON profile at exit\n  \
          --flight-recorder <dir>  dump flight-recorder postmortems (anomalies,\n                     \
          caught panics, supervisor restarts) into <dir>\n  \
-         --engine <mode>    exact backend for per-station experiments:\n                     \
-         exact (default) | fast-exact (active-set loop, counter-based\n                     \
-         per-station streams; statistically equivalent, different bits —\n                     \
-         cache keys are tagged so results never alias)\n  \
+         --engine <mode>    per-station backend for E23 (the only experiment\n                     \
+         that reads it; E6, E15, E24 and E25 always run the legacy\n                     \
+         engine): exact (default) | fast-exact (active-set loop,\n                     \
+         counter-based per-station streams; statistically equivalent,\n                     \
+         different bits — cache keys are tagged so results never alias)\n  \
          --server <ep>      route supported cohort-election units through a\n                     \
          resident jle-sweepd service (tcp:HOST:PORT or unix:PATH);\n                     \
          unsupported units fall back to local execution"

@@ -85,7 +85,8 @@ pub fn saturating(eps: f64, t_window: u64) -> AdversarySpec {
 }
 
 /// Which exact backend simulates `Protocol`-level (per-station)
-/// experiments. Selected by the experiments CLI via `--engine`.
+/// experiments. Selected by the experiments CLI via `--engine`. Only E23
+/// reads it; E6, E15, E24 and E25 call the legacy engine directly.
 ///
 /// The two backends sample the same election laws from unrelated random
 /// streams (statistically equivalent, bit-different), so the mode is also

@@ -6,16 +6,13 @@
 //! *distributions* of the two engines on identical configurations
 //! (different RNG pathways, so the comparison is statistical), (b)
 //! measure slots/second of both engines across `n`, and (c) cross-validate
-//! the unified `SimCore` (DESIGN.md §10): every alternate path through the
-//! core — `run_exact_faulty` with an empty fault plan, and arena-reusing
-//! `run_*_in` — must reproduce the plain shims *bit for bit*.
+//! the unified `SimCore` (DESIGN.md §10): the fault backend with an empty
+//! plan (`run_exact_faulty`) must reproduce the plain `run_exact` shim
+//! *bit for bit*.
 
 use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_analysis::{fmt, Summary, Table};
-use jle_engine::{
-    run_cohort, run_cohort_in, run_exact, run_exact_faulty, run_exact_in, FaultPlan, PerStation,
-    SimArena, SimConfig,
-};
+use jle_engine::{run_cohort, run_exact, run_exact_faulty, FaultPlan, PerStation, SimConfig};
 use jle_protocols::LeskProtocol;
 use jle_radio::CdModel;
 use serde::Serialize;
@@ -131,19 +128,17 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     }
     result.add_table("throughput", thr);
 
-    // (c) Unified-core identity: alternate paths through `SimCore` are
-    // bit-identical to the plain shims. `RunReport` carries floats and
-    // vectors, so "identical" is checked on the serialized report.
+    // (c) Unified-core identity: the empty-plan fault backend through
+    // `SimCore` is bit-identical to the plain shim. `RunReport` carries
+    // floats and vectors, so "identical" is checked on the serialized
+    // report.
     let mut ident = Table::new(["path", "baseline", "seeds", "bit-identical"]);
     let ident_seeds: std::ops::Range<u64> = if quick { 9000..9010 } else { 9000..9100 };
     let ident_n = 64u64;
     let adv = saturating(eps, 16);
     let json = |r: &jle_engine::RunReport| serde_json::to_string(r).expect("RunReport serializes");
     let mut faulty_ok = 0u64;
-    let mut arena_cohort_ok = 0u64;
-    let mut arena_exact_ok = 0u64;
     let empty_plan = FaultPlan::empty();
-    let mut arena = SimArena::new();
     let total = ident_seeds.clone().count() as u64;
     for seed in ident_seeds {
         let config =
@@ -155,34 +150,14 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         if json(&exact) == json(&faulty) {
             faulty_ok += 1;
         }
-        let exact_arena = run_exact_in(
-            &config,
-            &adv,
-            |_| Box::new(PerStation::new(LeskProtocol::new(eps))),
-            &mut arena,
-        );
-        if json(&exact) == json(&exact_arena) {
-            arena_exact_ok += 1;
-        }
-        let cohort = run_cohort(&config, &adv, || LeskProtocol::new(eps));
-        let cohort_arena = run_cohort_in(&config, &adv, || LeskProtocol::new(eps), &mut arena);
-        if json(&cohort) == json(&cohort_arena) {
-            arena_cohort_ok += 1;
-        }
     }
-    for (path, baseline, ok) in [
-        ("run_exact_faulty (empty plan)", "run_exact", faulty_ok),
-        ("run_exact_in (shared arena)", "run_exact", arena_exact_ok),
-        ("run_cohort_in (shared arena)", "run_cohort", arena_cohort_ok),
-    ] {
-        ident.push_row([
-            path.to_string(),
-            baseline.to_string(),
-            total.to_string(),
-            format!("{ok}/{total}"),
-        ]);
-        assert_eq!(ok, total, "{path} diverged from {baseline}");
-    }
+    ident.push_row([
+        "run_exact_faulty (empty plan)".to_string(),
+        "run_exact".to_string(),
+        total.to_string(),
+        format!("{faulty_ok}/{total}"),
+    ]);
+    assert_eq!(faulty_ok, total, "run_exact_faulty (empty plan) diverged from run_exact");
     result.add_table("unified-core identity (serialized-report equality)", ident);
 
     result.note(
@@ -192,8 +167,8 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             .to_string(),
     );
     result.note(
-        "every alternate path through the unified SimCore (empty-plan fault backend, \
-         arena-reusing runs) reproduced the plain shims bit for bit on every seed checked"
+        "the empty-plan fault backend through the unified SimCore reproduced the plain \
+         run_exact shim bit for bit on every seed checked"
             .to_string(),
     );
     result

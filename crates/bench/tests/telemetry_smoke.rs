@@ -4,7 +4,9 @@
 //! `trace_event` document, and `--flight-recorder` parseable postmortem
 //! artifacts. This is the CI telemetry-smoke entry point — it shells out
 //! to the real binary, so flag parsing and exit-time export paths are
-//! covered, not just the library APIs.
+//! covered, not just the library APIs. Key strings are also checked on
+//! the raw file text before any parsing, so a regression in the vendored
+//! JSON parser cannot hide a schema change.
 
 use serde::Value;
 use std::path::{Path, PathBuf};
@@ -18,11 +20,22 @@ fn workdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn read_json(path: &Path) -> Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    serde_json::from_str(&text)
+fn read_text(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
+fn parse_json(path: &Path, text: &str) -> Value {
+    serde_json::from_str(text)
         .unwrap_or_else(|e| panic!("{} is not valid JSON: {e:?}", path.display()))
+}
+
+fn read_json(path: &Path) -> Value {
+    parse_json(path, &read_text(path))
+}
+
+/// Assert that `text` (the raw bytes of `path`) contains `needle`.
+fn assert_raw_contains(path: &Path, text: &str, needle: &str) {
+    assert!(text.contains(needle), "{} lacks {needle}", path.display());
 }
 
 #[test]
@@ -54,7 +67,14 @@ fn cli_exports_are_schema_valid() {
 
     // Metrics snapshot: one JSONL line, versioned schema, both counter
     // families present with plausible totals.
-    let text = std::fs::read_to_string(&metrics).unwrap();
+    let text = read_text(&metrics);
+    for needle in [
+        r#""schema":"jle-metrics-v1""#,
+        r#""jle_orchestrator_executed_trials""#,
+        r#""jle_engine_slots_total""#,
+    ] {
+        assert_raw_contains(&metrics, &text, needle);
+    }
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 1, "one snapshot appended per run");
     let snap: Value = serde_json::from_str(lines[0]).unwrap();
@@ -82,7 +102,11 @@ fn cli_exports_are_schema_valid() {
 
     // Chrome trace: well-formed, complete events with the CLI's run and
     // experiment spans plus the orchestrator's unit/chunk spans.
-    let doc = read_json(&trace);
+    let trace_text = read_text(&trace);
+    for needle in [r#""traceEvents""#, r#""ph":"X""#] {
+        assert_raw_contains(&trace, &trace_text, needle);
+    }
+    let doc = parse_json(&trace, &trace_text);
     let events = doc.get("traceEvents").and_then(Value::as_seq).expect("traceEvents");
     assert!(!events.is_empty());
     for e in events {
@@ -103,6 +127,16 @@ fn cli_exports_are_schema_valid() {
         std::fs::read_dir(&flight).unwrap().map(|e| e.unwrap().path()).collect();
     artifacts.sort();
     assert!(!artifacts.is_empty(), "anomalous trials must leave postmortems");
+    let is_restart = |path: &PathBuf| {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        name.starts_with("flight-")
+            && name.contains("-supervisor_restart-")
+            && name.ends_with(".json")
+    };
+    assert!(
+        artifacts.iter().any(is_restart),
+        "a flight-*-supervisor_restart-*.json artifact must exist: {artifacts:?}"
+    );
     for path in &artifacts {
         let record = read_json(path);
         assert_eq!(record.get("schema").and_then(Value::as_str), Some("jle-flight-v1"));

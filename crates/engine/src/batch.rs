@@ -243,7 +243,7 @@ impl<U: UniformProtocol> BatchUniformStations<U> {
         }
         let lanes = seeds
             .iter()
-            .map(|&s| Lane::new(config, Jammer::commit_first(adversary, s), s, None))
+            .map(|&s| Lane::new(config, Jammer::commit_first(adversary, s), s))
             .collect();
         let shared: Vec<U> = (0..k).map(|_| factory()).collect();
         // Construction-time fold: every station of a finished-at-birth
@@ -310,7 +310,7 @@ impl<U: UniformProtocol> BatchUniformStations<U> {
         // serves every trial.
         let mut reports = Vec::with_capacity(lanes.len());
         for (k, lane) in lanes.into_iter().enumerate() {
-            let mut report = lane.finish(&config, self.tallies[k].finished(), None);
+            let mut report = lane.finish(&config, self.tallies[k].finished());
             report.leaders = self.leaders(k);
             reports.push(report);
         }

@@ -23,7 +23,7 @@
 //! jammer.
 
 use crate::config::SimConfig;
-use crate::core::{SimArena, SimCore, SlotActions, StationSet};
+use crate::core::{SimCore, SlotActions, StationSet};
 use crate::protocol::UniformProtocol;
 use crate::report::RunReport;
 use jle_adversary::AdversarySpec;
@@ -181,18 +181,6 @@ pub fn run_cohort_with<U: UniformProtocol>(
     let mut stations = CohortStations::new(factory());
     let report = SimCore::new(config, adversary).run(&mut stations);
     (report, stations.into_inner())
-}
-
-/// Like [`run_cohort`], but reusing `arena`'s history ring (and trace
-/// allocation, if reclaimed) across repeated trials on one thread.
-pub fn run_cohort_in<U: UniformProtocol>(
-    config: &SimConfig,
-    adversary: &AdversarySpec,
-    factory: impl FnOnce() -> U,
-    arena: &mut SimArena,
-) -> RunReport {
-    let mut stations = CohortStations::new(factory());
-    SimCore::new(config, adversary).with_arena(arena).run(&mut stations)
 }
 
 /// **Negative control — deliberately violates the model.** Run a uniform
@@ -396,25 +384,6 @@ mod tests {
         }
         let config = SimConfig::new(3, CdModel::NoCd).with_seed(1).with_max_slots(50);
         let _ = run_cohort(&config, &AdversarySpec::passive(), || PanicOnNull);
-    }
-
-    #[test]
-    fn arena_runs_are_bit_identical_to_fresh_runs() {
-        let config = SimConfig::new(64, CdModel::Strong).with_seed(33).with_max_slots(100_000);
-        let spec = AdversarySpec::new(Rate::from_f64(0.5), 8, JamStrategyKind::Saturating);
-        let fresh = run_cohort(&config, &spec, || Fixed(1.0 / 64.0));
-        let mut arena = SimArena::new();
-        // Dirty the arena with unrelated runs first.
-        for s in 0..3u64 {
-            let other = config.clone().with_seed(500 + s);
-            let _ = run_cohort_in(&other, &spec, || Fixed(1.0 / 64.0), &mut arena);
-        }
-        let reused = run_cohort_in(&config, &spec, || Fixed(1.0 / 64.0), &mut arena);
-        assert_eq!(fresh.slots, reused.slots);
-        assert_eq!(fresh.resolved_at, reused.resolved_at);
-        assert_eq!(fresh.winner, reused.winner);
-        assert_eq!(fresh.counts, reused.counts);
-        assert_eq!(fresh.energy, reused.energy);
     }
 }
 

@@ -41,7 +41,6 @@
 
 use crate::config::{SimConfig, StopRule};
 use crate::observer::{SlotObserver, StateProbe};
-use crate::protocol::Protocol;
 use crate::report::{EnergyStats, RunReport};
 use jle_adversary::{AdversarySpec, JamBudget, JamStrategy, Rate};
 use jle_radio::{ChannelHistory, HistoryView, SlotTruth, Trace};
@@ -66,8 +65,7 @@ fn trace_capacity(config: &SimConfig) -> usize {
 /// `memset` over `⌈n/32⌉` words per slot ([`SlotFlags::begin_slot`])
 /// instead of two O(n) byte fills, and both flags for a station land on
 /// the same cache line. Shared by [`crate::ExactStations`] (and therefore
-/// [`crate::FaultyStations`], which delegates to it) and reusable across
-/// runs through [`SimArena`].
+/// [`crate::FaultyStations`], which delegates to it).
 #[derive(Debug, Clone, Default)]
 pub struct SlotFlags {
     words: Vec<u64>,
@@ -78,13 +76,6 @@ impl SlotFlags {
     /// Flags for `n` stations, all clear.
     pub fn new(n: usize) -> Self {
         SlotFlags { words: vec![0; n.div_ceil(32)], len: n }
-    }
-
-    /// Resize for `n` stations and clear everything (arena reuse).
-    pub fn reset(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(32), 0);
-        self.len = n;
     }
 
     /// Number of stations tracked.
@@ -319,56 +310,6 @@ pub trait StationSet {
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport);
 }
 
-/// Reusable per-thread simulation storage.
-///
-/// The Monte-Carlo hot path used to allocate the station vector, the
-/// `transmitted`/`asleep` buffers, the history ring, and (when tracing)
-/// the trace storage afresh for every trial. Passing one `SimArena` to
-/// [`crate::run_exact_in`] / [`crate::run_cohort_in`] (or
-/// [`SimCore::with_arena`]) across repeated runs reuses those allocations.
-/// Station boxes whose protocols support in-place
-/// [`Protocol::reset`] are recycled too, so the steady state of a
-/// resettable exact-engine trial loop allocates nothing at all.
-///
-/// An arena is plain storage — runs leave no observable difference other
-/// than speed, which the golden-seed suite and `engine_throughput` bench
-/// both check.
-#[derive(Default)]
-pub struct SimArena {
-    pub(crate) stations: Vec<Box<dyn Protocol>>,
-    pub(crate) flags: SlotFlags,
-    pub(crate) history: Option<ChannelHistory>,
-    pub(crate) trace: Option<Trace>,
-    pub(crate) fast: crate::fast::FastScratch,
-}
-
-impl SimArena {
-    /// A fresh, empty arena.
-    pub fn new() -> Self {
-        SimArena::default()
-    }
-
-    /// Take a report's trace back into the arena so the next traced run
-    /// reuses its allocation. Call after harvesting what you need from the
-    /// trace; a report without one is a no-op.
-    pub fn reclaim_trace(&mut self, report: &mut RunReport) {
-        if let Some(trace) = report.trace.take() {
-            self.trace = Some(trace);
-        }
-    }
-}
-
-impl std::fmt::Debug for SimArena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimArena")
-            .field("stations", &self.stations.len())
-            .field("capacity", &self.flags.len())
-            .field("history", &self.history.is_some())
-            .field("trace", &self.trace.is_some())
-            .finish()
-    }
-}
-
 /// The jam-decision side of a slot: either the paper's commit-first
 /// adversary, or the model-violating oracle used as a negative control.
 pub(crate) enum Jammer {
@@ -451,36 +392,16 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    /// A lane for the run seeded `seed`, reusing `arena`'s history ring
-    /// and trace allocation when one is given.
-    pub(crate) fn new(
-        config: &SimConfig,
-        jammer: Jammer,
-        seed: u64,
-        mut arena: Option<&mut SimArena>,
-    ) -> Self {
+    /// A lane for the run seeded `seed`.
+    pub(crate) fn new(config: &SimConfig, jammer: Jammer, seed: u64) -> Self {
         let retention = config.effective_retention(jammer.budget().t_window());
-        let history = match arena.as_mut().and_then(|a| a.history.take()) {
-            Some(mut h) => {
-                h.reset(retention);
-                h
-            }
-            None => ChannelHistory::new(retention),
-        };
-        let trace = config.record_trace.then(|| match arena.and_then(|a| a.trace.take()) {
-            Some(mut t) => {
-                t.reset();
-                t
-            }
-            None => Trace::with_capacity(trace_capacity(config)),
-        });
         Lane {
             jammer,
             rng: SmallRng::seed_from_u64(seed),
-            history,
+            history: ChannelHistory::new(retention),
             report: RunReport::default(),
             energy: EnergyStats::default(),
-            trace,
+            trace: config.record_trace.then(|| Trace::with_capacity(trace_capacity(config))),
             want: false,
             actions: SlotActions::default(),
             truth: SlotTruth::IDLE,
@@ -569,14 +490,8 @@ impl Lane {
 
     /// Post-loop report assembly: channel counts, budget spent, energy,
     /// trace, and the `timed_out`/`cap_hit` verdict (`finished` is the
-    /// backend's answer at loop exit). Hands the history ring back to
-    /// `arena` when one is given.
-    pub(crate) fn finish(
-        self,
-        config: &SimConfig,
-        finished: bool,
-        arena: Option<&mut SimArena>,
-    ) -> RunReport {
+    /// backend's answer at loop exit).
+    pub(crate) fn finish(self, config: &SimConfig, finished: bool) -> RunReport {
         let mut report = self.report;
         report.counts = self.history.counts();
         report.adv_budget_spent = self.jammer.budget().spent_fraction();
@@ -588,9 +503,6 @@ impl Lane {
             StopRule::Horizon => false,
         };
         report.cap_hit = report.timed_out && report.slots == config.max_slots;
-        if let Some(arena) = arena {
-            arena.history = Some(self.history);
-        }
         report
     }
 }
@@ -619,7 +531,6 @@ impl Lane {
 pub struct SimCore<'a> {
     config: &'a SimConfig,
     jammer: Jammer,
-    arena: Option<&'a mut SimArena>,
     observers: Vec<&'a mut dyn SlotObserver>,
 }
 
@@ -629,7 +540,6 @@ impl<'a> SimCore<'a> {
         SimCore {
             config,
             jammer: Jammer::commit_first(adversary, config.seed),
-            arena: None,
             observers: Vec::new(),
         }
     }
@@ -641,15 +551,8 @@ impl<'a> SimCore<'a> {
         SimCore {
             config,
             jammer: Jammer::Oracle { budget: JamBudget::new(eps, t_window) },
-            arena: None,
             observers: Vec::new(),
         }
-    }
-
-    /// Reuse buffers from (and return them to) `arena`.
-    pub fn with_arena(mut self, arena: &'a mut SimArena) -> Self {
-        self.arena = Some(arena);
-        self
     }
 
     /// Attach an external per-slot observer (may be called repeatedly;
@@ -665,9 +568,9 @@ impl<'a> SimCore<'a> {
     /// This runs one [`Lane`] (K = 1); every public `run_*`
     /// entry point except the batched one is a thin shim over it.
     pub fn run<S: StationSet>(self, stations: &mut S) -> RunReport {
-        let SimCore { config, jammer, mut arena, mut observers } = self;
+        let SimCore { config, jammer, mut observers } = self;
         assert!(config.n >= 1, "need at least one station");
-        let mut lane = Lane::new(config, jammer, config.seed, arena.as_deref_mut());
+        let mut lane = Lane::new(config, jammer, config.seed);
         let wants_estimate = lane.traced() || observers.iter().any(|o| o.wants_estimate());
         let wants_probes = observers.iter().any(|o| o.wants_probes());
         let mut probes: Vec<StateProbe> = Vec::new();
@@ -710,7 +613,7 @@ impl<'a> SimCore<'a> {
             }
         }
 
-        let mut report = lane.finish(config, stations.finished(), arena);
+        let mut report = lane.finish(config, stations.finished());
         for obs in observers.iter_mut() {
             obs.finish(&mut report);
         }

@@ -9,10 +9,10 @@
 //!
 //! The slot loop itself lives in [`crate::core::SimCore`];
 //! [`ExactStations`] supplies the per-station action/feedback semantics
-//! and [`run_exact`] / [`run_exact_in`] are thin shims.
+//! and [`run_exact`] is a thin shim.
 
 use crate::config::SimConfig;
-use crate::core::{SimArena, SimCore, SlotActions, SlotFlags, StationSet};
+use crate::core::{SimCore, SlotActions, SlotFlags, StationSet};
 use crate::observer::StateProbe;
 use crate::protocol::{Action, Protocol, Status};
 use crate::report::RunReport;
@@ -35,42 +35,6 @@ impl ExactStations {
         let stations: Vec<Box<dyn Protocol>> = (0..config.n).map(factory).collect();
         let n = stations.len();
         ExactStations { stations, flags: SlotFlags::new(n) }
-    }
-
-    /// Like [`ExactStations::new`], but reusing the station vector and
-    /// flag buffers held by `arena`. Pair with
-    /// [`ExactStations::recycle`] to return them after the run.
-    ///
-    /// If the arena holds exactly `config.n` stations from a previous run
-    /// and every one of them supports [`Protocol::reset`], the boxes are
-    /// recycled in place and `factory` is never called — the
-    /// allocation-free steady state. Otherwise the set is rebuilt from
-    /// `factory`. Recycled stations resurrect their own construction-time
-    /// parameters, so share an arena only across runs whose factories
-    /// build equivalently-initialized stations (see [`Protocol::reset`]).
-    pub fn new_in(
-        config: &SimConfig,
-        factory: impl FnMut(u64) -> Box<dyn Protocol>,
-        arena: &mut SimArena,
-    ) -> Self {
-        let mut stations = std::mem::take(&mut arena.stations);
-        if stations.len() != config.n as usize || !stations.iter_mut().all(|s| s.reset()) {
-            stations.clear();
-            stations.extend((0..config.n).map(factory));
-        }
-        let n = stations.len();
-        let mut flags = std::mem::take(&mut arena.flags);
-        flags.reset(n);
-        ExactStations { stations, flags }
-    }
-
-    /// Return the backing buffers to `arena` for the next run. Station
-    /// boxes are kept intact so a following [`ExactStations::new_in`] can
-    /// recycle resettable ones in place; non-resettable stations are
-    /// dropped there when the set is rebuilt.
-    pub fn recycle(self, arena: &mut SimArena) {
-        arena.stations = self.stations;
-        arena.flags = self.flags;
     }
 
     /// The stations, for post-run inspection.
@@ -178,20 +142,6 @@ pub fn run_exact(
 ) -> RunReport {
     let mut stations = ExactStations::new(config, factory);
     SimCore::new(config, adversary).run(&mut stations)
-}
-
-/// Like [`run_exact`], but reusing `arena`'s buffers — the allocation-free
-/// steady state for tight Monte-Carlo trial loops on one thread.
-pub fn run_exact_in(
-    config: &SimConfig,
-    adversary: &AdversarySpec,
-    factory: impl FnMut(u64) -> Box<dyn Protocol>,
-    arena: &mut SimArena,
-) -> RunReport {
-    let mut stations = ExactStations::new_in(config, factory, arena);
-    let report = SimCore::new(config, adversary).with_arena(arena).run(&mut stations);
-    stations.recycle(arena);
-    report
 }
 
 #[cfg(test)]
@@ -316,104 +266,5 @@ mod tests {
         assert!(report.all_terminated);
         assert!(!report.timed_out);
         assert_eq!(report.leaders, vec![0]);
-    }
-
-    #[test]
-    fn resettable_stations_are_recycled_without_calling_the_factory() {
-        /// `Fixed` plus in-place reset (it carries no run state).
-        #[derive(Debug, Clone)]
-        struct ResettableFixed(f64);
-        impl UniformProtocol for ResettableFixed {
-            fn tx_prob(&mut self, _: u64) -> f64 {
-                self.0
-            }
-            fn on_state(&mut self, _: u64, _: ChannelState) {}
-            fn reset(&mut self) -> bool {
-                true
-            }
-        }
-
-        let spec = AdversarySpec::new(Rate::from_f64(0.5), 8, JamStrategyKind::Saturating);
-        let mut arena = SimArena::new();
-        let mut factory_calls = 0u64;
-        for round in 0..4u64 {
-            let config = SimConfig::new(8, CdModel::Strong).with_seed(round).with_max_slots(500);
-            let fresh =
-                run_exact(&config, &spec, |_| Box::new(PerStation::new(ResettableFixed(0.3))));
-            let reused = run_exact_in(
-                &config,
-                &spec,
-                |_| {
-                    factory_calls += 1;
-                    Box::new(PerStation::new(ResettableFixed(0.3)))
-                },
-                &mut arena,
-            );
-            assert_eq!(fresh.slots, reused.slots, "round {round}");
-            assert_eq!(fresh.resolved_at, reused.resolved_at, "round {round}");
-            assert_eq!(fresh.winner, reused.winner, "round {round}");
-            assert_eq!(fresh.counts, reused.counts, "round {round}");
-            assert_eq!(fresh.energy, reused.energy, "round {round}");
-        }
-        assert_eq!(factory_calls, 8, "only the first arena run may build stations");
-    }
-
-    #[test]
-    fn station_count_change_rebuilds_instead_of_recycling() {
-        #[derive(Debug, Clone)]
-        struct Resettable;
-        impl UniformProtocol for Resettable {
-            fn tx_prob(&mut self, _: u64) -> f64 {
-                0.5
-            }
-            fn on_state(&mut self, _: u64, _: ChannelState) {}
-            fn reset(&mut self) -> bool {
-                true
-            }
-        }
-
-        let mut arena = SimArena::new();
-        for n in [4u64, 16, 4] {
-            let config = SimConfig::new(n, CdModel::Strong).with_seed(2).with_max_slots(200);
-            let fresh = run_exact(&config, &passive(), |_| Box::new(PerStation::new(Resettable)));
-            let reused = run_exact_in(
-                &config,
-                &passive(),
-                |_| Box::new(PerStation::new(Resettable)),
-                &mut arena,
-            );
-            assert_eq!(fresh.resolved_at, reused.resolved_at, "n = {n}");
-            assert_eq!(fresh.counts, reused.counts, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn arena_runs_are_bit_identical_to_fresh_runs() {
-        let config = SimConfig::new(8, CdModel::Strong)
-            .with_seed(21)
-            .with_max_slots(50_000)
-            .with_trace(true);
-        let spec = AdversarySpec::new(Rate::from_f64(0.5), 8, JamStrategyKind::Saturating);
-        let fresh = run_exact(&config, &spec, |_| Box::new(PerStation::new(Fixed(0.2))));
-        let mut arena = SimArena::new();
-        for seed_bump in 0..3u64 {
-            // Interleave other seeds so reuse carries real dirty state.
-            let other = config.clone().with_seed(100 + seed_bump);
-            let mut r =
-                run_exact_in(&other, &spec, |_| Box::new(PerStation::new(Fixed(0.2))), &mut arena);
-            arena.reclaim_trace(&mut r);
-        }
-        let mut reused =
-            run_exact_in(&config, &spec, |_| Box::new(PerStation::new(Fixed(0.2))), &mut arena);
-        assert_eq!(fresh.slots, reused.slots);
-        assert_eq!(fresh.resolved_at, reused.resolved_at);
-        assert_eq!(fresh.winner, reused.winner);
-        assert_eq!(fresh.counts, reused.counts);
-        assert_eq!(fresh.energy, reused.energy);
-        let (ft, rt) = (fresh.trace.unwrap(), reused.trace.as_ref().unwrap());
-        assert_eq!(ft.len(), rt.len());
-        assert!(ft.iter().zip(rt.iter()).all(|(a, b)| a == b));
-        assert_eq!(ft.estimates, rt.estimates);
-        arena.reclaim_trace(&mut reused);
     }
 }

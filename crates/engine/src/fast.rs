@@ -33,7 +33,7 @@
 //! KS/chi-square cross-backend equivalence suite. See `DESIGN.md` §12.
 
 use crate::config::SimConfig;
-use crate::core::{SimArena, SimCore, SlotActions, StationSet, Tally};
+use crate::core::{SimCore, SlotActions, StationSet, Tally};
 use crate::faults::FaultPlan;
 use crate::observer::StateProbe;
 use crate::protocol::{Action, Protocol, Status};
@@ -48,19 +48,6 @@ use std::collections::BTreeMap;
 const ACT_LISTEN: u8 = 0;
 const ACT_TRANSMIT: u8 = 1;
 const ACT_SLEEP: u8 = 2;
-
-/// Recyclable storage for the fast backend's permutation and wake-queue
-/// buffers, held by [`SimArena`] so repeated
-/// [`run_fast_exact_in`] trials allocate nothing in steady state.
-#[derive(Default)]
-pub struct FastScratch {
-    ids: Vec<u32>,
-    pos: Vec<u32>,
-    acts: Vec<u8>,
-    keys: Vec<u64>,
-    finished: Vec<bool>,
-    queue: WakeQueue,
-}
 
 /// Calendar of parked stations: one bucket of ids per distinct wake
 /// slot, drained in `(wake_slot, id)` order — the same order a min-heap
@@ -77,7 +64,7 @@ pub struct FastScratch {
 struct WakeQueue {
     buckets: BTreeMap<u64, Vec<u32>>,
     len: usize,
-    /// Drained bucket vectors, recycled so steady state allocates nothing.
+    /// Drained bucket vectors, reused so steady state allocates nothing.
     spare: Vec<Vec<u32>>,
 }
 
@@ -109,14 +96,6 @@ impl WakeQueue {
 
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn clear(&mut self) {
-        while let Some((_, mut ids)) = self.buckets.pop_first() {
-            ids.clear();
-            self.spare.push(ids);
-        }
-        self.len = 0;
     }
 }
 
@@ -182,56 +161,16 @@ impl FastExactStations {
     /// Build a fresh station set; `factory(i)` builds station `i`.
     pub fn new(config: &SimConfig, factory: impl FnMut(u64) -> Box<dyn Protocol>) -> Self {
         let stations: Vec<Box<dyn Protocol>> = (0..config.n).map(factory).collect();
-        Self::from_parts(config, stations, FastScratch::default())
-    }
-
-    /// Like [`FastExactStations::new`], but reusing the station vector
-    /// and scratch buffers held by `arena`; pair with
-    /// [`FastExactStations::recycle`]. Recycling rules match
-    /// [`ExactStations::new_in`](crate::ExactStations::new_in): station
-    /// boxes are reused only when the count matches and every protocol
-    /// supports in-place [`Protocol::reset`].
-    pub fn new_in(
-        config: &SimConfig,
-        factory: impl FnMut(u64) -> Box<dyn Protocol>,
-        arena: &mut SimArena,
-    ) -> Self {
-        let mut stations = std::mem::take(&mut arena.stations);
-        if stations.len() != config.n as usize || !stations.iter_mut().all(|s| s.reset()) {
-            stations.clear();
-            stations.extend((0..config.n).map(factory));
-        }
-        let scratch = std::mem::take(&mut arena.fast);
-        Self::from_parts(config, stations, scratch)
-    }
-
-    fn from_parts(
-        config: &SimConfig,
-        stations: Vec<Box<dyn Protocol>>,
-        scratch: FastScratch,
-    ) -> Self {
         let n = stations.len();
         assert!(n <= u32::MAX as usize, "fast backend indexes stations with u32");
-        let FastScratch { mut ids, mut pos, mut acts, mut keys, mut finished, mut queue } = scratch;
-        ids.clear();
-        ids.extend(0..n as u32);
-        pos.clear();
-        pos.extend(0..n as u32);
-        acts.clear();
-        acts.resize(n, ACT_LISTEN);
-        keys.clear();
-        keys.extend((0..n as u64).map(|i| station_key(config.seed, i)));
-        finished.clear();
-        finished.resize(n, false);
-        queue.clear();
         let mut set = FastExactStations {
             stations,
-            ids,
-            pos,
-            acts,
-            keys,
-            finished,
-            queue,
+            ids: (0..n as u32).collect(),
+            pos: (0..n as u32).collect(),
+            acts: vec![ACT_LISTEN; n],
+            keys: (0..n as u64).map(|i| station_key(config.seed, i)).collect(),
+            finished: vec![false; n],
+            queue: WakeQueue::default(),
             awake_len: n,
             tally: Tally::new(n as u64),
             par_threshold: Self::DEFAULT_PAR_THRESHOLD,
@@ -246,27 +185,6 @@ impl FastExactStations {
             }
         }
         set
-    }
-
-    /// Return the station boxes and scratch buffers to `arena`, restoring
-    /// construction order first so a following `new_in` (fast *or*
-    /// legacy) can recycle resettable boxes in place.
-    pub fn recycle(self, arena: &mut SimArena) {
-        let FastExactStations {
-            mut stations, mut ids, pos, acts, keys, finished, mut queue, ..
-        } = self;
-        for p in 0..stations.len() {
-            // In-place cycle sort on the permutation: each swap parks one
-            // station at its home index, so the loop is O(n) total.
-            while ids[p] as usize != p {
-                let q = ids[p] as usize;
-                stations.swap(p, q);
-                ids.swap(p, q);
-            }
-        }
-        queue.clear();
-        arena.stations = stations;
-        arena.fast = FastScratch { ids, pos, acts, keys, finished, queue };
     }
 
     /// Override the awake-set size at which the action phase goes
@@ -556,19 +474,6 @@ pub fn run_fast_exact(
     SimCore::new(config, adversary).run(&mut stations)
 }
 
-/// Like [`run_fast_exact`], but reusing `arena`'s buffers across trials.
-pub fn run_fast_exact_in(
-    config: &SimConfig,
-    adversary: &AdversarySpec,
-    factory: impl FnMut(u64) -> Box<dyn Protocol>,
-    arena: &mut SimArena,
-) -> RunReport {
-    let mut stations = FastExactStations::new_in(config, factory, arena);
-    let report = SimCore::new(config, adversary).with_arena(arena).run(&mut stations);
-    stations.recycle(arena);
-    report
-}
-
 /// Run the fast exact backend with a [`FaultPlan`] applied on top of
 /// `factory`; semantics match [`run_exact_faulty`](crate::run_exact_faulty).
 pub fn run_fast_exact_faulty<F>(
@@ -588,7 +493,7 @@ where
 mod tests {
     use super::*;
     use crate::config::StopRule;
-    use crate::exact::{run_exact, run_exact_in};
+    use crate::exact::run_exact;
     use crate::faults::{run_exact_faulty, StationFaults};
     use crate::protocol::{PerStation, UniformProtocol};
     use jle_adversary::{JamStrategyKind, Rate};
@@ -604,9 +509,6 @@ mod tests {
             self.0
         }
         fn on_state(&mut self, _: u64, _: ChannelState) {}
-        fn reset(&mut self) -> bool {
-            true
-        }
     }
 
     /// Deterministic duty-cycled transmitter: transmits on its phase slot
@@ -775,52 +677,6 @@ mod tests {
         assert!(report.leader_elected());
         let w = report.winner.unwrap();
         assert_eq!(report.leaders, vec![w]);
-    }
-
-    #[test]
-    fn arena_runs_are_bit_identical_to_fresh_runs() {
-        let config = SimConfig::new(8, CdModel::Strong)
-            .with_seed(21)
-            .with_max_slots(50_000)
-            .with_trace(true);
-        let spec = AdversarySpec::new(Rate::from_f64(0.5), 8, JamStrategyKind::Saturating);
-        let factory = |_: u64| -> Box<dyn Protocol> { Box::new(PerStation::new(Fixed(0.2))) };
-        let fresh = run_fast_exact(&config, &spec, factory);
-        let mut arena = SimArena::new();
-        for seed_bump in 0..3u64 {
-            // Interleave other seeds so reuse carries real dirty state
-            // (permuted stations, populated wake calendar, stale keys).
-            let other = config.clone().with_seed(100 + seed_bump);
-            let mut r = run_fast_exact_in(&other, &spec, factory, &mut arena);
-            arena.reclaim_trace(&mut r);
-        }
-        let mut reused = run_fast_exact_in(&config, &spec, factory, &mut arena);
-        assert_eq!(fresh.slots, reused.slots);
-        assert_eq!(fresh.resolved_at, reused.resolved_at);
-        assert_eq!(fresh.winner, reused.winner);
-        assert_eq!(fresh.counts, reused.counts);
-        assert_eq!(fresh.energy, reused.energy);
-        let (ft, rt) = (fresh.trace.unwrap(), reused.trace.as_ref().unwrap());
-        assert!(ft.iter().zip(rt.iter()).all(|(a, b)| a == b));
-        arena.reclaim_trace(&mut reused);
-    }
-
-    #[test]
-    fn arena_is_shareable_between_fast_and_legacy_backends() {
-        // `recycle` restores construction order, so the same arena can
-        // feed both backends alternately without corrupting either.
-        let config = SimConfig::new(6, CdModel::Strong).with_seed(8).with_max_slots(20_000);
-        let factory = |_: u64| -> Box<dyn Protocol> { Box::new(PerStation::new(Fixed(0.3))) };
-        let mut arena = SimArena::new();
-        for round in 0..3u64 {
-            let cfg = config.clone().with_seed(8 + round);
-            let fast_fresh = run_fast_exact(&cfg, &passive(), factory);
-            let fast_arena = run_fast_exact_in(&cfg, &passive(), factory, &mut arena);
-            assert_eq!(fast_fresh.counts, fast_arena.counts, "round {round}");
-            let legacy_fresh = run_exact(&cfg, &passive(), factory);
-            let legacy_arena = run_exact_in(&cfg, &passive(), factory, &mut arena);
-            assert_eq!(legacy_fresh.counts, legacy_arena.counts, "round {round}");
-        }
     }
 
     #[test]

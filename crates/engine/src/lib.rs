@@ -57,9 +57,8 @@
 //! Optional instrumentation (live throughput, telemetry, split-brain
 //! tracking) attaches as composable [`SlotObserver`] layers rather than
 //! being inlined in the loop; energy and trace accounting are part of
-//! the report contract and live in the lane. Repeated trials on one
-//! thread can reuse buffers through a [`SimArena`] ([`run_exact_in`] /
-//! [`run_cohort_in`]).
+//! the report contract and live in the lane. Every run builds its
+//! stations and buffers fresh.
 //!
 //! Plus the deterministic Rayon-parallel [`MonteCarlo`] driver used by all
 //! experiments (with a panic-isolating [`MonteCarlo::run_caught`]
@@ -85,18 +84,15 @@ pub mod runner;
 pub mod streams;
 pub mod telemetry;
 
-pub use crate::core::{SimArena, SimCore, SlotActions, SlotFlags, StationSet, ADV_SEED_XOR};
+pub use crate::core::{SimCore, SlotActions, SlotFlags, StationSet, ADV_SEED_XOR};
 pub use batch::{run_batch_uniform, BatchUniformStations};
 pub use churn::{run_exact_churn, run_fast_exact_churn, ChurnPlan, StationChurn};
 pub use cohort::{
-    run_cohort, run_cohort_against_oracle, run_cohort_in, run_cohort_with, sample_transmitters,
-    CohortStations,
+    run_cohort, run_cohort_against_oracle, run_cohort_with, sample_transmitters, CohortStations,
 };
 pub use config::{SimConfig, StopRule};
-pub use exact::{run_exact, run_exact_in, ExactStations};
-pub use fast::{
-    run_fast_exact, run_fast_exact_faulty, run_fast_exact_in, FastExactStations, FastFaultyStations,
-};
+pub use exact::{run_exact, ExactStations};
+pub use fast::{run_fast_exact, run_fast_exact_faulty, FastExactStations, FastFaultyStations};
 pub use faults::{run_exact_faulty, FaultPlan, FaultyStation, FaultyStations, StationFaults};
 pub use leadership::{LeaderLedger, SplitBrainObserver, SplitInterval};
 pub use multihop::{

@@ -116,25 +116,6 @@ pub trait Protocol: Send {
     fn wake_hint(&self, slot: u64) -> u64 {
         slot + 1
     }
-
-    /// Restore this station *in place* to the initial state it was
-    /// constructed with, returning `true` on success. [`crate::SimArena`]
-    /// uses this to recycle station boxes across runs instead of
-    /// re-allocating `n` of them per trial: a run via
-    /// [`crate::run_exact_in`] reuses the previous run's stations only
-    /// when **every** one of them resets successfully, and rebuilds the
-    /// whole set from the factory otherwise.
-    ///
-    /// The default is `false` (never recycled), which is always correct.
-    /// Implementations returning `true` must erase *all* run state —
-    /// after `reset()`, the station must behave bit-for-bit like a
-    /// freshly constructed one. Because a recycled box resurrects its
-    /// *own* construction-time parameters, an arena must only be shared
-    /// across runs whose factories build equivalently-initialized
-    /// stations.
-    fn reset(&mut self) -> bool {
-        false
-    }
 }
 
 /// A uniform protocol: one shared state, one transmission probability per
@@ -176,14 +157,6 @@ pub trait UniformProtocol: Send {
     /// here while the station is running).
     fn state_probe(&self) -> Option<(&'static str, Option<f64>)> {
         None
-    }
-
-    /// Restore the shared state to its construction-time initial value,
-    /// returning `true` on success. Mirrors [`Protocol::reset`] (which
-    /// [`PerStation`] forwards here): it lets [`crate::SimArena`] recycle
-    /// per-station boxes across exact-engine runs. Default `false`.
-    fn reset(&mut self) -> bool {
-        false
     }
 }
 
@@ -266,15 +239,6 @@ impl<U: UniformProtocol + Send> Protocol for PerStation<U> {
             Status::Leader => Some(("leader", None)),
             Status::NonLeader => Some(("non_leader", None)),
             Status::Running => self.inner.state_probe(),
-        }
-    }
-
-    fn reset(&mut self) -> bool {
-        if self.inner.reset() {
-            self.status = Status::Running;
-            true
-        } else {
-            false
         }
     }
 }

@@ -139,9 +139,10 @@ impl StationRng {
     /// Like [`StationRng::for_slot`], with the slot's key material
     /// already mixed ([`slot_material`]): one slot's material serves
     /// every `(station, trial)` stream of a batch, so it is mixed once per
-    /// slot. [`draw_mask`] is specified against this stream.
-    #[inline]
-    pub fn with_slot_material(key: u64, slot_mat: u64) -> Self {
+    /// slot. [`draw_mask`] is specified against this stream, and a test
+    /// holds it equal to [`StationRng::for_slot`].
+    #[cfg(test)]
+    pub(crate) fn with_slot_material(key: u64, slot_mat: u64) -> Self {
         StationRng { state: mix64(key ^ slot_mat), ctr: 0 }
     }
 

@@ -32,7 +32,8 @@ use jle_engine::{
     SlotObserver, StdMesh, StopRule,
 };
 use jle_protocols::{
-    with_uniform_proto, ClusterElection, ElectionKind, ElectionParams, ProtoParams,
+    params::ZERO_STATIONS, with_uniform_proto, ClusterElection, ElectionKind, ElectionParams,
+    ProtoParams,
 };
 use jle_radio::{CdModel, Topology};
 use serde::{Deserialize, Serialize, Value};
@@ -225,6 +226,9 @@ impl LensSpec {
 
     /// Cross-field consistency (impossible engine/knob combinations).
     fn validate(&self) -> Result<(), SpecError> {
+        if self.n == 0 {
+            return Err(SpecError::Invalid(ZERO_STATIONS.into()));
+        }
         if !(0.0..=1.0).contains(&self.noise) {
             return Err(SpecError::Invalid("election_run: `noise` must be in [0, 1]".into()));
         }
@@ -423,6 +427,32 @@ mod tests {
             m.push(("warm_start".into(), Value::U64(1)));
         }
         assert!(matches!(LensSpec::from_params(&v), Err(SpecError::Unsupported(_))));
+    }
+
+    #[test]
+    fn zero_stations_are_invalid_in_every_tree_kind() {
+        let invalid = SpecError::Invalid(ZERO_STATIONS.to_string());
+        for kind in ["cohort_election", "exact_election"] {
+            let mut v = cohort_params();
+            if let Value::Map(m) = &mut v {
+                m.retain(|(k, _)| k != "kind" && k != "n");
+                m.push(("kind".into(), json!(kind)));
+                m.push(("n".into(), Value::U64(0)));
+            }
+            assert_eq!(LensSpec::from_params(&v).err(), Some(invalid.clone()), "{kind}");
+        }
+        for engine in ["cohort", "exact", "fast-exact", "multihop"] {
+            let v = json!({
+                "kind": "election_run",
+                "engine": engine,
+                "n": 0u64,
+                "cd": CdModel::Strong.to_json_value(),
+                "adv": AdversarySpec::passive().to_json_value(),
+                "max_slots": 1000u64,
+                "proto": {"proto": "lesu"},
+            });
+            assert_eq!(LensSpec::from_params(&v).err(), Some(invalid.clone()), "{engine}");
+        }
     }
 
     #[test]

@@ -86,12 +86,6 @@ impl Protocol for DutyCycledLesk {
         let rem = next % self.period;
         next + (self.phase + self.period - rem) % self.period
     }
-
-    fn reset(&mut self) -> bool {
-        // period/phase are construction-time constants; only the wrapped
-        // LESK walk carries run state.
-        self.inner.reset()
-    }
 }
 
 #[cfg(test)]

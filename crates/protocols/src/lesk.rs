@@ -34,9 +34,6 @@ pub struct LeskProtocol {
     increment: f64,
     /// The estimate `u` of `log₂ n`.
     u: f64,
-    /// The construction-time `u`, restored by `reset()` so arena-recycled
-    /// stations start exactly where a factory-fresh one would.
-    initial_u: f64,
 }
 
 impl LeskProtocol {
@@ -46,7 +43,7 @@ impl LeskProtocol {
     /// Panics unless `0 < eps < 1`.
     pub fn new(eps: f64) -> Self {
         assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1), got {eps}");
-        LeskProtocol { eps, increment: eps / 8.0, u: 0.0, initial_u: 0.0 }
+        LeskProtocol { eps, increment: eps / 8.0, u: 0.0 }
     }
 
     /// Create LESK starting from a non-default estimate (used by tests and
@@ -74,7 +71,6 @@ impl LeskProtocol {
     /// with the other constructors.
     pub fn starting_at(mut self, u: f64) -> Self {
         self.u = u.max(0.0);
-        self.initial_u = self.u;
         self
     }
 
@@ -123,11 +119,6 @@ impl UniformProtocol for LeskProtocol {
 
     fn state_probe(&self) -> Option<(&'static str, Option<f64>)> {
         Some(("electing", Some(self.u)))
-    }
-
-    fn reset(&mut self) -> bool {
-        self.u = self.initial_u;
-        true
     }
 }
 
@@ -235,21 +226,6 @@ mod tests {
         assert_eq!(p.u(), 0.0);
         let p = LeskProtocol::with_initial_estimate(0.5, 12.5);
         assert_eq!(p.u(), 12.5);
-    }
-
-    #[test]
-    fn reset_restores_the_constructed_estimate() {
-        let mut p = LeskProtocol::new(0.5).starting_at(6.0);
-        for _ in 0..40 {
-            p.update(ChannelState::Collision);
-        }
-        assert!(p.u() > 6.0);
-        assert!(UniformProtocol::reset(&mut p));
-        assert_eq!(p.u(), 6.0, "reset must return to the starting_at estimate");
-        let mut q = LeskProtocol::new(0.5);
-        q.update(ChannelState::Collision);
-        assert!(UniformProtocol::reset(&mut q));
-        assert_eq!(q.u(), 0.0);
     }
 }
 

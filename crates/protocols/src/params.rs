@@ -99,6 +99,11 @@ impl ProtoParams {
     }
 }
 
+/// Why a tree with `"n": 0` is refused: the engines need at least one
+/// station, so readers reject it while decoding instead of letting a
+/// run panic.
+pub const ZERO_STATIONS: &str = "`n` must be at least 1: an election needs a station";
+
 #[doc(hidden)]
 pub const CLUSTER_IS_MULTIHOP: &str =
     "proto `cluster` runs one election per topology cluster, on the multihop engine only";
@@ -161,10 +166,14 @@ pub struct ElectionParams {
 impl ElectionParams {
     /// Decode an election tree (module docs). A `cluster` protocol is
     /// refused as an unknown variant: it is not a single-channel election.
+    /// `n == 0` is refused with [`ZERO_STATIONS`].
     pub fn decode(tree: &Value) -> Result<Self, serde::Error> {
         let params = Self::from_json_value(tree)?;
         if let ProtoParams::Cluster { .. } = params.proto {
             return Err(serde::Error::unknown_variant("cluster", ELECTION_PROTOS));
+        }
+        if params.n == 0 {
+            return Err(serde::Error::custom(ZERO_STATIONS));
         }
         Ok(params)
     }

@@ -88,16 +88,6 @@ impl ChannelHistory {
         }
     }
 
-    /// Reset to an empty history with a (possibly new) retention window,
-    /// keeping the ring allocation — the arena-reuse hook for repeated
-    /// trials on one thread.
-    pub fn reset(&mut self, retention: usize) {
-        self.retention = retention.max(1);
-        self.ring.clear();
-        self.first_retained = 0;
-        self.counts = StateCounts::default();
-    }
-
     /// Record the outcome of the next slot.
     pub fn push(&mut self, truth: &SlotTruth) {
         self.counts.record(truth);

@@ -87,14 +87,6 @@ impl Trace {
         self.estimates.push(estimate);
     }
 
-    /// Clear all recorded slots and estimates, keeping the allocations —
-    /// the arena-reuse hook: a recycled trace records a fresh run without
-    /// reallocating its backing storage.
-    pub fn reset(&mut self) {
-        self.slots.clear();
-        self.estimates.clear();
-    }
-
     /// Number of recorded slots.
     #[inline]
     pub fn len(&self) -> usize {

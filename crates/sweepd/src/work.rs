@@ -342,6 +342,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_stations_are_invalid() {
+        // An election needs a station; a zero count must be refused at
+        // decode, not panic a worker inside the engine.
+        let lesu = json!({"proto": "lesu"});
+        for mut p in [params(lesu.clone()), exact_params(lesu.clone())] {
+            if let Value::Map(m) = &mut p {
+                m.retain(|(k, _)| k != "n");
+                m.push(("n".into(), Value::U64(0)));
+            }
+            let invalid = WorkError::Invalid(jle_protocols::params::ZERO_STATIONS.to_string());
+            assert_eq!(decode(&p).err(), Some(invalid));
+            assert!(!is_supported(&p));
+            assert!(matches!(build_trial_fn(&p), Err(WorkError::Invalid(_))));
+            assert!(matches!(build_batch_fn(&p), Err(WorkError::Invalid(_))));
+        }
+    }
+
+    #[test]
     fn unknown_keys_inside_adv_are_unsupported() {
         // The adversary's budget and every strategy's parameters are
         // strict too: a knob the server does not know is never dropped.
