@@ -1,5 +1,6 @@
-//! Criterion: per-slot simulation cost — cohort (n-independent) vs exact
-//! (O(n) per slot). Counterpart of experiment E15(b). Every arm builds
+//! Criterion: per-slot simulation cost — cohort (n-independent) vs the
+//! per-station fast-exact backend (O(awake) per slot). Counterpart of
+//! experiment E15(b). Every arm builds
 //! its stations and buffers fresh for each run, as the experiments, the
 //! orchestrator and `jle-sweepd` do.
 //!
@@ -13,8 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::median_ci;
 use jle_engine::{
-    run_batch_uniform, run_cohort, run_exact, run_fast_exact, CohortStations, EngineMetrics,
-    PerStation, RunReport, SimConfig, SimCore, TelemetryObserver, UniformProtocol,
+    run_batch_uniform, run_cohort, run_fast_exact, CohortStations, EngineMetrics, PerStation,
+    RunReport, SimConfig, SimCore, TelemetryObserver, UniformProtocol,
 };
 use jle_orchestrator::{Fingerprint, ResultStore, WorkSpec, DEFAULT_CODE_SALT};
 use jle_protocols::LeskProtocol;
@@ -57,47 +58,20 @@ fn bench_cohort(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_exact(c: &mut Criterion) {
-    let mut group = c.benchmark_group("exact_slots");
-    const SLOTS: u64 = 2_000;
-    group.throughput(Throughput::Elements(SLOTS));
-    for k in [6u32, 8, 10] {
-        let n = 1u64 << k;
-        group.bench_with_input(BenchmarkId::new("fresh", n), &n, |b, &n| {
-            let adv = sat();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))))
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_exact_short(c: &mut Criterion) {
     // Election-scale runs: a jammed election resolves in tens of slots,
     // so Monte-Carlo loops run *short* simulations back to back and
     // per-run setup — n station boxes allocated, initialized, and dropped,
-    // plus the flag buffers and history ring — is a real fraction of the
-    // work. `fresh` is the legacy exact backend's short-run cost (gated
-    // by `bench_gate`); `fast_exact` is the same workload on the
-    // active-set backend.
+    // plus the wake calendar and history ring — is a real fraction of the
+    // work. `fast_exact/1024` is gated by `bench_gate`, and it is the
+    // single-trial baseline the batched backend is measured against (see
+    // `batch_throughput` below and the `batch_speedup` gate arm).
     let mut group = c.benchmark_group("exact_short_runs");
     const SLOTS: u64 = 16;
     group.sample_size(30);
     group.throughput(Throughput::Elements(SLOTS));
     for k in [8u32, 10] {
         let n = 1u64 << k;
-        group.bench_with_input(BenchmarkId::new("fresh", n), &n, |b, &n| {
-            let adv = sat();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))))
-            })
-        });
-        // The bitset fast path on the same short-run workload: the
-        // single-trial baseline the batched backend is measured against
-        // (see `batch_throughput` below and the `batch_speedup` gate arm).
         group.bench_with_input(BenchmarkId::new("fast_exact", n), &n, |b, &n| {
             let adv = sat();
             b.iter(|| {
@@ -181,9 +155,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
 /// Sleep-heavy, never-resolving workload for the fast backend: awake one
 /// slot in `period` (always transmitting — 1024 awake stations collide
 /// forever, so runs always walk the full slot budget), asleep otherwise,
-/// with an honest `wake_hint`. The legacy backend still steps all `n`
-/// stations every slot; the active-set backend touches only the awake
-/// `n/period`.
+/// with an honest `wake_hint`. The active-set backend touches only the
+/// awake `n/period` stations per slot.
 #[derive(Debug)]
 struct DutySleeper {
     period: u64,
@@ -209,10 +182,8 @@ impl jle_engine::Protocol for DutySleeper {
 }
 
 fn bench_fast_exact(c: &mut Criterion) {
-    // The tentpole measurement: legacy O(n)-per-slot backend vs the
-    // active-set backend on a duty-cycled (sleep-heavy) network. The
-    // acceptance bar is fast >= 5x legacy at n = 65536 with period 64;
-    // the recorded figures in results/BENCH.json track the trajectory.
+    // The active-set backend on a duty-cycled (sleep-heavy) network; the
+    // recorded figures in results/BENCH.json track the trajectory.
     let mut group = c.benchmark_group("fast_exact");
     const SLOTS: u64 = 256;
     const PERIOD: u64 = 64;
@@ -222,13 +193,6 @@ fn bench_fast_exact(c: &mut Criterion) {
     };
     {
         let n = 1u64 << 16;
-        group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, &n| {
-            let adv = sat();
-            b.iter(|| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(7).with_max_slots(SLOTS);
-                black_box(run_exact(&config, &adv, factory))
-            })
-        });
         group.bench_with_input(BenchmarkId::new("fast", n), &n, |b, &n| {
             let adv = sat();
             b.iter(|| {
@@ -237,8 +201,8 @@ fn bench_fast_exact(c: &mut Criterion) {
             })
         });
     }
-    // Million-station arm: fast backend only — the legacy backend at this
-    // scale is the problem the backend exists to solve (~100x the work).
+    // Million-station arm: a backend stepping every station every slot
+    // would do ~64x the work here.
     let n = 1u64 << 20;
     group.bench_with_input(BenchmarkId::new("fast", n), &n, |b, &n| {
         let adv = sat();
@@ -406,7 +370,7 @@ fn bench_sweepd_frames(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_cohort, bench_exact, bench_exact_short, bench_batch_throughput,
+    targets = bench_cohort, bench_exact_short, bench_batch_throughput,
         bench_fast_exact, bench_telemetry, bench_warm_path, bench_sweepd_frames
 }
 criterion_main!(benches);

@@ -15,19 +15,22 @@
 //! ```
 //!
 //! The harness measures a representative arm per `engine_throughput`
-//! group — the cheap slot loop (cohort), the O(n)-per-slot exact backend,
-//! its election-scale short runs, and the active-set fast backend — with
-//! workloads identical to the Criterion bench, so figures are comparable
-//! to the recorded medians. Arms absent from the recorded baseline (new
-//! groups mid-trajectory) are reported but never gate.
+//! group — the cheap slot loop (cohort), the per-station fast-exact
+//! backend's election-scale short runs, and its sleep-heavy active-set
+//! path — with workloads identical to the Criterion bench, so figures are
+//! comparable to the recorded medians. Arms absent from the recorded
+//! baseline (new groups mid-trajectory) are reported but never gate; the
+//! arms that moved onto fast-exact when the shared-stream engine was
+//! retired carry `fast_*` names for that reason, so they are never held
+//! to figures recorded on the old backend.
 //!
 //! Criterion itself is a dev-dependency and benches don't gate; this
 //! binary is what CI runs (`--normalize`, release profile).
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{
-    run_batch_uniform, run_cohort, run_exact, run_fast_exact, Action, ChurnPlan, ExactStations,
-    FaultPlan, FaultyStations, LeaderLedger, MultihopStations, PerStation, Protocol, SimConfig,
+    run_batch_uniform, run_cohort, run_fast_exact, Action, ChurnPlan, FastExactStations,
+    FastFaultyStations, FaultPlan, LeaderLedger, MultihopStations, PerStation, Protocol, SimConfig,
     SimCore, SlotActions, SlotObserver, SplitBrainObserver, StdMesh, UniformProtocol,
 };
 use jle_radio::{CdModel, ChannelState, Observation, SlotTruth, Topology};
@@ -165,48 +168,42 @@ fn arms() -> Vec<Arm> {
             }),
         },
         Arm {
-            group: "exact_slots",
-            name: "fresh/1024",
-            iters: 5,
-            run: Box::new(|| {
-                let adv = sat();
-                let config =
-                    SimConfig::new(1 << 10, CdModel::Strong).with_seed(7).with_max_slots(2_000);
-                black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))));
-            }),
-        },
-        Arm {
             group: "exact_short_runs",
-            name: "fresh/1024",
+            name: "fast_exact/1024",
             iters: 200,
             run: Box::new(|| {
                 let adv = sat();
                 let config =
                     SimConfig::new(1 << 10, CdModel::Strong).with_seed(7).with_max_slots(16);
-                black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))));
+                black_box(run_fast_exact(&config, &adv, |_| {
+                    Box::new(PerStation::new(AlwaysCollide))
+                }));
             }),
         },
-        // Paired A/B arms for the open-world stack's disabled-path
-        // overhead: same workload as exact_slots, once pristine and once
-        // through the churn wrapper (empty plan, proven bit-identical)
-        // with the split-brain observer attached to an idle ledger. The
-        // pair gates *against each other* (same process, same run — no
-        // machine-speed normalization needed); see the churn-overhead
-        // check in `main`.
+        // The dense pristine run (1024 always-awake stations, 2,000
+        // slots) measured once: the denominator of the churn and lens
+        // same-run gates below.
         Arm {
-            group: "churn_overhead",
+            group: "fast_exact_slots",
             name: "pristine/1024",
             iters: 5,
             run: Box::new(|| {
                 let adv = sat();
                 let config =
                     SimConfig::new(1 << 10, CdModel::Strong).with_seed(7).with_max_slots(2_000);
-                black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))));
+                black_box(run_fast_exact(&config, &adv, |_| {
+                    Box::new(PerStation::new(AlwaysCollide))
+                }));
             }),
         },
+        // The open-world stack's disabled path: the pristine workload
+        // through the churn wrapper (empty plan, proven bit-identical)
+        // with the split-brain observer attached to an idle ledger. Gated
+        // against `fast_exact_slots/pristine/1024` in `main` (same
+        // process, same run — no machine-speed normalization needed).
         Arm {
             group: "churn_overhead",
-            name: "empty_plan/1024",
+            name: "fast_empty_plan/1024",
             iters: 5,
             run: Box::new(|| {
                 let adv = sat();
@@ -214,32 +211,21 @@ fn arms() -> Vec<Arm> {
                     SimConfig::new(1 << 10, CdModel::Strong).with_seed(7).with_max_slots(2_000);
                 let plan = ChurnPlan::empty().overlay(&FaultPlan::empty());
                 let mut split = SplitBrainObserver::new(LeaderLedger::new(512));
-                let mut stations = FaultyStations::new(&config, &plan, |_: u64| {
+                let mut stations = FastFaultyStations::new(&config, &plan, |_: u64| {
                     Box::new(PerStation::new(AlwaysCollide)) as Box<dyn Protocol>
                 });
                 black_box(SimCore::new(&config, &adv).observe(&mut split).run(&mut stations));
             }),
         },
-        // Paired A/B arms for the lens's disabled path: the same
-        // workload bare, and with the replay-era hooks present but idle —
-        // an attached observer that declines probes (so the engine takes
-        // only the `wants_probes` branch plus one virtual call per slot)
-        // inside a span on a *disabled* recorder. Gated against each
-        // other in `main` like the churn pair.
+        // The lens's disabled path: the pristine workload with the
+        // replay-era hooks present but idle — an attached observer that
+        // declines probes (so the engine takes only the `wants_probes`
+        // branch plus one virtual call per slot) inside a span on a
+        // *disabled* recorder. Gated against the pristine arm like the
+        // churn arm.
         Arm {
             group: "lens_overhead",
-            name: "bare/1024",
-            iters: 5,
-            run: Box::new(|| {
-                let adv = sat();
-                let config =
-                    SimConfig::new(1 << 10, CdModel::Strong).with_seed(7).with_max_slots(2_000);
-                black_box(run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))));
-            }),
-        },
-        Arm {
-            group: "lens_overhead",
-            name: "hooks_idle/1024",
+            name: "fast_hooks_idle/1024",
             iters: 5,
             run: Box::new(|| {
                 let adv = sat();
@@ -248,7 +234,7 @@ fn arms() -> Vec<Arm> {
                 let tracer = SpanRecorder::disabled();
                 let _span = tracer.span("engine", "run:seed=7");
                 let mut idle = IdleLens;
-                let mut stations = ExactStations::new(&config, |_| {
+                let mut stations = FastExactStations::new(&config, |_| {
                     Box::new(PerStation::new(AlwaysCollide)) as Box<dyn Protocol>
                 });
                 black_box(SimCore::new(&config, &adv).observe(&mut idle).run(&mut stations));
@@ -340,11 +326,11 @@ fn baseline_ns(latest: &serde_json::Value, group: &str, arm: &str) -> Option<f64
 }
 
 /// Allowed overhead of the churn wrapper + idle split-brain observer
-/// over the pristine exact run (same-process A/B pair).
+/// over the pristine fast-exact run (same-process A/B pair).
 const CHURN_OVERHEAD_LIMIT: f64 = 0.02;
 
 /// Allowed overhead of the idle lens hooks (attached non-probing
-/// observer + disabled span recorder) over the bare exact run
+/// observer + disabled span recorder) over the pristine fast-exact run
 /// (same-process A/B pair).
 const LENS_OVERHEAD_LIMIT: f64 = 0.02;
 
@@ -442,22 +428,19 @@ enum Bound {
     Speedup(f64),
 }
 
-/// Same-run A/B gate over arms `group/num` and `group/den`: both were
-/// measured in this process, so their ratio needs no machine-speed
-/// normalization. Prints one verdict line and returns whether the pair
-/// holds `bound`; a pair with an unmeasured arm is skipped.
+/// Same-run A/B gate over arms `num` and `den` (`group/name` labels):
+/// both were measured in this process, so their ratio needs no
+/// machine-speed normalization. Prints one verdict line and returns
+/// whether the pair holds `bound`; a pair with an unmeasured arm is
+/// skipped.
 fn same_run_gate(
     rows: &[(String, f64, Option<f64>)],
     label: &str,
-    group: &str,
     num: &str,
     den: &str,
     bound: Bound,
 ) -> bool {
-    let ns = |name: &str| {
-        let want = format!("{group}/{name}");
-        rows.iter().find(|(label, _, _)| *label == want).map(|(_, ns, _)| *ns)
-    };
+    let ns = |want: &str| rows.iter().find(|(label, _, _)| label == want).map(|(_, ns, _)| *ns);
     let (Some(num), Some(den)) = (ns(num), ns(den)) else {
         return true;
     };
@@ -485,9 +468,9 @@ fn usage() -> ! {
          entry. --normalize gates each arm against the median measured/recorded\n\
          ratio instead of the raw ratio, absorbing uniform machine-speed\n\
          differences (use in CI). Fixed same-run gates ride along: the\n\
-         churn_overhead pair gates the disabled open-world stack against its\n\
-         pristine twin (limit 2%), the lens_overhead pair gates the idle\n\
-         tracing/probe hooks the same way (limit 2%), the batch_speedup pair\n\
+         churn_overhead arm gates the disabled open-world stack against the\n\
+         pristine fast-exact run (limit 2%), the lens_overhead arm gates the\n\
+         idle tracing/probe hooks the same way (limit 2%), the batch_speedup pair\n\
          runs the same 256 election-scale trials per-trial and batched and\n\
          fails unless the batched backend is at least 10x faster, and the\n\
          sweepd_overhead pair submits a warm-cache unit through an in-process\n\
@@ -611,34 +594,33 @@ fn main() {
     // Same-run A/B gates. The open-world stack, fully disabled (empty
     // churn plan + idle split-brain observer), and the lens hooks'
     // disabled path (an attached observer that declines probes plus a
-    // disabled span recorder) must each be nearly free next to the bare
-    // exact run; the SoA lockstep pass over 256 election-scale trials
-    // must beat the per-trial fast-exact loop on the same workload.
+    // disabled span recorder) must each be nearly free next to the
+    // pristine fast-exact run; the SoA lockstep pass over 256
+    // election-scale trials must beat the per-trial fast-exact loop on
+    // the same workload.
+    const PRISTINE: &str = "fast_exact_slots/pristine/1024";
     let gates = [
         (
             "churn_overhead (disabled path)",
-            "churn_overhead",
-            "empty_plan/1024",
-            "pristine/1024",
+            "churn_overhead/fast_empty_plan/1024",
+            PRISTINE,
             Bound::Overhead(CHURN_OVERHEAD_LIMIT),
         ),
         (
             "lens_overhead (disabled path)",
-            "lens_overhead",
-            "hooks_idle/1024",
-            "bare/1024",
+            "lens_overhead/fast_hooks_idle/1024",
+            PRISTINE,
             Bound::Overhead(LENS_OVERHEAD_LIMIT),
         ),
         (
             "batch_speedup (256 trials, n=1024)",
-            "batch_speedup",
-            "per_trial/1024",
-            "batch/1024",
+            "batch_speedup/per_trial/1024",
+            "batch_speedup/batch/1024",
             Bound::Speedup(BATCH_SPEEDUP_FLOOR),
         ),
     ];
-    for (label, group, num, den, bound) in gates {
-        failed |= !same_run_gate(&rows, label, group, num, den, bound);
+    for (label, num, den, bound) in gates {
+        failed |= !same_run_gate(&rows, label, num, den, bound);
     }
 
     // Absolute-budget gate: a warm-cache submission through the resident

@@ -24,7 +24,7 @@
 //! `results/<id>.csv` (one CSV per table, suffixed when multiple).
 
 use jle_bench::experiments::{run_by_id, ALL_IDS};
-use jle_bench::{EngineMode, ExpContext, ExperimentResult};
+use jle_bench::{ExpContext, ExperimentResult};
 use jle_orchestrator::{CachePolicy, Event, JsonlReporter, Orchestrator, StderrProgress};
 use jle_telemetry::{FlightRecorder, MetricRegistry, SpanRecorder};
 use std::fs;
@@ -67,11 +67,6 @@ fn usage() -> ! {
          --trace-out <p>    write a Chrome trace_event JSON profile at exit\n  \
          --flight-recorder <dir>  dump flight-recorder postmortems (anomalies,\n                     \
          caught panics, supervisor restarts) into <dir>\n  \
-         --engine <mode>    per-station backend for E23 (the only experiment\n                     \
-         that reads it; E6, E15, E24 and E25 always run the legacy\n                     \
-         engine): exact (default) | fast-exact (active-set loop,\n                     \
-         counter-based per-station streams; statistically equivalent,\n                     \
-         different bits — cache keys are tagged so results never alias)\n  \
          --server <ep>      route supported cohort-election units through a\n                     \
          resident jle-sweepd service (tcp:HOST:PORT or unix:PATH);\n                     \
          unsupported units fall back to local execution"
@@ -92,7 +87,6 @@ struct Cli {
     metrics_out: Option<String>,
     trace_out: Option<String>,
     flight_dir: Option<String>,
-    engine: EngineMode,
     server: Option<String>,
     ids: Vec<String>,
 }
@@ -110,7 +104,6 @@ fn parse_args(args: &[String]) -> Cli {
         metrics_out: None,
         trace_out: None,
         flight_dir: None,
-        engine: EngineMode::default(),
         server: None,
         ids: Vec::new(),
     };
@@ -143,13 +136,6 @@ fn parse_args(args: &[String]) -> Cli {
             "--metrics-out" => cli.metrics_out = Some(value("--metrics-out")),
             "--trace-out" => cli.trace_out = Some(value("--trace-out")),
             "--flight-recorder" => cli.flight_dir = Some(value("--flight-recorder")),
-            "--engine" => {
-                let v = value("--engine");
-                cli.engine = EngineMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("error: --engine expects exact | fast-exact, got {v:?}");
-                    std::process::exit(2);
-                });
-            }
             "--server" => cli.server = Some(value("--server")),
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => {
@@ -199,10 +185,6 @@ fn build_orchestrator(cli: &Cli, registry: &MetricRegistry, tracer: &SpanRecorde
             Err(e) => eprintln!("warning: cannot open run log {path}: {e}"),
         }
     }
-    // Tag cache keys with the backend: fast-exact results are
-    // statistically equivalent but bit-different, so they must never be
-    // served for (or overwrite) exact-mode entries.
-    orch = orch.engine_mode(cli.engine.label());
     orch.metrics_registry(registry).tracer(tracer.clone())
 }
 
@@ -262,7 +244,7 @@ fn main() {
         if cli.trace_out.is_some() { SpanRecorder::new() } else { SpanRecorder::disabled() };
     let orch = Arc::new(build_orchestrator(&cli, &registry, &tracer));
     orch.announce();
-    let mut ctx = ExpContext::new(cli.quick, Arc::clone(&orch)).with_engine(cli.engine);
+    let mut ctx = ExpContext::new(cli.quick, Arc::clone(&orch));
     if let Some(ep) = &cli.server {
         let endpoint = jle_sweepd::Endpoint::parse(ep).unwrap_or_else(|e| {
             eprintln!("error: --server: {e}");

@@ -13,10 +13,11 @@ use std::sync::Arc;
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{
-    run_cohort, run_exact, run_exact_churn, run_multihop, run_multihop_std, ChurnPlan, FaultPlan,
-    FaultyStations, LeaderLedger, MonteCarlo, PerStation, Protocol, RngDiscipline, RunReport,
-    SimConfig, SimCore, SplitBrainObserver, StopRule,
+    run_cohort, run_fast_exact, run_fast_exact_churn, run_multihop, run_multihop_std, ChurnPlan,
+    FastFaultyStations, FaultPlan, LeaderLedger, MonteCarlo, PerStation, Protocol, RngDiscipline,
+    RunReport, SimConfig, SimCore, SplitBrainObserver, StopRule,
 };
+use jle_protocols::params::ZERO_STATIONS;
 use jle_protocols::{
     lewk, lewu, ArssMacProtocol, BackoffProtocol, ClusterElection, ElectionKind, ElectionParams,
     LeaseConfig, LeaseProtocol, LeskProtocol, LesuProtocol, ProtoParams, WillardProtocol,
@@ -249,7 +250,7 @@ fn run_lease(
         }
     };
     let mut split = SplitBrainObserver::new(ledger);
-    let mut stations = FaultyStations::new(&config, &plan, factory);
+    let mut stations = FastFaultyStations::new(&config, &plan, factory);
     Ok(SimCore::new(&config, adv).observe(&mut split).run(&mut stations))
 }
 
@@ -393,19 +394,20 @@ fn run_one(
     if args.wants_churn() {
         let plan = args.churn_plan(seed);
         return Ok(match args.protocol.as_str() {
-            "lesk" => run_exact_churn(&config, adv, &plan, move |_| {
+            "lesk" => run_fast_exact_churn(&config, adv, &plan, move |_| {
                 Box::new(PerStation::new(LeskProtocol::new(eps)))
             }),
-            "lesu" => run_exact_churn(&config, adv, &plan, |_| {
+            "lesu" => run_fast_exact_churn(&config, adv, &plan, |_| {
                 Box::new(PerStation::new(LesuProtocol::new()))
             }),
-            "lewk" => {
-                run_exact_churn(&config.with_stop(StopRule::AllTerminated), adv, &plan, move |_| {
-                    Box::new(lewk(eps))
-                })
-            }
+            "lewk" => run_fast_exact_churn(
+                &config.with_stop(StopRule::AllTerminated),
+                adv,
+                &plan,
+                move |_| Box::new(lewk(eps)),
+            ),
             "lewu" => {
-                run_exact_churn(&config.with_stop(StopRule::AllTerminated), adv, &plan, |_| {
+                run_fast_exact_churn(&config.with_stop(StopRule::AllTerminated), adv, &plan, |_| {
                     Box::new(lewu())
                 })
             }
@@ -425,9 +427,11 @@ fn run_one(
             ArssMacProtocol::new(ArssMacProtocol::recommended_gamma(n, adv.t_window))
         }),
         "lewk" => {
-            run_exact(&config.with_stop(StopRule::AllTerminated), adv, |_| Box::new(lewk(eps)))
+            run_fast_exact(&config.with_stop(StopRule::AllTerminated), adv, |_| Box::new(lewk(eps)))
         }
-        "lewu" => run_exact(&config.with_stop(StopRule::AllTerminated), adv, |_| Box::new(lewu())),
+        "lewu" => {
+            run_fast_exact(&config.with_stop(StopRule::AllTerminated), adv, |_| Box::new(lewu()))
+        }
         other => return Err(format!("unknown protocol: {other}")),
     })
 }
@@ -476,6 +480,10 @@ fn main() {
         }
     }
     let args = args;
+    if args.n == 0 {
+        eprintln!("error: --n: {ZERO_STATIONS}");
+        std::process::exit(2);
+    }
     if args.trace_out.is_some() && args.server.is_none() {
         eprintln!("error: --trace-out traces the service path; it needs --server");
         std::process::exit(2);

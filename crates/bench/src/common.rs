@@ -2,10 +2,7 @@
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{Figure, Summary, Table};
-use jle_engine::{
-    run_cohort, run_exact, run_fast_exact, Protocol, RunReport, SimConfig, SlotCost,
-    UniformProtocol,
-};
+use jle_engine::{run_cohort, RunReport, SimConfig, SlotCost, UniformProtocol};
 use jle_orchestrator::{Orchestrator, WorkSpec};
 use jle_radio::CdModel;
 use jle_sweepd::SweepClient;
@@ -84,44 +81,12 @@ pub fn saturating(eps: f64, t_window: u64) -> AdversarySpec {
     AdversarySpec::new(Rate::from_f64(eps), t_window, JamStrategyKind::Saturating)
 }
 
-/// Which exact backend simulates `Protocol`-level (per-station)
-/// experiments. Selected by the experiments CLI via `--engine`. Only E23
-/// reads it; E6, E15, E24 and E25 call the legacy engine directly.
-///
-/// The two backends sample the same election laws from unrelated random
-/// streams (statistically equivalent, bit-different), so the mode is also
-/// folded into orchestrator cache keys — see
-/// [`jle_orchestrator::Orchestrator::engine_mode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// The legacy backend: every station stepped every slot
-    /// ([`jle_engine::run_exact`]).
-    #[default]
-    Exact,
-    /// The active-set backend with counter-based per-station streams
-    /// ([`jle_engine::run_fast_exact`]): O(awake) per slot.
-    FastExact,
-}
-
-impl EngineMode {
-    /// Parse the CLI spelling (`exact` | `fast-exact`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "exact" => Some(EngineMode::Exact),
-            "fast-exact" => Some(EngineMode::FastExact),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling, which is also the cache-key tag
-    /// ([`jle_orchestrator::Orchestrator::engine_mode`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineMode::Exact => "exact",
-            EngineMode::FastExact => "fast-exact",
-        }
-    }
-}
+/// The backend every per-station experiment unit runs on
+/// ([`jle_engine::run_fast_exact`] and its faulty/churn shims), named in
+/// the unit's cache params: results the retired shared-stream engine
+/// stored under an otherwise identical tree are keyed apart and
+/// recomputed, never served.
+pub const PER_STATION_ENGINE: &str = "fast-exact";
 
 /// Everything an experiment needs at run time: the `--quick` flag plus the
 /// orchestrator all Monte-Carlo work is submitted through. Experiments
@@ -134,14 +99,13 @@ pub struct ExpContext {
     pub quick: bool,
     orch: Arc<Orchestrator>,
     flight: Option<Arc<FlightRecorder>>,
-    engine: EngineMode,
     server: Option<Arc<Mutex<SweepClient>>>,
 }
 
 impl ExpContext {
     /// A context submitting work through `orch`.
     pub fn new(quick: bool, orch: Arc<Orchestrator>) -> Self {
-        ExpContext { quick, orch, flight: None, engine: EngineMode::default(), server: None }
+        ExpContext { quick, orch, flight: None, server: None }
     }
 
     /// A context with no cache and no reporters — unit tests and doc
@@ -162,21 +126,6 @@ impl ExpContext {
     /// The flight recorder, if one is attached.
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.flight.as_ref()
-    }
-
-    /// Builder: select the exact backend per-station experiments run on.
-    ///
-    /// The caller is responsible for tagging the orchestrator's cache
-    /// keys to match ([`jle_orchestrator::Orchestrator::engine_mode`]) —
-    /// the experiments CLI does both from the one `--engine` flag.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The selected exact backend.
-    pub fn engine(&self) -> EngineMode {
-        self.engine
     }
 
     /// Builder: route supported cohort-election units through a resident
@@ -211,19 +160,6 @@ impl ExpContext {
                 );
                 None
             }
-        }
-    }
-
-    /// Run one per-station election on the selected exact backend.
-    pub fn exact_election(
-        &self,
-        config: &SimConfig,
-        adv: &AdversarySpec,
-        factory: impl FnMut(u64) -> Box<dyn Protocol>,
-    ) -> RunReport {
-        match self.engine {
-            EngineMode::Exact => run_exact(config, adv, factory),
-            EngineMode::FastExact => run_fast_exact(config, adv, factory),
         }
     }
 

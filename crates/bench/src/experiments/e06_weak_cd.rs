@@ -1,15 +1,15 @@
 //! E6 — weak-CD overhead of `Notification` (Lemma 3.1, Theorems 3.2/3.3).
 //!
 //! LEWK (= Notification∘LESK) and LEWU (= Notification∘LESU) run on the
-//! exact per-station engine under weak-CD with full termination
+//! per-station fast-exact engine under weak-CD with full termination
 //! detection; their strong-CD counterparts run on the cohort engine. The
 //! lemma promises a constant-factor overhead (≤ 8× the selection bound)
 //! and exactly one leader with every station terminating.
 
-use crate::common::{median, saturating, ExpContext, ExperimentResult};
+use crate::common::{median, saturating, ExpContext, ExperimentResult, PER_STATION_ENGINE};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
-use jle_engine::{run_exact, SimConfig, StopRule};
+use jle_engine::{run_fast_exact, SimConfig, StopRule};
 use jle_protocols::{lewk, lewu, LeskProtocol, LesuProtocol};
 use jle_radio::CdModel;
 use serde::Serialize;
@@ -27,6 +27,7 @@ fn weak_runs(
 ) -> (Vec<f64>, u64, u64) {
     let params = serde_json::json!({
         "kind": "weak_cd_exact",
+        "engine": PER_STATION_ENGINE,
         "n": n,
         "adv": adv.to_json_value(),
         "max_slots": max_slots,
@@ -41,9 +42,9 @@ fn weak_runs(
                 .with_max_slots(max_slots)
                 .with_stop(StopRule::AllTerminated);
             let report = if lesu {
-                run_exact(&config, adv, |_| Box::new(lewu()))
+                run_fast_exact(&config, adv, |_| Box::new(lewu()))
             } else {
-                run_exact(&config, adv, |_| Box::new(lewk(0.5)))
+                run_fast_exact(&config, adv, |_| Box::new(lewk(0.5)))
             };
             (report.slots, report.timed_out, report.leaders.len() as u64)
         });

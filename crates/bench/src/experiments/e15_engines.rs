@@ -3,20 +3,40 @@
 //!
 //! The cohort engine's correctness rests on the lockstep invariant of
 //! uniform protocols (DESIGN.md §4). Here we (a) compare the election-time
-//! *distributions* of the two engines on identical configurations
-//! (different RNG pathways, so the comparison is statistical), (b)
-//! measure slots/second of both engines across `n`, and (c) cross-validate
-//! the unified `SimCore` (DESIGN.md §10): the fault backend with an empty
-//! plan (`run_exact_faulty`) must reproduce the plain `run_exact` shim
-//! *bit for bit*.
+//! *distributions* of the cohort engine and the per-station exact engine
+//! (`run_fast_exact`) on identical configurations (different RNG
+//! pathways, so the comparison is statistical), (b) measure slots/second
+//! of both engines across `n` (the median of [`TIMED_RUNS`] timed runs
+//! per row), and (c) cross-validate the unified `SimCore` (DESIGN.md
+//! §10): the fault backend with an empty plan (`run_fast_exact_faulty`)
+//! must reproduce the plain `run_fast_exact` shim *bit for bit*.
 
-use crate::common::{saturating, ExpContext, ExperimentResult};
+use crate::common::{median, saturating, ExpContext, ExperimentResult, PER_STATION_ENGINE};
 use jle_analysis::{fmt, Summary, Table};
-use jle_engine::{run_cohort, run_exact, run_exact_faulty, FaultPlan, PerStation, SimConfig};
+use jle_engine::{
+    run_cohort, run_fast_exact, run_fast_exact_faulty, FaultPlan, PerStation, RunReport, SimConfig,
+};
 use jle_protocols::LeskProtocol;
 use jle_radio::CdModel;
 use serde::Serialize;
 use std::time::Instant;
+
+/// Timed runs per throughput row; the row reports their median, so one
+/// descheduled run cannot swing the committed wall-time column.
+const TIMED_RUNS: usize = 5;
+
+/// Run `f` [`TIMED_RUNS`] times; its (deterministic) report and the
+/// median wall time in seconds.
+fn timed(f: impl Fn() -> RunReport) -> (RunReport, f64) {
+    let mut secs = Vec::with_capacity(TIMED_RUNS);
+    let mut report = None;
+    for _ in 0..TIMED_RUNS {
+        let start = Instant::now();
+        report = Some(f());
+        secs.push(start.elapsed().as_secs_f64());
+    }
+    (report.expect("at least one timed run"), median(&secs))
+}
 
 /// Run E15.
 pub fn run(ctx: &ExpContext) -> ExperimentResult {
@@ -59,6 +79,7 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let mut exact_params = params;
         if let serde::Value::Map(m) = &mut exact_params {
             m.push(("kind".to_string(), serde::Value::Str("engine_exact".into())));
+            m.push(("engine".to_string(), serde::Value::Str(PER_STATION_ENGINE.into())));
         }
         let exact: Vec<f64> = ctx.run_trials(
             "e15",
@@ -70,7 +91,7 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
                 let config = SimConfig::new(n, CdModel::Strong)
                     .with_seed(seed ^ 0xABCD)
                     .with_max_slots(10_000_000);
-                run_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(eps))))
+                run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(eps))))
                     .slots as f64
             },
         );
@@ -92,15 +113,13 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         }
         fn on_state(&mut self, _: u64, _: jle_radio::ChannelState) {}
     }
-    let mut thr = Table::new(["n", "engine", "slots", "wall time (ms)", "slots/sec"]);
+    let mut thr = Table::new(["n", "engine", "slots", "median wall time (ms)", "slots/sec"]);
     let budget: u64 = if quick { 20_000 } else { 200_000 };
     let thr_ns: Vec<u64> = if quick { vec![1 << 10] } else { vec![1 << 10, 1 << 16, 1 << 20] };
     for &n in &thr_ns {
         let adv = saturating(eps, 64);
         let config = SimConfig::new(n, CdModel::Strong).with_seed(1).with_max_slots(budget);
-        let start = Instant::now();
-        let r = run_cohort(&config, &adv, || AlwaysCollide);
-        let dt = start.elapsed().as_secs_f64();
+        let (r, dt) = timed(|| run_cohort(&config, &adv, || AlwaysCollide));
         thr.push_row([
             n.to_string(),
             "cohort".to_string(),
@@ -109,15 +128,15 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             fmt(r.slots as f64 / dt),
         ]);
     }
-    // Exact engine only at moderate n (O(n) per slot).
+    // Exact engine only at moderate n: O(awake) per slot, and
+    // AlwaysCollide keeps every station awake.
     let exact_ns: Vec<u64> = if quick { vec![1 << 8] } else { vec![1 << 8, 1 << 12] };
     let exact_budget = if quick { 2_000 } else { 10_000 };
     for &n in &exact_ns {
         let adv = saturating(eps, 64);
         let config = SimConfig::new(n, CdModel::Strong).with_seed(1).with_max_slots(exact_budget);
-        let start = Instant::now();
-        let r = run_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide)));
-        let dt = start.elapsed().as_secs_f64();
+        let (r, dt) =
+            timed(|| run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(AlwaysCollide))));
         thr.push_row([
             n.to_string(),
             "exact".to_string(),
@@ -143,8 +162,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     for seed in ident_seeds {
         let config =
             SimConfig::new(ident_n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
-        let exact = run_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(eps))));
-        let faulty = run_exact_faulty(&config, &adv, &empty_plan, move |_| {
+        let exact =
+            run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(eps))));
+        let faulty = run_fast_exact_faulty(&config, &adv, &empty_plan, move |_| {
             Box::new(PerStation::new(LeskProtocol::new(eps)))
         });
         if json(&exact) == json(&faulty) {
@@ -152,12 +172,12 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         }
     }
     ident.push_row([
-        "run_exact_faulty (empty plan)".to_string(),
-        "run_exact".to_string(),
+        "run_fast_exact_faulty (empty plan)".to_string(),
+        "run_fast_exact".to_string(),
         total.to_string(),
         format!("{faulty_ok}/{total}"),
     ]);
-    assert_eq!(faulty_ok, total, "run_exact_faulty (empty plan) diverged from run_exact");
+    assert_eq!(faulty_ok, total, "run_fast_exact_faulty (empty plan) diverged from run_fast_exact");
     result.add_table("unified-core identity (serialized-report equality)", ident);
 
     result.note(
@@ -168,7 +188,7 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     );
     result.note(
         "the empty-plan fault backend through the unified SimCore reproduced the plain \
-         run_exact shim bit for bit on every seed checked"
+         run_fast_exact shim bit for bit on every seed checked"
             .to_string(),
     );
     result

@@ -5,7 +5,7 @@
 //! forever. E24 drops that assumption: stations crash (state loss), wake
 //! up late, and mis-sense the channel (`Null`/`Collision` flips), all on
 //! top of the usual saturating `(T, 1−ε)` jammer. Runs go through
-//! [`jle_engine::run_exact_faulty`] and are classified by the
+//! [`jle_engine::run_fast_exact_faulty`] and are classified by the
 //! [`Outcome`] degradation taxonomy; a supervised arm wraps each station
 //! in [`Supervisor`] (silence watchdog + restart with exponential
 //! backoff) and is coupled to the bare arm — identical seeds and
@@ -31,12 +31,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::common::{median, saturating, ExpContext, ExperimentResult};
+use crate::common::{median, saturating, ExpContext, ExperimentResult, PER_STATION_ENGINE};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Figure, Series, Table};
 use jle_engine::{
-    catch_trial, run_exact_faulty, FaultPlan, FaultyStations, Outcome, PerStation, Protocol,
-    RunReport, SimConfig, SimCore, TelemetryObserver, TrialOutcome,
+    catch_trial, run_fast_exact_faulty, FastFaultyStations, FaultPlan, Outcome, PerStation,
+    Protocol, RunReport, SimConfig, SimCore, TelemetryObserver, TrialOutcome,
 };
 use jle_orchestrator::WorkSpec;
 use jle_protocols::{
@@ -91,6 +91,7 @@ fn arm_params(
 ) -> Value {
     serde_json::json!({
         "kind": "faulty_election",
+        "engine": PER_STATION_ENGINE,
         "n": N,
         "adv": adv.to_json_value(),
         "max_slots": cap,
@@ -157,7 +158,7 @@ where
                 let config = SimConfig::new(N, CdModel::Strong).with_seed(seed).with_max_slots(cap);
                 let plan = plan_of(seed);
                 match &recorder {
-                    None => run_exact_faulty(&config, adv, &plan, factory),
+                    None => run_fast_exact_faulty(&config, adv, &plan, factory),
                     Some(rec) => {
                         let mut obs = TelemetryObserver::new(&config)
                             .with_flight_recorder(Arc::clone(rec))
@@ -169,7 +170,7 @@ where
                         if let Some(fp) = &fingerprint {
                             obs = obs.with_fingerprint(fp.clone());
                         }
-                        let mut stations = FaultyStations::new(&config, &plan, factory);
+                        let mut stations = FastFaultyStations::new(&config, &plan, factory);
                         let report =
                             SimCore::new(&config, adv).observe(&mut obs).run(&mut stations);
                         let log = restarts.lock().expect("restart log");
@@ -665,7 +666,7 @@ mod tests {
         let spawns = Arc::new(AtomicU64::new(0));
         let factory = supervised_lesk(watchdog, Arc::clone(&spawns), None);
         let config = SimConfig::new(N, CdModel::Strong).with_seed(record.seed).with_max_slots(cap);
-        let report = run_exact_faulty(&config, &adv, &plan_of(record.seed), factory);
+        let report = run_fast_exact_faulty(&config, &adv, &plan_of(record.seed), factory);
         assert_eq!(
             report.slots, record.slots_seen,
             "replay at the recorded seed reproduces the recorded trial"

@@ -26,12 +26,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::common::{median, saturating, ExpContext, ExperimentResult};
+use crate::common::{median, saturating, ExpContext, ExperimentResult, PER_STATION_ENGINE};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Figure, Series, Table};
 use jle_engine::{
-    catch_trial, run_exact_churn, ChurnPlan, FaultPlan, FaultyStations, LeaderLedger, Outcome,
-    PerStation, Protocol, RunReport, SimConfig, SimCore, SplitBrainObserver, StopRule,
+    catch_trial, run_fast_exact_churn, ChurnPlan, FastFaultyStations, FaultPlan, LeaderLedger,
+    Outcome, PerStation, Protocol, RunReport, SimConfig, SimCore, SplitBrainObserver, StopRule,
     TelemetryObserver, TrialOutcome,
 };
 use jle_orchestrator::WorkSpec;
@@ -93,6 +93,7 @@ fn arm_params(
 ) -> Value {
     serde_json::json!({
         "kind": "open_world_election",
+        "engine": PER_STATION_ENGINE,
         "n": N,
         "adv": adv.to_json_value(),
         "horizon": horizon,
@@ -193,7 +194,7 @@ fn run_lease_arm(
                     .with_stop(StopRule::Horizon);
                 let plan = churn_of(seed, churn_prob, horizon, rejoin).overlay(&FaultPlan::empty());
                 let mut split = SplitBrainObserver::new(Arc::clone(&ledger));
-                let mut stations = FaultyStations::new(&config, &plan, factory);
+                let mut stations = FastFaultyStations::new(&config, &plan, factory);
                 match &recorder {
                     None => SimCore::new(&config, adv).observe(&mut split).run(&mut stations),
                     Some(rec) => {
@@ -271,7 +272,7 @@ fn run_estimate_arm(
                     .with_max_slots(horizon)
                     .with_trace(true);
                 let plan = churn_of(seed, churn_prob, horizon, true);
-                let mut report = run_exact_churn(&config, adv, &plan, move |_| {
+                let mut report = run_fast_exact_churn(&config, adv, &plan, move |_| {
                     Box::new(PerStation::new(LeskProtocol::new(eps)))
                 });
                 let u_final = report.trace.as_ref().and_then(|t| t.estimates.last().copied());
@@ -535,7 +536,7 @@ mod tests {
             }
         };
         let mut split = SplitBrainObserver::new(Arc::clone(&ledger));
-        let mut stations = FaultyStations::new(&config, &plan, factory);
+        let mut stations = FastFaultyStations::new(&config, &plan, factory);
         let report = SimCore::new(&config, &adv).observe(&mut split).run(&mut stations);
         assert_eq!(report.slots, horizon, "horizon runs go the distance");
         assert!(!report.timed_out && !report.cap_hit, "the horizon is not a timeout");

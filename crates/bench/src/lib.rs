@@ -13,4 +13,4 @@
 pub mod common;
 pub mod experiments;
 
-pub use common::{EngineMode, ExpContext, ExperimentResult};
+pub use common::{ExpContext, ExperimentResult};

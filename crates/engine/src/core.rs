@@ -11,7 +11,7 @@
 //!   transmits, who listens, who is the lone transmitter, what feedback
 //!   the stations receive, whether they have all finished or terminated,
 //!   and which backend-specific report fields (`leaders`, …) to fill.
-//!   The exact, fast-exact, cohort, faulty, and multi-hop backends all
+//!   The fast-exact, cohort, faulty, and multi-hop backends all
 //!   implement it; [`SimCore`] drives one lane around any of them.
 //! * [`crate::observer::SlotObserver`] is opt-in per-slot instrumentation
 //!   (live throughput, telemetry, split-brain tracking) layered on the
@@ -30,11 +30,15 @@
 //! 1. **adversary stream** (`seed ^ ADV_SEED_XOR`): the commit-first
 //!    strategy's `decide` draws, if any;
 //! 2. **station stream** (`seed`): the backend's action draws — per-station
-//!    Bernoullis in index order (exact) or one binomial (cohort);
+//!    Bernoullis in index order (multi-hop `Shared`) or one binomial
+//!    (cohort); the counter-stream backends (fast-exact, batch, multi-hop
+//!    `Counter`) draw their stations from per-station streams instead and
+//!    take nothing here;
 //! 3. **station stream**: the noise Bernoulli, drawn only when
 //!    `noise_prob > 0`;
 //! 4. **station stream**: the backend's winner draw on the first clean
-//!    `Single` (cohort draws `gen_range(0..n)`; exact draws nothing).
+//!    `Single` (cohort draws `gen_range(0..n)`; per-station backends draw
+//!    nothing).
 //!
 //! Budget updates, history pushes, observer calls, and feedback delivery
 //! consume no randomness and may not be reordered around the draws above.
@@ -57,89 +61,16 @@ fn trace_capacity(config: &SimConfig) -> usize {
     config.max_slots.min(1 << 20) as usize
 }
 
-/// Word-packed per-station slot flags: the `transmitted`/`asleep` pair
-/// every per-station backend needs for its feedback phase, two bits per
-/// station in one `u64` word array.
-///
-/// Replaces the historical pair of `Vec<bool>` buffers: clearing is one
-/// `memset` over `⌈n/32⌉` words per slot ([`SlotFlags::begin_slot`])
-/// instead of two O(n) byte fills, and both flags for a station land on
-/// the same cache line. Shared by [`crate::ExactStations`] (and therefore
-/// [`crate::FaultyStations`], which delegates to it).
-#[derive(Debug, Clone, Default)]
-pub struct SlotFlags {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl SlotFlags {
-    /// Flags for `n` stations, all clear.
-    pub fn new(n: usize) -> Self {
-        SlotFlags { words: vec![0; n.div_ceil(32)], len: n }
-    }
-
-    /// Number of stations tracked.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the flag set tracks zero stations.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Clear both flags of every station — the per-slot reset, one memset.
-    #[inline]
-    pub fn begin_slot(&mut self) {
-        self.words.fill(0);
-    }
-
-    #[inline]
-    fn word_bit(i: usize) -> (usize, u32) {
-        (i / 32, (i % 32) as u32 * 2)
-    }
-
-    /// Mark station `i` as having transmitted this slot.
-    #[inline]
-    pub fn set_transmitted(&mut self, i: usize) {
-        let (w, b) = Self::word_bit(i);
-        self.words[w] |= 1u64 << b;
-    }
-
-    /// Mark station `i` as asleep (or terminated) this slot.
-    #[inline]
-    pub fn set_asleep(&mut self, i: usize) {
-        let (w, b) = Self::word_bit(i);
-        self.words[w] |= 2u64 << b;
-    }
-
-    /// Whether station `i` transmitted this slot.
-    #[inline]
-    pub fn transmitted(&self, i: usize) -> bool {
-        let (w, b) = Self::word_bit(i);
-        self.words[w] >> b & 1 != 0
-    }
-
-    /// Whether station `i` slept this slot.
-    #[inline]
-    pub fn asleep(&self, i: usize) -> bool {
-        let (w, b) = Self::word_bit(i);
-        self.words[w] >> b & 2 != 0
-    }
-}
-
 /// What a station set did in one slot, aggregated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlotActions {
     /// Number of transmitting stations.
     pub transmitters: u64,
     /// Number of listening stations (excludes sleepers and terminated
-    /// stations on the exact engine; `n − k` on the cohort engine).
+    /// stations on the per-station engines; `n − k` on the cohort engine).
     pub listeners: u64,
     /// Index of the sole transmitter when `transmitters == 1` and the
-    /// backend tracks identities (exact engine); `None` otherwise.
+    /// backend tracks identities (per-station engines); `None` otherwise.
     pub lone_transmitter: Option<u64>,
 }
 
@@ -234,7 +165,7 @@ impl Tally {
 }
 
 /// The station side of the simulation: everything that differs between
-/// the exact, cohort, faulty, and multi-hop engines.
+/// the fast-exact, cohort, faulty, and multi-hop engines.
 ///
 /// [`SimCore::run`] calls these hooks in a fixed per-slot order — see the
 /// module docs for the draw-order contract each implementation must
@@ -256,12 +187,12 @@ pub trait StationSet {
     fn all_terminated(&self) -> bool;
 
     /// Play the action phase of `slot`: draw station randomness (in
-    /// station-index order on the exact engine) and report the aggregate.
+    /// station-index order on a shared stream) and report the aggregate.
     fn act(&mut self, slot: u64, config: &SimConfig, rng: &mut SmallRng) -> SlotActions;
 
     /// Identify the winner of the run-resolving first clean `Single`.
     /// Called at most once per run. The cohort backend draws the uniform
-    /// winner here; the exact backend returns the lone transmitter without
+    /// winner here; per-station backends return the lone transmitter without
     /// touching the RNG.
     fn pick_winner(
         &mut self,

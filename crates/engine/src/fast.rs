@@ -1,12 +1,17 @@
-//! The fast exact backend: active-set slot loop over counter-based
+//! The per-station backend: active-set slot loop over counter-based
 //! per-station RNG streams.
 //!
-//! [`ExactStations`](crate::ExactStations) calls every station's `act`
-//! every slot and draws all randomness from one sequential stream — O(n)
-//! per slot no matter how many stations are asleep, and draw-order-welded
-//! to the iteration order. [`FastExactStations`] keeps the *semantics*
-//! (same feedback filtering, same CD models, same stop rules, same report
-//! fields) while changing both mechanisms:
+//! The model is slot by slot: the adversary commits its jam decision
+//! first (it never sees current-slot actions), every running station
+//! then draws its action, the ground truth is resolved, and each station
+//! receives its CD-model-specific observation. A naive loop calls every
+//! station's `act` every slot and draws all randomness from one
+//! sequential stream — O(n) per slot no matter how many stations are
+//! asleep, and draw-order-welded to the iteration order (that discipline
+//! survives as the multi-hop backend's `Shared` mode, the reference the
+//! `exact_*` golden fixtures pin). [`FastExactStations`] keeps the
+//! *semantics* (same feedback filtering, same CD models, same stop rules,
+//! same report fields) while changing both mechanisms:
 //!
 //! * **Counter-based streams** ([`crate::streams`]): station `i`'s draws
 //!   in slot `t` are a pure function of `(run_seed, i, t, draw_index)`.
@@ -27,10 +32,11 @@
 //!   this); the transmitter-set reduction folds chunk aggregates in chunk
 //!   order, deterministically.
 //!
-//! The fast backend is **statistically equivalent** to the legacy one —
-//! same distributions, different bits. It is locked by its own golden
-//! fixtures, and `crates/protocols/tests/cross_engine.rs` holds the
-//! KS/chi-square cross-backend equivalence suite. See `DESIGN.md` §12.
+//! The fast backend is **statistically equivalent** to the shared-stream
+//! discipline — same distributions, different bits. It is locked by its
+//! own golden fixtures, and `crates/protocols/tests/cross_engine.rs`
+//! holds the KS/chi-square equivalence suite against the multi-hop
+//! `Shared` arm on `Complete`. See `DESIGN.md` §12.
 
 use crate::config::SimConfig;
 use crate::core::{SimCore, SlotActions, StationSet, Tally};
@@ -395,17 +401,20 @@ impl StationSet for FastExactStations {
 }
 
 /// The fault-injecting twin of [`FastExactStations`]: planned stations
-/// are wrapped in [`FaultyStation`] (whose `wake_hint` folds crash
-/// windows and staggered wakeups into the active-set schedule) and the
-/// post-run degradation verdict comes from the [`FaultPlan`].
+/// are wrapped in [`FaultyStation`](crate::FaultyStation) (whose
+/// `wake_hint` folds crash windows and staggered wakeups into the
+/// active-set schedule) and the post-run degradation verdict comes from
+/// the [`FaultPlan`].
 pub struct FastFaultyStations<'p> {
     inner: FastExactStations,
     plan: &'p FaultPlan,
 }
 
 impl<'p> FastFaultyStations<'p> {
-    /// Build the station set; mirrors
-    /// [`FaultyStations::new`](crate::FaultyStations::new).
+    /// Build the station set: stations without a plan entry come from
+    /// `factory` directly (zero overhead); stations with one are wrapped
+    /// in [`FaultyStation`](crate::FaultyStation) seeded from
+    /// [`FaultPlan::station_seed`].
     pub fn new<F>(config: &SimConfig, plan: &'p FaultPlan, factory: F) -> Self
     where
         F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
@@ -462,9 +471,9 @@ impl StationSet for FastFaultyStations<'_> {
 
 /// Run one simulation on the fast exact backend with a fresh station set.
 ///
-/// Semantics match [`run_exact`](crate::run_exact); bits do not (the fast
-/// backend draws from counter-based per-station streams — see the module
-/// docs).
+/// `factory(i)` builds the protocol instance of station `i`; protocols
+/// needing distinct roles can inspect `i`, while symmetric protocols
+/// ignore it.
 pub fn run_fast_exact(
     config: &SimConfig,
     adversary: &AdversarySpec,
@@ -475,7 +484,15 @@ pub fn run_fast_exact(
 }
 
 /// Run the fast exact backend with a [`FaultPlan`] applied on top of
-/// `factory`; semantics match [`run_exact_faulty`](crate::run_exact_faulty).
+/// `factory`.
+///
+/// After the run the report's degradation fields are filled in: if the
+/// elected leader (or recorded winner) is scheduled to be crashed — and
+/// not yet recovered — at the end of the simulated horizon (`max_slots`;
+/// crashes are wall-clock scheduled, so a leader elected before its crash
+/// slot still goes down), [`RunReport::leader_crashed`] is set and
+/// [`RunReport::outcome`] reports
+/// [`Outcome::LeaderCrashed`](crate::report::Outcome::LeaderCrashed).
 pub fn run_fast_exact_faulty<F>(
     config: &SimConfig,
     adversary: &AdversarySpec,
@@ -493,15 +510,16 @@ where
 mod tests {
     use super::*;
     use crate::config::StopRule;
-    use crate::exact::run_exact;
-    use crate::faults::{run_exact_faulty, StationFaults};
+    use crate::faults::StationFaults;
+    use crate::multihop::{run_multihop_std, RngDiscipline};
     use crate::protocol::{PerStation, UniformProtocol};
     use jle_adversary::{JamStrategyKind, Rate};
-    use jle_radio::{CdModel, ChannelState};
+    use jle_radio::{CdModel, ChannelState, Topology};
 
     /// Fixed-probability transmitter. With p ∈ {0, 1} its behavior is
-    /// deterministic, so fast and legacy backends must agree *bit for
-    /// bit* despite their unrelated streams.
+    /// deterministic, so the fast backend and the legacy shared-stream
+    /// discipline must agree *bit for bit* despite their unrelated
+    /// streams.
     #[derive(Debug, Clone)]
     struct Fixed(f64);
     impl UniformProtocol for Fixed {
@@ -554,6 +572,17 @@ mod tests {
         AdversarySpec::passive()
     }
 
+    /// The legacy shared-stream discipline: every station polled every
+    /// slot, all draws from the engine's one sequential stream in index
+    /// order (the multi-hop backend's `Shared` mode on `Complete`).
+    fn run_legacy(
+        config: &SimConfig,
+        adversary: &AdversarySpec,
+        factory: impl FnMut(u64) -> Box<dyn Protocol>,
+    ) -> RunReport {
+        run_multihop_std(config, adversary, &Topology::Complete, RngDiscipline::Shared, factory)
+    }
+
     #[test]
     fn deterministic_protocols_match_legacy_bit_for_bit() {
         // p=1.0 and p=0.0 stations act deterministically, so every report
@@ -563,7 +592,7 @@ mod tests {
             let factory = |i: u64| -> Box<dyn Protocol> {
                 Box::new(PerStation::new(Fixed(if i == 0 { 1.0 } else { 0.0 })))
             };
-            let legacy = run_exact(&config, &passive(), factory);
+            let legacy = run_legacy(&config, &passive(), factory);
             let fast = run_fast_exact(&config, &passive(), factory);
             assert_eq!(legacy.resolved_at, fast.resolved_at, "{cd:?}");
             assert_eq!(legacy.winner, fast.winner, "{cd:?}");
@@ -584,7 +613,7 @@ mod tests {
         let spec = AdversarySpec::new(Rate::from_f64(0.5), 4, JamStrategyKind::Saturating);
         let config = SimConfig::new(1, CdModel::Strong).with_seed(3).with_max_slots(20);
         let factory = |_| -> Box<dyn Protocol> { Box::new(PerStation::new(Fixed(1.0))) };
-        let legacy = run_exact(&config, &spec, factory);
+        let legacy = run_legacy(&config, &spec, factory);
         let fast = run_fast_exact(&config, &spec, factory);
         assert_eq!(legacy.resolved_at, fast.resolved_at);
         assert_eq!(legacy.counts, fast.counts);
@@ -616,11 +645,11 @@ mod tests {
 
     #[test]
     fn wake_hint_matches_legacy_engine_on_duty_cycle() {
-        // Deterministic duty-cycled stations through the *legacy* engine
-        // vs the fast one with hints: the active-set loop must not change
-        // what the channel sees.
+        // Deterministic duty-cycled stations through the *legacy*
+        // every-station-every-slot loop vs the fast one with hints: the
+        // active-set loop must not change what the channel sees.
         let config = SimConfig::new(12, CdModel::Strong).with_seed(2).with_max_slots(200);
-        let legacy = run_exact(&config, &passive(), |i| Box::new(Pulse::new(6, i % 6, false)));
+        let legacy = run_legacy(&config, &passive(), |i| Box::new(Pulse::new(6, i % 6, false)));
         let fast = run_fast_exact(&config, &passive(), |i| Box::new(Pulse::new(6, i % 6, true)));
         assert_eq!(legacy.resolved_at, fast.resolved_at);
         assert_eq!(legacy.counts, fast.counts);
@@ -717,7 +746,8 @@ mod tests {
     #[test]
     fn faulty_deterministic_schedule_matches_legacy() {
         // Crash + recovery on a deterministic transmitter: identical
-        // energy/count accounting through both faulty backends.
+        // energy/count accounting through the fast faulty backend and the
+        // legacy shared-stream loop over the same wrapped stations.
         let config = SimConfig::new(1, CdModel::Weak)
             .with_seed(1)
             .with_max_slots(10)
@@ -725,7 +755,7 @@ mod tests {
         let plan =
             FaultPlan::new(0).with_station(0, StationFaults::none().crash_with_recovery(2, 5));
         let factory = move |_| Box::new(PerStation::new(Fixed(1.0))) as Box<dyn Protocol>;
-        let legacy = run_exact_faulty(&config, &passive(), &plan, factory);
+        let legacy = run_legacy(&config, &passive(), plan.wrap(factory));
         let fast = run_fast_exact_faulty(&config, &passive(), &plan, factory);
         assert_eq!(legacy.energy.transmissions, fast.energy.transmissions);
         assert_eq!(legacy.counts, fast.counts);
@@ -791,5 +821,88 @@ mod tests {
             let share = w as f64 / total as f64;
             assert!((share - 0.25).abs() < 0.08, "station {i} share {share}");
         }
+    }
+
+    #[test]
+    fn single_station_wins_immediately_strong_cd() {
+        let config = SimConfig::new(1, CdModel::Strong).with_seed(3).with_max_slots(10);
+        let report = run_fast_exact(&config, &passive(), |_| Box::new(PerStation::new(Fixed(1.0))));
+        assert_eq!(report.resolved_at, Some(0));
+        assert_eq!(report.winner, Some(0));
+        assert_eq!(report.leaders, vec![0]);
+        assert!(report.leader_elected());
+        assert!(!report.timed_out);
+    }
+
+    #[test]
+    fn two_always_transmitters_never_resolve() {
+        let config = SimConfig::new(2, CdModel::Strong).with_seed(3).with_max_slots(50);
+        let report = run_fast_exact(&config, &passive(), |_| Box::new(PerStation::new(Fixed(1.0))));
+        assert!(report.timed_out);
+        assert_eq!(report.resolved_at, None);
+        assert_eq!(report.counts.collisions, 50);
+        assert_eq!(report.energy.transmissions, 100);
+    }
+
+    #[test]
+    fn weak_cd_winner_does_not_learn() {
+        // Under weak-CD the winner keeps Running: no station ends Leader.
+        let config = SimConfig::new(2, CdModel::Weak).with_seed(5).with_max_slots(10_000);
+        let report = run_fast_exact(&config, &passive(), |_| Box::new(PerStation::new(Fixed(0.5))));
+        assert!(report.resolved_at.is_some());
+        assert!(report.leaders.is_empty());
+        // Selection still counts as "elected" under FirstCleanSingle: the
+        // clean Single happened.
+        assert!(report.leader_elected());
+    }
+
+    #[test]
+    fn jamming_suppresses_singles() {
+        // eps=1/2, T=2: adversary can jam every other slot. A lone
+        // always-transmitter resolves only in an unjammed slot.
+        let spec = AdversarySpec::new(Rate::from_f64(0.5), 2, JamStrategyKind::Saturating);
+        let config = SimConfig::new(1, CdModel::Strong).with_seed(1).with_max_slots(10);
+        let report = run_fast_exact(&config, &spec, |_| Box::new(PerStation::new(Fixed(1.0))));
+        // Slot 0 is jammed (budget allows one of the first two), slot 1
+        // cannot be, so resolution happens at slot 1.
+        assert_eq!(report.resolved_at, Some(1));
+        assert_eq!(report.counts.jammed, 1);
+    }
+
+    #[test]
+    fn trace_recording_includes_estimates() {
+        #[derive(Debug, Clone)]
+        struct WithEstimate(f64);
+        impl UniformProtocol for WithEstimate {
+            fn tx_prob(&mut self, _: u64) -> f64 {
+                0.0
+            }
+            fn on_state(&mut self, _: u64, _: ChannelState) {
+                self.0 += 1.0;
+            }
+            fn estimate(&self) -> Option<f64> {
+                Some(self.0)
+            }
+        }
+        let config =
+            SimConfig::new(3, CdModel::Strong).with_seed(1).with_max_slots(5).with_trace(true);
+        let report =
+            run_fast_exact(&config, &passive(), |_| Box::new(PerStation::new(WithEstimate(0.0))));
+        let trace = report.trace.expect("trace requested");
+        assert_eq!(trace.len(), 5);
+        assert_eq!(trace.estimates.len(), 5);
+        assert_eq!(trace.estimates, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn all_terminated_stop_rule_reports_leaders() {
+        let config = SimConfig::new(1, CdModel::Strong)
+            .with_seed(3)
+            .with_max_slots(10)
+            .with_stop(StopRule::AllTerminated);
+        let report = run_fast_exact(&config, &passive(), |_| Box::new(PerStation::new(Fixed(1.0))));
+        assert!(report.all_terminated);
+        assert!(!report.timed_out);
+        assert_eq!(report.leaders, vec![0]);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The paper's stations are flawless: always awake, always sensing, never
 //! crashing. Real radios are not. This module injects deterministic,
-//! seed-driven station faults into the exact engine without touching the
+//! seed-driven station faults into the per-station engine without touching the
 //! protocols themselves:
 //!
 //! * **crash** at a slot, with optional recovery (a recovered station
@@ -19,23 +19,19 @@
 //!   only on a heard `Single`) is preserved by construction.
 //!
 //! The injection points are [`FaultyStation`], an adapter wrapping any
-//! [`Protocol`], and [`FaultyStations`], the [`StationSet`] backend that
-//! wraps the whole station set (delegating the slot semantics to
-//! [`ExactStations`]) and fills the report's degradation fields;
-//! [`run_exact_faulty`] is the thin shim over [`crate::core::SimCore`].
-//! Fault randomness comes from a dedicated per-station RNG derived from
-//! the [`FaultPlan`] seed, so an empty plan leaves the engine's random
-//! stream — and therefore the whole run — bit-for-bit identical to a
-//! pristine [`crate::run_exact`] run.
+//! [`Protocol`], and [`crate::FastFaultyStations`], the station set that
+//! wraps the planned stations of a [`crate::FastExactStations`] and fills
+//! the report's degradation fields ([`FaultPlan::judge_leader_crash`]);
+//! [`crate::run_fast_exact_faulty`] is the thin shim over
+//! [`crate::core::SimCore`]. Fault randomness comes from a dedicated
+//! per-station RNG derived from the [`FaultPlan`] seed, so an empty plan
+//! leaves every station stream — and therefore the whole run —
+//! bit-for-bit identical to a pristine [`crate::run_fast_exact`] run.
 
 use crate::config::SimConfig;
-use crate::core::{SimCore, SlotActions, StationSet};
-use crate::exact::ExactStations;
-use crate::observer::StateProbe;
 use crate::protocol::{Action, Protocol, Status};
 use crate::report::RunReport;
-use jle_adversary::AdversarySpec;
-use jle_radio::{cd::Observation, ChannelState, SlotTruth};
+use jle_radio::{cd::Observation, ChannelState};
 use rand::{rngs::SmallRng, Rng, RngCore, SeedableRng};
 use serde::{value::Error, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
@@ -368,7 +364,7 @@ impl FaultPlan {
     /// `factory` with every planned station wrapped in a
     /// [`FaultyStation`] seeded from [`FaultPlan::station_seed`];
     /// stations without a plan entry come from `factory` directly (zero
-    /// overhead). Shared by every faulty backend.
+    /// overhead).
     pub(crate) fn wrap<F>(&self, factory: F) -> impl Fn(u64) -> Box<dyn Protocol> + '_
     where
         F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
@@ -412,7 +408,7 @@ impl FaultPlan {
 ///
 /// While down (pre-wakeup or crashed) the station sleeps: it neither
 /// draws from the engine RNG nor receives observations — exactly what the
-/// exact engine does for a voluntarily sleeping station. On recovery the
+/// per-station engine does for a voluntarily sleeping station. On recovery the
 /// inner protocol is rebuilt from the respawn factory (crash = state
 /// loss). Deaf slots drop the observation before the inner protocol sees
 /// it; sensing flips exchange `Null`/`Collision` using the adapter's
@@ -543,99 +539,14 @@ impl Protocol for FaultyStation {
     }
 }
 
-/// The fault-injecting [`StationSet`] backend: an [`ExactStations`] whose
-/// planned stations are wrapped in [`FaultyStation`], plus the post-run
-/// degradation verdict from the [`FaultPlan`].
-#[derive(Debug)]
-pub struct FaultyStations<'p> {
-    inner: ExactStations,
-    plan: &'p FaultPlan,
-}
-
-impl<'p> FaultyStations<'p> {
-    /// Build the station set: stations without a plan entry come from
-    /// `factory` directly (zero overhead); stations with one are wrapped
-    /// in [`FaultyStation`] seeded from [`FaultPlan::station_seed`].
-    pub fn new<F>(config: &SimConfig, plan: &'p FaultPlan, factory: F) -> Self
-    where
-        F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
-    {
-        FaultyStations { inner: ExactStations::new(config, plan.wrap(factory)), plan }
-    }
-}
-
-impl StationSet for FaultyStations<'_> {
-    fn finished(&self) -> bool {
-        self.inner.finished()
-    }
-
-    fn all_terminated(&self) -> bool {
-        self.inner.all_terminated()
-    }
-
-    fn act(&mut self, slot: u64, config: &SimConfig, rng: &mut SmallRng) -> SlotActions {
-        self.inner.act(slot, config, rng)
-    }
-
-    fn pick_winner(
-        &mut self,
-        actions: &SlotActions,
-        config: &SimConfig,
-        rng: &mut SmallRng,
-    ) -> Option<u64> {
-        self.inner.pick_winner(actions, config, rng)
-    }
-
-    fn feedback(&mut self, slot: u64, truth: &SlotTruth, config: &SimConfig) {
-        self.inner.feedback(slot, truth, config)
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        self.inner.estimate()
-    }
-
-    fn collect_probes(&self, out: &mut Vec<StateProbe>) {
-        self.inner.collect_probes(out)
-    }
-
-    fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
-        self.inner.finalize(config, report);
-        self.plan.judge_leader_crash(config, report);
-    }
-}
-
-/// Run the exact engine with the given fault plan applied on top of
-/// `factory`.
-///
-/// Stations without a plan entry are built by `factory` directly (zero
-/// overhead); stations with one are wrapped in [`FaultyStation`]. After
-/// the run the report's degradation fields are filled in: if the elected
-/// leader (or recorded winner) is scheduled to be crashed — and not yet
-/// recovered — at the end of the simulated horizon (`max_slots`; crashes
-/// are wall-clock scheduled, so a leader elected before its crash slot
-/// still goes down), [`RunReport::leader_crashed`] is set and
-/// [`RunReport::outcome`](crate::report::RunReport::outcome) reports
-/// [`Outcome::LeaderCrashed`](crate::report::Outcome::LeaderCrashed).
-pub fn run_exact_faulty<F>(
-    config: &SimConfig,
-    adversary: &AdversarySpec,
-    plan: &FaultPlan,
-    factory: F,
-) -> RunReport
-where
-    F: Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static,
-{
-    let mut stations = FaultyStations::new(config, plan, factory);
-    SimCore::new(config, adversary).run(&mut stations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::StopRule;
-    use crate::exact::run_exact;
+    use crate::fast::{run_fast_exact, run_fast_exact_faulty};
     use crate::protocol::{PerStation, UniformProtocol};
     use crate::report::Outcome;
+    use jle_adversary::AdversarySpec;
     use jle_radio::CdModel;
 
     /// Fixed-probability transmitter (uniform).
@@ -656,8 +567,8 @@ mod tests {
     fn empty_plan_is_bit_identical_to_pristine_run() {
         let config = SimConfig::new(6, CdModel::Strong).with_seed(42).with_max_slots(5_000);
         let adv = AdversarySpec::passive();
-        let pristine = run_exact(&config, &adv, |_| Box::new(PerStation::new(Fixed(0.3))));
-        let faulty = run_exact_faulty(&config, &adv, &FaultPlan::empty(), fixed_factory(0.3));
+        let pristine = run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(Fixed(0.3))));
+        let faulty = run_fast_exact_faulty(&config, &adv, &FaultPlan::empty(), fixed_factory(0.3));
         assert_eq!(pristine.resolved_at, faulty.resolved_at);
         assert_eq!(pristine.winner, faulty.winner);
         assert_eq!(pristine.counts, faulty.counts);
@@ -671,8 +582,8 @@ mod tests {
         let config = SimConfig::new(4, CdModel::Strong).with_seed(7).with_max_slots(5_000);
         let adv = AdversarySpec::passive();
         let plan = (0..4).fold(FaultPlan::new(9), |p, i| p.with_station(i, StationFaults::none()));
-        let pristine = run_exact(&config, &adv, |_| Box::new(PerStation::new(Fixed(0.4))));
-        let faulty = run_exact_faulty(&config, &adv, &plan, fixed_factory(0.4));
+        let pristine = run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(Fixed(0.4))));
+        let faulty = run_fast_exact_faulty(&config, &adv, &plan, fixed_factory(0.4));
         assert_eq!(pristine.resolved_at, faulty.resolved_at);
         assert_eq!(pristine.winner, faulty.winner);
         assert_eq!(pristine.counts, faulty.counts);
@@ -688,7 +599,8 @@ mod tests {
             .with_max_slots(10)
             .with_stop(StopRule::AllTerminated);
         let plan = FaultPlan::new(0).with_station(0, StationFaults::none().crash(3));
-        let r = run_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(1.0));
+        let r =
+            run_fast_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(1.0));
         assert_eq!(r.energy.transmissions, 3);
         assert_eq!(r.counts.singles, 3);
         assert_eq!(r.counts.nulls, 7);
@@ -704,7 +616,8 @@ mod tests {
             .with_stop(StopRule::AllTerminated);
         let plan =
             FaultPlan::new(0).with_station(0, StationFaults::none().crash_with_recovery(2, 5));
-        let r = run_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(1.0));
+        let r =
+            run_fast_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(1.0));
         assert_eq!(r.energy.transmissions, 7);
         assert_eq!(r.counts.nulls, 3);
     }
@@ -713,7 +626,8 @@ mod tests {
     fn late_wakeup_delays_first_transmission() {
         let config = SimConfig::new(1, CdModel::Strong).with_seed(1).with_max_slots(20);
         let plan = FaultPlan::new(0).with_station(0, StationFaults::none().wake_at(4));
-        let r = run_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(1.0));
+        let r =
+            run_fast_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(1.0));
         assert_eq!(r.resolved_at, Some(4), "first possible Single is the wake slot");
     }
 
@@ -728,7 +642,8 @@ mod tests {
             .with_stop(StopRule::FirstCleanSingle);
         let plan =
             FaultPlan::new(0).with_station(1, StationFaults::none().deaf_between(0, u64::MAX));
-        let r = run_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(0.5));
+        let r =
+            run_fast_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(0.5));
         assert!(r.resolved_at.is_some());
         if r.winner == Some(0) {
             // The deaf loser never learned: exactly one Leader, station 0.
@@ -757,7 +672,8 @@ mod tests {
         let config = SimConfig::new(3, CdModel::Strong).with_seed(2).with_max_slots(100);
         let plan = (0..3)
             .fold(FaultPlan::new(1), |p, i| p.with_station(i, StationFaults::none().crash(0)));
-        let r = run_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(1.0));
+        let r =
+            run_fast_exact_faulty(&config, &AdversarySpec::passive(), &plan, fixed_factory(1.0));
         assert!(r.timed_out);
         assert!(r.cap_hit);
         assert_eq!(r.outcome(), Outcome::DeadlineExceeded);
@@ -777,7 +693,7 @@ mod tests {
         let plan = FaultPlan::new(0)
             .with_station(0, StationFaults::none().crash(2))
             .with_station(1, StationFaults::none().deaf_between(0, u64::MAX));
-        let r = run_exact_faulty(&config, &AdversarySpec::passive(), &plan, move |i| {
+        let r = run_fast_exact_faulty(&config, &AdversarySpec::passive(), &plan, move |i| {
             Box::new(PerStation::new(Fixed(if i == 0 { 1.0 } else { 0.0 })))
         });
         assert_eq!(r.resolved_at, Some(0));

@@ -3,7 +3,7 @@
 //! Two levels of abstraction:
 //!
 //! * [`Protocol`] — a fully general per-station state machine, driven by
-//!   the exact simulator ([`crate::exact`]). Needed for protocols whose
+//!   the per-station simulator ([`crate::fast`]). Needed for protocols whose
 //!   stations play *different roles* (the paper's `Notification`
 //!   transformation, where the C1 winner diverges from the rest).
 //! * [`UniformProtocol`] — the paper's *uniform algorithm* class
@@ -14,7 +14,7 @@
 //!   transmitters binomially — O(1) work per slot regardless of `n`.
 //!
 //! Any `UniformProtocol` can be run per-station through the
-//! [`PerStation`] adapter, which is how the exact engine cross-validates
+//! [`PerStation`] adapter, which is how the per-station engine cross-validates
 //! the cohort engine (experiment E15).
 
 use jle_radio::{ChannelState, Observation};

@@ -260,7 +260,7 @@ pub struct RunReport {
     #[serde(default)]
     pub cap_hit: bool,
     /// Whether the elected leader is crashed at the end of the run (set
-    /// by [`crate::faults::run_exact_faulty`]).
+    /// by [`crate::FaultPlan::judge_leader_crash`]).
     #[serde(default)]
     pub leader_crashed: bool,
     /// Split-brain accounting for leadership-tracked (open-world) runs;

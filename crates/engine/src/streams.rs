@@ -1,7 +1,8 @@
 //! Counter-based per-station random streams for the fast exact backend.
 //!
-//! The legacy exact backend draws every station's randomness from **one**
-//! sequential `SmallRng`, in station-index order — correct, but it welds
+//! A shared-stream backend (multi-hop `Shared`) draws every station's
+//! randomness from **one** sequential `SmallRng`, in station-index order —
+//! correct, but it welds
 //! the draw order to the iteration order: skip a sleeping station and
 //! every later draw shifts. [`StationRng`] removes that coupling by
 //! deriving each draw as a pure function of its *coordinates*:
@@ -25,7 +26,7 @@
 //! * Streams for different stations, different slots, and different run
 //!   seeds are mutually independent by construction (three rounds of
 //!   SplitMix64 finalization between the key material and the output).
-//! * The values are **intentionally unrelated** to the legacy backend's
+//! * The values are **intentionally unrelated** to the shared
 //!   sequential stream: `FastExactStations` is locked by its *own*
 //!   golden fixtures, and cross-backend agreement is statistical, not
 //!   bit-level.

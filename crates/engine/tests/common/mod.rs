@@ -194,7 +194,7 @@ pub fn check_against_existing(name: &str, report: &RunReport) {
     let actual = snapshot(report);
     let path = golden_path(name);
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden fixture {path:?} ({e}); it is owned by golden_seed.rs")
+        panic!("missing golden fixture {path:?} ({e}); it is never regenerated by this suite")
     });
     assert_eq!(actual, expected, "backend identity broken against fixture `{name}`");
 }

@@ -12,10 +12,11 @@
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::telemetry::{EngineMetrics, TelemetryObserver};
 use jle_engine::{
-    CohortStations, ExactStations, FaultPlan, FaultyStations, PerStation, RunReport, SimConfig,
-    SimCore, StationFaults, StopRule, ThroughputObserver, UniformProtocol,
+    run_fast_exact_faulty, CohortStations, FastFaultyStations, FaultPlan, MeshProtocol,
+    MultihopStations, PerStation, RunReport, SimConfig, SimCore, StationFaults, StdMesh, StopRule,
+    ThroughputObserver, UniformProtocol,
 };
-use jle_radio::{CdModel, ChannelState};
+use jle_radio::{CdModel, ChannelState, Topology};
 use jle_telemetry::{FlightRecorder, MetricRegistry};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -169,12 +170,17 @@ macro_rules! run_with_stack {
     }};
 }
 
+/// The `exact_*` fixtures' shared-stream discipline: the multi-hop
+/// backend's default `Shared` mode on the complete graph.
 fn exact_observed(
     config: &SimConfig,
     adversary: &AdversarySpec,
-    factory: impl FnMut(u64) -> Box<dyn jle_engine::Protocol>,
+    mut factory: impl FnMut(u64) -> Box<dyn jle_engine::Protocol>,
 ) -> RunReport {
-    let mut stations = ExactStations::new(config, factory);
+    let topology = Topology::Complete;
+    let mut stations = MultihopStations::new(config, &topology, |i| {
+        Box::new(StdMesh::new(factory(i))) as Box<dyn MeshProtocol>
+    });
     run_with_stack!(config, SimCore::new(config, adversary), &mut stations)
 }
 
@@ -196,7 +202,7 @@ fn faulty_observed<F>(
 where
     F: Fn(u64) -> Box<dyn jle_engine::Protocol> + Send + Sync + 'static,
 {
-    let mut stations = FaultyStations::new(config, plan, factory);
+    let mut stations = FastFaultyStations::new(config, plan, factory);
     run_with_stack!(config, SimCore::new(config, adversary), &mut stations)
 }
 
@@ -323,15 +329,17 @@ fn observed_faulty_strong() {
     let r = faulty_observed(&config, &saturating(), &stress_plan(), |_| {
         Box::new(PerStation::new(Backoff::new()))
     });
-    check("faulty_strong", &r);
+    check("fast_faulty_strong", &r);
 }
 
 #[test]
 fn observed_faulty_weak() {
-    let r = faulty_observed(&exact_config(CdModel::Weak), &saturating(), &stress_plan(), |_| {
-        Box::new(PerStation::new(Backoff::new()))
-    });
-    check("faulty_weak", &r);
+    // No fixture pins this arm: the bare run is the reference.
+    let config = exact_config(CdModel::Weak);
+    let factory = |_| Box::new(PerStation::new(Backoff::new())) as Box<dyn jle_engine::Protocol>;
+    let bare = run_fast_exact_faulty(&config, &saturating(), &stress_plan(), factory);
+    let observed = faulty_observed(&config, &saturating(), &stress_plan(), factory);
+    assert_eq!(snapshot(&observed), snapshot(&bare), "telemetry perturbed the faulty weak-CD run");
 }
 
 #[test]
@@ -339,7 +347,7 @@ fn observed_faulty_nocd() {
     let r = faulty_observed(&exact_config(CdModel::NoCd), &random_jammer(), &stress_plan(), |_| {
         Box::new(PerStation::new(Backoff::new()))
     });
-    check("faulty_nocd", &r);
+    check("fast_faulty_nocd", &r);
 }
 
 // --------------------------------------------------------------- oracle --

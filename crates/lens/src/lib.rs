@@ -12,8 +12,10 @@
 //!
 //! * [`spec`] — the replayable run description ([`LensSpec`]): parses
 //!   both the `jle-sweepd` cache tree (`cohort_election`) and the lens's
-//!   extended `election_run` shape, and dispatches onto the exact,
-//!   fast-exact, faulty/churn, cohort, and multi-hop backends.
+//!   extended `election_run` shape, and dispatches onto the cohort,
+//!   fast-exact, faulty/churn, and multi-hop backends (`exact` replays
+//!   the shared-stream discipline as multi-hop `Shared` on the complete
+//!   graph).
 //! * [`replay`] — the capture layer ([`ReplayObserver`]), bit-exact
 //!   [`divergence`] checking against [`jle_telemetry::FlightRecord`]
 //!   artifacts, and backend-vs-backend [`diff`]ing that pinpoints the

@@ -17,7 +17,9 @@
 //!   observer, so the fast-exact stations are its replay path.
 //! * `kind == "election_run"` — the lens's superset, the derived form of
 //!   [`LensSpec`] itself: explicit engine selection
-//!   (`cohort`/`exact`/`fast-exact`/`multihop`), stop rules, noise,
+//!   (`cohort`/`exact`/`fast-exact`/`multihop`; `exact` is the
+//!   shared-stream discipline, replayed on the multi-hop backend over the
+//!   complete graph), stop rules, noise,
 //!   fault/churn plans, topologies, and RNG disciplines.
 //!
 //! Parsing is strict in the same way the server's is: an unrecognized key,
@@ -27,9 +29,9 @@
 
 use jle_adversary::AdversarySpec;
 use jle_engine::{
-    ChurnPlan, CohortStations, ExactStations, FastExactStations, FastFaultyStations, FaultPlan,
-    FaultyStations, MeshProtocol, MultihopStations, RngDiscipline, RunReport, SimConfig, SimCore,
-    SlotObserver, StdMesh, StopRule,
+    ChurnPlan, CohortStations, FastExactStations, FastFaultyStations, FaultPlan, MeshProtocol,
+    MultihopStations, RngDiscipline, RunReport, SimConfig, SimCore, SlotObserver, StdMesh,
+    StopRule,
 };
 use jle_protocols::{
     params::ZERO_STATIONS, with_uniform_proto, ClusterElection, ElectionKind, ElectionParams,
@@ -78,8 +80,12 @@ pub enum EngineKind {
     /// executes for `cohort_election` trees).
     #[serde(rename = "cohort")]
     Cohort,
-    /// Per-station exact engine ([`ExactStations`]; [`FaultyStations`]
-    /// when a fault or churn plan is attached).
+    /// The legacy shared-stream per-station discipline: every station
+    /// drawn from the engine's one sequential stream in index order,
+    /// replayed as [`MultihopStations`] on the complete graph under
+    /// [`RngDiscipline::Shared`] (bit-identical to the retired
+    /// single-hop engine, so its flight records replay unchanged).
+    /// Takes no fault or churn plan.
     #[serde(rename = "exact")]
     Exact,
     /// Bitset fast path ([`FastExactStations`] / [`FastFaultyStations`]).
@@ -173,11 +179,11 @@ pub struct LensSpec {
     /// Environmental noise probability.
     #[serde(default, skip_serializing_if = "is_zero")]
     pub noise: f64,
-    /// Fault plan (exact/fast-exact engines only).
+    /// Fault plan (fast-exact engine only).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub faults: Option<FaultPlan>,
-    /// Churn plan, lowered onto the faulty backends via
-    /// [`ChurnPlan::overlay`] (exact/fast-exact engines only).
+    /// Churn plan, lowered onto the faulty backend via
+    /// [`ChurnPlan::overlay`] (fast-exact engine only).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub churn: Option<ChurnPlan>,
     /// Topology descriptor in CLI form (`complete`, `dense-linear:K,M`,
@@ -242,6 +248,13 @@ impl LensSpec {
                 }
             }
             EngineKind::Exact | EngineKind::FastExact => {
+                if self.engine == EngineKind::Exact && has_plans {
+                    return Err(SpecError::Invalid(
+                        "exact engine takes no fault/churn plans: it replays the shared-stream \
+                         discipline, which has no faulty backend (use engine=fast-exact)"
+                            .into(),
+                    ));
+                }
                 if self.topology.is_some() {
                     return Err(SpecError::Invalid(format!(
                         "{} engine takes no topology (use engine=multihop)",
@@ -336,7 +349,8 @@ impl LensSpec {
     /// ([`ChurnPlan::overlay`] onto a [`FaultPlan`]), same disciplines —
     /// so the report and the per-slot stream are bit-identical to the
     /// original unobserved run (observers are passive by the engine's
-    /// golden-seed contract).
+    /// golden-seed contract). `exact` runs on the multi-hop backend over
+    /// [`Topology::Complete`] with the `Shared` discipline.
     pub fn run(&self, seed: u64, obs: &mut dyn SlotObserver) -> Result<RunReport, SpecError> {
         let config = self.config(seed);
         let core = SimCore::new(&config, &self.adv).observe(obs);
@@ -344,24 +358,23 @@ impl LensSpec {
             EngineKind::Cohort => {
                 with_uniform_proto!(self.proto, make => core.run(&mut CohortStations::new(make())))
             }
-            EngineKind::Exact | EngineKind::FastExact => {
+            EngineKind::Exact => {
+                let single = self.proto.station_factory();
+                let factory =
+                    |i: u64| -> Box<dyn MeshProtocol> { Box::new(StdMesh::new(single(i))) };
+                let topology = Topology::Complete;
+                core.run(&mut MultihopStations::new(&config, &topology, factory))
+            }
+            EngineKind::FastExact => {
                 let plan = match (&self.faults, &self.churn) {
                     (None, None) => None,
                     (Some(f), None) => Some(f.clone()),
                     (f, Some(c)) => Some(c.overlay(f.as_ref().unwrap_or(&FaultPlan::empty()))),
                 };
                 let factory = self.proto.station_factory();
-                match (self.engine, plan) {
-                    (EngineKind::Exact, None) => {
-                        core.run(&mut ExactStations::new(&config, factory))
-                    }
-                    (EngineKind::Exact, Some(plan)) => {
-                        core.run(&mut FaultyStations::new(&config, &plan, factory))
-                    }
-                    (_, None) => core.run(&mut FastExactStations::new(&config, factory)),
-                    (_, Some(plan)) => {
-                        core.run(&mut FastFaultyStations::new(&config, &plan, factory))
-                    }
+                match plan {
+                    None => core.run(&mut FastExactStations::new(&config, factory)),
+                    Some(plan) => core.run(&mut FastFaultyStations::new(&config, &plan, factory)),
                 }
             }
             EngineKind::Multihop => {
@@ -518,6 +531,21 @@ mod tests {
             "topology": "dense-linear:2,4",
         });
         assert!(LensSpec::from_params(&v).is_err());
+        // A fault plan on the exact (shared-stream) engine.
+        let v = json!({
+            "kind": "election_run",
+            "engine": "exact",
+            "n": 8u64,
+            "cd": CdModel::Strong.to_json_value(),
+            "adv": AdversarySpec::passive().to_json_value(),
+            "max_slots": 1000u64,
+            "proto": {"proto": "lesu"},
+            "faults": jle_engine::FaultPlan::new(3).to_json_value(),
+        });
+        match LensSpec::from_params(&v) {
+            Err(SpecError::Invalid(msg)) => assert!(msg.contains("engine=fast-exact"), "{msg}"),
+            other => panic!("a fault plan under exact must be refused, got {other:?}"),
+        }
         // Topology that does not fit n.
         let v = json!({
             "kind": "election_run",

@@ -4,9 +4,9 @@
 //! These pin the replay half of the observability contract: freezing a
 //! run into a flight artifact and re-deriving it from `(spec, seed)`
 //! reproduces the recorded slot events bit-for-bit — on the cohort,
-//! exact, fast-exact, faulty (fault *and* churn plans), and multi-hop
-//! engines — and `diff` reproduces the engines' known bit-identity
-//! pairs.
+//! exact (the shared-stream discipline), fast-exact, faulty (fault *and*
+//! churn plans), and multi-hop engines — and `diff` reproduces the
+//! engines' known bit-identity pairs.
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{ChurnPlan, FaultPlan, RngDiscipline, StationFaults};
@@ -79,16 +79,25 @@ fn fast_exact_roundtrip() {
 
 #[test]
 fn faulty_roundtrip() {
-    // A crash-with-recovery plan routes the run onto FaultyStations.
+    // A crash-with-recovery plan routes the run onto FastFaultyStations.
     let plan = FaultPlan::new(3)
         .with_station(0, StationFaults::none().crash_with_recovery(40, 400))
         .with_station(3, StationFaults::none().crash(25));
-    let mut params = run_params("exact");
+    let mut params = run_params("fast-exact");
     if let Value::Map(m) = &mut params {
         m.push(("faults".into(), plan.to_json_value()));
         m.push(("stop".into(), Value::Str("all-terminated".into())));
     }
     assert_roundtrip(&params, 13);
+
+    // The shared-stream `exact` engine has no faulty backend: the same
+    // plan there is refused, never replayed without its faults.
+    let mut exact = params.clone();
+    if let Value::Map(m) = &mut exact {
+        m.retain(|(k, _)| k != "engine");
+        m.push(("engine".into(), Value::Str("exact".into())));
+    }
+    assert!(matches!(LensSpec::from_params(&exact), Err(SpecError::Invalid(_))));
 }
 
 #[test]
@@ -138,8 +147,9 @@ fn tampered_artifact_is_flagged_at_the_exact_slot() {
 #[test]
 fn diff_reproduces_the_engine_identity_pairs() {
     // exact ≡ multihop(Complete, Shared); fast-exact ≡ multihop(Complete,
-    // Counter) — the identities the multihop engine's own suite pins,
-    // here rediscovered externally through the diff path.
+    // Counter) — the identities the topology identity suite pins against
+    // the golden fixtures, here rediscovered externally through the diff
+    // path.
     let exact = LensSpec::from_params(&run_params("exact")).unwrap();
     let mh_shared = exact.with_engine(EngineKind::Multihop, RngDiscipline::Shared).unwrap();
     let report = diff(&exact, &mh_shared, 7).unwrap();

@@ -7,7 +7,7 @@
 //! no observation). Staggered phases partition the network into `period`
 //! interleaved sub-networks of `n/period` stations, each running LESK on
 //! its own slot comb with a *personal* estimate (stations no longer share
-//! a history, so this is not a uniform protocol — exact engine only).
+//! a history, so this is not a uniform protocol — per-station engine only).
 //!
 //! Expected behaviour (measured in E23): per-station listening energy
 //! drops by ≈ `period×`, while the election slows because (a) each
@@ -92,7 +92,7 @@ impl Protocol for DutyCycledLesk {
 mod tests {
     use super::*;
     use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-    use jle_engine::{run_exact, MonteCarlo, SimConfig};
+    use jle_engine::{run_fast_exact, MonteCarlo, SimConfig};
     use jle_radio::CdModel;
     use rand::{rngs::SmallRng, SeedableRng};
 
@@ -133,14 +133,20 @@ mod tests {
 
     #[test]
     fn fast_backend_matches_legacy_engine_on_duty_cycle() {
-        // Same protocol through both exact backends: not bit-identical
-        // (different streams), but both must elect, and the fast backend
-        // must see the duty-cycled listen savings too.
-        use jle_engine::run_fast_exact;
+        // Same protocol through the fast backend and the legacy
+        // shared-stream discipline (multi-hop `Shared` on the complete
+        // graph): not bit-identical (different streams), but both must
+        // elect, and the fast backend must see the duty-cycled listen
+        // savings too.
+        use jle_engine::{run_multihop_std, RngDiscipline};
         let config = SimConfig::new(64, CdModel::Strong).with_seed(14).with_max_slots(1_000_000);
-        let legacy = run_exact(&config, &AdversarySpec::passive(), |i| {
-            Box::new(DutyCycledLesk::new(0.5, 4, i))
-        });
+        let legacy = run_multihop_std(
+            &config,
+            &AdversarySpec::passive(),
+            &jle_radio::Topology::Complete,
+            RngDiscipline::Shared,
+            |i| Box::new(DutyCycledLesk::new(0.5, 4, i)),
+        );
         let fast = run_fast_exact(&config, &AdversarySpec::passive(), |i| {
             Box::new(DutyCycledLesk::new(0.5, 4, i))
         });
@@ -165,7 +171,7 @@ mod tests {
         let ok = mc.success_rate(|seed| {
             let config =
                 SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
-            let r = run_exact(&config, &AdversarySpec::passive(), |i| {
+            let r = run_fast_exact(&config, &AdversarySpec::passive(), |i| {
                 Box::new(DutyCycledLesk::new(0.5, 4, i))
             });
             r.leader_elected()
@@ -178,7 +184,7 @@ mod tests {
         let n = 64u64;
         let run = |period: u64| {
             let config = SimConfig::new(n, CdModel::Strong).with_seed(5).with_max_slots(1_000_000);
-            run_exact(&config, &AdversarySpec::passive(), move |i| {
+            run_fast_exact(&config, &AdversarySpec::passive(), move |i| {
                 Box::new(DutyCycledLesk::new(0.5, period, i))
             })
         };
@@ -198,7 +204,7 @@ mod tests {
     fn survives_jamming() {
         let spec = AdversarySpec::new(Rate::from_f64(0.5), 16, JamStrategyKind::Saturating);
         let config = SimConfig::new(48, CdModel::Strong).with_seed(9).with_max_slots(2_000_000);
-        let r = run_exact(&config, &spec, |i| Box::new(DutyCycledLesk::new(0.5, 4, i)));
+        let r = run_fast_exact(&config, &spec, |i| Box::new(DutyCycledLesk::new(0.5, 4, i)));
         assert!(r.leader_elected());
     }
 

@@ -330,7 +330,7 @@ impl Protocol for Supervisor {
 mod tests {
     use super::*;
     use jle_adversary::AdversarySpec;
-    use jle_engine::{run_exact, SimConfig, UniformProtocol};
+    use jle_engine::{run_fast_exact, SimConfig, UniformProtocol};
     use jle_radio::{CdModel, ChannelState};
 
     #[derive(Debug, Clone)]
@@ -400,9 +400,10 @@ mod tests {
         // window is slot-for-slot identical to the bare run.
         let config = SimConfig::new(8, CdModel::Strong).with_seed(21).with_max_slots(50_000);
         let adv = AdversarySpec::passive();
-        let bare = run_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(0.5))));
+        let bare =
+            run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(0.5))));
         let supervised =
-            run_exact(&config, &adv, |_| Box::new(Supervisor::over_lesk(0.5, 1 << 20)));
+            run_fast_exact(&config, &adv, |_| Box::new(Supervisor::over_lesk(0.5, 1 << 20)));
         assert_eq!(bare.resolved_at, supervised.resolved_at);
         assert_eq!(bare.winner, supervised.winner);
         assert_eq!(bare.counts, supervised.counts);

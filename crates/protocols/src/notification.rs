@@ -206,7 +206,7 @@ where
 mod tests {
     use super::*;
     use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-    use jle_engine::{run_exact, MonteCarlo, SimConfig, StopRule};
+    use jle_engine::{run_fast_exact, MonteCarlo, SimConfig, StopRule};
     use jle_radio::CdModel;
 
     fn weak_config(n: u64, seed: u64, max_slots: u64) -> SimConfig {
@@ -221,7 +221,7 @@ mod tests {
         let mc = MonteCarlo::new(25, 10);
         let ok = mc.success_rate(|seed| {
             let config = weak_config(16, seed, 1_000_000);
-            let r = run_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
+            let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
             r.all_terminated && r.leaders.len() == 1
         });
         assert_eq!(ok, 1.0);
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn leader_is_the_first_c1_single_transmitter() {
         let config = weak_config(8, 42, 1_000_000);
-        let r = run_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
+        let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
         assert!(r.all_terminated);
         // The winner recorded by the engine is the first clean Single's
         // transmitter, which must be in C1 and must be the final leader.
@@ -244,7 +244,7 @@ mod tests {
         let mc = MonteCarlo::new(15, 70);
         let ok = mc.success_rate(|seed| {
             let config = weak_config(12, seed, 2_000_000);
-            let r = run_exact(&config, &spec, |_| Box::new(lewk(eps)));
+            let r = run_fast_exact(&config, &spec, |_| Box::new(lewk(eps)));
             r.all_terminated && r.leaders.len() == 1
         });
         assert_eq!(ok, 1.0);
@@ -256,7 +256,7 @@ mod tests {
         let mc = MonteCarlo::new(10, 300);
         let ok = mc.success_rate(|seed| {
             let config = weak_config(12, seed, 2_000_000);
-            let r = run_exact(&config, &spec, |_| Box::new(lewk(0.5)));
+            let r = run_fast_exact(&config, &spec, |_| Box::new(lewk(0.5)));
             r.all_terminated && r.leaders.len() == 1
         });
         assert_eq!(ok, 1.0);
@@ -268,7 +268,7 @@ mod tests {
         let mc = MonteCarlo::new(8, 900);
         let ok = mc.success_rate(|seed| {
             let config = weak_config(10, seed, 5_000_000);
-            let r = run_exact(&config, &spec, |_| Box::new(lewu()));
+            let r = run_fast_exact(&config, &spec, |_| Box::new(lewu()));
             r.all_terminated && r.leaders.len() == 1
         });
         assert_eq!(ok, 1.0);
@@ -280,7 +280,7 @@ mod tests {
         let mc = MonteCarlo::new(20, 5000);
         let ok = mc.success_rate(|seed| {
             let config = weak_config(3, seed, 2_000_000);
-            let r = run_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
+            let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
             r.all_terminated && r.leaders.len() == 1
         });
         assert_eq!(ok, 1.0);
@@ -292,7 +292,7 @@ mod tests {
         // must hold.
         for seed in 0..40 {
             let config = weak_config(6, seed, 5_000); // tight cap
-            let r = run_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
+            let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
             assert!(r.leaders.len() <= 1, "seed {seed} produced {:?}", r.leaders);
         }
     }
@@ -419,7 +419,7 @@ mod tests {
         let mc = MonteCarlo::new(20, 1234);
         let weak: Vec<f64> = mc.collect_f64(|seed| {
             let config = weak_config(n, seed, 2_000_000);
-            let r = run_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
+            let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
             assert!(r.all_terminated);
             r.slots as f64
         });

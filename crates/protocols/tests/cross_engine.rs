@@ -1,10 +1,10 @@
 //! Cross-engine agreement for protocol-driven termination.
 //!
 //! `UniformProtocol::finished()` used to be honored only by the cohort
-//! loop; the exact engine's `PerStation` path ran a finished protocol to
-//! the slot cap. With the unified `SimCore`, both backends consult the
-//! same `StationSet::finished()` hook, so an `Estimation`-style protocol
-//! must now stop both engines at the *same* slot.
+//! loop; the per-station `PerStation` path ran a finished protocol to the
+//! slot cap. With the unified `SimCore`, both backends consult the same
+//! `StationSet::finished()` hook, so an `Estimation`-style protocol must
+//! now stop both engines at the *same* slot.
 //!
 //! To compare stop slots across engines at all, the protocol must be
 //! silent: the two backends consume randomness differently (n Bernoulli
@@ -16,9 +16,13 @@
 //! `EstimationProtocol` state machine decides the stop slot on its own.
 //!
 //! The second half of this suite validates the **fast exact backend**
-//! (`run_fast_exact`) against the legacy one: same-stop-slot agreement on
-//! deterministic protocols, and KS/chi-square statistical equivalence on
-//! election-slot, winner-identity, and energy distributions across
+//! (`run_fast_exact`, per-station counter streams) against the legacy
+//! shared-stream discipline — every station drawn from the engine's one
+//! sequential stream in index order, which lives on as the multi-hop
+//! backend's `Shared` mode on the complete graph (`run_multihop_std`;
+//! the `exact_*` golden fixtures pin its bits). Same-stop-slot agreement
+//! on deterministic protocols, and KS/chi-square statistical equivalence
+//! on election-slot, winner-identity, and energy distributions across
 //! protocols × CD models × jamming strategies. All seeds are fixed, so
 //! the statistical verdicts are deterministic (no flaky re-rolls); the
 //! tests run at `α = 0.001` per comparison.
@@ -26,13 +30,13 @@
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{chi_square_two_sample, ks_two_sample};
 use jle_engine::{
-    run_cohort, run_exact, run_exact_faulty, run_fast_exact, run_fast_exact_faulty, CohortStations,
-    EngineMetrics, ExactStations, FaultPlan, PerStation, Protocol, RunReport, SimConfig, SimCore,
-    TelemetryObserver, UniformProtocol,
+    run_cohort, run_fast_exact, run_fast_exact_faulty, run_multihop_std, CohortStations,
+    EngineMetrics, FastExactStations, FaultPlan, FaultyStation, PerStation, Protocol,
+    RngDiscipline, RunReport, SimConfig, SimCore, TelemetryObserver, UniformProtocol,
 };
 use jle_protocols::estimation::EstimationProtocol;
 use jle_protocols::{LeskProtocol, LesuProtocol};
-use jle_radio::{CdModel, ChannelState};
+use jle_radio::{CdModel, ChannelState, Topology};
 use jle_telemetry::{FlightRecorder, MetricRegistry};
 use std::sync::Arc;
 
@@ -61,6 +65,16 @@ impl UniformProtocol for SilencedEstimation {
     }
 }
 
+/// The legacy shared-stream reference: `run_multihop_std` on the complete
+/// graph under the `Shared` discipline.
+fn run_shared(
+    config: &SimConfig,
+    adv: &AdversarySpec,
+    factory: impl FnMut(u64) -> Box<dyn Protocol>,
+) -> RunReport {
+    run_multihop_std(config, adv, &Topology::Complete, RngDiscipline::Shared, factory)
+}
+
 /// All-Null channel: `Estimation(5)` fails rounds 1 (2 Nulls) and 2
 /// (4 Nulls) and returns in round 3 after 2 + 4 + 8 = 14 slots.
 #[test]
@@ -68,7 +82,8 @@ fn estimation_stops_both_engines_at_the_same_slot() {
     let config = SimConfig::new(8, CdModel::Strong).with_seed(77).with_max_slots(10_000);
     let adv = AdversarySpec::passive();
     let cohort = run_cohort(&config, &adv, || SilencedEstimation::new(5));
-    let exact = run_exact(&config, &adv, |_| Box::new(PerStation::new(SilencedEstimation::new(5))));
+    let exact =
+        run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(SilencedEstimation::new(5))));
     assert_eq!(cohort.slots, 14, "rounds 1+2+3 = 2+4+8 slots");
     assert_eq!(exact.slots, cohort.slots, "engines must stop at the same slot");
     assert!(!cohort.timed_out && !exact.timed_out, "a finished run is not a timeout");
@@ -86,7 +101,7 @@ fn estimation_stops_both_engines_at_the_same_slot_under_jamming() {
     let config = SimConfig::new(8, CdModel::Strong).with_seed(78).with_max_slots(10_000);
     let cohort = run_cohort(&config, &spec, || SilencedEstimation::new(5));
     let exact =
-        run_exact(&config, &spec, |_| Box::new(PerStation::new(SilencedEstimation::new(5))));
+        run_fast_exact(&config, &spec, |_| Box::new(PerStation::new(SilencedEstimation::new(5))));
     assert_eq!(exact.slots, cohort.slots, "engines must stop at the same slot");
     assert!(cohort.counts.jammed > 0, "the adversary must actually jam");
     assert!(!cohort.timed_out && !exact.timed_out);
@@ -110,7 +125,7 @@ fn telemetry_attachment_is_invisible_to_both_engines() {
         let config = SimConfig::new(8, CdModel::Strong).with_seed(*seed).with_max_slots(10_000);
         let bare_cohort = run_cohort(&config, adv, || SilencedEstimation::new(5));
         let bare_exact =
-            run_exact(&config, adv, |_| Box::new(PerStation::new(SilencedEstimation::new(5))));
+            run_fast_exact(&config, adv, |_| Box::new(PerStation::new(SilencedEstimation::new(5))));
 
         let registry = MetricRegistry::new();
         let recorder = Arc::new(FlightRecorder::new(&dir).unwrap());
@@ -127,7 +142,7 @@ fn telemetry_attachment_is_invisible_to_both_engines() {
             SimCore::new(&config, adv).observe(obs).run(&mut stations)
         });
         let tel_exact = observed(&mut |obs| {
-            let mut stations = ExactStations::new(&config, |_| {
+            let mut stations = FastExactStations::new(&config, |_| {
                 Box::new(PerStation::new(SilencedEstimation::new(5)))
             });
             SimCore::new(&config, adv).observe(obs).run(&mut stations)
@@ -151,7 +166,7 @@ fn telemetry_attachment_is_invisible_to_both_engines() {
 
 // ---------------------------------------------------------------------------
 // Fast exact backend: agreement and statistical equivalence with the
-// legacy backend.
+// legacy shared-stream discipline.
 // ---------------------------------------------------------------------------
 
 /// Silent protocols are fully deterministic, so the fast backend must
@@ -166,7 +181,7 @@ fn fast_exact_stops_with_legacy_on_silent_protocols() {
     for (seed, adv) in &scenarios {
         let config = SimConfig::new(8, CdModel::Strong).with_seed(*seed).with_max_slots(10_000);
         let legacy =
-            run_exact(&config, adv, |_| Box::new(PerStation::new(SilencedEstimation::new(5))));
+            run_shared(&config, adv, |_| Box::new(PerStation::new(SilencedEstimation::new(5))));
         let fast =
             run_fast_exact(&config, adv, |_| Box::new(PerStation::new(SilencedEstimation::new(5))));
         assert_eq!(fast.slots, legacy.slots, "same stop slot (seed {seed})");
@@ -260,14 +275,14 @@ fn sample(
     s
 }
 
-/// Run one protocol × adversary scenario through both exact backends
-/// under every CD model and require KS/chi-square equivalence on
+/// Run one protocol × adversary scenario through both disciplines under
+/// every CD model and require KS/chi-square equivalence on
 /// election slots, energy, and winner identity at `α = 0.001`.
 fn assert_backends_equivalent(proto: Proto, adv: &AdversarySpec, base_seed: u64) {
     let (n, trials, cap) = (proto.n(), proto.trials(), proto.max_slots());
     for cd in [CdModel::Strong, CdModel::Weak, CdModel::NoCd] {
         let legacy =
-            sample(|c| run_exact(c, adv, |_| proto.build()), n, trials, cap, cd, base_seed);
+            sample(|c| run_shared(c, adv, |_| proto.build()), n, trials, cap, cd, base_seed);
         let fast =
             sample(|c| run_fast_exact(c, adv, |_| proto.build()), n, trials, cap, cd, base_seed);
 
@@ -335,9 +350,11 @@ fn fast_exact_equivalent_lesu_random_jammer() {
     assert_backends_equivalent(Proto::Lesu, &adv, 0x6000);
 }
 
-/// The fault subsystem through both backends: the `FaultPlan` schedule is
-/// derived from plan-private streams (identical either way), so the
-/// degradation statistics must match distributionally too.
+/// The fault subsystem through both disciplines: the `FaultPlan` schedule
+/// is derived from plan-private streams (identical either way), so the
+/// degradation statistics must match distributionally too. The shared arm
+/// wraps the planned stations in the public `FaultyStation` adapter and
+/// applies the plan's post-run verdict, as the faulty backend does.
 #[test]
 fn fast_exact_equivalent_under_fault_plan() {
     const N: u64 = 48;
@@ -358,7 +375,16 @@ fn fast_exact_equivalent_under_fault_plan() {
             let r = if fast {
                 run_fast_exact_faulty(&config, &adv, &plan, factory)
             } else {
-                run_exact_faulty(&config, &adv, &plan, factory)
+                let mut r = run_shared(&config, &adv, |i| match plan.get(i) {
+                    None => factory(i),
+                    Some(f) => Box::new(FaultyStation::new(
+                        f.clone(),
+                        plan.station_seed(i),
+                        Box::new(move || factory(i)),
+                    )),
+                });
+                plan.judge_leader_crash(&config, &mut r);
+                r
             };
             slots.push(r.slots as f64);
             outcomes[usize::from(!r.leader_elected())] += 1;

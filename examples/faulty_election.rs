@@ -25,10 +25,10 @@ fn main() {
 
     // Bare LESK under the same faults vs the supervised wrapper
     // (watchdog 4096 slots, doubling after each restart).
-    let bare = run_exact_faulty(&config, &adversary, &plan, move |_| {
+    let bare = run_fast_exact_faulty(&config, &adversary, &plan, move |_| {
         Box::new(PerStation::new(LeskProtocol::new(eps)))
     });
-    let supervised = run_exact_faulty(&config, &adversary, &plan, move |_| {
+    let supervised = run_fast_exact_faulty(&config, &adversary, &plan, move |_| {
         Box::new(Supervisor::over_lesk(eps, 4_096))
     });
 

@@ -35,7 +35,7 @@ fn main() {
             .with_seed(7)
             .with_max_slots(10_000_000)
             .with_stop(StopRule::AllTerminated);
-        let report = run_exact(&config, &adv, |_| Box::new(lewk(eps)));
+        let report = run_fast_exact(&config, &adv, |_| Box::new(lewk(eps)));
         assert!(report.all_terminated, "all stations must terminate");
         assert_eq!(report.leaders.len(), 1, "exactly one leader");
         println!(

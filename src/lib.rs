@@ -48,8 +48,8 @@ pub mod prelude {
     pub use jle_adversary::{AdversarySpec, JamBudget, JamStrategy, JamStrategyKind, Rate};
     pub use jle_analysis::{linear_fit, log2_fit, Series, Summary, Table};
     pub use jle_engine::{
-        panic_count, run_cohort, run_cohort_with, run_exact, run_exact_churn, run_exact_faulty,
-        run_fast_exact_churn, ChurnPlan, FaultPlan, FaultyStation, LeaderLedger, MonteCarlo,
+        panic_count, run_cohort, run_cohort_with, run_fast_exact, run_fast_exact_churn,
+        run_fast_exact_faulty, ChurnPlan, FaultPlan, FaultyStation, LeaderLedger, MonteCarlo,
         Outcome, PerStation, Protocol, RunReport, SimConfig, SplitBrainObserver, SplitBrainStats,
         StationChurn, StationFaults, StopRule, TrialOutcome,
     };

@@ -34,8 +34,8 @@ fn exact_runs_are_bit_identical() {
         .with_seed(9)
         .with_max_slots(5_000_000)
         .with_stop(StopRule::AllTerminated);
-    let a = run_exact(&config, &spec(), |_| Box::new(lewk(0.4)));
-    let b = run_exact(&config, &spec(), |_| Box::new(lewk(0.4)));
+    let a = run_fast_exact(&config, &spec(), |_| Box::new(lewk(0.4)));
+    let b = run_fast_exact(&config, &spec(), |_| Box::new(lewk(0.4)));
     assert_eq!(a.slots, b.slots);
     assert_eq!(a.leaders, b.leaders);
     assert_eq!(a.winner, b.winner);

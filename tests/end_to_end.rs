@@ -64,7 +64,7 @@ fn lewk_full_election_weak_cd_matrix() {
                 .with_seed(seed * 41 + ai as u64)
                 .with_max_slots(10_000_000)
                 .with_stop(StopRule::AllTerminated);
-            let r = run_exact(&config, &adv, |_| Box::new(lewk(eps)));
+            let r = run_fast_exact(&config, &adv, |_| Box::new(lewk(eps)));
             assert!(r.all_terminated, "LEWK stalled vs {} seed {seed}", adv.label());
             assert_eq!(r.leaders.len(), 1, "leader count vs {} seed {seed}", adv.label());
             assert!(!r.timed_out);
@@ -81,7 +81,7 @@ fn lewu_full_election_weak_cd() {
             .with_seed(seed)
             .with_max_slots(50_000_000)
             .with_stop(StopRule::AllTerminated);
-        let r = run_exact(&config, &adv, |_| Box::new(lewu()));
+        let r = run_fast_exact(&config, &adv, |_| Box::new(lewu()));
         assert!(r.all_terminated && r.leaders.len() == 1, "LEWU failed seed {seed}");
     }
 }
@@ -103,7 +103,7 @@ fn exact_engine_runs_uniform_protocols_per_station() {
     let n = 64u64;
     for seed in 0..5u64 {
         let config = SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(2_000_000);
-        let r = run_exact(&config, &AdversarySpec::passive(), |_| {
+        let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| {
             Box::new(jamming_leader_election::engine::PerStation::new(LeskProtocol::new(0.5)))
         });
         assert!(r.leader_elected());

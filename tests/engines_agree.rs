@@ -15,7 +15,8 @@ fn means(n: u64, trials: u64) -> (f64, f64) {
         let config = SimConfig::new(n, CdModel::Strong)
             .with_seed(seed ^ 0x5555_5555)
             .with_max_slots(5_000_000);
-        run_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(0.5)))).slots as f64
+        run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(0.5)))).slots
+            as f64
     });
     let m = |v: &Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
     (m(&cohort), m(&exact))
@@ -65,7 +66,7 @@ fn channel_statistics_match_the_binomial_law() {
         .with_seed(12)
         .with_max_slots(slots)
         .with_stop(StopRule::AllTerminated);
-    let exact = run_exact(&config, &AdversarySpec::passive(), |_| Box::new(NonTerminating(p)));
+    let exact = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(NonTerminating(p)));
     assert_eq!(exact.slots, slots);
     let p_null = jamming_leader_election::protocols::math::p_null(n, p);
     let p_single = jamming_leader_election::protocols::math::p_single(n, p);
@@ -84,7 +85,7 @@ fn winner_distribution_is_uniformish_in_exact_engine() {
     let mc = MonteCarlo::new(trials, 9_999);
     let winners = mc.run(|seed| {
         let config = SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
-        let r = run_exact(&config, &AdversarySpec::passive(), |_| {
+        let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| {
             Box::new(PerStation::new(LeskProtocol::new(0.5)))
         });
         r.winner.unwrap()

@@ -67,10 +67,10 @@ proptest! {
         let config = SimConfig::new(n, CdModel::Strong)
             .with_seed(seed)
             .with_max_slots(200_000);
-        let pristine = run_exact(&config, &adv, |_| {
+        let pristine = run_fast_exact(&config, &adv, |_| {
             Box::new(PerStation::new(LeskProtocol::new(0.5)))
         });
-        let faulty = run_exact_faulty(&config, &adv, &FaultPlan::empty(), |_| {
+        let faulty = run_fast_exact_faulty(&config, &adv, &FaultPlan::empty(), |_| {
             Box::new(PerStation::new(LeskProtocol::new(0.5)))
         });
         assert_reports_identical(&pristine, &faulty, &format!("n={n} seed={seed}"));
@@ -93,10 +93,10 @@ proptest! {
         for i in 0..n {
             plan = plan.with_station(i, StationFaults::none());
         }
-        let pristine = run_exact(&config, &adv, |_| {
+        let pristine = run_fast_exact(&config, &adv, |_| {
             Box::new(PerStation::new(LeskProtocol::new(0.5)))
         });
-        let faulty = run_exact_faulty(&config, &adv, &plan, |_| {
+        let faulty = run_fast_exact_faulty(&config, &adv, &plan, |_| {
             Box::new(PerStation::new(LeskProtocol::new(0.5)))
         });
         assert_reports_identical(&pristine, &faulty, &format!("n={n} seed={seed}"));
@@ -119,7 +119,7 @@ proptest! {
             .with_trace(true);
         // Watchdog 32 is far below typical election times, so restarts
         // genuinely occur in most drawn runs.
-        let r = run_exact(&config, &adv, |_| Box::new(Supervisor::over_lesk(0.5, 32)));
+        let r = run_fast_exact(&config, &adv, |_| Box::new(Supervisor::over_lesk(0.5, 32)));
         prop_assert!(r.leader_elected(), "n={n} seed={seed}");
         let jams: Vec<bool> =
             r.trace.as_ref().unwrap().iter().map(|p| p.jammed()).collect();
@@ -137,11 +137,11 @@ proptest! {
         let config = SimConfig::new(n, CdModel::Strong)
             .with_seed(seed)
             .with_max_slots(200_000);
-        let bare = run_exact(&config, &adv, |_| {
+        let bare = run_fast_exact(&config, &adv, |_| {
             Box::new(PerStation::new(LeskProtocol::new(0.5)))
         });
         let supervised =
-            run_exact(&config, &adv, |_| Box::new(Supervisor::over_lesk(0.5, 1 << 20)));
+            run_fast_exact(&config, &adv, |_| Box::new(Supervisor::over_lesk(0.5, 1 << 20)));
         assert_reports_identical(&bare, &supervised, &format!("n={n} seed={seed}"));
     }
 }
@@ -155,7 +155,7 @@ fn crash_wipeout_is_classified_not_crashed() {
         plan = plan.with_station(i, StationFaults::none().crash(0));
     }
     let config = SimConfig::new(8, CdModel::Strong).with_seed(9).with_max_slots(500);
-    let r = run_exact_faulty(&config, &AdversarySpec::passive(), &plan, |_| {
+    let r = run_fast_exact_faulty(&config, &AdversarySpec::passive(), &plan, |_| {
         Box::new(PerStation::new(LeskProtocol::new(0.5)))
     });
     assert_eq!(r.outcome(), Outcome::DeadlineExceeded);

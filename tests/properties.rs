@@ -60,7 +60,7 @@ proptest! {
             .with_seed(seed)
             .with_max_slots(20_000_000)
             .with_stop(StopRule::AllTerminated);
-        let r = run_exact(&config, &adv, |_| Box::new(lewk(0.5)));
+        let r = run_fast_exact(&config, &adv, |_| Box::new(lewk(0.5)));
         prop_assert!(r.all_terminated, "n={n} adv={} seed={seed}", adv.label());
         prop_assert_eq!(r.leaders.len(), 1);
         // The leader is the station that transmitted the first clean
@@ -204,7 +204,7 @@ proptest! {
         };
         let mut split = SplitBrainObserver::new(Arc::clone(&ledger));
         let fplan = plan.overlay(&FaultPlan::empty());
-        let mut stations = jamming_leader_election::engine::FaultyStations::new(
+        let mut stations = jamming_leader_election::engine::FastFaultyStations::new(
             &config, &fplan, factory);
         let r = jamming_leader_election::engine::SimCore::new(&config, &adv)
             .observe(&mut split)
