@@ -42,5 +42,5 @@ pub use scheduler::{
     engine_salt, CachePolicy, CancelToken, Interrupted, Orchestrator, DEFAULT_CHUNK_SIZE,
     DEFAULT_CODE_SALT,
 };
-pub use store::{ChunkClaim, ResultStore};
+pub use store::ResultStore;
 pub use telemetry::{Event, JsonlReporter, Reporter, Stats, StatsSnapshot, StderrProgress};

@@ -3,12 +3,18 @@
 //! [`Orchestrator::run_trials`] is the single entry point experiments
 //! submit work through. A unit of `trials` trials is split into fixed
 //! chunks; each chunk is either served from the [`ResultStore`] or
-//! simulated on the rayon pool via [`MonteCarlo`] and checkpointed the
-//! moment it finishes. Per-trial seeding is the workspace convention
-//! `base_seed + trial_index` — a chunk covering `[start, end)` runs
-//! `MonteCarlo::new(end - start, base_seed + start)` — so the assembled
-//! result vector is bit-identical whether the unit was computed in one
-//! pass, resumed after a kill, or served entirely from cache.
+//! computed and checkpointed the moment it is complete.
+//!
+//! The missing chunks of a unit are computed by one fan-out: `jobs`
+//! scoped worker threads take *pieces* — one trial on the per-trial path,
+//! one seed batch on the batched path — from a single index over the
+//! missing ranges, in range order. The calling thread meanwhile commits
+//! each chunk as soon as all its pieces are in, in range order: store
+//! write, counters, [`Event::ChunkFinished`]. With one job the pieces run
+//! inline and no thread is spawned. Per-trial seeding is the workspace
+//! convention `base_seed + trial_index` wherever a piece runs, so the
+//! assembled result vector is bit-identical whether the unit was computed
+//! in one pass, resumed after a kill, or served entirely from cache.
 
 use crate::fingerprint::{canonical_json, canonicalize, Fingerprint, WorkSpec};
 use crate::store::ResultStore;
@@ -16,8 +22,10 @@ use crate::telemetry::{Event, Reporter, Stats, StatsSnapshot};
 use jle_engine::{MonteCarlo, SlotCost};
 use jle_telemetry::{MetricRegistry, SpanRecorder};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// Default trials per checkpointed chunk. Small enough that a killed
@@ -148,7 +156,7 @@ pub struct Orchestrator {
     /// the budget; at zero the unit aborts with [`Interrupted`], modelling
     /// a mid-sweep kill at a checkpoint boundary.
     chunk_budget: Option<AtomicU64>,
-    /// Cooperative cancellation, checked before each executed chunk.
+    /// Cooperative cancellation, checked before each chunk commit.
     cancel: Option<CancelToken>,
     started: Instant,
 }
@@ -205,7 +213,8 @@ impl Orchestrator {
         self
     }
 
-    /// Pin the rayon worker count for executed chunks (`0` = default).
+    /// Pin the worker count for executed chunks (`0` = the default
+    /// parallelism, `1` = inline on the calling thread).
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = if jobs == 0 { None } else { Some(jobs) };
         self
@@ -327,7 +336,8 @@ impl Orchestrator {
     ///
     /// Errors only via the chunk-budget test hook or an attached
     /// [`CancelToken`]; production paths without either always complete
-    /// (store corruption degrades to recomputation).
+    /// (store corruption degrades to recomputation). A panicking trial
+    /// re-raises its own panic payload on the calling thread.
     pub fn try_run_trials<R, F>(
         &self,
         spec: &WorkSpec,
@@ -338,9 +348,12 @@ impl Orchestrator {
         R: Send + Serialize + Deserialize + SlotCost,
         F: Fn(u64) -> R + Sync,
     {
-        self.try_run_trials_inner(spec, trials, |start, len| {
-            MonteCarlo::new(len, spec.base_seed + start).with_jobs(self.jobs.unwrap_or(0)).run(&f)
-        })
+        self.try_run_trials_inner(
+            spec,
+            trials,
+            |_| 1,
+            |start, _| std::iter::once(f(spec.base_seed + start)),
+        )
     }
 
     /// Batch-aware twin of [`Self::try_run_trials`]: each missing chunk
@@ -359,9 +372,15 @@ impl Orchestrator {
     /// [`engine_mode("fast-exact")`](Self::engine_mode) so batch and
     /// fast-exact sweeps share warm caches.
     ///
-    /// Within a chunk, the batch width is `chunk_len / effective_jobs`
-    /// (rounded up) so a wide machine still fans out; raise
-    /// [`chunk_size`](Self::chunk_size) to deepen the batches.
+    /// Each chunk is cut into batches of `chunk_len / effective_jobs`
+    /// seeds (rounded up), so the workers split every chunk between them;
+    /// the batches of all missing chunks share the unit's one set of
+    /// workers. Raise [`chunk_size`](Self::chunk_size) to deepen the
+    /// batches.
+    ///
+    /// # Panics
+    /// Panics if `f` returns a result count different from its seed
+    /// count.
     pub fn try_run_trials_batched<R, F>(
         &self,
         spec: &WorkSpec,
@@ -373,12 +392,18 @@ impl Orchestrator {
         F: Fn(&[u64]) -> Vec<R> + Sync,
     {
         let jobs = self.effective_jobs() as u64;
-        self.try_run_trials_inner(spec, trials, |start, len| {
-            let width = len.div_ceil(jobs).max(1);
-            MonteCarlo::new(len, spec.base_seed + start)
-                .with_jobs(self.jobs.unwrap_or(0))
-                .run_batched(width, &f)
-        })
+        self.try_run_trials_inner(
+            spec,
+            trials,
+            |len| len.div_ceil(jobs),
+            |start, len| {
+                let seeds: Vec<u64> =
+                    (spec.base_seed + start..spec.base_seed + start + len).collect();
+                let out = f(&seeds);
+                assert_eq!(out.len(), seeds.len(), "batch closure must return one result per seed");
+                out
+            },
+        )
     }
 
     /// [`Self::try_run_trials_batched`], panicking on interruption.
@@ -391,16 +416,20 @@ impl Orchestrator {
     }
 
     /// The shared unit body: cache probing, chunk accounting, telemetry,
-    /// and checkpointing. `exec(start, len)` computes one missing chunk's
-    /// results in trial order; chunks execute in range order.
-    fn try_run_trials_inner<R>(
+    /// and checkpointing. Each missing chunk of length `len` is cut into
+    /// pieces of `piece_width(len)` trials; `exec(start, len)` computes
+    /// one piece's results in trial order, `start` being the index of its
+    /// first trial in the unit.
+    fn try_run_trials_inner<R, P>(
         &self,
         spec: &WorkSpec,
         trials: u64,
-        exec: impl Fn(u64, u64) -> Vec<R>,
+        piece_width: impl Fn(u64) -> u64,
+        exec: impl Fn(u64, u64) -> P + Sync,
     ) -> Result<Vec<R>, Interrupted>
     where
         R: Send + Serialize + Deserialize + SlotCost,
+        P: IntoIterator<Item = R> + Send,
     {
         let unit_started = Instant::now();
         let _unit_span =
@@ -419,11 +448,17 @@ impl Orchestrator {
         let mut cached: Vec<Option<Vec<R>>> = Vec::with_capacity(ranges.len());
         if let Some(store) = store.filter(|_| self.policy != CachePolicy::Force) {
             for &(start, end) in &ranges {
-                cached.push(store.load_chunk(&key, start, end));
+                let chunk = store.load_chunk(&key, start, end);
+                let missed = chunk.is_none();
+                cached.push(chunk);
+                // Complete recomputes a unit with any chunk missing, so
+                // the chunks after a miss need no probe.
+                if missed && self.policy == CachePolicy::Complete {
+                    break;
+                }
             }
-        } else {
-            cached.resize_with(ranges.len(), || None);
         }
+        cached.resize_with(ranges.len(), || None);
         // Under Complete, partial coverage is discarded wholesale so a
         // fresh run's shape never depends on leftover checkpoints.
         if self.policy == CachePolicy::Complete && cached.iter().any(Option::is_none) {
@@ -451,67 +486,96 @@ impl Orchestrator {
             trials,
             cached_trials,
         });
-        if let Some(store) = store {
-            if cached_trials < trials {
-                let pretty = serde_json::to_string_pretty(&canonicalize(&spec.to_value()))
-                    .expect("spec serialization");
-                let _ = store.write_spec_info(&key, &pretty);
-            }
-        }
 
-        // Phase 2: execute the missing chunks in range order, checkpointing
-        // each as it completes.
+        // Phase 2: cut the missing chunks the budget lets run into pieces,
+        // in range order; chunk `j` of `missing` owns `pieces[owned[j]]`.
+        let missing: Vec<usize> = (0..ranges.len()).filter(|&i| cached[i].is_none()).collect();
+        let runnable = match &self.chunk_budget {
+            Some(budget) => missing.len().min(budget.load(Ordering::Relaxed) as usize),
+            None => missing.len(),
+        };
+        let mut pieces: Vec<(u64, u64)> = Vec::new();
+        let owned: Vec<Range<usize>> = missing[..runnable]
+            .iter()
+            .map(|&i| {
+                let (start, end) = ranges[i];
+                let width = piece_width(end - start).max(1);
+                let first = pieces.len();
+                pieces
+                    .extend((start..end).step_by(width as usize).map(|s| (s, width.min(end - s))));
+                first..pieces.len()
+            })
+            .collect();
+
+        // Phase 3: commit each chunk in range order as soon as its pieces
+        // are in, stopping at a chunk boundary on cancellation or an
+        // exhausted budget.
         let mut executed_trials = 0u64;
         let mut executed_slots = 0u64;
         let exec_started = Instant::now();
         let remaining_exec: u64 = trials - cached_trials;
-        for (i, &(start, end)) in ranges.iter().enumerate() {
-            if cached[i].is_some() {
-                continue;
+        let mut commit_all = |next_chunk: &mut dyn FnMut(Range<usize>) -> Vec<R>| {
+            // The unit's spec goes next to its chunks before the first of
+            // them, written while the workers already compute.
+            if let Some(store) = store.filter(|_| cached_trials < trials) {
+                let pretty = serde_json::to_string_pretty(&canonicalize(&spec.to_value()))
+                    .expect("spec serialization");
+                let _ = store.write_spec_info(&key, &pretty);
             }
-            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            for (j, &i) in missing.iter().enumerate() {
                 let completed_trials = cached_trials + executed_trials;
-                return Err(Interrupted::Cancelled { completed_trials });
-            }
-            if let Some(budget) = &self.chunk_budget {
-                let left = budget.load(Ordering::Relaxed);
-                if left == 0 {
-                    let completed_trials = cached_trials + executed_trials;
+                if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                    return Err(Interrupted::Cancelled { completed_trials });
+                }
+                if j == runnable {
                     return Err(Interrupted::ChunkBudgetExhausted { completed_trials });
                 }
-                budget.store(left - 1, Ordering::Relaxed);
-            }
-            let len = end - start;
-            let chunk_span = self.tracer.span("orchestrator", format!("chunk:{start}..{end}"));
-            let results = exec(start, len);
-            debug_assert_eq!(results.len() as u64, len, "chunk executor must fill its range");
-            drop(chunk_span);
-            if let Some(store) = store {
-                // Persist best-effort: an unwritable cache degrades to
-                // recomputation next run, never to failure now.
-                let _ = store.write_chunk(&key, start, end, &results);
-            }
-            let slots: u64 = results.iter().map(SlotCost::simulated_slots).sum();
-            executed_trials += len;
-            executed_slots += slots;
-            self.stats.executed_trials.add(len);
-            self.stats.simulated_slots.add(slots);
+                if let Some(budget) = &self.chunk_budget {
+                    budget.fetch_sub(1, Ordering::Relaxed);
+                }
+                let (start, end) = ranges[i];
+                let len = end - start;
+                let chunk_span = self.tracer.span("orchestrator", format!("chunk:{start}..{end}"));
+                let results = next_chunk(owned[j].clone());
+                debug_assert_eq!(results.len() as u64, len, "pieces must fill their chunk");
+                drop(chunk_span);
+                if let Some(store) = store {
+                    // Persist best-effort: an unwritable cache degrades to
+                    // recomputation next run, never to failure now.
+                    let _ = store.write_chunk(&key, start, end, &results);
+                }
+                let slots: u64 = results.iter().map(SlotCost::simulated_slots).sum();
+                executed_trials += len;
+                executed_slots += slots;
+                self.stats.executed_trials.add(len);
+                self.stats.simulated_slots.add(slots);
 
-            let elapsed = exec_started.elapsed().as_secs_f64().max(1e-9);
-            let trials_per_sec = executed_trials as f64 / elapsed;
-            let eta_secs = (remaining_exec - executed_trials) as f64 / trials_per_sec;
-            self.emit(&Event::ChunkFinished {
-                experiment: &spec.experiment,
-                point: &spec.point,
-                start,
-                end,
-                slots,
-                trials_per_sec,
-                slots_per_sec: executed_slots as f64 / elapsed,
-                eta_secs,
-            });
-            cached[i] = Some(results);
-        }
+                let elapsed = exec_started.elapsed().as_secs_f64().max(1e-9);
+                let trials_per_sec = executed_trials as f64 / elapsed;
+                let eta_secs = (remaining_exec - executed_trials) as f64 / trials_per_sec;
+                self.emit(&Event::ChunkFinished {
+                    experiment: &spec.experiment,
+                    point: &spec.point,
+                    start,
+                    end,
+                    slots,
+                    trials_per_sec,
+                    slots_per_sec: executed_slots as f64 / elapsed,
+                    eta_secs,
+                });
+                cached[i] = Some(results);
+            }
+            Ok(())
+        };
+        // A token that fired before the unit started stops it at the first
+        // boundary: no workers are spawned for it.
+        let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        let workers = if cancelled { 1 } else { self.effective_jobs().min(pieces.len()) };
+        if workers <= 1 {
+            commit_all(&mut |range| pieces[range].iter().flat_map(|&(s, l)| exec(s, l)).collect())
+        } else {
+            fan_out(workers, &pieces, &exec, |inbox| commit_all(&mut |range| inbox.take(range)))
+        }?;
 
         self.emit(&Event::UnitFinished {
             experiment: &spec.experiment,
@@ -553,6 +617,62 @@ impl Orchestrator {
     pub fn fingerprint_hex<R>(&self, spec: &WorkSpec) -> String {
         Fingerprint::of(spec, &self.salt, std::any::type_name::<R>()).hex().to_string()
     }
+}
+
+/// Pieces computed on worker threads, handed to the committing thread in
+/// piece order whatever order they finish in.
+struct Inbox<P> {
+    rx: mpsc::Receiver<(usize, std::thread::Result<P>)>,
+    slots: Vec<Option<std::thread::Result<P>>>,
+}
+
+impl<P: IntoIterator> Inbox<P> {
+    /// The results of pieces `range`, concatenated, waiting for any not
+    /// yet in. A piece that panicked re-raises its own payload here.
+    fn take(&mut self, range: Range<usize>) -> Vec<P::Item> {
+        let mut out = Vec::new();
+        for p in range {
+            while self.slots[p].is_none() {
+                let (q, result) = self.rx.recv().expect("every taken piece is sent");
+                self.slots[q] = Some(result);
+            }
+            match self.slots[p].take().expect("piece just arrived") {
+                Ok(results) => out.extend(results),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        out
+    }
+}
+
+/// Compute `pieces` on `workers` scoped threads while the calling thread
+/// runs `consume` over their results. Workers take pieces from one shared
+/// index, so pieces start in order and every piece before a panicking one
+/// still arrives. When `consume` returns or unwinds, its [`Inbox`] is
+/// dropped and each worker exits after its current piece.
+fn fan_out<P: Send, T>(
+    workers: usize,
+    pieces: &[(u64, u64)],
+    exec: &(impl Fn(u64, u64) -> P + Sync),
+    consume: impl FnOnce(&mut Inbox<P>) -> T,
+) -> T {
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let (tx, next) = (tx.clone(), &next);
+            scope.spawn(move || loop {
+                let p = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&(start, len)) = pieces.get(p) else { break };
+                let result = catch_unwind(AssertUnwindSafe(|| exec(start, len)));
+                if tx.send((p, result)).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        consume(&mut Inbox { rx, slots: pieces.iter().map(|_| None).collect() })
+    })
 }
 
 #[cfg(test)]
@@ -813,6 +933,40 @@ mod tests {
         assert_eq!(a, b, "cache-served units have nothing to cancel");
         assert_eq!(warm.stats_snapshot().executed_trials, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_trial_surfaces_its_own_message_under_two_jobs() {
+        let boom = |seed: u64| {
+            if seed == 5000 + 40 {
+                panic!("boom at seed {seed}");
+            }
+            trial(seed)
+        };
+        for batched in [false, true] {
+            let dir = tmp_dir(if batched { "panic-batched" } else { "panic" });
+            let orch = Orchestrator::with_cache_dir(&dir).unwrap().chunk_size(8).jobs(2);
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                if batched {
+                    orch.try_run_trials_batched(&spec(), 64, |seeds| {
+                        seeds.iter().map(|&s| boom(s)).collect()
+                    })
+                } else {
+                    orch.try_run_trials(&spec(), 64, boom)
+                }
+            }))
+            .expect_err("the unit panics");
+            assert_eq!(payload.downcast_ref::<String>().unwrap(), "boom at seed 5040");
+            // Every chunk before the panicking trial's is checkpointed.
+            let resumed = Orchestrator::with_cache_dir(&dir)
+                .unwrap()
+                .chunk_size(8)
+                .policy(CachePolicy::Resume);
+            let got: Vec<u64> = resumed.run_trials(&spec(), 64, trial);
+            assert_eq!(resumed.stats_snapshot().cached_trials, 40);
+            assert_eq!(got, MonteCarlo::new(64, 5000).run(trial));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

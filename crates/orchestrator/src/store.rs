@@ -13,33 +13,12 @@
 use crate::fingerprint::Fingerprint;
 use serde::{Deserialize, Serialize, Value};
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Distinguishes temp files written concurrently by one process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// A claim file older than this is assumed to belong to a crashed writer
-/// and is broken. Writers hold claims only for the duration of one
-/// serialize-and-rename, which is far below this.
-const STALE_CLAIM: Duration = Duration::from_secs(300);
-
-/// RAII guard for an advisory chunk-write claim: while alive, no other
-/// cooperating process will write the same `(key, start, end)` shard.
-/// Dropping the guard (including on panic-unwind) releases the claim by
-/// deleting the claim file.
-#[derive(Debug)]
-pub struct ChunkClaim {
-    path: PathBuf,
-}
-
-impl Drop for ChunkClaim {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
 
 /// One shard's layout on disk: [`ResultStore::write_chunk`] writes a
 /// `ChunkFile<&[R]>` and [`ResultStore::load_chunk`] reads a
@@ -83,54 +62,10 @@ impl ResultStore {
         self.unit_dir(key).join(format!("t{start:08}-{end:08}.json"))
     }
 
-    /// Path of the advisory claim file for one chunk shard.
-    pub fn claim_path(&self, key: &Fingerprint, start: u64, end: u64) -> PathBuf {
-        self.unit_dir(key).join(format!(".claim-t{start:08}-{end:08}"))
-    }
-
-    /// Try to take the advisory write claim for one chunk. `Ok(None)`
-    /// means another live writer holds it — the caller should skip the
-    /// write, because by the determinism contract the holder is
-    /// persisting byte-identical content. Claims left behind by crashed
-    /// writers (older than [`STALE_CLAIM`]) are broken and re-taken.
-    pub fn try_claim_chunk(
-        &self,
-        key: &Fingerprint,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Option<ChunkClaim>> {
-        let path = self.claim_path(key, start, end);
-        fs::create_dir_all(path.parent().expect("claim paths have parents"))?;
-        for attempt in 0..2 {
-            match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut f) => {
-                    use std::io::Write;
-                    let _ = write!(f, "{}", std::process::id());
-                    return Ok(Some(ChunkClaim { path }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|t| t.elapsed().ok())
-                        .is_some_and(|age| age > STALE_CLAIM);
-                    if stale && attempt == 0 {
-                        // Crashed writer: break the claim and retry once.
-                        let _ = fs::remove_file(&path);
-                        continue;
-                    }
-                    return Ok(None);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
-    }
-
-    /// Atomically persist one completed chunk, guarded by the advisory
-    /// claim: when another cooperating writer already holds the claim for
-    /// this shard, the write is skipped (`Ok`), since the holder persists
-    /// byte-identical content for the same fingerprint and range.
+    /// Atomically persist one completed chunk. Writers of the same shard
+    /// need no coordination: by the determinism contract they write
+    /// byte-identical content for the same fingerprint and range, and each
+    /// `rename` replaces the shard whole.
     pub fn write_chunk<R: Serialize>(
         &self,
         key: &Fingerprint,
@@ -139,9 +74,6 @@ impl ResultStore {
         results: &[R],
     ) -> io::Result<()> {
         debug_assert_eq!(results.len() as u64, end - start, "chunk length must match its range");
-        let Some(_claim) = self.try_claim_chunk(key, start, end)? else {
-            return Ok(());
-        };
         let chunk = ChunkFile { key: key.hex().to_string(), start, end, results };
         let text = serde_json::to_string(&chunk).expect("chunk serialization");
         self.write_atomic(&self.chunk_path(key, start, end), text.as_bytes())
@@ -211,16 +143,27 @@ impl ResultStore {
         Some((full, spec))
     }
 
+    /// Write `bytes` to a temp file next to `path`, then `rename` it into
+    /// place. The directory is created only when the temp file cannot be
+    /// (the unit's first write), so a write is two directory-entry
+    /// operations.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let dir = path.parent().expect("store paths have parents");
-        fs::create_dir_all(dir)?;
         let tmp = dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, path).inspect_err(|_| {
+        let mut file = match fs::File::create(&tmp) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                fs::create_dir_all(dir)?;
+                fs::File::create(&tmp)?
+            }
+            created => created?,
+        };
+        let written = file.write_all(bytes);
+        drop(file);
+        written.and_then(|()| fs::rename(&tmp, path)).inspect_err(|_| {
             let _ = fs::remove_file(&tmp);
         })
     }
@@ -319,24 +262,11 @@ mod tests {
     }
 
     #[test]
-    fn chunk_claim_excludes_second_writer_and_releases_on_drop() {
-        let store = tmp_store("claim");
-        let k = key();
-        let first = store.try_claim_chunk(&k, 0, 4).unwrap();
-        assert!(first.is_some(), "first claim must be granted");
-        assert!(store.try_claim_chunk(&k, 0, 4).unwrap().is_none(), "claim is exclusive");
-        // A different chunk range is an independent claim.
-        assert!(store.try_claim_chunk(&k, 4, 8).unwrap().is_some());
-        drop(first);
-        assert!(store.try_claim_chunk(&k, 0, 4).unwrap().is_some(), "drop releases the claim");
-    }
-
-    #[test]
     fn concurrent_writers_of_the_same_chunk_never_corrupt_it() {
-        // Satellite: many threads hammering write_chunk on the same
-        // fingerprint+range (the deterministic-content scenario two
-        // processes computing the same unit produce) must leave the shard
-        // readable at all times, never torn, and leak no claim files.
+        // Many threads hammering write_chunk on the same fingerprint+range
+        // (the deterministic-content scenario two processes computing the
+        // same unit produce) must leave the shard readable at all times,
+        // never torn, and leak no temp files.
         let store = tmp_store("concurrent");
         let k = key();
         let data: Vec<f64> = (0..16).map(|i| i as f64 * 0.5).collect();
@@ -357,33 +287,9 @@ mod tests {
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|name| name.starts_with(".claim-") || name.starts_with(".tmp-"))
+            .filter(|name| name.starts_with(".tmp-"))
             .collect();
-        assert!(leftovers.is_empty(), "claims and temps must be cleaned up: {leftovers:?}");
-    }
-
-    #[test]
-    fn stale_claim_is_broken() {
-        let store = tmp_store("stale-claim");
-        let k = key();
-        // Simulate a crashed writer: a claim file with an ancient mtime.
-        let path = store.claim_path(&k, 0, 2);
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, b"dead").unwrap();
-        let old = std::time::SystemTime::now() - Duration::from_secs(3600);
-        // Not all filesystems allow setting mtimes without a helper; fall
-        // back to asserting the live-claim behaviour when unsupported.
-        let f = fs::File::options().write(true).open(&path).unwrap();
-        if f.set_modified(old).is_ok() {
-            drop(f);
-            assert!(
-                store.try_claim_chunk(&k, 0, 2).unwrap().is_some(),
-                "a stale claim must be broken and re-taken"
-            );
-        } else {
-            drop(f);
-            assert!(store.try_claim_chunk(&k, 0, 2).unwrap().is_none());
-        }
+        assert!(leftovers.is_empty(), "temps must be cleaned up: {leftovers:?}");
     }
 
     #[test]

@@ -828,43 +828,16 @@ impl Core {
             m: self.m.clone(),
             progress_every: self.config.progress_every,
         });
-        let run_tracer = job.tracer.clone();
         // Kinds with a bit-identical batch backend run whole seed batches
         // per slot-loop pass; everything else stays on the per-trial
         // path. Either way the chunk layout, seeding, and fingerprints
         // are identical, so results land in the same cache entries.
-        let batch_fn = work::batch_fn(&job.election).ok();
-        let outcome = catch_unwind(AssertUnwindSafe(|| match &batch_fn {
-            Some(batch_fn) => {
-                orch.try_run_trials_batched::<RunReport, _>(&job.spec, job.trials, |seeds| {
-                    let _run_span = run_tracer.child_span(
-                        "engine",
-                        format!("batch:{} seeds", seeds.len()),
-                        execute_span_id,
-                    );
-                    batch_fn(seeds)
-                })
-            }
-            None => {
-                let trial_fn = work::trial_fn(&job.election);
-                orch.try_run_trials::<RunReport, _>(&job.spec, job.trials, |seed| {
-                    let _run_span = run_tracer.child_span(
-                        "engine",
-                        format!("run:seed={seed}"),
-                        execute_span_id,
-                    );
-                    trial_fn(seed)
-                })
-            }
-        }))
-        .map_err(|panic| {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
-            format!("trial panicked: {msg}")
-        });
+        let run = match work::batch_fn(&job.election) {
+            Ok(f) => JobFn::Batch(f),
+            Err(_) => JobFn::Trial(work::trial_fn(&job.election)),
+        };
+        let outcome =
+            execute_unit(&orch, &job.spec, job.trials, &run, &job.tracer, execute_span_id);
         self.m.execute_us.observe(executed_at.elapsed().as_micros() as u64);
         drop(execute_span);
         let wall_secs = job.submitted.elapsed().as_secs_f64();
@@ -957,6 +930,45 @@ impl Core {
             }
         }
     }
+}
+
+/// A job's closure: whole seed batches when its election has a batch
+/// backend, one trial per call otherwise.
+enum JobFn {
+    Batch(work::BatchFn),
+    Trial(work::TrialFn),
+}
+
+/// Run one job's unit on `orch`, spanning each closure call under
+/// `parent` on `tracer`. A panicking trial becomes
+/// `Err("trial panicked: <msg>")`, the reason its `failed` frame carries.
+fn execute_unit(
+    orch: &Orchestrator,
+    spec: &WorkSpec,
+    trials: u64,
+    run: &JobFn,
+    tracer: &SpanRecorder,
+    parent: u64,
+) -> Result<Result<Vec<RunReport>, Interrupted>, String> {
+    catch_unwind(AssertUnwindSafe(|| match run {
+        JobFn::Batch(f) => orch.try_run_trials_batched(spec, trials, |seeds| {
+            let _run_span =
+                tracer.child_span("engine", format!("batch:{} seeds", seeds.len()), parent);
+            f(seeds)
+        }),
+        JobFn::Trial(f) => orch.try_run_trials(spec, trials, |seed| {
+            let _run_span = tracer.child_span("engine", format!("run:seed={seed}"), parent);
+            f(seed)
+        }),
+    }))
+    .map_err(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "worker panicked".to_string());
+        format!("trial panicked: {msg}")
+    })
 }
 
 fn dec(map: &mut HashMap<u64, u64>, client: u64) {
@@ -1347,6 +1359,36 @@ mod tests {
             Ok(Endpoint::Unix(PathBuf::from("/tmp/sweepd.sock")))
         );
         assert!(Endpoint::parse("nonsense").is_err());
+    }
+
+    #[test]
+    fn a_trial_panic_reaches_the_failed_frame_as_its_own_message() {
+        // Two workers, as with `mc_jobs = 2`: the panic happens on a worker
+        // thread and must still surface with its own payload.
+        let boom = |seed: u64| {
+            if seed == 20 {
+                panic!("boom at seed {seed}");
+            }
+            RunReport::default()
+        };
+        let runs = [
+            JobFn::Trial(Box::new(boom)),
+            JobFn::Batch(Box::new(move |seeds: &[u64]| seeds.iter().map(|&s| boom(s)).collect())),
+        ];
+        let spec = WorkSpec::new("svc", "panic", serde_json::json!({}), 0);
+        for run in &runs {
+            let orch = Orchestrator::ephemeral().chunk_size(8).jobs(2);
+            let reason = execute_unit(&orch, &spec, 32, run, &SpanRecorder::disabled(), 0)
+                .expect_err("the unit panics");
+            assert_eq!(reason, "trial panicked: boom at seed 20");
+            let line = ServerFrame::Failed { id: 1, key: "k".into(), reason }.to_line();
+            match ServerFrame::parse(&line).unwrap() {
+                ServerFrame::Failed { reason, .. } => {
+                    assert_eq!(reason, "trial panicked: boom at seed 20")
+                }
+                other => panic!("expected a failed frame, got {other:?}"),
+            }
+        }
     }
 
     #[test]
