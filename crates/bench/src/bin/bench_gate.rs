@@ -375,7 +375,7 @@ fn measure_sweepd_overhead(samples: u32) -> std::io::Result<(f64, f64)> {
         cd: CdModel::Strong,
         adv: AdversarySpec::passive(),
         max_slots,
-        proto: ProtoParams::Lesk { eps: 0.5 },
+        proto: ProtoParams::lesk(0.5),
     };
     let spec = WorkSpec::new("bench_gate", "sweepd_overhead", election.to_json_value(), 424_242);
 

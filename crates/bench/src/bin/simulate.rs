@@ -262,7 +262,7 @@ fn server_params(args: &Args, adv: &AdversarySpec) -> Option<serde::Value> {
         return None;
     }
     let proto = match args.protocol.as_str() {
-        "lesk" => ProtoParams::Lesk { eps: args.eps },
+        "lesk" => ProtoParams::lesk(args.eps),
         "lesu" => ProtoParams::Lesu,
         "backoff" => ProtoParams::Backoff,
         "willard" => ProtoParams::Willard,

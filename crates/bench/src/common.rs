@@ -2,9 +2,9 @@
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{Figure, Summary, Table};
-use jle_engine::{run_cohort, RunReport, SimConfig, SlotCost, UniformProtocol};
+use jle_engine::{run_cohort, RunReport, SlotCost};
 use jle_orchestrator::{Orchestrator, WorkSpec};
-use jle_radio::CdModel;
+use jle_protocols::{with_uniform_proto, ElectionKind, ElectionParams};
 use jle_sweepd::SweepClient;
 use jle_telemetry::FlightRecorder;
 use serde::{Deserialize, Serialize, Value};
@@ -128,28 +128,30 @@ impl ExpContext {
         self.flight.as_ref()
     }
 
-    /// Builder: route supported cohort-election units through a resident
+    /// Builder: route cohort-election units through a resident
     /// `jle-sweepd` service instead of the in-process orchestrator.
     ///
-    /// Only units the service's work registry can reconstruct exactly
-    /// ([`jle_sweepd::is_supported`]) are routed; everything else — and
-    /// anything the server rejects or fails — falls back to local
-    /// execution, so experiments behave identically with or without a
-    /// server (the cache keys agree, so the two paths even share a
-    /// store).
+    /// Units with a local-only protocol shape
+    /// ([`jle_protocols::ProtoParams::portable`]) run locally, and so does
+    /// anything the server rejects or fails, so experiments behave
+    /// identically with or without a server (the cache keys agree, so the
+    /// two paths even share a store).
     pub fn with_server(mut self, client: SweepClient) -> Self {
         self.server = Some(Arc::new(Mutex::new(client)));
         self
     }
 
     /// Try to run a cohort-election unit on the attached server.
-    /// `None` means "not routed" (no server, unsupported params, or a
+    /// `None` means "not routed" (no server, a local-only protocol, or a
     /// server-side error) and the caller must compute locally.
-    fn server_reports(&self, spec: &WorkSpec, trials: u64) -> Option<Vec<RunReport>> {
+    fn server_reports(
+        &self,
+        unit: &ElectionParams,
+        spec: &WorkSpec,
+        trials: u64,
+    ) -> Option<Vec<RunReport>> {
         let server = self.server.as_ref()?;
-        if !jle_sweepd::is_supported(&spec.params) {
-            return None;
-        }
+        unit.proto.portable().ok()?;
         let mut client = server.lock().expect("sweepd client lock");
         match client.run_reports(spec, trials) {
             Ok(reports) => Some(reports),
@@ -192,60 +194,31 @@ impl ExpContext {
         self.orch.run_trials(&spec, trials, f)
     }
 
-    /// Run `trials` cohort elections and return the per-trial slot counts
-    /// (timeouts are reported as `max_slots`, plus the timeout count).
-    ///
-    /// `proto` names the protocol and its parameters for the cache key
-    /// (the factory closure itself cannot be hashed), e.g.
-    /// `json!({"proto": "lesk", "eps": 0.5})`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn election_slots<U, F>(
+    /// Run `trials` elections of the cohort-election `unit` and return the
+    /// per-trial slot counts (timeouts are reported as `max_slots`, plus
+    /// the timeout count). The unit is both the cache key and what the
+    /// stations run.
+    pub fn election_slots(
         &self,
         experiment: &str,
         point: &str,
-        proto: Value,
-        n: u64,
-        cd: CdModel,
-        adv: &AdversarySpec,
+        unit: &ElectionParams,
         trials: u64,
         base_seed: u64,
-        max_slots: u64,
-        factory: F,
-    ) -> (Vec<f64>, u64)
-    where
-        U: UniformProtocol,
-        F: Fn() -> U + Sync,
-    {
-        let params = election_params(proto, n, cd, adv, max_slots);
-        let spec = WorkSpec::new(experiment, point, params, base_seed);
-        let reports: Vec<RunReport> = match self.server_reports(&spec, trials) {
+    ) -> (Vec<f64>, u64) {
+        assert_eq!(unit.kind, ElectionKind::Cohort, "election_slots runs cohort elections");
+        let spec = WorkSpec::new(experiment, point, unit.to_json_value(), base_seed);
+        let reports: Vec<RunReport> = match self.server_reports(unit, &spec, trials) {
             Some(reports) => reports,
-            None => self.orch.run_trials(&spec, trials, |seed| {
-                let config = SimConfig::new(n, cd).with_seed(seed).with_max_slots(max_slots);
-                run_cohort(&config, adv, &factory)
-            }),
+            None => {
+                with_uniform_proto!(unit.proto, make => self.orch.run_trials(&spec, trials, |seed| {
+                    run_cohort(&unit.config().with_seed(seed), &unit.adv, make)
+                }))
+            }
         };
         let timeouts = reports.iter().filter(|r| r.timed_out).count() as u64;
         (reports.iter().map(|r| r.slots as f64).collect(), timeouts)
     }
-}
-
-/// The canonical parameter tree of a cohort-election work unit.
-pub fn election_params(
-    proto: Value,
-    n: u64,
-    cd: CdModel,
-    adv: &AdversarySpec,
-    max_slots: u64,
-) -> Value {
-    serde_json::json!({
-        "kind": "cohort_election",
-        "n": n,
-        "cd": cd,
-        "adv": adv.to_json_value(),
-        "max_slots": max_slots,
-        "proto": proto,
-    })
 }
 
 /// Convenience: median of a sample (panics on empty).
@@ -261,7 +234,8 @@ pub fn summary_cells(s: &Summary) -> (String, String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jle_protocols::LeskProtocol;
+    use jle_protocols::ProtoParams;
+    use jle_radio::CdModel;
 
     #[test]
     fn experiment_result_renders() {
@@ -279,18 +253,14 @@ mod tests {
     #[test]
     fn election_slots_smoke() {
         let ctx = ExpContext::ephemeral(true);
-        let (slots, timeouts) = ctx.election_slots(
-            "e0",
-            "smoke",
-            serde_json::json!({"proto": "lesk", "eps": 0.5f64}),
+        let unit = ElectionParams::cohort(
+            ProtoParams::lesk(0.5),
             64,
             CdModel::Strong,
-            &AdversarySpec::passive(),
-            10,
-            1,
+            AdversarySpec::passive(),
             100_000,
-            || LeskProtocol::new(0.5),
         );
+        let (slots, timeouts) = ctx.election_slots("e0", "smoke", &unit, 10, 1);
         assert_eq!(slots.len(), 10);
         assert_eq!(timeouts, 0);
         assert!(median(&slots) > 0.0);

@@ -8,7 +8,7 @@
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, log2_fit, Figure, Series, Summary, Table};
-use jle_protocols::LeskProtocol;
+use jle_protocols::{ElectionParams, ProtoParams};
 use jle_radio::CdModel;
 
 /// Run E1. `quick` trims the sweep for smoke testing.
@@ -37,30 +37,22 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     let mut jam_pts = Vec::new();
     for &k in &exps {
         let n = 1u64 << k;
-        let proto = serde_json::json!({"proto": "lesk", "eps": eps});
+        let unit = |adv| {
+            ElectionParams::cohort(ProtoParams::lesk(eps), n, CdModel::Strong, adv, 10_000_000)
+        };
         let (clean, t0) = ctx.election_slots(
             "e1",
             &format!("clean/n={n}"),
-            proto.clone(),
-            n,
-            CdModel::Strong,
-            &AdversarySpec::passive(),
+            &unit(AdversarySpec::passive()),
             trials,
             1000 + k as u64,
-            10_000_000,
-            || LeskProtocol::new(eps),
         );
         let (jam, t1) = ctx.election_slots(
             "e1",
             &format!("saturating/n={n}"),
-            proto,
-            n,
-            CdModel::Strong,
-            &saturating(eps, t_window),
+            &unit(saturating(eps, t_window)),
             trials,
             2000 + k as u64,
-            10_000_000,
-            || LeskProtocol::new(eps),
         );
         assert_eq!(t0 + t1, 0, "no timeouts expected in E1");
         let (sc, sj) = (Summary::of(&clean).unwrap(), Summary::of(&jam).unwrap());

@@ -5,21 +5,23 @@
 //!
 //! * **cold start** (the protocol as written, `u = 0`): the runtime is
 //!   dominated by the initial climb of `u` to `log₂ n`, which costs
-//!   `≈ a·log₂ n = (8/ε)·log₂ n` collisions — *below* the theorem's
-//!   worst-case `ε⁻³` envelope (the saturating jammer accelerates the
-//!   climb; it cannot slow it, since unjammed slots at small `u` are
-//!   collisions anyway);
+//!   `≈ a·log₂ n = (8/ε)·log₂ n` collisions (the saturating jammer
+//!   accelerates the climb; it cannot slow it, since unjammed slots at
+//!   small `u` are collisions anyway). Against the theorem's envelope
+//!   taken with constant 1 the climb sits above it in the middle of the
+//!   ε range, so the theorem holds there only with a larger constant;
 //! * **warm start** (`u` seeded at `log₂ n`): isolates the in-band
 //!   regime the `ε⁻³ log(1/ε)⁻¹` term prices — each unjammed slot yields
 //!   a `Single` with probability ≥ `ln(a)/a²` (Lemma 2.4) and only an ε
 //!   fraction of slots is unjammed.
 //!
-//! Both measured curves must stay below the theorem envelope; the cold
-//! curve must track the climb shape.
+//! The cold curve must track the climb shape, and the note reports which
+//! ε put it above the constant-1 theorem envelope and by how much; the
+//! warm curve must stay inside the Lemma 2.4 bracket.
 
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_analysis::{fmt, Table};
-use jle_protocols::{math, LeskProtocol};
+use jle_protocols::{math, ElectionParams, ProtoParams};
 use jle_radio::CdModel;
 
 /// Run E2.
@@ -39,6 +41,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         vec![0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     };
     let trials = if quick { 15 } else { 80 };
+    let unit = |proto, eps| {
+        ElectionParams::cohort(proto, n, CdModel::Strong, saturating(eps, t_window), 50_000_000)
+    };
 
     let mut cold_table = Table::new([
         "eps",
@@ -49,24 +54,22 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         "below envelope",
     ]);
     let mut climb_ratios = Vec::new();
+    let mut above_envelope = Vec::new();
+    let mut max_envelope_ratio = f64::MIN;
     for (idx, &eps) in eps_grid.iter().enumerate() {
-        let (slots, timeouts) = ctx.election_slots(
-            "e2",
-            &format!("cold/eps={eps}"),
-            serde_json::json!({"proto": "lesk", "eps": eps}),
-            n,
-            CdModel::Strong,
-            &saturating(eps, t_window),
-            trials,
-            9_000 + idx as u64 * 101,
-            50_000_000,
-            || LeskProtocol::new(eps),
-        );
+        let cold = unit(ProtoParams::lesk(eps), eps);
+        let seed = 9_000 + idx as u64 * 101;
+        let (slots, timeouts) =
+            ctx.election_slots("e2", &format!("cold/eps={eps}"), &cold, trials, seed);
         assert_eq!(timeouts, 0, "no timeouts expected in E2 at eps={eps}");
         let med = median(&slots);
         let climb = 8.0 / eps * log2n;
         let envelope = math::lesk_runtime_shape(n, eps, t_window);
         climb_ratios.push(med / climb);
+        max_envelope_ratio = max_envelope_ratio.max(med / envelope);
+        if med > envelope {
+            above_envelope.push(format!("{eps:.2}"));
+        }
         cold_table.push_row([
             format!("{eps:.2}"),
             fmt(med),
@@ -89,18 +92,10 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     ]);
     let mut inside_bracket = 0usize;
     for (idx, &eps) in eps_grid.iter().enumerate() {
-        let (slots, timeouts) = ctx.election_slots(
-            "e2",
-            &format!("warm/eps={eps}"),
-            serde_json::json!({"proto": "lesk", "eps": eps, "u0": log2n}),
-            n,
-            CdModel::Strong,
-            &saturating(eps, t_window),
-            trials,
-            19_000 + idx as u64 * 103,
-            50_000_000,
-            move || LeskProtocol::with_initial_estimate(eps, log2n),
-        );
+        let warm = unit(ProtoParams::Lesk { eps, u0: Some(log2n), divisor: None }, eps);
+        let seed = 19_000 + idx as u64 * 103;
+        let (slots, timeouts) =
+            ctx.election_slots("e2", &format!("warm/eps={eps}"), &warm, trials, seed);
         assert_eq!(timeouts, 0);
         let med = median(&slots);
         // Bracket: at least one clean slot is needed and only an eps
@@ -125,11 +120,21 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     let spread = |v: &[f64]| {
         v.iter().cloned().fold(f64::MIN, f64::max) / v.iter().cloned().fold(f64::MAX, f64::min)
     };
+    let against_envelope = if above_envelope.is_empty() {
+        format!(
+            "below the constant-1 theorem envelope at every eps (at most {max_envelope_ratio:.2}x)"
+        )
+    } else {
+        format!(
+            "above the constant-1 theorem envelope at eps = {} (up to {max_envelope_ratio:.2}x), \
+             consistent with the O(·) bound only with a constant of at least {max_envelope_ratio:.2}",
+            above_envelope.join(", ")
+        )
+    };
     result.note(format!(
         "cold start: measured/climb stays within a {:.2}x band across eps ∈ [{}, {}] — the \
-         as-written protocol's cost under saturation is the u-climb (8/eps)·log2 n, comfortably \
-         below the theorem's worst-case envelope (the bound is an envelope, not a tight law \
-         for this adversary)",
+         as-written protocol's cost under saturation is the u-climb (8/eps)·log2 n, which sits \
+         {against_envelope}",
         spread(&climb_ratios),
         eps_grid.first().unwrap(),
         eps_grid.last().unwrap()

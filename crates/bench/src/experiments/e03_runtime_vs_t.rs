@@ -9,7 +9,7 @@
 use crate::common::{median, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, linear_fit, Figure, Series, Table};
-use jle_protocols::{math, LeskProtocol};
+use jle_protocols::{math, ElectionParams, ProtoParams};
 use jle_radio::CdModel;
 
 /// Run E3.
@@ -43,30 +43,22 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let burst =
             AdversarySpec::new(Rate::from_f64(eps), t, JamStrategyKind::Burst { on: t, off: t });
         let periodic = AdversarySpec::new(Rate::from_f64(eps), t, JamStrategyKind::PeriodicFront);
-        let proto = serde_json::json!({"proto": "lesk", "eps": eps});
+        let unit = |adv| {
+            ElectionParams::cohort(ProtoParams::lesk(eps), n, CdModel::Strong, adv, 200_000_000)
+        };
         let (bs, b_to) = ctx.election_slots(
             "e3",
             &format!("burst/T={t}"),
-            proto.clone(),
-            n,
-            CdModel::Strong,
-            &burst,
+            &unit(burst),
             trials,
             31_000 + idx as u64,
-            200_000_000,
-            || LeskProtocol::new(eps),
         );
         let (ps, p_to) = ctx.election_slots(
             "e3",
             &format!("periodic/T={t}"),
-            proto,
-            n,
-            CdModel::Strong,
-            &periodic,
+            &unit(periodic),
             trials,
             32_000 + idx as u64,
-            200_000_000,
-            || LeskProtocol::new(eps),
         );
         assert_eq!(b_to + p_to, 0, "no timeouts expected in E3 at T={t}");
         let shape = math::lesk_runtime_shape(n, eps, t);

@@ -19,7 +19,7 @@ use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
 use jle_engine::{run_cohort_with, SimConfig};
-use jle_protocols::{math, LeskProtocol, LesuProtocol};
+use jle_protocols::{math, ElectionParams, LesuProtocol, ProtoParams};
 use jle_radio::CdModel;
 use serde::Serialize;
 
@@ -93,17 +93,19 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
                 40_000 + (ei * 100 + k as usize) as u64,
                 4.0,
             );
+            let unit = ElectionParams::cohort(
+                ProtoParams::lesk(eps),
+                n,
+                CdModel::Strong,
+                adv,
+                500_000_000,
+            );
             let (lesk, to1) = ctx.election_slots(
                 "e4",
                 &format!("lesk/eps={eps}/n={n}"),
-                serde_json::json!({"proto": "lesk", "eps": eps}),
-                n,
-                CdModel::Strong,
-                &adv,
+                &unit,
                 trials,
                 41_000 + (ei * 100 + k as usize) as u64,
-                500_000_000,
-                || LeskProtocol::new(eps),
             );
             assert_eq!(to1, 0);
             table.push_row([

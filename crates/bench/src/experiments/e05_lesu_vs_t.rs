@@ -9,7 +9,7 @@
 use crate::common::{median, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, Table};
-use jle_protocols::LesuProtocol;
+use jle_protocols::{ElectionParams, ProtoParams};
 use jle_radio::CdModel;
 
 /// Run E5.
@@ -35,18 +35,10 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     for (i, &t) in t_grid.iter().enumerate() {
         let adv =
             AdversarySpec::new(Rate::from_f64(eps), t, JamStrategyKind::Burst { on: t, off: t });
-        let (slots, to) = ctx.election_slots(
-            "e5",
-            &format!("burst/T={t}"),
-            serde_json::json!({"proto": "lesu"}),
-            n,
-            CdModel::Strong,
-            &adv,
-            trials,
-            50_000 + i as u64,
-            2_000_000_000,
-            LesuProtocol::new,
-        );
+        let unit =
+            ElectionParams::cohort(ProtoParams::Lesu, n, CdModel::Strong, adv, 2_000_000_000);
+        let (slots, to) =
+            ctx.election_slots("e5", &format!("burst/T={t}"), &unit, trials, 50_000 + i as u64);
         assert_eq!(to, 0, "no timeouts expected in E5 at T={t}");
         let med = median(&slots);
         let per_t = med / t as f64;

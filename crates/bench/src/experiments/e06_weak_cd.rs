@@ -10,7 +10,7 @@ use crate::common::{median, saturating, ExpContext, ExperimentResult, PER_STATIO
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
 use jle_engine::{run_fast_exact, SimConfig, StopRule};
-use jle_protocols::{lewk, lewu, LeskProtocol, LesuProtocol};
+use jle_protocols::{lewk, lewu, ElectionParams, ProtoParams};
 use jle_radio::CdModel;
 use serde::Serialize;
 
@@ -86,17 +86,19 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
                 30_000_000,
                 false,
             );
+            let unit = ElectionParams::cohort(
+                ProtoParams::lesk(eps),
+                n,
+                CdModel::Strong,
+                adv.clone(),
+                30_000_000,
+            );
             let (strong, st) = ctx.election_slots(
                 "e6",
                 &format!("lesk/{advname}/n={n}"),
-                serde_json::json!({"proto": "lesk", "eps": eps}),
-                n,
-                CdModel::Strong,
-                &adv,
+                &unit,
                 trials,
                 61_000 + i as u64,
-                30_000_000,
-                || LeskProtocol::new(eps),
             );
             assert_eq!(timeouts + st, 0, "no timeouts expected in E6 (n={n})");
             assert_eq!(bad, 0, "leader-count violation in E6 (n={n})");
@@ -124,17 +126,13 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         );
         assert_eq!(timeouts, 0, "LEWU timeout at n={n}");
         assert_eq!(bad, 0, "LEWU leader-count violation at n={n}");
+        let unit = ElectionParams::cohort(ProtoParams::Lesu, n, CdModel::Strong, adv, 100_000_000);
         let (strong, st) = ctx.election_slots(
             "e6",
             &format!("lesu/n={n}"),
-            serde_json::json!({"proto": "lesu"}),
-            n,
-            CdModel::Strong,
-            &adv,
+            &unit,
             trials.min(20),
             63_000 + i as u64,
-            100_000_000,
-            LesuProtocol::new,
         );
         assert_eq!(st, 0);
         let (mw, ms) = (median(&weak), median(&strong));

@@ -12,7 +12,7 @@
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, Table};
-use jle_protocols::{ArssMacProtocol, BackoffProtocol, LeskProtocol, WillardProtocol};
+use jle_protocols::{ArssMacProtocol, ElectionParams, ProtoParams};
 use jle_radio::CdModel;
 
 const MAX_SLOTS: u64 = 3_000_000;
@@ -27,55 +27,14 @@ fn row_for(
 ) -> Vec<String> {
     let t_window = adv.t_window;
     let gamma = ArssMacProtocol::recommended_gamma(n, t_window);
-    let pt = |proto: &str| format!("{proto}/{advname}/n={n}");
-    let lesk = ctx.election_slots(
-        "e7",
-        &pt("lesk"),
-        serde_json::json!({"proto": "lesk", "eps": 0.3f64}),
-        n,
-        CdModel::Strong,
-        adv,
-        trials,
-        seed,
-        MAX_SLOTS,
-        || LeskProtocol::new(0.3),
-    );
-    let arss = ctx.election_slots(
-        "e7",
-        &pt("arss"),
-        serde_json::json!({"proto": "arss", "gamma": gamma}),
-        n,
-        CdModel::Strong,
-        adv,
-        trials,
-        seed + 1,
-        MAX_SLOTS,
-        || ArssMacProtocol::new(gamma),
-    );
-    let backoff = ctx.election_slots(
-        "e7",
-        &pt("backoff"),
-        serde_json::json!({"proto": "backoff"}),
-        n,
-        CdModel::Strong,
-        adv,
-        trials,
-        seed + 2,
-        MAX_SLOTS,
-        BackoffProtocol::new,
-    );
-    let willard = ctx.election_slots(
-        "e7",
-        &pt("willard"),
-        serde_json::json!({"proto": "willard"}),
-        n,
-        CdModel::Strong,
-        adv,
-        trials,
-        seed + 3,
-        MAX_SLOTS,
-        WillardProtocol::new,
-    );
+    let run = |proto: ProtoParams, seed| {
+        let unit = ElectionParams::cohort(proto, n, CdModel::Strong, adv.clone(), MAX_SLOTS);
+        ctx.election_slots("e7", &format!("{}/{advname}/n={n}", proto.label()), &unit, trials, seed)
+    };
+    let lesk = run(ProtoParams::lesk(0.3), seed);
+    let arss = run(ProtoParams::Arss { gamma }, seed + 1);
+    let backoff = run(ProtoParams::Backoff, seed + 2);
+    let willard = run(ProtoParams::Willard, seed + 3);
     let cell = |(slots, timeouts): (Vec<f64>, u64)| {
         if timeouts * 2 >= trials {
             format!("timeout ({}/{} trials)", timeouts, trials)
@@ -124,30 +83,22 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             t_window,
             JamStrategyKind::AdaptiveEstimator { n, protocol_eps: eps, band: 3.0, initial_u: 0.0 },
         );
-        let proto = serde_json::json!({"proto": "lesk", "eps": eps});
+        let unit = |adv| {
+            ElectionParams::cohort(ProtoParams::lesk(eps), n, CdModel::Strong, adv, MAX_SLOTS)
+        };
         let (a, at) = ctx.election_slots(
             "e7",
             &format!("lesk/adaptive/n={n}"),
-            proto.clone(),
-            n,
-            CdModel::Strong,
-            &adaptive_spec,
+            &unit(adaptive_spec),
             trials,
             75_000 + i as u64,
-            MAX_SLOTS,
-            || LeskProtocol::new(eps),
         );
         let (s, st) = ctx.election_slots(
             "e7",
             &format!("lesk/saturating2/n={n}"),
-            proto,
-            n,
-            CdModel::Strong,
-            &saturating(eps, t_window),
+            &unit(saturating(eps, t_window)),
             trials,
             76_000 + i as u64,
-            MAX_SLOTS,
-            || LeskProtocol::new(eps),
         );
         assert_eq!(at + st, 0, "LESK must not time out in E7");
         adaptive.push_row([n.to_string(), fmt(median(&a)), fmt(median(&s))]);

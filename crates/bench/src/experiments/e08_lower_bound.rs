@@ -11,7 +11,7 @@
 use crate::common::{median, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, Table};
-use jle_protocols::{math, LeskProtocol};
+use jle_protocols::{math, ElectionParams, ProtoParams};
 use jle_radio::CdModel;
 
 /// Run E8.
@@ -33,18 +33,10 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let eps = 0.5;
         let t = 64u64;
         let adv = AdversarySpec::new(Rate::from_f64(eps), t, JamStrategyKind::PeriodicFront);
-        let (slots, to) = ctx.election_slots(
-            "e8",
-            &format!("sweep-n/n={n}"),
-            serde_json::json!({"proto": "lesk", "eps": eps}),
-            n,
-            CdModel::Strong,
-            &adv,
-            trials,
-            80_000 + i as u64,
-            100_000_000,
-            || LeskProtocol::new(eps),
-        );
+        let unit =
+            ElectionParams::cohort(ProtoParams::lesk(eps), n, CdModel::Strong, adv, 100_000_000);
+        let (slots, to) =
+            ctx.election_slots("e8", &format!("sweep-n/n={n}"), &unit, trials, 80_000 + i as u64);
         assert_eq!(to, 0);
         let med = median(&slots);
         let lb = math::lower_bound_shape(n, eps, t);
@@ -60,17 +52,14 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let n = 1024u64;
         let t = 64u64;
         let adv = AdversarySpec::new(Rate::from_f64(eps), t, JamStrategyKind::PeriodicFront);
+        let unit =
+            ElectionParams::cohort(ProtoParams::lesk(eps), n, CdModel::Strong, adv, 100_000_000);
         let (slots, to) = ctx.election_slots(
             "e8",
             &format!("sweep-eps/eps={eps}"),
-            serde_json::json!({"proto": "lesk", "eps": eps}),
-            n,
-            CdModel::Strong,
-            &adv,
+            &unit,
             trials,
             81_000 + i as u64,
-            100_000_000,
-            || LeskProtocol::new(eps),
         );
         assert_eq!(to, 0);
         let med = median(&slots);

@@ -8,23 +8,19 @@
 use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
-use jle_engine::{run_cohort, SimConfig, UniformProtocol};
-use jle_protocols::{
-    ArssMacProtocol, BackoffProtocol, LeskProtocol, LesuProtocol, WillardProtocol,
-};
+use jle_engine::{run_cohort, SimConfig};
+use jle_protocols::{with_uniform_proto, ArssMacProtocol, ProtoParams};
 use jle_radio::CdModel;
-use serde::{Serialize, Value};
+use serde::Serialize;
 
-#[allow(clippy::too_many_arguments)]
-fn energy_cells<U: UniformProtocol>(
+fn energy_cells(
     ctx: &ExpContext,
     point: &str,
-    proto: Value,
+    proto: ProtoParams,
     n: u64,
     adv: &AdversarySpec,
     trials: u64,
     seed: u64,
-    factory: impl Fn() -> U + Sync,
 ) -> (f64, f64, f64) {
     let params = serde_json::json!({
         "kind": "energy",
@@ -33,10 +29,12 @@ fn energy_cells<U: UniformProtocol>(
         "max_slots": 5_000_000u64,
         "proto": proto,
     });
-    let rows: Vec<(f64, f64, f64)> = ctx.run_trials("e13", point, params, seed, trials, |s| {
-        let config = SimConfig::new(n, CdModel::Strong).with_seed(s).with_max_slots(5_000_000);
-        let r = run_cohort(&config, adv, &factory);
-        (r.tx_per_station(n), r.energy.listens as f64 / n as f64, r.slots as f64)
+    let rows: Vec<(f64, f64, f64)> = with_uniform_proto!(proto, make => {
+        ctx.run_trials("e13", point, params, seed, trials, |s| {
+            let config = SimConfig::new(n, CdModel::Strong).with_seed(s).with_max_slots(5_000_000);
+            let r = run_cohort(&config, adv, make);
+            (r.tx_per_station(n), r.energy.listens as f64 / n as f64, r.slots as f64)
+        })
     });
     let m = |f: &dyn Fn(&(f64, f64, f64)) -> f64| {
         let mut v: Vec<f64> = rows.iter().map(f).collect();
@@ -71,57 +69,15 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         ]);
         for (i, &n) in ns.iter().enumerate() {
             let gamma = ArssMacProtocol::recommended_gamma(n, 32);
-            let pt = |proto: &str| format!("{proto}/{name}/n={n}");
-            let lesk = energy_cells(
-                ctx,
-                &pt("lesk"),
-                serde_json::json!({"proto": "lesk", "eps": 0.5f64}),
-                n,
-                &adv,
-                trials,
-                130_000 + i as u64,
-                || LeskProtocol::new(0.5),
-            );
-            let lesu = energy_cells(
-                ctx,
-                &pt("lesu"),
-                serde_json::json!({"proto": "lesu"}),
-                n,
-                &adv,
-                trials,
-                131_000 + i as u64,
-                LesuProtocol::new,
-            );
-            let arss = energy_cells(
-                ctx,
-                &pt("arss"),
-                serde_json::json!({"proto": "arss", "gamma": gamma}),
-                n,
-                &adv,
-                trials,
-                132_000 + i as u64,
-                || ArssMacProtocol::new(gamma),
-            );
-            let back = energy_cells(
-                ctx,
-                &pt("backoff"),
-                serde_json::json!({"proto": "backoff"}),
-                n,
-                &adv,
-                trials,
-                133_000 + i as u64,
-                BackoffProtocol::new,
-            );
-            let will = energy_cells(
-                ctx,
-                &pt("willard"),
-                serde_json::json!({"proto": "willard"}),
-                n,
-                &adv,
-                trials,
-                134_000 + i as u64,
-                WillardProtocol::new,
-            );
+            let cells = |proto: ProtoParams, seed| {
+                let point = format!("{}/{name}/n={n}", proto.label());
+                energy_cells(ctx, &point, proto, n, &adv, trials, seed + i as u64)
+            };
+            let lesk = cells(ProtoParams::lesk(0.5), 130_000);
+            let lesu = cells(ProtoParams::Lesu, 131_000);
+            let arss = cells(ProtoParams::Arss { gamma }, 132_000);
+            let back = cells(ProtoParams::Backoff, 133_000);
+            let will = cells(ProtoParams::Willard, 134_000);
             table.push_row([
                 n.to_string(),
                 fmt(lesk.0),

@@ -16,7 +16,7 @@
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
-use jle_protocols::LeskProtocol;
+use jle_protocols::{ElectionParams, ProtoParams};
 use jle_radio::CdModel;
 
 /// Run E20.
@@ -42,43 +42,24 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             "timeouts",
         ]);
         for (i, &d) in divisors.iter().enumerate() {
-            let mk = move || {
-                let p = LeskProtocol::with_increment_divisor(eps, d);
-                if warm {
-                    p.starting_at(log2n)
-                } else {
-                    p
-                }
-            };
-            let proto = serde_json::json!({
-                "proto": "lesk",
-                "eps": eps,
-                "divisor": d,
-                "u0": if warm { log2n } else { 0.0 },
-            });
+            // The cold arm names its `u0 = 0` too: that is its cache key.
+            let u0 = Some(if warm { log2n } else { 0.0 });
+            let proto = ProtoParams::Lesk { eps, u0, divisor: Some(d) };
+            let unit = |adv| ElectionParams::cohort(proto, n, CdModel::Strong, adv, 2_000_000);
+            let seed = i as u64 * 3 + warm as u64;
             let (clean, t0) = ctx.election_slots(
                 "e20",
                 &format!("clean/{regime}/d={d}"),
-                proto.clone(),
-                n,
-                CdModel::Strong,
-                &AdversarySpec::passive(),
+                &unit(AdversarySpec::passive()),
                 trials,
-                200_000 + i as u64 * 3 + warm as u64,
-                2_000_000,
-                mk,
+                200_000 + seed,
             );
             let (jam, t1) = ctx.election_slots(
                 "e20",
                 &format!("saturating/{regime}/d={d}"),
-                proto,
-                n,
-                CdModel::Strong,
-                &saturating(eps, 32),
+                &unit(saturating(eps, 32)),
                 trials,
-                201_000 + i as u64 * 3 + warm as u64,
-                2_000_000,
-                mk,
+                201_000 + seed,
             );
             table.push_row([
                 format!("{d}"),

@@ -23,7 +23,7 @@
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, Table};
-use jle_protocols::{BackoffProtocol, LeskProtocol};
+use jle_protocols::{ElectionParams, ProtoParams};
 use jle_radio::CdModel;
 
 /// Run E21.
@@ -55,43 +55,24 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     for (name, cd) in
         [("strong-CD", CdModel::Strong), ("weak-CD", CdModel::Weak), ("no-CD", CdModel::NoCd)]
     {
-        let cold_proto = serde_json::json!({"proto": "lesk", "eps": eps});
-        let rec_proto = serde_json::json!({"proto": "lesk", "eps": eps, "u0": u_start});
-        let (cold, _) = ctx.election_slots(
-            "e21",
-            &format!("cold/{name}"),
-            cold_proto,
-            n,
-            cd,
-            &saturating(eps, 8),
-            trials,
-            211_000,
-            cap,
-            || LeskProtocol::new(eps),
-        );
+        let recovery = ProtoParams::Lesk { eps, u0: Some(u_start), divisor: None };
+        let unit = |proto, adv| ElectionParams::cohort(proto, n, cd, adv, cap);
+        let cold_unit = unit(ProtoParams::lesk(eps), saturating(eps, 8));
+        let (cold, _) =
+            ctx.election_slots("e21", &format!("cold/{name}"), &cold_unit, trials, 211_000);
         let (rec_clean, rt0) = ctx.election_slots(
             "e21",
             &format!("recovery-clean/{name}"),
-            rec_proto.clone(),
-            n,
-            cd,
-            &AdversarySpec::passive(),
+            &unit(recovery, AdversarySpec::passive()),
             trials,
             212_000,
-            cap,
-            move || LeskProtocol::with_initial_estimate(eps, u_start),
         );
         let (rec_jam, rt1) = ctx.election_slots(
             "e21",
             &format!("recovery-jam/{name}"),
-            rec_proto,
-            n,
-            cd,
-            &saturating(eps, 8),
+            &unit(recovery, saturating(eps, 8)),
             trials,
             212_500,
-            cap,
-            move || LeskProtocol::with_initial_estimate(eps, u_start),
         );
         let cell = |xs: &Vec<f64>, to: u64| {
             if to * 2 >= trials {
@@ -131,55 +112,22 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             8,
             JamStrategyKind::SweepTargeted { n, band: 3.0 },
         );
-        let backoff_proto = serde_json::json!({"proto": "backoff"});
-        let (clean, c0) = ctx.election_slots(
-            "e21",
-            &format!("backoff-clean/n={n}"),
-            backoff_proto.clone(),
-            n,
-            CdModel::NoCd,
-            &AdversarySpec::passive(),
-            trials,
-            213_000 + i as u64,
-            cap,
-            BackoffProtocol::new,
-        );
-        let (sat, c1) = ctx.election_slots(
-            "e21",
-            &format!("backoff-sat/n={n}"),
-            backoff_proto.clone(),
-            n,
-            CdModel::NoCd,
-            &saturating(eps, 8),
-            trials,
-            214_000 + i as u64,
-            cap,
-            BackoffProtocol::new,
-        );
-        let (tgt, c2) = ctx.election_slots(
-            "e21",
-            &format!("backoff-targeted/n={n}"),
-            backoff_proto,
-            n,
-            CdModel::NoCd,
-            &targeted,
-            trials,
-            215_000 + i as u64,
-            cap,
-            BackoffProtocol::new,
-        );
-        let (lesk, c3) = ctx.election_slots(
-            "e21",
-            &format!("lesk-sat/n={n}"),
-            serde_json::json!({"proto": "lesk", "eps": eps}),
+        let backoff =
+            |adv| ElectionParams::cohort(ProtoParams::Backoff, n, CdModel::NoCd, adv, cap);
+        let run = |point: &str, unit: ElectionParams, seed: u64| {
+            ctx.election_slots("e21", &format!("{point}/n={n}"), &unit, trials, seed + i as u64)
+        };
+        let (clean, c0) = run("backoff-clean", backoff(AdversarySpec::passive()), 213_000);
+        let (sat, c1) = run("backoff-sat", backoff(saturating(eps, 8)), 214_000);
+        let (tgt, c2) = run("backoff-targeted", backoff(targeted), 215_000);
+        let lesk_unit = ElectionParams::cohort(
+            ProtoParams::lesk(eps),
             n,
             CdModel::Strong,
-            &saturating(eps, 8),
-            trials,
-            216_000 + i as u64,
+            saturating(eps, 8),
             cap,
-            || LeskProtocol::new(eps),
         );
+        let (lesk, c3) = run("lesk-sat", lesk_unit, 216_000);
         assert_eq!(c0 + c1 + c2 + c3, 0, "no timeouts expected at n={n}");
         let (mc, mt) = (median(&clean), median(&tgt));
         sweep_table.push_row([

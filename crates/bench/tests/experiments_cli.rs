@@ -1,10 +1,13 @@
 //! The `experiments` command line through the real binary: there is no
 //! backend knob to turn (one per-station engine runs every per-station
-//! experiment), and a warm pass over a filled cache reproduces the cached
-//! tables byte for byte.
+//! experiment), a warm pass over a filled cache reproduces the cached
+//! tables byte for byte, and `--server` serves exactly the units sweepd
+//! can reconstruct.
 
+use jle_sweepd::{Endpoint, ServerConfig, SweepServer};
+use serde::Value;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn workdir(tag: &str) -> PathBuf {
     let dir =
@@ -59,4 +62,68 @@ fn e15_warm_pass_reproduces_the_cached_tables() {
         assert_eq!(&read(&dir.join(table)), before, "{table} changed on the warm pass");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `experiments --quick --no-cache --no-progress <extra> e2` in `dir`.
+fn e2_pass(dir: &Path, extra: &[&str]) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .current_dir(dir)
+        .args(["--quick", "--no-cache", "--no-progress"])
+        .args(extra)
+        .arg("e2")
+        .output()
+        .expect("experiments runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    out
+}
+
+/// The `point` of every unit a store under `root` holds.
+fn stored_points(root: &Path) -> Vec<String> {
+    let mut points = Vec::new();
+    for shard in std::fs::read_dir(root).unwrap() {
+        for unit in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            let spec: Value = serde_json::from_str(&read(&unit.unwrap().path().join("spec.json")))
+                .expect("spec.json parses");
+            points.push(spec.get("point").and_then(Value::as_str).unwrap().to_string());
+        }
+    }
+    points.sort();
+    points
+}
+
+/// E2 quick through an in-process sweepd: its cold-start `lesk{eps}`
+/// units are served, its warm-start (`u0`) units run locally without a
+/// fallback warning, and the tables equal a purely local run's.
+#[test]
+fn server_serves_portable_units_and_leaves_local_only_ones_local() {
+    let cache = workdir("server-cache");
+    let config =
+        ServerConfig { cache_dir: Some(cache.clone()), workers: 1, ..ServerConfig::default() };
+    let server = SweepServer::bind(&Endpoint::Tcp("127.0.0.1:0".into()), config).unwrap();
+    let endpoint = format!("tcp:{}", server.tcp_addr().unwrap());
+    let handle = server.spawn();
+
+    let (routed, local) = (workdir("e2-routed"), workdir("e2-local"));
+    let out = e2_pass(&routed, &["--server", &endpoint, "--log", "run.jsonl"]);
+    e2_pass(&local, &[]);
+    handle.shutdown().unwrap();
+
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("computing locally"), "{stderr}");
+    for table in ["results/e2.md", "results/e2_0.csv", "results/e2_1.csv"] {
+        assert_eq!(read(&routed.join(table)), read(&local.join(table)), "{table}");
+    }
+    let cold = ["cold/eps=0.2", "cold/eps=0.5", "cold/eps=0.8"];
+    assert_eq!(stored_points(&cache), cold, "the server ran exactly the cold units");
+    let mut ran_here: Vec<String> = read(&routed.join("run.jsonl"))
+        .lines()
+        .map(|line| serde_json::from_str::<Value>(line).expect("log line parses"))
+        .filter(|ev| ev.get("ev").and_then(Value::as_str) == Some("unit_started"))
+        .map(|ev| ev.get("point").and_then(Value::as_str).unwrap().to_string())
+        .collect();
+    ran_here.sort();
+    assert_eq!(ran_here, ["warm/eps=0.2", "warm/eps=0.5", "warm/eps=0.8"]);
+    for dir in [cache, routed, local] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

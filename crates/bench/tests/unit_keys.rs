@@ -1,0 +1,221 @@
+//! The cache keys of the typed experiment units.
+//!
+//! Each experiment names a cohort-election unit once, as an
+//! [`ElectionParams`], and that value is both its cache key and what its
+//! stations run. The canonical JSON and fingerprints below were recorded
+//! from the hand-built `json!` trees the experiments submitted before the
+//! units were typed, one unit per experiment (E13's `energy` tree
+//! included): a typed unit must address the same store entries, or every
+//! warm store would recompute.
+
+use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
+use jle_bench::common::saturating;
+use jle_engine::RunReport;
+use jle_orchestrator::{canonical_json, Fingerprint, WorkSpec, DEFAULT_CODE_SALT};
+use jle_protocols::{ArssMacProtocol, ElectionParams, ProtoParams};
+use jle_radio::CdModel;
+use serde::{Serialize, Value};
+
+fn assert_pinned(
+    exp: &str,
+    point: &str,
+    params: Value,
+    seed: u64,
+    ty: &str,
+    canon: &str,
+    hex: &str,
+) {
+    let spec = WorkSpec::new(exp, point, params, seed);
+    assert_eq!(canonical_json(&spec.to_value()), canon, "{exp}/{point}");
+    assert_eq!(Fingerprint::of(&spec, DEFAULT_CODE_SALT, ty).hex(), hex, "{exp}/{point}");
+}
+
+#[test]
+fn typed_units_keep_their_cache_keys() {
+    let unit = ElectionParams::cohort;
+    let log2n = 1024f64.log2();
+    let burst =
+        |t| AdversarySpec::new(Rate::from_f64(0.5), t, JamStrategyKind::Burst { on: t, off: t });
+    let periodic_front =
+        AdversarySpec::new(Rate::from_f64(0.5), 64, JamStrategyKind::PeriodicFront);
+    let targeted = AdversarySpec::new(
+        Rate::from_f64(0.1),
+        8,
+        JamStrategyKind::SweepTargeted { n: 256, band: 3.0 },
+    );
+    let pinned: [(ElectionParams, &str, &str, u64, &str, &str); 15] = [
+        (
+            unit(ProtoParams::lesk(0.5), 16, CdModel::Strong, AdversarySpec::passive(), 10_000_000),
+            "e1",
+            "clean/n=16",
+            1004,
+            r#"{"base_seed":1004,"experiment":"e1","params":{"adv":{"eps":{"num":2147483648},"kind":"None","t_window":1},"cd":"Strong","kind":"cohort_election","max_slots":10000000,"n":16,"proto":{"eps":0.5,"proto":"lesk"}},"point":"clean/n=16"}"#,
+            "4c92cd87a0fb4091e12462b6de3515b6d12886bf2e97fe20856e32cf96fe3a98",
+        ),
+        (
+            unit(ProtoParams::lesk(0.2), 1024, CdModel::Strong, saturating(0.2, 32), 50_000_000),
+            "e2",
+            "cold/eps=0.2",
+            9000,
+            r#"{"base_seed":9000,"experiment":"e2","params":{"adv":{"eps":{"num":858993459},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":50000000,"n":1024,"proto":{"eps":0.2,"proto":"lesk"}},"point":"cold/eps=0.2"}"#,
+            "979fcf0c53545df4815fe1a511b4ee96bf83c4fa963cbe23c0614fb7f00d312c",
+        ),
+        (
+            unit(
+                ProtoParams::Lesk { eps: 0.2, u0: Some(log2n), divisor: None },
+                1024,
+                CdModel::Strong,
+                saturating(0.2, 32),
+                50_000_000,
+            ),
+            "e2",
+            "warm/eps=0.2",
+            19000,
+            r#"{"base_seed":19000,"experiment":"e2","params":{"adv":{"eps":{"num":858993459},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":50000000,"n":1024,"proto":{"eps":0.2,"proto":"lesk","u0":10}},"point":"warm/eps=0.2"}"#,
+            "9aba56b2d7e0cc620e4946f9b946d8fd0b5a89274c48a34ef9eccef1f32c7ed6",
+        ),
+        (
+            unit(ProtoParams::lesk(0.5), 1024, CdModel::Strong, burst(16), 200_000_000),
+            "e3",
+            "burst/T=16",
+            31000,
+            r#"{"base_seed":31000,"experiment":"e3","params":{"adv":{"eps":{"num":2147483648},"kind":{"Burst":{"off":16,"on":16}},"t_window":16},"cd":"Strong","kind":"cohort_election","max_slots":200000000,"n":1024,"proto":{"eps":0.5,"proto":"lesk"}},"point":"burst/T=16"}"#,
+            "7b0bc240251387d9178979e344a2390cb4fbf333de854cae8b83d4caa381e607",
+        ),
+        (
+            unit(ProtoParams::lesk(0.5), 128, CdModel::Strong, saturating(0.5, 16), 500_000_000),
+            "e4",
+            "lesk/eps=0.5/n=128",
+            41007,
+            r#"{"base_seed":41007,"experiment":"e4","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":16},"cd":"Strong","kind":"cohort_election","max_slots":500000000,"n":128,"proto":{"eps":0.5,"proto":"lesk"}},"point":"lesk/eps=0.5/n=128"}"#,
+            "895cd40bac29811526869425965e6548273fe99566fb7e7252565931169c8245",
+        ),
+        (
+            unit(ProtoParams::Lesu, 256, CdModel::Strong, burst(1024), 2_000_000_000),
+            "e5",
+            "burst/T=1024",
+            50000,
+            r#"{"base_seed":50000,"experiment":"e5","params":{"adv":{"eps":{"num":2147483648},"kind":{"Burst":{"off":1024,"on":1024}},"t_window":1024},"cd":"Strong","kind":"cohort_election","max_slots":2000000000,"n":256,"proto":{"proto":"lesu"}},"point":"burst/T=1024"}"#,
+            "ff9bcdf410487db4cf0c6912bcb83622004d3a303fea83cfc81f37338f7b857f",
+        ),
+        (
+            unit(ProtoParams::Lesu, 8, CdModel::Strong, saturating(0.4, 16), 100_000_000),
+            "e6",
+            "lesu/n=8",
+            63000,
+            r#"{"base_seed":63000,"experiment":"e6","params":{"adv":{"eps":{"num":1717986918},"kind":"Saturating","t_window":16},"cd":"Strong","kind":"cohort_election","max_slots":100000000,"n":8,"proto":{"proto":"lesu"}},"point":"lesu/n=8"}"#,
+            "095a2f098a4e1e89f129dfb98f81a1b173bbfcb015b6b966421ee2c298193081",
+        ),
+        (
+            unit(
+                ProtoParams::Arss { gamma: ArssMacProtocol::recommended_gamma(64, 1) },
+                64,
+                CdModel::Strong,
+                AdversarySpec::passive(),
+                3_000_000,
+            ),
+            "e7",
+            "arss/none/n=64",
+            70001,
+            r#"{"base_seed":70001,"experiment":"e7","params":{"adv":{"eps":{"num":2147483648},"kind":"None","t_window":1},"cd":"Strong","kind":"cohort_election","max_slots":3000000,"n":64,"proto":{"gamma":0.27894294565112987,"proto":"arss"}},"point":"arss/none/n=64"}"#,
+            "e00f9f7c3e77e7305a4863a33babb7f6053da9e0a489de436bfeb95d834c93b2",
+        ),
+        (
+            unit(ProtoParams::Willard, 1024, CdModel::Strong, saturating(0.3, 32), 3_000_000),
+            "e7",
+            "willard/saturating/n=1024",
+            71013,
+            r#"{"base_seed":71013,"experiment":"e7","params":{"adv":{"eps":{"num":1288490189},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":3000000,"n":1024,"proto":{"proto":"willard"}},"point":"willard/saturating/n=1024"}"#,
+            "e2cbfce26318177cf889623b37a0f1cf1ed4475cafbb8687867af753fd07c39e",
+        ),
+        (
+            unit(ProtoParams::lesk(0.5), 256, CdModel::Strong, periodic_front, 100_000_000),
+            "e8",
+            "sweep-n/n=256",
+            80000,
+            r#"{"base_seed":80000,"experiment":"e8","params":{"adv":{"eps":{"num":2147483648},"kind":"PeriodicFront","t_window":64},"cd":"Strong","kind":"cohort_election","max_slots":100000000,"n":256,"proto":{"eps":0.5,"proto":"lesk"}},"point":"sweep-n/n=256"}"#,
+            "49de148ee316949685a71e8f93cd6acc2af094126c8ffe39adea707ed6517ce9",
+        ),
+        (
+            unit(
+                ProtoParams::Lesk { eps: 0.5, u0: Some(0.0), divisor: Some(2.0) },
+                1024,
+                CdModel::Strong,
+                saturating(0.5, 32),
+                2_000_000,
+            ),
+            "e20",
+            "saturating/cold start/d=2",
+            201000,
+            r#"{"base_seed":201000,"experiment":"e20","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":2000000,"n":1024,"proto":{"divisor":2,"eps":0.5,"proto":"lesk","u0":0}},"point":"saturating/cold start/d=2"}"#,
+            "d22c312c7a52936347847d1389a19be24d94b71fdc610beb1d5d8ecee4ccc158",
+        ),
+        (
+            unit(
+                ProtoParams::Lesk { eps: 0.5, u0: Some(log2n), divisor: Some(2.0) },
+                1024,
+                CdModel::Strong,
+                saturating(0.5, 32),
+                2_000_000,
+            ),
+            "e20",
+            "saturating/warm start/d=2",
+            201001,
+            r#"{"base_seed":201001,"experiment":"e20","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":2000000,"n":1024,"proto":{"divisor":2,"eps":0.5,"proto":"lesk","u0":10}},"point":"saturating/warm start/d=2"}"#,
+            "050258b2f0587f7ce938c4d7c471437ef65bea8dc94b1ded3e58b98400c90413",
+        ),
+        (
+            unit(ProtoParams::lesk(0.1), 1024, CdModel::Weak, saturating(0.1, 8), 200_000),
+            "e21",
+            "cold/weak-CD",
+            211000,
+            r#"{"base_seed":211000,"experiment":"e21","params":{"adv":{"eps":{"num":429496730},"kind":"Saturating","t_window":8},"cd":"Weak","kind":"cohort_election","max_slots":200000,"n":1024,"proto":{"eps":0.1,"proto":"lesk"}},"point":"cold/weak-CD"}"#,
+            "37813b65c8cf5ac708be9cda0fd18aa74e7cbb0115f7aa1c24b5c3a6b7496328",
+        ),
+        (
+            unit(
+                ProtoParams::Lesk { eps: 0.1, u0: Some(log2n + 30.0), divisor: None },
+                1024,
+                CdModel::NoCd,
+                AdversarySpec::passive(),
+                200_000,
+            ),
+            "e21",
+            "recovery-clean/no-CD",
+            212000,
+            r#"{"base_seed":212000,"experiment":"e21","params":{"adv":{"eps":{"num":2147483648},"kind":"None","t_window":1},"cd":"NoCd","kind":"cohort_election","max_slots":200000,"n":1024,"proto":{"eps":0.1,"proto":"lesk","u0":40}},"point":"recovery-clean/no-CD"}"#,
+            "792d584edf32d6915eaf16fabbbc3e6efcfa6a6660524dd8de66e9a5d45ce100",
+        ),
+        (
+            unit(ProtoParams::Backoff, 256, CdModel::NoCd, targeted, 200_000),
+            "e21",
+            "backoff-targeted/n=256",
+            215000,
+            r#"{"base_seed":215000,"experiment":"e21","params":{"adv":{"eps":{"num":429496730},"kind":{"SweepTargeted":{"band":3,"n":256}},"t_window":8},"cd":"NoCd","kind":"cohort_election","max_slots":200000,"n":256,"proto":{"proto":"backoff"}},"point":"backoff-targeted/n=256"}"#,
+            "44a05c5bed329b0ea4472cbde64b4ec382a191d4e5f53393a3f47df0aaf9314e",
+        ),
+    ];
+    let run_report = std::any::type_name::<RunReport>();
+    for (unit, exp, point, seed, canon, hex) in pinned {
+        assert_pinned(exp, point, unit.to_json_value(), seed, run_report, canon, hex);
+    }
+
+    // E13 keeps its own `energy` tree around the typed protocol.
+    let adv = saturating(0.5, 32);
+    let energy = serde_json::json!({
+        "kind": "energy",
+        "n": 256u64,
+        "adv": adv.to_json_value(),
+        "max_slots": 5_000_000u64,
+        "proto": ProtoParams::Arss { gamma: ArssMacProtocol::recommended_gamma(256, 32) },
+    });
+    assert_pinned(
+        "e13",
+        "arss/saturating eps=0.5 T=32/n=256",
+        energy,
+        132000,
+        std::any::type_name::<(f64, f64, f64)>(),
+        r#"{"base_seed":132000,"experiment":"e13","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":32},"kind":"energy","max_slots":5000000,"n":256,"proto":{"gamma":0.125,"proto":"arss"}},"point":"arss/saturating eps=0.5 T=32/n=256"}"#,
+        "dff81fd3c99a8f5dfd48c0d9e17cbc0f0b64937b4a1a23fc70d8717a18e6aaf4",
+    );
+}

@@ -104,6 +104,6 @@ pub use protocol::{Action, PerStation, Protocol, Status, UniformProtocol};
 pub use report::{
     ClusterOutcome, EnergyStats, MultihopReport, Outcome, RunReport, SlotCost, SplitBrainStats,
 };
-pub use runner::{catch_trial, panic_count, MonteCarlo, TrialOutcome};
+pub use runner::{catch_trial, panic_count, worker_threads, MonteCarlo, TrialOutcome};
 pub use streams::{mix64, slot_material, station_key, StationRng};
 pub use telemetry::{EngineMetrics, TelemetryObserver};

@@ -9,29 +9,7 @@
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
-
-/// Process-wide cache of explicitly sized worker pools, one per width.
-///
-/// Building a rayon pool is not free (under real rayon it spawns OS
-/// threads), and [`MonteCarlo::run`] used to rebuild one on *every* call
-/// when `jobs` was set — pure overhead for orchestrator shards that run
-/// thousands of small sweeps at a fixed width. Pools carry no
-/// sweep-specific state, so one per width can serve the whole process;
-/// they are leaked intentionally (a handful of widths over a process
-/// lifetime, reclaimed at exit).
-fn sized_pool(jobs: usize) -> &'static rayon::ThreadPool {
-    static POOLS: OnceLock<Mutex<HashMap<usize, &'static rayon::ThreadPool>>> = OnceLock::new();
-    let mut pools =
-        POOLS.get_or_init(|| Mutex::new(HashMap::new())).lock().expect("pool cache poisoned");
-    pools.entry(jobs).or_insert_with(|| {
-        Box::leak(Box::new(
-            rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("sized thread pool"),
-        ))
-    })
-}
 
 /// The result of one trial under [`MonteCarlo::run_caught`]. Serialized
 /// externally tagged: `{"Ok": ...}` / `{"Panicked": "msg"}`.
@@ -103,6 +81,12 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The number of worker threads a parallel sweep started on this thread
+/// fans out to (rayon's width).
+pub fn worker_threads() -> usize {
+    rayon::current_num_threads()
+}
+
 /// A deterministic, parallel Monte-Carlo driver.
 ///
 /// # Examples
@@ -122,28 +106,12 @@ pub struct MonteCarlo {
     pub trials: u64,
     /// Seed of trial 0; trial `i` uses `base_seed + i`.
     pub base_seed: u64,
-    /// Explicit worker-thread count; `None` uses all available
-    /// parallelism. Set with [`MonteCarlo::with_jobs`].
-    pub jobs: Option<usize>,
 }
 
 impl MonteCarlo {
     /// Create a driver.
     pub fn new(trials: u64, base_seed: u64) -> Self {
-        MonteCarlo { trials, base_seed, jobs: None }
-    }
-
-    /// Run on an explicitly sized thread pool of `jobs` workers instead of
-    /// the global default (`jobs = 0` restores the default). Trial order
-    /// and seeding are unaffected — only the fan-out width changes.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = if jobs == 0 { None } else { Some(jobs) };
-        self
-    }
-
-    /// The number of worker threads [`MonteCarlo::run`] will fan out to.
-    pub fn effective_jobs(&self) -> usize {
-        self.jobs.unwrap_or_else(rayon::current_num_threads).max(1)
+        MonteCarlo { trials, base_seed }
     }
 
     /// Run `f(seed)` for every trial in parallel; results are returned in
@@ -153,54 +121,7 @@ impl MonteCarlo {
         R: Send,
         F: Fn(u64) -> R + Sync,
     {
-        let body = || (0..self.trials).into_par_iter().map(|i| f(self.base_seed + i)).collect();
-        match self.jobs {
-            Some(j) => sized_pool(j).install(body),
-            None => body(),
-        }
-    }
-
-    /// Run trials in contiguous seed batches of `width`, in parallel over
-    /// batches: `f` receives the seed slice of one batch and must return
-    /// one result per seed, in seed order. Trial `i` still has seed
-    /// `base_seed + i` and results come back in trial order, so a batch
-    /// backend whose per-trial output is bit-identical to the per-trial
-    /// engine (see [`crate::batch`]) is a drop-in replacement for
-    /// [`MonteCarlo::run`] — same results, one slot-loop pass per batch
-    /// instead of one per trial.
-    ///
-    /// # Panics
-    /// Panics if `width` is zero or `f` returns a result count different
-    /// from its seed count.
-    pub fn run_batched<R, F>(&self, width: u64, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&[u64]) -> Vec<R> + Sync,
-    {
-        assert!(width > 0, "batch width must be positive");
-        let batches = self.trials.div_ceil(width);
-        let body = || {
-            (0..batches)
-                .into_par_iter()
-                .map(|b| {
-                    let start = self.base_seed + b * width;
-                    let len = width.min(self.trials - b * width);
-                    let seeds: Vec<u64> = (start..start + len).collect();
-                    let out = f(&seeds);
-                    assert_eq!(
-                        out.len(),
-                        seeds.len(),
-                        "batch closure must return one result per seed"
-                    );
-                    out
-                })
-                .collect::<Vec<Vec<R>>>()
-        };
-        let nested = match self.jobs {
-            Some(j) => sized_pool(j).install(body),
-            None => body(),
-        };
-        nested.into_iter().flatten().collect()
+        (0..self.trials).into_par_iter().map(|i| f(self.base_seed + i)).collect()
     }
 
     /// Like [`MonteCarlo::run`], but a panicking trial is isolated: the
@@ -258,32 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batched_matches_run_in_trial_order() {
-        let mc = MonteCarlo::new(100, 7);
-        let per_trial = mc.run(|seed| seed.wrapping_mul(3));
-        // 100 trials over width-32 batches: three full batches plus a
-        // ragged tail of 4.
-        let batched = mc.run_batched(32, |seeds| {
-            assert!(seeds.len() == 32 || seeds.len() == 4, "ragged tail only");
-            seeds.iter().map(|s| s.wrapping_mul(3)).collect()
-        });
-        assert_eq!(per_trial, batched);
-        // Width larger than the sweep: one batch.
-        let one = mc.run_batched(1000, |seeds| {
-            assert_eq!(seeds.len(), 100);
-            seeds.iter().map(|s| s.wrapping_mul(3)).collect()
-        });
-        assert_eq!(per_trial, one);
-        assert!(MonteCarlo::new(0, 0).run_batched(8, |_| Vec::<u64>::new()).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "one result per seed")]
-    fn run_batched_rejects_miscounted_batches() {
-        MonteCarlo::new(8, 0).run_batched(4, |_| vec![0u64; 3]);
-    }
-
-    #[test]
     fn success_rate_counts() {
         let mc = MonteCarlo::new(100, 0);
         let rate = mc.success_rate(|seed| seed % 4 == 0);
@@ -316,28 +211,6 @@ mod tests {
         let caught: Vec<u64> =
             mc.run_caught(|s| s + 1).into_iter().filter_map(TrialOutcome::ok).collect();
         assert_eq!(plain, caught);
-    }
-
-    #[test]
-    fn explicit_jobs_change_width_not_results() {
-        let wide = MonteCarlo::new(128, 9);
-        let narrow = MonteCarlo::new(128, 9).with_jobs(1);
-        assert_eq!(narrow.effective_jobs(), 1);
-        assert_eq!(MonteCarlo::new(1, 0).with_jobs(0).jobs, None);
-        let a = wide.run(|seed| seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let b = narrow.run(|seed| seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sized_pools_are_built_once_per_width() {
-        let a = sized_pool(3);
-        let b = sized_pool(3);
-        assert!(std::ptr::eq(a, b), "same width must reuse the cached pool");
-        assert_eq!(a.current_num_threads(), 3);
-        let c = sized_pool(5);
-        assert!(!std::ptr::eq(a, c), "distinct widths get distinct pools");
-        assert_eq!(c.current_num_threads(), 5);
     }
 
     #[test]

@@ -232,6 +232,7 @@ impl LensSpec {
 
     /// Cross-field consistency (impossible engine/knob combinations).
     fn validate(&self) -> Result<(), SpecError> {
+        self.proto.portable()?;
         if self.n == 0 {
             return Err(SpecError::Invalid(ZERO_STATIONS.into()));
         }
@@ -440,6 +441,39 @@ mod tests {
             m.push(("warm_start".into(), Value::U64(1)));
         }
         assert!(matches!(LensSpec::from_params(&v), Err(SpecError::Unsupported(_))));
+    }
+
+    #[test]
+    fn local_only_protocols_are_unsupported() {
+        // The shapes only the experiments run are refused by every tree
+        // kind on every engine, as before they were typed.
+        for proto in [
+            json!({"proto": "arss", "gamma": 0.25f64}),
+            json!({"proto": "arss"}),
+            json!({"proto": "lesk", "eps": 0.5f64, "u0": 6u64}),
+            json!({"proto": "lesk", "eps": 0.5f64, "divisor": 2.0f64}),
+        ] {
+            for engine in ["cohort", "exact", "fast-exact", "multihop"] {
+                let v = json!({
+                    "kind": "election_run",
+                    "engine": engine,
+                    "n": 8u64,
+                    "cd": CdModel::Strong.to_json_value(),
+                    "adv": AdversarySpec::passive().to_json_value(),
+                    "max_slots": 1000u64,
+                    "proto": proto.clone(),
+                });
+                let got = LensSpec::from_params(&v);
+                assert!(matches!(got, Err(SpecError::Unsupported(_))), "{engine} {proto:?}");
+            }
+            let mut v = cohort_params();
+            if let Value::Map(m) = &mut v {
+                m.retain(|(k, _)| k != "proto");
+                m.push(("proto".into(), proto.clone()));
+            }
+            let got = LensSpec::from_params(&v);
+            assert!(matches!(got, Err(SpecError::Unsupported(_))), "cohort tree {proto:?}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::fingerprint::{canonical_json, canonicalize, Fingerprint, WorkSpec};
 use crate::store::ResultStore;
 use crate::telemetry::{Event, Reporter, Stats, StatsSnapshot};
-use jle_engine::{MonteCarlo, SlotCost};
+use jle_engine::SlotCost;
 use jle_telemetry::{MetricRegistry, SpanRecorder};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -277,9 +277,10 @@ impl Orchestrator {
         self
     }
 
-    /// Effective worker parallelism for executed chunks.
+    /// Effective worker parallelism for executed chunks: the pinned
+    /// count, else [`jle_engine::worker_threads`], and at least 1.
     pub fn effective_jobs(&self) -> usize {
-        MonteCarlo::new(0, 0).with_jobs(self.jobs.unwrap_or(0)).effective_jobs()
+        self.jobs.unwrap_or_else(jle_engine::worker_threads).max(1)
     }
 
     /// The shared run counters.
@@ -678,6 +679,7 @@ fn fan_out<P: Send, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jle_engine::MonteCarlo;
     use serde_json::json;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -700,6 +702,17 @@ mod tests {
         let got: Vec<u64> = orch.run_trials(&spec(), 100, trial);
         let direct = MonteCarlo::new(100, 5000).run(trial);
         assert_eq!(got, direct);
+    }
+
+    #[test]
+    fn explicit_jobs_change_width_not_results() {
+        let narrow = Orchestrator::ephemeral().jobs(1);
+        assert_eq!(narrow.effective_jobs(), 1);
+        assert_eq!(Orchestrator::ephemeral().jobs(3).effective_jobs(), 3);
+        let default = Orchestrator::ephemeral().jobs(0).effective_jobs();
+        assert_eq!(default, jle_engine::worker_threads().max(1));
+        let wide: Vec<u64> = Orchestrator::ephemeral().jobs(3).run_trials(&spec(), 128, trial);
+        assert_eq!(wide, narrow.run_trials(&spec(), 128, trial));
     }
 
     #[test]

@@ -15,13 +15,20 @@
 //! rather than "invalid". A tree that names a knob this code does not
 //! know is refused, never run without it: that would compute something
 //! under a fingerprint that promises something else.
+//!
+//! Some protocol shapes only the experiments run: ARSS, and LESK with a
+//! warm start `u0` or a non-paper increment `divisor`. An experiment's
+//! cache key and its stations come from one [`ElectionParams`] all the
+//! same, but every reader of election trees refuses these shapes as
+//! unknown ([`ProtoParams::portable`]), exactly as it did before they were
+//! typed.
 
 use jle_adversary::AdversarySpec;
 use jle_engine::{PerStation, Protocol, SimConfig};
 use jle_radio::CdModel;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::{BackoffProtocol, LeskProtocol, LesuProtocol, WillardProtocol};
+use crate::{ArssMacProtocol, BackoffProtocol, LeskProtocol, LesuProtocol, WillardProtocol};
 
 /// Which engine an election tree runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,6 +52,13 @@ pub enum ProtoParams {
     Lesk {
         /// The protocol's ε parameter.
         eps: f64,
+        /// Local-only: the initial estimate `u` (0 when unset).
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        u0: Option<f64>,
+        /// Local-only: the per-`Collision` increment is `ε/divisor`
+        /// (the paper's `ε/8` when unset).
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        divisor: Option<f64>,
     },
     /// [`LesuProtocol`].
     #[serde(rename = "lesu")]
@@ -55,6 +69,15 @@ pub enum ProtoParams {
     /// [`WillardProtocol`].
     #[serde(rename = "willard")]
     Willard,
+    /// Local-only: [`ArssMacProtocol`] with step `gamma`. A missing
+    /// `gamma` decodes as 0 so that the tree is refused as unsupported,
+    /// like every `arss` tree, rather than as malformed.
+    #[serde(rename = "arss")]
+    Arss {
+        /// The multiplicative-weights step γ.
+        #[serde(default)]
+        gamma: f64,
+    },
     /// [`crate::ClusterElection`]: one LESK(`eps`) election per topology
     /// cluster. Multi-hop only, so no election tree carries it and it has
     /// no single-channel station.
@@ -68,7 +91,15 @@ pub enum ProtoParams {
 /// The protocols an [`ElectionParams`] tree may name.
 const ELECTION_PROTOS: &[&str] = &["lesk", "lesu", "backoff", "willard"];
 
+/// The keys a `lesk` tree may carry outside the experiments.
+const LESK_KEYS: &[&str] = &["proto", "eps"];
+
 impl ProtoParams {
+    /// The paper's LESK with jamming tolerance `eps`.
+    pub fn lesk(eps: f64) -> Self {
+        ProtoParams::Lesk { eps, u0: None, divisor: None }
+    }
+
     /// The wire name (`lesk`, `lesu`, …), for labels.
     pub fn label(&self) -> &'static str {
         match self {
@@ -76,7 +107,24 @@ impl ProtoParams {
             ProtoParams::Lesu => "lesu",
             ProtoParams::Backoff => "backoff",
             ProtoParams::Willard => "willard",
+            ProtoParams::Arss { .. } => "arss",
             ProtoParams::Cluster { .. } => "cluster",
+        }
+    }
+
+    /// Refuse the local-only shapes (module docs) as the unknown variant
+    /// or field they were before they were typed, so readers report them
+    /// unsupported and `--server` runs them locally.
+    pub fn portable(&self) -> Result<(), serde::Error> {
+        match self {
+            ProtoParams::Arss { .. } => Err(serde::Error::unknown_variant("arss", ELECTION_PROTOS)),
+            ProtoParams::Lesk { u0: Some(_), .. } => {
+                Err(serde::Error::unknown_field("u0", LESK_KEYS))
+            }
+            ProtoParams::Lesk { divisor: Some(_), .. } => {
+                Err(serde::Error::unknown_field("divisor", LESK_KEYS))
+            }
+            _ => Ok(()),
         }
     }
 
@@ -89,10 +137,15 @@ impl ProtoParams {
     pub fn station_factory(self) -> impl Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static {
         move |_| -> Box<dyn Protocol> {
             match self {
-                ProtoParams::Lesk { eps } => Box::new(PerStation::new(LeskProtocol::new(eps))),
+                ProtoParams::Lesk { eps, u0, divisor } => {
+                    Box::new(PerStation::new(lesk_station(eps, u0, divisor)))
+                }
                 ProtoParams::Lesu => Box::new(PerStation::new(LesuProtocol::new())),
                 ProtoParams::Backoff => Box::new(PerStation::new(BackoffProtocol::new())),
                 ProtoParams::Willard => Box::new(PerStation::new(WillardProtocol::new())),
+                ProtoParams::Arss { gamma } => {
+                    Box::new(PerStation::new(ArssMacProtocol::new(gamma)))
+                }
                 ProtoParams::Cluster { .. } => panic!("{}", CLUSTER_IS_MULTIHOP),
             }
         }
@@ -103,6 +156,20 @@ impl ProtoParams {
 /// station, so readers reject it while decoding instead of letting a
 /// run panic.
 pub const ZERO_STATIONS: &str = "`n` must be at least 1: an election needs a station";
+
+/// LESK as a [`ProtoParams::Lesk`] names it: exactly
+/// `LeskProtocol::new(eps)` when `u0` and `divisor` are unset.
+#[doc(hidden)]
+pub fn lesk_station(eps: f64, u0: Option<f64>, divisor: Option<f64>) -> LeskProtocol {
+    let lesk = match divisor {
+        Some(d) => LeskProtocol::with_increment_divisor(eps, d),
+        None => LeskProtocol::new(eps),
+    };
+    match u0 {
+        Some(u) => lesk.starting_at(u),
+        None => lesk,
+    }
+}
 
 #[doc(hidden)]
 pub const CLUSTER_IS_MULTIHOP: &str =
@@ -120,8 +187,8 @@ pub const CLUSTER_IS_MULTIHOP: &str =
 macro_rules! with_uniform_proto {
     ($proto:expr, $make:ident => $body:expr) => {
         match $proto {
-            $crate::ProtoParams::Lesk { eps } => {
-                let $make = move || $crate::LeskProtocol::new(eps);
+            $crate::ProtoParams::Lesk { eps, u0, divisor } => {
+                let $make = move || $crate::params::lesk_station(eps, u0, divisor);
                 $body
             }
             $crate::ProtoParams::Lesu => {
@@ -134,6 +201,10 @@ macro_rules! with_uniform_proto {
             }
             $crate::ProtoParams::Willard => {
                 let $make = $crate::WillardProtocol::new;
+                $body
+            }
+            $crate::ProtoParams::Arss { gamma } => {
+                let $make = move || $crate::ArssMacProtocol::new(gamma);
                 $body
             }
             $crate::ProtoParams::Cluster { .. } => {
@@ -164,14 +235,27 @@ pub struct ElectionParams {
 }
 
 impl ElectionParams {
+    /// A `cohort_election` unit.
+    pub fn cohort(
+        proto: ProtoParams,
+        n: u64,
+        cd: CdModel,
+        adv: AdversarySpec,
+        max_slots: u64,
+    ) -> Self {
+        ElectionParams { kind: ElectionKind::Cohort, n, cd, adv, max_slots, proto }
+    }
+
     /// Decode an election tree (module docs). A `cluster` protocol is
-    /// refused as an unknown variant: it is not a single-channel election.
+    /// refused as an unknown variant: it is not a single-channel election;
+    /// so are the local-only shapes ([`ProtoParams::portable`]).
     /// `n == 0` is refused with [`ZERO_STATIONS`].
     pub fn decode(tree: &Value) -> Result<Self, serde::Error> {
         let params = Self::from_json_value(tree)?;
         if let ProtoParams::Cluster { .. } = params.proto {
             return Err(serde::Error::unknown_variant("cluster", ELECTION_PROTOS));
         }
+        params.proto.portable()?;
         if params.n == 0 {
             return Err(serde::Error::custom(ZERO_STATIONS));
         }

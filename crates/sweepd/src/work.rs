@@ -58,7 +58,7 @@ impl std::error::Error for WorkError {}
 /// `max_slots`, `proto`):
 ///
 /// * `kind == "cohort_election"` — the O(1)-per-slot cohort engine, as
-///   produced by `jle_bench::election_params`.
+///   the experiments' cohort units ([`ElectionParams::cohort`]) write it.
 /// * `kind == "exact_election"` — the same protocol run per-station
 ///   through the fast-exact engine ([`run_fast_exact`]); eligible for
 ///   batched execution via [`batch_fn`].
@@ -70,7 +70,9 @@ impl std::error::Error for WorkError {}
 /// * `{"proto": "backoff"}` — `BackoffProtocol::new`
 /// * `{"proto": "willard"}` — `WillardProtocol::new`
 ///
-/// Any extra key anywhere in the tree, and any other kind or protocol, is
+/// Any extra key anywhere in the tree, any other kind or protocol, and
+/// the shapes only the experiments run (ARSS, LESK's `u0` and `divisor`;
+/// [`jle_protocols::ProtoParams::portable`]) are
 /// [`WorkError::Unsupported`]; a missing or ill-typed field is
 /// [`WorkError::Invalid`].
 pub fn decode(params: &Value) -> Result<ElectionParams, WorkError> {
@@ -159,9 +161,7 @@ pub fn engine_mode_of(params: &Value) -> &'static str {
     }
 }
 
-/// Whether a parameter tree names work this server type can execute —
-/// the client-side routing predicate behind the bench CLIs' `--server`
-/// mode (supported trees go to the service, the rest run locally).
+/// Whether a parameter tree names work this server type can execute.
 pub fn is_supported(params: &Value) -> bool {
     decode(params).is_ok()
 }
@@ -226,6 +226,15 @@ mod tests {
         // silently dropped — that would poison the shared cache.
         let p = params(json!({"proto": "lesk", "eps": 0.5f64, "u0": 6u64}));
         assert!(matches!(build_trial_fn(&p), Err(WorkError::Unsupported(_))));
+        // Nor the other shapes only the experiments run.
+        for proto in [
+            json!({"proto": "lesk", "eps": 0.5f64, "divisor": 2.0f64}),
+            json!({"proto": "arss", "gamma": 0.25f64}),
+        ] {
+            let p = params(proto.clone());
+            assert!(matches!(build_trial_fn(&p), Err(WorkError::Unsupported(_))), "{proto:?}");
+            assert!(!is_supported(&p), "{proto:?}");
+        }
         let mut top = params(json!({"proto": "lesu"}));
         if let Value::Map(m) = &mut top {
             m.push(("faults".into(), json!({"crash": 1u64})));
@@ -320,9 +329,15 @@ mod tests {
 
     #[test]
     fn exact_election_rejects_unknown_keys_like_cohort_does() {
-        let p = exact_params(json!({"proto": "lesk", "eps": 0.5f64, "u0": 6u64}));
-        assert!(matches!(build_trial_fn(&p), Err(WorkError::Unsupported(_))));
-        assert!(matches!(build_batch_fn(&p), Err(WorkError::Unsupported(_))));
+        for proto in [
+            json!({"proto": "lesk", "eps": 0.5f64, "u0": 6u64}),
+            json!({"proto": "lesk", "eps": 0.5f64, "divisor": 2.0f64}),
+            json!({"proto": "arss", "gamma": 0.25f64}),
+        ] {
+            let p = exact_params(proto.clone());
+            assert!(matches!(build_trial_fn(&p), Err(WorkError::Unsupported(_))), "{proto:?}");
+            assert!(matches!(build_batch_fn(&p), Err(WorkError::Unsupported(_))), "{proto:?}");
+        }
     }
 
     #[test]
@@ -420,7 +435,7 @@ mod tests {
             cd: CdModel::Strong,
             adv: AdversarySpec::new(Rate::from_f64(0.5), 32, JamStrategyKind::Saturating),
             max_slots: 100_000,
-            proto: ProtoParams::Lesk { eps: 0.5 },
+            proto: ProtoParams::lesk(0.5),
         };
         let exact = ElectionParams {
             kind: ElectionKind::Exact,

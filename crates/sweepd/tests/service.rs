@@ -299,6 +299,19 @@ fn unsupported_work_is_refused_not_guessed() {
     }
     let err = client.submit(&WorkSpec::new("svc", "u0", params, 5), 4).unwrap_err();
     assert!(matches!(err, ClientError::Unsupported(_)), "{err:?}");
+    // Nor the other shapes only the experiments run.
+    for proto in [
+        json!({"proto": "lesk", "eps": 0.5f64, "divisor": 2.0f64}),
+        json!({"proto": "arss", "gamma": 0.25f64}),
+    ] {
+        let mut params = election_params(32, 50_000, &AdversarySpec::passive(), 0.5);
+        if let serde::Value::Map(m) = &mut params {
+            m.retain(|(k, _)| k != "proto");
+            m.push(("proto".into(), proto.clone()));
+        }
+        let err = client.submit(&WorkSpec::new("svc", "local-only", params, 5), 4).unwrap_err();
+        assert!(matches!(err, ClientError::Unsupported(_)), "{proto:?}: {err:?}");
+    }
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(cache);
 }
