@@ -1,0 +1,79 @@
+//! Two concurrent, identical `simulate --server` clients against an
+//! in-process `SweepServer`: they coalesce onto one computation, print
+//! the same bytes, and the Prometheus scrape on the service port says so.
+//!
+//! The unit is deliberately slow (LESU with weak collision detection
+//! under a near-total saturating jammer never resolves, so every trial
+//! burns the whole slot cap): the job is still in flight when the second
+//! client submits, so that client must attach to it rather than recompute.
+
+use jle_sweepd::{Endpoint, ServerConfig, SweepServer};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::process::{Command, Stdio};
+
+const SIMULATE: [&str; 18] = [
+    "--n",
+    "256",
+    "--protocol",
+    "lesu",
+    "--cd",
+    "weak",
+    "--adversary",
+    "saturating",
+    "--adv-eps",
+    "0.000000001",
+    "--t-window",
+    "1024",
+    "--max-slots",
+    "200000",
+    "--trials",
+    "256",
+    "--seed",
+    "42",
+];
+
+#[test]
+fn two_identical_clients_share_one_computation() {
+    let cache = std::env::temp_dir().join(format!("jle-sweepd-clients-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    let config = ServerConfig {
+        cache_dir: Some(cache.clone()),
+        workers: 1,
+        mc_jobs: 2,
+        ..Default::default()
+    };
+    let server = SweepServer::bind(&Endpoint::Tcp("127.0.0.1:0".into()), config).unwrap();
+    let addr = server.tcp_addr().unwrap();
+    let handle = server.spawn();
+
+    let client = || {
+        Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(SIMULATE)
+            .args(["--server", &format!("tcp:{addr}")])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("simulate runs")
+    };
+    let (a, b) = (client(), client());
+    let (a, b) = (a.wait_with_output().unwrap(), b.wait_with_output().unwrap());
+    assert!(a.status.success() && b.status.success(), "{:?} {:?}", a.status, b.status);
+    assert!(!a.stdout.is_empty() && a.stdout == b.stdout, "the two reports differ");
+
+    let mut scrape = String::new();
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    raw.read_to_string(&mut scrape).unwrap();
+    for line in [
+        "# TYPE jle_sweepd_submissions_total counter",
+        "# TYPE jle_sweepd_dedup_hits_total counter",
+        // One dedup hit: the pair shared ONE computation.
+        "jle_sweepd_dedup_hits_total 1",
+        "jle_sweepd_jobs_completed_total 1",
+    ] {
+        assert!(scrape.lines().any(|l| l == line), "no `{line}` in\n{scrape}");
+    }
+    assert!(scrape.contains("jle_orchestrator_executed_trials"), "{scrape}");
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}

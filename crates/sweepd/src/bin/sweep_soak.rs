@@ -4,8 +4,8 @@
 //! overlapping fingerprints (a small distinct-spec pool shared by many
 //! clients), then reports the dedup ratio, the warm-cache hit ratio,
 //! and p50/p99 submission-to-first-event latency. Exits non-zero if any
-//! submission drops a frame (no terminal answer, or a short payload) —
-//! the CI `service-smoke` invariant.
+//! submission drops a frame (no terminal answer, or a short payload);
+//! `tests/daemon.rs` runs a 200-submission soak and holds it to that.
 //!
 //! ```text
 //! sweep-soak --in-process --submissions 1000 --clients 16

@@ -21,7 +21,9 @@
 //! The crate ships both halves plus a load harness:
 //!
 //! * [`server`] — the resident service ([`server::SweepServer`]), run by
-//!   the `jle-sweepd` binary;
+//!   the `jle-sweepd` binary: sockets, threads and the worker pool around
+//!   `sched`, the private state machine that makes every scheduling
+//!   decision;
 //! * [`client`] — the client library ([`client::SweepClient`]), used by
 //!   the bench CLIs' `--server` mode and by tests;
 //! * [`work`] — the server-side work-kind registry mapping a submitted
@@ -38,6 +40,7 @@
 
 pub mod client;
 pub mod protocol;
+mod sched;
 pub mod server;
 pub mod work;
 

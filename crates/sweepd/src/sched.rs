@@ -1,0 +1,939 @@
+//! The decision core of the sweep service: admission (dedup → queue
+//! bound → fair share), subscribe, status, cancel, disconnect,
+//! `pick_next`, progress throttling, terminal delivery and the shutdown
+//! drain.
+//!
+//! [`Sched`] is one plain `&mut self` state machine. It takes no lock,
+//! opens no socket, starts no thread and reads no clock (`now` is passed
+//! in). What it decides lands in an outbox of [`Out`]s: frames for
+//! connections and cancel tokens to fire. The shell in `server.rs` keeps
+//! it behind one `Mutex` and carries the outbox out before unlocking, so
+//! frames leave in the order they were decided: an `accepted` always
+//! precedes every `progress` or `result` of its request id. The seeded
+//! suite at the end of this file drives it with no socket and no thread.
+
+use crate::protocol::ServerFrame;
+use crate::server::ServerConfig;
+use jle_orchestrator::Event;
+use jle_telemetry::{Counter, Gauge, Histogram, MetricRegistry};
+use serde_json::value::RawValue;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// One decision for the shell to carry out.
+#[derive(Debug)]
+pub(crate) enum Out {
+    /// Queue this frame on connection `.0`.
+    Frame(u64, ServerFrame),
+    /// Fire the cancel token of running job `.0`.
+    Cancel(u64),
+}
+
+/// How a job's execution ended.
+pub(crate) enum Outcome {
+    /// All trials are in: the reports (and the job's spans, when traced)
+    /// as JSON text, written once for every subscriber.
+    Done { results: Arc<RawValue>, spans: Option<Arc<RawValue>> },
+    /// The cancel token stopped it at a chunk boundary.
+    Cancelled { completed_trials: u64 },
+    /// It could not run (a trial panicked).
+    Failed(String),
+}
+
+/// One connection's interest in one job.
+struct Sub {
+    conn: u64,
+    req_id: u64,
+}
+
+/// One deduped unit of in-flight work.
+struct Job<W> {
+    key: String,
+    trials: u64,
+    /// Primary submitter, for fair-share accounting.
+    client: u64,
+    submitted: Instant,
+    /// The shell's payload while queued; the worker takes it at pickup,
+    /// so `None` means running.
+    work: Option<W>,
+    subs: Vec<Sub>,
+    done_trials: u64,
+    executed_trials: u64,
+    cached_trials: u64,
+    first_event_seen: bool,
+    last_progress: Option<Instant>,
+}
+
+impl<W> Job<W> {
+    fn running(&self) -> bool {
+        self.work.is_none()
+    }
+}
+
+/// The `jle_sweepd_*` metric family, on the shared registry.
+#[derive(Clone)]
+pub(crate) struct Metrics {
+    submissions: Counter,
+    dedup_hits: Counter,
+    rejected_queue_full: Counter,
+    rejected_fair_share: Counter,
+    jobs_completed: Counter,
+    jobs_cancelled: Counter,
+    jobs_failed: Counter,
+    unit_cache_hits: Counter,
+    connections: Counter,
+    queue_depth: Gauge,
+    active_jobs: Gauge,
+    first_chunk_latency_us: Histogram,
+    queue_wait_us: Histogram,
+    dedup_shortcircuit_us: Histogram,
+    pub(crate) execute_us: Histogram,
+    pub(crate) deliver_us: Histogram,
+}
+
+impl Metrics {
+    pub(crate) fn new(reg: &MetricRegistry) -> Self {
+        Metrics {
+            submissions: reg
+                .counter("jle_sweepd_submissions_total", "work submissions accepted or deduped"),
+            dedup_hits: reg.counter(
+                "jle_sweepd_dedup_hits_total",
+                "submissions coalesced onto an in-flight identical computation",
+            ),
+            rejected_queue_full: reg.counter(
+                "jle_sweepd_rejected_queue_full_total",
+                "submissions rejected because the bounded queue was full",
+            ),
+            rejected_fair_share: reg.counter(
+                "jle_sweepd_rejected_fair_share_total",
+                "submissions rejected because the client's fair share was exhausted",
+            ),
+            jobs_completed: reg.counter("jle_sweepd_jobs_completed_total", "jobs finished"),
+            jobs_cancelled: reg.counter("jle_sweepd_jobs_cancelled_total", "jobs cancelled"),
+            jobs_failed: reg.counter("jle_sweepd_jobs_failed_total", "jobs failed"),
+            unit_cache_hits: reg.counter(
+                "jle_sweepd_unit_cache_hits_total",
+                "jobs answered entirely from the warm result store",
+            ),
+            connections: reg.counter("jle_sweepd_connections_total", "client connections accepted"),
+            queue_depth: reg.gauge("jle_sweepd_queue_depth", "jobs waiting for a worker"),
+            active_jobs: reg.gauge("jle_sweepd_active_jobs", "jobs currently executing"),
+            first_chunk_latency_us: reg.histogram(
+                "jle_sweepd_first_chunk_latency_us",
+                "submission-to-first-chunk (or cache-answer) latency, microseconds",
+            ),
+            queue_wait_us: reg.histogram(
+                "jle_sweepd_queue_wait_us",
+                "admission-to-worker-pickup wait per job, microseconds",
+            ),
+            dedup_shortcircuit_us: reg.histogram(
+                "jle_sweepd_dedup_shortcircuit_us",
+                "admission latency of submissions coalesced onto in-flight work, microseconds",
+            ),
+            execute_us: reg.histogram(
+                "jle_sweepd_execute_us",
+                "orchestrator execution time per job, microseconds",
+            ),
+            deliver_us: reg.histogram(
+                "jle_sweepd_deliver_us",
+                "result rendering + subscriber fan-out time per job, microseconds",
+            ),
+        }
+    }
+}
+
+/// Per-connection counters, on the connection's private registry.
+pub(crate) struct ConnMetrics {
+    submissions: Counter,
+    dedup: Counter,
+    rejected: Counter,
+    progress_frames: Counter,
+    results: Counter,
+}
+
+impl ConnMetrics {
+    pub(crate) fn new(reg: &MetricRegistry) -> Self {
+        ConnMetrics {
+            submissions: reg
+                .counter("jle_sweepd_client_submissions_total", "submissions on this connection"),
+            dedup: reg.counter(
+                "jle_sweepd_client_dedup_total",
+                "this connection's submissions coalesced onto in-flight work",
+            ),
+            rejected: reg.counter(
+                "jle_sweepd_client_rejected_total",
+                "this connection's submissions rejected (backpressure)",
+            ),
+            progress_frames: reg.counter(
+                "jle_sweepd_client_progress_frames_total",
+                "progress frames streamed to this connection",
+            ),
+            results: reg.counter(
+                "jle_sweepd_client_results_total",
+                "terminal frames delivered to this connection",
+            ),
+        }
+    }
+}
+
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
+}
+
+/// Every scheduling decision of the service. `W` is the shell's payload
+/// of a queued job (its spec and tracer), handed back at pickup.
+pub(crate) struct Sched<W> {
+    max_queue: usize,
+    client_share: usize,
+    progress_every: Duration,
+    m: Metrics,
+    conns: HashMap<u64, ConnMetrics>,
+    /// Queued and running jobs by id.
+    jobs: BTreeMap<u64, Job<W>>,
+    /// The dedup table: the in-flight job of each fingerprint that still
+    /// has a subscriber. Every job in it has at least one.
+    by_key: HashMap<String, u64>,
+    queue: VecDeque<u64>,
+    next_id: u64,
+    shutting_down: bool,
+    out: Vec<Out>,
+}
+
+impl<W> Sched<W> {
+    pub(crate) fn new(config: &ServerConfig, m: Metrics) -> Self {
+        Sched {
+            max_queue: config.max_queue,
+            client_share: config.client_share,
+            progress_every: config.progress_every,
+            m,
+            conns: HashMap::new(),
+            jobs: BTreeMap::new(),
+            by_key: HashMap::new(),
+            queue: VecDeque::new(),
+            next_id: 0,
+            shutting_down: false,
+            out: Vec::new(),
+        }
+    }
+
+    /// The decisions made since the last drain, in order.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, Out> {
+        self.out.drain(..)
+    }
+
+    pub(crate) fn shutting_down(&self) -> bool {
+        self.shutting_down
+    }
+
+    fn send(&mut self, conn: u64, frame: ServerFrame) {
+        self.out.push(Out::Frame(conn, frame));
+    }
+
+    fn running(&self) -> usize {
+        self.jobs.len() - self.queue.len()
+    }
+
+    fn set_gauges(&self) {
+        self.m.queue_depth.set(self.queue.len() as f64);
+        self.m.active_jobs.set(self.running() as f64);
+    }
+
+    /// A new connection; returns its id (also its client id).
+    pub(crate) fn connect(&mut self, cm: ConnMetrics) -> u64 {
+        self.m.connections.inc();
+        self.next_id += 1;
+        self.conns.insert(self.next_id, cm);
+        self.next_id
+    }
+
+    /// Admission control: dedup → queue bound → fair share. `unit` is the
+    /// submitted unit's fingerprint with a maker for the shell's payload,
+    /// or the reason it could not be decoded; `received` is when the
+    /// frame arrived. Returns whether a fresh job was queued.
+    pub(crate) fn submit(
+        &mut self,
+        conn: u64,
+        req_id: u64,
+        trials: u64,
+        unit: Result<(String, impl FnOnce() -> W), String>,
+        received: Instant,
+        now: Instant,
+    ) -> bool {
+        let cm = &self.conns[&conn];
+        let (reason, retry_after_ms) = 'refuse: {
+            if self.shutting_down {
+                break 'refuse ("server shutting down".to_string(), 0);
+            }
+            let (key, make) = match unit {
+                Ok(unit) => unit,
+                Err(reason) => {
+                    self.send(conn, ServerFrame::Error { id: req_id, reason });
+                    return false;
+                }
+            };
+            if let Some(id) = self.by_key.get(&key) {
+                let job = self.jobs.get_mut(id).expect("dedup entries name live jobs");
+                if job.trials != trials {
+                    let had = job.trials;
+                    break 'refuse (
+                        format!("key {key} is in flight with {had} trials (requested {trials})"),
+                        500,
+                    );
+                }
+                job.subs.push(Sub { conn, req_id });
+                self.m.dedup_hits.inc();
+                self.m
+                    .dedup_shortcircuit_us
+                    .observe(micros(now.saturating_duration_since(received)));
+                cm.dedup.inc();
+                return self.accept(conn, req_id, key, trials, true);
+            }
+            let depth = self.queue.len();
+            if depth >= self.max_queue {
+                self.m.rejected_queue_full.inc();
+                break 'refuse (format!("queue full ({depth} jobs)"), 100 + 25 * depth as u64);
+            }
+            let inflight = self.jobs.values().filter(|j| j.client == conn).count();
+            if inflight >= self.client_share {
+                self.m.rejected_fair_share.inc();
+                break 'refuse (format!("fair share exhausted ({inflight} jobs in flight)"), 200);
+            }
+            self.next_id += 1;
+            let job = Job {
+                key: key.clone(),
+                trials,
+                client: conn,
+                submitted: now,
+                work: Some(make()),
+                subs: vec![Sub { conn, req_id }],
+                done_trials: 0,
+                executed_trials: 0,
+                cached_trials: 0,
+                first_event_seen: false,
+                last_progress: None,
+            };
+            self.jobs.insert(self.next_id, job);
+            self.by_key.insert(key.clone(), self.next_id);
+            self.queue.push_back(self.next_id);
+            self.set_gauges();
+            return self.accept(conn, req_id, key, trials, false);
+        };
+        cm.rejected.inc();
+        self.send(conn, ServerFrame::Rejected { id: req_id, reason, retry_after_ms });
+        false
+    }
+
+    /// Count an admission and answer it; returns whether it queued a job.
+    fn accept(&mut self, conn: u64, req_id: u64, key: String, trials: u64, dedup: bool) -> bool {
+        self.m.submissions.inc();
+        self.conns[&conn].submissions.inc();
+        let queue_depth = self.queue.len() as u64;
+        self.send(conn, ServerFrame::Accepted { id: req_id, key, trials, dedup, queue_depth });
+        !dedup
+    }
+
+    /// Attach `conn` to the in-flight job of `key`.
+    pub(crate) fn subscribe(&mut self, conn: u64, req_id: u64, key: &str) {
+        let frame = match self.by_key.get(key) {
+            Some(id) => {
+                let job = self.jobs.get_mut(id).expect("dedup entries name live jobs");
+                job.subs.push(Sub { conn, req_id });
+                ServerFrame::Accepted {
+                    id: req_id,
+                    key: key.to_string(),
+                    trials: job.trials,
+                    dedup: true,
+                    queue_depth: self.queue.len() as u64,
+                }
+            }
+            None => {
+                ServerFrame::Error { id: req_id, reason: format!("key {key} is not in flight") }
+            }
+        };
+        self.send(conn, frame);
+    }
+
+    pub(crate) fn status(&mut self, conn: u64, req_id: u64, key: &str) {
+        let job = self.by_key.get(key).map(|id| &self.jobs[id]);
+        let frame = ServerFrame::Status {
+            id: req_id,
+            key: key.to_string(),
+            state: match job {
+                None => "unknown",
+                Some(job) if job.running() => "running",
+                Some(_) => "queued",
+            }
+            .to_string(),
+            done_trials: job.map_or(0, |j| j.done_trials),
+            total_trials: job.map_or(0, |j| j.trials),
+            subscribers: job.map_or(0, |j| j.subs.len() as u64),
+        };
+        self.send(conn, frame);
+    }
+
+    /// Withdraw `conn`'s interest in `key`; the computation is dropped
+    /// only when nobody else still wants it.
+    pub(crate) fn cancel(&mut self, conn: u64, req_id: u64, key: &str) {
+        let Some(&id) = self.by_key.get(key) else {
+            let reason = format!("key {key} is not in flight");
+            return self.send(conn, ServerFrame::Error { id: req_id, reason });
+        };
+        let job = self.jobs.get_mut(&id).expect("dedup entries name live jobs");
+        job.subs.retain(|s| s.conn != conn);
+        let completed_trials = job.done_trials;
+        if job.subs.is_empty() {
+            self.orphan(id);
+        }
+        self.send(
+            conn,
+            ServerFrame::Cancelled { id: req_id, key: key.to_string(), completed_trials },
+        );
+    }
+
+    /// A connection went away: drop its subscriptions everywhere and
+    /// orphan the jobs nobody is left waiting for.
+    pub(crate) fn disconnect(&mut self, conn: u64) {
+        self.conns.remove(&conn);
+        let mut orphans = Vec::new();
+        for (&id, job) in &mut self.jobs {
+            let before = job.subs.len();
+            job.subs.retain(|s| s.conn != conn);
+            if before > 0 && job.subs.is_empty() {
+                orphans.push(id);
+            }
+        }
+        for id in orphans {
+            self.orphan(id);
+        }
+    }
+
+    /// Job `id` lost its last subscriber. It leaves the dedup table at
+    /// once, so the next submission of its key starts afresh. A queued job
+    /// is dropped, freeing its queue slot and its submitter's share; a
+    /// running one gets its token fired and finishes unseen.
+    fn orphan(&mut self, id: u64) {
+        let job = &self.jobs[&id];
+        self.by_key.remove(&job.key);
+        if job.running() {
+            self.out.push(Out::Cancel(id));
+        } else {
+            self.jobs.remove(&id);
+            self.queue.retain(|&q| q != id);
+            self.m.jobs_cancelled.inc();
+            self.set_gauges();
+        }
+    }
+
+    /// Pop the fairest runnable job: FIFO position among jobs whose
+    /// submitter currently has the fewest running jobs. Returns its id
+    /// and the shell's payload.
+    pub(crate) fn pick_next(&mut self, now: Instant) -> Option<(u64, W)> {
+        if self.shutting_down {
+            return None;
+        }
+        let running_of =
+            |client| self.jobs.values().filter(|j| j.running() && j.client == client).count();
+        let mut best: Option<(usize, usize)> = None;
+        for (i, id) in self.queue.iter().enumerate() {
+            let running = running_of(self.jobs[id].client);
+            if best.is_none_or(|(r, _)| running < r) {
+                best = Some((running, i));
+                if running == 0 {
+                    break;
+                }
+            }
+        }
+        let id = self.queue.remove(best?.1)?;
+        let job = self.jobs.get_mut(&id)?;
+        let work = job.work.take()?;
+        self.m.queue_wait_us.observe(micros(now.saturating_duration_since(job.submitted)));
+        self.set_gauges();
+        Some((id, work))
+    }
+
+    /// An orchestrator event of running job `id`: record progress and
+    /// stream it to the subscribers, at most once per `progress_every`.
+    pub(crate) fn report(&mut self, id: u64, event: &Event<'_>, now: Instant) {
+        let Some(job) = self.jobs.get_mut(&id) else { return };
+        let first_event = |job: &mut Job<W>| {
+            if !job.first_event_seen {
+                job.first_event_seen = true;
+                let latency = now.saturating_duration_since(job.submitted);
+                self.m.first_chunk_latency_us.observe(micros(latency));
+            }
+        };
+        match *event {
+            Event::UnitStarted { trials, cached_trials, .. } if cached_trials >= trials => {
+                // Fully warm unit: the store answers in one pass.
+                self.m.unit_cache_hits.inc();
+                job.done_trials = trials;
+                first_event(job);
+            }
+            Event::ChunkFinished { end, slots, trials_per_sec, eta_secs, .. } => {
+                job.done_trials = job.done_trials.max(end);
+                first_event(job);
+                let every = self.progress_every;
+                if job.last_progress.is_some_and(|t| now.saturating_duration_since(t) < every) {
+                    return;
+                }
+                job.last_progress = Some(now);
+                for sub in &job.subs {
+                    self.conns[&sub.conn].progress_frames.inc();
+                    let frame = ServerFrame::Progress {
+                        id: sub.req_id,
+                        key: job.key.clone(),
+                        done_trials: job.done_trials,
+                        total_trials: job.trials,
+                        slots,
+                        trials_per_sec,
+                        eta_secs,
+                    };
+                    self.out.push(Out::Frame(sub.conn, frame));
+                }
+            }
+            Event::UnitFinished { executed_trials, cached_trials, .. } => {
+                job.executed_trials = executed_trials;
+                job.cached_trials = cached_trials;
+            }
+            _ => {}
+        }
+    }
+
+    /// Running job `id` stopped: one terminal frame to each subscriber,
+    /// and the job is gone. Terminal counters move before the frames go
+    /// out, so a client that scrapes right after its result sees them.
+    pub(crate) fn finish(&mut self, id: u64, outcome: Outcome, now: Instant) {
+        let Some(job) = self.jobs.remove(&id) else { return };
+        if self.by_key.get(&job.key) == Some(&id) {
+            self.by_key.remove(&job.key);
+        }
+        self.set_gauges();
+        match outcome {
+            Outcome::Done { .. } => self.m.jobs_completed.inc(),
+            Outcome::Cancelled { .. } => self.m.jobs_cancelled.inc(),
+            Outcome::Failed(_) => self.m.jobs_failed.inc(),
+        }
+        let wall_secs = now.saturating_duration_since(job.submitted).as_secs_f64();
+        for Sub { conn, req_id: id } in job.subs {
+            self.conns[&conn].results.inc();
+            let key = job.key.clone();
+            let frame = match &outcome {
+                Outcome::Done { results, spans } => ServerFrame::Result {
+                    id,
+                    key,
+                    trials: job.trials,
+                    executed_trials: job.executed_trials,
+                    cached_trials: job.cached_trials,
+                    wall_secs,
+                    results: Arc::clone(results),
+                    spans: spans.clone(),
+                },
+                &Outcome::Cancelled { completed_trials } => {
+                    ServerFrame::Cancelled { id, key, completed_trials }
+                }
+                Outcome::Failed(reason) => ServerFrame::Failed { id, key, reason: reason.clone() },
+            };
+            self.send(conn, frame);
+        }
+    }
+
+    /// Stop admitting: every queued job gets its terminal `failed`, and
+    /// every running job's token fires. Idempotent.
+    pub(crate) fn shutdown(&mut self) {
+        if std::mem::replace(&mut self.shutting_down, true) {
+            return;
+        }
+        for id in std::mem::take(&mut self.queue) {
+            let job = self.jobs.remove(&id).expect("queued jobs are in the table");
+            self.by_key.remove(&job.key);
+            self.m.jobs_failed.inc();
+            for sub in job.subs {
+                self.conns[&sub.conn].results.inc();
+                let reason = "server shutting down".to_string();
+                let frame = ServerFrame::Failed { id: sub.req_id, key: job.key.clone(), reason };
+                self.send(sub.conn, frame);
+            }
+        }
+        let running: Vec<u64> = self.jobs.keys().copied().collect();
+        self.out.extend(running.into_iter().map(Out::Cancel));
+        self.set_gauges();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The seeded suite: random event sequences and worker-completion
+    //! orders drive [`Sched`] directly, with fake job outcomes, and every
+    //! frame it decides is checked against the service's invariants.
+
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// Fail the case with a message.
+    macro_rules! check {
+        ($cond:expr, $($fmt:tt)+) => {
+            if !$cond {
+                return Err(format!($($fmt)+));
+            }
+        };
+    }
+
+    const KEYS: [&str; 3] = ["k0", "k1", "k2"];
+    const SLOTS: usize = 3;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        Submit,
+        Subscribe,
+        /// `status` and `cancel`: one reply, no job frames.
+        Query,
+    }
+
+    /// One connection as its client sees it.
+    struct Conn {
+        id: u64,
+        registry: MetricRegistry,
+        live: bool,
+        next_req: u64,
+        reqs: HashMap<u64, (String, Kind)>,
+        frames: Vec<ServerFrame>,
+        /// Accepted requests still owed a terminal frame, with their key.
+        open: BTreeMap<u64, String>,
+        /// When each request last got a progress frame.
+        progress_at: HashMap<u64, Instant>,
+    }
+
+    struct Model {
+        sched: Sched<String>,
+        registry: MetricRegistry,
+        share: usize,
+        progress_every: Duration,
+        conns: Vec<Conn>,
+        /// The connection each slot drives now (an index into `conns`).
+        slots: [usize; SLOTS],
+        /// Each worker's running job: id, key, trials done.
+        workers: Vec<Option<(u64, String, u64)>>,
+        /// Jobs whose cancel token has fired.
+        fired: BTreeSet<u64>,
+        shutdown: bool,
+        now: Instant,
+        completed: u64,
+    }
+
+    impl Model {
+        fn new(workers: usize, max_queue: usize, share: usize, progress_ms: u64) -> Self {
+            let registry = MetricRegistry::new();
+            let config = ServerConfig {
+                max_queue,
+                client_share: share,
+                progress_every: Duration::from_millis(progress_ms),
+                ..ServerConfig::default()
+            };
+            let mut model = Model {
+                sched: Sched::new(&config, Metrics::new(&registry)),
+                registry,
+                share,
+                progress_every: config.progress_every,
+                conns: Vec::new(),
+                slots: [0; SLOTS],
+                workers: vec![None; workers],
+                fired: BTreeSet::new(),
+                shutdown: false,
+                now: Instant::now(),
+                completed: 0,
+            };
+            for slot in 0..SLOTS {
+                model.slots[slot] = model.connect();
+            }
+            model
+        }
+
+        fn connect(&mut self) -> usize {
+            let registry = MetricRegistry::new();
+            let id = self.sched.connect(ConnMetrics::new(&registry));
+            let (reqs, frames, open, progress_at) =
+                (HashMap::new(), Vec::new(), BTreeMap::new(), HashMap::new());
+            let live = true;
+            self.conns.push(Conn {
+                id,
+                registry,
+                live,
+                next_req: 0,
+                reqs,
+                frames,
+                open,
+                progress_at,
+            });
+            self.conns.len() - 1
+        }
+
+        /// How many live requests are owed `key`'s job.
+        fn wanting(&self, key: &str) -> usize {
+            let live = self.conns.iter().filter(|c| c.live);
+            live.map(|c| c.open.values().filter(|k| *k == key).count()).sum()
+        }
+
+        fn request(&mut self, slot: usize, key: &str, kind: Kind) -> (u64, u64) {
+            let conn = &mut self.conns[self.slots[slot]];
+            conn.next_req += 1;
+            conn.reqs.insert(conn.next_req, (key.to_string(), kind));
+            (conn.id, conn.next_req)
+        }
+
+        /// Carry out the core's decisions, checking each frame as its
+        /// connection receives it.
+        fn flush(&mut self) -> Result<(), String> {
+            let outs: Vec<Out> = self.sched.drain().collect();
+            for out in outs {
+                let (conn_id, frame) = match out {
+                    Out::Cancel(job) => {
+                        self.fired.insert(job);
+                        continue;
+                    }
+                    Out::Frame(conn, frame) => (conn, frame),
+                };
+                let i = self.conns.iter().position(|c| c.id == conn_id).expect("known connection");
+                check!(self.conns[i].live, "frame for closed connection {conn_id}: {frame:?}");
+                let id = frame.id();
+                let (key, kind) = self.conns[i].reqs[&id].clone();
+                let wanting = self.wanting(&key);
+                let conn = &mut self.conns[i];
+                match &frame {
+                    ServerFrame::Accepted { dedup, key: k, .. } => {
+                        check!(*k == key, "accepted names {k}, the request {key}");
+                        // A fresh job only when nobody is owed one already,
+                        // and a dedup only onto a job somebody is owed.
+                        check!(*dedup == (wanting > 0), "accepted {key}, dedup {dedup}: {wanting}");
+                        conn.open.insert(id, key);
+                    }
+                    ServerFrame::Progress { .. } => {
+                        check!(conn.open.contains_key(&id), "progress of {id} before accepted");
+                        // Throttled: at most one per `progress_every`.
+                        let last = conn.progress_at.insert(id, self.now);
+                        let gap = last.map(|t| self.now - t);
+                        check!(gap.is_none_or(|g| g >= self.progress_every), "progress {gap:?}");
+                    }
+                    ServerFrame::Result { .. } | ServerFrame::Failed { .. } => {
+                        check!(conn.open.remove(&id).is_some(), "{frame:?} for no open request");
+                    }
+                    ServerFrame::Cancelled { .. } if kind != Kind::Query => {
+                        check!(self.shutdown, "request {id} got `cancelled` but never cancelled");
+                        check!(conn.open.remove(&id).is_some(), "{frame:?} for no open request");
+                    }
+                    // The reply to a cancel: the connection's requests for
+                    // the key are withdrawn and owed nothing more.
+                    ServerFrame::Cancelled { .. } => conn.open.retain(|_, k| *k != key),
+                    ServerFrame::Error { reason, .. } => {
+                        let own = conn.open.values().any(|k| *k == key);
+                        check!(!own, "{reason}, but this connection is owed {key}");
+                    }
+                    ServerFrame::Status { state, subscribers, .. } => {
+                        let want = wanting as u64;
+                        check!(*subscribers == want, "status: {subscribers} subscribers of {want}");
+                        check!((state == "unknown") == (want == 0), "status {state} for {key}");
+                    }
+                    ServerFrame::Rejected { .. } => {
+                        check!(kind == Kind::Submit, "rejected {kind:?}")
+                    }
+                    other => return Err(format!("the core never decides {other:?}")),
+                }
+                conn.frames.push(frame);
+            }
+            // Admission stays inside the fair share.
+            for conn in self.conns.iter().filter(|c| c.live) {
+                let held = self.sched.jobs.values().filter(|j| j.client == conn.id).count();
+                check!(held <= self.share, "client {} holds {held} jobs", conn.id);
+            }
+            Ok(())
+        }
+
+        fn step(&mut self, op: u8, arg: u64) -> Result<(), String> {
+            let slot = (arg % SLOTS as u64) as usize;
+            let key = KEYS[(arg >> 8) as usize % KEYS.len()];
+            let worker = (arg >> 16) as usize % self.workers.len();
+            match op {
+                0..=9 => {
+                    let trials = if arg >> 24 & 7 == 0 { 8 } else { 4 };
+                    let (conn, req) = self.request(slot, key, Kind::Submit);
+                    let unit = Ok((key.to_string(), || key.to_string()));
+                    self.sched.submit(conn, req, trials, unit, self.now, self.now);
+                }
+                10..=11 => {
+                    let (conn, req) = self.request(slot, key, Kind::Subscribe);
+                    self.sched.subscribe(conn, req, key);
+                }
+                12 => {
+                    let (conn, req) = self.request(slot, key, Kind::Query);
+                    self.sched.status(conn, req, key);
+                }
+                13..=16 => {
+                    let (conn, req) = self.request(slot, key, Kind::Query);
+                    self.sched.cancel(conn, req, key);
+                }
+                17..=18 => {
+                    let i = self.slots[slot];
+                    self.conns[i].live = false;
+                    self.sched.disconnect(self.conns[i].id);
+                    self.slots[slot] = self.connect();
+                }
+                19..=25 if self.workers[worker].is_none() => {
+                    if let Some((id, key)) = self.sched.pick_next(self.now) {
+                        check!(self.wanting(&key) > 0, "picked {key}, which nobody is owed");
+                        let mut running = self.workers.iter().flatten();
+                        let twin = running.any(|(j, k, _)| *k == key && !self.fired.contains(j));
+                        check!(!twin, "a second execution of {key}");
+                        self.workers[worker] = Some((id, key, 0));
+                    }
+                }
+                26..=30 => {
+                    if let Some((id, _, done)) = &mut self.workers[worker] {
+                        *done += 1 + arg % 3;
+                        let (experiment, point, key, end) = ("e", "p", "k", *done);
+                        let event = if arg >> 32 & 7 == 0 {
+                            Event::UnitStarted {
+                                experiment,
+                                point,
+                                key,
+                                trials: end,
+                                cached_trials: end,
+                            }
+                        } else {
+                            Event::ChunkFinished {
+                                experiment,
+                                point,
+                                start: 0,
+                                end,
+                                slots: 10,
+                                trials_per_sec: 1.0,
+                                slots_per_sec: 10.0,
+                                eta_secs: 0.5,
+                            }
+                        };
+                        self.sched.report(*id, &event, self.now);
+                    }
+                }
+                31..=36 => return self.finish(worker, arg >> 40),
+                37..=38 => self.now += Duration::from_millis(arg >> 48 & 63),
+                // Rare, so most sequences run long before the drain.
+                39 if arg >> 60 == 0 => {
+                    self.shutdown = true;
+                    self.sched.shutdown();
+                }
+                _ => {}
+            }
+            self.flush()
+        }
+
+        /// Worker `worker` ends its job: cancelled if its token fired (or
+        /// done anyway, having passed its last chunk), else done or failed.
+        fn finish(&mut self, worker: usize, dice: u64) -> Result<(), String> {
+            let Some((id, _, done)) = self.workers[worker].take() else { return Ok(()) };
+            let outcome = if self.fired.contains(&id) && dice & 1 == 0 {
+                Outcome::Cancelled { completed_trials: done }
+            } else if dice % 11 == 5 {
+                Outcome::Failed("trial panicked: boom".to_string())
+            } else {
+                self.completed += 1;
+                let results = serde_json::value::to_raw_value(&vec![done]).expect("json").into();
+                Outcome::Done { results, spans: None }
+            };
+            self.sched.finish(id, outcome, self.now);
+            self.flush()
+        }
+
+        /// Shut down, let every worker finish, and check the end state.
+        fn drain_and_check(mut self) -> Result<(), String> {
+            self.shutdown = true;
+            self.sched.shutdown();
+            self.flush()?;
+            check!(self.sched.pick_next(self.now).is_none(), "picked a job after shutdown");
+            for worker in 0..self.workers.len() {
+                let id = self.workers[worker].as_ref().map(|w| w.0);
+                check!(id.is_none_or(|id| self.fired.contains(&id)), "job {id:?} not cancelled");
+                self.finish(worker, 0)?;
+            }
+            check!(self.sched.jobs.is_empty(), "{} jobs left", self.sched.jobs.len());
+            check!(self.sched.by_key.is_empty() && self.sched.queue.is_empty(), "tables left");
+            let gauge = |name| self.registry.gauge(name, "").get();
+            check!(gauge("jle_sweepd_queue_depth") == 0.0, "queue depth gauge");
+            check!(gauge("jle_sweepd_active_jobs") == 0.0, "active jobs gauge");
+            let mut total: BTreeMap<&str, u64> = BTreeMap::new();
+            for conn in &self.conns {
+                // One terminal frame per accepted request not withdrawn.
+                check!(!conn.live || conn.open.is_empty(), "{} owed {:?}", conn.id, conn.open);
+                let mut sent: BTreeMap<&str, u64> = BTreeMap::new();
+                for frame in &conn.frames {
+                    let kind = conn.reqs[&frame.id()].1;
+                    let name = match frame {
+                        ServerFrame::Accepted { dedup, .. } if kind == Kind::Submit => {
+                            *sent.entry("dedup").or_default() += *dedup as u64;
+                            "submissions"
+                        }
+                        ServerFrame::Rejected { .. } => "rejected",
+                        ServerFrame::Progress { .. } => "progress_frames",
+                        ServerFrame::Result { .. } | ServerFrame::Failed { .. } => "results",
+                        ServerFrame::Cancelled { .. } if kind != Kind::Query => "results",
+                        _ => continue,
+                    };
+                    *sent.entry(name).or_default() += 1;
+                }
+                for name in ["submissions", "dedup", "rejected", "progress_frames", "results"] {
+                    let metric = format!("jle_sweepd_client_{name}_total");
+                    let counted = conn.registry.counter(&metric, "").get();
+                    let frames = sent.get(name).copied().unwrap_or(0);
+                    check!(
+                        counted == frames,
+                        "conn {}: {metric} {counted}, {frames} frames",
+                        conn.id
+                    );
+                    *total.entry(name).or_default() += frames;
+                }
+            }
+            let counter = |name| self.registry.counter(name, "").get();
+            check!(counter("jle_sweepd_submissions_total") == total["submissions"], "submissions");
+            check!(counter("jle_sweepd_dedup_hits_total") == total["dedup"], "dedup hits");
+            check!(counter("jle_sweepd_jobs_completed_total") == self.completed, "completed");
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_cancel_that_orphans_a_queued_job_frees_its_key() {
+        let registry = MetricRegistry::new();
+        let mut sched = Sched::new(&ServerConfig::default(), Metrics::new(&registry));
+        let a = sched.connect(ConnMetrics::new(&MetricRegistry::new()));
+        let b = sched.connect(ConnMetrics::new(&MetricRegistry::new()));
+        let now = Instant::now();
+        let unit = || Ok(("k".to_string(), || "k"));
+        assert!(sched.submit(a, 1, 8, unit(), now, now));
+        sched.cancel(a, 2, "k");
+        assert_eq!(registry.counter("jle_sweepd_jobs_cancelled_total", "").get(), 1);
+        assert!(sched.submit(b, 1, 8, unit(), now, now), "B's submission computes afresh");
+        let (id, _) = sched.pick_next(now).expect("B's job is queued");
+        let results = serde_json::value::to_raw_value(&vec![1u64]).expect("json").into();
+        sched.finish(id, Outcome::Done { results, spans: None }, now);
+        let frames: Vec<_> = sched.drain().map(|out| format!("{out:?}")).collect();
+        assert_eq!(frames.len(), 4, "{frames:#?}");
+        assert!(frames[2].contains("dedup: false") && frames[3].contains("Result"), "{frames:#?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn seeded_schedules_keep_every_invariant(
+            limits in (1usize..4, 1usize..5, 1usize..4),
+            progress_ms in 0u64..40,
+            ops in proptest::collection::vec((0u8..40, any::<u64>()), 1..160),
+        ) {
+            let (workers, max_queue, share) = limits;
+            let mut model = Model::new(workers, max_queue, share, progress_ms);
+            for (n, &(op, arg)) in ops.iter().enumerate() {
+                model.step(op, arg).map_err(|e| format!("step {n} ({op}, {arg:#x}): {e}"))?;
+            }
+            model.drain_and_check()?;
+        }
+    }
+}

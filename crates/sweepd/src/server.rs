@@ -1,31 +1,38 @@
-//! The resident sweep service: socket accept loop, fair-share scheduler,
-//! in-flight dedup, and the shared telemetry surface.
+//! The resident sweep service's shell: the socket accept loop, one
+//! reader and one writer thread per connection, the worker pool, and
+//! result rendering around the decision core in `sched.rs`.
 //!
 //! Architecture (one process):
 //!
 //! ```text
-//!  conn threads (1/client)      job table (Mutex)         worker pool
-//!  ───────────────────────      ────────────────────      ───────────────
-//!  read JSONL frames  ───────►  dedup by fingerprint      pop fairest job
-//!  write via mpsc queue  ◄────  bounded FIFO queue   ───► per-job
-//!  per-conn MetricRegistry      per-client shares         Orchestrator
+//!  conn threads (1/client)        Mutex<Locked> + Condvar        worker pool
+//!  ───────────────────────        ────────────────────────       ──────────────────
+//!  reader: JSONL frames ───────►  Sched: admission, dedup,  ◄──  pick_next, report,
+//!                                 fair share, cancel, drain      finish
+//!  writer: mpsc queue  ◄────────  outbox, carried out             per-job
+//!  per-conn MetricRegistry        before the lock is released    Orchestrator
 //! ```
 //!
-//! Every job runs through its own cheap [`Orchestrator`] over the one
-//! shared [`ResultStore`] and the one shared [`MetricRegistry`], so
-//! `jle_orchestrator_*` counters aggregate across clients while the
-//! store's chunk claims (PR 7 satellite) keep concurrent writers of one
-//! fingerprint race-free. Scheduling is fair-share: the queue is FIFO
-//! *within* a client but the next job always goes to the submitter with
-//! the fewest jobs currently running.
+//! Every decision is one call on the core under the one lock, and the
+//! frames it decides reach the writer queues before the lock is
+//! released, so they leave in the order they were decided. Every job
+//! runs through its own cheap [`Orchestrator`] over the one shared
+//! [`ResultStore`] and the one shared [`MetricRegistry`], so
+//! `jle_orchestrator_*` counters aggregate across clients; chunk writes
+//! are a temp file plus a `rename`, so writers that meet on a chunk need
+//! no lock. Scheduling is fair-share: the queue is FIFO *within* a client
+//! but the next job always goes to the submitter with the fewest jobs
+//! currently running.
 //!
 //! Dedup is **in-flight only**: a submission whose fingerprint matches a
-//! queued or running job attaches as an additional subscriber (one
-//! computation, many byte-identical result frames). Re-submission after
-//! completion instead hits the warm store through the orchestrator — a
-//! unit cache hit, served in one chunk-load pass.
+//! queued or running job that still has a subscriber attaches as an
+//! additional subscriber (one computation, many byte-identical result
+//! frames). Re-submission after completion instead hits the warm store
+//! through the orchestrator — a unit cache hit, served in one chunk-load
+//! pass.
 
 use crate::protocol::{read_line, ClientFrame, LineRead, ServerFrame, PROTOCOL_VERSION};
+use crate::sched::{ConnMetrics, Metrics, Out, Outcome, Sched};
 use crate::work;
 use jle_engine::RunReport;
 use jle_orchestrator::{
@@ -33,19 +40,16 @@ use jle_orchestrator::{
     WorkSpec, DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
 };
 use jle_protocols::ElectionParams;
-use jle_telemetry::{
-    Counter, Gauge, Histogram, MetricRegistry, SpanGuard, SpanRecorder, TraceContext,
-};
+use jle_telemetry::{MetricRegistry, SpanGuard, SpanRecorder, TraceContext};
 use serde::Serialize;
-use serde_json::value::{to_raw_value, RawValue};
-use std::collections::{HashMap, VecDeque};
+use serde_json::value::to_raw_value;
+use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -212,65 +216,46 @@ impl ServerConfig {
     }
 }
 
-/// What phase a job is in.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Phase {
-    Queued,
-    Running,
-    Done,
-    Cancelled,
-    Failed,
-}
-
-impl Phase {
-    fn label(&self) -> &'static str {
-        match self {
-            Phase::Queued => "queued",
-            Phase::Running => "running",
-            Phase::Done => "done",
-            Phase::Cancelled => "cancelled",
-            Phase::Failed => "failed",
-        }
-    }
-}
-
-/// One connection's interest in one job.
-struct Subscriber {
-    client: u64,
-    req_id: u64,
-    tx: mpsc::Sender<String>,
-    progress_ctr: Counter,
-    terminal_ctr: Counter,
-}
-
-struct JobInner {
-    phase: Phase,
-    done_trials: u64,
-    subs: Vec<Subscriber>,
-    latency_observed: bool,
-    last_progress: Option<Instant>,
-}
-
-/// One deduped unit of in-flight work.
-struct Job {
-    key: String,
+/// A queued job's payload, handed to the worker that picks it up.
+struct Work {
     spec: WorkSpec,
     /// `spec.params`, decoded once at admission.
     election: ElectionParams,
     trials: u64,
-    /// Primary submitter, for fair-share accounting.
-    client: u64,
-    cancel: CancelToken,
-    submitted: Instant,
-    executed_trials: AtomicU64,
-    cached_trials: AtomicU64,
     /// Per-job span recorder: stamped with the submitter's
     /// [`TraceContext`] when the submission carried one, disabled
     /// otherwise (every span call is then a no-op).
     tracer: SpanRecorder,
     /// The open queue-wait span; the worker closes it at pickup.
-    queue_span: Mutex<Option<SpanGuard>>,
-    inner: Mutex<JobInner>,
+    queue_span: SpanGuard,
+}
+
+/// What the one lock guards: the decision core, and where its decisions
+/// go — each connection's writer queue and each running job's token.
+struct Locked {
+    sched: Sched<Work>,
+    outboxes: HashMap<u64, mpsc::Sender<String>>,
+    tokens: HashMap<u64, CancelToken>,
+}
+
+impl Locked {
+    /// Carry out the core's decisions, in the order it made them.
+    fn flush(&mut self) {
+        for out in self.sched.drain() {
+            match out {
+                Out::Frame(conn, frame) => {
+                    if let Some(tx) = self.outboxes.get(&conn) {
+                        let _ = tx.send(wire(&frame));
+                    }
+                }
+                Out::Cancel(job) => {
+                    if let Some(token) = self.tokens.get(&job) {
+                        token.cancel();
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// One frame as the writer queue takes it: its line plus the newline.
@@ -280,156 +265,36 @@ fn wire(frame: &ServerFrame) -> String {
     line
 }
 
-impl Job {
-    /// Queue one line per subscriber; `make` renders the line for a
-    /// request id, without its newline.
-    fn send_to_subs(subs: &[Subscriber], make: impl Fn(u64) -> String, terminal: bool) {
-        for sub in subs {
-            let mut line = make(sub.req_id);
-            line.push('\n');
-            // Count before queueing: once the writer holds the frame the
-            // client can read it and scrape this connection's counters
-            // before a later increment lands. A failed send means the
-            // connection is gone, and with it the only reader of these
-            // per-connection counters.
-            if terminal {
-                sub.terminal_ctr.inc();
-            } else {
-                sub.progress_ctr.inc();
-            }
-            let _ = sub.tx.send(line);
-        }
-    }
-}
-
-/// The `jle_sweepd_*` metric family, on the shared registry.
-#[derive(Clone)]
-struct Metrics {
-    submissions: Counter,
-    dedup_hits: Counter,
-    rejected_queue_full: Counter,
-    rejected_fair_share: Counter,
-    jobs_completed: Counter,
-    jobs_cancelled: Counter,
-    jobs_failed: Counter,
-    unit_cache_hits: Counter,
-    connections: Counter,
-    queue_depth: Gauge,
-    active_jobs: Gauge,
-    first_chunk_latency_us: Histogram,
-    queue_wait_us: Histogram,
-    dedup_shortcircuit_us: Histogram,
-    execute_us: Histogram,
-    deliver_us: Histogram,
-}
-
-impl Metrics {
-    fn new(reg: &MetricRegistry) -> Self {
-        Metrics {
-            submissions: reg
-                .counter("jle_sweepd_submissions_total", "work submissions accepted or deduped"),
-            dedup_hits: reg.counter(
-                "jle_sweepd_dedup_hits_total",
-                "submissions coalesced onto an in-flight identical computation",
-            ),
-            rejected_queue_full: reg.counter(
-                "jle_sweepd_rejected_queue_full_total",
-                "submissions rejected because the bounded queue was full",
-            ),
-            rejected_fair_share: reg.counter(
-                "jle_sweepd_rejected_fair_share_total",
-                "submissions rejected because the client's fair share was exhausted",
-            ),
-            jobs_completed: reg.counter("jle_sweepd_jobs_completed_total", "jobs finished"),
-            jobs_cancelled: reg.counter("jle_sweepd_jobs_cancelled_total", "jobs cancelled"),
-            jobs_failed: reg.counter("jle_sweepd_jobs_failed_total", "jobs failed"),
-            unit_cache_hits: reg.counter(
-                "jle_sweepd_unit_cache_hits_total",
-                "jobs answered entirely from the warm result store",
-            ),
-            connections: reg.counter("jle_sweepd_connections_total", "client connections accepted"),
-            queue_depth: reg.gauge("jle_sweepd_queue_depth", "jobs waiting for a worker"),
-            active_jobs: reg.gauge("jle_sweepd_active_jobs", "jobs currently executing"),
-            first_chunk_latency_us: reg.histogram(
-                "jle_sweepd_first_chunk_latency_us",
-                "submission-to-first-chunk (or cache-answer) latency, microseconds",
-            ),
-            queue_wait_us: reg.histogram(
-                "jle_sweepd_queue_wait_us",
-                "admission-to-worker-pickup wait per job, microseconds",
-            ),
-            dedup_shortcircuit_us: reg.histogram(
-                "jle_sweepd_dedup_shortcircuit_us",
-                "admission latency of submissions coalesced onto in-flight work, microseconds",
-            ),
-            execute_us: reg.histogram(
-                "jle_sweepd_execute_us",
-                "orchestrator execution time per job, microseconds",
-            ),
-            deliver_us: reg.histogram(
-                "jle_sweepd_deliver_us",
-                "result rendering + subscriber fan-out time per job, microseconds",
-            ),
-        }
-    }
-}
-
-/// Per-connection counters, on the connection's private registry.
-#[derive(Clone)]
-struct ConnMetrics {
-    submissions: Counter,
-    dedup: Counter,
-    rejected: Counter,
-    progress_frames: Counter,
-    results: Counter,
-}
-
-impl ConnMetrics {
-    fn new(reg: &MetricRegistry) -> Self {
-        ConnMetrics {
-            submissions: reg
-                .counter("jle_sweepd_client_submissions_total", "submissions on this connection"),
-            dedup: reg.counter(
-                "jle_sweepd_client_dedup_total",
-                "this connection's submissions coalesced onto in-flight work",
-            ),
-            rejected: reg.counter(
-                "jle_sweepd_client_rejected_total",
-                "this connection's submissions rejected (backpressure)",
-            ),
-            progress_frames: reg.counter(
-                "jle_sweepd_client_progress_frames_total",
-                "progress frames streamed to this connection",
-            ),
-            results: reg.counter(
-                "jle_sweepd_client_results_total",
-                "terminal frames delivered to this connection",
-            ),
-        }
-    }
-}
-
-struct State {
-    /// In-flight (queued or running) jobs by fingerprint hex.
-    jobs: HashMap<String, Arc<Job>>,
-    queue: VecDeque<Arc<Job>>,
-    inflight_per_client: HashMap<u64, u64>,
-    running_per_client: HashMap<u64, u64>,
-    running: u64,
-}
-
-struct Core {
+struct Shared {
     config: ServerConfig,
     store: Option<ResultStore>,
     registry: MetricRegistry,
     m: Metrics,
-    state: Mutex<State>,
+    state: Mutex<Locked>,
     work_cv: Condvar,
-    shutdown: AtomicBool,
-    next_client: AtomicU64,
 }
 
-impl Core {
+impl Shared {
+    /// Run `f` under the lock, then flush what it decided before
+    /// unlocking: an `accepted` reaches its writer queue before any worker
+    /// can see the job, so no `result` can overtake it (the client reads
+    /// frames in order and would drop a result ahead of its `accepted`).
+    fn with<R>(&self, f: impl FnOnce(&mut Locked) -> R) -> R {
+        let mut st = self.state.lock().expect("sweepd state");
+        let r = f(&mut st);
+        st.flush();
+        r
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.with(|st| st.sched.shutting_down())
+    }
+
+    fn request_shutdown(&self) {
+        self.with(|st| st.sched.shutdown());
+        self.work_cv.notify_all();
+    }
+
     /// The store key `run_job`'s orchestrator files `spec` under, so
     /// `accepted`/`result` frames name a real store entry.
     fn fingerprint(&self, spec: &WorkSpec, election: &ElectionParams) -> String {
@@ -437,379 +302,62 @@ impl Core {
         Fingerprint::of(spec, &salt, std::any::type_name::<RunReport>()).hex().to_string()
     }
 
-    fn request_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Fire every in-flight job's token and flush queued jobs with a
-        // terminal frame: no subscriber is left waiting forever.
-        let drained: Vec<Arc<Job>> = {
-            let mut st = self.state.lock().expect("sweepd state");
-            let queued: Vec<Arc<Job>> = st.queue.drain(..).collect();
-            for job in st.jobs.values() {
-                job.cancel.cancel();
-            }
-            for job in &queued {
-                st.jobs.remove(&job.key);
-                dec(&mut st.inflight_per_client, job.client);
-            }
-            self.m.queue_depth.set(st.queue.len() as f64);
-            queued
-        };
-        for job in drained {
-            let subs = {
-                let mut inner = job.inner.lock().expect("job inner");
-                inner.phase = Phase::Failed;
-                std::mem::take(&mut inner.subs)
-            };
-            let key = job.key.clone();
-            self.m.jobs_failed.inc();
-            Job::send_to_subs(
-                &subs,
-                |req_id| {
-                    ServerFrame::Failed {
-                        id: req_id,
-                        key: key.clone(),
-                        reason: "server shutting down".to_string(),
-                    }
-                    .to_line()
-                },
-                true,
-            );
-        }
-        self.work_cv.notify_all();
-    }
-
-    /// Admission control: dedup → queue bound → fair share.
-    ///
-    /// Returns `None` when the `accepted` frame was already pushed into
-    /// `tx` — delivery order matters there: the frame must enter the
-    /// writer queue *before* the subscriber becomes visible to a worker,
-    /// or a warm-cache `result` can overtake its own `accepted` and the
-    /// client (which reads frames in order) discards it as stray.
-    #[allow(clippy::too_many_arguments)]
+    /// Decode and fingerprint a submission, then let the core admit it.
     fn submit(
         &self,
         client: u64,
         req_id: u64,
-        tx: &mpsc::Sender<String>,
-        cm: &ConnMetrics,
         spec: WorkSpec,
         trials: u64,
         trace: Option<TraceContext>,
-    ) -> Option<ServerFrame> {
-        let admitted_at = Instant::now();
-        if self.shutdown.load(Ordering::SeqCst) {
-            cm.rejected.inc();
-            return Some(ServerFrame::Rejected {
-                id: req_id,
-                reason: "server shutting down".to_string(),
-                retry_after_ms: 0,
-            });
-        }
-        let election = match work::decode(&spec.params) {
-            Ok(election) => election,
-            Err(e) => return Some(ServerFrame::Error { id: req_id, reason: e.to_string() }),
-        };
-        let key = self.fingerprint(&spec, &election);
+    ) {
+        let received = Instant::now();
         let tracer = match trace {
             Some(ctx) => SpanRecorder::with_trace(ctx),
             None => SpanRecorder::disabled(),
         };
         let admission_span = tracer.span("sweepd", "admission");
-        let mut st = self.state.lock().expect("sweepd state");
-        if let Some(job) = st.jobs.get(&key) {
-            if job.trials != trials {
-                cm.rejected.inc();
-                return Some(ServerFrame::Rejected {
-                    id: req_id,
-                    reason: format!(
-                        "key {key} is in flight with {} trials (requested {trials})",
-                        job.trials
-                    ),
-                    retry_after_ms: 500,
-                });
-            }
-            let job = Arc::clone(job);
-            let queue_depth = st.queue.len() as u64;
-            drop(st);
-            let attached = {
-                let mut inner = job.inner.lock().expect("job inner");
-                // A terminal phase means the worker is mid-delivery; the
-                // race window is tiny, so just ask the client to retry
-                // (the store is warm by then — the retry is a cache hit).
-                if matches!(inner.phase, Phase::Queued | Phase::Running) {
-                    // Counted while the inner lock still holds the result
-                    // back, so no client sees its result before the count.
-                    self.m.submissions.inc();
-                    self.m.dedup_hits.inc();
-                    self.m.dedup_shortcircuit_us.observe(admitted_at.elapsed().as_micros() as u64);
-                    cm.submissions.inc();
-                    cm.dedup.inc();
-                    // `accepted` first, subscriber second: the worker
-                    // delivering the terminal frame takes this same inner
-                    // lock, so once the subscriber is visible its result
-                    // frame is guaranteed to queue behind this one.
-                    let _ = tx.send(wire(&ServerFrame::Accepted {
-                        id: req_id,
-                        key: key.clone(),
-                        trials,
-                        dedup: true,
-                        queue_depth,
-                    }));
-                    inner.subs.push(Subscriber {
-                        client,
-                        req_id,
-                        tx: tx.clone(),
-                        progress_ctr: cm.progress_frames.clone(),
-                        terminal_ctr: cm.results.clone(),
-                    });
-                    true
-                } else {
-                    false
-                }
+        let unit = work::decode(&spec.params).map_err(|e| e.to_string()).map(|election| {
+            let key = self.fingerprint(&spec, &election);
+            let make = move || {
+                // Close the admission span and open the queue-wait span,
+                // which stays open until worker pickup.
+                drop(admission_span);
+                let queue_span = tracer.span("sweepd", "queue-wait");
+                Work { spec, election, trials, tracer, queue_span }
             };
-            if !attached {
-                cm.rejected.inc();
-                return Some(ServerFrame::Rejected {
-                    id: req_id,
-                    reason: format!("key {key} just completed; retry hits the warm cache"),
-                    retry_after_ms: 20,
-                });
-            }
-            return None;
-        }
-        if st.queue.len() >= self.config.max_queue {
-            self.m.rejected_queue_full.inc();
-            cm.rejected.inc();
-            let retry_after_ms = 100 + 25 * st.queue.len() as u64;
-            return Some(ServerFrame::Rejected {
-                id: req_id,
-                reason: format!("queue full ({} jobs)", st.queue.len()),
-                retry_after_ms,
-            });
-        }
-        let inflight = st.inflight_per_client.get(&client).copied().unwrap_or(0);
-        if inflight >= self.config.client_share as u64 {
-            self.m.rejected_fair_share.inc();
-            cm.rejected.inc();
-            return Some(ServerFrame::Rejected {
-                id: req_id,
-                reason: format!("fair share exhausted ({inflight} jobs in flight)"),
-                retry_after_ms: 200,
-            });
-        }
-        // Close the admission span and open the queue-wait span, which
-        // stays open until worker pickup.
-        drop(admission_span);
-        let queue_span = tracer.span("sweepd", "queue-wait");
-        let job = Arc::new(Job {
-            key: key.clone(),
-            spec,
-            election,
-            trials,
-            client,
-            cancel: CancelToken::new(),
-            submitted: Instant::now(),
-            executed_trials: AtomicU64::new(0),
-            cached_trials: AtomicU64::new(0),
-            tracer,
-            queue_span: Mutex::new(Some(queue_span)),
-            inner: Mutex::new(JobInner {
-                phase: Phase::Queued,
-                done_trials: 0,
-                subs: vec![Subscriber {
-                    client,
-                    req_id,
-                    tx: tx.clone(),
-                    progress_ctr: cm.progress_frames.clone(),
-                    terminal_ctr: cm.results.clone(),
-                }],
-                latency_observed: false,
-                last_progress: None,
-            }),
+            (key, make)
         });
-        let queue_depth = st.queue.len() as u64 + 1;
-        // Still under the state lock, so no worker can pop the job (and
-        // race its `result` ahead of this frame) until after we enqueue.
-        let _ = tx.send(wire(&ServerFrame::Accepted {
-            id: req_id,
-            key: key.clone(),
-            trials,
-            dedup: false,
-            queue_depth,
-        }));
-        st.jobs.insert(key.clone(), Arc::clone(&job));
-        st.queue.push_back(job);
-        *st.inflight_per_client.entry(client).or_insert(0) += 1;
-        self.m.queue_depth.set(queue_depth as f64);
-        // Counted before the state lock lets a worker pop the job.
-        self.m.submissions.inc();
-        cm.submissions.inc();
-        drop(st);
-        self.work_cv.notify_one();
-        None
-    }
-
-    fn subscribe(
-        &self,
-        client: u64,
-        req_id: u64,
-        tx: &mpsc::Sender<String>,
-        cm: &ConnMetrics,
-        key: &str,
-    ) -> Option<ServerFrame> {
-        let st = self.state.lock().expect("sweepd state");
-        let Some(job) = st.jobs.get(key) else {
-            return Some(ServerFrame::Error {
-                id: req_id,
-                reason: format!("key {key} is not in flight"),
-            });
-        };
-        let job = Arc::clone(job);
-        let queue_depth = st.queue.len() as u64;
-        drop(st);
-        let mut inner = job.inner.lock().expect("job inner");
-        if !matches!(inner.phase, Phase::Queued | Phase::Running) {
-            return Some(ServerFrame::Error {
-                id: req_id,
-                reason: format!("key {key} already finished"),
-            });
+        let fresh =
+            self.with(|st| st.sched.submit(client, req_id, trials, unit, received, Instant::now()));
+        if fresh {
+            self.work_cv.notify_one();
         }
-        // Same delivery-order rule as `submit`: `accepted` enters the
-        // writer queue before the subscriber can receive any frame.
-        let _ = tx.send(wire(&ServerFrame::Accepted {
-            id: req_id,
-            key: key.to_string(),
-            trials: job.trials,
-            dedup: true,
-            queue_depth,
-        }));
-        inner.subs.push(Subscriber {
-            client,
-            req_id,
-            tx: tx.clone(),
-            progress_ctr: cm.progress_frames.clone(),
-            terminal_ctr: cm.results.clone(),
-        });
-        None
-    }
-
-    fn status(&self, req_id: u64, key: &str) -> ServerFrame {
-        let st = self.state.lock().expect("sweepd state");
-        let Some(job) = st.jobs.get(key) else {
-            return ServerFrame::Status {
-                id: req_id,
-                key: key.to_string(),
-                state: "unknown".to_string(),
-                done_trials: 0,
-                total_trials: 0,
-                subscribers: 0,
-            };
-        };
-        let job = Arc::clone(job);
-        drop(st);
-        let inner = job.inner.lock().expect("job inner");
-        ServerFrame::Status {
-            id: req_id,
-            key: key.to_string(),
-            state: inner.phase.label().to_string(),
-            done_trials: inner.done_trials,
-            total_trials: job.trials,
-            subscribers: inner.subs.len() as u64,
-        }
-    }
-
-    /// Withdraw `client`'s interest in `key`; the computation is
-    /// cancelled only when nobody else still wants it.
-    fn cancel(&self, client: u64, req_id: u64, key: &str) -> ServerFrame {
-        let st = self.state.lock().expect("sweepd state");
-        let Some(job) = st.jobs.get(key) else {
-            return ServerFrame::Error {
-                id: req_id,
-                reason: format!("key {key} is not in flight"),
-            };
-        };
-        let job = Arc::clone(job);
-        drop(st);
-        let completed_trials = {
-            let mut inner = job.inner.lock().expect("job inner");
-            inner.subs.retain(|s| s.client != client);
-            if inner.subs.is_empty() {
-                job.cancel.cancel();
-            }
-            inner.done_trials
-        };
-        self.work_cv.notify_all();
-        ServerFrame::Cancelled { id: req_id, key: key.to_string(), completed_trials }
-    }
-
-    /// A connection went away: drop its subscriptions everywhere and
-    /// cancel computations nobody is left waiting for.
-    fn drop_client(&self, client: u64) {
-        let jobs: Vec<Arc<Job>> = {
-            let st = self.state.lock().expect("sweepd state");
-            st.jobs.values().map(Arc::clone).collect()
-        };
-        for job in jobs {
-            let mut inner = job.inner.lock().expect("job inner");
-            inner.subs.retain(|s| s.client != client);
-            if inner.subs.is_empty() && matches!(inner.phase, Phase::Queued | Phase::Running) {
-                job.cancel.cancel();
-            }
-        }
-    }
-
-    /// Pop the fairest runnable job: FIFO position among jobs whose
-    /// submitter currently has the fewest running jobs.
-    fn pick_next(&self, st: &mut State) -> Option<Arc<Job>> {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, job) in st.queue.iter().enumerate() {
-            let running = st.running_per_client.get(&job.client).copied().unwrap_or(0);
-            if best.is_none_or(|(r, _)| running < r) {
-                best = Some((running, i));
-                if running == 0 {
-                    break;
-                }
-            }
-        }
-        let (_, i) = best?;
-        let job = st.queue.remove(i).expect("index in bounds");
-        *st.running_per_client.entry(job.client).or_insert(0) += 1;
-        st.running += 1;
-        self.m.queue_depth.set(st.queue.len() as f64);
-        self.m.active_jobs.set(st.running as f64);
-        Some(job)
     }
 
     fn worker_loop(self: &Arc<Self>) {
         loop {
-            let job = {
-                let mut st = self.state.lock().expect("sweepd state");
-                loop {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if let Some(job) = self.pick_next(&mut st) {
-                        break job;
-                    }
-                    st = self.work_cv.wait(st).expect("sweepd state");
+            let mut st = self.state.lock().expect("sweepd state");
+            let (id, work) = loop {
+                if st.sched.shutting_down() {
+                    return;
                 }
+                if let Some(next) = st.sched.pick_next(Instant::now()) {
+                    break next;
+                }
+                st = self.work_cv.wait(st).expect("sweepd state");
             };
-            self.run_job(&job);
+            let token = CancelToken::new();
+            st.tokens.insert(id, token.clone());
+            drop(st);
+            self.run_job(id, work, token);
         }
     }
 
-    fn run_job(self: &Arc<Self>, job: &Arc<Job>) {
-        {
-            let mut inner = job.inner.lock().expect("job inner");
-            inner.phase = Phase::Running;
-        }
-        // Close the queue-wait span (open since admission) and record the
-        // wait — observed for every job, traced or not.
-        self.m.queue_wait_us.observe(job.submitted.elapsed().as_micros() as u64);
-        drop(job.queue_span.lock().expect("queue span").take());
-        let execute_span = job.tracer.span("sweepd", "execute");
+    fn run_job(self: &Arc<Self>, id: u64, work: Work, token: CancelToken) {
+        let Work { spec, election, trials, tracer, queue_span } = work;
+        drop(queue_span);
+        let execute_span = tracer.span("sweepd", "execute");
         let execute_span_id = execute_span.id();
         let executed_at = Instant::now();
         let orch = match &self.store {
@@ -819,115 +367,71 @@ impl Core {
         .chunk_size(self.config.chunk_size)
         .jobs(self.config.mc_jobs)
         .salt(self.config.salt.clone())
-        .engine_mode(work::engine_mode(&job.election))
-        .cancel_token(job.cancel.clone())
+        .engine_mode(work::engine_mode(&election))
+        .cancel_token(token)
         .metrics_registry(&self.registry)
-        .tracer(job.tracer.clone())
-        .reporter(JobReporter {
-            job: Arc::clone(job),
-            m: self.m.clone(),
-            progress_every: self.config.progress_every,
-        });
+        .tracer(tracer.clone())
+        .reporter(JobReporter { shared: Arc::clone(self), id });
         // Kinds with a bit-identical batch backend run whole seed batches
         // per slot-loop pass; everything else stays on the per-trial
         // path. Either way the chunk layout, seeding, and fingerprints
         // are identical, so results land in the same cache entries.
-        let run = match work::batch_fn(&job.election) {
+        let run = match work::batch_fn(&election) {
             Ok(f) => JobFn::Batch(f),
-            Err(_) => JobFn::Trial(work::trial_fn(&job.election)),
+            Err(_) => JobFn::Trial(work::trial_fn(&election)),
         };
-        let outcome =
-            execute_unit(&orch, &job.spec, job.trials, &run, &job.tracer, execute_span_id);
+        let outcome = execute_unit(&orch, &spec, trials, &run, &tracer, execute_span_id);
         self.m.execute_us.observe(executed_at.elapsed().as_micros() as u64);
         drop(execute_span);
-        let wall_secs = job.submitted.elapsed().as_secs_f64();
-
-        // Remove from the in-flight table *before* taking the subscriber
-        // list (state → inner lock order, matching submit), so a
-        // re-submission races toward the warm cache, never a stale entry.
-        let subs = {
-            let mut st = self.state.lock().expect("sweepd state");
-            st.jobs.remove(&job.key);
-            dec(&mut st.inflight_per_client, job.client);
-            dec(&mut st.running_per_client, job.client);
-            st.running -= 1;
-            self.m.active_jobs.set(st.running as f64);
-            drop(st);
-            let mut inner = job.inner.lock().expect("job inner");
-            inner.phase = match &outcome {
-                Ok(Ok(_)) => Phase::Done,
-                Ok(Err(_)) => Phase::Cancelled,
-                Err(_) => Phase::Failed,
-            };
-            std::mem::take(&mut inner.subs)
-        };
-        let key = job.key.clone();
-        match outcome {
-            Ok(Ok(results)) => {
-                let delivered_at = Instant::now();
-                let executed_trials = job.executed_trials.load(Ordering::Relaxed);
-                let cached_trials = job.cached_trials.load(Ordering::Relaxed);
+        let finished_at = Instant::now();
+        let mut deliver_span = None;
+        let outcome = match outcome {
+            Ok(Ok(reports)) => {
                 // Written to text once per job, straight from the typed
                 // reports: every subscriber's line splices the same text,
                 // so dedup subscribers get identical bytes.
-                let results: Arc<RawValue> =
-                    to_raw_value(&results).expect("report serialization").into();
+                let results = to_raw_value(&reports).expect("report serialization").into();
                 // The deliver span is open while the export happens, so it
                 // reaches the client truncated-at-export — present in the
                 // merged trace, its tail not observable by construction.
-                let deliver_span = job.tracer.span("sweepd", "deliver");
-                let spans: Option<Arc<RawValue>> = job.tracer.is_enabled().then(|| {
-                    to_raw_value(&job.tracer.export_events()).expect("span serialization").into()
+                deliver_span = Some(tracer.span("sweepd", "deliver"));
+                let spans = tracer.is_enabled().then(|| {
+                    to_raw_value(&tracer.export_events()).expect("span serialization").into()
                 });
-                // Terminal counters move before the frames go out, so a
-                // client that scrapes right after its result sees them.
-                self.m.jobs_completed.inc();
-                Job::send_to_subs(
-                    &subs,
-                    |req_id| {
-                        ServerFrame::Result {
-                            id: req_id,
-                            key: key.clone(),
-                            trials: job.trials,
-                            executed_trials,
-                            cached_trials,
-                            wall_secs,
-                            results: Arc::clone(&results),
-                            spans: spans.clone(),
-                        }
-                        .to_line()
-                    },
-                    true,
-                );
-                drop(deliver_span);
-                self.m.deliver_us.observe(delivered_at.elapsed().as_micros() as u64);
+                Outcome::Done { results, spans }
             }
             Ok(Err(interrupted)) => {
-                let completed_trials = interrupted.completed_trials();
                 // Interrupted::ChunkBudgetExhausted cannot happen (no
                 // budget is set); fold it into cancellation regardless.
                 debug_assert!(matches!(interrupted, Interrupted::Cancelled { .. }));
-                self.m.jobs_cancelled.inc();
-                Job::send_to_subs(
-                    &subs,
-                    |req_id| {
-                        ServerFrame::Cancelled { id: req_id, key: key.clone(), completed_trials }
-                            .to_line()
-                    },
-                    true,
-                );
+                Outcome::Cancelled { completed_trials: interrupted.completed_trials() }
             }
-            Err(reason) => {
-                self.m.jobs_failed.inc();
-                Job::send_to_subs(
-                    &subs,
-                    |req_id| {
-                        ServerFrame::Failed { id: req_id, key: key.clone(), reason: reason.clone() }
-                            .to_line()
-                    },
-                    true,
-                );
-            }
+            Err(reason) => Outcome::Failed(reason),
+        };
+        self.with(|st| {
+            st.tokens.remove(&id);
+            st.sched.finish(id, outcome, finished_at);
+        });
+        if let Some(span) = deliver_span {
+            drop(span);
+            self.m.deliver_us.observe(finished_at.elapsed().as_micros() as u64);
+        }
+    }
+}
+
+/// Forwards a running job's orchestrator events to the core.
+struct JobReporter {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Reporter for JobReporter {
+    fn report(&self, event: &Event<'_>) {
+        if matches!(
+            event,
+            Event::UnitStarted { .. } | Event::ChunkFinished { .. } | Event::UnitFinished { .. }
+        ) {
+            self.shared.with(|st| st.sched.report(self.id, event, Instant::now()));
         }
     }
 }
@@ -971,82 +475,6 @@ fn execute_unit(
     })
 }
 
-fn dec(map: &mut HashMap<u64, u64>, client: u64) {
-    if let Some(v) = map.get_mut(&client) {
-        *v = v.saturating_sub(1);
-        if *v == 0 {
-            map.remove(&client);
-        }
-    }
-}
-
-/// Bridges orchestrator events into subscriber progress frames and the
-/// service latency/cache metrics.
-struct JobReporter {
-    job: Arc<Job>,
-    m: Metrics,
-    progress_every: Duration,
-}
-
-impl JobReporter {
-    fn observe_first_event(&self, inner: &mut JobInner) {
-        if !inner.latency_observed {
-            inner.latency_observed = true;
-            self.m.first_chunk_latency_us.observe(self.job.submitted.elapsed().as_micros() as u64);
-        }
-    }
-}
-
-impl Reporter for JobReporter {
-    fn report(&self, event: &Event<'_>) {
-        match *event {
-            Event::UnitStarted { trials, cached_trials, .. } => {
-                self.job.cached_trials.store(cached_trials, Ordering::Relaxed);
-                if cached_trials >= trials {
-                    // Fully warm unit: the store answers in one pass.
-                    self.m.unit_cache_hits.inc();
-                    let mut inner = self.job.inner.lock().expect("job inner");
-                    inner.done_trials = trials;
-                    self.observe_first_event(&mut inner);
-                }
-            }
-            Event::ChunkFinished { end, slots, trials_per_sec, eta_secs, .. } => {
-                let mut inner = self.job.inner.lock().expect("job inner");
-                inner.done_trials = inner.done_trials.max(end);
-                self.observe_first_event(&mut inner);
-                let due = inner.last_progress.is_none_or(|t| t.elapsed() >= self.progress_every);
-                if !due {
-                    return;
-                }
-                inner.last_progress = Some(Instant::now());
-                let done_trials = inner.done_trials;
-                let key = self.job.key.clone();
-                Job::send_to_subs(
-                    &inner.subs,
-                    |req_id| {
-                        ServerFrame::Progress {
-                            id: req_id,
-                            key: key.clone(),
-                            done_trials,
-                            total_trials: self.job.trials,
-                            slots,
-                            trials_per_sec,
-                            eta_secs,
-                        }
-                        .to_line()
-                    },
-                    false,
-                );
-            }
-            Event::UnitFinished { executed_trials, cached_trials, .. } => {
-                self.job.executed_trials.store(executed_trials, Ordering::Relaxed);
-                self.job.cached_trials.store(cached_trials, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-    }
-}
-
 enum ListenerKind {
     Tcp(TcpListener),
     #[cfg(unix)]
@@ -1055,7 +483,7 @@ enum ListenerKind {
 
 /// The bound, ready-to-serve service.
 pub struct SweepServer {
-    core: Arc<Core>,
+    core: Arc<Shared>,
     listener: ListenerKind,
     workers: Vec<std::thread::JoinHandle<()>>,
     prom: Option<std::thread::JoinHandle<()>>,
@@ -1074,20 +502,13 @@ impl SweepServer {
         };
         let registry = MetricRegistry::new();
         let m = Metrics::new(&registry);
-        let core = Arc::new(Core {
+        let sched = Sched::new(&config, m.clone());
+        let core = Arc::new(Shared {
             store,
             registry,
             m,
-            state: Mutex::new(State {
-                jobs: HashMap::new(),
-                queue: VecDeque::new(),
-                inflight_per_client: HashMap::new(),
-                running_per_client: HashMap::new(),
-                running: 0,
-            }),
+            state: Mutex::new(Locked { sched, outboxes: HashMap::new(), tokens: HashMap::new() }),
             work_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            next_client: AtomicU64::new(0),
             config,
         });
         let (listener, tcp_addr, unix_path) = match endpoint {
@@ -1128,7 +549,7 @@ impl SweepServer {
                 .spawn(move || {
                     loop {
                         let _ = core.registry.write_prometheus(&path);
-                        if core.shutdown.load(Ordering::SeqCst) {
+                        if core.shutting_down() {
                             break;
                         }
                         std::thread::sleep(Duration::from_millis(500));
@@ -1180,7 +601,7 @@ impl SweepServer {
                         .expect("spawn connection handler");
                 }
                 None => {
-                    if core.shutdown.load(Ordering::SeqCst) {
+                    if core.shutting_down() {
                         break;
                     }
                     std::thread::sleep(Duration::from_millis(20));
@@ -1213,7 +634,7 @@ impl SweepServer {
 
 /// Handle to a background [`SweepServer::spawn`] instance.
 pub struct ServerHandle {
-    core: Arc<Core>,
+    core: Arc<Shared>,
     join: std::thread::JoinHandle<io::Result<()>>,
 }
 
@@ -1235,9 +656,7 @@ impl ServerHandle {
 /// client that never sends `\n` cannot grow daemon memory without bound.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-fn handle_conn(core: &Arc<Core>, stream: SweepStream) {
-    let client = core.next_client.fetch_add(1, Ordering::Relaxed) + 1;
-    core.m.connections.inc();
+fn handle_conn(core: &Arc<Shared>, stream: SweepStream) {
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -1256,7 +675,11 @@ fn handle_conn(core: &Arc<Core>, stream: SweepStream) {
         .expect("spawn connection writer");
 
     let conn_registry = MetricRegistry::new();
-    let cm = ConnMetrics::new(&conn_registry);
+    let client = core.with(|st| {
+        let client = st.sched.connect(ConnMetrics::new(&conn_registry));
+        st.outboxes.insert(client, tx.clone());
+        client
+    });
     let send_frame = |frame: &ServerFrame| {
         let _ = tx.send(wire(frame));
     };
@@ -1311,17 +734,13 @@ fn handle_conn(core: &Arc<Core>, stream: SweepStream) {
                 client_share: core.config.client_share as u64,
             }),
             ClientFrame::Submit { id, spec, trials, trace } => {
-                if let Some(reply) = core.submit(client, id, &tx, &cm, spec, trials, trace) {
-                    send_frame(&reply);
-                }
+                core.submit(client, id, spec, trials, trace)
             }
             ClientFrame::Subscribe { id, key } => {
-                if let Some(reply) = core.subscribe(client, id, &tx, &cm, &key) {
-                    send_frame(&reply);
-                }
+                core.with(|st| st.sched.subscribe(client, id, &key))
             }
-            ClientFrame::Status { id, key } => send_frame(&core.status(id, &key)),
-            ClientFrame::Cancel { id, key } => send_frame(&core.cancel(client, id, &key)),
+            ClientFrame::Status { id, key } => core.with(|st| st.sched.status(client, id, &key)),
+            ClientFrame::Cancel { id, key } => core.with(|st| st.sched.cancel(client, id, &key)),
             ClientFrame::Metrics { id } => send_frame(&ServerFrame::Metrics {
                 id,
                 server: core.registry.snapshot().to_json_value(),
@@ -1334,7 +753,10 @@ fn handle_conn(core: &Arc<Core>, stream: SweepStream) {
             }
         }
     }
-    core.drop_client(client);
+    core.with(|st| {
+        st.sched.disconnect(client);
+        st.outboxes.remove(&client);
+    });
     drop(tx);
     let _ = writer.join();
 }

@@ -451,3 +451,28 @@ fn deeply_nested_frame_gets_an_error_and_the_daemon_keeps_serving() {
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(cache);
 }
+
+/// A cancel that leaves a queued job with no subscriber takes it out of
+/// the dedup table at once: the next identical submission computes
+/// afresh instead of attaching to the cancelled job and being answered
+/// `cancelled` itself.
+#[test]
+fn a_cancelled_queued_unit_does_not_swallow_the_next_submission() {
+    let (handle, endpoint, cache) = start("orphan", |_| {});
+    let mut blocker_client = SweepClient::connect(&endpoint).unwrap();
+    let mut a = SweepClient::connect(&endpoint).unwrap();
+    let mut b = SweepClient::connect(&endpoint).unwrap();
+    let blocker = blocker_client.submit(&blocker_spec(), BLOCKER_TRIALS).unwrap();
+
+    let spec = quick_spec("orphan", 4321);
+    let sub_a = a.submit(&spec, 8).unwrap();
+    a.cancel(&sub_a.key).unwrap();
+    let sub_b = b.submit(&spec, 8).unwrap();
+    let out = b.wait(&sub_b, |_| {}).expect("B gets its result");
+    assert_eq!(out.reports().unwrap().len(), 8);
+    assert!(!sub_b.dedup, "B must not attach to A's cancelled job");
+
+    let _ = blocker_client.wait(&blocker, |_| {}).unwrap();
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
