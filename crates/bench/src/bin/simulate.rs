@@ -8,20 +8,20 @@
 //!
 //! With `--trials k` the run is repeated over consecutive seeds and the
 //! JSON carries summary statistics instead of a single report.
+//!
+//! Every run but lease mode is a [`LensSpec`] built from the flags, so
+//! `jle-lens` replays it; lease mode runs the same spec's configuration
+//! and churn plan with a shared leader ledger attached.
 
 use std::sync::Arc;
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{
-    run_cohort, run_fast_exact, run_fast_exact_churn, run_multihop, run_multihop_std, ChurnPlan,
-    FastFaultyStations, FaultPlan, LeaderLedger, MonteCarlo, PerStation, Protocol, RngDiscipline,
-    RunReport, SimConfig, SimCore, SplitBrainObserver, StopRule,
+    ChurnPlan, FastFaultyStations, FaultPlan, LeaderLedger, MonteCarlo, Protocol, RunReport,
+    SimCore, SplitBrainObserver,
 };
-use jle_protocols::params::ZERO_STATIONS;
-use jle_protocols::{
-    lewk, lewu, ArssMacProtocol, BackoffProtocol, ClusterElection, ElectionKind, ElectionParams,
-    LeaseConfig, LeaseProtocol, LeskProtocol, LesuProtocol, ProtoParams, WillardProtocol,
-};
+use jle_lens::{EngineKind, LensSpec, Stop};
+use jle_protocols::{ArssMacProtocol, LeaseConfig, LeaseProtocol, ProtoParams};
 use jle_radio::{CdModel, Topology};
 use serde::Serialize;
 use serde_json::json;
@@ -71,13 +71,6 @@ struct Args {
     /// `--n` from the topology.
     topology: String,
 }
-
-/// A parsed `--topology` value ([`Topology::parse`]): `None` for the
-/// single-channel default, otherwise the interference graph plus the
-/// cluster assignment its constructor implies (unit disks have no
-/// canonical clustering — the cluster protocol treats every node as a
-/// singleton cluster there).
-type ParsedTopology = Option<(Topology, Option<Vec<u32>>)>;
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -214,28 +207,76 @@ impl Args {
     }
 }
 
-/// Open-world run: leases over supervised LESK, churn overlay, horizon
-/// stop, split-brain tracking. Needs strong CD (beacon self-verification).
-fn run_lease(
-    args: &Args,
-    adv: &AdversarySpec,
-    seed: u64,
-    beacon: u64,
-) -> Result<RunReport, String> {
-    if args.cd != CdModel::Strong {
-        return Err("lease mode needs --cd strong (beacon self-verification)".into());
+/// The one protocol-name table: `--protocol` → the protocol, whether
+/// churn runs take it, and whether graph topologies do.
+fn protocol(args: &Args, adv: &AdversarySpec) -> Result<(ProtoParams, bool, bool), String> {
+    let eps = args.eps;
+    Ok(match args.protocol.as_str() {
+        "lesk" => (ProtoParams::lesk(eps), true, true),
+        "lesu" => (ProtoParams::Lesu, true, true),
+        "backoff" => (ProtoParams::Backoff, false, true),
+        "willard" => (ProtoParams::Willard, false, false),
+        "arss" => {
+            let gamma = ArssMacProtocol::recommended_gamma(args.n, adv.t_window);
+            (ProtoParams::Arss { gamma }, false, false)
+        }
+        "lewk" => (ProtoParams::Lewk { eps }, true, true),
+        "lewu" => (ProtoParams::Lewu, true, true),
+        "cluster" => (ProtoParams::Cluster { eps }, false, true),
+        other => return Err(format!("unknown protocol: {other}")),
+    })
+}
+
+/// The run for `seed` as a validated [`LensSpec`] (a churn plan derives
+/// from the seed). Graph topologies run on the multi-hop engine, churn
+/// and the per-station protocols on fast-exact, the rest on the cohort
+/// engine; lease mode runs to the horizon.
+fn spec_for(args: &Args, adv: &AdversarySpec, seed: u64) -> Result<LensSpec, String> {
+    let (proto, churn_ok, graph_ok) = protocol(args, adv)?;
+    let graph = args.topology != "complete";
+    if graph && !graph_ok {
+        return Err(format!("graph topologies do not support --protocol {}", args.protocol));
     }
-    if args.protocol != "lesk" {
-        return Err(format!("lease mode supports --protocol lesk, not {}", args.protocol));
+    if graph && (args.noise != 0.0 || args.lease_beacon.is_some()) {
+        return Err("--topology graphs are closed-world: no churn, lease, or noise flags".into());
     }
-    let config = SimConfig::new(args.n, args.cd)
-        .with_seed(seed)
-        .with_max_slots(args.max_slots)
-        .with_noise(args.noise)
-        .with_stop(StopRule::Horizon);
+    if args.wants_churn() && !churn_ok {
+        return Err(format!("churn runs do not support --protocol {}", args.protocol));
+    }
+    let engine = match (graph, args.wants_churn() || proto.per_station()) {
+        (true, _) => EngineKind::Multihop,
+        (false, true) => EngineKind::FastExact,
+        (false, false) => EngineKind::Cohort,
+    };
+    let mut spec = LensSpec::new(engine, proto, args.n, args.cd, adv.clone(), args.max_slots);
+    spec.noise = args.noise;
+    spec.churn = args.wants_churn().then(|| args.churn_plan(seed));
+    spec.topology = graph.then(|| args.topology.clone());
+    if proto.per_station() {
+        spec.stop = Stop::AllTerminated;
+    }
+    if args.lease_beacon.is_some() {
+        if args.cd != CdModel::Strong {
+            return Err("lease mode needs --cd strong (beacon self-verification)".into());
+        }
+        if args.protocol != "lesk" {
+            return Err(format!("lease mode supports --protocol lesk, not {}", args.protocol));
+        }
+        spec.engine = EngineKind::FastExact;
+        spec.stop = Stop::Horizon;
+    }
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
+}
+
+/// Lease mode, the one local-only path: leases over supervised LESK on
+/// the spec's configuration and churn plan, with the shared leader
+/// ledger and the split-brain observer as run wiring.
+fn run_lease(args: &Args, spec: &LensSpec, seed: u64, beacon: u64) -> RunReport {
+    let config = spec.config(seed);
     let lease = LeaseConfig::new(beacon, args.lease_miss_tolerance, args.lease_timeout);
     let ledger = LeaderLedger::new(args.lease_timeout);
-    let plan = args.churn_plan(seed).overlay(&FaultPlan::empty());
+    let plan = spec.churn.clone().unwrap_or_else(ChurnPlan::empty).overlay(&FaultPlan::empty());
     let eps = args.eps;
     let factory = {
         let ledger = Arc::clone(&ledger);
@@ -251,43 +292,17 @@ fn run_lease(
     };
     let mut split = SplitBrainObserver::new(ledger);
     let mut stations = FastFaultyStations::new(&config, &plan, factory);
-    Ok(SimCore::new(&config, adv).observe(&mut split).run(&mut stations))
+    SimCore::new(&config, &spec.adv).observe(&mut split).run(&mut stations)
 }
 
-/// The scenario as a sweepd work-unit parameter tree, when the service
-/// can reconstruct it exactly. Churn, lease, noise, and non-uniform
-/// protocols only exist locally.
-fn server_params(args: &Args, adv: &AdversarySpec) -> Option<serde::Value> {
-    if args.wants_churn() || args.lease_beacon.is_some() || args.noise != 0.0 {
-        return None;
-    }
-    let proto = match args.protocol.as_str() {
-        "lesk" => ProtoParams::lesk(args.eps),
-        "lesu" => ProtoParams::Lesu,
-        "backoff" => ProtoParams::Backoff,
-        "willard" => ProtoParams::Willard,
-        _ => return None,
-    };
-    let election = ElectionParams {
-        kind: ElectionKind::Cohort,
-        n: args.n,
-        cd: args.cd,
-        adv: adv.clone(),
-        max_slots: args.max_slots,
-        proto,
-    };
-    Some(election.to_json_value())
-}
-
-/// Run the scenario on a resident `jle-sweepd` service and return the
-/// per-seed reports (`seed`, `seed+1`, … — the same seeds a local
-/// Monte-Carlo run uses).
-fn run_on_server(args: &Args, adv: &AdversarySpec, ep: &str) -> Result<Vec<RunReport>, String> {
-    let params = server_params(args, adv).ok_or_else(|| {
+/// Run the spec's `cohort_election` on a resident `jle-sweepd` service
+/// and return the per-seed reports (`seed`, `seed+1`, … — the same seeds
+/// a local Monte-Carlo run uses).
+fn run_on_server(args: &Args, spec: &LensSpec, ep: &str) -> Result<Vec<RunReport>, String> {
+    let election = spec.election().filter(|e| e.proto.portable().is_ok()).ok_or(
         "--server only supports plain cohort elections \
-         (--protocol lesk|lesu|backoff|willard, no churn/lease/noise)"
-            .to_string()
-    })?;
+         (--protocol lesk|lesu|backoff|willard, no churn/lease/noise/topology)",
+    )?;
     let endpoint = jle_sweepd::Endpoint::parse(ep).map_err(|e| format!("--server: {e}"))?;
     let mut client = jle_sweepd::SweepClient::connect(&endpoint)
         .map_err(|e| format!("cannot connect to sweepd at {endpoint}: {e}"))?;
@@ -302,147 +317,35 @@ fn run_on_server(args: &Args, adv: &AdversarySpec, ep: &str) -> Result<Vec<RunRe
         args.protocol,
         args.n,
         args.cd,
-        adv.label(),
+        spec.adv.label(),
         args.seed
     );
-    let spec = jle_orchestrator::WorkSpec::new("simulate", &point, params, args.seed);
-    client.run_reports(&spec, args.trials.max(1)).map_err(|e| format!("sweepd {point}: {e}"))
+    let work =
+        jle_orchestrator::WorkSpec::new("simulate", &point, election.to_json_value(), args.seed);
+    client.run_reports(&work, args.trials.max(1)).map_err(|e| format!("sweepd {point}: {e}"))
 }
 
-/// Graph-topology run: route through the per-neighborhood multi-hop
-/// engine. Closed-world only — churn, lease, noise, and the sweepd
-/// service are single-channel features.
-fn run_graph(
-    args: &Args,
-    adv: &AdversarySpec,
-    seed: u64,
-    topo: &Topology,
-    clusters: &Option<Vec<u32>>,
-) -> Result<RunReport, String> {
-    if args.wants_churn() || args.lease_beacon.is_some() || args.noise != 0.0 {
-        return Err("--topology graphs are closed-world: no churn, lease, or noise flags".into());
+/// Run `spec` (the flags' spec for `seed`) locally.
+fn run_local(args: &Args, spec: &LensSpec, seed: u64) -> Result<RunReport, String> {
+    match args.lease_beacon {
+        Some(beacon) => Ok(run_lease(args, spec, seed, beacon)),
+        None => spec.run(seed).map_err(|e| e.to_string()),
     }
-    let config = SimConfig::new(args.n, args.cd).with_seed(seed).with_max_slots(args.max_slots);
-    let eps = args.eps;
-    Ok(match args.protocol.as_str() {
-        "cluster" => {
-            // Cluster elections converge when *everyone* has powered
-            // down; unit disks carry no canonical clustering, so every
-            // node elects (and floods) as its own singleton cluster.
-            let assign: Vec<u32> = clusters.clone().unwrap_or_else(|| (0..args.n as u32).collect());
-            run_multihop(
-                &config.with_stop(StopRule::AllTerminated),
-                adv,
-                topo,
-                Some(&assign),
-                |i| Box::new(ClusterElection::for_assignment(i, &assign, eps)),
-            )
-        }
-        "lesk" => run_multihop_std(&config, adv, topo, RngDiscipline::Shared, move |_| {
-            Box::new(PerStation::new(LeskProtocol::new(eps)))
-        }),
-        "lesu" => run_multihop_std(&config, adv, topo, RngDiscipline::Shared, |_| {
-            Box::new(PerStation::new(LesuProtocol::new()))
-        }),
-        "backoff" => run_multihop_std(&config, adv, topo, RngDiscipline::Shared, |_| {
-            Box::new(PerStation::new(BackoffProtocol::new()))
-        }),
-        "lewk" => run_multihop_std(
-            &config.with_stop(StopRule::AllTerminated),
-            adv,
-            topo,
-            RngDiscipline::Shared,
-            move |_| Box::new(lewk(eps)),
-        ),
-        "lewu" => run_multihop_std(
-            &config.with_stop(StopRule::AllTerminated),
-            adv,
-            topo,
-            RngDiscipline::Shared,
-            |_| Box::new(lewu()),
-        ),
-        other => {
-            return Err(format!(
-                "graph topologies support --protocol cluster|lesk|lesu|backoff|lewk|lewu, \
-                 not {other}"
-            ))
-        }
-    })
 }
 
-fn run_one(
-    args: &Args,
-    adv: &AdversarySpec,
-    seed: u64,
-    topology: &ParsedTopology,
-) -> Result<RunReport, String> {
-    if let Some((topo, clusters)) = topology {
-        return run_graph(args, adv, seed, topo, clusters);
-    }
-    if args.protocol == "cluster" {
-        return Err("--protocol cluster needs a graph --topology (it elects per cluster)".into());
-    }
-    if let Some(beacon) = args.lease_beacon {
-        return run_lease(args, adv, seed, beacon);
-    }
-    let config = SimConfig::new(args.n, args.cd)
-        .with_seed(seed)
-        .with_max_slots(args.max_slots)
-        .with_noise(args.noise);
-    let eps = args.eps;
-    let n = args.n;
-    if args.wants_churn() {
-        let plan = args.churn_plan(seed);
-        return Ok(match args.protocol.as_str() {
-            "lesk" => run_fast_exact_churn(&config, adv, &plan, move |_| {
-                Box::new(PerStation::new(LeskProtocol::new(eps)))
-            }),
-            "lesu" => run_fast_exact_churn(&config, adv, &plan, |_| {
-                Box::new(PerStation::new(LesuProtocol::new()))
-            }),
-            "lewk" => run_fast_exact_churn(
-                &config.with_stop(StopRule::AllTerminated),
-                adv,
-                &plan,
-                move |_| Box::new(lewk(eps)),
-            ),
-            "lewu" => {
-                run_fast_exact_churn(&config.with_stop(StopRule::AllTerminated), adv, &plan, |_| {
-                    Box::new(lewu())
-                })
-            }
-            other => {
-                return Err(format!(
-                    "churn runs use the exact engine: --protocol lesk|lesu|lewk|lewu, not {other}"
-                ))
-            }
-        });
-    }
-    Ok(match args.protocol.as_str() {
-        "lesk" => run_cohort(&config, adv, || LeskProtocol::new(eps)),
-        "lesu" => run_cohort(&config, adv, LesuProtocol::new),
-        "backoff" => run_cohort(&config, adv, BackoffProtocol::new),
-        "willard" => run_cohort(&config, adv, WillardProtocol::new),
-        "arss" => run_cohort(&config, adv, || {
-            ArssMacProtocol::new(ArssMacProtocol::recommended_gamma(n, adv.t_window))
-        }),
-        "lewk" => {
-            run_fast_exact(&config.with_stop(StopRule::AllTerminated), adv, |_| Box::new(lewk(eps)))
-        }
-        "lewu" => {
-            run_fast_exact(&config.with_stop(StopRule::AllTerminated), adv, |_| Box::new(lewu()))
-        }
-        other => return Err(format!("unknown protocol: {other}")),
-    })
+/// Print `error: {e}` and exit 2.
+fn fail(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let args = match parse_args() {
+    let mut args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: simulate [--n N] [--protocol lesk|lesu|lewk|lewu|backoff|willard|arss] \
+                "usage: simulate [--n N] [--protocol lesk|lesu|lewk|lewu|backoff|willard|arss|cluster] \
                  [--eps F] [--adversary none|saturating|periodic|random|reactive|burst|adaptive|sweep-targeted] \
                  [--adv-eps F] [--t-window T] [--cd strong|weak|none] [--seed S] [--trials K] \
                  [--max-slots M] [--noise Q] \
@@ -455,55 +358,25 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let adv = match adversary_spec(&args) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let topology: ParsedTopology = match Topology::parse(&args.topology) {
-        Ok((Topology::Complete, _)) => None,
-        Ok(parsed) => Some(parsed),
-        Err(e) => {
-            eprintln!("error: --topology: {e}");
-            std::process::exit(2);
-        }
-    };
-    let mut args = args;
-    if let Some((topo, _)) = &topology {
-        // The graph fixes the population; `--n` is single-channel-only.
-        args.n = topo.graph().map(|g| u64::from(g.n())).unwrap_or(args.n);
-        if args.server.is_some() {
-            eprintln!("error: --server runs are single-channel; drop --topology");
-            std::process::exit(2);
-        }
+    let adv = adversary_spec(&args).unwrap_or_else(|e| fail(e));
+    // A graph fixes the population; `--n` is single-channel-only.
+    match Topology::parse(&args.topology) {
+        Ok((Topology::Graph(g), _)) => args.n = u64::from(g.n()),
+        Ok((Topology::Complete, _)) => {}
+        Err(e) => fail(format!("--topology: {e}")),
     }
     let args = args;
-    if args.n == 0 {
-        eprintln!("error: --n: {ZERO_STATIONS}");
-        std::process::exit(2);
-    }
     if args.trace_out.is_some() && args.server.is_none() {
-        eprintln!("error: --trace-out traces the service path; it needs --server");
-        std::process::exit(2);
+        fail("--trace-out traces the service path; it needs --server");
     }
-
-    let server_reports: Option<Vec<RunReport>> = match &args.server {
-        Some(ep) => match run_on_server(&args, &adv, ep) {
-            Ok(reports) => Some(reports),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let spec = spec_for(&args, &adv, args.seed).unwrap_or_else(|e| fail(e));
+    let server_reports: Option<Vec<RunReport>> =
+        args.server.as_ref().map(|ep| run_on_server(&args, &spec, ep).unwrap_or_else(|e| fail(e)));
 
     if args.trials <= 1 {
         let one = match &server_reports {
             Some(reports) => Ok(reports[0].clone()),
-            None => run_one(&args, &adv, args.seed, &topology),
+            None => run_local(&args, &spec, args.seed),
         };
         match one {
             Ok(r) => println!(
@@ -558,10 +431,7 @@ fn main() {
                 }))
                 .expect("json")
             ),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => fail(e),
         }
         return;
     }
@@ -569,7 +439,7 @@ fn main() {
     let reports: Vec<Result<RunReport, String>> = match server_reports {
         Some(reports) => reports.into_iter().map(Ok).collect(),
         None => MonteCarlo::new(args.trials, args.seed)
-            .run(|seed| run_one(&args, &adv, seed, &topology)),
+            .run(|seed| run_local(&args, &spec_for(&args, &adv, seed)?, seed)),
     };
     let mut slots = Vec::new();
     let mut successes = 0u64;
@@ -586,10 +456,7 @@ fn main() {
                     r.leader_elected() as u64
                 };
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => fail(e),
         }
     }
     let summary = jle_analysis::Summary::of(&slots).expect("non-empty");

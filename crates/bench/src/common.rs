@@ -2,9 +2,9 @@
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{Figure, Summary, Table};
-use jle_engine::{run_cohort, RunReport, SlotCost};
+use jle_engine::{RunReport, SlotCost};
 use jle_orchestrator::{Orchestrator, WorkSpec};
-use jle_protocols::{with_uniform_proto, ElectionKind, ElectionParams};
+use jle_protocols::ElectionParams;
 use jle_sweepd::SweepClient;
 use jle_telemetry::FlightRecorder;
 use serde::{Deserialize, Serialize, Value};
@@ -194,10 +194,10 @@ impl ExpContext {
         self.orch.run_trials(&spec, trials, f)
     }
 
-    /// Run `trials` elections of the cohort-election `unit` and return the
-    /// per-trial slot counts (timeouts are reported as `max_slots`, plus
-    /// the timeout count). The unit is both the cache key and what the
-    /// stations run.
+    /// Run `trials` elections of `unit` ([`ElectionParams::run`]) and
+    /// return the per-trial slot counts (timeouts are reported as
+    /// `max_slots`, plus the timeout count). The unit is both the cache
+    /// key and what the stations run.
     pub fn election_slots(
         &self,
         experiment: &str,
@@ -206,16 +206,10 @@ impl ExpContext {
         trials: u64,
         base_seed: u64,
     ) -> (Vec<f64>, u64) {
-        assert_eq!(unit.kind, ElectionKind::Cohort, "election_slots runs cohort elections");
         let spec = WorkSpec::new(experiment, point, unit.to_json_value(), base_seed);
-        let reports: Vec<RunReport> = match self.server_reports(unit, &spec, trials) {
-            Some(reports) => reports,
-            None => {
-                with_uniform_proto!(unit.proto, make => self.orch.run_trials(&spec, trials, |seed| {
-                    run_cohort(&unit.config().with_seed(seed), &unit.adv, make)
-                }))
-            }
-        };
+        let reports: Vec<RunReport> = self
+            .server_reports(unit, &spec, trials)
+            .unwrap_or_else(|| self.orch.run_trials(&spec, trials, |seed| unit.run(seed)));
         let timeouts = reports.iter().filter(|r| r.timed_out).count() as u64;
         (reports.iter().map(|r| r.slots as f64).collect(), timeouts)
     }

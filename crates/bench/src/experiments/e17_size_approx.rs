@@ -8,7 +8,7 @@
 use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
-use jle_engine::{run_cohort_with, SimConfig};
+use jle_engine::{run_cohort_with, SimConfig, StopRule};
 use jle_protocols::SizeApproxProtocol;
 use jle_radio::CdModel;
 use serde::Serialize;
@@ -58,7 +58,7 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
                     let config = SimConfig::new(n, CdModel::Strong)
                         .with_seed(seed)
                         .with_max_slots(horizon + 10)
-                        .with_continue_past_singles(true);
+                        .with_stop(StopRule::Horizon);
                     let (_, proto) =
                         run_cohort_with(&config, &adv, || SizeApproxProtocol::new(eps, horizon));
                     proto.estimate_n()

@@ -303,7 +303,7 @@ impl<U: UniformProtocol> BatchUniformStations<U> {
             }
             self.feedback(slot, &config, &live, &lanes);
             retain_trials(&mut live, |k| {
-                !lanes[k].end_slot(&config, slot, None, || self.tallies[k].all_terminated())
+                !lanes[k].end_slot(&config, slot, || self.tallies[k].all_terminated())
             });
         }
         // Statuses are frozen once a trial retires, so one pass at the end

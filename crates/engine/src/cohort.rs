@@ -22,7 +22,7 @@
 //! the same backend driven by [`SimCore::oracle`]'s action-observing
 //! jammer.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, StopRule};
 use crate::core::{SimCore, SlotActions, StationSet};
 use crate::protocol::UniformProtocol;
 use crate::report::RunReport;
@@ -89,8 +89,10 @@ impl<U: UniformProtocol> StationSet for CohortStations<U> {
         self.proto.finished()
     }
 
+    /// The shared state tracks no termination, so under
+    /// [`StopRule::AllTerminated`] a cohort run plays to the cap (the
+    /// lens refuses that pairing).
     fn all_terminated(&self) -> bool {
-        // Never asked: `stop_override` replaces the configured rule.
         false
     }
 
@@ -111,7 +113,8 @@ impl<U: UniformProtocol> StationSet for CohortStations<U> {
     }
 
     fn feedback(&mut self, slot: u64, truth: &SlotTruth, config: &SimConfig) {
-        if truth.is_clean_single() && !config.continue_past_singles {
+        let ends_run = config.stop == StopRule::FirstCleanSingle;
+        if truth.is_clean_single() && ends_run {
             // The run ends on this slot; the shared state never hears it.
             return;
         }
@@ -119,24 +122,12 @@ impl<U: UniformProtocol> StationSet for CohortStations<U> {
             (CdModel::NoCd, ChannelState::Null) => ChannelState::Collision,
             (_, s) => s,
         };
-        debug_assert!(
-            state != ChannelState::Single || config.continue_past_singles,
-            "clean Single already handled"
-        );
+        debug_assert!(state != ChannelState::Single || !ends_run, "clean Single already handled");
         self.proto.on_state(slot, state);
     }
 
     fn estimate(&self) -> Option<f64> {
         self.proto.estimate()
-    }
-
-    /// The cohort backend's own stop rule, the one override of the
-    /// configured [`crate::StopRule`]: stop on the first clean `Single`
-    /// unless `continue_past_singles` is set, whatever `config.stop`
-    /// says, and count a run as timed out only when it hit the cap with
-    /// neither a resolution nor a finished protocol.
-    fn stop_override(&self, truth: &SlotTruth, config: &SimConfig) -> Option<bool> {
-        Some(truth.is_clean_single() && !config.continue_past_singles)
     }
 
     fn finalize(&mut self, config: &SimConfig, report: &mut RunReport) {
@@ -147,7 +138,9 @@ impl<U: UniformProtocol> StationSet for CohortStations<U> {
                 report.all_terminated = true;
             }
         }
-        // The stop override's `timed_out`/`cap_hit` (see `stop_override`).
+        // The cohort verdict under every stop rule: timed out only when
+        // the run hit the cap with neither a resolution nor a finished
+        // protocol (a `Horizon` run past its first `Single` included).
         report.timed_out = report.resolved_at.is_none()
             && !self.proto.finished()
             && report.slots == config.max_slots;
@@ -254,7 +247,7 @@ mod tests {
         let config = SimConfig::new(1, CdModel::Strong)
             .with_seed(1)
             .with_max_slots(50)
-            .with_continue_past_singles(true);
+            .with_stop(StopRule::Horizon);
         // A lone always-transmitter: every unjammed slot is a Single.
         let report = run_cohort(&config, &AdversarySpec::passive(), || Fixed(1.0));
         assert_eq!(report.slots, 50, "must run to the cap");

@@ -171,8 +171,10 @@ impl Tally {
 /// module docs for the draw-order contract each implementation must
 /// respect. The stop rules, `timed_out`, `cap_hit`, energy, and trace are
 /// the lane's business; a backend only answers [`StationSet::finished`]
-/// and [`StationSet::all_terminated`]. To add another backend, implement
-/// this trait; do **not** write another slot loop.
+/// and [`StationSet::all_terminated`]. Every backend honours the
+/// configured [`StopRule`]; the cohort backend alone re-judges
+/// `timed_out`/`cap_hit` in [`StationSet::finalize`]. To add another
+/// backend, implement this trait; do **not** write another slot loop.
 pub trait StationSet {
     /// Whether the protocol has finished without a resolution (checked at
     /// the top of every slot; a `true` ends the run before the slot is
@@ -221,18 +223,6 @@ pub trait StationSet {
     /// randomness.
     fn collect_probes(&self, out: &mut Vec<StateProbe>) {
         let _ = out;
-    }
-
-    /// A backend-specific stop decision replacing the configured
-    /// [`StopRule`] for this slot. `None` (the default) plays the lane's
-    /// rule. Only [`crate::CohortStations`] overrides it — its stop rule
-    /// (and the `continue_past_singles` switch) predates [`StopRule`] and
-    /// is pinned by the `cohort_*` fixtures — and a backend that
-    /// overrides the stop rule sets `timed_out`/`cap_hit` itself in
-    /// [`StationSet::finalize`].
-    fn stop_override(&self, truth: &SlotTruth, config: &SimConfig) -> Option<bool> {
-        let _ = (truth, config);
-        None
     }
 
     /// Fill in the backend-specific report fields (`leaders`, fault
@@ -392,7 +382,6 @@ impl Lane {
     }
 
     /// End of the slot, after feedback: history push, slot count, and the
-    /// stop rule — the backend's `stop_override` if it has one, else the
     /// configured [`StopRule`] (`all_terminated` is asked only under
     /// [`StopRule::AllTerminated`]). Returns whether the run stops.
     #[inline]
@@ -400,14 +389,10 @@ impl Lane {
         &mut self,
         config: &SimConfig,
         slot: u64,
-        stop_override: Option<bool>,
         all_terminated: impl FnOnce() -> bool,
     ) -> bool {
         self.history.push(&self.truth);
         self.report.slots = slot + 1;
-        if let Some(stop) = stop_override {
-            return stop;
-        }
         match config.stop {
             StopRule::FirstCleanSingle => self.report.resolved_at.is_some(),
             StopRule::AllTerminated => {
@@ -538,8 +523,7 @@ impl<'a> SimCore<'a> {
                 }
             }
             // 7. History, slot count, stop rule.
-            let stop_override = stations.stop_override(lane.truth(), config);
-            if lane.end_slot(config, slot, stop_override, || stations.all_terminated()) {
+            if lane.end_slot(config, slot, || stations.all_terminated()) {
                 break;
             }
         }

@@ -110,8 +110,7 @@ fn golden_cohort_noise() {
 
 #[test]
 fn golden_cohort_continue_past_singles() {
-    let config =
-        cohort_config(CdModel::Strong).with_max_slots(512).with_continue_past_singles(true);
+    let config = cohort_config(CdModel::Strong).with_max_slots(512).with_stop(StopRule::Horizon);
     let r = run_cohort(&config, &saturating(), Backoff::new);
     check("cohort_continue_past_singles", &r);
 }

@@ -308,8 +308,7 @@ fn observed_cohort_noise() {
 
 #[test]
 fn observed_cohort_continue_past_singles() {
-    let config =
-        cohort_config(CdModel::Strong).with_max_slots(512).with_continue_past_singles(true);
+    let config = cohort_config(CdModel::Strong).with_max_slots(512).with_stop(StopRule::Horizon);
     let r = cohort_observed(&config, &saturating(), Backoff::new);
     check("cohort_continue_past_singles", &r);
 }

@@ -26,6 +26,15 @@
 //! engine or protocol anywhere in the tree is [`SpecError::Unsupported`],
 //! never ignored — a replay that silently dropped a knob would
 //! "reproduce" a different run than the one recorded.
+//!
+//! The `simulate` CLI builds its runs as [`LensSpec`]s too
+//! ([`LensSpec::new`], [`LensSpec::validate`], [`LensSpec::run`]), so the
+//! lens replays every `simulate` run but lease mode, whose shared ledger
+//! is run wiring, and ARSS, which trees from outside refuse
+//! ([`ProtoParams::portable`]). A `cluster` run elects per cluster: a
+//! topology descriptor with natural clusters (`dense-linear`, `core-tail`)
+//! uses them, a `unit-disk` makes every node its own cluster, and
+//! `complete` is one cluster.
 
 use jle_adversary::AdversarySpec;
 use jle_engine::{
@@ -77,7 +86,9 @@ impl From<serde::Error> for SpecError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
     /// Uniform-cohort engine (`run_cohort` path — what `jle-sweepd`
-    /// executes for `cohort_election` trees).
+    /// executes for `cohort_election` trees). Honours `first-clean-single`
+    /// and `horizon` (continue past clean `Single`s); it tracks no
+    /// termination, so `all-terminated` is refused.
     #[serde(rename = "cohort")]
     Cohort,
     /// The legacy shared-stream per-station discipline: every station
@@ -197,10 +208,40 @@ pub struct LensSpec {
 }
 
 impl LensSpec {
+    /// A first-clean-single run with every lens-only knob at its default;
+    /// set the public fields for the rest, then [`LensSpec::validate`].
+    pub fn new(
+        engine: EngineKind,
+        proto: ProtoParams,
+        n: u64,
+        cd: CdModel,
+        adv: AdversarySpec,
+        max_slots: u64,
+    ) -> Self {
+        LensSpec {
+            kind: RunKind::ElectionRun,
+            engine,
+            n,
+            cd,
+            adv,
+            max_slots,
+            stop: Stop::FirstCleanSingle,
+            proto,
+            noise: 0.0,
+            faults: None,
+            churn: None,
+            topology: None,
+            discipline: RngDiscipline::Shared,
+        }
+    }
+
     /// Parse a parameter tree (either supported `kind`; module docs).
+    /// The local-only protocol shapes are unsupported here
+    /// ([`ProtoParams::portable`]).
     pub fn from_params(params: &Value) -> Result<Self, SpecError> {
         if params.get("kind").and_then(Value::as_str) == Some("election_run") {
             let spec = Self::from_json_value(params)?;
+            spec.proto.portable()?;
             spec.validate()?;
             return Ok(spec);
         }
@@ -209,30 +250,16 @@ impl LensSpec {
         // whether the server executed it per-trial or through the batched
         // uniform backend, so it replays on the path both are
         // bit-identical to.
-        let election = ElectionParams::decode(params)?;
-        Ok(LensSpec {
-            kind: RunKind::ElectionRun,
-            engine: match election.kind {
-                ElectionKind::Cohort => EngineKind::Cohort,
-                ElectionKind::Exact => EngineKind::FastExact,
-            },
-            n: election.n,
-            cd: election.cd,
-            adv: election.adv,
-            max_slots: election.max_slots,
-            stop: Stop::FirstCleanSingle,
-            proto: election.proto,
-            noise: 0.0,
-            faults: None,
-            churn: None,
-            topology: None,
-            discipline: RngDiscipline::Shared,
-        })
+        let e = ElectionParams::decode(params)?;
+        let engine = match e.kind {
+            ElectionKind::Cohort => EngineKind::Cohort,
+            ElectionKind::Exact => EngineKind::FastExact,
+        };
+        Ok(LensSpec::new(engine, e.proto, e.n, e.cd, e.adv, e.max_slots))
     }
 
     /// Cross-field consistency (impossible engine/knob combinations).
-    fn validate(&self) -> Result<(), SpecError> {
-        self.proto.portable()?;
+    pub fn validate(&self) -> Result<(), SpecError> {
         if self.n == 0 {
             return Err(SpecError::Invalid(ZERO_STATIONS.into()));
         }
@@ -246,6 +273,19 @@ impl LensSpec {
                     return Err(SpecError::Invalid(
                         "cohort engine takes no fault/churn plans or topology".into(),
                     ));
+                }
+                if self.stop == Stop::AllTerminated {
+                    return Err(SpecError::Invalid(
+                        "cohort engine tracks no termination: stop `all-terminated` needs a \
+                         per-station engine"
+                            .into(),
+                    ));
+                }
+                if self.proto.per_station() {
+                    return Err(SpecError::Invalid(format!(
+                        "proto `{}` runs per station, not on the cohort engine",
+                        self.proto.label()
+                    )));
                 }
             }
             EngineKind::Exact | EngineKind::FastExact => {
@@ -279,37 +319,44 @@ impl LensSpec {
         Ok(())
     }
 
-    /// The multihop run's topology (`complete` when unset) and natural
-    /// cluster assignment, checked against `n`.
-    fn topology(&self) -> Result<(Topology, Option<Vec<u32>>), SpecError> {
+    /// The multihop run's topology (`complete` when unset), checked
+    /// against `n`, and its cluster assignment (module docs): the
+    /// descriptor's natural clusters, else one cluster per node on a
+    /// graph and one cluster on `complete`.
+    fn topology(&self) -> Result<(Topology, Vec<u32>), SpecError> {
         let desc = self.topology.as_deref().unwrap_or("complete");
         let (topo, clusters) =
             Topology::parse(desc).map_err(|e| SpecError::Invalid(format!("topology: {e}")))?;
         topo.validate_for(self.n)
             .map_err(|e| SpecError::Invalid(format!("topology does not fit n={}: {e}", self.n)))?;
+        let clusters = clusters.unwrap_or_else(|| match topo {
+            Topology::Complete => vec![0; self.n as usize],
+            Topology::Graph(_) => (0..self.n as u32).collect(),
+        });
         Ok((topo, clusters))
+    }
+
+    /// The `cohort_election` this spec is, when it is one: the cohort
+    /// engine with every lens-only knob at its default.
+    pub fn election(&self) -> Option<ElectionParams> {
+        let cohort_shape = self.engine == EngineKind::Cohort
+            && self.stop == Stop::FirstCleanSingle
+            && self.noise == 0.0;
+        cohort_shape.then(|| {
+            ElectionParams::cohort(self.proto, self.n, self.cd, self.adv.clone(), self.max_slots)
+        })
     }
 
     /// Serialize back to a parameter tree. Cohort-engine specs with all
     /// lens-only knobs at their defaults round-trip to the exact
-    /// `cohort_election` shape `jle-sweepd` fingerprints, so a spec
-    /// recovered from the result store re-emits its own cache key.
+    /// `cohort_election` shape `jle-sweepd` fingerprints
+    /// ([`LensSpec::election`]), so a spec recovered from the result store
+    /// re-emits its own cache key.
     pub fn to_params(&self) -> Value {
-        let cohort_shape = self.engine == EngineKind::Cohort
-            && self.stop == Stop::FirstCleanSingle
-            && self.noise == 0.0;
-        if cohort_shape {
-            let election = ElectionParams {
-                kind: ElectionKind::Cohort,
-                n: self.n,
-                cd: self.cd,
-                adv: self.adv.clone(),
-                max_slots: self.max_slots,
-                proto: self.proto,
-            };
-            return election.to_json_value();
+        match self.election() {
+            Some(election) => election.to_json_value(),
+            None => self.to_json_value(),
         }
-        self.to_json_value()
     }
 
     /// The same run re-targeted at a different backend (for `--diff`);
@@ -343,18 +390,30 @@ impl LensSpec {
         config
     }
 
-    /// Re-derive the run for `seed` with `obs` attached.
+    /// Run the spec for `seed`.
     ///
     /// This constructs the same station sets the workspace's `run_*`
     /// entry points construct — same factories, same plan lowering
-    /// ([`ChurnPlan::overlay`] onto a [`FaultPlan`]), same disciplines —
-    /// so the report and the per-slot stream are bit-identical to the
-    /// original unobserved run (observers are passive by the engine's
-    /// golden-seed contract). `exact` runs on the multi-hop backend over
-    /// [`Topology::Complete`] with the `Shared` discipline.
-    pub fn run(&self, seed: u64, obs: &mut dyn SlotObserver) -> Result<RunReport, SpecError> {
+    /// ([`ChurnPlan::overlay`] onto a [`FaultPlan`]), same disciplines.
+    /// `exact` runs on the multi-hop backend over [`Topology::Complete`]
+    /// with the `Shared` discipline.
+    pub fn run(&self, seed: u64) -> Result<RunReport, SpecError> {
+        self.run_observed(seed, None)
+    }
+
+    /// [`LensSpec::run`] with `obs` attached, if any: the report and the
+    /// per-slot stream are bit-identical to the unobserved run (observers
+    /// are passive by the engine's golden-seed contract).
+    pub fn run_observed(
+        &self,
+        seed: u64,
+        obs: Option<&mut dyn SlotObserver>,
+    ) -> Result<RunReport, SpecError> {
         let config = self.config(seed);
-        let core = SimCore::new(&config, &self.adv).observe(obs);
+        let mut core = SimCore::new(&config, &self.adv);
+        if let Some(obs) = obs {
+            core = core.observe(obs);
+        }
         let report = match self.engine {
             EngineKind::Cohort => {
                 with_uniform_proto!(self.proto, make => core.run(&mut CohortStations::new(make())))
@@ -379,11 +438,9 @@ impl LensSpec {
                 }
             }
             EngineKind::Multihop => {
-                let (topo, natural_clusters) = self.topology()?;
+                let (topo, assign) = self.topology()?;
                 match self.proto {
                     ProtoParams::Cluster { eps } => {
-                        let assign =
-                            natural_clusters.unwrap_or_else(|| vec![0u32; self.n as usize]);
                         let factory = |i: u64| -> Box<dyn MeshProtocol> {
                             Box::new(ClusterElection::for_assignment(i, &assign, eps))
                         };
@@ -580,6 +637,25 @@ mod tests {
             Err(SpecError::Invalid(msg)) => assert!(msg.contains("engine=fast-exact"), "{msg}"),
             other => panic!("a fault plan under exact must be refused, got {other:?}"),
         }
+        // The cohort engine tracks no termination; `horizon` continues
+        // past clean Singles and stays valid.
+        let cohort = |stop: &str| {
+            json!({
+                "kind": "election_run",
+                "engine": "cohort",
+                "n": 8u64,
+                "cd": CdModel::Strong.to_json_value(),
+                "adv": AdversarySpec::passive().to_json_value(),
+                "max_slots": 1000u64,
+                "stop": stop,
+                "proto": {"proto": "lesu"},
+            })
+        };
+        assert!(matches!(
+            LensSpec::from_params(&cohort("all-terminated")),
+            Err(SpecError::Invalid(_))
+        ));
+        assert_eq!(LensSpec::from_params(&cohort("horizon")).unwrap().stop, Stop::Horizon);
         // Topology that does not fit n.
         let v = json!({
             "kind": "election_run",

@@ -94,7 +94,7 @@ impl UniformProtocol for SizeApproxProtocol {
 mod tests {
     use super::*;
     use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-    use jle_engine::{run_cohort_with, MonteCarlo, SimConfig};
+    use jle_engine::{run_cohort_with, MonteCarlo, SimConfig, StopRule};
     use jle_radio::CdModel;
 
     fn approx(n: u64, eps: f64, adv: &AdversarySpec, seed: u64) -> f64 {
@@ -102,7 +102,7 @@ mod tests {
         let config = SimConfig::new(n, CdModel::Strong)
             .with_seed(seed)
             .with_max_slots(horizon + 10)
-            .with_continue_past_singles(true);
+            .with_stop(StopRule::Horizon);
         let (report, proto) =
             run_cohort_with(&config, adv, || SizeApproxProtocol::new(eps, horizon));
         assert!(!report.timed_out);

@@ -22,13 +22,19 @@
 //! same, but every reader of election trees refuses these shapes as
 //! unknown ([`ProtoParams::portable`]), exactly as it did before they were
 //! typed.
+//!
+//! [`ElectionParams::run`] is the one trial body: sweepd's work units, the
+//! experiments' cohort units and the lens's cache-shaped specs all run an
+//! election through it.
 
 use jle_adversary::AdversarySpec;
-use jle_engine::{PerStation, Protocol, SimConfig};
+use jle_engine::{run_cohort, run_fast_exact, PerStation, Protocol, RunReport, SimConfig};
 use jle_radio::CdModel;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::{ArssMacProtocol, BackoffProtocol, LeskProtocol, LesuProtocol, WillardProtocol};
+use crate::{
+    lewk, lewu, ArssMacProtocol, BackoffProtocol, LeskProtocol, LesuProtocol, WillardProtocol,
+};
 
 /// Which engine an election tree runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,6 +92,17 @@ pub enum ProtoParams {
         /// The per-cluster LESK ε parameter.
         eps: f64,
     },
+    /// [`lewk`]: LESK with weak-CD leader notification. Per-station only,
+    /// so no election tree carries it and the cohort engine refuses it.
+    #[serde(rename = "lewk")]
+    Lewk {
+        /// The protocol's ε parameter.
+        eps: f64,
+    },
+    /// [`lewu`]: LESU with weak-CD leader notification. Per-station only,
+    /// like [`ProtoParams::Lewk`].
+    #[serde(rename = "lewu")]
+    Lewu,
 }
 
 /// The protocols an [`ElectionParams`] tree may name.
@@ -109,6 +126,8 @@ impl ProtoParams {
             ProtoParams::Willard => "willard",
             ProtoParams::Arss { .. } => "arss",
             ProtoParams::Cluster { .. } => "cluster",
+            ProtoParams::Lewk { .. } => "lewk",
+            ProtoParams::Lewu => "lewu",
         }
     }
 
@@ -128,8 +147,15 @@ impl ProtoParams {
         }
     }
 
+    /// Whether only the per-station engines run it: the notification
+    /// wrappers and the per-cluster election have no uniform cohort.
+    pub fn per_station(&self) -> bool {
+        matches!(self, ProtoParams::Lewk { .. } | ProtoParams::Lewu | ProtoParams::Cluster { .. })
+    }
+
     /// The per-station factory the single-channel per-station engines
-    /// take: every station runs the protocol through [`PerStation`].
+    /// take: every station runs the protocol through [`PerStation`] (the
+    /// notification wrappers are per-station protocols already).
     ///
     /// # Panics
     /// The returned factory panics for [`ProtoParams::Cluster`], which has
@@ -146,6 +172,8 @@ impl ProtoParams {
                 ProtoParams::Arss { gamma } => {
                     Box::new(PerStation::new(ArssMacProtocol::new(gamma)))
                 }
+                ProtoParams::Lewk { eps } => Box::new(lewk(eps)),
+                ProtoParams::Lewu => Box::new(lewu()),
                 ProtoParams::Cluster { .. } => panic!("{}", CLUSTER_IS_MULTIHOP),
             }
         }
@@ -175,14 +203,18 @@ pub fn lesk_station(eps: f64, u0: Option<f64>, divisor: Option<f64>) -> LeskProt
 pub const CLUSTER_IS_MULTIHOP: &str =
     "proto `cluster` runs one election per topology cluster, on the multihop engine only";
 
+#[doc(hidden)]
+pub const NOT_UNIFORM: &str =
+    "protos `cluster`, `lewk` and `lewu` run per station: the cohort engine cannot run them";
+
 /// Evaluate `$body` once per uniform protocol of a [`ProtoParams`], with
 /// `$make` bound to a constructor (`impl Fn() -> U`) of that protocol, so
 /// each arm calls a generic engine entry point such as `run_cohort` or
 /// `run_batch_uniform` monomorphised for its protocol: no `match` on the
 /// protocol runs inside the engine's slot loop.
 ///
-/// Panics for [`ProtoParams::Cluster`], which is not a uniform protocol;
-/// [`ElectionParams::decode`] never yields it.
+/// Panics for the per-station protocols ([`ProtoParams::per_station`]);
+/// [`ElectionParams::decode`] never yields them.
 #[macro_export]
 macro_rules! with_uniform_proto {
     ($proto:expr, $make:ident => $body:expr) => {
@@ -207,9 +239,9 @@ macro_rules! with_uniform_proto {
                 let $make = move || $crate::ArssMacProtocol::new(gamma);
                 $body
             }
-            $crate::ProtoParams::Cluster { .. } => {
-                panic!("{}", $crate::params::CLUSTER_IS_MULTIHOP)
-            }
+            $crate::ProtoParams::Cluster { .. }
+            | $crate::ProtoParams::Lewk { .. }
+            | $crate::ProtoParams::Lewu => panic!("{}", $crate::params::NOT_UNIFORM),
         }
     };
 }
@@ -246,14 +278,15 @@ impl ElectionParams {
         ElectionParams { kind: ElectionKind::Cohort, n, cd, adv, max_slots, proto }
     }
 
-    /// Decode an election tree (module docs). A `cluster` protocol is
-    /// refused as an unknown variant: it is not a single-channel election;
-    /// so are the local-only shapes ([`ProtoParams::portable`]).
-    /// `n == 0` is refused with [`ZERO_STATIONS`].
+    /// Decode an election tree (module docs). The per-station protocols
+    /// (`cluster`, `lewk`, `lewu`) are refused as unknown variants: no
+    /// election tree carries them; so are the local-only shapes
+    /// ([`ProtoParams::portable`]). `n == 0` is refused with
+    /// [`ZERO_STATIONS`].
     pub fn decode(tree: &Value) -> Result<Self, serde::Error> {
         let params = Self::from_json_value(tree)?;
-        if let ProtoParams::Cluster { .. } = params.proto {
-            return Err(serde::Error::unknown_variant("cluster", ELECTION_PROTOS));
+        if params.proto.per_station() {
+            return Err(serde::Error::unknown_variant(params.proto.label(), ELECTION_PROTOS));
         }
         params.proto.portable()?;
         if params.n == 0 {
@@ -265,5 +298,22 @@ impl ElectionParams {
     /// The run's [`SimConfig`], before a seed is set.
     pub fn config(&self) -> SimConfig {
         SimConfig::new(self.n, self.cd).with_max_slots(self.max_slots)
+    }
+
+    /// Run the election for `seed`, with no observer attached: a cohort
+    /// election on [`run_cohort`], an exact one on [`run_fast_exact`].
+    ///
+    /// # Panics
+    /// A cohort election panics for a per-station protocol
+    /// ([`ProtoParams::per_station`]); [`ElectionParams::decode`] never
+    /// yields one.
+    pub fn run(&self, seed: u64) -> RunReport {
+        let config = self.config().with_seed(seed);
+        match self.kind {
+            ElectionKind::Cohort => {
+                with_uniform_proto!(self.proto, make => run_cohort(&config, &self.adv, make))
+            }
+            ElectionKind::Exact => run_fast_exact(&config, &self.adv, self.proto.station_factory()),
+        }
     }
 }

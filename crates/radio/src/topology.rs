@@ -348,13 +348,28 @@ impl Topology {
         let n32 = Self::check_n(n)?;
         let pts = unit_disk_positions(n, seed);
         let r2 = radius * radius;
+        // Bucket the points on a grid of cells at least 2·radius wide (and
+        // at most about n cells), so a pair within reach sits in the same
+        // or a neighbouring cell: the all-pairs edge set, without testing
+        // all pairs.
+        let cells = ((0.5 / radius) as usize).min((n as f64).sqrt() as usize).max(1);
+        let cell = |x: f64| ((x * cells as f64) as usize).min(cells - 1);
+        let mut buckets = vec![Vec::new(); cells * cells];
+        for (i, &(x, y)) in pts.iter().enumerate() {
+            buckets[cell(y) * cells + cell(x)].push(i);
+        }
         let mut arcs = Vec::new();
-        for i in 0..n as usize {
-            for j in (i + 1)..n as usize {
-                let (dx, dy) = (pts[i].0 - pts[j].0, pts[i].1 - pts[j].1);
-                if dx * dx + dy * dy <= r2 {
-                    arcs.push((i as u32, j as u32));
-                    arcs.push((j as u32, i as u32));
+        for (i, &(x, y)) in pts.iter().enumerate() {
+            let (cx, cy) = (cell(x), cell(y));
+            for gy in cy.saturating_sub(1)..=(cy + 1).min(cells - 1) {
+                for gx in cx.saturating_sub(1)..=(cx + 1).min(cells - 1) {
+                    for &j in buckets[gy * cells + gx].iter().filter(|&&j| j > i) {
+                        let (dx, dy) = (pts[i].0 - pts[j].0, pts[i].1 - pts[j].1);
+                        if dx * dx + dy * dy <= r2 {
+                            arcs.push((i as u32, j as u32));
+                            arcs.push((j as u32, i as u32));
+                        }
+                    }
                 }
             }
         }
@@ -791,7 +806,8 @@ mod proptests {
 
     proptest! {
         /// Unit-disk generation is a pure function of its seed, and the
-        /// adjacency it produces is symmetric and simple.
+        /// adjacency it produces is symmetric, simple, and exactly the
+        /// pairs within the radius.
         #[test]
         fn unit_disk_pure_and_symmetric(n in 1u64..48, seed: u64, r_pct in 0u32..150) {
             let r = r_pct as f64 / 100.0;
@@ -799,11 +815,20 @@ mod proptests {
             let b = Topology::unit_disk(n, r, seed).unwrap();
             prop_assert_eq!(&a, &b);
             let g = a.graph().unwrap();
+            let pts = unit_disk_positions(n, seed);
             for u in 0..g.n() {
                 for &v in g.neighbors(u) {
                     prop_assert!(u != v, "no self-loops");
                     prop_assert!(g.neighbors(v).contains(&u), "symmetry");
                 }
+                // The grid finds exactly the all-pairs edge set.
+                let within = |v: u32| {
+                    let (i, j) = (u.min(v) as usize, u.max(v) as usize);
+                    let (dx, dy) = (pts[i].0 - pts[j].0, pts[i].1 - pts[j].1);
+                    v != u && dx * dx + dy * dy <= r * r
+                };
+                let want: Vec<u32> = (0..g.n()).filter(|&v| within(v)).collect();
+                prop_assert_eq!(g.neighbors(u), &want[..]);
             }
         }
 

@@ -36,8 +36,8 @@ use crate::sched::{ConnMetrics, Metrics, Out, Outcome, Sched};
 use crate::work;
 use jle_engine::RunReport;
 use jle_orchestrator::{
-    engine_salt, CancelToken, Event, Fingerprint, Interrupted, Orchestrator, Reporter, ResultStore,
-    WorkSpec, DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
+    engine_salt, CachePolicy, CancelToken, Event, Fingerprint, Interrupted, Orchestrator, Reporter,
+    ResultStore, WorkSpec, DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
 };
 use jle_protocols::ElectionParams;
 use jle_telemetry::{MetricRegistry, SpanGuard, SpanRecorder, TraceContext};
@@ -368,6 +368,8 @@ impl Shared {
         .jobs(self.config.mc_jobs)
         .salt(self.config.salt.clone())
         .engine_mode(work::engine_mode(&election))
+        // Reuse the chunks a cancelled job or a killed daemon left behind.
+        .policy(CachePolicy::Resume)
         .cancel_token(token)
         .metrics_registry(&self.registry)
         .tracer(tracer.clone())

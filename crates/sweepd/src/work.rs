@@ -16,7 +16,7 @@
 //! fingerprint that promises something else — silent cache poisoning.
 //! Clients fall back to local computation for unsupported trees.
 
-use jle_engine::{run_batch_uniform, run_cohort, run_fast_exact, RunReport};
+use jle_engine::{run_batch_uniform, RunReport};
 use jle_protocols::{with_uniform_proto, ElectionKind, ElectionParams};
 use serde::Value;
 
@@ -60,8 +60,8 @@ impl std::error::Error for WorkError {}
 /// * `kind == "cohort_election"` — the O(1)-per-slot cohort engine, as
 ///   the experiments' cohort units ([`ElectionParams::cohort`]) write it.
 /// * `kind == "exact_election"` — the same protocol run per-station
-///   through the fast-exact engine ([`run_fast_exact`]); eligible for
-///   batched execution via [`batch_fn`].
+///   through the fast-exact engine ([`jle_engine::run_fast_exact`]);
+///   eligible for batched execution via [`batch_fn`].
 ///
 /// The `proto` subtree names one of the uniform protocols:
 ///
@@ -85,20 +85,10 @@ pub fn decode(params: &Value) -> Result<ElectionParams, WorkError> {
     })
 }
 
-/// The per-trial closure of a decoded election.
+/// The per-trial closure of a decoded election: [`ElectionParams::run`].
 pub fn trial_fn(election: &ElectionParams) -> TrialFn {
-    let (config, adv) = (election.config(), election.adv.clone());
-    match election.kind {
-        ElectionKind::Cohort => with_uniform_proto!(election.proto, make => Box::new(
-            move |seed| run_cohort(&config.clone().with_seed(seed), &adv, make)
-        )),
-        ElectionKind::Exact => {
-            let proto = election.proto;
-            Box::new(move |seed| {
-                run_fast_exact(&config.clone().with_seed(seed), &adv, proto.station_factory())
-            })
-        }
-    }
+    let election = election.clone();
+    Box::new(move |seed| election.run(seed))
 }
 
 /// The batch closure of a decoded election, when its kind has a batch
@@ -170,7 +160,7 @@ pub fn is_supported(params: &Value) -> bool {
 mod tests {
     use super::*;
     use jle_adversary::AdversarySpec;
-    use jle_engine::SimConfig;
+    use jle_engine::{run_cohort, SimConfig};
     use jle_protocols::LeskProtocol;
     use jle_radio::CdModel;
     use serde::Serialize;

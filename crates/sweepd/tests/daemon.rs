@@ -2,8 +2,9 @@
 //!
 //! `a_sigkilled_daemon_resumes_from_its_store` is the daemon half of the
 //! store's crash check: a `jle-sweepd` SIGKILLed mid-unit, once its first
-//! chunk file has landed, restarts on the same store and answers the
-//! resubmitted unit with the bytes an ephemeral run gives.
+//! chunk file has landed, restarts on the same store, serves the chunks
+//! the killed run left from the store, and answers the resubmitted unit
+//! with the bytes an ephemeral run gives.
 //! `the_mini_soak_drops_no_frame` runs the 16-client soak in-process.
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
@@ -109,6 +110,12 @@ fn a_sigkilled_daemon_resumes_from_its_store() {
     child.kill().unwrap();
     child.wait().unwrap();
     assert_eq!(resumed.executed_trials + resumed.cached_trials, TRIALS);
+    assert!(
+        resumed.cached_trials >= 32,
+        "the landed chunks were recomputed: {} cached, {} executed",
+        resumed.cached_trials,
+        resumed.executed_trials
+    );
 
     let config = ServerConfig { workers: 1, mc_jobs: 2, ..ServerConfig::default() };
     let server = SweepServer::bind(&Endpoint::Tcp("127.0.0.1:0".into()), config).unwrap();

@@ -38,7 +38,7 @@ fn main() {
         let config = SimConfig::new(n, CdModel::Strong)
             .with_seed(17)
             .with_max_slots(horizon + 10)
-            .with_continue_past_singles(true);
+            .with_stop(StopRule::Horizon);
         let (_, proto) =
             run_cohort_with(&config, &adversary, || SizeApproxProtocol::new(eps, horizon));
         let est = proto.estimate_n();

@@ -56,7 +56,7 @@ fn size_approx_is_monotone_in_n() {
         let config = SimConfig::new(n, CdModel::Strong)
             .with_seed(3)
             .with_max_slots(horizon + 10)
-            .with_continue_past_singles(true);
+            .with_stop(StopRule::Horizon);
         let (_, proto) = run_cohort_with(&config, &AdversarySpec::passive(), || {
             SizeApproxProtocol::new(eps, horizon)
         });
