@@ -95,24 +95,36 @@ fn one_trace_id_across_client_sweepd_orchestrator_and_engine() {
     let addr = server.tcp_addr().unwrap();
     let handle = server.spawn();
 
-    let trace = dir.join("trace.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
-        .args(["--n", "64", "--protocol", "lesk", "--cd", "strong", "--adversary", "saturating"])
-        .args(["--adv-eps", "0.5", "--max-slots", "200000", "--trials", "8", "--seed", "3"])
-        .args(["--server", &format!("tcp:{addr}"), "--trace-out"])
-        .arg(&trace)
-        .output()
-        .expect("simulate runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-
-    let text = std::fs::read_to_string(&trace).expect("trace written");
-    let doc: Value = serde_json::from_str(&text).expect("trace parses");
-    let report = jle_lens::check_chrome_trace(&doc, 2_000).expect("a Chrome trace");
-    assert!(report.ok() && report.events > 0, "{:?}", report.violations);
-    assert!(report.categories.len() >= 4, "{:?}", report.categories);
+    // Cold, the unit runs as a job; warm, the store answers it at
+    // admission. Both traces carry the server's side of the work.
+    let traced_run = |name: &str| {
+        let trace = dir.join(name);
+        let out = Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(["--n", "64", "--protocol", "lesk", "--cd", "strong", "--adversary"])
+            .args(["saturating", "--adv-eps", "0.5", "--max-slots", "200000", "--trials", "8"])
+            .args(["--seed", "3", "--server", &format!("tcp:{addr}"), "--trace-out"])
+            .arg(&trace)
+            .output()
+            .expect("simulate runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = std::fs::read_to_string(&trace).expect("trace written");
+        let doc: Value = serde_json::from_str(&text).expect("trace parses");
+        let report = jle_lens::check_chrome_trace(&doc, 2_000).expect("a Chrome trace");
+        assert!(report.ok() && report.events > 0, "{name}: {:?}", report.violations);
+        (out.stdout, report)
+    };
+    let (cold_stdout, cold) = traced_run("trace.json");
+    assert!(cold.categories.len() >= 4, "{:?}", cold.categories);
     for cat in ["client", "sweepd", "orchestrator", "engine"] {
-        assert!(report.categories.iter().any(|c| c == cat), "no `{cat}` span: {report:?}");
+        assert!(cold.categories.iter().any(|c| c == cat), "no `{cat}` span: {cold:?}");
     }
+    let (warm_stdout, warm) = traced_run("trace-warm.json");
+    assert_eq!(warm_stdout, cold_stdout, "the served answer reports the same run");
+    for cat in ["client", "sweepd", "orchestrator"] {
+        assert!(warm.categories.iter().any(|c| c == cat), "no warm `{cat}` span: {warm:?}");
+    }
+    let unit_cache_hits = handle.registry().counter("jle_sweepd_unit_cache_hits_total", "").get();
+    assert_eq!(unit_cache_hits, 1, "the warm run is answered from the store");
 
     let mut scrape = String::new();
     let mut raw = TcpStream::connect(addr).unwrap();

@@ -20,7 +20,7 @@ use crate::fingerprint::{canonical_json, canonicalize, Fingerprint, WorkSpec};
 use crate::store::ResultStore;
 use crate::telemetry::{Event, Reporter, Stats, StatsSnapshot};
 use jle_engine::SlotCost;
-use jle_telemetry::{MetricRegistry, SpanRecorder};
+use jle_telemetry::{MetricRegistry, SpanGuard, SpanRecorder};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -416,6 +416,114 @@ impl Orchestrator {
         self.try_run_trials_batched(spec, trials, f).expect("interrupted without a chunk budget")
     }
 
+    /// Serve `trials` trials of `spec` from the store alone, or nothing.
+    ///
+    /// `key` is the unit's fingerprint under this orchestrator's salt and
+    /// result type `R` (what [`Self::fingerprint_hex`] names), computed
+    /// once by the caller. The chunks are probed in range order by the
+    /// loop a run's first phase uses, and every load check holds: a
+    /// shard that is corrupt, mis-keyed, mis-ranged, short or undecodable
+    /// is deleted and counts as missing. The probe stops at the first
+    /// missing chunk; a miss counts nothing, records no span and returns
+    /// `None`, as does an orchestrator without a store or under
+    /// [`CachePolicy::Off`] or [`CachePolicy::Force`]. A full hit counts,
+    /// reports and spans exactly what a warm [`Self::try_run_trials`] of
+    /// the unit does and returns the results in trial order.
+    pub fn recall<R>(&self, spec: &WorkSpec, key: &Fingerprint, trials: u64) -> Option<Vec<R>>
+    where
+        R: Deserialize,
+    {
+        self.readable_store()?;
+        let unit_started = Instant::now();
+        let unit_span = self.unit_span(spec);
+        let ranges = self.chunk_ranges(trials);
+        let cached: Vec<Option<Vec<R>>> = self.probe(key, &ranges, true);
+        if cached.iter().any(Option::is_none) {
+            unit_span.discard();
+            return None;
+        }
+        self.start_unit(spec, key, &ranges, &cached);
+        self.emit(&Event::UnitFinished {
+            experiment: &spec.experiment,
+            point: &spec.point,
+            key: key.hex(),
+            executed_trials: 0,
+            cached_trials: trials,
+            slots: 0,
+            wall_secs: unit_started.elapsed().as_secs_f64(),
+        });
+        Some(cached.into_iter().flatten().flatten().collect())
+    }
+
+    fn unit_span(&self, spec: &WorkSpec) -> SpanGuard {
+        self.tracer.span("orchestrator", format!("unit:{}/{}", spec.experiment, spec.point))
+    }
+
+    /// The store chunks are read from: none when the policy is `Off` or
+    /// `Force`.
+    fn readable_store(&self) -> Option<&ResultStore> {
+        match self.policy {
+            CachePolicy::Off | CachePolicy::Force => None,
+            _ => self.store.as_ref(),
+        }
+    }
+
+    /// A unit's first phase: load its chunks in range order, stopping
+    /// after the first miss when `stop_at_miss`. Chunks not loaded are
+    /// `None`.
+    fn probe<R: Deserialize>(
+        &self,
+        key: &Fingerprint,
+        ranges: &[(u64, u64)],
+        stop_at_miss: bool,
+    ) -> Vec<Option<Vec<R>>> {
+        let mut cached = Vec::with_capacity(ranges.len());
+        if let Some(store) = self.readable_store() {
+            for &(start, end) in ranges {
+                let chunk = store.load_chunk(key, start, end);
+                let missed = chunk.is_none();
+                cached.push(chunk);
+                if missed && stop_at_miss {
+                    break;
+                }
+            }
+        }
+        cached.resize_with(ranges.len(), || None);
+        cached
+    }
+
+    /// Count a probed unit (units, planned trials, chunk hits and
+    /// misses, cached trials) and announce it; returns its cached trials.
+    fn start_unit<R>(
+        &self,
+        spec: &WorkSpec,
+        key: &Fingerprint,
+        ranges: &[(u64, u64)],
+        cached: &[Option<Vec<R>>],
+    ) -> u64 {
+        let trials = ranges.last().map_or(0, |&(_, end)| end);
+        let mut cached_trials = 0;
+        for (&(start, end), c) in ranges.iter().zip(cached) {
+            if c.is_some() {
+                cached_trials += end - start;
+                self.stats.chunk_hits.add(1);
+            } else {
+                self.stats.chunk_misses.add(1);
+            }
+        }
+        self.stats.units.add(1);
+        self.stats.planned_trials.add(trials);
+        self.stats.cached_trials.add(cached_trials);
+        self.emit(&Event::UnitStarted {
+            experiment: &spec.experiment,
+            point: &spec.point,
+            key: key.hex(),
+            trials,
+            cached_trials,
+        });
+        cached_trials
+    }
+
     /// The shared unit body: cache probing, chunk accounting, telemetry,
     /// and checkpointing. Each missing chunk of length `len` is cut into
     /// pieces of `piece_width(len)` trials; `exec(start, len)` computes
@@ -433,8 +541,7 @@ impl Orchestrator {
         P: IntoIterator<Item = R> + Send,
     {
         let unit_started = Instant::now();
-        let _unit_span =
-            self.tracer.span("orchestrator", format!("unit:{}/{}", spec.experiment, spec.point));
+        let _unit_span = self.unit_span(spec);
         let key = Fingerprint::of(spec, &self.salt, std::any::type_name::<R>());
         let store = match self.policy {
             CachePolicy::Off => None,
@@ -442,51 +549,16 @@ impl Orchestrator {
         };
         let ranges = self.chunk_ranges(trials);
 
-        self.stats.units.add(1);
-        self.stats.planned_trials.add(trials);
-
-        // Phase 1: what does the store already hold?
-        let mut cached: Vec<Option<Vec<R>>> = Vec::with_capacity(ranges.len());
-        if let Some(store) = store.filter(|_| self.policy != CachePolicy::Force) {
-            for &(start, end) in &ranges {
-                let chunk = store.load_chunk(&key, start, end);
-                let missed = chunk.is_none();
-                cached.push(chunk);
-                // Complete recomputes a unit with any chunk missing, so
-                // the chunks after a miss need no probe.
-                if missed && self.policy == CachePolicy::Complete {
-                    break;
-                }
-            }
-        }
-        cached.resize_with(ranges.len(), || None);
-        // Under Complete, partial coverage is discarded wholesale so a
+        // Phase 1: what does the store already hold? Complete recomputes
+        // a unit with any chunk missing, so the chunks after a miss need
+        // no probe, and partial coverage is discarded wholesale so a
         // fresh run's shape never depends on leftover checkpoints.
-        if self.policy == CachePolicy::Complete && cached.iter().any(Option::is_none) {
-            for slot in &mut cached {
-                *slot = None;
-            }
+        let complete = self.policy == CachePolicy::Complete;
+        let mut cached: Vec<Option<Vec<R>>> = self.probe(&key, &ranges, complete);
+        if complete && cached.iter().any(Option::is_none) {
+            cached.fill_with(|| None);
         }
-
-        let cached_trials: u64 = ranges
-            .iter()
-            .zip(&cached)
-            .filter(|(_, c)| c.is_some())
-            .map(|(&(start, end), _)| end - start)
-            .sum();
-        for c in &cached {
-            let counter =
-                if c.is_some() { &self.stats.chunk_hits } else { &self.stats.chunk_misses };
-            counter.add(1);
-        }
-        self.stats.cached_trials.add(cached_trials);
-        self.emit(&Event::UnitStarted {
-            experiment: &spec.experiment,
-            point: &spec.point,
-            key: key.hex(),
-            trials,
-            cached_trials,
-        });
+        let cached_trials = self.start_unit(spec, &key, &ranges, &cached);
 
         // Phase 2: cut the missing chunks the budget lets run into pieces,
         // in range order; chunk `j` of `missing` owns `pieces[owned[j]]`.
@@ -728,6 +800,55 @@ mod tests {
         assert_eq!(snap.executed_trials, 0, "warm run must execute nothing");
         assert_eq!(snap.cached_trials, 50);
         assert_eq!(a, b);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recall_serves_and_counts_exactly_what_a_warm_run_does() {
+        let dir = tmp_dir("recall");
+        let cold = Orchestrator::with_cache_dir(&dir).unwrap().chunk_size(8);
+        let a: Vec<u64> = cold.run_trials(&spec(), 50, trial);
+        let key = Fingerprint::of(&spec(), DEFAULT_CODE_SALT, std::any::type_name::<u64>());
+
+        let warm = Orchestrator::with_cache_dir(&dir).unwrap().chunk_size(8);
+        let b: Vec<u64> = warm.run_trials(&spec(), 50, trial);
+        let tracer = SpanRecorder::new();
+        let served =
+            Orchestrator::with_cache_dir(&dir).unwrap().chunk_size(8).tracer(tracer.clone());
+        let c: Vec<u64> = served.recall(&spec(), &key, 50).expect("every chunk is stored");
+        assert_eq!((&a, &a), (&b, &c));
+        assert_eq!(served.stats_snapshot(), warm.stats_snapshot());
+        assert_eq!(served.stats_snapshot().chunk_hits, 7);
+        assert!(tracer.to_chrome_trace().contains("unit:eT/unit"));
+
+        // Force never reads the store, and no store means nothing to serve.
+        let forced =
+            Orchestrator::with_cache_dir(&dir).unwrap().chunk_size(8).policy(CachePolicy::Force);
+        assert_eq!(forced.recall::<u64>(&spec(), &key, 50), None);
+        assert_eq!(Orchestrator::ephemeral().recall::<u64>(&spec(), &key, 0), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_recall_miss_counts_nothing_and_leaves_no_span() {
+        let dir = tmp_dir("recall-miss");
+        let key = Fingerprint::of(&spec(), DEFAULT_CODE_SALT, std::any::type_name::<u64>());
+        // Leftovers of an interrupted run: 3 of 7 chunks.
+        let cold = Orchestrator::with_cache_dir(&dir).unwrap().chunk_size(8).chunk_budget(3);
+        cold.try_run_trials::<u64, _>(&spec(), 50, trial).unwrap_err();
+        // A corrupt shard before them.
+        let store = ResultStore::open(&dir).unwrap();
+        let first = store.chunk_path(&key, 0, 8);
+        std::fs::write(&first, b"{\"key\":").unwrap();
+
+        let tracer = SpanRecorder::new();
+        let orch = Orchestrator::with_cache_dir(&dir).unwrap().chunk_size(8).tracer(tracer.clone());
+        assert_eq!(orch.recall::<u64>(&spec(), &key, 50), None);
+        assert!(!first.exists(), "the corrupt shard is deleted, as on every load");
+        assert!(store.chunk_path(&key, 8, 16).exists(), "the probe stops at the first miss");
+        assert_eq!(orch.recall::<u64>(&spec(), &key, 50), None, "partial coverage is a miss");
+        assert_eq!(orch.stats_snapshot(), StatsSnapshot::default());
+        assert!(tracer.is_empty() && tracer.open_spans() == 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
 //! The decision core of the sweep service: admission (dedup → queue
-//! bound → fair share), subscribe, status, cancel, disconnect,
-//! `pick_next`, progress throttling, terminal delivery and the shutdown
-//! drain.
+//! bound → fair share), answers served from the store at admission,
+//! subscribe, status, cancel, disconnect, `pick_next`, progress
+//! throttling, terminal delivery and the shutdown drain.
 //!
 //! [`Sched`] is one plain `&mut self` state machine. It takes no lock,
 //! opens no socket, starts no thread and reads no clock (`now` is passed
@@ -39,6 +39,14 @@ pub(crate) enum Outcome {
     Cancelled { completed_trials: u64 },
     /// It could not run (a trial panicked).
     Failed(String),
+}
+
+/// A unit the store held whole, recalled and rendered by the shell at
+/// admission: answered at once, without a job.
+pub(crate) struct Stored {
+    pub(crate) key: String,
+    pub(crate) results: Arc<RawValue>,
+    pub(crate) spans: Option<Arc<RawValue>>,
 }
 
 /// One connection's interest in one job.
@@ -114,7 +122,7 @@ impl Metrics {
             jobs_failed: reg.counter("jle_sweepd_jobs_failed_total", "jobs failed"),
             unit_cache_hits: reg.counter(
                 "jle_sweepd_unit_cache_hits_total",
-                "jobs answered entirely from the warm result store",
+                "units answered entirely from the warm result store, at admission or by a job",
             ),
             connections: reg.counter("jle_sweepd_connections_total", "client connections accepted"),
             queue_depth: reg.gauge("jle_sweepd_queue_depth", "jobs waiting for a worker"),
@@ -125,7 +133,7 @@ impl Metrics {
             ),
             queue_wait_us: reg.histogram(
                 "jle_sweepd_queue_wait_us",
-                "admission-to-worker-pickup wait per job, microseconds",
+                "admission-to-worker-pickup wait per queued job, microseconds",
             ),
             dedup_shortcircuit_us: reg.histogram(
                 "jle_sweepd_dedup_shortcircuit_us",
@@ -133,11 +141,11 @@ impl Metrics {
             ),
             execute_us: reg.histogram(
                 "jle_sweepd_execute_us",
-                "orchestrator execution time per job, microseconds",
+                "orchestrator execution time per job or admission-time recall, microseconds",
             ),
             deliver_us: reg.histogram(
                 "jle_sweepd_deliver_us",
-                "result rendering + subscriber fan-out time per job, microseconds",
+                "result rendering + subscriber fan-out time per job or served answer, microseconds",
             ),
         }
     }
@@ -287,7 +295,8 @@ impl<W> Sched<W> {
                     .dedup_shortcircuit_us
                     .observe(micros(now.saturating_duration_since(received)));
                 cm.dedup.inc();
-                return self.accept(conn, req_id, key, trials, true);
+                self.accept(conn, req_id, key, trials, true);
+                return false;
             }
             let depth = self.queue.len();
             if depth >= self.max_queue {
@@ -317,20 +326,63 @@ impl<W> Sched<W> {
             self.by_key.insert(key.clone(), self.next_id);
             self.queue.push_back(self.next_id);
             self.set_gauges();
-            return self.accept(conn, req_id, key, trials, false);
+            self.accept(conn, req_id, key, trials, false);
+            return true;
         };
-        cm.rejected.inc();
-        self.send(conn, ServerFrame::Rejected { id: req_id, reason, retry_after_ms });
+        self.refuse(conn, req_id, reason, retry_after_ms);
         false
     }
 
-    /// Count an admission and answer it; returns whether it queued a job.
-    fn accept(&mut self, conn: u64, req_id: u64, key: String, trials: u64, dedup: bool) -> bool {
+    /// Answer a submission the store holds whole: `accepted` and its
+    /// `result` in one drain. It takes no queue slot and no fair share,
+    /// and is refused only while shutting down. It counts as a warm job
+    /// does: a submission, a unit cache hit, a completed job, its first
+    /// event, a result. Serving while a job of the same key is in flight
+    /// is sound: results are deterministic per fingerprint.
+    pub(crate) fn serve(
+        &mut self,
+        conn: u64,
+        req_id: u64,
+        trials: u64,
+        stored: Stored,
+        received: Instant,
+        now: Instant,
+    ) {
+        if self.shutting_down {
+            return self.refuse(conn, req_id, "server shutting down".to_string(), 0);
+        }
+        let Stored { key, results, spans } = stored;
+        self.accept(conn, req_id, key.clone(), trials, false);
+        let waited = now.saturating_duration_since(received);
+        self.m.unit_cache_hits.inc();
+        self.m.jobs_completed.inc();
+        self.m.first_chunk_latency_us.observe(micros(waited));
+        self.conns[&conn].results.inc();
+        let frame = ServerFrame::Result {
+            id: req_id,
+            key,
+            trials,
+            executed_trials: 0,
+            cached_trials: trials,
+            wall_secs: waited.as_secs_f64(),
+            results,
+            spans,
+        };
+        self.send(conn, frame);
+    }
+
+    /// Count an admission and answer it.
+    fn accept(&mut self, conn: u64, req_id: u64, key: String, trials: u64, dedup: bool) {
         self.m.submissions.inc();
         self.conns[&conn].submissions.inc();
         let queue_depth = self.queue.len() as u64;
         self.send(conn, ServerFrame::Accepted { id: req_id, key, trials, dedup, queue_depth });
-        !dedup
+    }
+
+    /// Count a refused submission and answer it.
+    fn refuse(&mut self, conn: u64, req_id: u64, reason: String, retry_after_ms: u64) {
+        self.conns[&conn].rejected.inc();
+        self.send(conn, ServerFrame::Rejected { id: req_id, reason, retry_after_ms });
     }
 
     /// Attach `conn` to the in-flight job of `key`.
@@ -586,6 +638,8 @@ mod tests {
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Kind {
         Submit,
+        /// A submission the store holds whole: answered at admission.
+        Serve,
         Subscribe,
         /// `status` and `cancel`: one reply, no job frames.
         Query,
@@ -620,6 +674,8 @@ mod tests {
         shutdown: bool,
         now: Instant,
         completed: u64,
+        /// Units answered whole from the store: served, or a job's warm start.
+        cache_hits: u64,
     }
 
     impl Model {
@@ -643,6 +699,7 @@ mod tests {
                 shutdown: false,
                 now: Instant::now(),
                 completed: 0,
+                cache_hits: 0,
             };
             for slot in 0..SLOTS {
                 model.slots[slot] = model.connect();
@@ -701,6 +758,19 @@ mod tests {
                 let wanting = self.wanting(&key);
                 let conn = &mut self.conns[i];
                 match &frame {
+                    ServerFrame::Accepted { dedup, key: k, .. } if kind == Kind::Serve => {
+                        check!(*k == key, "accepted names {k}, the request {key}");
+                        // Served answers never attach to in-flight work.
+                        check!(!dedup, "served {key} as a dedup");
+                        conn.open.insert(id, key);
+                    }
+                    ServerFrame::Result { executed_trials, cached_trials, trials, .. }
+                        if kind == Kind::Serve =>
+                    {
+                        check!(*executed_trials == 0, "served {key} executed {executed_trials}");
+                        check!(*cached_trials == *trials, "served {cached_trials} of {trials}");
+                        check!(conn.open.remove(&id).is_some(), "{frame:?} before its accepted");
+                    }
                     ServerFrame::Accepted { dedup, key: k, .. } => {
                         check!(*k == key, "accepted names {k}, the request {key}");
                         // A fresh job only when nobody is owed one already,
@@ -734,12 +804,20 @@ mod tests {
                         check!(*subscribers == want, "status: {subscribers} subscribers of {want}");
                         check!((state == "unknown") == (want == 0), "status {state} for {key}");
                     }
+                    ServerFrame::Rejected { .. } if kind == Kind::Serve => {
+                        check!(self.shutdown, "served request {id} refused before shutdown")
+                    }
                     ServerFrame::Rejected { .. } => {
                         check!(kind == Kind::Submit, "rejected {kind:?}")
                     }
                     other => return Err(format!("the core never decides {other:?}")),
                 }
                 conn.frames.push(frame);
+            }
+            // A served request got its `result` in the drain that accepted it.
+            for conn in &self.conns {
+                let owed = conn.open.keys().find(|id| conn.reqs[id].1 == Kind::Serve);
+                check!(owed.is_none(), "served request {owed:?} still open after its drain");
             }
             // Admission stays inside the fair share.
             for conn in self.conns.iter().filter(|c| c.live) {
@@ -792,6 +870,7 @@ mod tests {
                         *done += 1 + arg % 3;
                         let (experiment, point, key, end) = ("e", "p", "k", *done);
                         let event = if arg >> 32 & 7 == 0 {
+                            self.cache_hits += 1;
                             Event::UnitStarted {
                                 experiment,
                                 point,
@@ -820,6 +899,22 @@ mod tests {
                 39 if arg >> 60 == 0 => {
                     self.shutdown = true;
                     self.sched.shutdown();
+                }
+                // A stored unit, possibly one a job is computing right now.
+                40..=43 => {
+                    let trials = if arg >> 24 & 7 == 0 { 8 } else { 4 };
+                    let (conn, req) = self.request(slot, key, Kind::Serve);
+                    let results = serde_json::value::to_raw_value(&vec![trials]).expect("json");
+                    let stored =
+                        Stored { key: key.to_string(), results: results.into(), spans: None };
+                    let before = (self.sched.queue.len(), self.sched.jobs.len());
+                    self.sched.serve(conn, req, trials, stored, self.now, self.now);
+                    let after = (self.sched.queue.len(), self.sched.jobs.len());
+                    check!(before == after, "serving took a queue slot: {before:?} → {after:?}");
+                    if !self.shutdown {
+                        self.completed += 1;
+                        self.cache_hits += 1;
+                    }
                 }
                 _ => {}
             }
@@ -867,7 +962,9 @@ mod tests {
                 for frame in &conn.frames {
                     let kind = conn.reqs[&frame.id()].1;
                     let name = match frame {
-                        ServerFrame::Accepted { dedup, .. } if kind == Kind::Submit => {
+                        ServerFrame::Accepted { dedup, .. }
+                            if matches!(kind, Kind::Submit | Kind::Serve) =>
+                        {
                             *sent.entry("dedup").or_default() += *dedup as u64;
                             "submissions"
                         }
@@ -895,6 +992,7 @@ mod tests {
             check!(counter("jle_sweepd_submissions_total") == total["submissions"], "submissions");
             check!(counter("jle_sweepd_dedup_hits_total") == total["dedup"], "dedup hits");
             check!(counter("jle_sweepd_jobs_completed_total") == self.completed, "completed");
+            check!(counter("jle_sweepd_unit_cache_hits_total") == self.cache_hits, "cache hits");
             Ok(())
         }
     }
@@ -926,7 +1024,7 @@ mod tests {
         fn seeded_schedules_keep_every_invariant(
             limits in (1usize..4, 1usize..5, 1usize..4),
             progress_ms in 0u64..40,
-            ops in proptest::collection::vec((0u8..40, any::<u64>()), 1..160),
+            ops in proptest::collection::vec((0u8..44, any::<u64>()), 1..160),
         ) {
             let (workers, max_queue, share) = limits;
             let mut model = Model::new(workers, max_queue, share, progress_ms);

@@ -7,15 +7,17 @@
 //! ```text
 //!  conn threads (1/client)        Mutex<Locked> + Condvar        worker pool
 //!  ───────────────────────        ────────────────────────       ──────────────────
-//!  reader: JSONL frames ───────►  Sched: admission, dedup,  ◄──  pick_next, report,
-//!                                 fair share, cancel, drain      finish
+//!  reader: JSONL frames ───────►  Sched: admission, serve,  ◄──  pick_next, report,
+//!    (stored unit: recall,        dedup, fair share,             finish
+//!     render, then serve)         cancel, drain
 //!  writer: mpsc queue  ◄────────  outbox, carried out             per-job
 //!  per-conn MetricRegistry        before the lock is released    Orchestrator
 //! ```
 //!
 //! Every decision is one call on the core under the one lock, and the
 //! frames it decides reach the writer queues before the lock is
-//! released, so they leave in the order they were decided. Every job
+//! released, so they leave in the order they were decided; the frames
+//! one decision makes for one connection go as one message. Every job
 //! runs through its own cheap [`Orchestrator`] over the one shared
 //! [`ResultStore`] and the one shared [`MetricRegistry`], so
 //! `jle_orchestrator_*` counters aggregate across clients; chunk writes
@@ -24,15 +26,20 @@
 //! but the next job always goes to the submitter with the fewest jobs
 //! currently running.
 //!
+//! A unit the store already holds whole is answered at admission: the
+//! connection thread that read its `submit` recalls it (every chunk
+//! check applies), renders the reports once and hands them to the core,
+//! which sends `accepted` and `result` together. Such an answer takes no
+//! queue slot, no fair share and no worker. Any miss — a fresh unit, a
+//! partial leftover, a corrupt shard — is queued as a job.
+//!
 //! Dedup is **in-flight only**: a submission whose fingerprint matches a
 //! queued or running job that still has a subscriber attaches as an
 //! additional subscriber (one computation, many byte-identical result
-//! frames). Re-submission after completion instead hits the warm store
-//! through the orchestrator — a unit cache hit, served in one chunk-load
-//! pass.
+//! frames). Re-submission after completion is answered from the store.
 
 use crate::protocol::{read_line, ClientFrame, LineRead, ServerFrame, PROTOCOL_VERSION};
-use crate::sched::{ConnMetrics, Metrics, Out, Outcome, Sched};
+use crate::sched::{ConnMetrics, Metrics, Out, Outcome, Sched, Stored};
 use crate::work;
 use jle_engine::RunReport;
 use jle_orchestrator::{
@@ -239,20 +246,28 @@ struct Locked {
 }
 
 impl Locked {
-    /// Carry out the core's decisions, in the order it made them.
+    /// Carry out the core's decisions, in the order it made them. The
+    /// frames decided for one connection go to its writer as one message,
+    /// so an `accepted` and the `result` served with it leave in one
+    /// write and reach the client in one wake-up.
     fn flush(&mut self) {
+        let mut texts: Vec<(u64, String)> = Vec::new();
         for out in self.sched.drain() {
             match out {
-                Out::Frame(conn, frame) => {
-                    if let Some(tx) = self.outboxes.get(&conn) {
-                        let _ = tx.send(wire(&frame));
-                    }
-                }
+                Out::Frame(conn, frame) => match texts.iter_mut().find(|(c, _)| *c == conn) {
+                    Some((_, text)) => text.push_str(&wire(&frame)),
+                    None => texts.push((conn, wire(&frame))),
+                },
                 Out::Cancel(job) => {
                     if let Some(token) = self.tokens.get(&job) {
                         token.cancel();
                     }
                 }
+            }
+        }
+        for (conn, text) in texts {
+            if let Some(tx) = self.outboxes.get(&conn) {
+                let _ = tx.send(text);
             }
         }
     }
@@ -295,14 +310,9 @@ impl Shared {
         self.work_cv.notify_all();
     }
 
-    /// The store key `run_job`'s orchestrator files `spec` under, so
-    /// `accepted`/`result` frames name a real store entry.
-    fn fingerprint(&self, spec: &WorkSpec, election: &ElectionParams) -> String {
-        let salt = engine_salt(&self.config.salt, work::engine_mode(election));
-        Fingerprint::of(spec, &salt, std::any::type_name::<RunReport>()).hex().to_string()
-    }
-
-    /// Decode and fingerprint a submission, then let the core admit it.
+    /// Decode and fingerprint a submission once. A unit the store holds
+    /// whole is recalled and answered here, on the connection's thread;
+    /// any other goes to the core's admission and, when fresh, the queue.
     fn submit(
         &self,
         client: u64,
@@ -317,8 +327,24 @@ impl Shared {
             None => SpanRecorder::disabled(),
         };
         let admission_span = tracer.span("sweepd", "admission");
-        let unit = work::decode(&spec.params).map_err(|e| e.to_string()).map(|election| {
-            let key = self.fingerprint(&spec, &election);
+        let decoded = work::decode(&spec.params).map_err(|e| e.to_string()).map(|election| {
+            // The store key the orchestrator files `spec` under, so
+            // `accepted`/`result` frames name a real store entry.
+            let salt = engine_salt(&self.config.salt, work::engine_mode(&election));
+            let key = Fingerprint::of(&spec, &salt, std::any::type_name::<RunReport>());
+            (election, key)
+        });
+        if let Ok((election, key)) = &decoded {
+            if let Some((stored, recalled_at)) = self.recall(&spec, election, key, trials, &tracer)
+            {
+                self.with(|st| {
+                    st.sched.serve(client, req_id, trials, stored, received, Instant::now())
+                });
+                self.m.deliver_us.observe(recalled_at.elapsed().as_micros() as u64);
+                return;
+            }
+        }
+        let unit = decoded.map(|(election, key)| {
             let make = move || {
                 // Close the admission span and open the queue-wait span,
                 // which stays open until worker pickup.
@@ -326,13 +352,67 @@ impl Shared {
                 let queue_span = tracer.span("sweepd", "queue-wait");
                 Work { spec, election, trials, tracer, queue_span }
             };
-            (key, make)
+            (key.hex().to_string(), make)
         });
         let fresh =
             self.with(|st| st.sched.submit(client, req_id, trials, unit, received, Instant::now()));
         if fresh {
             self.work_cv.notify_one();
         }
+    }
+
+    /// The answer to a unit the store holds whole: its reports, and its
+    /// spans when traced, rendered once; with the instant the recall
+    /// ended, where delivery starts. `None`, leaving no span, count or
+    /// observation behind, on any miss: then the unit is queued as usual.
+    fn recall(
+        &self,
+        spec: &WorkSpec,
+        election: &ElectionParams,
+        key: &Fingerprint,
+        trials: u64,
+        tracer: &SpanRecorder,
+    ) -> Option<(Stored, Instant)> {
+        let store = self.store.as_ref()?;
+        let execute_span = tracer.span("sweepd", "execute");
+        let started = Instant::now();
+        let Some(reports) =
+            self.orchestrator(Some(store), election, tracer).recall::<RunReport>(spec, key, trials)
+        else {
+            execute_span.discard();
+            return None;
+        };
+        let recalled_at = Instant::now();
+        self.m.execute_us.observe(recalled_at.duration_since(started).as_micros() as u64);
+        drop(execute_span);
+        let _deliver_span = tracer.span("sweepd", "deliver");
+        let results = to_raw_value(&reports).expect("report serialization").into();
+        let spans = tracer
+            .is_enabled()
+            .then(|| to_raw_value(&tracer.export_events()).expect("span serialization").into());
+        Some((Stored { key: key.hex().to_string(), results, spans }, recalled_at))
+    }
+
+    /// An orchestrator for one unit of `election` over the shared store
+    /// and registry, spanning on `tracer`. It reuses the chunks a
+    /// cancelled job or a killed daemon left behind.
+    fn orchestrator(
+        &self,
+        store: Option<&ResultStore>,
+        election: &ElectionParams,
+        tracer: &SpanRecorder,
+    ) -> Orchestrator {
+        match store {
+            Some(store) => Orchestrator::with_store(store.clone()),
+            None => Orchestrator::ephemeral(),
+        }
+        .chunk_size(self.config.chunk_size)
+        .jobs(self.config.mc_jobs)
+        .salt(self.config.salt.clone())
+        .engine_mode(work::engine_mode(election))
+        .policy(CachePolicy::Resume)
+        .metrics_registry(&self.registry)
+        .tracer(tracer.clone())
     }
 
     fn worker_loop(self: &Arc<Self>) {
@@ -360,20 +440,10 @@ impl Shared {
         let execute_span = tracer.span("sweepd", "execute");
         let execute_span_id = execute_span.id();
         let executed_at = Instant::now();
-        let orch = match &self.store {
-            Some(store) => Orchestrator::with_store(store.clone()),
-            None => Orchestrator::ephemeral(),
-        }
-        .chunk_size(self.config.chunk_size)
-        .jobs(self.config.mc_jobs)
-        .salt(self.config.salt.clone())
-        .engine_mode(work::engine_mode(&election))
-        // Reuse the chunks a cancelled job or a killed daemon left behind.
-        .policy(CachePolicy::Resume)
-        .cancel_token(token)
-        .metrics_registry(&self.registry)
-        .tracer(tracer.clone())
-        .reporter(JobReporter { shared: Arc::clone(self), id });
+        let orch = self
+            .orchestrator(self.store.as_ref(), &election, &tracer)
+            .cancel_token(token)
+            .reporter(JobReporter { shared: Arc::clone(self), id });
         // Kinds with a bit-identical batch backend run whole seed batches
         // per slot-loop pass; everything else stays on the per-trial
         // path. Either way the chunk layout, seeding, and fingerprints

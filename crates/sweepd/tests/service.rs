@@ -160,6 +160,9 @@ fn full_queue_rejects_with_retry_after() {
         c.client_share = 64;
     });
     let mut client = SweepClient::connect(&endpoint).unwrap();
+    let stored = quick_spec("stored", 4);
+    let cold = client.submit_and_wait(&stored, 4, 8, |_| {}).unwrap();
+    assert_eq!(cold.executed_trials, 4);
     let blocker = client.submit(&blocker_spec(), BLOCKER_TRIALS).unwrap();
     // Let the single worker pick the blocker up so the queue is empty...
     assert!(wait_until(Duration::from_secs(5), || {
@@ -176,6 +179,18 @@ fn full_queue_rejects_with_retry_after() {
         }
         other => panic!("expected Rejected, got {other:?}"),
     }
+    // A unit the store holds whole needs no queue slot: it is answered
+    // at admission while the queue is still full.
+    let warm = client.submit(&stored, 4).expect("a stored unit is not refused");
+    assert!(!warm.dedup);
+    let warm = client.wait(&warm, |_| {}).unwrap();
+    assert_eq!((warm.executed_trials, warm.cached_trials), (0, 4));
+    assert_eq!(
+        serde_json::to_string(&cold.results).unwrap(),
+        serde_json::to_string(&warm.results).unwrap(),
+        "the served answer has the cold run's bytes"
+    );
+    assert_eq!(handle.registry().gauge("jle_sweepd_queue_depth", "").get(), 2.0);
     assert_eq!(counter(&handle, "jle_sweepd_rejected_queue_full_total"), 1);
     let _ = client.wait(&blocker, |_| {});
     handle.shutdown().unwrap();
@@ -241,6 +256,37 @@ fn warm_resubmit_is_a_unit_cache_hit() {
         "cache replay is byte-identical"
     );
     assert_eq!(counter(&handle, "jle_sweepd_unit_cache_hits_total"), 1);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+/// A stored unit with a damaged shard is not served at admission: the
+/// probe deletes the shard, and the queued job recomputes that chunk
+/// alone, with the cold run's bytes, and writes it back.
+#[test]
+fn a_truncated_shard_is_recomputed_not_served() {
+    let (handle, endpoint, cache) = start("truncated", |c| c.chunk_size = 4);
+    let mut client = SweepClient::connect(&endpoint).unwrap();
+    let spec = quick_spec("truncated", 66);
+    let cold = client.submit_and_wait(&spec, 8, 8, |_| {}).unwrap();
+    assert_eq!(cold.executed_trials, 8);
+
+    let key = Fingerprint::of(&spec, DEFAULT_CODE_SALT, std::any::type_name::<RunReport>());
+    let store = ResultStore::open(&cache).unwrap();
+    let shard = store.chunk_path(&key, 4, 8);
+    let bytes = std::fs::read(&shard).unwrap();
+    std::fs::write(&shard, &bytes[..bytes.len() / 2]).unwrap();
+
+    let again = client.submit_and_wait(&spec, 8, 8, |_| {}).unwrap();
+    assert_eq!((again.executed_trials, again.cached_trials), (4, 4));
+    assert_eq!(
+        serde_json::to_string(&cold.results).unwrap(),
+        serde_json::to_string(&again.results).unwrap(),
+        "the recomputed chunk has the cold run's bytes"
+    );
+    assert_eq!(std::fs::read(&shard).unwrap(), bytes, "the shard is rewritten whole");
+    assert_eq!(counter(&handle, "jle_sweepd_unit_cache_hits_total"), 0);
+    assert_eq!(counter(&handle, "jle_sweepd_jobs_completed_total"), 2);
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(cache);
 }

@@ -428,6 +428,14 @@ impl SpanGuard {
     pub fn id(&self) -> u64 {
         self.recorder.as_ref().map_or(0, |(_, id)| *id)
     }
+
+    /// End the span without recording it: for work that turned out not
+    /// to happen (a probe that missed), so no export ever shows it.
+    pub fn discard(mut self) {
+        if let Some((inner, id)) = self.recorder.take() {
+            inner.state.lock().expect("span buffer").open.retain(|o| o.id != id);
+        }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -522,6 +530,19 @@ mod tests {
         };
         assert_eq!(tid("main-1"), tid("main-2"), "same thread, same tid");
         assert_ne!(tid("main-1"), tid("worker"), "different thread, different tid");
+    }
+
+    #[test]
+    fn a_discarded_span_is_never_exported() {
+        let rec = SpanRecorder::new();
+        let kept = rec.span("worker", "kept");
+        rec.span("worker", "probe").discard();
+        assert_eq!(rec.open_spans(), 1);
+        drop(kept);
+        let trace = rec.to_chrome_trace();
+        assert_eq!(rec.len(), 1, "{trace}");
+        assert!(trace.contains("kept") && !trace.contains("probe"), "{trace}");
+        SpanRecorder::disabled().span("worker", "noop").discard();
     }
 
     #[test]
