@@ -39,8 +39,8 @@ pub mod telemetry;
 
 pub use fingerprint::{canonical_json, canonicalize, Fingerprint, WorkSpec};
 pub use scheduler::{
-    engine_salt, CachePolicy, CancelToken, Interrupted, Orchestrator, DEFAULT_CHUNK_SIZE,
-    DEFAULT_CODE_SALT,
+    engine_salt, CachePolicy, CancelToken, Interrupted, Orchestrator, ThreadCap,
+    DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
 };
 pub use store::ResultStore;
 pub use telemetry::{Event, JsonlReporter, Reporter, Stats, StatsSnapshot, StderrProgress};

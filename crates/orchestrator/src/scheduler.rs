@@ -96,6 +96,37 @@ impl CancelToken {
     }
 }
 
+/// A cap on the threads computing a unit that can only come down.
+///
+/// Clones share one value: hand one clone to [`Orchestrator::thread_cap`]
+/// and keep another wherever the width is decided (a service that lends
+/// a lone job its idle workers' threads takes them back when another job
+/// queues). Once it is lowered, each fan-out thread past the cap leaves
+/// after the piece it is computing. Pieces, seeding and results stay
+/// those of the width the unit started with. It never drops below one.
+/// The count publishes no other data, so it is read and lowered
+/// `Relaxed`: a thread that reads it late only leaves a piece later.
+#[derive(Debug, Clone)]
+pub struct ThreadCap(Arc<AtomicUsize>);
+
+impl ThreadCap {
+    /// A cap of `threads` (at least one).
+    pub fn new(threads: usize) -> Self {
+        ThreadCap(Arc::new(AtomicUsize::new(threads.max(1))))
+    }
+
+    /// Lower the cap to `threads` (at least one); a higher value is
+    /// ignored.
+    pub fn narrow(&self, threads: usize) {
+        self.0.fetch_min(threads.max(1), Ordering::Relaxed);
+    }
+
+    /// The current cap.
+    pub fn get(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 /// Why a unit stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Interrupted {
@@ -158,6 +189,8 @@ pub struct Orchestrator {
     chunk_budget: Option<AtomicU64>,
     /// Cooperative cancellation, checked before each chunk commit.
     cancel: Option<CancelToken>,
+    /// Lowered while the unit runs to send fan-out threads home.
+    thread_cap: Option<ThreadCap>,
     started: Instant,
 }
 
@@ -176,6 +209,7 @@ impl Orchestrator {
             tracer: SpanRecorder::disabled(),
             chunk_budget: None,
             cancel: None,
+            thread_cap: None,
             started: Instant::now(),
         }
     }
@@ -277,6 +311,16 @@ impl Orchestrator {
         self
     }
 
+    /// Start executed chunks on `cap`'s current count of threads, as
+    /// [`jobs`](Self::jobs) does, and let the holder of another clone
+    /// lower it mid-unit: threads past the lowered cap leave after their
+    /// current piece.
+    pub fn thread_cap(mut self, cap: ThreadCap) -> Self {
+        self.jobs = Some(cap.get());
+        self.thread_cap = Some(cap);
+        self
+    }
+
     /// Effective worker parallelism for executed chunks: the pinned
     /// count, else [`jle_engine::worker_threads`], and at least 1.
     pub fn effective_jobs(&self) -> usize {
@@ -352,7 +396,7 @@ impl Orchestrator {
         self.try_run_trials_inner(
             spec,
             trials,
-            |_| 1,
+            |_, _| 1,
             |start, _| std::iter::once(f(spec.base_seed + start)),
         )
     }
@@ -373,11 +417,13 @@ impl Orchestrator {
     /// [`engine_mode("fast-exact")`](Self::engine_mode) so batch and
     /// fast-exact sweeps share warm caches.
     ///
-    /// Each chunk is cut into batches of `chunk_len / effective_jobs`
-    /// seeds (rounded up), so the workers split every chunk between them;
-    /// the batches of all missing chunks share the unit's one set of
-    /// workers. Raise [`chunk_size`](Self::chunk_size) to deepen the
-    /// batches.
+    /// A missing chunk is one whole batch when the unit has at least
+    /// [`effective_jobs`](Self::effective_jobs) chunks to run, so every
+    /// worker has a chunk to itself. With fewer, each chunk is cut into
+    /// batches of `chunk_len / effective_jobs` seeds (rounded up), so no
+    /// worker sits idle. Either way the batches of all missing chunks
+    /// share the unit's one set of workers. Raise
+    /// [`chunk_size`](Self::chunk_size) to deepen the batches.
     ///
     /// # Panics
     /// Panics if `f` returns a result count different from its seed
@@ -392,11 +438,11 @@ impl Orchestrator {
         R: Send + Serialize + Deserialize + SlotCost,
         F: Fn(&[u64]) -> Vec<R> + Sync,
     {
-        let jobs = self.effective_jobs() as u64;
+        let jobs = self.effective_jobs();
         self.try_run_trials_inner(
             spec,
             trials,
-            |len| len.div_ceil(jobs),
+            |len, chunks| if chunks < jobs { len.div_ceil(jobs as u64) } else { len },
             |start, len| {
                 let seeds: Vec<u64> =
                     (spec.base_seed + start..spec.base_seed + start + len).collect();
@@ -526,14 +572,15 @@ impl Orchestrator {
 
     /// The shared unit body: cache probing, chunk accounting, telemetry,
     /// and checkpointing. Each missing chunk of length `len` is cut into
-    /// pieces of `piece_width(len)` trials; `exec(start, len)` computes
+    /// pieces of `piece_width(len, chunks)` trials, `chunks` being how
+    /// many chunks run in this call; `exec(start, len)` computes
     /// one piece's results in trial order, `start` being the index of its
     /// first trial in the unit.
     fn try_run_trials_inner<R, P>(
         &self,
         spec: &WorkSpec,
         trials: u64,
-        piece_width: impl Fn(u64) -> u64,
+        piece_width: impl Fn(u64, usize) -> u64,
         exec: impl Fn(u64, u64) -> P + Sync,
     ) -> Result<Vec<R>, Interrupted>
     where
@@ -572,7 +619,7 @@ impl Orchestrator {
             .iter()
             .map(|&i| {
                 let (start, end) = ranges[i];
-                let width = piece_width(end - start).max(1);
+                let width = piece_width(end - start, runnable).max(1);
                 let first = pieces.len();
                 pieces
                     .extend((start..end).step_by(width as usize).map(|s| (s, width.min(end - s))));
@@ -647,7 +694,10 @@ impl Orchestrator {
         if workers <= 1 {
             commit_all(&mut |range| pieces[range].iter().flat_map(|&(s, l)| exec(s, l)).collect())
         } else {
-            fan_out(workers, &pieces, &exec, |inbox| commit_all(&mut |range| inbox.take(range)))
+            let cap = self.thread_cap.as_ref();
+            fan_out(workers, cap, &pieces, &exec, |inbox| {
+                commit_all(&mut |range| inbox.take(range))
+            })
         }?;
 
         self.emit(&Event::UnitFinished {
@@ -722,9 +772,12 @@ impl<P: IntoIterator> Inbox<P> {
 /// runs `consume` over their results. Workers take pieces from one shared
 /// index, so pieces start in order and every piece before a panicking one
 /// still arrives. When `consume` returns or unwinds, its [`Inbox`] is
-/// dropped and each worker exits after its current piece.
+/// dropped and each worker exits after its current piece. Worker `i`
+/// takes no further piece once `cap` is at most `i`; worker 0 never
+/// stops early, so every piece is still taken.
 fn fan_out<P: Send, T>(
     workers: usize,
+    cap: Option<&ThreadCap>,
     pieces: &[(u64, u64)],
     exec: &(impl Fn(u64, u64) -> P + Sync),
     consume: impl FnOnce(&mut Inbox<P>) -> T,
@@ -732,9 +785,12 @@ fn fan_out<P: Send, T>(
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for i in 0..workers {
             let (tx, next) = (tx.clone(), &next);
             scope.spawn(move || loop {
+                if cap.is_some_and(|cap| cap.get() <= i) {
+                    break;
+                }
                 let p = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&(start, len)) = pieces.get(p) else { break };
                 let result = catch_unwind(AssertUnwindSafe(|| exec(start, len)));
@@ -995,6 +1051,55 @@ mod tests {
         assert_eq!(warm_batched.stats_snapshot().executed_trials, 0);
         assert_eq!(a, c);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batches_are_whole_chunks_unless_fewer_chunks_than_jobs() {
+        let widths = |trials: u64| {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let orch = Orchestrator::ephemeral().chunk_size(8).jobs(2);
+            let got: Vec<u64> = orch.run_trials_batched(&spec(), trials, |seeds| {
+                seen.lock().unwrap().push(seeds.len());
+                seeds.iter().map(|&s| trial(s)).collect()
+            });
+            assert_eq!(got, MonteCarlo::new(trials, 5000).run(trial), "{trials} trials");
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            seen
+        };
+        assert_eq!(widths(18), [2, 8, 8], "three chunks for two jobs: one batch each");
+        assert_eq!(widths(16), [8, 8], "two chunks for two jobs: one batch each");
+        assert_eq!(widths(8), [4, 4], "one chunk for two jobs: split between them");
+    }
+
+    #[test]
+    fn a_cap_lowered_mid_unit_sends_threads_home_and_keeps_results() {
+        let cap = ThreadCap::new(3);
+        let orch = Orchestrator::ephemeral().chunk_size(8).thread_cap(cap.clone());
+        assert_eq!(orch.effective_jobs(), 3);
+        let ran = std::sync::Mutex::new(Vec::new());
+        let got: Vec<u64> = orch.run_trials(&spec(), 200, |seed| {
+            if seed == 5020 {
+                cap.narrow(1);
+            }
+            ran.lock().unwrap().push((std::thread::current().id(), seed));
+            trial(seed)
+        });
+        assert_eq!(got, MonteCarlo::new(200, 5000).run(trial), "narrowing moves no result");
+        // Past the narrowing, a thread above the cap finishes the piece it
+        // holds and takes at most one more it claimed before it looked.
+        let mut late = std::collections::HashMap::<std::thread::ThreadId, usize>::new();
+        for (thread, seed) in ran.into_inner().unwrap() {
+            if seed >= 5020 {
+                *late.entry(thread).or_default() += 1;
+            }
+        }
+        let mut counts: Vec<usize> = late.into_values().collect();
+        counts.sort_unstable();
+        counts.pop();
+        assert!(counts.iter().all(|&n| n <= 2), "one thread runs the tail: {counts:?}");
+        cap.narrow(5);
+        assert_eq!(cap.get(), 1, "a cap never rises");
     }
 
     #[test]

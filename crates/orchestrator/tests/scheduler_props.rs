@@ -202,11 +202,13 @@ fn check(case: &Case) -> Result<(), String> {
         }
     }
 
-    // Batched pieces keep the per-chunk width ceil(len / jobs).
+    // A batched piece is a whole chunk when at least `jobs` chunks run,
+    // and ceil(len / jobs) of one otherwise.
+    let runnable = case.budget.map_or(missing.len(), |b| missing.len().min(b as usize));
     for seeds in batches.lock().unwrap().iter() {
         let first = seeds[0] - case.base_seed;
         let &(s, e) = chunks.iter().find(|&&(s, e)| s <= first && first < e).unwrap();
-        let width = (e - s).div_ceil(case.jobs as u64);
+        let width = if runnable < case.jobs { (e - s).div_ceil(case.jobs as u64) } else { e - s };
         prop_assert!(first + seeds.len() as u64 <= e, "a batch stays inside its chunk");
         prop_assert_eq!((first - s) % width, 0, "batches start on width boundaries");
         prop_assert_eq!(seeds.len() as u64, width.min(e - first), "batch width");

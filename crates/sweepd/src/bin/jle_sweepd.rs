@@ -24,7 +24,9 @@ OPTIONS:
   --listen ADDR       Listen on a TCP address (e.g. 127.0.0.1:7677)
   --cache-dir DIR     Result-store root (default: in-memory only)
   --workers N         Worker threads (default: half the cores)
-  --mc-jobs N         Monte-Carlo threads per job (default: 1)
+  --mc-jobs N         Monte-Carlo threads per job while others wait
+                      (default: 1); a lone job borrows idle workers'
+                      threads and gives them back when another queues
   --max-queue N       Bounded queue length (default: 64)
   --client-share N    Max in-flight jobs per client (default: 8)
   --chunk-size N      Checkpoint chunk size (default: 32)

@@ -1,7 +1,7 @@
 //! The decision core of the sweep service: admission (dedup → queue
 //! bound → fair share), answers served from the store at admission,
-//! subscribe, status, cancel, disconnect, `pick_next`, progress
-//! throttling, terminal delivery and the shutdown drain.
+//! subscribe, status, cancel, disconnect, `pick_next` with its thread
+//! ledger, progress throttling, terminal delivery and the shutdown drain.
 //!
 //! [`Sched`] is one plain `&mut self` state machine. It takes no lock,
 //! opens no socket, starts no thread and reads no clock (`now` is passed
@@ -28,6 +28,8 @@ pub(crate) enum Out {
     Frame(u64, ServerFrame),
     /// Fire the cancel token of running job `.0`.
     Cancel(u64),
+    /// Lower running job `.0`'s thread cap to `.1`.
+    Narrow(u64, usize),
 }
 
 /// How a job's execution ended.
@@ -65,6 +67,8 @@ struct Job<W> {
     /// The shell's payload while queued; the worker takes it at pickup,
     /// so `None` means running.
     work: Option<W>,
+    /// Thread credits reserved at pickup; 0 while queued.
+    threads: usize,
     subs: Vec<Sub>,
     done_trials: u64,
     executed_trials: u64,
@@ -90,11 +94,13 @@ pub(crate) struct Metrics {
     jobs_cancelled: Counter,
     jobs_failed: Counter,
     unit_cache_hits: Counter,
+    threads_reclaimed: Counter,
     connections: Counter,
     queue_depth: Gauge,
     active_jobs: Gauge,
     first_chunk_latency_us: Histogram,
     queue_wait_us: Histogram,
+    job_threads: Histogram,
     dedup_shortcircuit_us: Histogram,
     pub(crate) execute_us: Histogram,
     pub(crate) deliver_us: Histogram,
@@ -124,6 +130,10 @@ impl Metrics {
                 "jle_sweepd_unit_cache_hits_total",
                 "units answered entirely from the warm result store, at admission or by a job",
             ),
+            threads_reclaimed: reg.counter(
+                "jle_sweepd_threads_reclaimed_total",
+                "borrowed threads a running job gave back because another job queued",
+            ),
             connections: reg.counter("jle_sweepd_connections_total", "client connections accepted"),
             queue_depth: reg.gauge("jle_sweepd_queue_depth", "jobs waiting for a worker"),
             active_jobs: reg.gauge("jle_sweepd_active_jobs", "jobs currently executing"),
@@ -134,6 +144,10 @@ impl Metrics {
             queue_wait_us: reg.histogram(
                 "jle_sweepd_queue_wait_us",
                 "admission-to-worker-pickup wait per queued job, microseconds",
+            ),
+            job_threads: reg.histogram(
+                "jle_sweepd_job_threads",
+                "threads each job computes on, observed at worker pickup",
             ),
             dedup_shortcircuit_us: reg.histogram(
                 "jle_sweepd_dedup_shortcircuit_us",
@@ -203,6 +217,13 @@ pub(crate) struct Sched<W> {
     /// has a subscriber. Every job in it has at least one.
     by_key: HashMap<String, u64>,
     queue: VecDeque<u64>,
+    /// The thread ledger: how many of the pool's `workers × mc_jobs`
+    /// credits no job holds. A pickup reserves; [`Sched::finish`]
+    /// settles, and a job queued behind a borrower settles what it
+    /// borrowed.
+    free: usize,
+    /// The credits a job takes while others wait (`mc_jobs`).
+    width: usize,
     next_id: u64,
     shutting_down: bool,
     out: Vec<Out>,
@@ -210,6 +231,7 @@ pub(crate) struct Sched<W> {
 
 impl<W> Sched<W> {
     pub(crate) fn new(config: &ServerConfig, m: Metrics) -> Self {
+        let width = config.effective_mc_jobs();
         Sched {
             max_queue: config.max_queue,
             client_share: config.client_share,
@@ -219,6 +241,8 @@ impl<W> Sched<W> {
             jobs: BTreeMap::new(),
             by_key: HashMap::new(),
             queue: VecDeque::new(),
+            free: config.effective_workers() * width,
+            width,
             next_id: 0,
             shutting_down: false,
             out: Vec::new(),
@@ -255,6 +279,40 @@ impl<W> Sched<W> {
         self.next_id
     }
 
+    /// The in-flight step of admission on its own: attach the submission
+    /// of `key` to the queued or running job of that key, or refuse it
+    /// when that job runs another trial count. Returns whether it was
+    /// answered; not while shutting down, nor when `key` is not in
+    /// flight. The shell asks this before it probes the store, so a
+    /// submission that coalesces costs no recall.
+    pub(crate) fn dedup(
+        &mut self,
+        conn: u64,
+        req_id: u64,
+        trials: u64,
+        key: &str,
+        received: Instant,
+        now: Instant,
+    ) -> bool {
+        if self.shutting_down {
+            return false;
+        }
+        let Some(id) = self.by_key.get(key) else { return false };
+        let job = self.jobs.get_mut(id).expect("dedup entries name live jobs");
+        if job.trials != trials {
+            let had = job.trials;
+            let reason = format!("key {key} is in flight with {had} trials (requested {trials})");
+            self.refuse(conn, req_id, reason, 500);
+            return true;
+        }
+        job.subs.push(Sub { conn, req_id });
+        self.m.dedup_hits.inc();
+        self.m.dedup_shortcircuit_us.observe(micros(now.saturating_duration_since(received)));
+        self.conns[&conn].dedup.inc();
+        self.accept(conn, req_id, key.to_string(), trials, true);
+        true
+    }
+
     /// Admission control: dedup → queue bound → fair share. `unit` is the
     /// submitted unit's fingerprint with a maker for the shell's payload,
     /// or the reason it could not be decoded; `received` is when the
@@ -268,7 +326,6 @@ impl<W> Sched<W> {
         received: Instant,
         now: Instant,
     ) -> bool {
-        let cm = &self.conns[&conn];
         let (reason, retry_after_ms) = 'refuse: {
             if self.shutting_down {
                 break 'refuse ("server shutting down".to_string(), 0);
@@ -280,22 +337,7 @@ impl<W> Sched<W> {
                     return false;
                 }
             };
-            if let Some(id) = self.by_key.get(&key) {
-                let job = self.jobs.get_mut(id).expect("dedup entries name live jobs");
-                if job.trials != trials {
-                    let had = job.trials;
-                    break 'refuse (
-                        format!("key {key} is in flight with {had} trials (requested {trials})"),
-                        500,
-                    );
-                }
-                job.subs.push(Sub { conn, req_id });
-                self.m.dedup_hits.inc();
-                self.m
-                    .dedup_shortcircuit_us
-                    .observe(micros(now.saturating_duration_since(received)));
-                cm.dedup.inc();
-                self.accept(conn, req_id, key, trials, true);
+            if self.dedup(conn, req_id, trials, &key, received, now) {
                 return false;
             }
             let depth = self.queue.len();
@@ -315,6 +357,7 @@ impl<W> Sched<W> {
                 client: conn,
                 submitted: now,
                 work: Some(make()),
+                threads: 0,
                 subs: vec![Sub { conn, req_id }],
                 done_trials: 0,
                 executed_trials: 0,
@@ -325,6 +368,7 @@ impl<W> Sched<W> {
             self.jobs.insert(self.next_id, job);
             self.by_key.insert(key.clone(), self.next_id);
             self.queue.push_back(self.next_id);
+            self.reclaim();
             self.set_gauges();
             self.accept(conn, req_id, key, trials, false);
             return true;
@@ -478,9 +522,15 @@ impl<W> Sched<W> {
     }
 
     /// Pop the fairest runnable job: FIFO position among jobs whose
-    /// submitter currently has the fewest running jobs. Returns its id
-    /// and the shell's payload.
-    pub(crate) fn pick_next(&mut self, now: Instant) -> Option<(u64, W)> {
+    /// submitter currently has the fewest running jobs. Returns its id,
+    /// the shell's payload and the threads it computes on, reserved on
+    /// the ledger until [`Sched::finish`]: `mc_jobs` while other jobs
+    /// wait, else every free credit up to its trial count, so a lone job
+    /// borrows the idle workers' threads. An idle worker always finds
+    /// `mc_jobs` credits free: a job holds more only while nothing is
+    /// queued, and [`Sched::submit`] reclaims the surplus in the decision
+    /// that queues a job. So no worker ever waits for threads.
+    pub(crate) fn pick_next(&mut self, now: Instant) -> Option<(u64, W, usize)> {
         if self.shutting_down {
             return None;
         }
@@ -499,9 +549,32 @@ impl<W> Sched<W> {
         let id = self.queue.remove(best?.1)?;
         let job = self.jobs.get_mut(&id)?;
         let work = job.work.take()?;
+        let threads = if self.queue.is_empty() {
+            self.free.min(usize::try_from(job.trials).unwrap_or(usize::MAX).max(1))
+        } else {
+            self.width
+        };
+        job.threads = threads;
+        self.free -= threads;
+        self.m.job_threads.observe(threads as u64);
         self.m.queue_wait_us.observe(micros(now.saturating_duration_since(job.submitted)));
         self.set_gauges();
-        Some((id, work))
+        Some((id, work, threads))
+    }
+
+    /// A job is queued: every running job that borrowed idle threads
+    /// gives back all but `mc_jobs` of them, so the newcomer need not wait
+    /// for the borrower's whole run. The shell lowers the borrower's
+    /// thread cap; each thread past it leaves after its current piece.
+    fn reclaim(&mut self) {
+        for (&id, job) in &mut self.jobs {
+            if job.threads > self.width {
+                self.free += job.threads - self.width;
+                self.m.threads_reclaimed.add((job.threads - self.width) as u64);
+                job.threads = self.width;
+                self.out.push(Out::Narrow(id, self.width));
+            }
+        }
     }
 
     /// An orchestrator event of running job `id`: record progress and
@@ -552,11 +625,13 @@ impl<W> Sched<W> {
         }
     }
 
-    /// Running job `id` stopped: one terminal frame to each subscriber,
-    /// and the job is gone. Terminal counters move before the frames go
-    /// out, so a client that scrapes right after its result sees them.
+    /// Running job `id` stopped: its threads go back to the ledger, one
+    /// terminal frame goes to each subscriber, and the job is gone.
+    /// Terminal counters move before the frames go out, so a client that
+    /// scrapes right after its result sees them.
     pub(crate) fn finish(&mut self, id: u64, outcome: Outcome, now: Instant) {
         let Some(job) = self.jobs.remove(&id) else { return };
+        self.free += job.threads;
         if self.by_key.get(&job.key) == Some(&id) {
             self.by_key.remove(&job.key);
         }
@@ -663,12 +738,15 @@ mod tests {
         sched: Sched<String>,
         registry: MetricRegistry,
         share: usize,
+        /// The ledger's size, `workers × mc_jobs`, and `mc_jobs`.
+        credits: usize,
+        mc_jobs: usize,
         progress_every: Duration,
         conns: Vec<Conn>,
         /// The connection each slot drives now (an index into `conns`).
         slots: [usize; SLOTS],
-        /// Each worker's running job: id, key, trials done.
-        workers: Vec<Option<(u64, String, u64)>>,
+        /// Each worker's running job: id, key, trials done, threads.
+        workers: Vec<Option<(u64, String, u64, usize)>>,
         /// Jobs whose cancel token has fired.
         fired: BTreeSet<u64>,
         shutdown: bool,
@@ -679,9 +757,16 @@ mod tests {
     }
 
     impl Model {
-        fn new(workers: usize, max_queue: usize, share: usize, progress_ms: u64) -> Self {
+        fn new(
+            (workers, mc_jobs): (usize, usize),
+            max_queue: usize,
+            share: usize,
+            progress_ms: u64,
+        ) -> Self {
             let registry = MetricRegistry::new();
             let config = ServerConfig {
+                workers,
+                mc_jobs,
                 max_queue,
                 client_share: share,
                 progress_every: Duration::from_millis(progress_ms),
@@ -691,6 +776,8 @@ mod tests {
                 sched: Sched::new(&config, Metrics::new(&registry)),
                 registry,
                 share,
+                credits: workers * mc_jobs,
+                mc_jobs,
                 progress_every: config.progress_every,
                 conns: Vec::new(),
                 slots: [0; SLOTS],
@@ -726,6 +813,11 @@ mod tests {
             self.conns.len() - 1
         }
 
+        /// The threads the running jobs hold, by the workers' own count.
+        fn in_use(&self) -> usize {
+            self.workers.iter().flatten().map(|w| w.3).sum()
+        }
+
         /// How many live requests are owed `key`'s job.
         fn wanting(&self, key: &str) -> usize {
             let live = self.conns.iter().filter(|c| c.live);
@@ -747,6 +839,16 @@ mod tests {
                 let (conn_id, frame) = match out {
                     Out::Cancel(job) => {
                         self.fired.insert(job);
+                        continue;
+                    }
+                    Out::Narrow(job, threads) => {
+                        let mut running = self.workers.iter_mut().flatten();
+                        let Some(held) = running.find(|w| w.0 == job).map(|w| &mut w.3) else {
+                            return Err(format!("narrowed job {job}, which no worker runs"));
+                        };
+                        check!(threads == self.mc_jobs, "narrowed {job} to {threads} threads");
+                        check!(*held > threads, "narrowed {job} from {held} to {threads}");
+                        *held = threads;
                         continue;
                     }
                     Out::Frame(conn, frame) => (conn, frame),
@@ -824,6 +926,17 @@ mod tests {
                 let held = self.sched.jobs.values().filter(|j| j.client == conn.id).count();
                 check!(held <= self.share, "client {} holds {held} jobs", conn.id);
             }
+            // The ledger: never more threads out than the pool holds, and
+            // the core's free count is the pool less what the running jobs
+            // hold, so every reservation is settled exactly once.
+            let in_use = self.in_use();
+            check!(in_use <= self.credits, "{in_use} threads out of {}", self.credits);
+            let free = self.sched.free;
+            check!(free + in_use == self.credits, "{free} free + {in_use} held ≠ {}", self.credits);
+            // Borrowed threads go back as soon as a job waits.
+            let widest = self.workers.iter().flatten().map(|w| w.3).max().unwrap_or(0);
+            let queued = self.sched.queue.len();
+            check!(queued == 0 || widest <= self.mc_jobs, "{widest} threads, {queued} queued");
             Ok(())
         }
 
@@ -857,16 +970,32 @@ mod tests {
                     self.slots[slot] = self.connect();
                 }
                 19..=25 if self.workers[worker].is_none() => {
-                    if let Some((id, key)) = self.sched.pick_next(self.now) {
+                    let free = self.credits - self.in_use();
+                    let queued = !self.shutdown && !self.sched.queue.is_empty();
+                    let picked = self.sched.pick_next(self.now);
+                    // No worker waits for threads: an idle one always
+                    // picks a queued job.
+                    check!(picked.is_some() == queued, "queued {queued}, picked {picked:?}");
+                    if let Some((id, key, threads)) = picked {
                         check!(self.wanting(&key) > 0, "picked {key}, which nobody is owed");
                         let mut running = self.workers.iter().flatten();
-                        let twin = running.any(|(j, k, _)| *k == key && !self.fired.contains(j));
+                        let twin = running.any(|(j, k, ..)| *k == key && !self.fired.contains(j));
                         check!(!twin, "a second execution of {key}");
-                        self.workers[worker] = Some((id, key, 0));
+                        // A lone job borrows the idle threads, up to its
+                        // trial count; one with others behind it takes
+                        // `mc_jobs`.
+                        let trials = self.sched.jobs[&id].trials as usize;
+                        let want = if self.sched.queue.is_empty() {
+                            free.min(trials)
+                        } else {
+                            self.mc_jobs
+                        };
+                        check!(threads == want, "picked {key} on {threads} threads, not {want}");
+                        self.workers[worker] = Some((id, key, 0, threads));
                     }
                 }
                 26..=30 => {
-                    if let Some((id, _, done)) = &mut self.workers[worker] {
+                    if let Some((id, _, done, _)) = &mut self.workers[worker] {
                         *done += 1 + arg % 3;
                         let (experiment, point, key, end) = ("e", "p", "k", *done);
                         let event = if arg >> 32 & 7 == 0 {
@@ -924,7 +1053,7 @@ mod tests {
         /// Worker `worker` ends its job: cancelled if its token fired (or
         /// done anyway, having passed its last chunk), else done or failed.
         fn finish(&mut self, worker: usize, dice: u64) -> Result<(), String> {
-            let Some((id, _, done)) = self.workers[worker].take() else { return Ok(()) };
+            let Some((id, _, done, _)) = self.workers[worker].take() else { return Ok(()) };
             let outcome = if self.fired.contains(&id) && dice & 1 == 0 {
                 Outcome::Cancelled { completed_trials: done }
             } else if dice % 11 == 5 {
@@ -951,6 +1080,12 @@ mod tests {
             }
             check!(self.sched.jobs.is_empty(), "{} jobs left", self.sched.jobs.len());
             check!(self.sched.by_key.is_empty() && self.sched.queue.is_empty(), "tables left");
+            check!(
+                self.sched.free == self.credits,
+                "{} of {} threads free",
+                self.sched.free,
+                self.credits
+            );
             let gauge = |name| self.registry.gauge(name, "").get();
             check!(gauge("jle_sweepd_queue_depth") == 0.0, "queue depth gauge");
             check!(gauge("jle_sweepd_active_jobs") == 0.0, "active jobs gauge");
@@ -1009,7 +1144,7 @@ mod tests {
         sched.cancel(a, 2, "k");
         assert_eq!(registry.counter("jle_sweepd_jobs_cancelled_total", "").get(), 1);
         assert!(sched.submit(b, 1, 8, unit(), now, now), "B's submission computes afresh");
-        let (id, _) = sched.pick_next(now).expect("B's job is queued");
+        let (id, _, _) = sched.pick_next(now).expect("B's job is queued");
         let results = serde_json::value::to_raw_value(&vec![1u64]).expect("json").into();
         sched.finish(id, Outcome::Done { results, spans: None }, now);
         let frames: Vec<_> = sched.drain().map(|out| format!("{out:?}")).collect();
@@ -1020,14 +1155,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// The thread-ledger checks and the mutants of the core each
+        /// one kills: the width rule of a pick (a pick that always
+        /// borrows, never borrows, or borrows past its trial count);
+        /// the ledger equality `free + held = workers × mc_jobs` (a
+        /// `finish` that settles nothing, a reclaim that keeps the
+        /// credits or lowers no cap, a shutdown that also settles the
+        /// running jobs); no running job above `mc_jobs` while one
+        /// waits (no reclaim when a job queues, a pickup that leaves the
+        /// reservation off the job); only a borrower is narrowed (a
+        /// reclaim that narrows every job).
         #[test]
         fn seeded_schedules_keep_every_invariant(
-            limits in (1usize..4, 1usize..5, 1usize..4),
+            limits in ((1usize..4, 1usize..4), 1usize..5, 1usize..4),
             progress_ms in 0u64..40,
             ops in proptest::collection::vec((0u8..44, any::<u64>()), 1..160),
         ) {
-            let (workers, max_queue, share) = limits;
-            let mut model = Model::new(workers, max_queue, share, progress_ms);
+            let (pool, max_queue, share) = limits;
+            let mut model = Model::new(pool, max_queue, share, progress_ms);
             for (n, &(op, arg)) in ops.iter().enumerate() {
                 model.step(op, arg).map_err(|e| format!("step {n} ({op}, {arg:#x}): {e}"))?;
             }

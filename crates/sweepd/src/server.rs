@@ -24,7 +24,9 @@
 //! are a temp file plus a `rename`, so writers that meet on a chunk need
 //! no lock. Scheduling is fair-share: the queue is FIFO *within* a client
 //! but the next job always goes to the submitter with the fewest jobs
-//! currently running.
+//! currently running. A job computes on `mc_jobs` threads, or on every
+//! idle one when nothing is queued behind it; a job that queues takes
+//! the borrowed threads back through the borrower's [`ThreadCap`].
 //!
 //! A unit the store already holds whole is answered at admission: the
 //! connection thread that read its `submit` recalls it (every chunk
@@ -44,7 +46,7 @@ use crate::work;
 use jle_engine::RunReport;
 use jle_orchestrator::{
     engine_salt, CachePolicy, CancelToken, Event, Fingerprint, Interrupted, Orchestrator, Reporter,
-    ResultStore, WorkSpec, DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
+    ResultStore, ThreadCap, WorkSpec, DEFAULT_CHUNK_SIZE, DEFAULT_CODE_SALT,
 };
 use jle_protocols::ElectionParams;
 use jle_telemetry::{MetricRegistry, SpanGuard, SpanRecorder, TraceContext};
@@ -180,8 +182,15 @@ pub struct ServerConfig {
     pub cache_dir: Option<PathBuf>,
     /// Worker threads executing jobs (`0` = half the cores, min 1).
     pub workers: usize,
-    /// Monte-Carlo parallelism *within* one job (`0` = rayon default).
-    /// Keep `workers * mc_jobs` near the core count.
+    /// Monte-Carlo threads a job computes on while other jobs wait (`0` =
+    /// the engine's default parallelism). The pool holds `workers *
+    /// mc_jobs` threads; keep that near the core count. A job picked up
+    /// with nothing queued behind it borrows every idle thread, up to its
+    /// trial count, so a lone unit computes on the whole pool. A distinct
+    /// job that queues meanwhile takes the borrowed threads back: the
+    /// borrower drops to `mc_jobs` threads, each surplus thread leaving
+    /// after its current piece, so the newcomer starts at once and shares
+    /// the cores with that last piece.
     pub mc_jobs: usize,
     /// Bounded queue length; submissions beyond it are rejected with a
     /// `retry_after_ms` hint.
@@ -215,11 +224,20 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    fn effective_workers(&self) -> usize {
+    pub(crate) fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             return self.workers;
         }
         std::thread::available_parallelism().map(|n| n.get() / 2).unwrap_or(1).max(1)
+    }
+
+    /// The threads one job computes on while others wait, as the
+    /// orchestrator resolves `jobs(mc_jobs)`.
+    pub(crate) fn effective_mc_jobs(&self) -> usize {
+        if self.mc_jobs > 0 {
+            return self.mc_jobs;
+        }
+        jle_engine::worker_threads().max(1)
     }
 }
 
@@ -238,11 +256,12 @@ struct Work {
 }
 
 /// What the one lock guards: the decision core, and where its decisions
-/// go — each connection's writer queue and each running job's token.
+/// go — each connection's writer queue and each running job's cancel
+/// token and thread cap.
 struct Locked {
     sched: Sched<Work>,
     outboxes: HashMap<u64, mpsc::Sender<String>>,
-    tokens: HashMap<u64, CancelToken>,
+    running: HashMap<u64, (CancelToken, ThreadCap)>,
 }
 
 impl Locked {
@@ -259,8 +278,13 @@ impl Locked {
                     None => texts.push((conn, wire(&frame))),
                 },
                 Out::Cancel(job) => {
-                    if let Some(token) = self.tokens.get(&job) {
+                    if let Some((token, _)) = self.running.get(&job) {
                         token.cancel();
+                    }
+                }
+                Out::Narrow(job, threads) => {
+                    if let Some((_, cap)) = self.running.get(&job) {
+                        cap.narrow(threads);
                     }
                 }
             }
@@ -310,9 +334,13 @@ impl Shared {
         self.work_cv.notify_all();
     }
 
-    /// Decode and fingerprint a submission once. A unit the store holds
-    /// whole is recalled and answered here, on the connection's thread;
-    /// any other goes to the core's admission and, when fresh, the queue.
+    /// Decode and fingerprint a submission once. A unit in flight gets
+    /// its dedup answer first, with no store probe. A unit the store
+    /// holds whole is recalled and answered here, on the connection's
+    /// thread; any other goes to the core's admission and, when fresh,
+    /// the queue. A job that finishes between the dedup and the recall
+    /// is served by the recall; one that finishes after the recall
+    /// missed leaves a queued job that finds every chunk stored.
     fn submit(
         &self,
         client: u64,
@@ -335,6 +363,11 @@ impl Shared {
             (election, key)
         });
         if let Ok((election, key)) = &decoded {
+            let hex = key.hex();
+            if self.with(|st| st.sched.dedup(client, req_id, trials, hex, received, Instant::now()))
+            {
+                return;
+            }
             if let Some((stored, recalled_at)) = self.recall(&spec, election, key, trials, &tracer)
             {
                 self.with(|st| {
@@ -407,7 +440,6 @@ impl Shared {
             None => Orchestrator::ephemeral(),
         }
         .chunk_size(self.config.chunk_size)
-        .jobs(self.config.mc_jobs)
         .salt(self.config.salt.clone())
         .engine_mode(work::engine_mode(election))
         .policy(CachePolicy::Resume)
@@ -418,7 +450,7 @@ impl Shared {
     fn worker_loop(self: &Arc<Self>) {
         loop {
             let mut st = self.state.lock().expect("sweepd state");
-            let (id, work) = loop {
+            let (id, work, threads) = loop {
                 if st.sched.shutting_down() {
                     return;
                 }
@@ -427,14 +459,14 @@ impl Shared {
                 }
                 st = self.work_cv.wait(st).expect("sweepd state");
             };
-            let token = CancelToken::new();
-            st.tokens.insert(id, token.clone());
+            let (token, cap) = (CancelToken::new(), ThreadCap::new(threads));
+            st.running.insert(id, (token.clone(), cap.clone()));
             drop(st);
-            self.run_job(id, work, token);
+            self.run_job(id, work, token, cap);
         }
     }
 
-    fn run_job(self: &Arc<Self>, id: u64, work: Work, token: CancelToken) {
+    fn run_job(self: &Arc<Self>, id: u64, work: Work, token: CancelToken, cap: ThreadCap) {
         let Work { spec, election, trials, tracer, queue_span } = work;
         drop(queue_span);
         let execute_span = tracer.span("sweepd", "execute");
@@ -442,6 +474,7 @@ impl Shared {
         let executed_at = Instant::now();
         let orch = self
             .orchestrator(self.store.as_ref(), &election, &tracer)
+            .thread_cap(cap)
             .cancel_token(token)
             .reporter(JobReporter { shared: Arc::clone(self), id });
         // Kinds with a bit-identical batch backend run whole seed batches
@@ -481,7 +514,7 @@ impl Shared {
             Err(reason) => Outcome::Failed(reason),
         };
         self.with(|st| {
-            st.tokens.remove(&id);
+            st.running.remove(&id);
             st.sched.finish(id, outcome, finished_at);
         });
         if let Some(span) = deliver_span {
@@ -579,7 +612,7 @@ impl SweepServer {
             store,
             registry,
             m,
-            state: Mutex::new(Locked { sched, outboxes: HashMap::new(), tokens: HashMap::new() }),
+            state: Mutex::new(Locked { sched, outboxes: HashMap::new(), running: HashMap::new() }),
             work_cv: Condvar::new(),
             config,
         });

@@ -522,3 +522,45 @@ fn a_cancelled_queued_unit_does_not_swallow_the_next_submission() {
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(cache);
 }
+
+/// Two workers, one thread each: the blocker, picked up alone, computes
+/// on both workers' threads. A distinct unit submitted meanwhile takes
+/// the borrowed thread back at admission and is answered with the bytes
+/// of a run on a one-worker daemon.
+#[test]
+fn a_distinct_unit_submitted_during_a_widened_job_is_answered() {
+    let (handle, endpoint, cache) = start("widened", |c| {
+        c.workers = 2;
+        c.mc_jobs = 1;
+    });
+    let mut blocker_client = SweepClient::connect(&endpoint).unwrap();
+    let mut client = SweepClient::connect(&endpoint).unwrap();
+    let blocker = blocker_client.submit(&blocker_spec(), BLOCKER_TRIALS).unwrap();
+    assert!(wait_until(Duration::from_secs(5), || {
+        handle.registry().gauge("jle_sweepd_active_jobs", "").get() >= 1.0
+    }));
+    let threads = |h: &ServerHandle| {
+        let hist = h.registry().histogram("jle_sweepd_job_threads", "");
+        (hist.count(), hist.sum())
+    };
+    assert_eq!(threads(&handle), (1, 2), "the lone blocker borrows the idle worker's thread");
+
+    let spec = quick_spec("behind-widened", 808);
+    let queued = client.submit(&spec, 8).unwrap();
+    assert!(!queued.dedup);
+    assert_eq!(counter(&handle, "jle_sweepd_threads_reclaimed_total"), 1, "given back at once");
+    let out = client.wait(&queued, |_| {}).expect("the queued unit is answered");
+    assert_eq!((out.executed_trials, out.cached_trials), (8, 0));
+    let _ = blocker_client.wait(&blocker, |_| {}).unwrap();
+    assert_eq!(threads(&handle).0, 2);
+    handle.shutdown().unwrap();
+
+    let (narrow, narrow_endpoint, narrow_cache) = start("widened-narrow", |_| {});
+    let mut client = SweepClient::connect(&narrow_endpoint).unwrap();
+    let want = client.submit_and_wait(&spec, 8, 8, |_| {}).unwrap();
+    assert_eq!(threads(&narrow), (1, 1), "one worker lends nothing");
+    narrow.shutdown().unwrap();
+    assert!(out.results.get() == want.results.get(), "the widened daemon's bytes differ");
+    let _ = std::fs::remove_dir_all(cache);
+    let _ = std::fs::remove_dir_all(narrow_cache);
+}
