@@ -8,7 +8,8 @@
 //! time in: the bootstrap median CI and the store's chunk decode, plus
 //! the JSON tokenizer on its own (`validate_reports`).
 //! `sweepd_frames` times the deliver layer of a `jle-sweepd` cache hit:
-//! rendering one result frame and parsing it back into reports.
+//! rendering one result frame and parsing it back into reports, and the
+//! whole served round trip over loopback through an in-process daemon.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
@@ -18,9 +19,9 @@ use jle_engine::{
     RunReport, SimConfig, SimCore, TelemetryObserver, UniformProtocol,
 };
 use jle_orchestrator::{Fingerprint, ResultStore, WorkSpec, DEFAULT_CODE_SALT};
-use jle_protocols::LeskProtocol;
+use jle_protocols::{ElectionKind, ElectionParams, LeskProtocol, ProtoParams};
 use jle_radio::{CdModel, ChannelState};
-use jle_sweepd::{ServerFrame, SweepOutcome};
+use jle_sweepd::{Endpoint, ServerConfig, ServerFrame, SweepClient, SweepOutcome, SweepServer};
 use jle_telemetry::MetricRegistry;
 use serde::Serialize;
 use serde_json::value::{to_raw_value, RawValue};
@@ -364,7 +365,41 @@ fn bench_sweepd_frames(c: &mut Criterion) {
             black_box(outcome.reports().expect("valid reports"))
         })
     });
+    // The same unit answered by a daemon from its store, as one warm
+    // `sweepd_mixed` submission sees it: submit to parsed `result`, with
+    // the recall, the render, both socket hops and the client's parse.
+    // What this adds to `render_reports` + `parse` is the service's own
+    // cost: the chunk decode, thread wake-ups and the socket.
+    let dir = std::env::temp_dir().join(format!("jle-bench-served-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig { cache_dir: Some(dir.clone()), workers: 1, ..Default::default() };
+    let server = SweepServer::bind(&Endpoint::Tcp("127.0.0.1:0".into()), config).expect("bind");
+    let endpoint = Endpoint::Tcp(server.tcp_addr().expect("tcp endpoint").to_string());
+    let handle = server.spawn();
+    let election = ElectionParams {
+        kind: ElectionKind::Cohort,
+        n: 1024,
+        cd: CdModel::Strong,
+        adv: sat(),
+        max_slots: 4096,
+        proto: ProtoParams::lesk(0.5),
+    };
+    let spec = WorkSpec::new("bench", "served_round_trip", election.to_json_value(), 0);
+    let mut client = SweepClient::connect(&endpoint).expect("connect");
+    let cold = client.submit_and_wait(&spec, TRIALS, 8, |_| {}).expect("cold run");
+    assert_eq!(cold.executed_trials, TRIALS);
+    group.throughput(Throughput::Elements(TRIALS));
+    group.bench_function(BenchmarkId::new("served_round_trip", TRIALS), |b| {
+        b.iter(|| {
+            let warm = client.submit_and_wait(&spec, TRIALS, 8, |_| {}).expect("served hit");
+            debug_assert_eq!(warm.executed_trials, 0);
+            black_box(warm)
+        })
+    });
     group.finish();
+    drop(client);
+    handle.shutdown().expect("daemon shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 criterion_group! {

@@ -159,7 +159,8 @@ impl Metrics {
             ),
             deliver_us: reg.histogram(
                 "jle_sweepd_deliver_us",
-                "result rendering + subscriber fan-out time per job or served answer, microseconds",
+                "per job, result rendering + fan-out onto the subscribers' outboxes; per served \
+                 answer, rendering + the reader's socket write; microseconds",
             ),
         }
     }

@@ -9,15 +9,28 @@
 //!  ───────────────────────        ────────────────────────       ──────────────────
 //!  reader: JSONL frames ───────►  Sched: admission, serve,  ◄──  pick_next, report,
 //!    (stored unit: recall,        dedup, fair share,             finish
-//!     render, then serve)         cancel, drain
-//!  writer: mpsc queue  ◄────────  outbox, carried out             per-job
-//!  per-conn MetricRegistry        before the lock is released    Orchestrator
+//!     render, then serve)         cancel, drain                  per-job
+//!                                   │ frames pushed in           Orchestrator
+//!                                   ▼ decision order
+//!  reader, or writer  ◄─ drains ─  per-conn outbox (FIFO),
+//!    (woken only for frames        written by whoever holds
+//!     other threads decide)        the stream mutex
+//!  per-conn MetricRegistry
 //! ```
 //!
 //! Every decision is one call on the core under the one lock, and the
-//! frames it decides reach the writer queues before the lock is
-//! released, so they leave in the order they were decided; the frames
-//! one decision makes for one connection go as one message. Every job
+//! frames it decides are pushed onto their connections' outboxes before
+//! the lock is released, so they leave in the order they were decided;
+//! the frames one decision makes for one connection go as one write.
+//! Whichever thread holds a connection's stream mutex drains its outbox,
+//! in order, after the state lock is released: the connection's reader
+//! for what it decided itself (a served answer, an `accepted`, `status`,
+//! `hello`, ...), the connection's writer thread for what workers and
+//! other connections decided (`progress`, a job's `result`, the shutdown
+//! drain). No thread writes while holding the state lock, and no worker
+//! waits on a client's socket. A client that stops reading stalls its own
+//! reader in the write, so the daemon stops reading its requests and
+//! their answers wait in TCP, not in daemon memory. Every job
 //! runs through its own cheap [`Orchestrator`] over the one shared
 //! [`ResultStore`] and the one shared [`MetricRegistry`], so
 //! `jle_orchestrator_*` counters aggregate across clients; chunk writes
@@ -31,9 +44,10 @@
 //! A unit the store already holds whole is answered at admission: the
 //! connection thread that read its `submit` recalls it (every chunk
 //! check applies), renders the reports once and hands them to the core,
-//! which sends `accepted` and `result` together. Such an answer takes no
-//! queue slot, no fair share and no worker. Any miss — a fresh unit, a
-//! partial leftover, a corrupt shard — is queued as a job.
+//! which decides `accepted` and `result` together; the same thread then
+//! writes them. Such an answer takes no queue slot, no fair share, no
+//! worker and no other thread. Any miss — a fresh unit, a partial
+//! leftover, a corrupt shard — is queued as a job.
 //!
 //! Dedup is **in-flight only**: a submission whose fingerprint matches a
 //! queued or running job that still has a subscriber attaches as an
@@ -59,7 +73,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Where the service listens (or a client connects).
@@ -256,20 +270,22 @@ struct Work {
 }
 
 /// What the one lock guards: the decision core, and where its decisions
-/// go — each connection's writer queue and each running job's cancel
-/// token and thread cap.
+/// go — each connection's outbox and each running job's cancel token and
+/// thread cap.
 struct Locked {
     sched: Sched<Work>,
-    outboxes: HashMap<u64, mpsc::Sender<String>>,
+    conns: HashMap<u64, Arc<Conn>>,
     running: HashMap<u64, (CancelToken, ThreadCap)>,
 }
 
 impl Locked {
     /// Carry out the core's decisions, in the order it made them. The
-    /// frames decided for one connection go to its writer as one message,
-    /// so an `accepted` and the `result` served with it leave in one
-    /// write and reach the client in one wake-up.
-    fn flush(&mut self) {
+    /// frames decided for one connection are pushed onto its outbox as one
+    /// text, so an `accepted` and the `result` served with it leave in one
+    /// write and reach the client in one wake-up. Connection `me`'s reader
+    /// made these decisions and writes its own frames once it unlocks;
+    /// every other connection's writer thread is woken for its frames.
+    fn flush(&mut self, me: Option<u64>) {
         let mut texts: Vec<(u64, String)> = Vec::new();
         for out in self.sched.drain() {
             match out {
@@ -289,19 +305,102 @@ impl Locked {
                 }
             }
         }
-        for (conn, text) in texts {
-            if let Some(tx) = self.outboxes.get(&conn) {
-                let _ = tx.send(text);
+        for (id, text) in texts {
+            if let Some(conn) = self.conns.get(&id) {
+                conn.push(text);
+                if me != Some(id) {
+                    conn.wake.notify_one();
+                }
             }
         }
     }
 }
 
-/// One frame as the writer queue takes it: its line plus the newline.
+/// One frame as an outbox takes it: its line plus the newline.
 fn wire(frame: &ServerFrame) -> String {
     let mut line = frame.to_line();
     line.push('\n');
     line
+}
+
+/// One connection's ordered outbox and the write half of its socket.
+/// Text is appended in decision order; whichever thread holds `stream`
+/// takes it out from the front and writes it, so bytes leave in the
+/// order they were pushed, whoever writes them.
+struct Conn {
+    /// The core's id for this connection.
+    id: u64,
+    outbox: Mutex<Outbox>,
+    /// Wakes the connection's writer thread.
+    wake: Condvar,
+    stream: Mutex<SweepStream>,
+}
+
+#[derive(Default)]
+struct Outbox {
+    /// Frames not yet written, each with its newline.
+    text: String,
+    /// The reader has left: the writer thread writes what is left and
+    /// exits.
+    closed: bool,
+}
+
+impl Conn {
+    fn new(id: u64, stream: SweepStream) -> Self {
+        Conn { id, outbox: Mutex::default(), wake: Condvar::new(), stream: Mutex::new(stream) }
+    }
+
+    /// Write `text` behind everything pushed before it, on this thread.
+    fn send(&self, text: String) {
+        self.push(text);
+        self.write_pending();
+    }
+
+    fn push(&self, text: String) {
+        let mut outbox = self.outbox.lock().expect("sweepd outbox");
+        if outbox.text.is_empty() {
+            outbox.text = text;
+        } else {
+            outbox.text.push_str(&text);
+        }
+    }
+
+    /// Write everything pushed so far, and whatever is pushed meanwhile,
+    /// in order. Blocks while the client is not reading: that is the
+    /// backpressure a client that stops reading gets. Text a write fails
+    /// on is dropped: the peer is gone, and its reader ends the
+    /// connection on its next read.
+    fn write_pending(&self) {
+        let mut stream = self.stream.lock().expect("sweepd stream");
+        loop {
+            let text = std::mem::take(&mut self.outbox.lock().expect("sweepd outbox").text);
+            if text.is_empty() {
+                return;
+            }
+            let _ = stream.write_all(text.as_bytes()).and_then(|()| stream.flush());
+        }
+    }
+
+    /// The writer thread: writes the frames other threads decide for this
+    /// connection until the reader closes it.
+    fn writer_loop(&self) {
+        loop {
+            let mut outbox = self.outbox.lock().expect("sweepd outbox");
+            while outbox.text.is_empty() && !outbox.closed {
+                outbox = self.wake.wait(outbox).expect("sweepd outbox");
+            }
+            if outbox.text.is_empty() {
+                return;
+            }
+            drop(outbox);
+            self.write_pending();
+        }
+    }
+
+    fn close(&self) {
+        self.outbox.lock().expect("sweepd outbox").closed = true;
+        self.wake.notify_one();
+    }
 }
 
 struct Shared {
@@ -314,14 +413,32 @@ struct Shared {
 }
 
 impl Shared {
-    /// Run `f` under the lock, then flush what it decided before
-    /// unlocking: an `accepted` reaches its writer queue before any worker
-    /// can see the job, so no `result` can overtake it (the client reads
-    /// frames in order and would drop a result ahead of its `accepted`).
+    /// Run `f` under the lock and push what it decided onto the outboxes
+    /// before unlocking, waking each addressed connection's writer thread:
+    /// for what a worker or the shutdown request decides, and for a
+    /// connection's arrival and departure. An `accepted` is in its outbox
+    /// before any worker can see the job, and each outbox is written in
+    /// order, so no `result` can overtake it (the client reads frames in
+    /// order and would drop a result ahead of its `accepted`), whichever
+    /// thread writes each.
     fn with<R>(&self, f: impl FnOnce(&mut Locked) -> R) -> R {
         let mut st = self.state.lock().expect("sweepd state");
         let r = f(&mut st);
-        st.flush();
+        st.flush(None);
+        r
+    }
+
+    /// [`Shared::with`] for connection `me`'s reader: its own frames are
+    /// not handed to its writer thread but written here, once the lock is
+    /// released, with anything queued ahead of them.
+    fn with_conn<R>(&self, me: &Conn, f: impl FnOnce(&mut Locked) -> R) -> R {
+        let r = {
+            let mut st = self.state.lock().expect("sweepd state");
+            let r = f(&mut st);
+            st.flush(Some(me.id));
+            r
+        };
+        me.write_pending();
         r
     }
 
@@ -337,13 +454,14 @@ impl Shared {
     /// Decode and fingerprint a submission once. A unit in flight gets
     /// its dedup answer first, with no store probe. A unit the store
     /// holds whole is recalled and answered here, on the connection's
-    /// thread; any other goes to the core's admission and, when fresh,
-    /// the queue. A job that finishes between the dedup and the recall
-    /// is served by the recall; one that finishes after the recall
-    /// missed leaves a queued job that finds every chunk stored.
+    /// reader, which writes the answer itself; any other goes to the
+    /// core's admission and, when fresh, the queue. A job that finishes
+    /// between the dedup and the recall is served by the recall; one
+    /// that finishes after the recall missed leaves a queued job that
+    /// finds every chunk stored.
     fn submit(
         &self,
-        client: u64,
+        me: &Conn,
         req_id: u64,
         spec: WorkSpec,
         trials: u64,
@@ -362,17 +480,20 @@ impl Shared {
             let key = Fingerprint::of(&spec, &salt, std::any::type_name::<RunReport>());
             (election, key)
         });
+        let client = me.id;
         if let Ok((election, key)) = &decoded {
             let hex = key.hex();
-            if self.with(|st| st.sched.dedup(client, req_id, trials, hex, received, Instant::now()))
-            {
+            if self.with_conn(me, |st| {
+                st.sched.dedup(client, req_id, trials, hex, received, Instant::now())
+            }) {
                 return;
             }
             if let Some((stored, recalled_at)) = self.recall(&spec, election, key, trials, &tracer)
             {
-                self.with(|st| {
+                self.with_conn(me, |st| {
                     st.sched.serve(client, req_id, trials, stored, received, Instant::now())
                 });
+                // Delivery ends once the answer is on the socket.
                 self.m.deliver_us.observe(recalled_at.elapsed().as_micros() as u64);
                 return;
             }
@@ -387,11 +508,13 @@ impl Shared {
             };
             (key.hex().to_string(), make)
         });
-        let fresh =
-            self.with(|st| st.sched.submit(client, req_id, trials, unit, received, Instant::now()));
-        if fresh {
-            self.work_cv.notify_one();
-        }
+        // A fresh job wakes a worker before the reader writes `accepted`:
+        // a client slow to read must not hold a queued job back.
+        self.with_conn(me, |st| {
+            if st.sched.submit(client, req_id, trials, unit, received, Instant::now()) {
+                self.work_cv.notify_one();
+            }
+        });
     }
 
     /// The answer to a unit the store holds whole: its reports, and its
@@ -612,7 +735,7 @@ impl SweepServer {
             store,
             registry,
             m,
-            state: Mutex::new(Locked { sched, outboxes: HashMap::new(), running: HashMap::new() }),
+            state: Mutex::new(Locked { sched, conns: HashMap::new(), running: HashMap::new() }),
             work_cv: Condvar::new(),
             config,
         });
@@ -762,32 +885,24 @@ impl ServerHandle {
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 fn handle_conn(core: &Arc<Shared>, stream: SweepStream) {
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<String>();
-    let writer = std::thread::Builder::new()
-        .name("sweepd-conn-writer".to_string())
-        .spawn(move || {
-            let mut out = write_half;
-            for chunk in rx {
-                if out.write_all(chunk.as_bytes()).and_then(|()| out.flush()).is_err() {
-                    break;
-                }
-            }
-        })
-        .expect("spawn connection writer");
-
+    let Ok(write_half) = stream.try_clone() else { return };
     let conn_registry = MetricRegistry::new();
-    let client = core.with(|st| {
+    let conn = core.with(|st| {
         let client = st.sched.connect(ConnMetrics::new(&conn_registry));
-        st.outboxes.insert(client, tx.clone());
-        client
+        let conn = Arc::new(Conn::new(client, write_half));
+        st.conns.insert(client, Arc::clone(&conn));
+        conn
     });
-    let send_frame = |frame: &ServerFrame| {
-        let _ = tx.send(wire(frame));
+    let writer = {
+        let conn = Arc::clone(&conn);
+        std::thread::Builder::new()
+            .name("sweepd-conn-writer".to_string())
+            .spawn(move || conn.writer_loop())
+            .expect("spawn connection writer")
     };
+    let client = conn.id;
+    // A frame the reader answers without the core.
+    let send_frame = |frame: &ServerFrame| conn.send(wire(frame));
 
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
@@ -816,7 +931,7 @@ fn handle_conn(core: &Arc<Shared>, stream: SweepStream) {
         // curl-compatible without an HTTP stack.
         if first && trimmed.starts_with("GET ") {
             let body = core.registry.render_prometheus();
-            let _ = tx.send(format!(
+            conn.send(format!(
                 "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
                 body.len(),
             ));
@@ -839,13 +954,17 @@ fn handle_conn(core: &Arc<Shared>, stream: SweepStream) {
                 client_share: core.config.client_share as u64,
             }),
             ClientFrame::Submit { id, spec, trials, trace } => {
-                core.submit(client, id, spec, trials, trace)
+                core.submit(&conn, id, spec, trials, trace)
             }
             ClientFrame::Subscribe { id, key } => {
-                core.with(|st| st.sched.subscribe(client, id, &key))
+                core.with_conn(&conn, |st| st.sched.subscribe(client, id, &key))
             }
-            ClientFrame::Status { id, key } => core.with(|st| st.sched.status(client, id, &key)),
-            ClientFrame::Cancel { id, key } => core.with(|st| st.sched.cancel(client, id, &key)),
+            ClientFrame::Status { id, key } => {
+                core.with_conn(&conn, |st| st.sched.status(client, id, &key))
+            }
+            ClientFrame::Cancel { id, key } => {
+                core.with_conn(&conn, |st| st.sched.cancel(client, id, &key))
+            }
             ClientFrame::Metrics { id } => send_frame(&ServerFrame::Metrics {
                 id,
                 server: core.registry.snapshot().to_json_value(),
@@ -860,9 +979,9 @@ fn handle_conn(core: &Arc<Shared>, stream: SweepStream) {
     }
     core.with(|st| {
         st.sched.disconnect(client);
-        st.outboxes.remove(&client);
+        st.conns.remove(&client);
     });
-    drop(tx);
+    conn.close();
     let _ = writer.join();
 }
 

@@ -564,3 +564,200 @@ fn a_distinct_unit_submitted_during_a_widened_job_is_answered() {
     let _ = std::fs::remove_dir_all(cache);
     let _ = std::fs::remove_dir_all(narrow_cache);
 }
+
+/// A raw connection: the client side of the wire with nothing in between,
+/// so a test sees every frame in the order the daemon wrote it.
+struct Raw {
+    reader: std::io::BufReader<std::net::TcpStream>,
+    line: String,
+}
+
+impl Raw {
+    fn connect(endpoint: &Endpoint) -> (Raw, std::net::TcpStream) {
+        let Endpoint::Tcp(addr) = endpoint else { unreachable!() };
+        let stream = std::net::TcpStream::connect(addr.as_str()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        let write_half = stream.try_clone().unwrap();
+        (Raw { reader: std::io::BufReader::new(stream), line: String::new() }, write_half)
+    }
+
+    fn next(&mut self) -> jle_sweepd::ServerFrame {
+        use std::io::BufRead;
+        self.line.clear();
+        let n = self.reader.read_line(&mut self.line).unwrap();
+        assert!(n > 0, "the daemon closed the connection");
+        jle_sweepd::ServerFrame::parse(self.line.trim_end()).unwrap()
+    }
+}
+
+/// `submit` lines for `(id, spec, trials)`, newline-terminated, as one
+/// buffer.
+fn submit_lines<'a>(subs: impl IntoIterator<Item = (u64, &'a WorkSpec, u64)>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (id, spec, trials) in subs {
+        let frame = jle_sweepd::ClientFrame::Submit { id, spec: spec.clone(), trials, trace: None };
+        bytes.extend_from_slice(frame.to_line().as_bytes());
+        bytes.push(b'\n');
+    }
+    bytes
+}
+
+/// One connection runs a job whose `progress` frames the writer thread
+/// writes while the reader writes the answers to served hits and to 200
+/// tiny queued units, whose `result`s the writer writes too. Every frame
+/// of every request must arrive in the order the core decided it: each
+/// served `accepted` with its `result` right behind it, and no `progress`
+/// or `result` ahead of its `accepted`.
+#[test]
+fn frames_leave_in_decision_order_across_reader_and_writer() {
+    use jle_sweepd::ServerFrame;
+    use std::io::Write;
+    const SERVED: u64 = 40;
+    const TINY: u64 = 200;
+    let (handle, endpoint, cache) = start("order", |c| {
+        c.workers = 2;
+        c.mc_jobs = 1;
+        c.chunk_size = 1;
+        c.progress_every = Duration::ZERO;
+        c.max_queue = 256;
+        c.client_share = 256;
+    });
+    let (mut raw, mut write_half) = Raw::connect(&endpoint);
+    let stored = quick_spec("order-stored", 31);
+    write_half.write_all(&submit_lines([(1, &stored, 4)])).unwrap();
+    let stored_bytes = loop {
+        if let ServerFrame::Result { id: 1, results, .. } = raw.next() {
+            break results;
+        }
+    };
+
+    // Start the long job and wait for its first progress frame, so the
+    // writer thread is streaming while the reader answers.
+    write_half.write_all(&submit_lines([(2, &blocker_spec(), 8)])).unwrap();
+    let mut frames = Vec::new();
+    while !matches!(frames.last(), Some(ServerFrame::Progress { id: 2, .. })) {
+        frames.push(raw.next());
+    }
+    let tiny: Vec<WorkSpec> =
+        (0..TINY).map(|i| quick_spec(&format!("tiny-{i}"), 5_000 + i)).collect();
+    let mut subs: Vec<(u64, &WorkSpec, u64)> = Vec::new();
+    for i in 0..TINY {
+        subs.push((1_000 + i, &tiny[i as usize], 1));
+        if i % 5 == 0 {
+            subs.push((100 + i / 5, &stored, 4));
+        }
+    }
+    assert_eq!(subs.len() as u64, TINY + SERVED);
+    let bytes = submit_lines(subs);
+    let writer = std::thread::spawn(move || write_half.write_all(&bytes).unwrap());
+    let mut pending = TINY + SERVED + 1;
+    while pending > 0 {
+        let frame = raw.next();
+        if matches!(frame, ServerFrame::Result { .. }) {
+            pending -= 1;
+        }
+        frames.push(frame);
+    }
+    writer.join().unwrap();
+
+    let mut accepted = std::collections::BTreeSet::new();
+    for (at, frame) in frames.iter().enumerate() {
+        match frame {
+            ServerFrame::Accepted { id, .. } => assert!(accepted.insert(*id), "second accepted"),
+            ServerFrame::Progress { id, .. } | ServerFrame::Result { id, .. } => {
+                assert!(accepted.contains(id), "frame {at} of request {id} before its accepted")
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+        let served = (100..100 + SERVED).contains(&frame.id());
+        if let (ServerFrame::Accepted { id, .. }, true) = (frame, served) {
+            match frames.get(at + 1) {
+                Some(ServerFrame::Result { id: next, executed_trials: 0, results, .. })
+                    if next == id =>
+                {
+                    assert_eq!(results.get(), stored_bytes.get(), "served bytes differ")
+                }
+                other => panic!("served request {id}: accepted followed by {other:?}"),
+            }
+        }
+    }
+    let results = |ids: std::ops::Range<u64>| {
+        frames
+            .iter()
+            .filter(|f| matches!(f, ServerFrame::Result { .. }) && ids.contains(&f.id()))
+            .count() as u64
+    };
+    assert_eq!(results(100..100 + SERVED), SERVED);
+    assert_eq!(results(1_000..1_000 + TINY), TINY);
+    assert_eq!(results(2..3), 1);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+/// A client that submits and never reads fills its socket, and the
+/// daemon stops reading its requests instead of queueing its answers in
+/// memory; another client is served meanwhile. Once the first client
+/// reads, every answer arrives whole, in request order.
+#[test]
+fn a_client_that_stops_reading_stalls_only_itself() {
+    use jle_sweepd::ServerFrame;
+    use std::io::Write;
+    const SUBMITS: u64 = 256;
+    const TRIALS: u64 = 224;
+    let (handle, endpoint, cache) = start("stalled", |_| {});
+    let mut other = SweepClient::connect(&endpoint).unwrap();
+    other.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let spec = quick_spec("stalled", 77);
+    let cold = other.submit_and_wait(&spec, TRIALS, 8, |_| {}).unwrap();
+    assert_eq!(cold.executed_trials, TRIALS);
+    let submissions = || counter(&handle, "jle_sweepd_submissions_total");
+    let before = submissions();
+
+    let (mut raw, mut write_half) = Raw::connect(&endpoint);
+    let bytes = submit_lines((1..=SUBMITS).map(|id| (id, &spec, TRIALS)));
+    let writer = std::thread::spawn(move || {
+        write_half.write_all(&bytes).unwrap();
+        write_half
+    });
+    // The count settles once the daemon's write to the silent client
+    // blocks, well before every answer is out.
+    let mut last = (submissions(), Instant::now());
+    while last.1.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = submissions();
+        if now != last.0 {
+            last = (now, Instant::now());
+        }
+    }
+    let stalled = last.0 - before;
+    assert!(stalled > 0 && stalled < SUBMITS, "{stalled} of {SUBMITS} submissions read");
+
+    // The other client is not held up.
+    for _ in 0..4 {
+        let started = Instant::now();
+        let warm = other.submit_and_wait(&spec, TRIALS, 8, |_| {}).unwrap();
+        assert!(started.elapsed() < Duration::from_secs(10));
+        assert_eq!(warm.executed_trials, 0);
+        assert!(warm.results.get() == cold.results.get(), "served bytes differ");
+    }
+    assert_eq!(submissions(), before + stalled + 4, "the silent client advanced");
+
+    // Reading drains everything, in request order, byte-identical.
+    for id in 1..=SUBMITS {
+        match raw.next() {
+            ServerFrame::Accepted { id: got, dedup: false, .. } if got == id => {}
+            other => panic!("request {id}: expected accepted, got {other:?}"),
+        }
+        match raw.next() {
+            ServerFrame::Result { id: got, executed_trials: 0, results, .. } if got == id => {
+                assert!(results.get() == cold.results.get(), "request {id}: bytes differ")
+            }
+            other => panic!("request {id}: expected its result, got {other:?}"),
+        }
+    }
+    assert_eq!(submissions(), before + SUBMITS + 4);
+    drop(writer.join().unwrap());
+    drop(raw);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
