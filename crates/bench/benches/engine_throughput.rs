@@ -295,6 +295,15 @@ fn bench_warm_path(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("decode_reports", DECODE_TRIALS), |b| {
         b.iter(|| black_box(serde_json::from_str::<Vec<RunReport>>(black_box(&text)).unwrap()))
     });
+    // The same reports with every object's keys in reverse order: the
+    // derived reader guesses each next key in declaration order, so here
+    // every guess misses and each key goes by its name.
+    let mut shuffled = reports.to_json_value();
+    reverse_keys(&mut shuffled);
+    let shuffled = serde_json::to_string(&shuffled).expect("render the shuffled reports");
+    group.bench_function(BenchmarkId::new("decode_reports_shuffled", DECODE_TRIALS), |b| {
+        b.iter(|| black_box(serde_json::from_str::<Vec<RunReport>>(black_box(&shuffled)).unwrap()))
+    });
     group.bench_function(BenchmarkId::new("decode_reports_tree", DECODE_TRIALS), |b| {
         b.iter(|| {
             let tree: serde::Value = serde_json::from_str(black_box(&text)).unwrap();
@@ -308,6 +317,18 @@ fn bench_warm_path(c: &mut Criterion) {
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reverse the order of the keys of every object in `v`.
+fn reverse_keys(v: &mut serde::Value) {
+    match v {
+        serde::Value::Map(m) => {
+            m.reverse();
+            m.iter_mut().for_each(|(_, x)| reverse_keys(x));
+        }
+        serde::Value::Seq(xs) => xs.iter_mut().for_each(reverse_keys),
+        _ => {}
+    }
 }
 
 fn bench_sweepd_frames(c: &mut Criterion) {
