@@ -1,8 +1,8 @@
 //! The sweep-client library: connect, submit, stream, collect.
 //!
 //! [`SweepClient`] is a thin synchronous wrapper over one JSONL
-//! connection. The bench CLIs' `--server` mode and the soak harness
-//! both build on [`SweepClient::run_reports`], which retries through
+//! connection. The bench CLIs' `--server` mode builds on
+//! [`SweepClient::run_reports`], which retries through
 //! backpressure (`rejected` frames carry a `retry_after_ms` hint),
 //! waits out progress frames, and deserializes the terminal `result`
 //! payload back into [`RunReport`]s — so a server round-trip is a

@@ -18,7 +18,7 @@
 //! with every subscriber streaming the same throttled progress events
 //! and receiving byte-identical results.
 //!
-//! The crate ships both halves plus a load harness:
+//! The crate ships both halves:
 //!
 //! * [`server`] — the resident service ([`server::SweepServer`]), run by
 //!   the `jle-sweepd` binary: sockets, threads and the worker pool around
@@ -28,10 +28,11 @@
 //!   the bench CLIs' `--server` mode and by tests;
 //! * [`work`] — the server-side work-kind registry mapping a submitted
 //!   parameter tree back to a trial closure (strictly: unknown keys are
-//!   rejected so the server never mis-reconstructs a sweep variant);
-//! * `sweep-soak` — a binary firing thousands of concurrent submissions
-//!   with overlapping fingerprints and reporting dedup/cache-hit ratios
-//!   and p50/p99 submission-to-first-chunk latency.
+//!   rejected so the server never mis-reconstructs a sweep variant).
+//!
+//! `jle-sweepd` is the crate's one binary. Load on it is measured by
+//! `sweepbench --workload sweepd_mixed`, its own workspace under
+//! `sweepbench/`.
 //!
 //! Health surface: all `jle_sweepd_*` / `jle_orchestrator_*` counters
 //! live on one shared [`jle_telemetry::MetricRegistry`]; a `metrics`

@@ -47,6 +47,12 @@ pub const SCHEMA: u64 = 1;
 /// rounds that up to 64 MiB.
 pub const MAX_SERVER_FRAME_BYTES: usize = 64 << 20;
 
+/// The most trials one `submit` may ask for: 2^20 = 1,048,576, eight
+/// times the largest unit meant to go through the service. A unit's
+/// chunk list is laid out at admission, so an unbounded count would let
+/// one frame make the daemon allocate without bound.
+pub const MAX_TRIALS: u64 = 1 << 20;
+
 /// Frames a client sends to the server.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientFrame {
@@ -397,6 +403,11 @@ impl WireFrame {
                 let trials = need(self.trials, "u64", "trials")?;
                 if trials == 0 {
                     return Err(serde::Error::custom("submit: `trials` must be ≥ 1"));
+                }
+                if trials > MAX_TRIALS {
+                    return Err(serde::Error::custom(format!(
+                        "submit: `trials` must be ≤ {MAX_TRIALS} (got {trials})"
+                    )));
                 }
                 Ok(ClientFrame::Submit { id, spec, trials, trace: self.trace })
             }
@@ -832,6 +843,11 @@ mod tests {
             (r#"{"v":1,"op":"nope","id":1}"#.to_string(), "unknown client op `nope`"),
             (r#"{"v":1,"op":"submit","id":1,"trials":2}"#.to_string(), "submit: missing `spec`"),
             (submit(r#","trials":0"#), "submit: `trials` must be ≥ 1"),
+            (submit(r#","trials":1048577"#), "submit: `trials` must be ≤ 1048576 (got 1048577)"),
+            (
+                submit(r#","trials":1152921504606846976"#),
+                "submit: `trials` must be ≤ 1048576 (got 1152921504606846976)",
+            ),
             (submit(""), "frame: missing u64 field `trials`"),
             (
                 submit(r#","trials":2,"trace":{"trace_id":"xyz"}"#),
@@ -853,6 +869,11 @@ mod tests {
         for (line, want) in cases {
             assert_eq!(ClientFrame::parse(&line).unwrap_err().to_string(), want, "{line:.80}");
         }
+        let most = submit(r#","trials":1048576"#);
+        assert!(matches!(
+            ClientFrame::parse(&most),
+            Ok(ClientFrame::Submit { trials: MAX_TRIALS, .. })
+        ));
         let traced = submit(r#","trials":2,"trace":null"#);
         assert!(matches!(ClientFrame::parse(&traced), Ok(ClientFrame::Submit { trace: None, .. })));
     }

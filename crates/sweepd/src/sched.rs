@@ -1,7 +1,7 @@
-//! The decision core of the sweep service: admission (dedup → queue
-//! bound → fair share), answers served from the store at admission,
-//! subscribe, status, cancel, disconnect, `pick_next` with its thread
-//! ledger, progress throttling, terminal delivery and the shutdown drain.
+//! The decision core of the sweep service: admission (dedup → store
+//! recall → queue bound → fair share), subscribe, status, cancel,
+//! disconnect, `pick_next` with its thread ledger, progress throttling,
+//! terminal delivery and the shutdown drain.
 //!
 //! [`Sched`] is one plain `&mut self` state machine. It takes no lock,
 //! opens no socket, starts no thread and reads no clock (`now` is passed
@@ -9,8 +9,14 @@
 //! connections and cancel tokens to fire. The shell in `server.rs` keeps
 //! it behind one `Mutex` and carries the outbox out before unlocking, so
 //! frames leave in the order they were decided: an `accepted` always
-//! precedes every `progress` or `result` of its request id. The seeded
-//! suite at the end of this file drives it with no socket and no thread.
+//! precedes every `progress` or `result` of its request id.
+//!
+//! Admission is one decision in two calls. [`Sched::submit`] answers a
+//! unit in flight (a job, or a recall pending for its key) and turns any
+//! other into a pending entry the shell recalls from the store outside
+//! the lock; [`Sched::settle`] takes the recall's hit or miss and answers
+//! every submission waiting on it. The seeded suite at the end of this
+//! file drives it with no socket and no thread.
 
 use crate::protocol::ServerFrame;
 use crate::server::ServerConfig;
@@ -46,7 +52,6 @@ pub(crate) enum Outcome {
 /// A unit the store held whole, recalled and rendered by the shell at
 /// admission: answered at once, without a job.
 pub(crate) struct Stored {
-    pub(crate) key: String,
     pub(crate) results: Arc<RawValue>,
     pub(crate) spans: Option<Arc<RawValue>>,
 }
@@ -55,6 +60,13 @@ pub(crate) struct Stored {
 struct Sub {
     conn: u64,
     req_id: u64,
+}
+
+/// A unit the shell is recalling from the store: the submissions waiting
+/// on the recall, in arrival order, with when each arrived.
+struct Pending {
+    trials: u64,
+    subs: Vec<(Sub, Instant)>,
 }
 
 /// One deduped unit of in-flight work.
@@ -94,6 +106,7 @@ pub(crate) struct Metrics {
     jobs_cancelled: Counter,
     jobs_failed: Counter,
     unit_cache_hits: Counter,
+    pub(crate) store_recalls: Counter,
     threads_reclaimed: Counter,
     connections: Counter,
     queue_depth: Gauge,
@@ -129,6 +142,10 @@ impl Metrics {
             unit_cache_hits: reg.counter(
                 "jle_sweepd_unit_cache_hits_total",
                 "units answered entirely from the warm result store, at admission or by a job",
+            ),
+            store_recalls: reg.counter(
+                "jle_sweepd_store_recalls_total",
+                "store probes of submitted units not in flight, at most one per key at a time",
             ),
             threads_reclaimed: reg.counter(
                 "jle_sweepd_threads_reclaimed_total",
@@ -217,6 +234,10 @@ pub(crate) struct Sched<W> {
     /// The dedup table: the in-flight job of each fingerprint that still
     /// has a subscriber. Every job in it has at least one.
     by_key: HashMap<String, u64>,
+    /// The recalls outstanding, by fingerprint: one per key at most, and
+    /// never for a key in `by_key`. An entry takes no queue slot and no
+    /// fair share, and leaves only through [`Sched::settle`].
+    pending: HashMap<String, Pending>,
     queue: VecDeque<u64>,
     /// The thread ledger: how many of the pool's `workers × mc_jobs`
     /// credits no job holds. A pickup reserves; [`Sched::finish`]
@@ -241,6 +262,7 @@ impl<W> Sched<W> {
             conns: HashMap::new(),
             jobs: BTreeMap::new(),
             by_key: HashMap::new(),
+            pending: HashMap::new(),
             queue: VecDeque::new(),
             free: config.effective_workers() * width,
             width,
@@ -280,86 +302,122 @@ impl<W> Sched<W> {
         self.next_id
     }
 
-    /// The in-flight step of admission on its own: attach the submission
-    /// of `key` to the queued or running job of that key, or refuse it
-    /// when that job runs another trial count. Returns whether it was
-    /// answered; not while shutting down, nor when `key` is not in
-    /// flight. The shell asks this before it probes the store, so a
-    /// submission that coalesces costs no recall.
-    pub(crate) fn dedup(
-        &mut self,
-        conn: u64,
-        req_id: u64,
-        trials: u64,
-        key: &str,
-        received: Instant,
-        now: Instant,
-    ) -> bool {
-        if self.shutting_down {
-            return false;
-        }
-        let Some(id) = self.by_key.get(key) else { return false };
-        let job = self.jobs.get_mut(id).expect("dedup entries name live jobs");
-        if job.trials != trials {
-            let had = job.trials;
-            let reason = format!("key {key} is in flight with {had} trials (requested {trials})");
-            self.refuse(conn, req_id, reason, 500);
-            return true;
-        }
-        job.subs.push(Sub { conn, req_id });
-        self.m.dedup_hits.inc();
-        self.m.dedup_shortcircuit_us.observe(micros(now.saturating_duration_since(received)));
-        self.conns[&conn].dedup.inc();
-        self.accept(conn, req_id, key.to_string(), trials, true);
-        true
-    }
-
-    /// Admission control: dedup → queue bound → fair share. `unit` is the
-    /// submitted unit's fingerprint with a maker for the shell's payload,
-    /// or the reason it could not be decoded; `received` is when the
-    /// frame arrived. Returns whether a fresh job was queued.
+    /// Admission, first half. A submission of a unit in flight is
+    /// answered here: attached to the queued or running job of its key,
+    /// or to the recall pending for it, or refused when that runs another
+    /// trial count. Any other unit becomes a pending entry, and `true`
+    /// tells the shell to recall `key` from the store and report the
+    /// outcome through [`Sched::settle`]. `key` is the unit's fingerprint,
+    /// or the reason it could not be decoded; `received` is when the frame
+    /// arrived.
     pub(crate) fn submit(
         &mut self,
         conn: u64,
         req_id: u64,
         trials: u64,
-        unit: Result<(String, impl FnOnce() -> W), String>,
+        key: Result<&str, String>,
         received: Instant,
         now: Instant,
     ) -> bool {
+        if self.shutting_down {
+            self.refuse(conn, req_id, "server shutting down".to_string(), 0);
+            return false;
+        }
+        let key = match key {
+            Ok(key) => key,
+            Err(reason) => {
+                self.send(conn, ServerFrame::Error { id: req_id, reason });
+                return false;
+            }
+        };
+        let had = match (self.by_key.get(key), self.pending.get_mut(key)) {
+            (Some(id), _) => self.jobs[id].trials,
+            (None, Some(pending)) => {
+                if pending.trials == trials {
+                    pending.subs.push((Sub { conn, req_id }, received));
+                    return false;
+                }
+                pending.trials
+            }
+            (None, None) => {
+                let subs = vec![(Sub { conn, req_id }, received)];
+                self.pending.insert(key.to_string(), Pending { trials, subs });
+                return true;
+            }
+        };
+        if had == trials {
+            self.attach(conn, req_id, key.to_string(), received, now);
+        } else {
+            let reason = format!("key {key} is in flight with {had} trials (requested {trials})");
+            self.refuse(conn, req_id, reason, 500);
+        }
+        false
+    }
+
+    /// Admission, second half: the shell's recall of `key` ended, with the
+    /// rendered unit on a hit. On a hit every submission still waiting on
+    /// it gets `accepted` and the stored `result` in this drain: no job,
+    /// no queue slot, no fair share, and it counts as a warm job does. On
+    /// a miss they share one job, built by `make`: the queue bound and the
+    /// fair share of the first one still waiting admit it or refuse them
+    /// all, and the rest attach to it as dedups. While shutting down all
+    /// are refused. Returns whether a job was queued.
+    pub(crate) fn settle(
+        &mut self,
+        key: &str,
+        stored: Option<Stored>,
+        make: impl FnOnce() -> W,
+        now: Instant,
+    ) -> bool {
+        let Some((key, Pending { trials, subs })) = self.pending.remove_entry(key) else {
+            return false;
+        };
         let (reason, retry_after_ms) = 'refuse: {
             if self.shutting_down {
                 break 'refuse ("server shutting down".to_string(), 0);
             }
-            let (key, make) = match unit {
-                Ok(unit) => unit,
-                Err(reason) => {
-                    self.send(conn, ServerFrame::Error { id: req_id, reason });
-                    return false;
+            if let Some(Stored { results, spans }) = stored {
+                for (Sub { conn, req_id }, received) in subs {
+                    self.accept(conn, req_id, key.clone(), trials, false);
+                    let waited = now.saturating_duration_since(received);
+                    self.m.unit_cache_hits.inc();
+                    self.m.jobs_completed.inc();
+                    self.m.first_chunk_latency_us.observe(micros(waited));
+                    self.conns[&conn].results.inc();
+                    let frame = ServerFrame::Result {
+                        id: req_id,
+                        key: key.clone(),
+                        trials,
+                        executed_trials: 0,
+                        cached_trials: trials,
+                        wall_secs: waited.as_secs_f64(),
+                        results: Arc::clone(&results),
+                        spans: spans.clone(),
+                    };
+                    self.send(conn, frame);
                 }
-            };
-            if self.dedup(conn, req_id, trials, &key, received, now) {
                 return false;
             }
+            let Some(&(Sub { conn: client, req_id }, _)) = subs.first() else { return false };
             let depth = self.queue.len();
             if depth >= self.max_queue {
-                self.m.rejected_queue_full.inc();
+                self.m.rejected_queue_full.add(subs.len() as u64);
                 break 'refuse (format!("queue full ({depth} jobs)"), 100 + 25 * depth as u64);
             }
-            let inflight = self.jobs.values().filter(|j| j.client == conn).count();
+            let inflight = self.jobs.values().filter(|j| j.client == client).count();
             if inflight >= self.client_share {
-                self.m.rejected_fair_share.inc();
+                self.m.rejected_fair_share.add(subs.len() as u64);
                 break 'refuse (format!("fair share exhausted ({inflight} jobs in flight)"), 200);
             }
             self.next_id += 1;
             let job = Job {
                 key: key.clone(),
                 trials,
-                client: conn,
+                client,
                 submitted: now,
                 work: Some(make()),
                 threads: 0,
-                subs: vec![Sub { conn, req_id }],
+                subs: vec![Sub { conn: client, req_id }],
                 done_trials: 0,
                 executed_trials: 0,
                 cached_trials: 0,
@@ -371,49 +429,27 @@ impl<W> Sched<W> {
             self.queue.push_back(self.next_id);
             self.reclaim();
             self.set_gauges();
-            self.accept(conn, req_id, key, trials, false);
+            self.accept(client, req_id, key.clone(), trials, false);
+            for (Sub { conn, req_id }, received) in subs.into_iter().skip(1) {
+                self.attach(conn, req_id, key.clone(), received, now);
+            }
             return true;
         };
-        self.refuse(conn, req_id, reason, retry_after_ms);
+        for (Sub { conn, req_id }, _) in subs {
+            self.refuse(conn, req_id, reason.clone(), retry_after_ms);
+        }
         false
     }
 
-    /// Answer a submission the store holds whole: `accepted` and its
-    /// `result` in one drain. It takes no queue slot and no fair share,
-    /// and is refused only while shutting down. It counts as a warm job
-    /// does: a submission, a unit cache hit, a completed job, its first
-    /// event, a result. Serving while a job of the same key is in flight
-    /// is sound: results are deterministic per fingerprint.
-    pub(crate) fn serve(
-        &mut self,
-        conn: u64,
-        req_id: u64,
-        trials: u64,
-        stored: Stored,
-        received: Instant,
-        now: Instant,
-    ) {
-        if self.shutting_down {
-            return self.refuse(conn, req_id, "server shutting down".to_string(), 0);
-        }
-        let Stored { key, results, spans } = stored;
-        self.accept(conn, req_id, key.clone(), trials, false);
-        let waited = now.saturating_duration_since(received);
-        self.m.unit_cache_hits.inc();
-        self.m.jobs_completed.inc();
-        self.m.first_chunk_latency_us.observe(micros(waited));
-        self.conns[&conn].results.inc();
-        let frame = ServerFrame::Result {
-            id: req_id,
-            key,
-            trials,
-            executed_trials: 0,
-            cached_trials: trials,
-            wall_secs: waited.as_secs_f64(),
-            results,
-            spans,
-        };
-        self.send(conn, frame);
+    /// Attach a submission to the in-flight job of `key`, as a dedup.
+    fn attach(&mut self, conn: u64, req_id: u64, key: String, received: Instant, now: Instant) {
+        let job = self.jobs.get_mut(&self.by_key[&key]).expect("dedup entries name live jobs");
+        job.subs.push(Sub { conn, req_id });
+        let trials = job.trials;
+        self.m.dedup_hits.inc();
+        self.m.dedup_shortcircuit_us.observe(micros(now.saturating_duration_since(received)));
+        self.conns[&conn].dedup.inc();
+        self.accept(conn, req_id, key, trials, true);
     }
 
     /// Count an admission and answer it.
@@ -470,28 +506,39 @@ impl<W> Sched<W> {
     }
 
     /// Withdraw `conn`'s interest in `key`; the computation is dropped
-    /// only when nobody else still wants it.
+    /// only when nobody else still wants it. Submissions waiting on a
+    /// recall of `key` are withdrawn and get no answer; the recall still
+    /// settles.
     pub(crate) fn cancel(&mut self, conn: u64, req_id: u64, key: &str) {
-        let Some(&id) = self.by_key.get(key) else {
+        let completed_trials = if let Some(&id) = self.by_key.get(key) {
+            let job = self.jobs.get_mut(&id).expect("dedup entries name live jobs");
+            job.subs.retain(|s| s.conn != conn);
+            let done = job.done_trials;
+            if job.subs.is_empty() {
+                self.orphan(id);
+            }
+            done
+        } else if let Some(pending) = self.pending.get_mut(key) {
+            pending.subs.retain(|(s, _)| s.conn != conn);
+            0
+        } else {
             let reason = format!("key {key} is not in flight");
             return self.send(conn, ServerFrame::Error { id: req_id, reason });
         };
-        let job = self.jobs.get_mut(&id).expect("dedup entries name live jobs");
-        job.subs.retain(|s| s.conn != conn);
-        let completed_trials = job.done_trials;
-        if job.subs.is_empty() {
-            self.orphan(id);
-        }
         self.send(
             conn,
             ServerFrame::Cancelled { id: req_id, key: key.to_string(), completed_trials },
         );
     }
 
-    /// A connection went away: drop its subscriptions everywhere and
-    /// orphan the jobs nobody is left waiting for.
+    /// A connection went away: drop its subscriptions and waiting
+    /// submissions everywhere and orphan the jobs nobody is left waiting
+    /// for.
     pub(crate) fn disconnect(&mut self, conn: u64) {
         self.conns.remove(&conn);
+        for pending in self.pending.values_mut() {
+            pending.subs.retain(|(s, _)| s.conn != conn);
+        }
         let mut orphans = Vec::new();
         for (&id, job) in &mut self.jobs {
             let before = job.subs.len();
@@ -529,7 +576,7 @@ impl<W> Sched<W> {
     /// wait, else every free credit up to its trial count, so a lone job
     /// borrows the idle workers' threads. An idle worker always finds
     /// `mc_jobs` credits free: a job holds more only while nothing is
-    /// queued, and [`Sched::submit`] reclaims the surplus in the decision
+    /// queued, and [`Sched::settle`] reclaims the surplus in the decision
     /// that queues a job. So no worker ever waits for threads.
     pub(crate) fn pick_next(&mut self, now: Instant) -> Option<(u64, W, usize)> {
         if self.shutting_down {
@@ -691,9 +738,10 @@ impl<W> Sched<W> {
 
 #[cfg(test)]
 mod tests {
-    //! The seeded suite: random event sequences and worker-completion
-    //! orders drive [`Sched`] directly, with fake job outcomes, and every
-    //! frame it decides is checked against the service's invariants.
+    //! The seeded suite: random event sequences, worker-completion orders
+    //! and recall outcomes drive [`Sched`] directly, with fake job
+    //! outcomes, and every frame it decides is checked against the
+    //! service's invariants.
 
     use super::*;
     use proptest::prelude::*;
@@ -714,7 +762,8 @@ mod tests {
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Kind {
         Submit,
-        /// A submission the store holds whole: answered at admission.
+        /// A submission whose recall settled as a hit: answered from the
+        /// store.
         Serve,
         Subscribe,
         /// `status` and `cancel`: one reply, no job frames.
@@ -733,11 +782,15 @@ mod tests {
         open: BTreeMap<u64, String>,
         /// When each request last got a progress frame.
         progress_at: HashMap<u64, Instant>,
+        /// Submissions answered (`accepted`, `rejected` or `error`), or
+        /// withdrawn by a cancel while waiting on a recall.
+        answered: BTreeSet<u64>,
     }
 
     struct Model {
         sched: Sched<String>,
         registry: MetricRegistry,
+        max_queue: usize,
         share: usize,
         /// The ledger's size, `workers × mc_jobs`, and `mc_jobs`.
         credits: usize,
@@ -750,6 +803,10 @@ mod tests {
         workers: Vec<Option<(u64, String, u64, usize)>>,
         /// Jobs whose cancel token has fired.
         fired: BTreeSet<u64>,
+        /// The recalls the core asked for that the shell has not settled:
+        /// by key, the trial count and the submissions waiting on it
+        /// (connection id, request id).
+        recalls: BTreeMap<String, (u64, Vec<(u64, u64)>)>,
         shutdown: bool,
         now: Instant,
         completed: u64,
@@ -776,6 +833,7 @@ mod tests {
             let mut model = Model {
                 sched: Sched::new(&config, Metrics::new(&registry)),
                 registry,
+                max_queue,
                 share,
                 credits: workers * mc_jobs,
                 mc_jobs,
@@ -784,6 +842,7 @@ mod tests {
                 slots: [0; SLOTS],
                 workers: vec![None; workers],
                 fired: BTreeSet::new(),
+                recalls: BTreeMap::new(),
                 shutdown: false,
                 now: Instant::now(),
                 completed: 0,
@@ -798,20 +857,22 @@ mod tests {
         fn connect(&mut self) -> usize {
             let registry = MetricRegistry::new();
             let id = self.sched.connect(ConnMetrics::new(&registry));
-            let (reqs, frames, open, progress_at) =
-                (HashMap::new(), Vec::new(), BTreeMap::new(), HashMap::new());
-            let live = true;
             self.conns.push(Conn {
                 id,
                 registry,
-                live,
+                live: true,
                 next_req: 0,
-                reqs,
-                frames,
-                open,
-                progress_at,
+                reqs: HashMap::new(),
+                frames: Vec::new(),
+                open: BTreeMap::new(),
+                progress_at: HashMap::new(),
+                answered: BTreeSet::new(),
             });
             self.conns.len() - 1
+        }
+
+        fn conn(&mut self, id: u64) -> &mut Conn {
+            self.conns.iter_mut().find(|c| c.id == id).expect("known connection")
         }
 
         /// The threads the running jobs hold, by the workers' own count.
@@ -832,9 +893,15 @@ mod tests {
             (conn.id, conn.next_req)
         }
 
+        /// Carry out the core's decisions and check the state they leave.
+        fn flush(&mut self) -> Result<(), String> {
+            self.deliver()?;
+            self.check()
+        }
+
         /// Carry out the core's decisions, checking each frame as its
         /// connection receives it.
-        fn flush(&mut self) -> Result<(), String> {
+        fn deliver(&mut self) -> Result<(), String> {
             let outs: Vec<Out> = self.sched.drain().collect();
             for out in outs {
                 let (conn_id, frame) = match out {
@@ -860,6 +927,20 @@ mod tests {
                 let (key, kind) = self.conns[i].reqs[&id].clone();
                 let wanting = self.wanting(&key);
                 let conn = &mut self.conns[i];
+                if matches!(kind, Kind::Submit | Kind::Serve)
+                    && matches!(
+                        frame,
+                        ServerFrame::Accepted { .. }
+                            | ServerFrame::Rejected { .. }
+                            | ServerFrame::Error { .. }
+                    )
+                {
+                    // One admission answer per submission, none after a
+                    // withdrawal, and no admission once shut down.
+                    check!(conn.answered.insert(id), "submission {id} answered twice: {frame:?}");
+                    let admitted = matches!(frame, ServerFrame::Accepted { .. });
+                    check!(!(admitted && self.shutdown), "admitted {key} after shutdown");
+                }
                 match &frame {
                     ServerFrame::Accepted { dedup, key: k, .. } if kind == Kind::Serve => {
                         check!(*k == key, "accepted names {k}, the request {key}");
@@ -896,8 +977,16 @@ mod tests {
                         check!(conn.open.remove(&id).is_some(), "{frame:?} for no open request");
                     }
                     // The reply to a cancel: the connection's requests for
-                    // the key are withdrawn and owed nothing more.
-                    ServerFrame::Cancelled { .. } => conn.open.retain(|_, k| *k != key),
+                    // the key are withdrawn and owed nothing more, those
+                    // waiting on a recall included.
+                    ServerFrame::Cancelled { .. } => {
+                        conn.open.retain(|_, k| *k != key);
+                        if let Some((_, waiting)) = self.recalls.get_mut(&key) {
+                            let (gone, kept) = waiting.drain(..).partition(|w| w.0 == conn_id);
+                            *waiting = kept;
+                            conn.answered.extend(gone.into_iter().map(|w: (u64, u64)| w.1));
+                        }
+                    }
                     ServerFrame::Error { reason, .. } => {
                         let own = conn.open.values().any(|k| *k == key);
                         check!(!own, "{reason}, but this connection is owed {key}");
@@ -917,27 +1006,61 @@ mod tests {
                 }
                 conn.frames.push(frame);
             }
+            Ok(())
+        }
+
+        /// The invariants of the state the last decision left.
+        fn check(&self) -> Result<(), String> {
             // A served request got its `result` in the drain that accepted it.
             for conn in &self.conns {
                 let owed = conn.open.keys().find(|id| conn.reqs[id].1 == Kind::Serve);
                 check!(owed.is_none(), "served request {owed:?} still open after its drain");
             }
-            // Admission stays inside the fair share.
+            // Admission stays inside the queue bound and the fair share.
+            let queued = self.sched.queue.len();
+            check!(queued <= self.max_queue, "{queued} queued, bound {}", self.max_queue);
             for conn in self.conns.iter().filter(|c| c.live) {
                 let held = self.sched.jobs.values().filter(|j| j.client == conn.id).count();
                 check!(held <= self.share, "client {} holds {held} jobs", conn.id);
             }
-            // The ledger: never more threads out than the pool holds, and
-            // the core's free count is the pool less what the running jobs
-            // hold, so every reservation is settled exactly once.
+            self.ledgers()
+        }
+
+        /// The core's two reserve→settle ledgers. Threads: a pickup
+        /// reserves credits, a narrowing settles the borrowed part and
+        /// `finish` the rest, so no more threads are out than the pool
+        /// holds and the core's free count is the pool less what the
+        /// running jobs hold, each reservation settled exactly once; while
+        /// a job waits no running job holds more than `mc_jobs`. Recalls:
+        /// `submit` reserves a pending entry for a key not in flight and
+        /// `settle` ends it, so the core's pending table is exactly the
+        /// recalls the shell owes (no key with two outstanding, none
+        /// settled twice or dropped unsettled), each waits for exactly the
+        /// submissions neither answered nor withdrawn, and no pending key
+        /// is in the dedup table.
+        fn ledgers(&self) -> Result<(), String> {
             let in_use = self.in_use();
             check!(in_use <= self.credits, "{in_use} threads out of {}", self.credits);
             let free = self.sched.free;
             check!(free + in_use == self.credits, "{free} free + {in_use} held ≠ {}", self.credits);
-            // Borrowed threads go back as soon as a job waits.
             let widest = self.workers.iter().flatten().map(|w| w.3).max().unwrap_or(0);
             let queued = self.sched.queue.len();
             check!(queued == 0 || widest <= self.mc_jobs, "{widest} threads, {queued} queued");
+            let pending = self.sched.pending.len();
+            check!(pending == self.recalls.len(), "{pending} pending, {} owed", self.recalls.len());
+            for (key, (trials, waiting)) in &self.recalls {
+                let Some(entry) = self.sched.pending.get(key) else {
+                    return Err(format!("the recall of {key} is owed but not pending"));
+                };
+                check!(entry.trials == *trials, "{key} pending for {} trials", entry.trials);
+                let mut subs: Vec<(u64, u64)> =
+                    entry.subs.iter().map(|(s, _)| (s.conn, s.req_id)).collect();
+                let mut want = waiting.clone();
+                subs.sort_unstable();
+                want.sort_unstable();
+                check!(subs == want, "{key} waits for {subs:?}, not {want:?}");
+                check!(!self.sched.by_key.contains_key(key), "{key} pending and in flight");
+            }
             Ok(())
         }
 
@@ -949,8 +1072,17 @@ mod tests {
                 0..=9 => {
                     let trials = if arg >> 24 & 7 == 0 { 8 } else { 4 };
                     let (conn, req) = self.request(slot, key, Kind::Submit);
-                    let unit = Ok((key.to_string(), || key.to_string()));
-                    self.sched.submit(conn, req, trials, unit, self.now, self.now);
+                    if self.sched.submit(conn, req, trials, Ok(key), self.now, self.now) {
+                        check!(!self.recalls.contains_key(key), "a second recall of {key}");
+                        self.recalls.insert(key.to_string(), (trials, Vec::new()));
+                    }
+                    self.deliver()?;
+                    let answered = self.conn(conn).answered.contains(&req);
+                    match self.recalls.get_mut(key) {
+                        Some((_, waiting)) if !answered => waiting.push((conn, req)),
+                        _ => check!(answered, "submission {req} of {key} unanswered, no recall"),
+                    }
+                    return self.check();
                 }
                 10..=11 => {
                     let (conn, req) = self.request(slot, key, Kind::Subscribe);
@@ -966,8 +1098,12 @@ mod tests {
                 }
                 17..=18 => {
                     let i = self.slots[slot];
+                    let id = self.conns[i].id;
                     self.conns[i].live = false;
-                    self.sched.disconnect(self.conns[i].id);
+                    for (_, waiting) in self.recalls.values_mut() {
+                        waiting.retain(|w| w.0 != id);
+                    }
+                    self.sched.disconnect(id);
                     self.slots[slot] = self.connect();
                 }
                 19..=25 if self.workers[worker].is_none() => {
@@ -1030,25 +1166,40 @@ mod tests {
                     self.shutdown = true;
                     self.sched.shutdown();
                 }
-                // A stored unit, possibly one a job is computing right now.
-                40..=43 => {
-                    let trials = if arg >> 24 & 7 == 0 { 8 } else { 4 };
-                    let (conn, req) = self.request(slot, key, Kind::Serve);
-                    let results = serde_json::value::to_raw_value(&vec![trials]).expect("json");
-                    let stored =
-                        Stored { key: key.to_string(), results: results.into(), spans: None };
-                    let before = (self.sched.queue.len(), self.sched.jobs.len());
-                    self.sched.serve(conn, req, trials, stored, self.now, self.now);
-                    let after = (self.sched.queue.len(), self.sched.jobs.len());
-                    check!(before == after, "serving took a queue slot: {before:?} → {after:?}");
-                    if !self.shutdown {
-                        self.completed += 1;
-                        self.cache_hits += 1;
-                    }
+                // The shell's recall of `key` ends, a hit or a miss,
+                // possibly while an orphaned job of the key still runs.
+                40..=43 if self.recalls.contains_key(key) => {
+                    return self.settle(key.to_string(), arg >> 24 & 1 == 0);
                 }
                 _ => {}
             }
             self.flush()
+        }
+
+        /// Settle the outstanding recall of `key`: every submission still
+        /// waiting on it is answered in this drain, served on a hit.
+        fn settle(&mut self, key: String, hit: bool) -> Result<(), String> {
+            let (trials, waiting) = self.recalls.remove(&key).expect("an outstanding recall");
+            let stored = hit.then(|| {
+                let results = serde_json::value::to_raw_value(&vec![trials]).expect("json");
+                Stored { results: results.into(), spans: None }
+            });
+            if hit {
+                for &(conn, req) in &waiting {
+                    self.conn(conn).reqs.get_mut(&req).expect("a sent request").1 = Kind::Serve;
+                }
+                if !self.shutdown {
+                    self.completed += waiting.len() as u64;
+                    self.cache_hits += waiting.len() as u64;
+                }
+            }
+            self.sched.settle(&key, stored, || key.clone(), self.now);
+            self.deliver()?;
+            for &(conn, req) in &waiting {
+                let answered = self.conn(conn).answered.contains(&req);
+                check!(answered, "submission {req} waiting on {key} unanswered by the settle");
+            }
+            self.check()
         }
 
         /// Worker `worker` ends its job: cancelled if its token fired (or
@@ -1068,11 +1219,16 @@ mod tests {
             self.flush()
         }
 
-        /// Shut down, let every worker finish, and check the end state.
+        /// Shut down, settle the recalls still out, let every worker
+        /// finish, and check the end state.
         fn drain_and_check(mut self) -> Result<(), String> {
             self.shutdown = true;
             self.sched.shutdown();
             self.flush()?;
+            let owed: Vec<String> = self.recalls.keys().cloned().collect();
+            for (i, key) in owed.into_iter().enumerate() {
+                self.settle(key, i % 2 == 0)?;
+            }
             check!(self.sched.pick_next(self.now).is_none(), "picked a job after shutdown");
             for worker in 0..self.workers.len() {
                 let id = self.workers[worker].as_ref().map(|w| w.0);
@@ -1080,7 +1236,9 @@ mod tests {
                 self.finish(worker, 0)?;
             }
             check!(self.sched.jobs.is_empty(), "{} jobs left", self.sched.jobs.len());
-            check!(self.sched.by_key.is_empty() && self.sched.queue.is_empty(), "tables left");
+            let tables =
+                [self.sched.by_key.len(), self.sched.pending.len(), self.sched.queue.len()];
+            check!(tables == [0; 3], "tables left: {tables:?}");
             check!(
                 self.sched.free == self.credits,
                 "{} of {} threads free",
@@ -1092,8 +1250,17 @@ mod tests {
             check!(gauge("jle_sweepd_active_jobs") == 0.0, "active jobs gauge");
             let mut total: BTreeMap<&str, u64> = BTreeMap::new();
             for conn in &self.conns {
-                // One terminal frame per accepted request not withdrawn.
+                // One terminal frame per accepted request not withdrawn,
+                // and an answer to every submission not withdrawn.
                 check!(!conn.live || conn.open.is_empty(), "{} owed {:?}", conn.id, conn.open);
+                let unanswered = conn.reqs.iter().find(|(id, r)| {
+                    matches!(r.1, Kind::Submit | Kind::Serve) && !conn.answered.contains(id)
+                });
+                check!(
+                    !conn.live || unanswered.is_none(),
+                    "{} never answered {unanswered:?}",
+                    conn.id
+                );
                 let mut sent: BTreeMap<&str, u64> = BTreeMap::new();
                 for frame in &conn.frames {
                     let kind = conn.reqs[&frame.id()].1;
@@ -1133,18 +1300,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_cancel_that_orphans_a_queued_job_frees_its_key() {
+    /// A fresh core with connections `1` and `2`.
+    fn core() -> (Sched<&'static str>, MetricRegistry) {
         let registry = MetricRegistry::new();
         let mut sched = Sched::new(&ServerConfig::default(), Metrics::new(&registry));
-        let a = sched.connect(ConnMetrics::new(&MetricRegistry::new()));
-        let b = sched.connect(ConnMetrics::new(&MetricRegistry::new()));
+        for _ in 0..2 {
+            sched.connect(ConnMetrics::new(&MetricRegistry::new()));
+        }
+        (sched, registry)
+    }
+
+    #[test]
+    fn a_cancel_that_orphans_a_queued_job_frees_its_key() {
+        let (mut sched, registry) = core();
         let now = Instant::now();
-        let unit = || Ok(("k".to_string(), || "k"));
-        assert!(sched.submit(a, 1, 8, unit(), now, now));
-        sched.cancel(a, 2, "k");
+        let admit = |sched: &mut Sched<&str>, conn| {
+            assert!(sched.submit(conn, 1, 8, Ok("k"), now, now), "k is not in flight");
+            sched.settle("k", None, || "k", now)
+        };
+        assert!(admit(&mut sched, 1));
+        sched.cancel(1, 2, "k");
         assert_eq!(registry.counter("jle_sweepd_jobs_cancelled_total", "").get(), 1);
-        assert!(sched.submit(b, 1, 8, unit(), now, now), "B's submission computes afresh");
+        assert!(admit(&mut sched, 2), "B's submission computes afresh");
         let (id, _, _) = sched.pick_next(now).expect("B's job is queued");
         let results = serde_json::value::to_raw_value(&vec![1u64]).expect("json").into();
         sched.finish(id, Outcome::Done { results, spans: None }, now);
@@ -1153,19 +1330,75 @@ mod tests {
         assert!(frames[2].contains("dedup: false") && frames[3].contains("Result"), "{frames:#?}");
     }
 
+    /// Two identical submissions that arrive together cost one recall, and
+    /// both are answered from it: served on a hit, one job with a dedup on
+    /// a miss.
+    #[test]
+    fn identical_submissions_share_one_recall() {
+        for hit in [true, false] {
+            let (mut sched, registry) = core();
+            let now = Instant::now();
+            assert!(sched.submit(1, 7, 8, Ok("k"), now, now), "the first submission recalls");
+            assert!(!sched.submit(2, 9, 8, Ok("k"), now, now), "the second waits on that recall");
+            assert_eq!(sched.drain().count(), 0, "nobody is answered before the recall settles");
+            let stored = hit.then(|| {
+                let results = serde_json::value::to_raw_value(&vec![1u64]).expect("json").into();
+                Stored { results, spans: None }
+            });
+            assert_eq!(sched.settle("k", stored, || "k", now), !hit, "a job only on a miss");
+            let frames: Vec<(u64, u64, &str, bool)> = sched
+                .drain()
+                .map(|out| match out {
+                    Out::Frame(conn, ServerFrame::Accepted { id, dedup, .. }) => {
+                        (conn, id, "accepted", dedup)
+                    }
+                    Out::Frame(conn, ServerFrame::Result { id, .. }) => (conn, id, "result", false),
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            let want: &[_] = if hit {
+                &[(1, 7, "accepted", false), (1, 7, "result", false)][..]
+            } else {
+                &[(1, 7, "accepted", false)][..]
+            };
+            assert_eq!(&frames[..want.len()], want);
+            let second = if hit {
+                vec![(2, 9, "accepted", false), (2, 9, "result", false)]
+            } else {
+                vec![(2, 9, "accepted", true)]
+            };
+            assert_eq!(frames[want.len()..], second[..]);
+            let dedups = registry.counter("jle_sweepd_dedup_hits_total", "").get();
+            assert_eq!(dedups, u64::from(!hit));
+            let again = sched.submit(2, 10, 8, Ok("k"), now, now);
+            assert_eq!(again, hit, "a hit leaves nothing in flight; a miss leaves the job");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The thread-ledger checks and the mutants of the core each
-        /// one kills: the width rule of a pick (a pick that always
-        /// borrows, never borrows, or borrows past its trial count);
-        /// the ledger equality `free + held = workers × mc_jobs` (a
-        /// `finish` that settles nothing, a reclaim that keeps the
-        /// credits or lowers no cap, a shutdown that also settles the
-        /// running jobs); no running job above `mc_jobs` while one
-        /// waits (no reclaim when a job queues, a pickup that leaves the
-        /// reservation off the job); only a borrower is narrowed (a
-        /// reclaim that narrows every job).
+        /// The checks and the mutants of the core each one kills. The
+        /// thread ledger: the width rule of a pick (a pick that always
+        /// borrows, never borrows, or borrows past its trial count); the
+        /// ledger equality `free + held = workers × mc_jobs` (a `finish`
+        /// that settles nothing, a reclaim that keeps the credits or
+        /// lowers no cap, a shutdown that also settles the running jobs);
+        /// no running job above `mc_jobs` while one waits (no reclaim
+        /// when a job queues, a pickup that leaves the reservation off the
+        /// job); only a borrower is narrowed (a reclaim that narrows every
+        /// job). The recall ledger, one mutant per recall step: a hit
+        /// that answers only the first submission waiting (every waiting
+        /// submission answered by its settle); a miss that skips the
+        /// queue bound (the queue bound); a duplicate while pending that
+        /// starts its own recall (no key with two recalls outstanding); a
+        /// `finish` that drops the pending entry of its key (the pending
+        /// table is the recalls owed); a cancel that leaves the
+        /// canceller's waiting submissions attached, or a disconnect that
+        /// leaves the closed connection's attached (each entry waits for
+        /// exactly the submissions neither answered nor withdrawn, which
+        /// keeps frames off closed connections); a settle that ignores
+        /// shutdown (no admission once shut down).
         #[test]
         fn seeded_schedules_keep_every_invariant(
             limits in ((1usize..4, 1usize..4), 1usize..5, 1usize..4),

@@ -7,9 +7,9 @@
 //! ```text
 //!  conn threads (1/client)        Mutex<Locked> + Condvar        worker pool
 //!  ───────────────────────        ────────────────────────       ──────────────────
-//!  reader: JSONL frames ───────►  Sched: admission, serve,  ◄──  pick_next, report,
-//!    (stored unit: recall,        dedup, fair share,             finish
-//!     render, then serve)         cancel, drain                  per-job
+//!  reader: JSONL frames ───────►  Sched: admission, dedup,  ◄──  pick_next, report,
+//!    submit → (recall store) ──►    settle, fair share,          finish
+//!      → settle                     cancel, drain                per-job
 //!                                   │ frames pushed in           Orchestrator
 //!                                   ▼ decision order
 //!  reader, or writer  ◄─ drains ─  per-conn outbox (FIFO),
@@ -18,7 +18,7 @@
 //!  per-conn MetricRegistry
 //! ```
 //!
-//! Every decision is one call on the core under the one lock, and the
+//! Every call on the core runs under the one lock, and the
 //! frames it decides are pushed onto their connections' outboxes before
 //! the lock is released, so they leave in the order they were decided;
 //! the frames one decision makes for one connection go as one write.
@@ -41,13 +41,17 @@
 //! idle one when nothing is queued behind it; a job that queues takes
 //! the borrowed threads back through the borrower's [`ThreadCap`].
 //!
-//! A unit the store already holds whole is answered at admission: the
-//! connection thread that read its `submit` recalls it (every chunk
-//! check applies), renders the reports once and hands them to the core,
-//! which decides `accepted` and `result` together; the same thread then
-//! writes them. Such an answer takes no queue slot, no fair share, no
-//! worker and no other thread. Any miss — a fresh unit, a partial
-//! leftover, a corrupt shard — is queued as a job.
+//! Admission is one decision in the core. A submission of a unit in
+//! flight attaches to its job, or to the recall already pending for its
+//! key. Any other makes a pending entry, and the connection thread that
+//! read the `submit` recalls the unit from the store outside the lock
+//! (every chunk check applies) and settles it: on a hit it renders the
+//! reports once and the core answers `accepted` and `result` together to
+//! every submission waiting, the same thread writing its own; such an
+//! answer takes no queue slot, no fair share and no worker. Any miss — a
+//! fresh unit, a partial leftover, a corrupt shard — queues one job for
+//! all of them. One key has at most one recall outstanding, so identical
+//! submissions that arrive together probe the store once.
 //!
 //! Dedup is **in-flight only**: a submission whose fingerprint matches a
 //! queued or running job that still has a subscriber attaches as an
@@ -451,14 +455,10 @@ impl Shared {
         self.work_cv.notify_all();
     }
 
-    /// Decode and fingerprint a submission once. A unit in flight gets
-    /// its dedup answer first, with no store probe. A unit the store
-    /// holds whole is recalled and answered here, on the connection's
-    /// reader, which writes the answer itself; any other goes to the
-    /// core's admission and, when fresh, the queue. A job that finishes
-    /// between the dedup and the recall is served by the recall; one
-    /// that finishes after the recall missed leaves a queued job that
-    /// finds every chunk stored.
+    /// Decode and fingerprint a submission once and make one admission
+    /// call. When the core asks for a recall, probe the store outside the
+    /// lock and settle: a hit is answered on this reader, which writes the
+    /// answer itself; a miss queues a job for everyone waiting on it.
     fn submit(
         &self,
         me: &Conn,
@@ -481,46 +481,40 @@ impl Shared {
             (election, key)
         });
         let client = me.id;
-        if let Ok((election, key)) = &decoded {
-            let hex = key.hex();
-            if self.with_conn(me, |st| {
-                st.sched.dedup(client, req_id, trials, hex, received, Instant::now())
-            }) {
-                return;
-            }
-            if let Some((stored, recalled_at)) = self.recall(&spec, election, key, trials, &tracer)
-            {
-                self.with_conn(me, |st| {
-                    st.sched.serve(client, req_id, trials, stored, received, Instant::now())
-                });
-                // Delivery ends once the answer is on the socket.
-                self.m.deliver_us.observe(recalled_at.elapsed().as_micros() as u64);
-                return;
-            }
+        let key = decoded.as_ref().map(|(_, key)| key.hex()).map_err(Clone::clone);
+        if !self.with_conn(me, |st| {
+            st.sched.submit(client, req_id, trials, key, received, Instant::now())
+        }) {
+            return;
         }
-        let unit = decoded.map(|(election, key)| {
-            let make = move || {
-                // Close the admission span and open the queue-wait span,
-                // which stays open until worker pickup.
-                drop(admission_span);
-                let queue_span = tracer.span("sweepd", "queue-wait");
-                Work { spec, election, trials, tracer, queue_span }
-            };
-            (key.hex().to_string(), make)
-        });
+        let Ok((election, key)) = decoded else { return };
+        let recalled = self.recall(&spec, &election, &key, trials, &tracer);
+        let served_from = recalled.as_ref().map(|(_, recalled_at)| *recalled_at);
+        let make = move || {
+            // Close the admission span and open the queue-wait span,
+            // which stays open until worker pickup.
+            drop(admission_span);
+            let queue_span = tracer.span("sweepd", "queue-wait");
+            Work { spec, election, trials, tracer, queue_span }
+        };
         // A fresh job wakes a worker before the reader writes `accepted`:
         // a client slow to read must not hold a queued job back.
         self.with_conn(me, |st| {
-            if st.sched.submit(client, req_id, trials, unit, received, Instant::now()) {
+            let stored = recalled.map(|(stored, _)| stored);
+            if st.sched.settle(key.hex(), stored, make, Instant::now()) {
                 self.work_cv.notify_one();
             }
         });
+        if let Some(recalled_at) = served_from {
+            // Delivery ends once the answer is on the socket.
+            self.m.deliver_us.observe(recalled_at.elapsed().as_micros() as u64);
+        }
     }
 
     /// The answer to a unit the store holds whole: its reports, and its
     /// spans when traced, rendered once; with the instant the recall
-    /// ended, where delivery starts. `None`, leaving no span, count or
-    /// observation behind, on any miss: then the unit is queued as usual.
+    /// ended, where delivery starts. `None`, leaving no span or
+    /// observation behind, on any miss.
     fn recall(
         &self,
         spec: &WorkSpec,
@@ -530,6 +524,7 @@ impl Shared {
         tracer: &SpanRecorder,
     ) -> Option<(Stored, Instant)> {
         let store = self.store.as_ref()?;
+        self.m.store_recalls.inc();
         let execute_span = tracer.span("sweepd", "execute");
         let started = Instant::now();
         let Some(reports) =
@@ -546,7 +541,7 @@ impl Shared {
         let spans = tracer
             .is_enabled()
             .then(|| to_raw_value(&tracer.export_events()).expect("span serialization").into());
-        Some((Stored { key: key.hex().to_string(), results, spans }, recalled_at))
+        Some((Stored { results, spans }, recalled_at))
     }
 
     /// An orchestrator for one unit of `election` over the shared store

@@ -1,11 +1,10 @@
-//! The daemon and the soak harness through their real binaries.
+//! The daemon through its real binary.
 //!
 //! `a_sigkilled_daemon_resumes_from_its_store` is the daemon half of the
 //! store's crash check: a `jle-sweepd` SIGKILLed mid-unit, once its first
 //! chunk file has landed, restarts on the same store, serves the chunks
 //! the killed run left from the store, and answers the resubmitted unit
 //! with the bytes an ephemeral run gives.
-//! `the_mini_soak_drops_no_frame` runs the 16-client soak in-process.
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_orchestrator::WorkSpec;
@@ -127,25 +126,4 @@ fn a_sigkilled_daemon_resumes_from_its_store() {
     assert_eq!(resumed.key, want.key);
     assert!(resumed.results.get() == want.results.get(), "resumed bytes differ");
     let _ = std::fs::remove_dir_all(cache);
-}
-
-#[test]
-fn the_mini_soak_drops_no_frame() {
-    let dir = tmp_dir("soak");
-    std::fs::create_dir_all(&dir).unwrap();
-    let report = dir.join("soak.json");
-    let status = Command::new(env!("CARGO_BIN_EXE_sweep-soak"))
-        .args(["--in-process", "--submissions", "200", "--clients", "16", "--distinct", "12"])
-        .args(["--trials", "4", "--n", "64", "--max-slots", "100000", "--workers", "4"])
-        .arg("--report")
-        .arg(&report)
-        .stdout(Stdio::null())
-        .status()
-        .unwrap();
-    assert!(status.success(), "sweep-soak exits non-zero on a dropped frame: {status}");
-    let text = std::fs::read_to_string(&report).unwrap();
-    let report: serde::Value = serde_json::from_str(&text).unwrap();
-    assert_eq!(report.get("schema").and_then(serde::Value::as_str), Some("jle-sweep-soak-v1"));
-    assert_eq!(report.get("ok").and_then(serde::Value::as_u64), Some(200), "{text}");
-    let _ = std::fs::remove_dir_all(dir);
 }

@@ -129,6 +129,7 @@ fn two_concurrent_clients_dedup_into_one_computation() {
     // orchestrator-executed trials cover the blocker + ONE copy of the
     // shared unit.
     assert_eq!(counter(&handle, "jle_sweepd_dedup_hits_total"), 1);
+    assert_eq!(counter(&handle, "jle_sweepd_store_recalls_total"), 2, "the dedup probed nothing");
     let _ = blocker_client.wait(&blocker, |_| {}).unwrap();
     assert!(wait_until(Duration::from_secs(10), || {
         counter(&handle, "jle_sweepd_jobs_completed_total") == 2
@@ -256,6 +257,7 @@ fn warm_resubmit_is_a_unit_cache_hit() {
         "cache replay is byte-identical"
     );
     assert_eq!(counter(&handle, "jle_sweepd_unit_cache_hits_total"), 1);
+    assert_eq!(counter(&handle, "jle_sweepd_store_recalls_total"), 2, "one probe per submission");
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(cache);
 }
@@ -494,6 +496,100 @@ fn deeply_nested_frame_gets_an_error_and_the_daemon_keeps_serving() {
     let mut client = SweepClient::connect(&endpoint).unwrap();
     let out = client.submit_and_wait(&quick_spec("after-bomb", 11), 4, 8, |_| {}).unwrap();
     assert_eq!(out.reports().unwrap().len(), 4);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+#[test]
+fn a_hostile_trial_count_gets_an_error_and_the_daemon_keeps_serving() {
+    use jle_sweepd::ServerFrame;
+    use std::io::{BufRead, BufReader, Write};
+    let (handle, endpoint, cache) = start("hostile-trials", |_| {});
+    let Endpoint::Tcp(addr) = &endpoint else { unreachable!() };
+    // 2^60 trials: laying out the unit's chunk list at admission would
+    // ask for 2^59 bytes and abort the whole daemon.
+    let mut hostile = std::net::TcpStream::connect(addr.as_str()).unwrap();
+    hostile.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let line = submit_lines([(1, &quick_spec("hostile", 13), 4)]);
+    let line = String::from_utf8(line)
+        .unwrap()
+        .replace(r#""trials":4"#, r#""trials":1152921504606846976"#);
+    assert!(line.contains("1152921504606846976"), "{line}");
+    hostile.write_all(line.as_bytes()).unwrap();
+    let mut reader = BufReader::new(hostile);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match ServerFrame::parse(reply.trim()).unwrap() {
+        ServerFrame::Error { reason, .. } => {
+            assert!(reason.contains("`trials` must be ≤ 1048576"), "{reason}")
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+
+    // The daemon is unharmed: another client still gets its result.
+    let mut client = SweepClient::connect(&endpoint).unwrap();
+    let out = client.submit_and_wait(&quick_spec("after-hostile", 13), 4, 8, |_| {}).unwrap();
+    assert_eq!(out.reports().unwrap().len(), 4);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+/// The soak: 16 clients send 200 submissions over 12 distinct 4-trial
+/// units to a 4-worker daemon, walking the spec pool interleaved so that
+/// concurrent clients keep colliding on fingerprints (in-flight dedup
+/// early, store hits late), and retry on `rejected`. Every submission
+/// ends with all its reports, and every answer for one key carries the
+/// same bytes.
+#[test]
+fn the_mini_soak_drops_no_frame() {
+    const SUBMISSIONS: u64 = 200;
+    const CLIENTS: u64 = 16;
+    const DISTINCT: u64 = 12;
+    const TRIALS: u64 = 4;
+    let (handle, endpoint, cache) = start("soak", |c| {
+        c.workers = 4;
+        c.max_queue = 256;
+        c.client_share = 64;
+    });
+    let params = election_params(64, 100_000, &AdversarySpec::passive(), 0.5);
+    let specs: Vec<WorkSpec> = (0..DISTINCT)
+        .map(|k| {
+            WorkSpec::new("soak", format!("lesk/clean/k={k}"), params.clone(), 10_000 + k * 1_000)
+        })
+        .collect();
+    let answers = std::sync::Mutex::new(std::collections::BTreeMap::<String, Vec<String>>::new());
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (specs, answers, endpoint) = (&specs, &answers, &endpoint);
+            scope.spawn(move || {
+                let mut client = SweepClient::connect(endpoint).unwrap();
+                client.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+                for i in SUBMISSIONS * c / CLIENTS..SUBMISSIONS * (c + 1) / CLIENTS {
+                    let spec = &specs[((i * 7 + c * 3) % DISTINCT) as usize];
+                    let submission = loop {
+                        match client.submit(spec, TRIALS) {
+                            Err(ClientError::Rejected { retry_after_ms, .. }) => {
+                                std::thread::sleep(Duration::from_millis(
+                                    retry_after_ms.clamp(5, 1_000),
+                                ))
+                            }
+                            other => break other.expect("submission answered"),
+                        }
+                    };
+                    let out = client.wait(&submission, |_| {}).expect("result arrives");
+                    assert_eq!(out.reports().unwrap().len(), TRIALS as usize, "{}", submission.key);
+                    let text = out.results.get().to_string();
+                    answers.lock().unwrap().entry(submission.key).or_default().push(text);
+                }
+            });
+        }
+    });
+    let answers = answers.into_inner().unwrap();
+    assert_eq!(answers.len(), DISTINCT as usize);
+    assert_eq!(answers.values().map(Vec::len).sum::<usize>(), SUBMISSIONS as usize);
+    for (key, texts) in &answers {
+        assert!(texts.iter().all(|t| *t == texts[0]), "the answers for {key} differ");
+    }
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(cache);
 }
