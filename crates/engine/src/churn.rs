@@ -33,13 +33,14 @@ use crate::config::SimConfig;
 use crate::faults::{FaultPlan, StationFaults};
 use crate::protocol::Protocol;
 use crate::report::RunReport;
+use crate::streams::mix64;
 use jle_adversary::AdversarySpec;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use serde::{value::Error, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// The churn schedule of one station.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The churn schedule of one station. Every field is required on read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StationChurn {
     /// First slot the station is part of the network (0 = founding
     /// member, present from the start).
@@ -97,14 +98,6 @@ impl StationChurn {
     }
 }
 
-/// SplitMix64 finalizer: decorrelates nearby seeds (same scheme as the
-/// fault-plan generators, different stream tags).
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Stream tags for the seed-driven generators: disjoint from the
 /// fault-plan tags (`0xC1..=0xC3`) so a churn plan and a fault plan built
 /// from the same seed still draw from independent streams.
@@ -117,68 +110,15 @@ const TAG_LEAVE: u64 = 0xC5;
 /// generators, which draw from streams derived from the plan seed — the
 /// same `(seed, parameters)` always yields the same plan, and the
 /// generators compose independently of call order.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// It serializes canonically, so the orchestrator can fingerprint it:
+/// `{"seed":S,"churn":{"3":{...},...}}`, stations in ascending order as
+/// decimal keys. A key reads back only as the writer spells it (no sign,
+/// no leading zero), and a station given twice is an error.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChurnPlan {
     seed: u64,
     churn: BTreeMap<u64, StationChurn>,
-}
-
-// Hand-written (de)serialization, mirroring `FaultPlan`'s: the vendored
-// derive handles neither `BTreeMap` nor the stringified keys, and churn
-// plans must serialize canonically so the orchestrator can fingerprint
-// them (BTreeMap iteration is already sorted by station index).
-impl Serialize for StationChurn {
-    fn to_json_value(&self) -> Value {
-        Value::Map(vec![
-            ("join_at".to_string(), self.join_at.to_json_value()),
-            ("leave_at".to_string(), self.leave_at.to_json_value()),
-            ("rejoin_at".to_string(), self.rejoin_at.to_json_value()),
-        ])
-    }
-}
-
-impl Deserialize for StationChurn {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            v.get(name).ok_or_else(|| Error::missing_field("StationChurn", name)).cloned()
-        };
-        Ok(StationChurn {
-            join_at: u64::from_json_value(&field("join_at")?)?,
-            leave_at: Option::<u64>::from_json_value(&field("leave_at")?)?,
-            rejoin_at: Option::<u64>::from_json_value(&field("rejoin_at")?)?,
-        })
-    }
-}
-
-impl Serialize for ChurnPlan {
-    fn to_json_value(&self) -> Value {
-        let churn = self
-            .churn
-            .iter()
-            .map(|(station, c)| (station.to_string(), c.to_json_value()))
-            .collect();
-        Value::Map(vec![
-            ("seed".to_string(), self.seed.to_json_value()),
-            ("churn".to_string(), Value::Map(churn)),
-        ])
-    }
-}
-
-impl Deserialize for ChurnPlan {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let seed_v = v.get("seed").ok_or_else(|| Error::missing_field("ChurnPlan", "seed"))?;
-        let churn_v = v.get("churn").ok_or_else(|| Error::missing_field("ChurnPlan", "churn"))?;
-        let entries =
-            churn_v.as_map().ok_or_else(|| Error::custom("ChurnPlan.churn must be an object"))?;
-        let mut churn = BTreeMap::new();
-        for (station, c) in entries {
-            let idx: u64 = station
-                .parse()
-                .map_err(|_| Error::custom(format!("bad station index key {station:?}")))?;
-            churn.insert(idx, StationChurn::from_json_value(c)?);
-        }
-        Ok(ChurnPlan { seed: u64::from_json_value(seed_v)?, churn })
-    }
 }
 
 impl ChurnPlan {
@@ -219,7 +159,7 @@ impl ChurnPlan {
     }
 
     fn tag_rng(&self, tag: u64) -> SmallRng {
-        SmallRng::seed_from_u64(mix(self.seed ^ mix(tag)))
+        SmallRng::seed_from_u64(mix64(self.seed ^ mix64(tag)))
     }
 
     /// Builder: each of the `n` stations independently is a *late joiner*

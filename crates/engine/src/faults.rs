@@ -31,14 +31,15 @@
 use crate::config::SimConfig;
 use crate::protocol::{Action, Protocol, Status};
 use crate::report::RunReport;
+use crate::streams::mix64;
 use jle_radio::{cd::Observation, ChannelState};
 use rand::{rngs::SmallRng, Rng, RngCore, SeedableRng};
-use serde::{value::Error, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The faults scheduled for one station.
-#[derive(Debug, Clone, PartialEq)]
+/// The faults scheduled for one station. Every field is required on read.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StationFaults {
     /// First slot the station is awake (0 = from the start).
     pub wake_at: u64,
@@ -147,13 +148,6 @@ impl StationFaults {
     }
 }
 
-/// SplitMix64 finalizer: decorrelates nearby seeds.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Stream tags for the seed-driven plan generators, so composed
 /// generators draw from independent streams regardless of call order.
 const TAG_CRASH: u64 = 0xC1;
@@ -165,73 +159,15 @@ const TAG_DEAF: u64 = 0xC3;
 /// Build one either explicitly ([`FaultPlan::with_station`]) or with the
 /// random generators, which draw from streams derived from the plan seed
 /// — the same `(seed, parameters)` always yields the same plan.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// It serializes canonically, so the orchestrator can fingerprint it:
+/// `{"seed":S,"faults":{"3":{...},...}}`, stations in ascending order as
+/// decimal keys. A key reads back only as the writer spells it (no sign,
+/// no leading zero), and a station given twice is an error.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     seed: u64,
     faults: BTreeMap<u64, StationFaults>,
-}
-
-// Hand-written (de)serialization: the vendored derive handles neither
-// `BTreeMap` nor tuple-typed fields, and fault plans must serialize
-// canonically so the orchestrator can fingerprint them (BTreeMap iteration
-// is already sorted by station index, so the rendering is deterministic).
-impl Serialize for StationFaults {
-    fn to_json_value(&self) -> Value {
-        Value::Map(vec![
-            ("wake_at".to_string(), self.wake_at.to_json_value()),
-            ("crash_at".to_string(), self.crash_at.to_json_value()),
-            ("recover_at".to_string(), self.recover_at.to_json_value()),
-            ("deaf".to_string(), self.deaf.to_json_value()),
-            ("sensing_flip_prob".to_string(), self.sensing_flip_prob.to_json_value()),
-        ])
-    }
-}
-
-impl Deserialize for StationFaults {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            v.get(name).ok_or_else(|| Error::missing_field("StationFaults", name)).cloned()
-        };
-        Ok(StationFaults {
-            wake_at: u64::from_json_value(&field("wake_at")?)?,
-            crash_at: Option::<u64>::from_json_value(&field("crash_at")?)?,
-            recover_at: Option::<u64>::from_json_value(&field("recover_at")?)?,
-            deaf: Option::<(u64, u64)>::from_json_value(&field("deaf")?)?,
-            sensing_flip_prob: f64::from_json_value(&field("sensing_flip_prob")?)?,
-        })
-    }
-}
-
-impl Serialize for FaultPlan {
-    fn to_json_value(&self) -> Value {
-        let faults = self
-            .faults
-            .iter()
-            .map(|(station, f)| (station.to_string(), f.to_json_value()))
-            .collect();
-        Value::Map(vec![
-            ("seed".to_string(), self.seed.to_json_value()),
-            ("faults".to_string(), Value::Map(faults)),
-        ])
-    }
-}
-
-impl Deserialize for FaultPlan {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let seed_v = v.get("seed").ok_or_else(|| Error::missing_field("FaultPlan", "seed"))?;
-        let faults_v =
-            v.get("faults").ok_or_else(|| Error::missing_field("FaultPlan", "faults"))?;
-        let entries =
-            faults_v.as_map().ok_or_else(|| Error::custom("FaultPlan.faults must be an object"))?;
-        let mut faults = BTreeMap::new();
-        for (station, f) in entries {
-            let idx: u64 = station
-                .parse()
-                .map_err(|_| Error::custom(format!("bad station index key {station:?}")))?;
-            faults.insert(idx, StationFaults::from_json_value(f)?);
-        }
-        Ok(FaultPlan { seed: u64::from_json_value(seed_v)?, faults })
-    }
 }
 
 impl FaultPlan {
@@ -272,12 +208,12 @@ impl FaultPlan {
     }
 
     fn tag_rng(&self, tag: u64) -> SmallRng {
-        SmallRng::seed_from_u64(mix(self.seed ^ mix(tag)))
+        SmallRng::seed_from_u64(mix64(self.seed ^ mix64(tag)))
     }
 
     /// The seed of station `i`'s private fault RNG (sensing flips).
     pub fn station_seed(&self, i: u64) -> u64 {
-        mix(self.seed ^ mix(i.wrapping_add(1)))
+        mix64(self.seed ^ mix64(i.wrapping_add(1)))
     }
 
     /// Builder: each of the `n` stations independently crashes with

@@ -61,8 +61,7 @@
 //! stations and buffers fresh.
 //!
 //! Plus the deterministic Rayon-parallel [`MonteCarlo`] driver used by all
-//! experiments (with a panic-isolating [`MonteCarlo::run_caught`]
-//! variant).
+//! experiments, and [`catch_trial`], which isolates a panicking trial.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -104,6 +103,6 @@ pub use protocol::{Action, PerStation, Protocol, Status, UniformProtocol};
 pub use report::{
     ClusterOutcome, EnergyStats, MultihopReport, Outcome, RunReport, SlotCost, SplitBrainStats,
 };
-pub use runner::{catch_trial, panic_count, worker_threads, MonteCarlo, TrialOutcome};
+pub use runner::{catch_trial, worker_threads, MonteCarlo, TrialOutcome};
 pub use streams::{mix64, slot_material, station_key, StationRng};
 pub use telemetry::{EngineMetrics, TelemetryObserver};

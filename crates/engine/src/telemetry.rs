@@ -1,6 +1,6 @@
 //! Engine ↔ telemetry glue: a [`TelemetryObserver`] for the
 //! [`crate::SlotObserver`] stack, the `jle_engine_*` metric family, and a
-//! panic postmortem helper for [`crate::MonteCarlo::run_caught`].
+//! panic postmortem helper for [`crate::catch_trial`].
 //!
 //! The observer is strictly passive (it never draws randomness and never
 //! mutates the report — `tests/telemetry_invariance.rs` re-runs every
@@ -320,7 +320,7 @@ impl SlotObserver for TelemetryObserver {
     }
 }
 
-/// Postmortem for a panicked trial: [`crate::MonteCarlo::run_caught`]
+/// Postmortem for a panicked trial: [`crate::catch_trial`]
 /// destroys the trial's stack (and any in-trial flight ring) during
 /// unwinding, so the record carries no slot events — the seed plus
 /// fingerprint still replay the trial exactly, which is what a panic

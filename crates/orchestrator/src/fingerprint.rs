@@ -21,16 +21,19 @@ use serde::{Deserialize, Serialize, Value};
 /// depends on except the per-trial seed (which is `base_seed + index` by
 /// the workspace-wide convention). Anything left out of `params` is
 /// invisible to the cache and will alias.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The fields are declared in their canonical (sorted) order, which is
+/// the order they are written in; every field is required on read.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkSpec {
-    /// Experiment id, e.g. `"e1"`.
-    pub experiment: String,
-    /// Sweep-point label, e.g. `"lesk/clean/n=65536"`.
-    pub point: String,
-    /// Full parameter tree (JSON value).
-    pub params: Value,
     /// Seed of trial 0.
     pub base_seed: u64,
+    /// Experiment id, e.g. `"e1"`.
+    pub experiment: String,
+    /// Full parameter tree (JSON value).
+    pub params: Value,
+    /// Sweep-point label, e.g. `"lesk/clean/n=65536"`.
+    pub point: String,
 }
 
 impl WorkSpec {
@@ -46,39 +49,7 @@ impl WorkSpec {
 
     /// The spec as a JSON value (canonical field order).
     pub fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("base_seed".to_string(), self.base_seed.to_json_value()),
-            ("experiment".to_string(), Value::Str(self.experiment.clone())),
-            ("params".to_string(), self.params.clone()),
-            ("point".to_string(), Value::Str(self.point.clone())),
-        ])
-    }
-}
-
-impl Serialize for WorkSpec {
-    fn to_json_value(&self) -> Value {
-        self.to_value()
-    }
-}
-
-impl Deserialize for WorkSpec {
-    fn from_json_value(v: &Value) -> Result<Self, serde::Error> {
-        let field = |k: &str| {
-            v.get(k).ok_or_else(|| serde::Error::custom(format!("WorkSpec: missing field `{k}`")))
-        };
-        let experiment = field("experiment")?
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("WorkSpec: `experiment` must be a string"))?
-            .to_string();
-        let point = field("point")?
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("WorkSpec: `point` must be a string"))?
-            .to_string();
-        let base_seed = field("base_seed")?
-            .as_u64()
-            .ok_or_else(|| serde::Error::custom("WorkSpec: `base_seed` must be a u64"))?;
-        let params = field("params")?.clone();
-        Ok(WorkSpec { experiment, point, params, base_seed })
+        self.to_json_value()
     }
 }
 

@@ -5,19 +5,28 @@
 //! rejected; and `from_str` must return the tree path's result, error text
 //! included.
 //!
-//! The inputs are seeded mutations of real `RunReport` JSON (reordered,
-//! duplicated, dropped, unknown and escaped keys; numbers spelled as
-//! floats, exponents, negatives and overflows; pretty whitespace;
-//! truncations; trailing garbage) and hand-picked enum and attribute
-//! edge cases.
+//! The inputs are seeded mutations of real text (reordered, duplicated,
+//! dropped, unknown and escaped keys; numbers spelled as floats,
+//! exponents, negatives and overflows; pretty whitespace; truncations;
+//! trailing garbage) and hand-picked enum and attribute edge cases. The
+//! real text is `RunReport` JSON and every external format: a lens spec
+//! carrying a fault plan and a churn plan, the committed flight artifact,
+//! a `--metrics-out` snapshot and a sweepd `submit` frame's `spec` and
+//! `trace`.
 //!
 //! The write direction is held to the same rule: `serde_json::to_string`
 //! (each type writing itself) must give the bytes of the tree writer on
 //! the value's `Value` tree, for every value decoded here and for
 //! hand-picked floats, strings and omitted fields.
 
-use jle_engine::{ClusterOutcome, EnergyStats, MultihopReport, RunReport, SplitBrainStats};
+use jle_engine::{
+    ChurnPlan, ClusterOutcome, EnergyStats, FaultPlan, MultihopReport, RunReport, SplitBrainStats,
+    StationChurn, StationFaults,
+};
+use jle_orchestrator::WorkSpec;
 use jle_radio::history::StateCounts;
+use jle_telemetry::metrics::MetricSample;
+use jle_telemetry::{FlightRecord, MetricRegistry, MetricsSnapshot, SlotEvent, TraceContext};
 use serde::de::Parser;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::Debug;
@@ -114,6 +123,24 @@ struct Floats {
     maybe: Option<f32>,
 }
 
+/// The parts of a lens spec that are plans; the spec's other keys are
+/// skipped.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Plans {
+    #[serde(default)]
+    faults: Option<FaultPlan>,
+    #[serde(default)]
+    churn: Option<ChurnPlan>,
+}
+
+/// The parts of a sweepd `submit` frame that are external types.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Submit {
+    spec: WorkSpec,
+    #[serde(default)]
+    trace: Option<TraceContext>,
+}
+
 /// `serde_json::to_string(x)` (`x` writes itself) must be the tree
 /// writer's bytes for `x`'s `Value` tree. Returns the text.
 fn writes_agree<T: Serialize + ?Sized>(x: &T) -> String {
@@ -144,8 +171,26 @@ fn agree<T: Deserialize + Serialize + PartialEq + Debug>(s: &str) -> bool {
     accepted
 }
 
+/// Check `s` against the external formats; whether `T` took it.
+fn agree_formats<T: Deserialize + Serialize + PartialEq + Debug>(s: &str) -> bool {
+    agree::<Plans>(s);
+    agree::<Submit>(s);
+    agree::<WorkSpec>(s);
+    agree::<TraceContext>(s);
+    agree::<SlotEvent>(s);
+    agree::<FlightRecord>(s);
+    agree::<MetricSample>(s);
+    agree::<MetricsSnapshot>(s);
+    agree::<StationChurn>(s);
+    agree::<ChurnPlan>(s);
+    agree::<StationFaults>(s);
+    agree::<FaultPlan>(s);
+    agree::<T>(s)
+}
+
 /// Check `s` against every type under test; whether `RunReport` took it.
 fn agree_all(s: &str) -> bool {
+    agree_formats::<Vec<SlotEvent>>(s);
     agree::<SplitBrainStats>(s);
     agree::<Shape>(s);
     agree::<Knobs>(s);
@@ -446,6 +491,153 @@ fn enums_and_attributes_decode_identically() {
     assert!(knobs.cache.is_empty(), "a skipped field stays at its default");
     let tagged: Tagged<u64> = serde_json::from_str(r#"{"tag":"t","items":[1,2]}"#).unwrap();
     assert_eq!(tagged, Tagged { tag: "t".to_string(), items: vec![1, 2] });
+    // A station map reads back only keys spelled as its writer spells
+    // them, each once, with one error on both paths.
+    let faults =
+        r#"{"wake_at":0,"crash_at":null,"recover_at":null,"deaf":null,"sensing_flip_prob":0}"#;
+    let joins = r#"{"join_at":5,"leave_at":null,"rejoin_at":null}"#;
+    let station_keys = [
+        (r#""+1""#, r#"map key "+1" is not a u64 in decimal"#),
+        (r#""01""#, r#"map key "01" is not a u64 in decimal"#),
+        (r#""""#, r#"map key "" is not a u64 in decimal"#),
+        (r#""18446744073709551616""#, r#"map key "18446744073709551616" is not a u64 in decimal"#),
+        (r#""-1""#, r#"map key "-1" is not a u64 in decimal"#),
+        (r#""1","1""#, r#"duplicate map key "1""#),
+        (r#""1","01""#, r#"map key "01" is not a u64 in decimal"#),
+    ];
+    for (keys, want) in station_keys {
+        let entries = |v: &str| keys.split(',').map(|k| format!("{k}:{v}")).collect::<Vec<_>>();
+        let text = format!(r#"{{"seed":1,"faults":{{{}}}}}"#, entries(faults).join(","));
+        refused::<FaultPlan>(&text, want);
+        refused::<ChurnPlan>(
+            &format!(r#"{{"seed":1,"churn":{{{}}}}}"#, entries(joins).join(",")),
+            want,
+        );
+    }
+    for key in ["0", "1", "18446744073709551615"] {
+        let text = format!(r#"{{"seed":1,"faults":{{"{key}":{faults}}}}}"#);
+        assert!(agree::<FaultPlan>(&text));
+        assert_eq!(
+            serde_json::to_string(&serde_json::from_str::<FaultPlan>(&text).unwrap()).unwrap(),
+            text
+        );
+    }
+}
+
+/// `T` refuses `s` with the error `want` on the pull path and through
+/// `from_str` (the tree path's error).
+fn refused<T: Deserialize + Serialize + PartialEq + Debug>(s: &str, want: &str) {
+    assert!(!agree::<T>(s), "{s}");
+    let mut p = Parser::new(s);
+    assert_eq!(T::from_parser(&mut p).unwrap_err().to_string(), want, "{s}");
+    assert_eq!(serde_json::from_str::<T>(s).unwrap_err().to_string(), want, "{s}");
+}
+
+/// A lens spec carrying a fault plan and a churn plan, as `LensSpec`
+/// writes it.
+const LENS_SPEC: &str = r#"{"kind":"election_run","engine":"fast-exact","n":8,"cd":"Strong","adv":{"eps":{"num":2147483648},"t_window":64,"kind":"Saturating"},"max_slots":20000,"stop":"all-terminated","proto":{"proto":"lesk","eps":0.5},"noise":0.125,"faults":{"seed":3,"faults":{"0":{"wake_at":0,"crash_at":40,"recover_at":400,"deaf":null,"sensing_flip_prob":0},"6":{"wake_at":9,"crash_at":null,"recover_at":null,"deaf":[3,17],"sensing_flip_prob":0.25}}},"churn":{"seed":5,"churn":{"2":{"join_at":104,"leave_at":null,"rejoin_at":null},"3":{"join_at":127,"leave_at":30,"rejoin_at":90},"7":{"join_at":126,"leave_at":null,"rejoin_at":null}}},"topology":"dense-linear:2,4","discipline":"counter"}"#;
+
+/// The committed flight artifact `jle-lens replay --flight` replays.
+const FLIGHT: &str = include_str!("../../lens/fixtures/flight-snapshot-exact-seed7.json");
+
+/// A sweepd `submit` frame with a trace context, as the client writes it.
+const SUBMIT: &str = r#"{"v":1,"op":"submit","id":8,"spec":{"base_seed":42,"experiment":"e15","params":{"n":64,"eps":0.5},"point":"lesk/n=64"},"trials":8,"trace":{"trace_id":"00000000deadbeef","parent_span":3}}"#;
+
+/// One line of a `--metrics-out` export: a counter, a gauge and a
+/// histogram.
+fn metrics_line() -> String {
+    let reg = MetricRegistry::new();
+    reg.counter("jle_test_trials_total", "trials run").add(41);
+    reg.gauge("jle_test_ratio", "a \"quoted\" ratio").set(0.375);
+    let h = reg.histogram("jle_test_slots", "slots per trial");
+    for x in [0, 3, 900, u64::MAX] {
+        h.observe(x);
+    }
+    serde_json::to_string(&reg.snapshot()).unwrap()
+}
+
+/// The object at `path` (keys, or indices into arrays) inside `v`.
+fn at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Vec<(String, Value)> {
+    let mut v = v;
+    for key in path {
+        v = match v {
+            Value::Map(m) => &mut m.iter_mut().find(|(k, _)| k == key).expect("path key").1,
+            Value::Seq(xs) => &mut xs[key.parse::<usize>().expect("path index")],
+            _ => panic!("no container at {key}"),
+        };
+    }
+    let Value::Map(m) = v else { panic!("no object at {path:?}") };
+    m
+}
+
+/// Seeded mutations of `text`, each aimed at the object at one of
+/// `paths`, decoded as every external format; `T` must both accept and
+/// reject some of them.
+fn mutations_agree<T: Deserialize + Serialize + PartialEq + Debug>(
+    text: &str,
+    paths: &[&[&str]],
+    seed: u64,
+) {
+    assert!(agree_formats::<T>(text), "the real text decodes: {text:.80}");
+    let tree: Value = serde_json::from_str(text).unwrap();
+    let (mut accepted, mut rejected) = (0, 0);
+    let mut rng = Rng(seed);
+    for round in 0..400 {
+        let mut v = tree.clone();
+        let m = at(&mut v, paths[rng.below(paths.len())]);
+        for _ in 0..1 + rng.below(3) {
+            mutate_map(m, &mut rng);
+        }
+        let text = if round % 4 == 0 {
+            serde_json::to_string_pretty(&v).unwrap()
+        } else {
+            serde_json::to_string(&v).unwrap()
+        };
+        if agree_formats::<T>(&mutate_text(text, &mut rng)) {
+            accepted += 1;
+        } else {
+            rejected += 1;
+        }
+    }
+    assert!(accepted > 40 && rejected > 40, "accepted {accepted}, rejected {rejected}");
+}
+
+#[test]
+fn seeded_mutations_of_external_formats_decode_identically() {
+    let plans: &[&[&str]] = &[
+        &[],
+        &["faults"],
+        &["faults", "faults"],
+        &["faults", "faults", "6"],
+        &["churn"],
+        &["churn", "churn"],
+        &["churn", "churn", "3"],
+    ];
+    mutations_agree::<Plans>(LENS_SPEC, plans, 0x1e45);
+    let flight: &[&[&str]] = &[&[], &["context"], &["events", "3"], &["spec"]];
+    mutations_agree::<FlightRecord>(FLIGHT, flight, 0xf11e);
+    let metrics = metrics_line();
+    let samples: &[&[&str]] = &[&[], &["metrics", "0"], &["metrics", "1"], &["metrics", "2"]];
+    mutations_agree::<MetricsSnapshot>(&metrics, samples, 0x3e7);
+    let frame: &[&[&str]] = &[&[], &["spec"], &["spec", "params"], &["trace"]];
+    mutations_agree::<Submit>(SUBMIT, frame, 0x5b);
+}
+
+#[test]
+fn external_formats_write_their_own_bytes() {
+    let plans: Plans = serde_json::from_str(LENS_SPEC).unwrap();
+    let text = writes_agree(&plans);
+    assert!(LENS_SPEC.contains(&text[1..text.len() - 1]), "{text}");
+    let record: FlightRecord = serde_json::from_str(FLIGHT).unwrap();
+    assert_eq!(serde_json::to_string_pretty(&record).unwrap(), FLIGHT.trim_end());
+    writes_agree(&record);
+    let metrics = metrics_line();
+    let snapshot: MetricsSnapshot = serde_json::from_str(&metrics).unwrap();
+    assert_eq!(writes_agree(&snapshot), metrics);
+    let submit: Submit = serde_json::from_str(SUBMIT).unwrap();
+    writes_agree(&submit);
+    assert!(SUBMIT.contains(&format!(r#""spec":{},"#, writes_agree(&submit.spec))));
+    assert!(SUBMIT.contains(&format!(r#""trace":{}}}"#, writes_agree(&submit.trace))));
 }
 
 #[test]

@@ -856,7 +856,7 @@ mod tests {
             (
                 r#"{"v":1,"op":"submit","id":1,"spec":{"base_seed":42,"params":{},"point":"p"},"trials":2}"#
                     .to_string(),
-                "WorkSpec: missing field `experiment`",
+                "missing field `experiment` while deserializing WorkSpec",
             ),
             (r#"{"v":1,"op":"subscribe","id":1}"#.to_string(), "frame: missing string field `key`"),
             ("not json".to_string(), "unexpected character at byte 0"),

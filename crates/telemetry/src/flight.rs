@@ -17,45 +17,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One slot as the flight recorder saw it: aggregate actions plus the
 /// channel outcome. Mirrors the engine's per-slot truth without depending
-/// on `jle-radio` (this crate is a leaf).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// on `jle-radio` (this crate is a leaf). Written
+/// `{"slot":S,"tx":T,"rx":R,"jam":J}`; every field is required on read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SlotEvent {
     /// Slot index.
     pub slot: u64,
     /// Number of transmitting stations.
+    #[serde(rename = "tx")]
     pub transmitters: u64,
     /// Number of listening stations.
+    #[serde(rename = "rx")]
     pub listeners: u64,
     /// Whether the slot was jammed (or noise-corrupted).
+    #[serde(rename = "jam")]
     pub jammed: bool,
-}
-
-impl Serialize for SlotEvent {
-    fn to_json_value(&self) -> Value {
-        Value::Map(vec![
-            ("slot".into(), Value::U64(self.slot)),
-            ("tx".into(), Value::U64(self.transmitters)),
-            ("rx".into(), Value::U64(self.listeners)),
-            ("jam".into(), Value::Bool(self.jammed)),
-        ])
-    }
-}
-
-impl Deserialize for SlotEvent {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let field = |k: &str| {
-            v.get(k).and_then(Value::as_u64).ok_or_else(|| Error::missing_field("SlotEvent", k))
-        };
-        Ok(SlotEvent {
-            slot: field("slot")?,
-            transmitters: field("tx")?,
-            listeners: field("rx")?,
-            jammed: v
-                .get("jam")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| Error::missing_field("SlotEvent", "jam"))?,
-        })
-    }
 }
 
 /// Fixed-capacity ring buffer of the most recent [`SlotEvent`]s.
@@ -138,7 +114,7 @@ pub enum AnomalyKind {
     /// A station lost sight of the leader's lease (missed beacons) and
     /// re-entered election.
     LeaseLost,
-    /// A trial panicked and was caught by `MonteCarlo::run_caught`.
+    /// A trial panicked and was caught by `jle_engine::catch_trial`.
     Panic,
     /// Nothing went wrong — the record is a deliberate snapshot of a
     /// healthy run (e.g. a `jle-lens record` replay fixture).
@@ -180,7 +156,15 @@ impl AnomalyKind {
 
 /// A self-contained postmortem: everything needed to understand — and
 /// replay — one anomalous trial.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Written as `schema` (`"jle-flight-vN"`), `anomaly` (its label),
+/// `seed`, `fingerprint` (`null` when absent), `detail`, `context` (an
+/// object, in insertion order), `slots_seen`, `events`, `spec` (only
+/// when embedded) and `replay` (prose, ignored on read). An absent
+/// `detail`, `context` or `slots_seen` reads as empty or 0, and an absent
+/// `fingerprint` or `spec` as `None`, so older artifacts still load.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "FlightWire", into = "FlightWire")]
 pub struct FlightRecord {
     /// Artifact schema version ([`crate::SCHEMA_VERSION`]).
     pub schema: u32,
@@ -247,115 +231,85 @@ impl FlightRecord {
     }
 }
 
-impl Serialize for FlightRecord {
-    fn to_json_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("schema".into(), Value::Str(format!("jle-flight-v{}", self.schema))),
-            ("anomaly".into(), Value::Str(self.anomaly.label().into())),
-            ("seed".into(), Value::U64(self.seed)),
-            (
-                "fingerprint".into(),
-                match &self.fingerprint {
-                    Some(fp) => Value::Str(fp.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("detail".into(), Value::Str(self.detail.clone())),
-            (
-                "context".into(),
-                Value::Map(
-                    self.context.iter().map(|(k, v)| (k.clone(), Value::Str(v.clone()))).collect(),
-                ),
-            ),
-            ("slots_seen".into(), Value::U64(self.slots_seen)),
-            (
-                "events".into(),
-                Value::Seq(self.events.iter().map(Serialize::to_json_value).collect()),
-            ),
-        ];
-        // Only present when embedded — older readers ignore it, older
-        // artifacts simply lack it.
-        if let Some(spec) = &self.replay_spec {
-            m.push(("spec".into(), spec.clone()));
-        }
-        // Document the replay inline so a bare artifact is actionable.
-        m.push((
-            "replay".into(),
-            Value::Str(format!(
+/// [`FlightRecord`] as written, computed fields included.
+#[derive(Serialize, Deserialize)]
+struct FlightWire {
+    schema: String,
+    anomaly: String,
+    seed: u64,
+    #[serde(default)]
+    fingerprint: Option<String>,
+    #[serde(default)]
+    detail: String,
+    #[serde(default)]
+    context: Value,
+    #[serde(default)]
+    slots_seen: u64,
+    events: Vec<SlotEvent>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    spec: Option<Value>,
+    #[serde(default)]
+    replay: String,
+}
+
+impl From<FlightRecord> for FlightWire {
+    fn from(r: FlightRecord) -> Self {
+        FlightWire {
+            schema: format!("jle-flight-v{}", r.schema),
+            anomaly: r.anomaly.label().to_string(),
+            seed: r.seed,
+            fingerprint: r.fingerprint,
+            detail: r.detail,
+            context: Value::Map(r.context.into_iter().map(|(k, v)| (k, Value::Str(v))).collect()),
+            slots_seen: r.slots_seen,
+            events: r.events,
+            spec: r.replay_spec,
+            // Document the replay inline so a bare artifact is actionable.
+            replay: format!(
                 "re-run the owning work unit (fingerprint above) or any engine entry \
                  point with seed {}; trials are seeded deterministically so the same \
                  seed reproduces the identical slot sequence",
-                self.seed
-            )),
-        ));
-        Value::Map(m)
+                r.seed
+            ),
+        }
     }
 }
 
-impl Deserialize for FlightRecord {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let schema_str = v
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::missing_field("FlightRecord", "schema"))?;
-        let schema = schema_str
-            .strip_prefix("jle-flight-v")
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(|| Error::custom(format!("unrecognized flight schema {schema_str:?}")))?;
-        let anomaly = v
-            .get("anomaly")
-            .and_then(Value::as_str)
-            .and_then(AnomalyKind::from_label)
-            .ok_or_else(|| Error::missing_field("FlightRecord", "anomaly"))?;
-        let seed = v
-            .get("seed")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| Error::missing_field("FlightRecord", "seed"))?;
-        let fingerprint = match v.get("fingerprint") {
-            None | Some(Value::Null) => None,
-            Some(fp) => Some(
-                fp.as_str()
-                    .ok_or_else(|| Error::custom("fingerprint must be a string"))?
-                    .to_string(),
-            ),
-        };
-        let detail = v.get("detail").and_then(Value::as_str).unwrap_or("").to_string();
-        let context = v
-            .get("context")
-            .and_then(Value::as_map)
-            .map(|m| {
-                m.iter()
-                    .map(|(k, val)| {
-                        val.as_str()
-                            .map(|s| (k.clone(), s.to_string()))
-                            .ok_or_else(|| Error::custom("context values must be strings"))
-                    })
-                    .collect::<Result<Vec<_>, Error>>()
-            })
-            .transpose()?
-            .unwrap_or_default();
-        let slots_seen = v.get("slots_seen").and_then(Value::as_u64).unwrap_or(0);
-        let events = v
-            .get("events")
-            .and_then(Value::as_seq)
-            .ok_or_else(|| Error::missing_field("FlightRecord", "events"))?
-            .iter()
-            .map(SlotEvent::from_json_value)
-            .collect::<Result<Vec<_>, Error>>()?;
-        let replay_spec = match v.get("spec") {
-            None | Some(Value::Null) => None,
-            Some(spec) => Some(spec.clone()),
+impl TryFrom<FlightWire> for FlightRecord {
+    type Error = Error;
+    fn try_from(w: FlightWire) -> Result<Self, Error> {
+        let schema =
+            w.schema.strip_prefix("jle-flight-v").and_then(|s| s.parse::<u32>().ok()).ok_or_else(
+                || Error::custom(format!("unrecognized flight schema {:?}", w.schema)),
+            )?;
+        let anomaly = AnomalyKind::from_label(&w.anomaly)
+            .ok_or_else(|| Error::custom(format!("unknown anomaly {:?}", w.anomaly)))?;
+        let context = match w.context {
+            Value::Null => Vec::new(),
+            Value::Map(m) => m
+                .into_iter()
+                .map(|(k, v)| match v {
+                    Value::Str(s) => Ok((k, s)),
+                    _ => Err(Error::custom("context values must be strings")),
+                })
+                .collect::<Result<_, _>>()?,
+            other => {
+                return Err(Error::custom(format!(
+                    "context must be an object, found {}",
+                    other.kind()
+                )))
+            }
         };
         Ok(FlightRecord {
             schema,
             anomaly,
-            seed,
-            fingerprint,
-            replay_spec,
-            detail,
+            seed: w.seed,
+            fingerprint: w.fingerprint,
+            replay_spec: w.spec,
+            detail: w.detail,
             context,
-            slots_seen,
-            events,
+            slots_seen: w.slots_seen,
+            events: w.events,
         })
     }
 }

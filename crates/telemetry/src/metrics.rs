@@ -356,7 +356,13 @@ pub enum SampleValue {
 }
 
 /// One named metric in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Written flat, `name`, `help` and `type` first: `{"name":N,"help":H,
+/// "type":"counter","value":V}`, a gauge likewise, a histogram with
+/// `count`, `sum` and `buckets` in place of `value`. An absent `help`
+/// reads as empty, so snapshots written without it still load.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "SampleWire", into = "SampleWire")]
 pub struct MetricSample {
     /// Metric name (`jle_<crate>_<name>`).
     pub name: String,
@@ -367,8 +373,10 @@ pub struct MetricSample {
 }
 
 /// A point-in-time, versioned copy of a [`MetricRegistry`] — the payload
-/// of the `--metrics-out` JSONL export.
-#[derive(Debug, Clone, PartialEq)]
+/// of the `--metrics-out` JSONL export, written
+/// `{"schema":"jle-metrics-vN","metrics":[...]}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "SnapshotWire", into = "SnapshotWire")]
 pub struct MetricsSnapshot {
     /// Snapshot schema version ([`crate::SCHEMA_VERSION`]).
     pub schema: u32,
@@ -376,115 +384,83 @@ pub struct MetricsSnapshot {
     pub metrics: Vec<MetricSample>,
 }
 
-impl Serialize for MetricSample {
-    fn to_json_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("name".into(), Value::Str(self.name.clone())),
-            ("help".into(), Value::Str(self.help.clone())),
-        ];
-        match &self.sample {
+/// [`MetricSample`] as written: the value's fields flattened after its
+/// `type`.
+#[derive(Default, Serialize, Deserialize)]
+struct SampleWire {
+    name: String,
+    #[serde(default)]
+    help: String,
+    #[serde(rename = "type")]
+    kind: String,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    value: Option<Value>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    count: Option<u64>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    sum: Option<u64>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    buckets: Option<Vec<u64>>,
+}
+
+impl From<MetricSample> for SampleWire {
+    fn from(m: MetricSample) -> Self {
+        let (kind, wire) = match m.sample {
             SampleValue::Counter(v) => {
-                m.push(("type".into(), Value::Str("counter".into())));
-                m.push(("value".into(), Value::U64(*v)));
+                ("counter", SampleWire { value: Some(Value::U64(v)), ..Default::default() })
             }
             SampleValue::Gauge(v) => {
-                m.push(("type".into(), Value::Str("gauge".into())));
-                m.push(("value".into(), Value::F64(*v)));
+                ("gauge", SampleWire { value: Some(Value::F64(v)), ..Default::default() })
             }
             SampleValue::Histogram { count, sum, buckets } => {
-                m.push(("type".into(), Value::Str("histogram".into())));
-                m.push(("count".into(), Value::U64(*count)));
-                m.push(("sum".into(), Value::U64(*sum)));
-                m.push((
-                    "buckets".into(),
-                    Value::Seq(buckets.iter().map(|&b| Value::U64(b)).collect()),
-                ));
+                let (count, sum, buckets) = (Some(count), Some(sum), Some(buckets));
+                ("histogram", SampleWire { count, sum, buckets, ..Default::default() })
             }
-        }
-        Value::Map(m)
+        };
+        SampleWire { name: m.name, help: m.help, kind: kind.into(), ..wire }
     }
 }
 
-impl Deserialize for MetricSample {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::missing_field("MetricSample", "name"))?
-            .to_string();
-        let help = v.get("help").and_then(Value::as_str).unwrap_or("").to_string();
-        let ty = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::missing_field("MetricSample", "type"))?;
-        let sample = match ty {
-            "counter" => SampleValue::Counter(
-                v.get("value")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| Error::missing_field("MetricSample", "value"))?,
-            ),
-            "gauge" => SampleValue::Gauge(
-                v.get("value")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| Error::missing_field("MetricSample", "value"))?,
-            ),
+impl TryFrom<SampleWire> for MetricSample {
+    type Error = Error;
+    fn try_from(w: SampleWire) -> Result<Self, Error> {
+        let missing = |field| Error::missing_field("MetricSample", field);
+        let value = || w.value.ok_or_else(|| missing("value"));
+        let sample = match w.kind.as_str() {
+            "counter" => SampleValue::Counter(u64::from_json_value(&value()?)?),
+            "gauge" => SampleValue::Gauge(f64::from_json_value(&value()?)?),
             "histogram" => SampleValue::Histogram {
-                count: v
-                    .get("count")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| Error::missing_field("MetricSample", "count"))?,
-                sum: v
-                    .get("sum")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| Error::missing_field("MetricSample", "sum"))?,
-                buckets: v
-                    .get("buckets")
-                    .and_then(Value::as_seq)
-                    .ok_or_else(|| Error::missing_field("MetricSample", "buckets"))?
-                    .iter()
-                    .map(|b| {
-                        b.as_u64().ok_or_else(|| Error::custom("histogram bucket must be a u64"))
-                    })
-                    .collect::<Result<Vec<u64>, Error>>()?,
+                count: w.count.ok_or_else(|| missing("count"))?,
+                sum: w.sum.ok_or_else(|| missing("sum"))?,
+                buckets: w.buckets.ok_or_else(|| missing("buckets"))?,
             },
             other => return Err(Error::custom(format!("unknown metric type {other:?}"))),
         };
-        Ok(MetricSample { name, help, sample })
+        Ok(MetricSample { name: w.name, help: w.help, sample })
     }
 }
 
-impl Serialize for MetricsSnapshot {
-    fn to_json_value(&self) -> Value {
-        Value::Map(vec![
-            ("schema".into(), Value::Str(format!("jle-metrics-v{}", self.schema))),
-            (
-                "metrics".into(),
-                Value::Seq(self.metrics.iter().map(Serialize::to_json_value).collect()),
-            ),
-        ])
+/// [`MetricsSnapshot`] as written: the schema version as a tag.
+#[derive(Serialize, Deserialize)]
+struct SnapshotWire {
+    schema: String,
+    metrics: Vec<MetricSample>,
+}
+
+impl From<MetricsSnapshot> for SnapshotWire {
+    fn from(s: MetricsSnapshot) -> Self {
+        SnapshotWire { schema: format!("jle-metrics-v{}", s.schema), metrics: s.metrics }
     }
 }
 
-impl Deserialize for MetricsSnapshot {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let schema_str = v
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::missing_field("MetricsSnapshot", "schema"))?;
-        let schema = schema_str
-            .strip_prefix("jle-metrics-v")
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(|| {
-            Error::custom(format!("unrecognized snapshot schema {schema_str:?}"))
-        })?;
-        let metrics = v
-            .get("metrics")
-            .and_then(Value::as_seq)
-            .ok_or_else(|| Error::missing_field("MetricsSnapshot", "metrics"))?
-            .iter()
-            .map(MetricSample::from_json_value)
-            .collect::<Result<Vec<_>, Error>>()?;
-        Ok(MetricsSnapshot { schema, metrics })
+impl TryFrom<SnapshotWire> for MetricsSnapshot {
+    type Error = Error;
+    fn try_from(w: SnapshotWire) -> Result<Self, Error> {
+        let schema =
+            w.schema.strip_prefix("jle-metrics-v").and_then(|s| s.parse::<u32>().ok()).ok_or_else(
+                || Error::custom(format!("unrecognized snapshot schema {:?}", w.schema)),
+            )?;
+        Ok(MetricsSnapshot { schema, metrics: w.metrics })
     }
 }
 

@@ -11,11 +11,16 @@
 //! merged Chrome trace shows one submit→result critical path even though
 //! the spans were recorded by different processes on different clocks.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies one causal span tree across process boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// On the wire (`TraceWire`): `{"trace_id":"<16 hex digits>","parent_span":N}`.
+/// A `trace_id` that is not hex or is zero is refused; an absent
+/// `parent_span` reads as 0, so contexts written without it still load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(try_from = "TraceWire", into = "TraceWire")]
 pub struct TraceContext {
     /// The trace id shared by every span of the tree (never 0).
     pub trace_id: u64,
@@ -58,28 +63,27 @@ impl TraceContext {
     }
 }
 
-impl Serialize for TraceContext {
-    fn to_json_value(&self) -> Value {
-        Value::Map(vec![
-            ("trace_id".into(), Value::Str(self.trace_hex())),
-            ("parent_span".into(), Value::U64(self.parent_span)),
-        ])
+#[derive(Serialize, Deserialize)]
+struct TraceWire {
+    trace_id: String,
+    #[serde(default)]
+    parent_span: u64,
+}
+
+impl From<TraceContext> for TraceWire {
+    fn from(ctx: TraceContext) -> Self {
+        TraceWire { trace_id: ctx.trace_hex(), parent_span: ctx.parent_span }
     }
 }
 
-impl Deserialize for TraceContext {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let hex = v
-            .get("trace_id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::missing_field("TraceContext", "trace_id"))?;
-        let trace_id = u64::from_str_radix(hex, 16)
-            .map_err(|_| Error::custom(format!("trace_id is not a hex u64: {hex:?}")))?;
-        if trace_id == 0 {
-            return Err(Error::custom("trace_id must be non-zero"));
+impl TryFrom<TraceWire> for TraceContext {
+    type Error = String;
+    fn try_from(w: TraceWire) -> Result<Self, String> {
+        match u64::from_str_radix(&w.trace_id, 16) {
+            Ok(0) => Err("trace_id must be non-zero".into()),
+            Ok(trace_id) => Ok(TraceContext { trace_id, parent_span: w.parent_span }),
+            Err(_) => Err(format!("trace_id is not a hex u64: {:?}", w.trace_id)),
         }
-        let parent_span = v.get("parent_span").and_then(Value::as_u64).unwrap_or(0);
-        Ok(TraceContext { trace_id, parent_span })
     }
 }
 
