@@ -222,7 +222,7 @@ fn protocol(args: &Args, adv: &AdversarySpec) -> Result<(ProtoParams, bool, bool
         }
         "lewk" => (ProtoParams::Lewk { eps }, true, true),
         "lewu" => (ProtoParams::Lewu, true, true),
-        "cluster" => (ProtoParams::Cluster { eps }, false, true),
+        "cluster" => (ProtoParams::Cluster { eps, quiet: None }, false, true),
         other => return Err(format!("unknown protocol: {other}")),
     })
 }

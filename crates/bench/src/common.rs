@@ -1,8 +1,16 @@
 //! Shared helpers for the reproduction experiments.
+//!
+//! An experiment's election unit is one [`LensSpec`] plus a projection of
+//! its reports ([`ExpContext::spec_trials`]): the spec is the unit's cache
+//! key and what its stations run, so a stored unit replays from its
+//! `spec.json`. Units that are not spec elections (estimation windows,
+//! k-selection, the oracle jammer, per-seed fault and churn plans) key a
+//! closure of their own ([`ExpContext::run_trials`]).
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{Figure, Summary, Table};
-use jle_engine::{RunReport, SlotCost};
+use jle_engine::{RunReport, SlotCost, SlotObserver};
+use jle_lens::LensSpec;
 use jle_orchestrator::{Orchestrator, WorkSpec};
 use jle_protocols::ElectionParams;
 use jle_sweepd::SweepClient;
@@ -81,18 +89,16 @@ pub fn saturating(eps: f64, t_window: u64) -> AdversarySpec {
     AdversarySpec::new(Rate::from_f64(eps), t_window, JamStrategyKind::Saturating)
 }
 
-/// The backend every per-station experiment unit runs on
-/// ([`jle_engine::run_fast_exact`] and its faulty/churn shims), named in
-/// the unit's cache params: results the retired shared-stream engine
+/// The backend the per-station units keyed by a `json!` tree run on
+/// ([`jle_engine::run_fast_exact`]'s faulty/churn shims), named in the
+/// unit's cache params (a spec names its own engine): results the retired shared-stream engine
 /// stored under an otherwise identical tree are keyed apart and
 /// recomputed, never served.
 pub const PER_STATION_ENGINE: &str = "fast-exact";
 
 /// Everything an experiment needs at run time: the `--quick` flag plus the
-/// orchestrator all Monte-Carlo work is submitted through. Experiments
-/// never call [`jle_engine::MonteCarlo`] directly anymore — routing
-/// through the context is what makes every sweep cacheable, resumable,
-/// and visible to telemetry.
+/// orchestrator all Monte-Carlo work is submitted through, which makes
+/// every sweep cacheable, resumable, and visible to telemetry.
 #[derive(Clone)]
 pub struct ExpContext {
     /// Trim sweeps and trial counts for smoke testing.
@@ -194,10 +200,83 @@ impl ExpContext {
         self.orch.run_trials(&spec, trials, f)
     }
 
-    /// Run `trials` elections of `unit` ([`ElectionParams::run`]) and
-    /// return the per-trial slot counts (timeouts are reported as
-    /// `max_slots`, plus the timeout count). The unit is both the cache
-    /// key and what the stations run.
+    /// Submit `trials` trials of `spec` as one cacheable unit keyed by
+    /// [`LensSpec::to_params`]: trial `i` is `spec.run(base_seed + i)`,
+    /// stored as `project` of its report. Panics if `spec` is invalid.
+    pub fn spec_trials<R, F>(
+        &self,
+        experiment: &str,
+        point: &str,
+        spec: &LensSpec,
+        base_seed: u64,
+        trials: u64,
+        project: F,
+    ) -> Vec<R>
+    where
+        R: Send + Serialize + Deserialize + SlotCost,
+        F: Fn(RunReport) -> R + Sync,
+    {
+        self.spec_unit(experiment, point, spec, base_seed, trials, |seed| {
+            let report = spec.run(seed).expect("a validated spec runs");
+            (report.slots, project(report))
+        })
+    }
+
+    /// [`ExpContext::spec_trials`] with a fresh `observer()` attached to
+    /// every run ([`LensSpec::run_observed`]); `project` reads both.
+    #[allow(clippy::too_many_arguments)]
+    pub fn spec_trials_observed<O, R, F>(
+        &self,
+        experiment: &str,
+        point: &str,
+        spec: &LensSpec,
+        base_seed: u64,
+        trials: u64,
+        observer: impl Fn() -> O + Sync,
+        project: F,
+    ) -> Vec<R>
+    where
+        O: SlotObserver,
+        R: Send + Serialize + Deserialize + SlotCost,
+        F: Fn(RunReport, O) -> R + Sync,
+    {
+        self.spec_unit(experiment, point, spec, base_seed, trials, |seed| {
+            let mut obs = observer();
+            let report = spec.run_observed(seed, Some(&mut obs)).expect("a validated spec runs");
+            (report.slots, project(report, obs))
+        })
+    }
+
+    /// Both `spec_trials` forms: `trial` maps a seed to the slots it ran
+    /// and the result kept. A chunk's commit credits the kept results'
+    /// [`SlotCost`], so the slots a projection drops are credited here.
+    fn spec_unit<R>(
+        &self,
+        experiment: &str,
+        point: &str,
+        spec: &LensSpec,
+        base_seed: u64,
+        trials: u64,
+        trial: impl Fn(u64) -> (u64, R) + Sync,
+    ) -> Vec<R>
+    where
+        R: Send + Serialize + Deserialize + SlotCost,
+    {
+        spec.validate().unwrap_or_else(|e| panic!("{experiment}/{point}: {e}"));
+        let work = WorkSpec::new(experiment, point, spec.to_params(), base_seed);
+        let dropped = &self.orch.stats().simulated_slots;
+        self.orch.run_trials(&work, trials, |seed| {
+            let (slots, kept) = trial(seed);
+            dropped.add(slots.saturating_sub(kept.simulated_slots()));
+            kept
+        })
+    }
+
+    /// Run `trials` elections of the cohort unit `unit` and return the
+    /// per-trial slot counts (timeouts are reported as `max_slots`, plus
+    /// the timeout count): [`ExpContext::spec_trials`] with the identity
+    /// projection, keyed by the unit's own `cohort_election` tree, or the
+    /// same unit served by an attached sweepd.
     pub fn election_slots(
         &self,
         experiment: &str,
@@ -206,10 +285,12 @@ impl ExpContext {
         trials: u64,
         base_seed: u64,
     ) -> (Vec<f64>, u64) {
-        let spec = WorkSpec::new(experiment, point, unit.to_json_value(), base_seed);
-        let reports: Vec<RunReport> = self
-            .server_reports(unit, &spec, trials)
-            .unwrap_or_else(|| self.orch.run_trials(&spec, trials, |seed| unit.run(seed)));
+        let spec = LensSpec::from(unit.clone());
+        let work = WorkSpec::new(experiment, point, spec.to_params(), base_seed);
+        let reports: Vec<RunReport> =
+            self.server_reports(unit, &work, trials).unwrap_or_else(|| {
+                self.spec_trials(experiment, point, &spec, base_seed, trials, |r| r)
+            });
         let timeouts = reports.iter().filter(|r| r.timed_out).count() as u64;
         (reports.iter().map(|r| r.slots as f64).collect(), timeouts)
     }

@@ -6,48 +6,37 @@
 //! lemma promises a constant-factor overhead (≤ 8× the selection bound)
 //! and exactly one leader with every station terminating.
 
-use crate::common::{median, saturating, ExpContext, ExperimentResult, PER_STATION_ENGINE};
+use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
-use jle_engine::{run_fast_exact, SimConfig, StopRule};
-use jle_protocols::{lewk, lewu, ElectionParams, ProtoParams};
+use jle_lens::{EngineKind, LensSpec, Stop};
+use jle_protocols::{ElectionParams, ProtoParams};
 use jle_radio::CdModel;
-use serde::Serialize;
 
-#[allow(clippy::too_many_arguments)]
+/// The weak-CD election `proto` runs with full termination detection: a
+/// per-station unit on the fast-exact engine.
+pub fn weak_spec(proto: ProtoParams, n: u64, adv: &AdversarySpec, max_slots: u64) -> LensSpec {
+    let mut spec =
+        LensSpec::new(EngineKind::FastExact, proto, n, CdModel::Weak, adv.clone(), max_slots);
+    spec.stop = Stop::AllTerminated;
+    spec
+}
+
+/// A weak-CD trial as E6 keeps it: `(slots, timed_out, leader_count)`.
+pub fn weak_row(r: jle_engine::RunReport) -> (u64, bool, u64) {
+    (r.slots, r.timed_out, r.leaders.len() as u64)
+}
+
+/// The slot counts of `spec`'s trials, its timeouts, and the finished
+/// trials that did not end with exactly one leader.
 fn weak_runs(
     ctx: &ExpContext,
     point: &str,
-    n: u64,
-    adv: &AdversarySpec,
+    spec: &LensSpec,
     trials: u64,
     base_seed: u64,
-    max_slots: u64,
-    lesu: bool,
 ) -> (Vec<f64>, u64, u64) {
-    let params = serde_json::json!({
-        "kind": "weak_cd_exact",
-        "engine": PER_STATION_ENGINE,
-        "n": n,
-        "adv": adv.to_json_value(),
-        "max_slots": max_slots,
-        "proto": if lesu { "lewu" } else { "lewk(0.5)" },
-    });
-    // Project to (slots, timed_out, leader_count) inside the closure: the
-    // exact-engine report is not cacheable wholesale, the projection is.
-    let rows: Vec<(u64, bool, u64)> =
-        ctx.run_trials("e6", point, params, base_seed, trials, |seed| {
-            let config = SimConfig::new(n, CdModel::Weak)
-                .with_seed(seed)
-                .with_max_slots(max_slots)
-                .with_stop(StopRule::AllTerminated);
-            let report = if lesu {
-                run_fast_exact(&config, adv, |_| Box::new(lewu()))
-            } else {
-                run_fast_exact(&config, adv, |_| Box::new(lewk(0.5)))
-            };
-            (report.slots, report.timed_out, report.leaders.len() as u64)
-        });
+    let rows = ctx.spec_trials("e6", point, spec, base_seed, trials, weak_row);
     let bad_leader_count = rows.iter().filter(|r| !r.1 && r.2 != 1).count() as u64;
     let timeouts = rows.iter().filter(|r| r.1).count() as u64;
     (rows.iter().map(|r| r.0 as f64).collect(), timeouts, bad_leader_count)
@@ -79,12 +68,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             let (weak, timeouts, bad) = weak_runs(
                 ctx,
                 &format!("lewk/{advname}/n={n}"),
-                n,
-                &adv,
+                &weak_spec(ProtoParams::Lewk { eps: 0.5 }, n, &adv, 30_000_000),
                 trials,
                 60_000 + i as u64,
-                30_000_000,
-                false,
             );
             let unit = ElectionParams::cohort(
                 ProtoParams::lesk(eps),
@@ -117,12 +103,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let (weak, timeouts, bad) = weak_runs(
             ctx,
             &format!("lewu/n={n}"),
-            n,
-            &adv,
+            &weak_spec(ProtoParams::Lewu, n, &adv, 100_000_000),
             trials.min(20),
             62_000 + i as u64,
-            100_000_000,
-            true,
         );
         assert_eq!(timeouts, 0, "LEWU timeout at n={n}");
         assert_eq!(bad, 0, "LEWU leader-count violation at n={n}");

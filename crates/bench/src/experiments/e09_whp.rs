@@ -9,10 +9,9 @@
 
 use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_analysis::{Figure, Series, Table};
-use jle_engine::{run_cohort, SimConfig};
-use jle_protocols::{math, LeskProtocol};
+use jle_lens::{EngineKind, LensSpec};
+use jle_protocols::{math, ProtoParams};
 use jle_radio::CdModel;
-use serde::Serialize;
 
 /// Budget multipliers swept (times the Theorem 2.6 shape).
 pub const BUDGET_KS: [f64; 4] = [2.0, 2.5, 3.0, 5.0];
@@ -51,29 +50,19 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let mut cells = vec![n.to_string(), jle_analysis::fmt(shape)];
         for (ki, &k) in BUDGET_KS.iter().enumerate() {
             let budget = (k * shape).ceil() as u64;
-            let params = serde_json::json!({
-                "kind": "whp_failure",
-                "n": n,
-                "eps": eps,
-                "t": t_window,
-                "budget": budget,
-                "adv": adv.to_json_value(),
-                "proto": "lesk",
-            });
+            let spec = LensSpec::new(
+                EngineKind::Cohort,
+                ProtoParams::lesk(eps),
+                n,
+                CdModel::Strong,
+                adv.clone(),
+                budget,
+            );
+            let seed = 90_000 + i as u64 * 17 + ki as u64 * 7919;
             let failures: u64 = ctx
-                .run_trials(
-                    "e9",
-                    &format!("n={n}/K={k}"),
-                    params,
-                    90_000 + i as u64 * 17 + ki as u64 * 7919,
-                    trials,
-                    |seed| {
-                        let config = SimConfig::new(n, CdModel::Strong)
-                            .with_seed(seed)
-                            .with_max_slots(budget);
-                        run_cohort(&config, &adv, || LeskProtocol::new(eps)).timed_out as u64
-                    },
-                )
+                .spec_trials("e9", &format!("n={n}/K={k}"), &spec, seed, trials, |r| {
+                    r.timed_out as u64
+                })
                 .into_iter()
                 .sum();
             let rate = failures as f64 / trials as f64;

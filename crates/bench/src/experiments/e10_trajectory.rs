@@ -11,10 +11,24 @@
 use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Figure, Series, Table};
-use jle_engine::{run_cohort, SimConfig};
-use jle_protocols::LeskProtocol;
-use jle_radio::CdModel;
-use serde::Serialize;
+use jle_engine::{SlotActions, SlotObserver};
+use jle_lens::{EngineKind, LensSpec};
+use jle_protocols::ProtoParams;
+use jle_radio::{CdModel, SlotTruth};
+
+/// The estimate `u` at the start of every slot of a run.
+#[derive(Default)]
+struct Trajectory(Vec<f64>);
+
+impl SlotObserver for Trajectory {
+    fn wants_estimate(&self) -> bool {
+        true
+    }
+
+    fn on_slot(&mut self, _: u64, _: &SlotTruth, _: &SlotActions, estimate: Option<f64>) {
+        self.0.push(estimate.expect("LESK exposes its estimate"));
+    }
+}
 
 /// The paper's regular band for estimate `u` given `n` and `eps`.
 pub fn regular_band(n: u64, eps: f64) -> (f64, f64) {
@@ -48,41 +62,35 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let (lo, hi) = regular_band(n, eps);
         for (name, adv) in [("none", AdversarySpec::passive()), ("saturating", saturating(eps, 32))]
         {
-            let params = serde_json::json!({
-                "kind": "trajectory",
-                "n": n,
-                "eps": eps,
-                "adv": adv.to_json_value(),
-                "band": [lo, hi],
-                "max_slots": 10_000_000u64,
-            });
-            let rows: Vec<(f64, f64, f64)> = ctx.run_trials(
+            let spec = LensSpec::new(
+                EngineKind::Cohort,
+                ProtoParams::lesk(eps),
+                n,
+                CdModel::Strong,
+                adv,
+                10_000_000,
+            );
+            let rows: Vec<(f64, f64, f64)> = ctx.spec_trials_observed(
                 "e10",
                 &format!("{name}/n={n}"),
-                params,
+                &spec,
                 100_000 + n,
                 trials,
-                |seed| {
-                    let config = SimConfig::new(n, CdModel::Strong)
-                        .with_seed(seed)
-                        .with_max_slots(10_000_000)
-                        .with_trace(true);
-                    let r = run_cohort(&config, &adv, || LeskProtocol::new(eps));
+                Trajectory::default,
+                |r, Trajectory(estimates)| {
                     assert!(r.leader_elected());
-                    let tr = r.trace.unwrap();
-                    let hit = tr
-                        .estimates
+                    let hit = estimates
                         .iter()
                         .position(|&u| u >= lo && u <= hi)
-                        .unwrap_or(tr.estimates.len());
-                    let after = &tr.estimates[hit..];
+                        .unwrap_or(estimates.len());
+                    let after = &estimates[hit..];
                     let in_band = if after.is_empty() {
                         0.0
                     } else {
                         after.iter().filter(|&&u| u >= lo && u <= hi).count() as f64
                             / after.len() as f64
                     };
-                    (hit as f64, in_band, *tr.estimates.last().unwrap())
+                    (hit as f64, in_band, *estimates.last().unwrap())
                 },
             );
             let hits: Vec<f64> = rows.iter().map(|r| r.0).collect();
@@ -96,17 +104,15 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
                 fmt(jle_analysis::percentile(&finals, 0.5)),
                 fmt((n as f64).log2()),
             ]);
-            // One representative trajectory per configuration for the figure.
-            let config = SimConfig::new(n, CdModel::Strong)
-                .with_seed(100_000 + n)
-                .with_max_slots(10_000_000)
-                .with_trace(true);
-            let r = run_cohort(&config, &adv, || LeskProtocol::new(eps));
-            let tr = r.trace.unwrap();
+            // One representative trajectory per configuration for the
+            // figure: the unit's first trial.
+            let mut trajectory = Trajectory::default();
+            spec.run_observed(100_000 + n, Some(&mut trajectory)).expect("a valid spec");
+            let estimates = trajectory.0;
             let mut series = Series::new(format!("n={n}, {name}"));
-            let stride = (tr.estimates.len() / 120).max(1);
-            for (i, &u) in tr.estimates.iter().enumerate() {
-                if i % stride == 0 || i + 1 == tr.estimates.len() {
+            let stride = (estimates.len() / 120).max(1);
+            for (i, &u) in estimates.iter().enumerate() {
+                if i % stride == 0 || i + 1 == estimates.len() {
                     series.push(i as f64, u);
                 }
             }

@@ -11,10 +11,9 @@
 
 use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_analysis::{fmt, Table};
-use jle_engine::{run_cohort, SimConfig};
-use jle_protocols::{LeskProtocol, SlotTaxonomy};
+use jle_lens::{EngineKind, LensSpec};
+use jle_protocols::{classify::TaxonomyObserver, ProtoParams, SlotTaxonomy};
 use jle_radio::CdModel;
-use serde::Serialize;
 
 /// Run E11.
 pub fn run(ctx: &ExpContext) -> ExperimentResult {
@@ -31,28 +30,24 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     for &eps in &eps_grid {
         let mut table =
             Table::new(["counter", "mean count", "bound", "mean/bound", "violations (of trials)"]);
-        let adv = saturating(eps, 32);
-        let params = serde_json::json!({
-            "kind": "taxonomy",
-            "n": n,
-            "eps": eps,
-            "adv": adv.to_json_value(),
-            "max_slots": 10_000_000u64,
-        });
-        let taxes: Vec<(SlotTaxonomy, u64)> = ctx.run_trials(
+        let spec = LensSpec::new(
+            EngineKind::Cohort,
+            ProtoParams::lesk(eps),
+            n,
+            CdModel::Strong,
+            saturating(eps, 32),
+            10_000_000,
+        );
+        let taxes: Vec<(SlotTaxonomy, u64)> = ctx.spec_trials_observed(
             "e11",
             &format!("eps={eps}"),
-            params,
+            &spec,
             110_000 + (eps * 1000.0) as u64,
             trials,
-            |seed| {
-                let config = SimConfig::new(n, CdModel::Strong)
-                    .with_seed(seed)
-                    .with_max_slots(10_000_000)
-                    .with_trace(true);
-                let r = run_cohort(&config, &adv, || LeskProtocol::new(eps));
+            || TaxonomyObserver::new(n, eps),
+            |r, obs| {
                 assert!(r.leader_elected());
-                (SlotTaxonomy::from_trace(r.trace.as_ref().unwrap(), n, eps), r.slots)
+                (obs.taxonomy(), r.slots)
             },
         );
         let tn = taxes.len() as f64;

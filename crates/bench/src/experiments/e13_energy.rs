@@ -8,10 +8,9 @@
 use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
-use jle_engine::{run_cohort, SimConfig};
-use jle_protocols::{with_uniform_proto, ArssMacProtocol, ProtoParams};
+use jle_lens::{EngineKind, LensSpec};
+use jle_protocols::{ArssMacProtocol, ProtoParams};
 use jle_radio::CdModel;
-use serde::Serialize;
 
 fn energy_cells(
     ctx: &ExpContext,
@@ -22,19 +21,9 @@ fn energy_cells(
     trials: u64,
     seed: u64,
 ) -> (f64, f64, f64) {
-    let params = serde_json::json!({
-        "kind": "energy",
-        "n": n,
-        "adv": adv.to_json_value(),
-        "max_slots": 5_000_000u64,
-        "proto": proto,
-    });
-    let rows: Vec<(f64, f64, f64)> = with_uniform_proto!(proto, make => {
-        ctx.run_trials("e13", point, params, seed, trials, |s| {
-            let config = SimConfig::new(n, CdModel::Strong).with_seed(s).with_max_slots(5_000_000);
-            let r = run_cohort(&config, adv, make);
-            (r.tx_per_station(n), r.energy.listens as f64 / n as f64, r.slots as f64)
-        })
+    let spec = LensSpec::new(EngineKind::Cohort, proto, n, CdModel::Strong, adv.clone(), 5_000_000);
+    let rows: Vec<(f64, f64, f64)> = ctx.spec_trials("e13", point, &spec, seed, trials, |r| {
+        (r.tx_per_station(n), r.energy.listens as f64 / n as f64, r.slots as f64)
     });
     let m = |f: &dyn Fn(&(f64, f64, f64)) -> f64| {
         let mut v: Vec<f64> = rows.iter().map(f).collect();

@@ -9,9 +9,9 @@
 use crate::common::{median, ExpContext, ExperimentResult};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_analysis::{fmt, Table};
-use jle_protocols::{math, LeskProtocol};
+use jle_lens::{EngineKind, LensSpec};
+use jle_protocols::{math, ProtoParams};
 use jle_radio::CdModel;
-use serde::Serialize;
 
 /// Run E14.
 pub fn run(ctx: &ExpContext) -> ExperimentResult {
@@ -62,32 +62,22 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         let mut base = None;
         let envelope = 100.0 * math::lesk_runtime_shape(n, eps, t);
         for (i, (name, kind)) in strategies.iter().enumerate() {
-            let spec = AdversarySpec::new(rate, t, kind.clone());
-            let params = serde_json::json!({
-                "kind": "adversary_ablation",
-                "n": n,
-                "eps": eps,
-                "adv": spec.to_json_value(),
-                "warm": warm,
-                "max_slots": 100_000_000u64,
-            });
-            let reports: Vec<(f64, f64)> = ctx.run_trials(
+            let u0 = warm.then_some(log2n);
+            let spec = LensSpec::new(
+                EngineKind::Cohort,
+                ProtoParams::Lesk { eps, u0, divisor: None },
+                n,
+                CdModel::Strong,
+                AdversarySpec::new(rate, t, kind.clone()),
+                100_000_000,
+            );
+            let reports: Vec<(f64, f64)> = ctx.spec_trials(
                 "e14",
                 &format!("{}/{name}", if warm { "warm" } else { "cold" }),
-                params,
+                &spec,
                 140_000 + i as u64 * 7 + warm as u64 * 999,
                 trials,
-                |seed| {
-                    let config = jle_engine::SimConfig::new(n, CdModel::Strong)
-                        .with_seed(seed)
-                        .with_max_slots(100_000_000);
-                    let r = jle_engine::run_cohort(&config, &spec, || {
-                        if warm {
-                            LeskProtocol::with_initial_estimate(eps, log2n)
-                        } else {
-                            LeskProtocol::new(eps)
-                        }
-                    });
+                |r| {
                     assert!(r.leader_elected(), "LESK must elect under {name}");
                     (r.slots as f64, r.jam_fraction())
                 },

@@ -11,19 +11,24 @@
 //! §10): the fault backend with an empty plan (`run_fast_exact_faulty`)
 //! must reproduce the plain `run_fast_exact` shim *bit for bit*.
 
-use crate::common::{median, saturating, ExpContext, ExperimentResult, PER_STATION_ENGINE};
+use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_analysis::{fmt, Summary, Table};
 use jle_engine::{
     run_cohort, run_fast_exact, run_fast_exact_faulty, FaultPlan, PerStation, RunReport, SimConfig,
 };
-use jle_protocols::LeskProtocol;
+use jle_lens::{EngineKind, LensSpec};
+use jle_protocols::{LeskProtocol, ProtoParams};
 use jle_radio::CdModel;
-use serde::Serialize;
 use std::time::Instant;
 
 /// Timed runs per throughput row; the row reports their median, so one
 /// descheduled run cannot swing the committed wall-time column.
 const TIMED_RUNS: usize = 5;
+
+/// The exact arm of (a) runs trial `k` at seed `(base_seed + k) ^
+/// EXACT_SEED_XOR`, where the cohort arm runs `base_seed + k`: the two
+/// arms share base seeds, and the committed table was drawn this way.
+const EXACT_SEED_XOR: u64 = 0xABCD;
 
 /// Run `f` [`TIMED_RUNS`] times; its (deterministic) report and the
 /// median wall time in seconds.
@@ -53,47 +58,25 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     let mut agree = Table::new(["n", "cohort median / mean", "exact median / mean", "mean ratio"]);
     let ns: Vec<u64> = if quick { vec![16] } else { vec![4, 16, 64, 256] };
     for (i, &n) in ns.iter().enumerate() {
-        let adv = saturating(eps, 16);
-        let params = serde_json::json!({
-            "n": n,
-            "eps": eps,
-            "adv": adv.to_json_value(),
-            "max_slots": 10_000_000u64,
-        });
-        let mut cohort_params = params.clone();
-        if let serde::Value::Map(m) = &mut cohort_params {
-            m.push(("kind".to_string(), serde::Value::Str("engine_cohort".into())));
-        }
-        let cohort: Vec<f64> = ctx.run_trials(
-            "e15",
-            &format!("cohort/n={n}"),
-            cohort_params,
-            150_000 + i as u64,
-            trials,
-            |seed| {
-                let config =
-                    SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(10_000_000);
-                run_cohort(&config, &adv, || LeskProtocol::new(eps)).slots as f64
-            },
-        );
-        let mut exact_params = params;
-        if let serde::Value::Map(m) = &mut exact_params {
-            m.push(("kind".to_string(), serde::Value::Str("engine_exact".into())));
-            m.push(("engine".to_string(), serde::Value::Str(PER_STATION_ENGINE.into())));
-        }
+        let spec = |engine| {
+            let adv = saturating(eps, 16);
+            LensSpec::new(engine, ProtoParams::lesk(eps), n, CdModel::Strong, adv, 10_000_000)
+        };
+        let (cohort, exact) = (spec(EngineKind::Cohort), spec(EngineKind::FastExact));
+        let base_seed = 150_000 + i as u64;
+        let cohort: Vec<f64> =
+            ctx.spec_trials("e15", &format!("cohort/n={n}"), &cohort, base_seed, trials, |r| {
+                r.slots as f64
+            });
+        // Keyed by the spec it runs, but not replayable at `base_seed + k`
+        // (`EXACT_SEED_XOR`), so not a `spec_trials` unit.
         let exact: Vec<f64> = ctx.run_trials(
             "e15",
             &format!("exact/n={n}"),
-            exact_params,
-            150_000 + i as u64,
+            exact.to_params(),
+            base_seed,
             trials,
-            |seed| {
-                let config = SimConfig::new(n, CdModel::Strong)
-                    .with_seed(seed ^ 0xABCD)
-                    .with_max_slots(10_000_000);
-                run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(eps))))
-                    .slots as f64
-            },
+            |seed| exact.run(seed ^ EXACT_SEED_XOR).expect("a valid spec").slots as f64,
         );
         let (sc, se) = (Summary::of(&cohort).unwrap(), Summary::of(&exact).unwrap());
         agree.push_row([

@@ -11,10 +11,10 @@
 use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_adversary::Rate;
 use jle_analysis::{fmt, Table};
-use jle_engine::{run_cohort, run_cohort_against_oracle, SimConfig};
-use jle_protocols::LeskProtocol;
+use jle_engine::{run_cohort_against_oracle, SimConfig};
+use jle_lens::{EngineKind, LensSpec};
+use jle_protocols::{LeskProtocol, ProtoParams};
 use jle_radio::CdModel;
-use serde::Serialize;
 
 /// Run E18.
 pub fn run(ctx: &ExpContext) -> ExperimentResult {
@@ -39,25 +39,13 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
     for (i, &eps) in eps_grid.iter().enumerate() {
         let t = 32u64;
         let seed0 = 180_000 + i as u64 * 11;
-        let fair: Vec<(bool, f64)> = ctx.run_trials(
-            "e18",
-            &format!("fair/eps={eps}"),
-            serde_json::json!({
-                "kind": "oracle_control_fair",
-                "n": n,
-                "eps": eps,
-                "t": t,
-                "adv": saturating(eps, t).to_json_value(),
-                "max_slots": cap,
-            }),
-            seed0,
-            trials,
-            |seed| {
-                let config = SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(cap);
-                let r = run_cohort(&config, &saturating(eps, t), || LeskProtocol::new(eps));
+        let adv = saturating(eps, t);
+        let spec =
+            LensSpec::new(EngineKind::Cohort, ProtoParams::lesk(eps), n, CdModel::Strong, adv, cap);
+        let fair: Vec<(bool, f64)> =
+            ctx.spec_trials("e18", &format!("fair/eps={eps}"), &spec, seed0, trials, |r| {
                 (r.leader_elected(), r.slots as f64)
-            },
-        );
+            });
         let oracle: Vec<(bool, f64)> = ctx.run_trials(
             "e18",
             &format!("oracle/eps={eps}"),

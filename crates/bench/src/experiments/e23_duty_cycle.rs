@@ -6,13 +6,12 @@
 //! experiment maps the Pareto curve and confirms the jamming robustness
 //! is preserved under duty cycling.
 
-use crate::common::{saturating, ExpContext, ExperimentResult, PER_STATION_ENGINE};
+use crate::common::{saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Table};
-use jle_engine::{run_fast_exact, SimConfig};
-use jle_protocols::DutyCycledLesk;
+use jle_lens::{EngineKind, LensSpec};
+use jle_protocols::ProtoParams;
 use jle_radio::CdModel;
-use serde::Serialize;
 
 #[allow(clippy::type_complexity)] // inline row-projection closures read better than aliases
 /// Run E23.
@@ -39,36 +38,25 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         ]);
         let mut baseline: Option<(f64, f64)> = None;
         for (i, &period) in periods.iter().enumerate() {
-            let params = serde_json::json!({
-                "kind": "duty_cycle",
-                "engine": PER_STATION_ENGINE,
-                "n": n,
-                "eps": eps,
-                "period": period,
-                "adv": adv.to_json_value(),
-                "max_slots": 5_000_000u64,
-            });
-            let rows: Vec<(f64, f64, f64, bool)> = ctx.run_trials(
+            // `DutyCycledLesk::wake_hint` is honest, so the active-set
+            // backend pays O(n/period) per slot.
+            let spec = LensSpec::new(
+                EngineKind::FastExact,
+                ProtoParams::DutyLesk { eps, period },
+                n,
+                CdModel::Strong,
+                adv.clone(),
+                5_000_000,
+            );
+            let rows: Vec<(f64, f64, f64, bool)> = ctx.spec_trials(
                 "e23",
                 &format!("{name}/period={period}"),
-                params,
+                &spec,
                 230_000 + i as u64 * 11,
                 trials,
-                |seed| {
-                    let config = SimConfig::new(n, CdModel::Strong)
-                        .with_seed(seed)
-                        .with_max_slots(5_000_000);
-                    // `DutyCycledLesk::wake_hint` is honest, so the
-                    // active-set backend pays O(n/period) per slot.
-                    let r = run_fast_exact(&config, &adv, move |st| {
-                        Box::new(DutyCycledLesk::new(eps, period, st))
-                    });
-                    (
-                        r.slots as f64,
-                        r.energy.listens as f64 / n as f64,
-                        r.tx_per_station(n),
-                        r.leader_elected(),
-                    )
+                |r| {
+                    let listens = r.energy.listens as f64 / n as f64;
+                    (r.slots as f64, listens, r.tx_per_station(n), r.leader_elected())
                 },
             );
             let med = |f: &dyn Fn(&(f64, f64, f64, bool)) -> f64| {

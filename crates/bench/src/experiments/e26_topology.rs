@@ -34,10 +34,10 @@
 use crate::common::{median, saturating, ExpContext, ExperimentResult};
 use jle_adversary::AdversarySpec;
 use jle_analysis::{fmt, Figure, Series, Table};
-use jle_engine::{catch_trial, run_multihop, RunReport, SimConfig, StopRule, TrialOutcome};
-use jle_protocols::ClusterElection;
+use jle_engine::{catch_trial, RunReport, TrialOutcome};
+use jle_lens::{EngineKind, LensSpec, Stop};
+use jle_protocols::ProtoParams;
 use jle_radio::{CdModel, Topology};
-use serde::{Serialize, Value};
 
 const T_WINDOW: u64 = 32;
 /// Spread-phase quiet horizon: must exceed the announce flood time
@@ -45,36 +45,14 @@ const T_WINDOW: u64 = 32;
 /// `ClusterElection::with_quiet_target`.
 const QUIET: u64 = 1_024;
 
-/// One scenario: a named topology with its cluster assignment.
-struct Scenario {
-    name: &'static str,
-    topo: Topology,
-    clusters: Vec<u32>,
-}
-
-fn scenarios(quick: bool) -> Vec<Scenario> {
-    let dense = if quick { Topology::dense_linear(3, 4) } else { Topology::dense_linear(8, 6) };
-    let core = if quick { Topology::core_tail(4, 3) } else { Topology::core_tail(8, 8) };
-    vec![
-        Scenario { name: "dense-linear", topo: dense.0, clusters: dense.1 },
-        Scenario { name: "core-tail", topo: core.0, clusters: core.1 },
-    ]
-}
-
-/// Canonical parameter tree of one arm. The topology *descriptor* is the
-/// load-bearing entry: it salts the orchestrator fingerprint, so cached
-/// sweeps can never alias across interference graphs.
-fn arm_params(scenario: &Scenario, cd: CdModel, adv: &AdversarySpec, horizon: u64) -> Value {
-    serde_json::json!({
-        "kind": "cluster_election",
-        "topology": scenario.topo.descriptor(),
-        "n": scenario.clusters.len(),
-        "clusters": scenario.clusters.iter().copied().max().map_or(0, |m| m + 1),
-        "cd": format!("{cd:?}"),
-        "adv": adv.to_json_value(),
-        "horizon": horizon,
-        "proto": { "proto": "cluster-election/lesk", "eps": 0.4, "quiet": QUIET },
-    })
+/// The scenarios' topology descriptors ([`Topology::parse`]), each with
+/// natural clusters.
+fn scenarios(quick: bool) -> [&'static str; 2] {
+    if quick {
+        ["dense-linear:3,4", "core-tail:4,3"]
+    } else {
+        ["dense-linear:8,6", "core-tail:8,8"]
+    }
 }
 
 /// Measured statistics of one arm.
@@ -88,33 +66,18 @@ struct ArmStats {
     panics: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Run one arm's trials, each isolated by [`catch_trial`] so a panicking
+/// trial is counted, not fatal.
 fn run_arm(
     ctx: &ExpContext,
-    scenario: &Scenario,
-    cd: CdModel,
-    adv: &AdversarySpec,
-    eps: f64,
-    horizon: u64,
+    spec: &LensSpec,
     trials: u64,
     base_seed: u64,
     point: &str,
 ) -> ArmStats {
-    let params = arm_params(scenario, cd, adv, horizon);
     let outcomes: Vec<TrialOutcome<RunReport>> =
-        ctx.run_trials("e26", point, params, base_seed, trials, |seed| {
-            catch_trial(|| {
-                let config = SimConfig::new(scenario.clusters.len() as u64, cd)
-                    .with_seed(seed)
-                    .with_max_slots(horizon)
-                    .with_stop(StopRule::AllTerminated);
-                run_multihop(&config, adv, &scenario.topo, Some(&scenario.clusters), |i| {
-                    Box::new(
-                        ClusterElection::for_assignment(i, &scenario.clusters, eps)
-                            .with_quiet_target(QUIET),
-                    )
-                })
-            })
+        ctx.run_trials("e26", point, spec.to_params(), base_seed, trials, |seed| {
+            catch_trial(|| spec.run(seed).expect("a valid spec"))
         });
     let panics = outcomes.iter().filter(|o| o.is_panicked()).count() as u64;
     let reports: Vec<&RunReport> = outcomes.iter().filter_map(|o| o.as_ok()).collect();
@@ -177,7 +140,10 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
         "adversary arm index (0 = none, rising jam rate)",
         "median slots to network-wide agreement",
     );
-    for (si, scenario) in scenarios(quick).iter().enumerate() {
+    for (si, topology) in scenarios(quick).into_iter().enumerate() {
+        let name = topology.split(':').next().unwrap_or(topology);
+        let (topo, clusters) = Topology::parse(topology).expect("a valid descriptor");
+        let n = clusters.map_or(0, |c| c.len() as u64);
         let mut table = Table::new([
             "cd",
             "adversary",
@@ -188,18 +154,21 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             "panicked trials",
         ]);
         for (ci, &cd) in cds.iter().enumerate() {
-            let mut series = Series::new(format!("{} ({cd:?})", scenario.name));
+            let mut series = Series::new(format!("{name} ({cd:?})"));
             for (ai, (adv_name, adv)) in advs.iter().enumerate() {
+                // The descriptor is part of the spec, so it salts the
+                // unit's key: cached arms never alias across graphs.
+                let proto = ProtoParams::Cluster { eps, quiet: Some(QUIET) };
+                let mut spec =
+                    LensSpec::new(EngineKind::Multihop, proto, n, cd, adv.clone(), horizon);
+                spec.stop = Stop::AllTerminated;
+                spec.topology = Some(topology.into());
                 let a = run_arm(
                     ctx,
-                    scenario,
-                    cd,
-                    adv,
-                    eps,
-                    horizon,
+                    &spec,
                     trials,
                     260_000 + (si * 100 + ci * 10 + ai) as u64 * 101,
-                    &format!("{}/{cd:?}/{adv_name}", scenario.name),
+                    &format!("{name}/{cd:?}/{adv_name}"),
                 );
                 all_converged &= a.converged == 1.0 && a.panics == 0;
                 series.push(ai as f64, a.med_converged_at);
@@ -219,9 +188,9 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             &format!(
                 "{} — {} (n={}, eps={eps}, quiet horizon {QUIET}, \
                  stop: all stations terminated)",
-                scenario.name,
-                scenario.topo.descriptor(),
-                scenario.clusters.len(),
+                name,
+                topo.descriptor(),
+                n,
             ),
             table,
         );

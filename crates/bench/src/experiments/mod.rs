@@ -4,8 +4,10 @@
 //! function `run(ctx: &ExpContext) -> ExperimentResult`; `ctx.quick`
 //! trims sweeps and trial counts for smoke tests, and all Monte-Carlo
 //! work is submitted through `ctx` so it is cached, resumable, and
-//! reported by the orchestrator (`DESIGN.md` §9). The full reproduction
-//! is recorded in `EXPERIMENTS.md`.
+//! reported by the orchestrator (`DESIGN.md` §9). An election unit is a
+//! `jle_lens::LensSpec` plus a projection of its reports
+//! ([`ExpContext::spec_trials`]). The full reproduction is recorded in
+//! `EXPERIMENTS.md`.
 
 pub mod e01_runtime_vs_n;
 pub mod e02_runtime_vs_eps;

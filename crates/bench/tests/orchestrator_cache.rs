@@ -5,9 +5,14 @@
 //! * a sweep killed mid-flight (chunk-budget hook) and resumed with the
 //!   `Resume` policy is bit-identical to an uninterrupted run.
 
+use jle_bench::common::saturating;
+use jle_bench::experiments::e06_weak_cd::{weak_row, weak_spec};
 use jle_bench::experiments::run_by_id;
 use jle_bench::ExpContext;
-use jle_orchestrator::{CachePolicy, Orchestrator};
+use jle_lens::LensSpec;
+use jle_orchestrator::{CachePolicy, Orchestrator, ResultStore, WorkSpec};
+use jle_protocols::ProtoParams;
+use serde::Deserialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -81,5 +86,34 @@ fn interrupted_sweep_resumes_bit_identically() {
         "resumed run must be bit-identical to the uninterrupted run"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec unit replays from the store alone, which is what `jle-lens
+/// replay --fingerprint` runs: E6's LEWK weak-CD unit, written to disk,
+/// records a `spec.json` whose params parse back into a spec, and that
+/// spec re-derives every stored trial at `base_seed + k`.
+#[test]
+fn a_stored_spec_unit_replays_from_its_spec_json() {
+    let dir = tmp_dir("replay");
+    let spec = weak_spec(ProtoParams::Lewk { eps: 0.5 }, 16, &saturating(0.5, 16), 30_000_000);
+    let (point, base_seed, trials) = ("lewk/saturating/n=16", 60_002, 12);
+    let cold = ctx_with(&dir, CachePolicy::Complete);
+    cold.spec_trials("e6", point, &spec, base_seed, trials, weak_row);
+
+    let warm = ctx_with(&dir, CachePolicy::Complete);
+    let stored = warm.spec_trials("e6", point, &spec, base_seed, trials, weak_row);
+    assert_eq!(warm.orchestrator().stats_snapshot().executed_trials, 0, "served from disk");
+
+    let work = WorkSpec::new("e6", point, spec.to_params(), base_seed);
+    let hex = warm.orchestrator().fingerprint_hex::<(u64, bool, u64)>(&work);
+    let (_, recorded) = ResultStore::open(&dir).unwrap().load_spec_info(&hex).expect("spec.json");
+    let recorded = WorkSpec::from_json_value(&recorded).expect("a work spec");
+    assert_eq!(recorded.base_seed, base_seed);
+    let replayed = LensSpec::from_params(&recorded.params).expect("the params parse as a spec");
+    for (k, trial) in stored.iter().enumerate() {
+        let report = replayed.run(recorded.base_seed + k as u64).expect("the spec runs");
+        assert_eq!(&weak_row(report), trial, "trial {k}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,20 +1,24 @@
 //! The cache keys of the typed experiment units.
 //!
-//! Each experiment names a cohort-election unit once, as an
-//! [`ElectionParams`], and that value is both its cache key and what its
-//! stations run. The canonical JSON and fingerprints below were recorded
+//! Each experiment names a unit once, as a value that is both its cache
+//! key and what its stations run. The cohort-election units'
+//! ([`ElectionParams`]) canonical JSON and fingerprints were recorded
 //! from the hand-built `json!` trees the experiments submitted before the
-//! units were typed, one unit per experiment (E13's `energy` tree
-//! included): a typed unit must address the same store entries, or every
-//! warm store would recompute.
+//! units were typed, one unit per experiment: a typed unit must address
+//! the same store entries, or every warm store would recompute. The spec
+//! units' ([`LensSpec`], one per experiment kind they replaced, E13's
+//! `energy` included) were recorded when they became specs.
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_bench::common::saturating;
-use jle_engine::RunReport;
+use jle_bench::experiments::e06_weak_cd::weak_spec;
+use jle_engine::{RunReport, TrialOutcome};
+use jle_lens::{EngineKind, LensSpec, Stop};
 use jle_orchestrator::{canonical_json, Fingerprint, WorkSpec, DEFAULT_CODE_SALT};
-use jle_protocols::{ArssMacProtocol, ElectionParams, ProtoParams};
+use jle_protocols::{math, ArssMacProtocol, ElectionParams, ProtoParams, SlotTaxonomy};
 use jle_radio::CdModel;
 use serde::{Serialize, Value};
+use std::any::type_name;
 
 fn assert_pinned(
     exp: &str,
@@ -199,23 +203,149 @@ fn typed_units_keep_their_cache_keys() {
     for (unit, exp, point, seed, canon, hex) in pinned {
         assert_pinned(exp, point, unit.to_json_value(), seed, run_report, canon, hex);
     }
+}
 
-    // E13 keeps its own `energy` tree around the typed protocol.
-    let adv = saturating(0.5, 32);
-    let energy = serde_json::json!({
-        "kind": "energy",
-        "n": 256u64,
-        "adv": adv.to_json_value(),
-        "max_slots": 5_000_000u64,
-        "proto": ProtoParams::Arss { gamma: ArssMacProtocol::recommended_gamma(256, 32) },
-    });
-    assert_pinned(
-        "e13",
-        "arss/saturating eps=0.5 T=32/n=256",
-        energy,
-        132000,
-        std::any::type_name::<(f64, f64, f64)>(),
-        r#"{"base_seed":132000,"experiment":"e13","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":32},"kind":"energy","max_slots":5000000,"n":256,"proto":{"gamma":0.125,"proto":"arss"}},"point":"arss/saturating eps=0.5 T=32/n=256"}"#,
-        "dff81fd3c99a8f5dfd48c0d9e17cbc0f0b64937b4a1a23fc70d8717a18e6aaf4",
+#[test]
+fn spec_units_keep_their_cache_keys() {
+    let cohort = |proto, n, adv, max_slots| {
+        LensSpec::new(EngineKind::Cohort, proto, n, CdModel::Strong, adv, max_slots)
+    };
+    let fast_exact = |proto, n, adv, max_slots| {
+        LensSpec::new(EngineKind::FastExact, proto, n, CdModel::Strong, adv, max_slots)
+    };
+    let budget = (2.0 * math::lesk_runtime_shape(64, 0.5, 32)).ceil() as u64;
+    let mut noisy = cohort(ProtoParams::lesk(0.5), 1024, saturating(0.5, 32), 5_000_000);
+    noisy.noise = 0.4;
+    let mut cluster = LensSpec::new(
+        EngineKind::Multihop,
+        ProtoParams::Cluster { eps: 0.4, quiet: Some(1024) },
+        48,
+        CdModel::Weak,
+        saturating(0.4, 32),
+        400_000,
     );
+    cluster.stop = Stop::AllTerminated;
+    cluster.topology = Some("dense-linear:8,6".into());
+    let arss = ProtoParams::Arss { gamma: ArssMacProtocol::recommended_gamma(256, 32) };
+    let warm = ProtoParams::Lesk { eps: 0.3, u0: Some(10.0), divisor: None };
+    let warm_adv = AdversarySpec::new(Rate::from_f64(0.3), 64, JamStrategyKind::Saturating);
+    let pinned: [(LensSpec, &str, &str, u64, &str, &str, &str); 12] = [
+        (
+            weak_spec(ProtoParams::Lewk { eps: 0.5 }, 8, &AdversarySpec::passive(), 30_000_000),
+            "e6",
+            "lewk/no jam/n=8",
+            60_000,
+            type_name::<(u64, bool, u64)>(),
+            r#"{"base_seed":60000,"experiment":"e6","params":{"adv":{"eps":{"num":2147483648},"kind":"None","t_window":1},"cd":"Weak","engine":"fast-exact","kind":"election_run","max_slots":30000000,"n":8,"proto":{"eps":0.5,"proto":"lewk"},"stop":"all-terminated"},"point":"lewk/no jam/n=8"}"#,
+            "273556b1369f03657d7c27c63650d11b9b9e62c40c952fa549df350b31aac960",
+        ),
+        (
+            cohort(ProtoParams::lesk(0.5), 64, saturating(0.5, 32), budget),
+            "e9",
+            "n=64/K=2",
+            90_000,
+            type_name::<u64>(),
+            r#"{"base_seed":90000,"experiment":"e9","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":96,"n":64,"proto":{"eps":0.5,"proto":"lesk"}},"point":"n=64/K=2"}"#,
+            "e2a67dca88ed5b5499ff6dba2974bb3aeff460252263c1580820627ac5ba852b",
+        ),
+        (
+            cohort(ProtoParams::lesk(0.5), 256, AdversarySpec::passive(), 10_000_000),
+            "e10",
+            "none/n=256",
+            100_256,
+            type_name::<(f64, f64, f64)>(),
+            r#"{"base_seed":100256,"experiment":"e10","params":{"adv":{"eps":{"num":2147483648},"kind":"None","t_window":1},"cd":"Strong","kind":"cohort_election","max_slots":10000000,"n":256,"proto":{"eps":0.5,"proto":"lesk"}},"point":"none/n=256"}"#,
+            "2579aa58028ce501b9fd32c5e860973adafca0246bb104851851bd0d1442b8c0",
+        ),
+        (
+            cohort(ProtoParams::lesk(0.5), 1024, saturating(0.5, 32), 10_000_000),
+            "e11",
+            "eps=0.5",
+            110_500,
+            type_name::<(SlotTaxonomy, u64)>(),
+            r#"{"base_seed":110500,"experiment":"e11","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":10000000,"n":1024,"proto":{"eps":0.5,"proto":"lesk"}},"point":"eps=0.5"}"#,
+            "b3a5548e159ff475fc5552f4c1e5981cccf8d8809ca017aeb94498c4deaa9941",
+        ),
+        (
+            cohort(arss, 256, saturating(0.5, 32), 5_000_000),
+            "e13",
+            "arss/saturating eps=0.5 T=32/n=256",
+            132_000,
+            type_name::<(f64, f64, f64)>(),
+            r#"{"base_seed":132000,"experiment":"e13","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":5000000,"n":256,"proto":{"gamma":0.125,"proto":"arss"}},"point":"arss/saturating eps=0.5 T=32/n=256"}"#,
+            "06820f63bef001f1f483e0eeab41e44d3b8df2c7871b71a16e2be4f7924184f2",
+        ),
+        (
+            cohort(warm, 1024, warm_adv, 100_000_000),
+            "e14",
+            "warm/saturating",
+            141_041,
+            type_name::<(f64, f64)>(),
+            r#"{"base_seed":141041,"experiment":"e14","params":{"adv":{"eps":{"num":1288490189},"kind":"Saturating","t_window":64},"cd":"Strong","kind":"cohort_election","max_slots":100000000,"n":1024,"proto":{"eps":0.3,"proto":"lesk","u0":10}},"point":"warm/saturating"}"#,
+            "63116a05e823ee02e4ecab321327a11b38f82b8370d99391e83518bd10ce2c45",
+        ),
+        (
+            cohort(ProtoParams::lesk(0.5), 16, saturating(0.5, 16), 10_000_000),
+            "e15",
+            "cohort/n=16",
+            150_001,
+            type_name::<f64>(),
+            r#"{"base_seed":150001,"experiment":"e15","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":16},"cd":"Strong","kind":"cohort_election","max_slots":10000000,"n":16,"proto":{"eps":0.5,"proto":"lesk"}},"point":"cohort/n=16"}"#,
+            "0c87782e026ebe3f48e2445d664964023bdbdff73c77fb5b3813ab1e27c41779",
+        ),
+        (
+            fast_exact(ProtoParams::lesk(0.5), 16, saturating(0.5, 16), 10_000_000),
+            "e15",
+            "exact/n=16",
+            150_001,
+            type_name::<f64>(),
+            r#"{"base_seed":150001,"experiment":"e15","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":16},"cd":"Strong","engine":"fast-exact","kind":"election_run","max_slots":10000000,"n":16,"proto":{"eps":0.5,"proto":"lesk"},"stop":"first-clean-single"},"point":"exact/n=16"}"#,
+            "16942c6c31d97ca2b05f27e546c79a1584e60fcef5198de92879827148234dfd",
+        ),
+        (
+            cohort(ProtoParams::lesk(0.2), 256, saturating(0.2, 32), 200_000),
+            "e18",
+            "fair/eps=0.2",
+            180_022,
+            type_name::<(bool, f64)>(),
+            r#"{"base_seed":180022,"experiment":"e18","params":{"adv":{"eps":{"num":858993459},"kind":"Saturating","t_window":32},"cd":"Strong","kind":"cohort_election","max_slots":200000,"n":256,"proto":{"eps":0.2,"proto":"lesk"}},"point":"fair/eps=0.2"}"#,
+            "206cc603a3e841da836510df19b3bc998cc15b6381b4aeb05d5ffb0224348d4f",
+        ),
+        (
+            noisy,
+            "e22",
+            "q=0.4",
+            220_021,
+            type_name::<(f64, bool, f64)>(),
+            r#"{"base_seed":220021,"experiment":"e22","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":32},"cd":"Strong","engine":"cohort","kind":"election_run","max_slots":5000000,"n":1024,"noise":0.4,"proto":{"eps":0.5,"proto":"lesk"},"stop":"first-clean-single"},"point":"q=0.4"}"#,
+            "7e29c098303ba1059901c2b863541fcbbfdbe8305ab405f5ea9ab9e5fa59b92d",
+        ),
+        (
+            fast_exact(
+                ProtoParams::DutyLesk { eps: 0.5, period: 4 },
+                64,
+                saturating(0.5, 16),
+                5_000_000,
+            ),
+            "e23",
+            "saturating/period=4",
+            230_022,
+            type_name::<(f64, f64, f64, bool)>(),
+            r#"{"base_seed":230022,"experiment":"e23","params":{"adv":{"eps":{"num":2147483648},"kind":"Saturating","t_window":16},"cd":"Strong","engine":"fast-exact","kind":"election_run","max_slots":5000000,"n":64,"proto":{"eps":0.5,"period":4,"proto":"duty-lesk"},"stop":"first-clean-single"},"point":"saturating/period=4"}"#,
+            "3c80d20b16005e73fc921d0cd614f234e4a325e980506bbe6f945a8d4fbde4eb",
+        ),
+        (
+            cluster,
+            "e26",
+            "dense-linear/Weak/sat eps=0.4",
+            261_212,
+            type_name::<TrialOutcome<RunReport>>(),
+            r#"{"base_seed":261212,"experiment":"e26","params":{"adv":{"eps":{"num":1717986918},"kind":"Saturating","t_window":32},"cd":"Weak","engine":"multihop","kind":"election_run","max_slots":400000,"n":48,"proto":{"eps":0.4,"proto":"cluster","quiet":1024},"stop":"all-terminated","topology":"dense-linear:8,6"},"point":"dense-linear/Weak/sat eps=0.4"}"#,
+            "cb496289db093ca8ae685748efa2dd4a4e07e7e9cda93a14bbd11995232ea962",
+        ),
+    ];
+    for (spec, exp, point, seed, ty, canon, hex) in pinned {
+        spec.validate().unwrap_or_else(|e| panic!("{exp}/{point}: {e}"));
+        assert_pinned(exp, point, spec.to_params(), seed, ty, canon, hex);
+    }
 }

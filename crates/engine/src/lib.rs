@@ -95,8 +95,8 @@ pub use fast::{run_fast_exact, run_fast_exact_faulty, FastExactStations, FastFau
 pub use faults::{FaultPlan, FaultyStation, StationFaults};
 pub use leadership::{LeaderLedger, SplitBrainObserver, SplitInterval};
 pub use multihop::{
-    run_multihop, run_multihop_std, run_multihop_with, MeshMessage, MeshProtocol, MeshStatus,
-    MultihopStations, RngDiscipline, StdMesh,
+    run_multihop, run_multihop_std, MeshMessage, MeshProtocol, MeshStatus, MultihopStations,
+    RngDiscipline, StdMesh,
 };
 pub use observer::{SlotObserver, StateProbe, ThroughputObserver};
 pub use protocol::{Action, PerStation, Protocol, Status, UniformProtocol};

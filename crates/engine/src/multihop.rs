@@ -805,7 +805,7 @@ pub fn run_multihop(
 ///
 /// # Panics
 /// Panics when the topology or cluster assignment does not fit `config.n`.
-pub fn run_multihop_with(
+fn run_multihop_with(
     config: &SimConfig,
     adversary: &AdversarySpec,
     topology: &Topology,

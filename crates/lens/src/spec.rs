@@ -31,7 +31,11 @@
 //! ([`LensSpec::new`], [`LensSpec::validate`], [`LensSpec::run`]), so the
 //! lens replays every `simulate` run but lease mode, whose shared ledger
 //! is run wiring, and ARSS, which trees from outside refuse
-//! ([`ProtoParams::portable`]). A `cluster` run elects per cluster: a
+//! ([`ProtoParams::portable`]). So do the experiments' election units: a
+//! unit is a [`LensSpec`] plus a projection of its reports, stored under
+//! [`LensSpec::to_params`] with trial `k` run at seed `base_seed + k`, so
+//! its `spec.json` re-derives every stored trial unless its protocol is a
+//! local-only shape. A `cluster` run elects per cluster: a
 //! topology descriptor with natural clusters (`dense-linear`, `core-tail`)
 //! uses them, a `unit-disk` makes every node its own cluster, and
 //! `complete` is one cluster.
@@ -245,17 +249,8 @@ impl LensSpec {
             spec.validate()?;
             return Ok(spec);
         }
-        // The `jle-sweepd` cache trees, strictly, like the server. An
-        // `exact_election` tree is cached under the fast-exact engine salt
-        // whether the server executed it per-trial or through the batched
-        // uniform backend, so it replays on the path both are
-        // bit-identical to.
-        let e = ElectionParams::decode(params)?;
-        let engine = match e.kind {
-            ElectionKind::Cohort => EngineKind::Cohort,
-            ElectionKind::Exact => EngineKind::FastExact,
-        };
-        Ok(LensSpec::new(engine, e.proto, e.n, e.cd, e.adv, e.max_slots))
+        // The `jle-sweepd` cache trees, strictly, like the server.
+        Ok(ElectionParams::decode(params)?.into())
     }
 
     /// Cross-field consistency (impossible engine/knob combinations).
@@ -315,6 +310,11 @@ impl LensSpec {
         if matches!(self.proto, ProtoParams::Cluster { .. }) && self.engine != EngineKind::Multihop
         {
             return Err(SpecError::Invalid("proto `cluster` requires engine=multihop".into()));
+        }
+        if matches!(self.proto, ProtoParams::DutyLesk { period: 0, .. }) {
+            return Err(SpecError::Invalid(
+                "proto `duty-lesk`: `period` must be at least 1".into(),
+            ));
         }
         Ok(())
     }
@@ -440,9 +440,13 @@ impl LensSpec {
             EngineKind::Multihop => {
                 let (topo, assign) = self.topology()?;
                 match self.proto {
-                    ProtoParams::Cluster { eps } => {
+                    ProtoParams::Cluster { eps, quiet } => {
                         let factory = |i: u64| -> Box<dyn MeshProtocol> {
-                            Box::new(ClusterElection::for_assignment(i, &assign, eps))
+                            let station = ClusterElection::for_assignment(i, &assign, eps);
+                            Box::new(match quiet {
+                                Some(slots) => station.with_quiet_target(slots),
+                                None => station,
+                            })
                         };
                         let mut stations = MultihopStations::new(&config, &topo, factory)
                             .with_discipline(self.discipline)
@@ -461,6 +465,18 @@ impl LensSpec {
             }
         };
         Ok(report)
+    }
+}
+
+impl From<ElectionParams> for LensSpec {
+    /// The run an election tree names: `exact_election` on the fast-exact
+    /// path (module docs).
+    fn from(e: ElectionParams) -> Self {
+        let engine = match e.kind {
+            ElectionKind::Cohort => EngineKind::Cohort,
+            ElectionKind::Exact => EngineKind::FastExact,
+        };
+        LensSpec::new(engine, e.proto, e.n, e.cd, e.adv, e.max_slots)
     }
 }
 
@@ -656,6 +672,17 @@ mod tests {
             Err(SpecError::Invalid(_))
         ));
         assert_eq!(LensSpec::from_params(&cohort("horizon")).unwrap().stop, Stop::Horizon);
+        // A duty-cycled LESK that is never awake.
+        let v = json!({
+            "kind": "election_run",
+            "engine": "fast-exact",
+            "n": 8u64,
+            "cd": CdModel::Strong.to_json_value(),
+            "adv": AdversarySpec::passive().to_json_value(),
+            "max_slots": 1000u64,
+            "proto": {"proto": "duty-lesk", "eps": 0.5f64, "period": 0u64},
+        });
+        assert!(matches!(LensSpec::from_params(&v), Err(SpecError::Invalid(_))));
         // Topology that does not fit n.
         let v = json!({
             "kind": "election_run",

@@ -23,9 +23,9 @@
 //! unknown ([`ProtoParams::portable`]), exactly as it did before they were
 //! typed.
 //!
-//! [`ElectionParams::run`] is the one trial body: sweepd's work units, the
-//! experiments' cohort units and the lens's cache-shaped specs all run an
-//! election through it.
+//! [`ElectionParams::run`] is sweepd's trial body. The experiments and the
+//! lens run the same elections as `jle_lens::LensSpec`s, which carry these
+//! protocol shapes too.
 
 use jle_adversary::AdversarySpec;
 use jle_engine::{run_cohort, run_fast_exact, PerStation, Protocol, RunReport, SimConfig};
@@ -33,7 +33,8 @@ use jle_radio::CdModel;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::{
-    lewk, lewu, ArssMacProtocol, BackoffProtocol, LeskProtocol, LesuProtocol, WillardProtocol,
+    lewk, lewu, ArssMacProtocol, BackoffProtocol, DutyCycledLesk, LeskProtocol, LesuProtocol,
+    WillardProtocol,
 };
 
 /// Which engine an election tree runs on.
@@ -91,6 +92,11 @@ pub enum ProtoParams {
     Cluster {
         /// The per-cluster LESK ε parameter.
         eps: f64,
+        /// The spread phase's quiet horizon
+        /// ([`crate::ClusterElection::with_quiet_target`]; its default
+        /// when unset).
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        quiet: Option<u64>,
     },
     /// [`lewk`]: LESK with weak-CD leader notification. Per-station only,
     /// so no election tree carries it and the cohort engine refuses it.
@@ -103,6 +109,16 @@ pub enum ProtoParams {
     /// like [`ProtoParams::Lewk`].
     #[serde(rename = "lewu")]
     Lewu,
+    /// [`DutyCycledLesk`]: LESK(`eps`) awake one slot in `period`, station
+    /// `i` in the slots `≡ i (mod period)`. Per-station only, like
+    /// [`ProtoParams::Lewk`].
+    #[serde(rename = "duty-lesk")]
+    DutyLesk {
+        /// The protocol's ε parameter.
+        eps: f64,
+        /// The duty period (at least 1).
+        period: u64,
+    },
 }
 
 /// The protocols an [`ElectionParams`] tree may name.
@@ -128,6 +144,7 @@ impl ProtoParams {
             ProtoParams::Cluster { .. } => "cluster",
             ProtoParams::Lewk { .. } => "lewk",
             ProtoParams::Lewu => "lewu",
+            ProtoParams::DutyLesk { .. } => "duty-lesk",
         }
     }
 
@@ -148,20 +165,25 @@ impl ProtoParams {
     }
 
     /// Whether only the per-station engines run it: the notification
-    /// wrappers and the per-cluster election have no uniform cohort.
+    /// wrappers, the per-cluster election and the duty-cycled LESK have no
+    /// uniform cohort.
     pub fn per_station(&self) -> bool {
-        matches!(self, ProtoParams::Lewk { .. } | ProtoParams::Lewu | ProtoParams::Cluster { .. })
+        matches!(
+            self,
+            Self::Lewk { .. } | Self::Lewu | Self::Cluster { .. } | Self::DutyLesk { .. }
+        )
     }
 
     /// The per-station factory the single-channel per-station engines
     /// take: every station runs the protocol through [`PerStation`] (the
-    /// notification wrappers are per-station protocols already).
+    /// notification wrappers and the duty-cycled LESK are per-station
+    /// protocols already).
     ///
     /// # Panics
     /// The returned factory panics for [`ProtoParams::Cluster`], which has
     /// no single-channel station.
     pub fn station_factory(self) -> impl Fn(u64) -> Box<dyn Protocol> + Send + Sync + 'static {
-        move |_| -> Box<dyn Protocol> {
+        move |station| -> Box<dyn Protocol> {
             match self {
                 ProtoParams::Lesk { eps, u0, divisor } => {
                     Box::new(PerStation::new(lesk_station(eps, u0, divisor)))
@@ -174,6 +196,9 @@ impl ProtoParams {
                 }
                 ProtoParams::Lewk { eps } => Box::new(lewk(eps)),
                 ProtoParams::Lewu => Box::new(lewu()),
+                ProtoParams::DutyLesk { eps, period } => {
+                    Box::new(DutyCycledLesk::new(eps, period, station))
+                }
                 ProtoParams::Cluster { .. } => panic!("{}", CLUSTER_IS_MULTIHOP),
             }
         }
@@ -204,8 +229,8 @@ pub const CLUSTER_IS_MULTIHOP: &str =
     "proto `cluster` runs one election per topology cluster, on the multihop engine only";
 
 #[doc(hidden)]
-pub const NOT_UNIFORM: &str =
-    "protos `cluster`, `lewk` and `lewu` run per station: the cohort engine cannot run them";
+pub const NOT_UNIFORM: &str = "protos `cluster`, `lewk`, `lewu` and `duty-lesk` run per station: \
+                               the cohort engine cannot run them";
 
 /// Evaluate `$body` once per uniform protocol of a [`ProtoParams`], with
 /// `$make` bound to a constructor (`impl Fn() -> U`) of that protocol, so
@@ -241,7 +266,8 @@ macro_rules! with_uniform_proto {
             }
             $crate::ProtoParams::Cluster { .. }
             | $crate::ProtoParams::Lewk { .. }
-            | $crate::ProtoParams::Lewu => panic!("{}", $crate::params::NOT_UNIFORM),
+            | $crate::ProtoParams::Lewu
+            | $crate::ProtoParams::DutyLesk { .. } => panic!("{}", $crate::params::NOT_UNIFORM),
         }
     };
 }
@@ -279,7 +305,7 @@ impl ElectionParams {
     }
 
     /// Decode an election tree (module docs). The per-station protocols
-    /// (`cluster`, `lewk`, `lewu`) are refused as unknown variants: no
+    /// (`cluster`, `lewk`, `lewu`, `duty-lesk`) are refused as unknown variants: no
     /// election tree carries them; so are the local-only shapes
     /// ([`ProtoParams::portable`]). `n == 0` is refused with
     /// [`ZERO_STATIONS`].

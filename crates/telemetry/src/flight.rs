@@ -278,10 +278,8 @@ impl From<FlightRecord> for FlightWire {
 impl TryFrom<FlightWire> for FlightRecord {
     type Error = Error;
     fn try_from(w: FlightWire) -> Result<Self, Error> {
-        let schema =
-            w.schema.strip_prefix("jle-flight-v").and_then(|s| s.parse::<u32>().ok()).ok_or_else(
-                || Error::custom(format!("unrecognized flight schema {:?}", w.schema)),
-            )?;
+        let schema = crate::schema_version(&w.schema, "jle-flight-v")
+            .ok_or_else(|| Error::custom(format!("unrecognized flight schema {:?}", w.schema)))?;
         let anomaly = AnomalyKind::from_label(&w.anomaly)
             .ok_or_else(|| Error::custom(format!("unknown anomaly {:?}", w.anomaly)))?;
         let context = match w.context {
@@ -430,6 +428,19 @@ mod tests {
         assert_eq!(back, rec);
         assert_eq!(back.slots_seen, 5);
         assert_eq!(back.events.len(), 3);
+    }
+
+    #[test]
+    fn only_the_written_schema_spelling_loads() {
+        let text =
+            serde_json::to_string(&FlightRecord::new(AnomalyKind::CapHit, 7, &FlightRing::new(1)))
+                .unwrap();
+        assert!(serde_json::from_str::<FlightRecord>(&text).is_ok());
+        for tag in ["jle-flight-v+01", "jle-flight-v01", "jle-flight-v+1", "jle-flight-v"] {
+            let bad = text.replace("\"jle-flight-v1\"", &format!("{tag:?}"));
+            let err = serde_json::from_str::<FlightRecord>(&bad).unwrap_err().to_string();
+            assert!(err.contains("unrecognized flight schema"), "{tag}: {err}");
+        }
     }
 
     #[test]

@@ -36,6 +36,13 @@ pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, MetricsSnapshot};
 pub use spans::{FlushGuard, SpanGuard, SpanRecorder};
 pub use trace::TraceContext;
 
+/// The version `N` of a `{prefix}N` schema tag, spelled exactly as
+/// `N.to_string()` writes it (no sign, no leading zero).
+fn schema_version(tag: &str, prefix: &str) -> Option<u32> {
+    let digits = tag.strip_prefix(prefix)?;
+    digits.parse::<u32>().ok().filter(|n| n.to_string() == digits)
+}
+
 /// Schema version stamped into every metrics snapshot and flight-recorder
 /// artifact this crate writes. Bump on any backwards-incompatible change
 /// to either layout.

@@ -456,10 +456,8 @@ impl From<MetricsSnapshot> for SnapshotWire {
 impl TryFrom<SnapshotWire> for MetricsSnapshot {
     type Error = Error;
     fn try_from(w: SnapshotWire) -> Result<Self, Error> {
-        let schema =
-            w.schema.strip_prefix("jle-metrics-v").and_then(|s| s.parse::<u32>().ok()).ok_or_else(
-                || Error::custom(format!("unrecognized snapshot schema {:?}", w.schema)),
-            )?;
+        let schema = crate::schema_version(&w.schema, "jle-metrics-v")
+            .ok_or_else(|| Error::custom(format!("unrecognized snapshot schema {:?}", w.schema)))?;
         Ok(MetricsSnapshot { schema, metrics: w.metrics })
     }
 }
@@ -583,5 +581,13 @@ mod tests {
     fn snapshot_rejects_unknown_schema() {
         let bad = r#"{"schema":"something-else","metrics":[]}"#;
         assert!(serde_json::from_str::<MetricsSnapshot>(bad).is_err());
+        // Only the spelling the writer produces: `n.to_string()`.
+        for tag in ["jle-metrics-v001", "jle-metrics-v+1", "jle-metrics-v01"] {
+            let bad = format!(r#"{{"schema":"{tag}","metrics":[]}}"#);
+            let err = serde_json::from_str::<MetricsSnapshot>(&bad).unwrap_err().to_string();
+            assert!(err.contains("unrecognized snapshot schema"), "{tag}: {err}");
+        }
+        let good = r#"{"schema":"jle-metrics-v1","metrics":[]}"#;
+        assert!(serde_json::from_str::<MetricsSnapshot>(good).is_ok());
     }
 }

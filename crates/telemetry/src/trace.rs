@@ -79,9 +79,13 @@ impl From<TraceContext> for TraceWire {
 impl TryFrom<TraceWire> for TraceContext {
     type Error = String;
     fn try_from(w: TraceWire) -> Result<Self, String> {
+        // Only the spelling `trace_hex` writes: 16 lowercase hex digits.
+        let canonical = w.trace_id.len() == 16
+            && w.trace_id.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
         match u64::from_str_radix(&w.trace_id, 16) {
             Ok(0) => Err("trace_id must be non-zero".into()),
-            Ok(trace_id) => Ok(TraceContext { trace_id, parent_span: w.parent_span }),
+            Ok(trace_id) if canonical => Ok(TraceContext { trace_id, parent_span: w.parent_span }),
+            Ok(_) => Err(format!("trace_id is not 16 lowercase hex digits: {:?}", w.trace_id)),
             Err(_) => Err(format!("trace_id is not a hex u64: {:?}", w.trace_id)),
         }
     }
@@ -114,6 +118,18 @@ mod tests {
         let r: Result<TraceContext, _> =
             serde_json::from_str(r#"{"trace_id":"0000000000000000","parent_span":0}"#);
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn only_sixteen_lowercase_hex_digits_load() {
+        for id in ["+dead", "dead", "000000000000DEAD", "+00000000000dead", "00000000000000dead"] {
+            let text = format!(r#"{{"trace_id":"{id}"}}"#);
+            let err = serde_json::from_str::<TraceContext>(&text).unwrap_err().to_string();
+            assert!(err.contains("16 lowercase hex digits"), "{id}: {err}");
+        }
+        let back: TraceContext =
+            serde_json::from_str(r#"{"trace_id":"000000000000dead"}"#).unwrap();
+        assert_eq!(back.trace_id, 0xdead);
     }
 
     #[test]
