@@ -1,8 +1,9 @@
-//! Criterion: what the orchestrator costs on top of raw `MonteCarlo`.
+//! Criterion: what the orchestrator costs on top of a raw parallel sweep.
 //!
 //! Three arms over the identical workload (a small LESK election sweep):
 //!
-//! * **direct** — `MonteCarlo::run`, no fingerprinting, no store;
+//! * **direct** — a rayon sweep over the seeds, no fingerprinting, no
+//!   store;
 //! * **cold** — orchestrator with a fresh cache dir every iteration
 //!   (fingerprint + simulate + atomic chunk writes);
 //! * **warm** — orchestrator against a fully populated cache (fingerprint
@@ -14,10 +15,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-use jle_engine::{run_cohort, MonteCarlo, RunReport, SimConfig};
+use jle_engine::{run_cohort, RunReport, SimConfig};
 use jle_orchestrator::{Orchestrator, WorkSpec};
 use jle_protocols::LeskProtocol;
 use jle_radio::CdModel;
+use rayon::prelude::*;
 use std::hint::black_box;
 
 const N: u64 = 64;
@@ -44,10 +46,10 @@ fn spec() -> WorkSpec {
 }
 
 fn bench_direct(c: &mut Criterion) {
-    c.bench_function("orchestrator_overhead/direct_monte_carlo", |b| {
+    c.bench_function("orchestrator_overhead/direct_parallel", |b| {
         b.iter(|| {
-            let mc = MonteCarlo::new(TRIALS, BASE_SEED);
-            black_box(mc.run(trial))
+            let seeds = BASE_SEED..BASE_SEED + TRIALS;
+            black_box(seeds.into_par_iter().map(trial).collect::<Vec<_>>())
         })
     });
 }

@@ -9,19 +9,15 @@
 //! With `--trials k` the run is repeated over consecutive seeds and the
 //! JSON carries summary statistics instead of a single report.
 //!
-//! Every run but lease mode is a [`LensSpec`] built from the flags, so
-//! `jle-lens` replays it; lease mode runs the same spec's configuration
-//! and churn plan with a shared leader ledger attached.
-
-use std::sync::Arc;
+//! Every run is one [`LensSpec`] built from the flags — churn drawn per
+//! seed unless `--churn-seed` fixes the plan, lease mode included — so
+//! `jle-lens replay --params TREE --seed S` re-derives any of its trials.
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-use jle_engine::{
-    ChurnPlan, FastFaultyStations, FaultPlan, LeaderLedger, MonteCarlo, Protocol, RunReport,
-    SimCore, SplitBrainObserver,
-};
-use jle_lens::{EngineKind, LensSpec, Stop};
-use jle_protocols::{ArssMacProtocol, LeaseConfig, LeaseProtocol, ProtoParams};
+use jle_engine::RunReport;
+use jle_lens::{ChurnRecipe, EngineKind, Lease, LensSpec, Stop};
+use jle_orchestrator::{Orchestrator, WorkSpec};
+use jle_protocols::{ArssMacProtocol, ProtoParams};
 use jle_radio::{CdModel, Topology};
 use serde::Serialize;
 use serde_json::json;
@@ -39,8 +35,8 @@ struct Args {
     trials: u64,
     max_slots: u64,
     noise: f64,
-    /// Seed of the churn plan (`--churn-*`); defaults to `seed ^ 0xC4C4`
-    /// when any churn probability is set.
+    /// Seed of the churn plan (`--churn-*`); without it each trial draws
+    /// its plan at `seed ^ 0xC4C4` when any churn probability is set.
     churn_seed: Option<u64>,
     churn_join_prob: f64,
     churn_join_window: u64,
@@ -192,18 +188,15 @@ impl Args {
         self.churn_seed.is_some() || self.churn_join_prob > 0.0 || self.churn_leave_prob > 0.0
     }
 
-    /// The churn plan for one engine seed (empty when no churn flags).
-    fn churn_plan(&self, seed: u64) -> ChurnPlan {
-        if !self.wants_churn() {
-            return ChurnPlan::empty();
+    /// The churn flags as a recipe.
+    fn churn_recipe(&self) -> ChurnRecipe {
+        ChurnRecipe {
+            join_prob: self.churn_join_prob,
+            join_window: self.churn_join_window,
+            leave_prob: self.churn_leave_prob,
+            leave_window: self.churn_leave_window,
+            rejoin_after: self.churn_rejoin_after,
         }
-        let mut plan = ChurnPlan::new(self.churn_seed.unwrap_or(seed ^ 0xC4C4))
-            .with_staggered_joins(self.n, self.churn_join_prob, self.churn_join_window)
-            .with_random_leaves(self.n, self.churn_leave_prob, self.churn_leave_window);
-        if self.churn_rejoin_after > 0 {
-            plan = plan.with_rejoins(self.churn_rejoin_after);
-        }
-        plan
     }
 }
 
@@ -227,11 +220,11 @@ fn protocol(args: &Args, adv: &AdversarySpec) -> Result<(ProtoParams, bool, bool
     })
 }
 
-/// The run for `seed` as a validated [`LensSpec`] (a churn plan derives
-/// from the seed). Graph topologies run on the multi-hop engine, churn
-/// and the per-station protocols on fast-exact, the rest on the cohort
-/// engine; lease mode runs to the horizon.
-fn spec_for(args: &Args, adv: &AdversarySpec, seed: u64) -> Result<LensSpec, String> {
+/// The flags' run as a validated [`LensSpec`]. Graph topologies run on
+/// the multi-hop engine, churn, leases and the per-station protocols on
+/// fast-exact, the rest on the cohort engine; lease mode runs to the
+/// horizon.
+fn spec_for(args: &Args, adv: &AdversarySpec) -> Result<LensSpec, String> {
     let (proto, churn_ok, graph_ok) = protocol(args, adv)?;
     let graph = args.topology != "complete";
     if graph && !graph_ok {
@@ -243,56 +236,33 @@ fn spec_for(args: &Args, adv: &AdversarySpec, seed: u64) -> Result<LensSpec, Str
     if args.wants_churn() && !churn_ok {
         return Err(format!("churn runs do not support --protocol {}", args.protocol));
     }
-    let engine = match (graph, args.wants_churn() || proto.per_station()) {
+    let per_station = args.wants_churn() || args.lease_beacon.is_some() || proto.per_station();
+    let engine = match (graph, per_station) {
         (true, _) => EngineKind::Multihop,
         (false, true) => EngineKind::FastExact,
         (false, false) => EngineKind::Cohort,
     };
     let mut spec = LensSpec::new(engine, proto, args.n, args.cd, adv.clone(), args.max_slots);
     spec.noise = args.noise;
-    spec.churn = args.wants_churn().then(|| args.churn_plan(seed));
+    spec.churn_recipe = args.wants_churn().then(|| args.churn_recipe());
     spec.topology = graph.then(|| args.topology.clone());
     if proto.per_station() {
         spec.stop = Stop::AllTerminated;
     }
-    if args.lease_beacon.is_some() {
-        if args.cd != CdModel::Strong {
-            return Err("lease mode needs --cd strong (beacon self-verification)".into());
-        }
-        if args.protocol != "lesk" {
-            return Err(format!("lease mode supports --protocol lesk, not {}", args.protocol));
-        }
-        spec.engine = EngineKind::FastExact;
+    if let Some(beacon) = args.lease_beacon {
         spec.stop = Stop::Horizon;
+        spec.lease = Some(Lease {
+            beacon,
+            miss_tolerance: args.lease_miss_tolerance,
+            timeout: args.lease_timeout,
+        });
     }
     spec.validate().map_err(|e| e.to_string())?;
+    // `--churn-seed` fixes one plan for every trial.
+    if let Some(seed) = args.churn_seed {
+        spec.churn = spec.churn_recipe.take().map(|recipe| recipe.plan(args.n, seed));
+    }
     Ok(spec)
-}
-
-/// Lease mode, the one local-only path: leases over supervised LESK on
-/// the spec's configuration and churn plan, with the shared leader
-/// ledger and the split-brain observer as run wiring.
-fn run_lease(args: &Args, spec: &LensSpec, seed: u64, beacon: u64) -> RunReport {
-    let config = spec.config(seed);
-    let lease = LeaseConfig::new(beacon, args.lease_miss_tolerance, args.lease_timeout);
-    let ledger = LeaderLedger::new(args.lease_timeout);
-    let plan = spec.churn.clone().unwrap_or_else(ChurnPlan::empty).overlay(&FaultPlan::empty());
-    let eps = args.eps;
-    let factory = {
-        let ledger = Arc::clone(&ledger);
-        move |i: u64| -> Box<dyn Protocol> {
-            Box::new(LeaseProtocol::over_supervised_lesk(
-                i,
-                eps,
-                16_384,
-                lease,
-                Arc::clone(&ledger),
-            ))
-        }
-    };
-    let mut split = SplitBrainObserver::new(ledger);
-    let mut stations = FastFaultyStations::new(&config, &plan, factory);
-    SimCore::new(&config, &spec.adv).observe(&mut split).run(&mut stations)
 }
 
 /// Run the spec's `cohort_election` on a resident `jle-sweepd` service
@@ -323,14 +293,6 @@ fn run_on_server(args: &Args, spec: &LensSpec, ep: &str) -> Result<Vec<RunReport
     let work =
         jle_orchestrator::WorkSpec::new("simulate", &point, election.to_json_value(), args.seed);
     client.run_reports(&work, args.trials.max(1)).map_err(|e| format!("sweepd {point}: {e}"))
-}
-
-/// Run `spec` (the flags' spec for `seed`) locally.
-fn run_local(args: &Args, spec: &LensSpec, seed: u64) -> Result<RunReport, String> {
-    match args.lease_beacon {
-        Some(beacon) => Ok(run_lease(args, spec, seed, beacon)),
-        None => spec.run(seed).map_err(|e| e.to_string()),
-    }
 }
 
 /// Print `error: {e}` and exit 2.
@@ -369,14 +331,14 @@ fn main() {
     if args.trace_out.is_some() && args.server.is_none() {
         fail("--trace-out traces the service path; it needs --server");
     }
-    let spec = spec_for(&args, &adv, args.seed).unwrap_or_else(|e| fail(e));
+    let spec = spec_for(&args, &adv).unwrap_or_else(|e| fail(e));
     let server_reports: Option<Vec<RunReport>> =
         args.server.as_ref().map(|ep| run_on_server(&args, &spec, ep).unwrap_or_else(|e| fail(e)));
 
     if args.trials <= 1 {
         let one = match &server_reports {
             Some(reports) => Ok(reports[0].clone()),
-            None => run_local(&args, &spec, args.seed),
+            None => spec.run(args.seed).map_err(|e| e.to_string()),
         };
         match one {
             Ok(r) => println!(
@@ -436,28 +398,23 @@ fn main() {
         return;
     }
 
-    let reports: Vec<Result<RunReport, String>> = match server_reports {
-        Some(reports) => reports.into_iter().map(Ok).collect(),
-        None => MonteCarlo::new(args.trials, args.seed)
-            .run(|seed| run_local(&args, &spec_for(&args, &adv, seed)?, seed)),
-    };
+    let reports: Vec<RunReport> = server_reports.unwrap_or_else(|| {
+        let work = WorkSpec::new("simulate", "trials", spec.to_params(), args.seed);
+        Orchestrator::ephemeral()
+            .run_trials(&work, args.trials, |seed| spec.run(seed).expect("a validated spec runs"))
+    });
     let mut slots = Vec::new();
     let mut successes = 0u64;
     for r in &reports {
-        match r {
-            Ok(r) => {
-                slots.push(r.slots as f64);
-                // Open-world (lease) runs never terminate, so "success"
-                // is the ledger's verdict; closed-world runs keep the
-                // classic election criterion.
-                successes += if args.lease_beacon.is_some() {
-                    (r.outcome() == jle_engine::Outcome::Elected) as u64
-                } else {
-                    r.leader_elected() as u64
-                };
-            }
-            Err(e) => fail(e),
-        }
+        slots.push(r.slots as f64);
+        // Open-world (lease) runs never terminate, so "success" is the
+        // ledger's verdict; closed-world runs keep the classic election
+        // criterion.
+        successes += if args.lease_beacon.is_some() {
+            (r.outcome() == jle_engine::Outcome::Elected) as u64
+        } else {
+            r.leader_elected() as u64
+        };
     }
     let summary = jle_analysis::Summary::of(&slots).expect("non-empty");
     println!(

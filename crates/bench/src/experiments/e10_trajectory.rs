@@ -76,7 +76,7 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
                 &spec,
                 100_000 + n,
                 trials,
-                Trajectory::default,
+                |_| Trajectory::default(),
                 |r, Trajectory(estimates)| {
                     assert!(r.leader_elected());
                     let hit = estimates
@@ -107,7 +107,7 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             // One representative trajectory per configuration for the
             // figure: the unit's first trial.
             let mut trajectory = Trajectory::default();
-            spec.run_observed(100_000 + n, Some(&mut trajectory)).expect("a valid spec");
+            spec.run_observed(100_000 + n, &mut [&mut trajectory]).expect("a valid spec");
             let estimates = trajectory.0;
             let mut series = Series::new(format!("n={n}, {name}"));
             let stride = (estimates.len() / 120).max(1);

@@ -44,7 +44,7 @@ pub fn run(ctx: &ExpContext) -> ExperimentResult {
             &spec,
             110_000 + (eps * 1000.0) as u64,
             trials,
-            || TaxonomyObserver::new(n, eps),
+            |_| TaxonomyObserver::new(n, eps),
             |r, obs| {
                 assert!(r.leader_elected());
                 (obs.taxonomy(), r.slots)

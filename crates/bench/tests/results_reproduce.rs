@@ -12,7 +12,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 /// The experiments whose election units are `LensSpec`s.
-const IDS: [&str; 11] = ["e6", "e9", "e10", "e11", "e13", "e14", "e15", "e18", "e22", "e23", "e26"];
+const IDS: [&str; 13] =
+    ["e6", "e9", "e10", "e11", "e13", "e14", "e15", "e18", "e22", "e23", "e24", "e25", "e26"];
 
 /// E15 (b)'s timed output.
 const TIMED: [&str; 2] = ["e15.md", "e15_1.csv"];
@@ -48,7 +49,7 @@ fn spec_unit_experiments_reproduce_the_committed_results() {
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let written = files_of_ids(&dir.join("results"));
     assert_eq!(written, files_of_ids(&committed), "the same files, by name");
-    assert_eq!(written.len(), 35);
+    assert_eq!(written.len(), 45);
     for name in written.iter().filter(|name| !TIMED.contains(&name.as_str())) {
         let fresh = std::fs::read(dir.join("results").join(name)).unwrap();
         let kept = std::fs::read(committed.join(name)).unwrap();

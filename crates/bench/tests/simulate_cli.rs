@@ -3,7 +3,8 @@
 //! the lens give, and exit code 2, before any engine runs; a matrix of
 //! runs prints the bytes recorded under `tests/simulate_pinned/`, every
 //! invalid flag combination exits 2 without a panic, and the lens replays
-//! a unit-disk `cluster` run to the report `simulate` prints.
+//! a unit-disk `cluster` run and the pinned lease-under-churn run to the
+//! reports `simulate` prints.
 
 use jle_protocols::params::ZERO_STATIONS;
 use serde::Value;
@@ -120,6 +121,9 @@ fn invalid_combinations_exit_2() {
         "--lease-beacon 8 --cd weak",
         "--lease-beacon 8 --protocol lesu",
         "--lease-beacon 8 --protocol cluster",
+        "--lease-beacon 0",
+        "--churn-join-prob 1.5 --churn-seed 3",
+        "--eps 2",
         "--trace-out trace.json",
         "--server tcp:127.0.0.1:1 --protocol lewk",
         "--server tcp:127.0.0.1:1 --protocol arss",
@@ -180,4 +184,54 @@ fn the_lens_replays_a_unit_disk_cluster_run() {
     };
     assert_eq!(rows(&printed).len(), 32, "every node is its own cluster");
     assert_eq!(rows(&printed), rows(&replayed));
+}
+
+/// The pinned `lease_churn` run replayed through the lens from its spec
+/// tree: the churn plan drawn from the seed, the leases and their shared
+/// ledger all come from the spec, so the replay prints the pinned run.
+#[test]
+fn the_lens_replays_the_pinned_lease_churn_run() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/simulate_pinned");
+    let pinned = std::fs::read_to_string(dir.join("lease_churn.json")).unwrap();
+    let printed: Value = serde_json::from_str(&pinned).unwrap();
+    let params = serde_json::json!({
+        "kind": "election_run",
+        "engine": "fast-exact",
+        "n": 16u64,
+        "cd": "Strong",
+        "adv": {"eps": {"num": 2147483648u64}, "t_window": 32u64, "kind": "Saturating"},
+        "max_slots": 12_288u64,
+        "stop": "horizon",
+        "proto": {"proto": "lesk", "eps": 0.5f64},
+        "churn_recipe": {"join_prob": 0.4f64, "join_window": 1024u64, "leave_prob": 0.4f64,
+            "leave_window": 2048u64, "rejoin_after": 1024u64},
+        "lease": {"beacon": 8u64, "miss_tolerance": 10u64, "timeout": 512u64},
+    });
+    let spec = jle_lens::LensSpec::from_params(&params).unwrap();
+    let replayed = jle_lens::replay(&spec, 7, 64, false).unwrap().report;
+    assert_eq!(replayed.outcome().label(), printed.get("outcome").and_then(Value::as_str).unwrap());
+    let replayed = serde_json::to_value(&replayed);
+    for key in ["slots", "resolved_at", "winner", "leaders", "timed_out"] {
+        assert_eq!(printed.get(key), replayed.get(key), "{key}");
+    }
+    for (block, keys) in [
+        (
+            "split_brain",
+            &[
+                "believers",
+                "windows",
+                "split_slots",
+                "longest_split",
+                "max_believers",
+                "reelections",
+            ] as &[&str],
+        ),
+        ("counts", &["nulls", "singles", "collisions", "jammed"]),
+    ] {
+        for key in keys {
+            let field = |v: &Value| v.get(block).and_then(|b| b.get(key)).cloned();
+            assert!(field(&printed).is_some(), "{block}.{key} is pinned");
+            assert_eq!(field(&printed), field(&replayed), "{block}.{key}");
+        }
+    }
 }

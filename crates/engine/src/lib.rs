@@ -60,8 +60,8 @@
 //! the report contract and live in the lane. Every run builds its
 //! stations and buffers fresh.
 //!
-//! Plus the deterministic Rayon-parallel [`MonteCarlo`] driver used by all
-//! experiments, and [`catch_trial`], which isolates a panicking trial.
+//! Plus [`catch_trial`], which isolates a panicking trial: the
+//! orchestrator's scheduler drives the trials themselves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -103,6 +103,6 @@ pub use protocol::{Action, PerStation, Protocol, Status, UniformProtocol};
 pub use report::{
     ClusterOutcome, EnergyStats, MultihopReport, Outcome, RunReport, SlotCost, SplitBrainStats,
 };
-pub use runner::{catch_trial, worker_threads, MonteCarlo, TrialOutcome};
+pub use runner::{catch_trial, worker_threads, TrialOutcome};
 pub use streams::{mix64, slot_material, station_key, StationRng};
 pub use telemetry::{EngineMetrics, TelemetryObserver};

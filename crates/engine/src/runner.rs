@@ -1,13 +1,13 @@
-//! Rayon-parallel Monte-Carlo runner.
+//! Per-trial panic isolation for Monte-Carlo sweeps.
 //!
 //! Every "with high probability" statement in the paper is validated by
-//! repetition: [`MonteCarlo`] runs a seeded closure over a trial range in
-//! parallel and hands the per-trial results to `jle-analysis`. Trials are
-//! seeded deterministically (`base_seed + trial_index`) so every
-//! experiment in `EXPERIMENTS.md` is exactly reproducible regardless of
-//! the thread schedule.
+//! repetition, and the orchestrator's scheduler runs those repetitions:
+//! trials are seeded deterministically (`base_seed + trial_index`), so
+//! every experiment in `EXPERIMENTS.md` is exactly reproducible
+//! regardless of the thread schedule. This module supplies what each
+//! trial needs around it: [`catch_trial`] and its [`TrialOutcome`], and
+//! [`worker_threads`].
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -83,86 +83,11 @@ pub fn worker_threads() -> usize {
     rayon::current_num_threads()
 }
 
-/// A deterministic, parallel Monte-Carlo driver.
-///
-/// # Examples
-///
-/// ```
-/// use jle_engine::MonteCarlo;
-///
-/// let mc = MonteCarlo::new(100, 7);
-/// // Results come back in trial order regardless of thread scheduling.
-/// let doubled = mc.run(|seed| seed * 2);
-/// assert_eq!(doubled[0], 14);
-/// assert_eq!(mc.success_rate(|seed| seed % 2 == 0), 0.5);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct MonteCarlo {
-    /// Number of independent trials.
-    pub trials: u64,
-    /// Seed of trial 0; trial `i` uses `base_seed + i`.
-    pub base_seed: u64,
-}
-
-impl MonteCarlo {
-    /// Create a driver.
-    pub fn new(trials: u64, base_seed: u64) -> Self {
-        MonteCarlo { trials, base_seed }
-    }
-
-    /// Run `f(seed)` for every trial in parallel; results are returned in
-    /// trial order.
-    pub fn run<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(u64) -> R + Sync,
-    {
-        (0..self.trials).into_par_iter().map(|i| f(self.base_seed + i)).collect()
-    }
-
-    /// Run and keep only a projected scalar per trial.
-    pub fn collect_f64<F>(&self, f: F) -> Vec<f64>
-    where
-        F: Fn(u64) -> f64 + Sync,
-    {
-        self.run(f)
-    }
-
-    /// Fraction of trials for which the predicate holds.
-    pub fn success_rate<F>(&self, f: F) -> f64
-    where
-        F: Fn(u64) -> bool + Sync,
-    {
-        if self.trials == 0 {
-            return 0.0;
-        }
-        let ok: u64 = self.run(|s| f(s) as u64).into_iter().sum();
-        ok as f64 / self.trials as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-    #[test]
-    fn results_in_trial_order_and_deterministic() {
-        let mc = MonteCarlo::new(64, 100);
-        let a = mc.run(|seed| seed * 2);
-        let b = mc.run(|seed| seed * 2);
-        assert_eq!(a, b);
-        assert_eq!(a[0], 200);
-        assert_eq!(a[63], (100 + 63) * 2);
-    }
-
-    #[test]
-    fn success_rate_counts() {
-        let mc = MonteCarlo::new(100, 0);
-        let rate = mc.success_rate(|seed| seed % 4 == 0);
-        assert!((rate - 0.25).abs() < 1e-12);
-        assert_eq!(MonteCarlo::new(0, 0).success_rate(|_| true), 0.0);
-    }
+    use rayon::prelude::*;
 
     #[test]
     fn trial_outcome_serde_roundtrip() {
@@ -187,12 +112,15 @@ mod tests {
     fn panicking_trial_is_isolated() {
         // A poisoned seed in a parallel sweep: only its own trial panics,
         // and every other trial keeps its result, in trial order.
-        let outcomes = MonteCarlo::new(32, 0).run(|seed| {
-            catch_trial(|| {
-                assert!(seed != 13, "poisoned seed");
-                seed * 3
+        let outcomes: Vec<TrialOutcome<u64>> = (0..32u64)
+            .into_par_iter()
+            .map(|seed| {
+                catch_trial(|| {
+                    assert!(seed != 13, "poisoned seed");
+                    seed * 3
+                })
             })
-        });
+            .collect();
         assert_eq!(outcomes.len(), 32);
         assert_eq!(outcomes.iter().filter(|o| o.is_panicked()).count(), 1);
         assert!(outcomes[13].panic_message().unwrap().contains("poisoned seed"));
@@ -219,8 +147,10 @@ mod tests {
 
     #[test]
     fn parallel_rng_streams_are_independent() {
-        let mc = MonteCarlo::new(256, 7);
-        let xs = mc.collect_f64(|seed| SmallRng::seed_from_u64(seed).gen::<f64>());
+        let xs: Vec<f64> = (7..263u64)
+            .into_par_iter()
+            .map(|seed| SmallRng::seed_from_u64(seed).gen::<f64>())
+            .collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((mean - 0.5).abs() < 0.08, "mean {mean}");
         // No two adjacent seeds collide.

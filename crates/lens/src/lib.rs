@@ -13,9 +13,9 @@
 //! * [`spec`] — the replayable run description ([`LensSpec`]): parses
 //!   both the `jle-sweepd` cache tree (`cohort_election`) and the lens's
 //!   extended `election_run` shape, and dispatches onto the cohort,
-//!   fast-exact, faulty/churn, and multi-hop backends (`exact` replays
-//!   the shared-stream discipline as multi-hop `Shared` on the complete
-//!   graph).
+//!   fast-exact (faulty, churned, supervised or leased), and multi-hop
+//!   backends (`exact` replays the shared-stream discipline as multi-hop
+//!   `Shared` on the complete graph).
 //! * [`replay`] — the capture layer ([`ReplayObserver`]), bit-exact
 //!   [`divergence`] checking against [`jle_telemetry::FlightRecord`]
 //!   artifacts, and backend-vs-backend [`diff`]ing that pinpoints the
@@ -38,5 +38,5 @@ pub use replay::{
     diff, divergence, record, replay, DiffReport, Divergence, ReplayObserver, ReplayOutcome,
     Transition, MAX_CAPTURE, MAX_TRANSITIONS,
 };
-pub use spec::{EngineKind, LensSpec, SpecError, Stop};
+pub use spec::{ChurnRecipe, EngineKind, FaultRecipe, Lease, LensSpec, Run, SpecError, Stop};
 pub use tracecheck::{check_chrome_trace, TraceReport};

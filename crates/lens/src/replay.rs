@@ -146,7 +146,7 @@ pub fn replay(
     want_probes: bool,
 ) -> Result<ReplayOutcome, SpecError> {
     let mut obs = ReplayObserver::new(capture, want_probes);
-    let report = spec.run_observed(seed, Some(&mut obs))?;
+    let report = spec.run_observed(seed, &mut [&mut obs])?.report;
     Ok(ReplayOutcome {
         slots_seen: obs.ring.total_pushed(),
         events: obs.ring.events(),
@@ -167,7 +167,7 @@ pub fn record(
     tail: usize,
 ) -> Result<(FlightRecord, ReplayOutcome), SpecError> {
     let mut obs = ReplayObserver::new(tail, true);
-    let report = spec.run_observed(seed, Some(&mut obs))?;
+    let report = spec.run_observed(seed, &mut [&mut obs])?.report;
     let record = FlightRecord::new(jle_telemetry::AnomalyKind::Snapshot, seed, obs.ring())
         .with_replay_spec(spec.to_params())
         .with_detail("lens snapshot (healthy run, recorded for replay)")

@@ -19,8 +19,9 @@
 //!   [`LensSpec`] itself: explicit engine selection
 //!   (`cohort`/`exact`/`fast-exact`/`multihop`; `exact` is the
 //!   shared-stream discipline, replayed on the multi-hop backend over the
-//!   complete graph), stop rules, noise,
-//!   fault/churn plans, topologies, and RNG disciplines.
+//!   complete graph), stop rules, noise, fault/churn plans (fixed, or
+//!   drawn per seed from a recipe), a supervisor watchdog, leader leases,
+//!   topologies, and RNG disciplines.
 //!
 //! Parsing is strict in the same way the server's is: an unrecognized key,
 //! engine or protocol anywhere in the tree is [`SpecError::Unsupported`],
@@ -29,26 +30,31 @@
 //!
 //! The `simulate` CLI builds its runs as [`LensSpec`]s too
 //! ([`LensSpec::new`], [`LensSpec::validate`], [`LensSpec::run`]), so the
-//! lens replays every `simulate` run but lease mode, whose shared ledger
-//! is run wiring, and ARSS, which trees from outside refuse
-//! ([`ProtoParams::portable`]). So do the experiments' election units: a
-//! unit is a [`LensSpec`] plus a projection of its reports, stored under
-//! [`LensSpec::to_params`] with trial `k` run at seed `base_seed + k`, so
-//! its `spec.json` re-derives every stored trial unless its protocol is a
-//! local-only shape. A `cluster` run elects per cluster: a
-//! topology descriptor with natural clusters (`dense-linear`, `core-tail`)
-//! uses them, a `unit-disk` makes every node its own cluster, and
-//! `complete` is one cluster.
+//! lens replays every `simulate` run but ARSS, which trees from outside
+//! refuse ([`ProtoParams::portable`]). So do the experiments' election
+//! units: a unit is a [`LensSpec`] plus a projection of its runs, stored
+//! under [`LensSpec::to_params`] with trial `k` run at seed
+//! `base_seed + k`, so its `spec.json` re-derives every stored trial
+//! unless its protocol is a local-only shape. The spec, not its caller,
+//! wires what a run needs beyond its stations: the per-seed plans, the
+//! restart supervisors, and a lease run's shared [`LeaderLedger`] and
+//! [`SplitBrainObserver`]; [`LensSpec::run_observed`] hands back what the
+//! supervisors and leases logged ([`Run`]). A `cluster` run elects per
+//! cluster: a topology descriptor with natural clusters (`dense-linear`,
+//! `core-tail`) uses them, a `unit-disk` makes every node its own
+//! cluster, and `complete` is one cluster.
+
+use std::sync::{Arc, Mutex};
 
 use jle_adversary::AdversarySpec;
 use jle_engine::{
-    ChurnPlan, CohortStations, FastExactStations, FastFaultyStations, FaultPlan, MeshProtocol,
-    MultihopStations, RngDiscipline, RunReport, SimConfig, SimCore, SlotObserver, StdMesh,
-    StopRule,
+    ChurnPlan, CohortStations, FastExactStations, FastFaultyStations, FaultPlan, LeaderLedger,
+    MeshProtocol, MultihopStations, Protocol, RngDiscipline, RunReport, SimConfig, SimCore,
+    SlotObserver, SplitBrainObserver, StdMesh, StopRule,
 };
 use jle_protocols::{
     params::ZERO_STATIONS, with_uniform_proto, ClusterElection, ElectionKind, ElectionParams,
-    ProtoParams,
+    LeaseConfig, LeaseProtocol, ProtoParams, ReElectionRecord, RestartRecord, Supervisor,
 };
 use jle_radio::{CdModel, Topology};
 use serde::{Deserialize, Serialize, Value};
@@ -168,6 +174,111 @@ fn is_shared(d: &RngDiscipline) -> bool {
     *d == RngDiscipline::Shared
 }
 
+/// Salt of the fault plan a [`FaultRecipe`] draws for a run's seed.
+pub const FAULT_SALT: u64 = 0xFA17;
+/// Salt of the churn plan a [`ChurnRecipe`] draws for a run's seed.
+pub const CHURN_SALT: u64 = 0xC4C4;
+/// Watchdog of the [`Supervisor`] each lease's LESK election runs under.
+pub const LEASE_WATCHDOG: u64 = 16_384;
+
+/// The window a [`FaultRecipe`]'s crashes land in.
+pub const CRASH_WINDOW: u64 = 2_048;
+/// Every station's sensing-flip probability under a [`FaultRecipe`].
+pub const SENSING_FLIPS: f64 = 0.02;
+
+/// A fault plan drawn per run: [`FaultPlan::new`] at `seed ^ FAULT_SALT`,
+/// then, over all `n` stations, crashes in the first [`CRASH_WINDOW`]
+/// slots, staggered wake-ups and [`SENSING_FLIPS`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct FaultRecipe {
+    /// [`FaultPlan::with_random_crashes`]' crash probability.
+    pub crash_prob: f64,
+    /// [`FaultPlan::with_staggered_wakeups`]' largest wake-up slot.
+    pub stagger: u64,
+}
+
+impl FaultRecipe {
+    /// The plan for `n` stations drawn from `plan_seed`.
+    fn plan(&self, n: u64, plan_seed: u64) -> FaultPlan {
+        FaultPlan::new(plan_seed)
+            .with_random_crashes(n, self.crash_prob, CRASH_WINDOW)
+            .with_staggered_wakeups(n, self.stagger)
+            .with_sensing_flips(n, SENSING_FLIPS)
+    }
+}
+
+/// A churn plan drawn per run: [`ChurnPlan::new`] at `seed ^ CHURN_SALT`,
+/// then one builder per field over all `n` stations.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct ChurnRecipe {
+    /// [`ChurnPlan::with_staggered_joins`]: late-join probability…
+    pub join_prob: f64,
+    /// …and the window joins land in.
+    pub join_window: u64,
+    /// [`ChurnPlan::with_random_leaves`]: leave probability…
+    pub leave_prob: f64,
+    /// …and the window leaves land in.
+    pub leave_window: u64,
+    /// [`ChurnPlan::with_rejoins`]' downtime; 0 makes departures
+    /// permanent.
+    pub rejoin_after: u64,
+}
+
+impl ChurnRecipe {
+    /// The plan for `n` stations drawn from `plan_seed`.
+    pub fn plan(&self, n: u64, plan_seed: u64) -> ChurnPlan {
+        let plan = ChurnPlan::new(plan_seed)
+            .with_staggered_joins(n, self.join_prob, self.join_window)
+            .with_random_leaves(n, self.leave_prob, self.leave_window);
+        if self.rejoin_after > 0 {
+            plan.with_rejoins(self.rejoin_after)
+        } else {
+            plan
+        }
+    }
+}
+
+/// Leader leases over supervised LESK ([`LeaseProtocol::over_supervised_lesk`],
+/// watchdog [`LEASE_WATCHDOG`]), every station on one [`LeaderLedger`]
+/// whose belief TTL is the lease timeout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct Lease {
+    /// The leader's beacon period.
+    pub beacon: u64,
+    /// Consecutive failed beacons before the leader steps down.
+    pub miss_tolerance: u32,
+    /// The follower watchdog's initial window and the ledger's TTL.
+    pub timeout: u64,
+}
+
+/// One run of a spec: its report, and what its supervisors and leases
+/// logged on the way, in the order it happened.
+#[derive(Debug)]
+pub struct Run {
+    /// The run's report.
+    pub report: RunReport,
+    /// Every supervisor restart (none without a `watchdog`).
+    pub restarts: Vec<RestartRecord>,
+    /// Every lease lost (none without a `lease`).
+    pub lease_losses: Vec<ReElectionRecord>,
+}
+
+/// The shared logs a run's stations write into.
+#[derive(Default)]
+struct Logs {
+    restarts: Arc<Mutex<Vec<RestartRecord>>>,
+    lease_losses: Arc<Mutex<Vec<ReElectionRecord>>>,
+}
+
+fn drain<T>(log: &Mutex<Vec<T>>) -> Vec<T> {
+    std::mem::take(&mut *log.lock().expect("run log"))
+}
+
+type StationFactory = Box<dyn Fn(u64) -> Box<dyn Protocol> + Send + Sync>;
+
 /// One fully-specified deterministic run (see the module docs). Its
 /// derived form is the `election_run` tree: the lens-only knobs are
 /// omitted at their defaults (`stop` is always written).
@@ -201,6 +312,19 @@ pub struct LensSpec {
     /// [`ChurnPlan::overlay`] (fast-exact engine only).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub churn: Option<ChurnPlan>,
+    /// A fault plan drawn per seed instead of `faults`.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub fault_recipe: Option<FaultRecipe>,
+    /// A churn plan drawn per seed instead of `churn`.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub churn_recipe: Option<ChurnRecipe>,
+    /// Every station runs under a [`Supervisor`] with this watchdog
+    /// (fast-exact engine only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub watchdog: Option<u64>,
+    /// Leader leases (fast-exact engine, strong CD, plain LESK only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub lease: Option<Lease>,
     /// Topology descriptor in CLI form (`complete`, `dense-linear:K,M`,
     /// `core-tail:C,T`, `unit-disk:N,R,SEED`; see [`Topology::parse`];
     /// multihop engine only).
@@ -234,6 +358,10 @@ impl LensSpec {
             noise: 0.0,
             faults: None,
             churn: None,
+            fault_recipe: None,
+            churn_recipe: None,
+            watchdog: None,
+            lease: None,
             topology: None,
             discipline: RngDiscipline::Shared,
         }
@@ -261,7 +389,12 @@ impl LensSpec {
         if !(0.0..=1.0).contains(&self.noise) {
             return Err(SpecError::Invalid("election_run: `noise` must be in [0, 1]".into()));
         }
-        let has_plans = self.faults.is_some() || self.churn.is_some();
+        self.proto.check().map_err(SpecError::Invalid)?;
+        self.check_per_station_knobs()?;
+        let has_plans = self.faults.is_some()
+            || self.churn.is_some()
+            || self.fault_recipe.is_some()
+            || self.churn_recipe.is_some();
         match self.engine {
             EngineKind::Cohort => {
                 if has_plans || self.topology.is_some() {
@@ -311,10 +444,48 @@ impl LensSpec {
         {
             return Err(SpecError::Invalid("proto `cluster` requires engine=multihop".into()));
         }
-        if matches!(self.proto, ProtoParams::DutyLesk { period: 0, .. }) {
-            return Err(SpecError::Invalid(
-                "proto `duty-lesk`: `period` must be at least 1".into(),
-            ));
+        Ok(())
+    }
+
+    /// The recipes', the watchdog's and the lease's own constraints.
+    fn check_per_station_knobs(&self) -> Result<(), SpecError> {
+        let invalid = |msg: &str| Err(SpecError::Invalid(format!("election_run: {msg}")));
+        let unit = |p: f64| (0.0..=1.0).contains(&p);
+        if self.faults.is_some() && self.fault_recipe.is_some()
+            || self.churn.is_some() && self.churn_recipe.is_some()
+        {
+            return invalid("a fixed plan and a recipe of the same kind exclude each other");
+        }
+        if let Some(f) = self.fault_recipe {
+            if !unit(f.crash_prob) {
+                return invalid("`fault_recipe`: `crash_prob` must be in [0, 1]");
+            }
+        }
+        if let Some(c) = self.churn_recipe {
+            if !(unit(c.join_prob) && unit(c.leave_prob)) {
+                return invalid("`churn_recipe` probabilities must be in [0, 1]");
+            }
+        }
+        let supervised = self.watchdog.is_some() || self.lease.is_some();
+        if supervised && self.engine != EngineKind::FastExact {
+            return invalid("`watchdog` and `lease` run on engine=fast-exact only");
+        }
+        if self.watchdog == Some(0) {
+            return invalid("`watchdog` must be at least 1");
+        }
+        if let Some(lease) = self.lease {
+            if self.watchdog.is_some() {
+                return invalid("a lease supervises its own LESK: drop `watchdog`");
+            }
+            if !matches!(self.proto, ProtoParams::Lesk { u0: None, divisor: None, .. }) {
+                return invalid("a lease elects with the paper's LESK: proto `lesk` only");
+            }
+            if self.cd != CdModel::Strong {
+                return invalid("a lease needs strong CD (beacon self-verification)");
+            }
+            if lease.beacon == 0 || lease.miss_tolerance == 0 || lease.timeout == 0 {
+                return invalid("`lease` parameters must be positive");
+            }
         }
         Ok(())
     }
@@ -390,6 +561,62 @@ impl LensSpec {
         config
     }
 
+    /// The churn plan the run at `seed` follows: the fixed plan, or the
+    /// recipe drawn at `seed ^ CHURN_SALT`.
+    pub fn churn_plan(&self, seed: u64) -> Option<ChurnPlan> {
+        self.churn.clone().or_else(|| self.churn_recipe.map(|c| c.plan(self.n, seed ^ CHURN_SALT)))
+    }
+
+    /// The fault plan the run at `seed` follows, churn lowered onto it
+    /// ([`ChurnPlan::overlay`]); `None` for a fault-free closed world.
+    fn fault_plan(&self, seed: u64) -> Option<FaultPlan> {
+        let faults = self
+            .faults
+            .clone()
+            .or_else(|| self.fault_recipe.map(|f| f.plan(self.n, seed ^ FAULT_SALT)));
+        match self.churn_plan(seed) {
+            None => faults,
+            Some(churn) => Some(churn.overlay(&faults.unwrap_or_else(FaultPlan::empty))),
+        }
+    }
+
+    /// The single-channel per-station factory: the protocol's stations,
+    /// each under a [`Supervisor`] when a watchdog is set, or leases over
+    /// supervised LESK on `ledger`; restarts and lease losses go to `logs`.
+    fn station_factory(&self, logs: &Logs, ledger: Option<&Arc<LeaderLedger>>) -> StationFactory {
+        let proto = self.proto;
+        if let (Some(lease), Some(ledger), ProtoParams::Lesk { eps, .. }) =
+            (self.lease, ledger, proto)
+        {
+            let config = LeaseConfig::new(lease.beacon, lease.miss_tolerance, lease.timeout);
+            let (ledger, log) = (Arc::clone(ledger), Arc::clone(&logs.lease_losses));
+            return Box::new(move |i| {
+                let log = Arc::clone(&log);
+                let station = LeaseProtocol::over_supervised_lesk(
+                    i,
+                    eps,
+                    LEASE_WATCHDOG,
+                    config,
+                    Arc::clone(&ledger),
+                );
+                Box::new(station.with_reelection_sink(Arc::new(move |r: &ReElectionRecord| {
+                    log.lock().expect("run log").push(*r)
+                })))
+            });
+        }
+        let Some(watchdog) = self.watchdog else {
+            return Box::new(proto.station_factory());
+        };
+        let log = Arc::clone(&logs.restarts);
+        Box::new(move |i| {
+            let log = Arc::clone(&log);
+            let station = Supervisor::new(watchdog, Box::new(move || proto.station_factory()(i)));
+            Box::new(station.with_restart_sink(Arc::new(move |r: &RestartRecord| {
+                log.lock().expect("run log").push(*r)
+            })))
+        })
+    }
+
     /// Run the spec for `seed`.
     ///
     /// This constructs the same station sets the workspace's `run_*`
@@ -398,21 +625,29 @@ impl LensSpec {
     /// `exact` runs on the multi-hop backend over [`Topology::Complete`]
     /// with the `Shared` discipline.
     pub fn run(&self, seed: u64) -> Result<RunReport, SpecError> {
-        self.run_observed(seed, None)
+        Ok(self.run_observed(seed, &mut [])?.report)
     }
 
-    /// [`LensSpec::run`] with `obs` attached, if any: the report and the
-    /// per-slot stream are bit-identical to the unobserved run (observers
-    /// are passive by the engine's golden-seed contract).
+    /// [`LensSpec::run`] with `observers` attached, in order, after a
+    /// lease run's [`SplitBrainObserver`] (which settles its stats before
+    /// they see the report): the report and the per-slot stream are
+    /// bit-identical to the unobserved run (observers are passive by the
+    /// engine's golden-seed contract).
     pub fn run_observed(
         &self,
         seed: u64,
-        obs: Option<&mut dyn SlotObserver>,
-    ) -> Result<RunReport, SpecError> {
+        observers: &mut [&mut dyn SlotObserver],
+    ) -> Result<Run, SpecError> {
         let config = self.config(seed);
+        let logs = Logs::default();
+        let ledger = self.lease.map(|lease| LeaderLedger::new(lease.timeout));
+        let mut split = ledger.as_ref().map(|ledger| SplitBrainObserver::new(Arc::clone(ledger)));
         let mut core = SimCore::new(&config, &self.adv);
-        if let Some(obs) = obs {
-            core = core.observe(obs);
+        if let Some(split) = split.as_mut() {
+            core = core.observe(split);
+        }
+        for obs in observers.iter_mut() {
+            core = core.observe(&mut **obs);
         }
         let report = match self.engine {
             EngineKind::Cohort => {
@@ -426,13 +661,8 @@ impl LensSpec {
                 core.run(&mut MultihopStations::new(&config, &topology, factory))
             }
             EngineKind::FastExact => {
-                let plan = match (&self.faults, &self.churn) {
-                    (None, None) => None,
-                    (Some(f), None) => Some(f.clone()),
-                    (f, Some(c)) => Some(c.overlay(f.as_ref().unwrap_or(&FaultPlan::empty()))),
-                };
-                let factory = self.proto.station_factory();
-                match plan {
+                let factory = self.station_factory(&logs, ledger.as_ref());
+                match self.fault_plan(seed) {
                     None => core.run(&mut FastExactStations::new(&config, factory)),
                     Some(plan) => core.run(&mut FastFaultyStations::new(&config, &plan, factory)),
                 }
@@ -464,7 +694,7 @@ impl LensSpec {
                 }
             }
         };
-        Ok(report)
+        Ok(Run { report, restarts: drain(&logs.restarts), lease_losses: drain(&logs.lease_losses) })
     }
 }
 
@@ -695,6 +925,127 @@ mod tests {
             "topology": "dense-linear:3,2",
         });
         assert!(LensSpec::from_params(&v).is_err());
+    }
+
+    fn fast_exact_lesk(n: u64, max_slots: u64) -> LensSpec {
+        use jle_adversary::{JamStrategyKind, Rate};
+        let adv = AdversarySpec::new(Rate::from_f64(0.5), 32, JamStrategyKind::Saturating);
+        LensSpec::new(
+            EngineKind::FastExact,
+            ProtoParams::lesk(0.5),
+            n,
+            CdModel::Strong,
+            adv,
+            max_slots,
+        )
+    }
+
+    #[test]
+    fn out_of_range_protocol_parameters_are_invalid() {
+        let mut run = fast_exact_lesk(8, 1000).to_json_value();
+        if let Value::Map(m) = &mut run {
+            m.retain(|(k, _)| k != "proto");
+            m.push(("proto".into(), json!({"proto": "lesk", "eps": 2.0f64})));
+        }
+        let mut cohort = cohort_params();
+        if let Value::Map(m) = &mut cohort {
+            m.retain(|(k, _)| k != "proto");
+            m.push(("proto".into(), json!({"proto": "lesk", "eps": -1.0f64})));
+        }
+        for tree in [run, cohort] {
+            match LensSpec::from_params(&tree) {
+                Err(SpecError::Invalid(msg)) => assert!(msg.contains("`eps`"), "{msg}"),
+                other => panic!("an eps outside (0, 1) must be invalid, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_recipe_draws_the_fixed_plan_of_its_salted_seed() {
+        let churn = ChurnRecipe {
+            join_prob: 0.4,
+            join_window: 256,
+            leave_prob: 0.4,
+            leave_window: 512,
+            rejoin_after: 128,
+        };
+        let faults = FaultRecipe { crash_prob: 0.2, stagger: 64 };
+        let mut drawn = fast_exact_lesk(16, 20_000);
+        drawn.churn_recipe = Some(churn);
+        drawn.fault_recipe = Some(faults);
+        let back = LensSpec::from_params(&drawn.to_params()).unwrap();
+        assert_eq!((back.churn_recipe, back.fault_recipe), (Some(churn), Some(faults)));
+        for seed in [3, 4] {
+            let mut fixed = fast_exact_lesk(16, 20_000);
+            fixed.churn = Some(churn.plan(16, seed ^ CHURN_SALT));
+            fixed.faults = Some(faults.plan(16, seed ^ FAULT_SALT));
+            assert_eq!(drawn.churn_plan(seed), fixed.churn);
+            let (a, b) = (drawn.run(seed).unwrap(), fixed.run(seed).unwrap());
+            assert_eq!((a.slots, a.winner, a.counts), (b.slots, b.winner, b.counts), "{seed}");
+        }
+    }
+
+    #[test]
+    fn supervised_and_leased_runs_log_beside_their_reports() {
+        let mut supervised = fast_exact_lesk(24, 60_000);
+        supervised.fault_recipe = Some(FaultRecipe { crash_prob: 0.3, stagger: 0 });
+        supervised.watchdog = Some(64);
+        let run = supervised.run_observed(9_000, &mut []).unwrap();
+        assert!(!run.restarts.is_empty(), "a 64-slot watchdog fires");
+        assert!(run.lease_losses.is_empty());
+        assert!(!run.report.split_brain.tracked, "no ledger without a lease");
+
+        let mut leased = fast_exact_lesk(16, 4_096);
+        leased.stop = Stop::Horizon;
+        leased.lease = Some(Lease { beacon: 8, miss_tolerance: 10, timeout: 512 });
+        let run = leased.run_observed(7, &mut []).unwrap();
+        assert!(run.report.split_brain.tracked, "the spec attaches the split-brain observer");
+        assert_eq!(run.report.slots, 4_096, "a lease run goes to the horizon");
+        assert!(run.restarts.is_empty());
+    }
+
+    #[test]
+    fn supervisor_and_lease_knobs_are_validated() {
+        const LEASE: Lease = Lease { beacon: 8, miss_tolerance: 10, timeout: 512 };
+        const RECIPE: FaultRecipe = FaultRecipe { crash_prob: 0.1, stagger: 0 };
+        type Break = fn(&mut LensSpec);
+        let cases: [(&str, Break); 9] = [
+            ("zero watchdog", |s| s.watchdog = Some(0)),
+            ("watchdog off fast-exact", |s| {
+                s.engine = EngineKind::Multihop;
+                s.watchdog = Some(64);
+            }),
+            ("lease and watchdog", |s| {
+                s.lease = Some(LEASE);
+                s.watchdog = Some(64);
+            }),
+            ("lease over lesu", |s| {
+                s.lease = Some(LEASE);
+                s.proto = ProtoParams::Lesu;
+            }),
+            ("lease under weak CD", |s| {
+                s.lease = Some(LEASE);
+                s.cd = CdModel::Weak;
+            }),
+            ("zero beacon", |s| s.lease = Some(Lease { beacon: 0, ..LEASE })),
+            ("plan and recipe", |s| {
+                s.faults = Some(FaultPlan::new(1));
+                s.fault_recipe = Some(RECIPE);
+            }),
+            ("recipe probability", |s| {
+                s.fault_recipe = Some(FaultRecipe { crash_prob: 1.5, ..RECIPE })
+            }),
+            ("recipe on cohort", |s| {
+                s.engine = EngineKind::Cohort;
+                s.fault_recipe = Some(RECIPE);
+            }),
+        ];
+        for (name, break_it) in cases {
+            let mut spec = fast_exact_lesk(8, 1000);
+            spec.validate().unwrap();
+            break_it(&mut spec);
+            assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))), "{name}");
+        }
     }
 
     #[test]

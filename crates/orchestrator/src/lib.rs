@@ -6,8 +6,8 @@
 //! The experiment suite re-simulates every trial on every invocation,
 //! which makes wide sweeps expensive to iterate on and impossible to
 //! resume after a kill. This crate sits between the experiment
-//! definitions in `jle-bench` and the raw [`jle_engine::MonteCarlo`]
-//! runner and adds three things:
+//! definitions in `jle-bench` and the seeded trial closures they run,
+//! and adds three things:
 //!
 //! * **Fingerprints** ([`WorkSpec`] → [`Fingerprint`]): each unit of work
 //!   — experiment id, sweep point, full parameter tree, base seed — is

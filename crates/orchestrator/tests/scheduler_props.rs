@@ -4,11 +4,10 @@
 //! point with `jobs` ∈ {1, 2, 3}, a random chunk size, Resume over
 //! randomly pre-filled chunks, and optionally a cancel fired after a
 //! random `ChunkFinished` or a chunk budget. Whatever the schedule, the
-//! results must equal a direct `MonteCarlo` run, every chunk file must be
+//! results must equal a direct serial run, every chunk file must be
 //! byte-identical to a `jobs = 1` run's, chunks must be committed in range
 //! order, and no temp file may be left behind.
 
-use jle_engine::MonteCarlo;
 use jle_orchestrator::{
     CachePolicy, CancelToken, Event, Fingerprint, Interrupted, Orchestrator, Reporter, ResultStore,
     WorkSpec, DEFAULT_CODE_SALT,
@@ -132,7 +131,7 @@ fn chunk_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 fn check(case: &Case) -> Result<(), String> {
-    let reference = MonteCarlo::new(case.trials, case.base_seed).run(trial);
+    let reference: Vec<u64> = (case.base_seed..case.base_seed + case.trials).map(trial).collect();
     let chunks = ranges(case.trials, case.chunk);
     let key = Fingerprint::of(&spec(case.base_seed), DEFAULT_CODE_SALT, "u64");
 

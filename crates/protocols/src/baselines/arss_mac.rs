@@ -98,7 +98,7 @@ impl UniformProtocol for ArssMacProtocol {
 mod tests {
     use super::*;
     use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-    use jle_engine::{run_cohort, MonteCarlo, SimConfig};
+    use jle_engine::{run_cohort, SimConfig};
     use jle_radio::CdModel;
 
     #[test]
@@ -131,15 +131,18 @@ mod tests {
     #[test]
     fn elects_on_clean_channel() {
         let n = 512u64;
-        let mc = MonteCarlo::new(20, 60);
-        let ok = mc.success_rate(|seed| {
-            let config =
-                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
-            run_cohort(&config, &AdversarySpec::passive(), || {
-                ArssMacProtocol::new(ArssMacProtocol::recommended_gamma(n, 1))
+        let ok = (60..80)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
+                run_cohort(&config, &AdversarySpec::passive(), || {
+                    ArssMacProtocol::new(ArssMacProtocol::recommended_gamma(n, 1))
+                })
+                .leader_elected()
             })
-            .leader_elected()
-        });
+            .filter(|&ok| ok)
+            .count() as f64
+            / 20.0;
         assert_eq!(ok, 1.0);
     }
 
@@ -149,15 +152,18 @@ mod tests {
         let n = 128u64;
         let t = 16u64;
         let spec = AdversarySpec::new(Rate::from_f64(0.5), t, JamStrategyKind::Saturating);
-        let mc = MonteCarlo::new(10, 77);
-        let ok = mc.success_rate(|seed| {
-            let config =
-                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(5_000_000);
-            run_cohort(&config, &spec, || {
-                ArssMacProtocol::new(ArssMacProtocol::recommended_gamma(n, t))
+        let ok = (77..87)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(5_000_000);
+                run_cohort(&config, &spec, || {
+                    ArssMacProtocol::new(ArssMacProtocol::recommended_gamma(n, t))
+                })
+                .leader_elected()
             })
-            .leader_elected()
-        });
+            .filter(|&ok| ok)
+            .count() as f64
+            / 10.0;
         assert!(ok >= 0.9, "rate {ok}");
     }
 

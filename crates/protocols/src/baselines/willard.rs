@@ -120,7 +120,7 @@ impl UniformProtocol for WillardProtocol {
 mod tests {
     use super::*;
     use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-    use jle_engine::{run_cohort, MonteCarlo, SimConfig};
+    use jle_engine::{run_cohort, SimConfig};
     use jle_radio::CdModel;
 
     #[test]
@@ -154,14 +154,15 @@ mod tests {
 
     #[test]
     fn fast_on_clean_channel() {
-        let mc = MonteCarlo::new(30, 90);
-        let slots = mc.collect_f64(|seed| {
-            let config =
-                SimConfig::new(4096, CdModel::Strong).with_seed(seed).with_max_slots(100_000);
-            let r = run_cohort(&config, &AdversarySpec::passive(), WillardProtocol::new);
-            assert!(r.leader_elected());
-            r.slots as f64
-        });
+        let slots = (90..120)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(4096, CdModel::Strong).with_seed(seed).with_max_slots(100_000);
+                let r = run_cohort(&config, &AdversarySpec::passive(), WillardProtocol::new);
+                assert!(r.leader_elected());
+                r.slots as f64
+            })
+            .collect::<Vec<f64>>();
         let mean = slots.iter().sum::<f64>() / slots.len() as f64;
         // log log n regime: tens of slots, not hundreds.
         assert!(mean < 120.0, "mean {mean}");
@@ -176,17 +177,24 @@ mod tests {
         // built for exactly this regime.
         let eps = 0.2;
         let spec = AdversarySpec::new(Rate::from_f64(eps), 16, JamStrategyKind::Saturating);
-        let mc = MonteCarlo::new(15, 40);
-        let willard_ok = mc.success_rate(|seed| {
-            let config =
-                SimConfig::new(256, CdModel::Strong).with_seed(seed).with_max_slots(100_000);
-            run_cohort(&config, &spec, WillardProtocol::new).leader_elected()
-        });
-        let lesk_ok = mc.success_rate(|seed| {
-            let config =
-                SimConfig::new(256, CdModel::Strong).with_seed(seed).with_max_slots(100_000);
-            run_cohort(&config, &spec, || crate::lesk::LeskProtocol::new(eps)).leader_elected()
-        });
+        let willard_ok = (40..55)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(256, CdModel::Strong).with_seed(seed).with_max_slots(100_000);
+                run_cohort(&config, &spec, WillardProtocol::new).leader_elected()
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 15.0;
+        let lesk_ok = (40..55)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(256, CdModel::Strong).with_seed(seed).with_max_slots(100_000);
+                run_cohort(&config, &spec, || crate::lesk::LeskProtocol::new(eps)).leader_elected()
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 15.0;
         assert!(lesk_ok >= 0.9, "LESK rate {lesk_ok}");
         assert!(
             lesk_ok > willard_ok,

@@ -92,7 +92,7 @@ impl Protocol for DutyCycledLesk {
 mod tests {
     use super::*;
     use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-    use jle_engine::{run_fast_exact, MonteCarlo, SimConfig};
+    use jle_engine::{run_fast_exact, SimConfig};
     use jle_radio::CdModel;
     use rand::{rngs::SmallRng, SeedableRng};
 
@@ -167,15 +167,18 @@ mod tests {
     #[test]
     fn elects_with_duty_cycling() {
         let n = 64u64;
-        let mc = MonteCarlo::new(10, 33);
-        let ok = mc.success_rate(|seed| {
-            let config =
-                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
-            let r = run_fast_exact(&config, &AdversarySpec::passive(), |i| {
-                Box::new(DutyCycledLesk::new(0.5, 4, i))
-            });
-            r.leader_elected()
-        });
+        let ok = (33..43)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
+                let r = run_fast_exact(&config, &AdversarySpec::passive(), |i| {
+                    Box::new(DutyCycledLesk::new(0.5, 4, i))
+                });
+                r.leader_elected()
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 10.0;
         assert_eq!(ok, 1.0);
     }
 

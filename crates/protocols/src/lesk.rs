@@ -126,7 +126,7 @@ impl UniformProtocol for LeskProtocol {
 mod tests {
     use super::*;
     use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-    use jle_engine::{run_cohort, MonteCarlo, SimConfig};
+    use jle_engine::{run_cohort, SimConfig};
     use jle_radio::CdModel;
 
     #[test]
@@ -169,14 +169,15 @@ mod tests {
     #[test]
     fn elects_quickly_without_adversary() {
         // n = 256: Theorem 2.6 predicts O(log n) slots for constant eps.
-        let mc = MonteCarlo::new(50, 1000);
-        let slots = mc.collect_f64(|seed| {
-            let config =
-                SimConfig::new(256, CdModel::Strong).with_seed(seed).with_max_slots(100_000);
-            let r = run_cohort(&config, &AdversarySpec::passive(), || LeskProtocol::new(0.5));
-            assert!(r.leader_elected(), "must elect, seed {seed}");
-            r.slots as f64
-        });
+        let slots = (1000..1050)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(256, CdModel::Strong).with_seed(seed).with_max_slots(100_000);
+                let r = run_cohort(&config, &AdversarySpec::passive(), || LeskProtocol::new(0.5));
+                assert!(r.leader_elected(), "must elect, seed {seed}");
+                r.slots as f64
+            })
+            .collect::<Vec<f64>>();
         let mean = slots.iter().sum::<f64>() / slots.len() as f64;
         // u must climb from 0 to ~8 in eps/8 = 1/16 steps: >= 128 slots,
         // and w.h.p. the election lands within a few hundred.
@@ -188,12 +189,15 @@ mod tests {
     fn elects_under_saturating_jammer() {
         let eps = 0.5;
         let spec = AdversarySpec::new(Rate::from_f64(eps), 32, JamStrategyKind::Saturating);
-        let mc = MonteCarlo::new(30, 77);
-        let ok = mc.success_rate(|seed| {
-            let config =
-                SimConfig::new(128, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
-            run_cohort(&config, &spec, || LeskProtocol::new(eps)).leader_elected()
-        });
+        let ok = (77..107)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(128, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
+                run_cohort(&config, &spec, || LeskProtocol::new(eps)).leader_elected()
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 30.0;
         assert_eq!(ok, 1.0, "LESK must survive the saturating jammer");
     }
 

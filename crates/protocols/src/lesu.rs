@@ -158,7 +158,7 @@ impl UniformProtocol for LesuProtocol {
 mod tests {
     use super::*;
     use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-    use jle_engine::{run_cohort, run_cohort_with, MonteCarlo, SimConfig};
+    use jle_engine::{run_cohort, run_cohort_with, SimConfig};
     use jle_radio::CdModel;
 
     #[test]
@@ -229,12 +229,15 @@ mod tests {
 
     #[test]
     fn elects_without_adversary() {
-        let mc = MonteCarlo::new(30, 50);
-        let ok = mc.success_rate(|seed| {
-            let config =
-                SimConfig::new(200, CdModel::Strong).with_seed(seed).with_max_slots(2_000_000);
-            run_cohort(&config, &AdversarySpec::passive(), LesuProtocol::new).leader_elected()
-        });
+        let ok = (50..80)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(200, CdModel::Strong).with_seed(seed).with_max_slots(2_000_000);
+                run_cohort(&config, &AdversarySpec::passive(), LesuProtocol::new).leader_elected()
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 30.0;
         assert_eq!(ok, 1.0);
     }
 
@@ -242,12 +245,15 @@ mod tests {
     fn elects_with_unknown_eps_under_jamming() {
         // The whole point of LESU: the protocol does not know eps = 0.3.
         let spec = AdversarySpec::new(Rate::from_f64(0.3), 16, JamStrategyKind::Saturating);
-        let mc = MonteCarlo::new(20, 4000);
-        let ok = mc.success_rate(|seed| {
-            let config =
-                SimConfig::new(115, CdModel::Strong).with_seed(seed).with_max_slots(5_000_000);
-            run_cohort(&config, &spec, LesuProtocol::new).leader_elected()
-        });
+        let ok = (4000..4020)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(115, CdModel::Strong).with_seed(seed).with_max_slots(5_000_000);
+                run_cohort(&config, &spec, LesuProtocol::new).leader_elected()
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 20.0;
         assert_eq!(ok, 1.0);
     }
 

@@ -206,7 +206,7 @@ where
 mod tests {
     use super::*;
     use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
-    use jle_engine::{run_fast_exact, MonteCarlo, SimConfig, StopRule};
+    use jle_engine::{run_fast_exact, SimConfig, StopRule};
     use jle_radio::CdModel;
 
     fn weak_config(n: u64, seed: u64, max_slots: u64) -> SimConfig {
@@ -218,12 +218,15 @@ mod tests {
 
     #[test]
     fn elects_exactly_one_leader_without_adversary() {
-        let mc = MonteCarlo::new(25, 10);
-        let ok = mc.success_rate(|seed| {
-            let config = weak_config(16, seed, 1_000_000);
-            let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
-            r.all_terminated && r.leaders.len() == 1
-        });
+        let ok = (10..35)
+            .map(|seed| {
+                let config = weak_config(16, seed, 1_000_000);
+                let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
+                r.all_terminated && r.leaders.len() == 1
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 25.0;
         assert_eq!(ok, 1.0);
     }
 
@@ -241,48 +244,60 @@ mod tests {
     fn survives_saturating_jammer() {
         let eps = 0.5;
         let spec = AdversarySpec::new(Rate::from_f64(eps), 16, JamStrategyKind::Saturating);
-        let mc = MonteCarlo::new(15, 70);
-        let ok = mc.success_rate(|seed| {
-            let config = weak_config(12, seed, 2_000_000);
-            let r = run_fast_exact(&config, &spec, |_| Box::new(lewk(eps)));
-            r.all_terminated && r.leaders.len() == 1
-        });
+        let ok = (70..85)
+            .map(|seed| {
+                let config = weak_config(12, seed, 2_000_000);
+                let r = run_fast_exact(&config, &spec, |_| Box::new(lewk(eps)));
+                r.all_terminated && r.leaders.len() == 1
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 15.0;
         assert_eq!(ok, 1.0);
     }
 
     #[test]
     fn survives_reactive_jammer() {
         let spec = AdversarySpec::new(Rate::from_f64(0.5), 32, JamStrategyKind::ReactiveNull);
-        let mc = MonteCarlo::new(10, 300);
-        let ok = mc.success_rate(|seed| {
-            let config = weak_config(12, seed, 2_000_000);
-            let r = run_fast_exact(&config, &spec, |_| Box::new(lewk(0.5)));
-            r.all_terminated && r.leaders.len() == 1
-        });
+        let ok = (300..310)
+            .map(|seed| {
+                let config = weak_config(12, seed, 2_000_000);
+                let r = run_fast_exact(&config, &spec, |_| Box::new(lewk(0.5)));
+                r.all_terminated && r.leaders.len() == 1
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 10.0;
         assert_eq!(ok, 1.0);
     }
 
     #[test]
     fn lewu_elects_with_no_knowledge() {
         let spec = AdversarySpec::new(Rate::from_f64(0.4), 8, JamStrategyKind::Saturating);
-        let mc = MonteCarlo::new(8, 900);
-        let ok = mc.success_rate(|seed| {
-            let config = weak_config(10, seed, 5_000_000);
-            let r = run_fast_exact(&config, &spec, |_| Box::new(lewu()));
-            r.all_terminated && r.leaders.len() == 1
-        });
+        let ok = (900..908)
+            .map(|seed| {
+                let config = weak_config(10, seed, 5_000_000);
+                let r = run_fast_exact(&config, &spec, |_| Box::new(lewu()));
+                r.all_terminated && r.leaders.len() == 1
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 8.0;
         assert_eq!(ok, 1.0);
     }
 
     #[test]
     fn minimum_population_three() {
         // Lemma 3.1 assumes n >= 3; verify it holds right at the boundary.
-        let mc = MonteCarlo::new(20, 5000);
-        let ok = mc.success_rate(|seed| {
-            let config = weak_config(3, seed, 2_000_000);
-            let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
-            r.all_terminated && r.leaders.len() == 1
-        });
+        let ok = (5000..5020)
+            .map(|seed| {
+                let config = weak_config(3, seed, 2_000_000);
+                let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
+                r.all_terminated && r.leaders.len() == 1
+            })
+            .filter(|&ok| ok)
+            .count() as f64
+            / 20.0;
         assert_eq!(ok, 1.0);
     }
 
@@ -416,21 +431,24 @@ mod tests {
         // Lemma 3.1: Notification costs at most 8× the inner algorithm's
         // selection time. Compare medians over seeds.
         let n = 32u64;
-        let mc = MonteCarlo::new(20, 1234);
-        let weak: Vec<f64> = mc.collect_f64(|seed| {
-            let config = weak_config(n, seed, 2_000_000);
-            let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
-            assert!(r.all_terminated);
-            r.slots as f64
-        });
-        let strong: Vec<f64> = mc.collect_f64(|seed| {
-            let config =
-                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(2_000_000);
-            let r = jle_engine::run_cohort(&config, &AdversarySpec::passive(), || {
-                LeskProtocol::new(0.5)
-            });
-            r.slots as f64
-        });
+        let weak: Vec<f64> = (1234..1254)
+            .map(|seed| {
+                let config = weak_config(n, seed, 2_000_000);
+                let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| Box::new(lewk(0.5)));
+                assert!(r.all_terminated);
+                r.slots as f64
+            })
+            .collect::<Vec<f64>>();
+        let strong: Vec<f64> = (1234..1254)
+            .map(|seed| {
+                let config =
+                    SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(2_000_000);
+                let r = jle_engine::run_cohort(&config, &AdversarySpec::passive(), || {
+                    LeskProtocol::new(0.5)
+                });
+                r.slots as f64
+            })
+            .collect::<Vec<f64>>();
         let med = |mut v: Vec<f64>| {
             v.sort_by(f64::total_cmp);
             v[v.len() / 2]

@@ -174,6 +174,39 @@ impl ProtoParams {
         )
     }
 
+    /// Refuse parameters the protocol's constructor would panic on: every
+    /// LESK-based protocol needs `0 < eps < 1`, a LESK increment divisor
+    /// must be positive, ARSS's step must lie in `(0, 1]` and a duty
+    /// period must be at least 1. Every reader of trees from outside the
+    /// process calls it, so such a tree is refused, never run.
+    pub fn check(&self) -> Result<(), String> {
+        let eps = match *self {
+            ProtoParams::Lesk { divisor: Some(d), .. } if d.is_nan() || d <= 0.0 => {
+                return Err(format!("proto `lesk`: `divisor` must be positive, got {d}"))
+            }
+            ProtoParams::Arss { gamma } if !(gamma > 0.0 && gamma <= 1.0) => {
+                return Err(format!("proto `arss`: `gamma` must be in (0, 1], got {gamma}"))
+            }
+            ProtoParams::DutyLesk { period: 0, .. } => {
+                return Err("proto `duty-lesk`: `period` must be at least 1".into())
+            }
+            ProtoParams::Lesk { eps, .. }
+            | ProtoParams::Cluster { eps, .. }
+            | ProtoParams::Lewk { eps }
+            | ProtoParams::DutyLesk { eps, .. } => eps,
+            ProtoParams::Lesu
+            | ProtoParams::Backoff
+            | ProtoParams::Willard
+            | ProtoParams::Arss { .. }
+            | ProtoParams::Lewu => return Ok(()),
+        };
+        if eps > 0.0 && eps < 1.0 {
+            Ok(())
+        } else {
+            Err(format!("proto `{}`: `eps` must be in (0, 1), got {eps}", self.label()))
+        }
+    }
+
     /// The per-station factory the single-channel per-station engines
     /// take: every station runs the protocol through [`PerStation`] (the
     /// notification wrappers and the duty-cycled LESK are per-station
@@ -308,7 +341,8 @@ impl ElectionParams {
     /// (`cluster`, `lewk`, `lewu`, `duty-lesk`) are refused as unknown variants: no
     /// election tree carries them; so are the local-only shapes
     /// ([`ProtoParams::portable`]). `n == 0` is refused with
-    /// [`ZERO_STATIONS`].
+    /// [`ZERO_STATIONS`], and out-of-range protocol parameters with
+    /// [`ProtoParams::check`]'s message.
     pub fn decode(tree: &Value) -> Result<Self, serde::Error> {
         let params = Self::from_json_value(tree)?;
         if params.proto.per_station() {
@@ -318,6 +352,7 @@ impl ElectionParams {
         if params.n == 0 {
             return Err(serde::Error::custom(ZERO_STATIONS));
         }
+        params.proto.check().map_err(serde::Error::custom)?;
         Ok(params)
     }
 
@@ -340,6 +375,62 @@ impl ElectionParams {
                 with_uniform_proto!(self.proto, make => run_cohort(&config, &self.adv, make))
             }
             ElectionKind::Exact => run_fast_exact(&config, &self.adv, self.proto.station_factory()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde_json::json;
+
+    fn tree(proto: Value) -> Value {
+        json!({
+            "kind": "cohort_election",
+            "n": 8u64,
+            "cd": "Strong",
+            "adv": {"eps": {"num": 2147483648u64}, "t_window": 1u64, "kind": "None"},
+            "max_slots": 1000u64,
+            "proto": proto,
+        })
+    }
+
+    #[test]
+    fn out_of_range_parameters_are_refused_at_decode() {
+        for eps in [2.0, -1.0, 0.0, 1.0, f64::NAN] {
+            let err = ElectionParams::decode(&tree(json!({"proto": "lesk", "eps": eps})));
+            let err = err.expect_err("an eps outside (0, 1) is refused");
+            assert!(!err.is_unknown(), "invalid, not unsupported: {err}");
+            assert!(err.to_string().contains("`eps` must be in (0, 1)"), "{err}");
+        }
+        assert!(ElectionParams::decode(&tree(json!({"proto": "lesk", "eps": 0.5}))).is_ok());
+    }
+
+    #[test]
+    fn check_covers_every_ranged_parameter() {
+        let bad = [
+            ProtoParams::Lesk { eps: 0.5, u0: None, divisor: Some(0.0) },
+            ProtoParams::Arss { gamma: 0.0 },
+            ProtoParams::Arss { gamma: 1.5 },
+            ProtoParams::Cluster { eps: 1.0, quiet: None },
+            ProtoParams::Lewk { eps: -0.5 },
+            ProtoParams::DutyLesk { eps: 0.5, period: 0 },
+            ProtoParams::DutyLesk { eps: 1.5, period: 4 },
+        ];
+        for proto in bad {
+            assert!(proto.check().is_err(), "{proto:?}");
+        }
+        let good = [
+            ProtoParams::lesk(0.5),
+            ProtoParams::Lesk { eps: 0.5, u0: Some(6.0), divisor: Some(2.0) },
+            ProtoParams::Lesu,
+            ProtoParams::Arss { gamma: 1.0 },
+            ProtoParams::Cluster { eps: 0.4, quiet: Some(16) },
+            ProtoParams::Lewu,
+            ProtoParams::DutyLesk { eps: 0.5, period: 1 },
+        ];
+        for proto in good {
+            assert_eq!(proto.check(), Ok(()), "{proto:?}");
         }
     }
 }

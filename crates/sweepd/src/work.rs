@@ -365,6 +365,23 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_protocol_parameters_are_invalid() {
+        // Refused at decode with the protocol's range, not panicked on by
+        // a worker inside the constructor.
+        for p in [
+            params(json!({"proto": "lesk", "eps": 2.0f64})),
+            exact_params(json!({"proto": "lesk", "eps": -1.0f64})),
+        ] {
+            match decode(&p) {
+                Err(WorkError::Invalid(msg)) => assert!(msg.contains("`eps`"), "{msg}"),
+                other => panic!("expected invalid work, got {other:?}"),
+            }
+            assert!(!is_supported(&p));
+            assert!(matches!(build_trial_fn(&p), Err(WorkError::Invalid(_))));
+        }
+    }
+
+    #[test]
     fn unknown_keys_inside_adv_are_unsupported() {
         // The adversary's budget and every strategy's parameters are
         // strict too: a knob the server does not know is never dropped.

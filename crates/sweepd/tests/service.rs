@@ -365,6 +365,28 @@ fn unsupported_work_is_refused_not_guessed() {
 }
 
 #[test]
+fn out_of_range_parameters_are_refused_at_submit() {
+    let (handle, endpoint, cache) = start("out-of-range", |_| {});
+    let mut client = SweepClient::connect(&endpoint).unwrap();
+    // An eps LESK's constructor would panic on is refused at decode, with
+    // an error frame, before any worker runs it.
+    for eps in [2.0, -1.0] {
+        let params = election_params(32, 50_000, &AdversarySpec::passive(), eps);
+        let err = client.submit(&WorkSpec::new("svc", "eps", params, 5), 4).unwrap_err();
+        match err {
+            ClientError::Protocol(reason) => {
+                assert!(reason.starts_with("invalid work") && reason.contains("`eps`"), "{reason}")
+            }
+            other => panic!("eps={eps}: expected an error frame, got {other:?}"),
+        }
+    }
+    // The connection still serves.
+    client.submit_and_wait(&quick_spec("after", 3), 4, 8, |_| {}).unwrap();
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+#[test]
 fn metrics_frame_and_http_scrape_expose_the_registry() {
     let (handle, endpoint, cache) = start("metrics", |_| {});
     let mut client = SweepClient::connect(&endpoint).unwrap();

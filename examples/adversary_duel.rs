@@ -6,6 +6,7 @@
 //! ```
 
 use jamming_leader_election::prelude::*;
+use rayon::prelude::*;
 
 fn main() {
     let n = 1024u64;
@@ -32,14 +33,16 @@ fn main() {
     let mut baseline = None;
     for (name, kind) in strategies {
         let spec = AdversarySpec::new(rate, t_window, kind);
-        let mc = MonteCarlo::new(trials, 7000);
-        let results: Vec<(f64, f64)> = mc.run(|seed| {
-            let config =
-                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(100_000_000);
-            let r = run_cohort(&config, &spec, || LeskProtocol::new(eps));
-            assert!(r.leader_elected());
-            (r.slots as f64, r.jam_fraction())
-        });
+        let results: Vec<(f64, f64)> = (7000..7000 + trials)
+            .into_par_iter()
+            .map(|seed| {
+                let config =
+                    SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(100_000_000);
+                let r = run_cohort(&config, &spec, || LeskProtocol::new(eps));
+                assert!(r.leader_elected());
+                (r.slots as f64, r.jam_fraction())
+            })
+            .collect::<Vec<_>>();
         let slots: Vec<f64> = results.iter().map(|r| r.0).collect();
         let summary = Summary::of(&slots).unwrap();
         let frac: f64 = results.iter().map(|r| r.1).sum::<f64>() / results.len() as f64;

@@ -49,9 +49,9 @@ pub mod prelude {
     pub use jle_analysis::{linear_fit, log2_fit, Series, Summary, Table};
     pub use jle_engine::{
         run_cohort, run_cohort_with, run_fast_exact, run_fast_exact_churn, run_fast_exact_faulty,
-        ChurnPlan, FaultPlan, FaultyStation, LeaderLedger, MonteCarlo, Outcome, PerStation,
-        Protocol, RunReport, SimConfig, SplitBrainObserver, SplitBrainStats, StationChurn,
-        StationFaults, StopRule, TrialOutcome,
+        ChurnPlan, FaultPlan, FaultyStation, LeaderLedger, Outcome, PerStation, Protocol,
+        RunReport, SimConfig, SplitBrainObserver, SplitBrainStats, StationChurn, StationFaults,
+        StopRule, TrialOutcome,
     };
     pub use jle_protocols::{
         lewk, lewu, ArssMacProtocol, BackoffProtocol, EstimationProtocol, LeaseConfig,

@@ -3,6 +3,7 @@
 //! EXPERIMENTS.md relies on.
 
 use jamming_leader_election::prelude::*;
+use rayon::prelude::*;
 
 fn spec() -> AdversarySpec {
     AdversarySpec::new(Rate::from_f64(0.4), 16, JamStrategyKind::Saturating)
@@ -56,12 +57,12 @@ fn different_seeds_differ() {
 
 #[test]
 fn monte_carlo_is_order_independent() {
-    // Rayon scheduling must not leak into results: two runs of the same
-    // Monte Carlo return identical vectors.
-    let mc = MonteCarlo::new(64, 5);
+    // Thread scheduling must not leak into results: a parallel sweep
+    // returns the serial sweep's vector.
     let f = |seed: u64| {
         let config = SimConfig::new(128, CdModel::Strong).with_seed(seed).with_max_slots(5_000_000);
         run_cohort(&config, &spec(), || LeskProtocol::new(0.4)).slots
     };
-    assert_eq!(mc.run(f), mc.run(f));
+    let parallel: Vec<u64> = (5..69u64).into_par_iter().map(f).collect();
+    assert_eq!(parallel, (5..69).map(f).collect::<Vec<_>>());
 }

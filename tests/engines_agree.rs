@@ -3,21 +3,28 @@
 
 use jamming_leader_election::engine::PerStation;
 use jamming_leader_election::prelude::*;
+use rayon::prelude::*;
 
 fn means(n: u64, trials: u64) -> (f64, f64) {
     let adv = AdversarySpec::new(Rate::from_f64(0.5), 16, JamStrategyKind::Saturating);
-    let mc = MonteCarlo::new(trials, 1000);
-    let cohort = mc.collect_f64(|seed| {
-        let config = SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(5_000_000);
-        run_cohort(&config, &adv, || LeskProtocol::new(0.5)).slots as f64
-    });
-    let exact = mc.collect_f64(|seed| {
-        let config = SimConfig::new(n, CdModel::Strong)
-            .with_seed(seed ^ 0x5555_5555)
-            .with_max_slots(5_000_000);
-        run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(0.5)))).slots
-            as f64
-    });
+    let cohort = (1000..1000 + trials)
+        .into_par_iter()
+        .map(|seed| {
+            let config =
+                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(5_000_000);
+            run_cohort(&config, &adv, || LeskProtocol::new(0.5)).slots as f64
+        })
+        .collect::<Vec<f64>>();
+    let exact = (1000..1000 + trials)
+        .into_par_iter()
+        .map(|seed| {
+            let config = SimConfig::new(n, CdModel::Strong)
+                .with_seed(seed ^ 0x5555_5555)
+                .with_max_slots(5_000_000);
+            run_fast_exact(&config, &adv, |_| Box::new(PerStation::new(LeskProtocol::new(0.5))))
+                .slots as f64
+        })
+        .collect::<Vec<f64>>();
     let m = |v: &Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
     (m(&cohort), m(&exact))
 }
@@ -82,14 +89,17 @@ fn winner_distribution_is_uniformish_in_exact_engine() {
     // Symmetry: each of 8 stations should win a fair share of elections.
     let n = 8u64;
     let trials = 400u64;
-    let mc = MonteCarlo::new(trials, 9_999);
-    let winners = mc.run(|seed| {
-        let config = SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
-        let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| {
-            Box::new(PerStation::new(LeskProtocol::new(0.5)))
-        });
-        r.winner.unwrap()
-    });
+    let winners = (9_999..9_999 + trials)
+        .into_par_iter()
+        .map(|seed| {
+            let config =
+                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
+            let r = run_fast_exact(&config, &AdversarySpec::passive(), |_| {
+                Box::new(PerStation::new(LeskProtocol::new(0.5)))
+            });
+            r.winner.unwrap()
+        })
+        .collect::<Vec<_>>();
     let mut counts = [0u64; 8];
     for w in winners {
         counts[w as usize] += 1;

@@ -3,6 +3,7 @@
 
 use jamming_leader_election::prelude::*;
 use jamming_leader_election::protocols::math;
+use rayon::prelude::*;
 
 #[test]
 fn lesk_scales_logarithmically_not_linearly() {
@@ -10,13 +11,15 @@ fn lesk_scales_logarithmically_not_linearly() {
     // 256x (log growth ⇒ roughly +8/(eps/8) slots per 256x).
     let eps = 0.5;
     let adv = AdversarySpec::new(Rate::from_f64(eps), 32, JamStrategyKind::Saturating);
-    let mc = MonteCarlo::new(30, 77);
     let med = |n: u64| {
-        let xs = mc.collect_f64(|seed| {
-            let config =
-                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(10_000_000);
-            run_cohort(&config, &adv, || LeskProtocol::new(eps)).slots as f64
-        });
+        let xs = (77..107u64)
+            .into_par_iter()
+            .map(|seed| {
+                let config =
+                    SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(10_000_000);
+                run_cohort(&config, &adv, || LeskProtocol::new(eps)).slots as f64
+            })
+            .collect::<Vec<f64>>();
         jamming_leader_election::analysis::percentile(&xs, 0.5)
     };
     let small = med(1 << 6);
@@ -32,14 +35,16 @@ fn lesk_scales_logarithmically_not_linearly() {
 fn lesk_beats_the_theorem_envelope() {
     // Median election time must sit below a generous constant times the
     // Theorem 2.6 shape across a parameter grid.
-    let mc = MonteCarlo::new(20, 3);
     for &(n, eps, t) in &[(256u64, 0.5f64, 16u64), (1024, 0.3, 64), (4096, 0.7, 16)] {
         let adv = AdversarySpec::new(Rate::from_f64(eps), t, JamStrategyKind::Saturating);
-        let xs = mc.collect_f64(|seed| {
-            let config =
-                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(50_000_000);
-            run_cohort(&config, &adv, || LeskProtocol::new(eps)).slots as f64
-        });
+        let xs = (3..23u64)
+            .into_par_iter()
+            .map(|seed| {
+                let config =
+                    SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(50_000_000);
+                run_cohort(&config, &adv, || LeskProtocol::new(eps)).slots as f64
+            })
+            .collect::<Vec<f64>>();
         let med = jamming_leader_election::analysis::percentile(&xs, 0.5);
         let envelope = 100.0 * math::lesk_runtime_shape(n, eps, t);
         assert!(med <= envelope, "n={n} eps={eps} T={t}: median {med} above envelope {envelope}");
@@ -54,13 +59,16 @@ fn lower_bound_adversary_forces_at_least_t_ish_time() {
     let t = 5_000u64;
     let n = 64u64;
     let adv = AdversarySpec::new(Rate::from_f64(0.5), t, JamStrategyKind::PeriodicFront);
-    let mc = MonteCarlo::new(10, 44);
-    let xs = mc.collect_f64(|seed| {
-        let config = SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(50_000_000);
-        let r = run_cohort(&config, &adv, || LeskProtocol::new(0.5));
-        assert!(r.leader_elected());
-        r.slots as f64
-    });
+    let xs = (44..54u64)
+        .into_par_iter()
+        .map(|seed| {
+            let config =
+                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(50_000_000);
+            let r = run_cohort(&config, &adv, || LeskProtocol::new(0.5));
+            assert!(r.leader_elected());
+            r.slots as f64
+        })
+        .collect::<Vec<f64>>();
     // LESK needs ~log2(n)/(eps/8) = 96 useful slots to climb; the first
     // 2500 slots are fully jammed, so no election can beat slot 2500...
     // unless the climb finishes inside the jammed prefix — it cannot,
@@ -77,14 +85,17 @@ fn lower_bound_adversary_forces_at_least_t_ish_time() {
 #[test]
 fn estimation_is_logarithmic_in_n() {
     // Estimation(2) finishes in O(max{log n, T}) slots (Lemma 2.8).
-    let mc = MonteCarlo::new(20, 19);
     for k in [8u32, 16] {
         let n = 1u64 << k;
-        let xs = mc.collect_f64(|seed| {
-            let config =
-                SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
-            run_cohort(&config, &AdversarySpec::passive(), EstimationProtocol::paper).slots as f64
-        });
+        let xs = (19..39u64)
+            .into_par_iter()
+            .map(|seed| {
+                let config =
+                    SimConfig::new(n, CdModel::Strong).with_seed(seed).with_max_slots(1_000_000);
+                run_cohort(&config, &AdversarySpec::passive(), EstimationProtocol::paper).slots
+                    as f64
+            })
+            .collect::<Vec<f64>>();
         let p90 = jamming_leader_election::analysis::percentile(&xs, 0.9);
         assert!(p90 <= 64.0 * k as f64, "Estimation at n=2^{k} took {p90} slots (cap {})", 64 * k);
     }
