@@ -26,6 +26,7 @@ use jle_lens::{
 use jle_orchestrator::{ResultStore, WorkSpec};
 use jle_telemetry::FlightRecord;
 use serde::{Deserialize, Value};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -53,10 +54,42 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(code) => code,
-        Err(e) => {
+        // The reader stopped early (`jle-lens replay … | head -2`).
+        Err(CliError::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CliError::Stdout(e)) => {
+            eprintln!("jle-lens {cmd}: write stdout: {e}");
+            ExitCode::from(2)
+        }
+        Err(CliError::Input(e)) => {
             eprintln!("jle-lens {cmd}: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+/// Why a subcommand stopped early.
+enum CliError {
+    /// Bad flags, files or specs.
+    Input(String),
+    /// Writing to stdout failed.
+    Stdout(io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Input(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Input(e.to_string())
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Stdout(e)
     }
 }
 
@@ -106,7 +139,8 @@ fn parse_spec(params: &Value) -> Result<LensSpec, String> {
     LensSpec::from_params(params).map_err(|e| e.to_string())
 }
 
-fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_record(args: &[String]) -> Result<ExitCode, CliError> {
+    let mut stdout = io::stdout().lock();
     let mut params_path = None;
     let mut seed = None;
     let mut trial = None;
@@ -120,7 +154,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
             "--trial" => trial = Some(f.value(flag)?.parse::<u64>().map_err(|e| e.to_string())?),
             "--out" => out = Some(f.value(flag)?.to_string()),
             "--tail" => tail = f.value(flag)?.parse::<usize>().map_err(|e| e.to_string())?,
-            other => return Err(format!("unknown flag `{other}`")),
+            other => return Err(format!("unknown flag `{other}`").into()),
         }
     }
     let params_path = params_path.ok_or("record needs --params")?;
@@ -131,7 +165,8 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     let (rec, outcome) = record(&spec, seed, tail).map_err(|e| e.to_string())?;
     let json = serde_json::to_string_pretty(&rec).map_err(|e| format!("serialize record: {e}"))?;
     std::fs::write(&out, json + "\n").map_err(|e| format!("write {out}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "recorded {} slots (kept last {}) of engine={} proto={} seed={} -> {}",
         outcome.slots_seen,
         outcome.events.len(),
@@ -139,7 +174,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         spec.proto.label(),
         seed,
         out
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -176,7 +211,8 @@ fn parse_diff_target(s: &str) -> Result<(EngineKind, RngDiscipline), String> {
     Ok((engine, discipline))
 }
 
-fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_replay(args: &[String]) -> Result<ExitCode, CliError> {
+    let mut stdout = io::stdout().lock();
     let mut flight_path = None;
     let mut params_path = None;
     let mut fingerprint = None;
@@ -200,7 +236,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
             }
             "--no-probes" => probes = false,
             "--diff" => diff_target = Some(parse_diff_target(f.value(flag)?)?),
-            other => return Err(format!("unknown flag `{other}`")),
+            other => return Err(format!("unknown flag `{other}`").into()),
         }
     }
 
@@ -215,7 +251,8 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
             (None, None) => {
                 return Err(format!(
                     "{path} embeds no replay spec; pass --params (or --fingerprint/--cache-dir)"
-                ))
+                )
+                .into())
             }
         };
         let seed = rec.seed;
@@ -229,7 +266,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
             .ok_or_else(|| format!("no spec.json under {dir} matches fingerprint {hex}"))?;
         let spec = WorkSpec::from_json_value(&spec_value)
             .map_err(|e| format!("spec.json for {full}: {e}"))?;
-        println!("fingerprint {full}: {}/{}", spec.experiment, spec.point);
+        writeln!(stdout, "fingerprint {full}: {}/{}", spec.experiment, spec.point)?;
         (spec.params, resolve_seed(seed, trial, Some(spec.base_seed))?)
     } else if let Some(path) = &params_path {
         let (params, base_seed) = load_params(path)?;
@@ -248,38 +285,41 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
         timeline.max(64)
     };
     let out = replay(&spec, seed, capture, probes).map_err(|e| e.to_string())?;
-    print_summary(&spec, seed, &out);
-    print_timeline(&out, timeline);
+    print_summary(&mut stdout, &spec, seed, &out)?;
+    print_timeline(&mut stdout, &out, timeline)?;
 
     let mut failed = false;
     if let Some(rec) = &recorded {
         let d = divergence(rec, &out);
-        println!("divergence: {d}");
+        writeln!(stdout, "divergence: {d}")?;
         failed = d != Divergence::None;
     }
     if let Some((engine, discipline)) = diff_target {
         let other = spec.with_engine(engine, discipline).map_err(|e| e.to_string())?;
         let report = diff(&spec, &other, seed).map_err(|e| e.to_string())?;
         match report.first_divergence {
-            None if report.agree() => println!(
+            None if report.agree() => writeln!(
+                stdout,
                 "diff({} vs {}): backends agree bit-for-bit over {} slots",
                 spec.engine.label(),
                 other.engine.label(),
                 report.compared
-            ),
+            )?,
             None => {
-                println!(
+                writeln!(
+                    stdout,
                     "diff({} vs {}): common prefix of {} slots agrees, but run lengths differ ({} vs {})",
                     spec.engine.label(),
                     other.engine.label(),
                     report.compared,
                     report.slots_a,
                     report.slots_b
-                );
+                )?;
                 failed = true;
             }
             Some((a, b)) => {
-                println!(
+                writeln!(
+                    stdout,
                     "diff({} vs {}): first divergence at slot {} — tx={} rx={} jam={} vs tx={} rx={} jam={}",
                     spec.engine.label(),
                     other.engine.label(),
@@ -290,7 +330,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
                     b.transmitters,
                     b.listeners,
                     b.jammed
-                );
+                )?;
                 failed = true;
             }
         }
@@ -298,9 +338,15 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
-fn print_summary(spec: &LensSpec, seed: u64, out: &ReplayOutcome) {
+fn print_summary(
+    stdout: &mut impl Write,
+    spec: &LensSpec,
+    seed: u64,
+    out: &ReplayOutcome,
+) -> io::Result<()> {
     let r = &out.report;
-    println!(
+    writeln!(
+        stdout,
         "replay: engine={} proto={} n={} seed={} slots={} winner={} resolved_at={} timed_out={}",
         spec.engine.label(),
         spec.proto.label(),
@@ -310,24 +356,26 @@ fn print_summary(spec: &LensSpec, seed: u64, out: &ReplayOutcome) {
         r.winner.map(|w| w.to_string()).unwrap_or_else(|| "-".into()),
         r.resolved_at.map(|s| s.to_string()).unwrap_or_else(|| "-".into()),
         r.timed_out,
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "adversary: jammed {}/{} observed slots, budget spent {:.3}",
         out.jammed_total, out.slots_seen, r.adv_budget_spent
-    );
+    )
 }
 
-fn print_timeline(out: &ReplayOutcome, timeline: usize) {
+fn print_timeline(stdout: &mut impl Write, out: &ReplayOutcome, timeline: usize) -> io::Result<()> {
     if timeline == 0 || out.events.is_empty() {
-        return;
+        return Ok(());
     }
     let start = out.events.len().saturating_sub(timeline);
-    println!(
+    writeln!(
+        stdout,
         "timeline (last {} of {} captured slots):",
         out.events.len() - start,
         out.events.len()
-    );
-    println!("  {:>8}  {:>4} {:>4} {:>3}  state transitions", "slot", "tx", "rx", "jam");
+    )?;
+    writeln!(stdout, "  {:>8}  {:>4} {:>4} {:>3}  state transitions", "slot", "tx", "rx", "jam")?;
     for ev in &out.events[start..] {
         let notes: Vec<String> = out
             .transitions
@@ -338,20 +386,22 @@ fn print_timeline(out: &ReplayOutcome, timeline: usize) {
                 None => format!("{}:{}", t.station, t.state),
             })
             .collect();
-        println!(
+        writeln!(
+            stdout,
             "  {:>8}  {:>4} {:>4} {:>3}  {}",
             ev.slot,
             ev.transmitters,
             ev.listeners,
             if ev.jammed { "*" } else { "." },
             notes.join(" ")
-        );
+        )?;
     }
     let shown_from = out.events[start].slot;
     let n_transitions = out.transitions.len();
     let earlier = out.transitions.iter().filter(|t| t.slot < shown_from).count();
     if n_transitions > 0 {
-        println!(
+        writeln!(
+            stdout,
             "state transitions: {} recorded{}{}",
             n_transitions,
             if earlier > 0 {
@@ -360,11 +410,13 @@ fn print_timeline(out: &ReplayOutcome, timeline: usize) {
                 String::new()
             },
             if out.transitions_truncated { " [truncated]" } else { "" },
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn cmd_trace_check(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_trace_check(args: &[String]) -> Result<ExitCode, CliError> {
+    let mut stdout = io::stdout().lock();
     let mut path = None;
     let mut min_categories = 0usize;
     let mut tolerance_us = 2_000u64;
@@ -378,13 +430,14 @@ fn cmd_trace_check(args: &[String]) -> Result<ExitCode, String> {
                 tolerance_us = f.value(flag)?.parse::<u64>().map_err(|e| e.to_string())?
             }
             other if path.is_none() && !other.starts_with("--") => path = Some(other.to_string()),
-            other => return Err(format!("unknown flag `{other}`")),
+            other => return Err(format!("unknown flag `{other}`").into()),
         }
     }
     let path = path.ok_or("trace-check needs a trace file path")?;
     let doc = read_json(&path)?;
     let report = check_chrome_trace(&doc, tolerance_us).map_err(|e| format!("{path}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "trace-check {path}: {} spans, {} categories [{}], {} trace id(s), {} root(s), {} external parent link(s)",
         report.events,
         report.categories.len(),
@@ -392,7 +445,7 @@ fn cmd_trace_check(args: &[String]) -> Result<ExitCode, String> {
         report.trace_ids.len(),
         report.roots,
         report.external_parents,
-    );
+    )?;
     let mut failed = false;
     for v in &report.violations {
         eprintln!("violation: {v}");
@@ -412,7 +465,7 @@ fn cmd_trace_check(args: &[String]) -> Result<ExitCode, String> {
     if failed {
         Ok(ExitCode::FAILURE)
     } else {
-        println!("trace-check: ok");
+        writeln!(stdout, "trace-check: ok")?;
         Ok(ExitCode::SUCCESS)
     }
 }

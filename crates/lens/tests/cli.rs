@@ -1,7 +1,8 @@
 //! The `jle-lens` binary end to end: the committed flight fixture replays
 //! bit-exactly from the command line, stored supervised and lease units
-//! replay by fingerprint, and out-of-range protocol parameters are
-//! refused as invalid specs instead of panicking.
+//! replay by fingerprint, out-of-range protocol parameters are refused as
+//! invalid specs instead of panicking, and a reader that closes the pipe
+//! early ends a replay quietly.
 
 use jle_adversary::{AdversarySpec, JamStrategyKind, Rate};
 use jle_engine::{catch_trial, RunReport, TrialOutcome};
@@ -10,7 +11,7 @@ use jle_orchestrator::{Orchestrator, WorkSpec};
 use jle_protocols::ProtoParams;
 use jle_radio::CdModel;
 use serde::Serialize;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn lens(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_jle-lens")).args(args).output().expect("jle-lens runs")
@@ -29,6 +30,25 @@ fn committed_flight_fixture_replays_without_divergence() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
     assert!(stdout.lines().any(|l| l == "divergence: none"), "{stdout}");
+}
+
+/// `jle-lens replay … | head -2`: the reader is gone before the first
+/// line is written, and the replay stops with exit 0 instead of a
+/// broken-pipe panic.
+#[test]
+fn replay_into_a_closed_pipe_exits_quietly() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/flight-snapshot-exact-seed7.json");
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_jle-lens"))
+        .args(["replay", "--flight", fixture])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("jle-lens runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// A supervised unit under per-seed fault plans and a churned lease unit,

@@ -263,6 +263,10 @@ fn median_ci_matches_generic_bootstrap_bit_for_bit() {
             }
         }
     }
+    // One large sample, one seed and one level (a short debug run): its
+    // later draw chains start 250 000, 500 000 and 750 000 steps in.
+    let large: Vec<f64> = (0..1000u64).map(|i| ((i * 7919) % 1009) as f64 * 0.25).collect();
+    assert_median_ci_bits(&large, 0.95, 0xDEAD_BEEF);
     // Signed zeros are distinct under total_cmp and must land exactly
     // where the generic sort puts them.
     let zeros = [0.0, -0.0, 0.0, -0.0, -0.0, 1.0, -1.0, 0.0];
