@@ -281,8 +281,8 @@ fn bench_warm_path(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("load_chunk", TRIALS), |b| {
         b.iter(|| black_box(store.load_chunk::<RunReport>(&key, 0, TRIALS).expect("intact chunk")))
     });
-    // Decoding alone, both ways, on one 224-trial report array: the pull
-    // path `from_str` takes, and the `Value` tree it replaced.
+    // Decoding alone, on one 224-trial report array: the reader `from_str`
+    // takes.
     const DECODE_TRIALS: u64 = 224;
     let reports: Vec<RunReport> = (0..DECODE_TRIALS)
         .map(|seed| {
@@ -303,12 +303,6 @@ fn bench_warm_path(c: &mut Criterion) {
     let shuffled = serde_json::to_string(&shuffled).expect("render the shuffled reports");
     group.bench_function(BenchmarkId::new("decode_reports_shuffled", DECODE_TRIALS), |b| {
         b.iter(|| black_box(serde_json::from_str::<Vec<RunReport>>(black_box(&shuffled)).unwrap()))
-    });
-    group.bench_function(BenchmarkId::new("decode_reports_tree", DECODE_TRIALS), |b| {
-        b.iter(|| {
-            let tree: serde::Value = serde_json::from_str(black_box(&text)).unwrap();
-            black_box(<Vec<RunReport> as serde::Deserialize>::from_json_value(&tree).unwrap())
-        })
     });
     // Validating the same array into a `RawValue`, as a client checks a
     // result frame's payload: the tokenizer alone, no report is built.
@@ -334,9 +328,9 @@ fn reverse_keys(v: &mut serde::Value) {
 fn bench_sweepd_frames(c: &mut Criterion) {
     // The deliver layer below the end-to-end `sweepd_mixed` number: one
     // `result` frame of a 224-trial unit (the reference sweep's cohort
-    // size), its payload written as the worker writes it (typed, and the
-    // `Value` tree route it replaced), the frame rendered as the daemon
-    // sends it, and parsed back into reports as the client does.
+    // size), its payload written as the worker writes it, the frame
+    // rendered as the daemon sends it, and parsed back into reports as the
+    // client does.
     const TRIALS: u64 = 224;
     let reports: Vec<RunReport> = (0..TRIALS)
         .map(|seed| {
@@ -359,12 +353,6 @@ fn bench_sweepd_frames(c: &mut Criterion) {
     group.throughput(Throughput::Elements(TRIALS));
     group.bench_function(BenchmarkId::new("render_reports", TRIALS), |b| {
         b.iter(|| black_box(to_raw_value(black_box(&reports)).expect("render the reports")))
-    });
-    group.bench_function(BenchmarkId::new("render_reports_tree", TRIALS), |b| {
-        b.iter(|| {
-            let tree = black_box(&reports).to_json_value();
-            black_box(serde_json::to_string(&tree).expect("render the tree"))
-        })
     });
     group.throughput(Throughput::Bytes(line.len() as u64));
     group.bench_function(BenchmarkId::new("to_line", TRIALS), |b| {

@@ -51,6 +51,24 @@ impl WorkSpec {
     pub fn to_value(&self) -> Value {
         self.to_json_value()
     }
+
+    /// The spec's canonical JSON, [`canonical_json`] of [`Self::to_value`],
+    /// written straight from the fields: they are declared in sorted
+    /// order, so only `params` is sorted, and no tree is built.
+    pub fn canonical_json(&self) -> String {
+        format!(
+            "{{\"base_seed\":{},\"experiment\":{},\"params\":{},\"point\":{}}}",
+            self.base_seed,
+            json(&self.experiment),
+            canonical_json(&self.params),
+            json(&self.point)
+        )
+    }
+}
+
+/// The compact JSON text of `x`.
+fn json<T: Serialize + ?Sized>(x: &T) -> String {
+    serde_json::to_string(x).expect("JSON text")
 }
 
 /// Recursively sort object keys so logically equal values render
@@ -72,7 +90,41 @@ pub fn canonicalize(v: &Value) -> Value {
 /// Canonical compact JSON rendering of a value (sorted keys at every
 /// level; floats in Rust's shortest-round-trip form).
 pub fn canonical_json(v: &Value) -> String {
-    serde_json::to_string(&canonicalize(v)).expect("canonical JSON rendering")
+    let mut out = String::new();
+    write_canonical(v, &mut out);
+    out
+}
+
+/// Append [`canonicalize`]`(v)`'s compact text without building it: each
+/// object's entries written in the same stable key order.
+fn write_canonical(v: &Value, out: &mut String) {
+    match v {
+        Value::Seq(xs) => {
+            out.push('[');
+            for (i, x) in xs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_canonical(x, out);
+            }
+            out.push(']');
+        }
+        Value::Map(m) => {
+            let mut entries: Vec<&(String, Value)> = m.iter().collect();
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            out.push('{');
+            for (i, (k, x)) in entries.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&json(k));
+                out.push(':');
+                write_canonical(x, out);
+            }
+            out.push('}');
+        }
+        scalar => out.push_str(&json(scalar)),
+    }
 }
 
 /// A content-addressed cache key: 64 lowercase hex chars of SHA-256.
@@ -82,13 +134,18 @@ pub struct Fingerprint(String);
 impl Fingerprint {
     /// Fingerprint a spec under a code-version `salt` for results of type
     /// `result_type` (pass `std::any::type_name::<R>()`).
+    ///
+    /// The hashed text is the canonical JSON of `{"result_type", "salt",
+    /// "spec"}`, written directly: those keys and the spec's are already in
+    /// sorted order.
     pub fn of(spec: &WorkSpec, salt: &str, result_type: &str) -> Self {
-        let keyed = Value::Map(vec![
-            ("result_type".to_string(), Value::Str(result_type.to_string())),
-            ("salt".to_string(), Value::Str(salt.to_string())),
-            ("spec".to_string(), spec.to_value()),
-        ]);
-        Fingerprint(crate::sha256::sha256_hex(canonical_json(&keyed).as_bytes()))
+        let keyed = format!(
+            "{{\"result_type\":{},\"salt\":{},\"spec\":{}}}",
+            json(result_type),
+            json(salt),
+            spec.canonical_json()
+        );
+        Fingerprint(crate::sha256::sha256_hex(keyed.as_bytes()))
     }
 
     /// The full hex key.
@@ -154,6 +211,17 @@ mod tests {
         ] {
             assert_ne!(base, fp, "perturbing {what} must change the key");
         }
+    }
+
+    #[test]
+    fn canonical_text_is_the_sorted_trees() {
+        let params =
+            json!({"z": [json!({"b": 1u64, "a": "x\"y"})], "a": {"d": null, "c": -0.5f64}});
+        let spec = WorkSpec::new("e\u{1}", "p/n=2", params, u64::MAX);
+        assert_eq!(spec.canonical_json(), canonical_json(&spec.to_value()));
+        let keyed = json!({"spec": spec.to_value(), "salt": "s", "result_type": "Vec<u64>"});
+        let hex = crate::sha256::sha256_hex(canonical_json(&keyed).as_bytes());
+        assert_eq!(Fingerprint::of(&spec, "s", "Vec<u64>").hex(), hex);
     }
 
     #[test]

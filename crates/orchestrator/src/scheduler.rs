@@ -16,12 +16,13 @@
 //! assembled result vector is bit-identical whether the unit was computed
 //! in one pass, resumed after a kill, or served entirely from cache.
 
-use crate::fingerprint::{canonical_json, canonicalize, Fingerprint, WorkSpec};
+use crate::fingerprint::{Fingerprint, WorkSpec};
 use crate::store::ResultStore;
 use crate::telemetry::{Event, Reporter, Stats, StatsSnapshot};
 use jle_engine::SlotCost;
 use jle_telemetry::{MetricRegistry, SpanGuard, SpanRecorder};
 use serde::{Deserialize, Serialize};
+use serde_json::value::RawValue;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -664,8 +665,9 @@ impl Orchestrator {
             // The unit's spec goes next to its chunks before the first of
             // them, written while the workers already compute.
             if let Some(store) = store.filter(|_| cached_trials < trials) {
-                let pretty = serde_json::to_string_pretty(&canonicalize(&spec.to_value()))
-                    .expect("spec serialization");
+                let canonical = RawValue::from_string(spec.canonical_json())
+                    .expect("canonical JSON is one JSON value");
+                let pretty = serde_json::to_string_pretty(&canonical).expect("spec serialization");
                 let _ = store.write_spec_info(&key, &pretty);
             }
             for (j, &i) in missing.iter().enumerate() {
@@ -771,7 +773,7 @@ impl Orchestrator {
     /// The canonical JSON this orchestrator would hash for `spec` — for
     /// diagnostics and tests.
     pub fn canonical_spec_json(&self, spec: &WorkSpec) -> String {
-        canonical_json(&spec.to_value())
+        spec.canonical_json()
     }
 
     /// The content-addressed cache key this orchestrator derives for

@@ -43,7 +43,6 @@ use crate::extensions::supervisor::{RestartFactory, Supervisor};
 use jle_engine::{Action, LeaderLedger, Protocol, Status};
 use jle_radio::cd::Observation;
 use rand::RngCore;
-use serde::Value;
 use std::sync::Arc;
 
 /// Lease timing parameters.
@@ -87,18 +86,8 @@ pub enum LeaseLossCause {
     BeaconContention,
 }
 
-impl LeaseLossCause {
-    /// Stable snake_case label for logs and flight-recorder artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            LeaseLossCause::Silence => "silence",
-            LeaseLossCause::BeaconContention => "beacon_contention",
-        }
-    }
-}
-
-/// One lease loss (re-election entry), ready for a JSONL run log or
-/// flight-recorder context.
+/// One lease loss (re-election entry), as a re-election sink receives
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReElectionRecord {
     /// Slot whose feedback triggered the re-election.
@@ -109,20 +98,6 @@ pub struct ReElectionRecord {
     pub cause: LeaseLossCause,
     /// Zero-based index of this re-election on this station.
     pub reelection_index: u64,
-}
-
-impl ReElectionRecord {
-    /// Render as a structured JSON object
-    /// (`{"ev":"lease_lost","cause":"silence",...}`).
-    pub fn to_json_value(&self) -> Value {
-        Value::Map(vec![
-            ("ev".into(), Value::Str("lease_lost".into())),
-            ("slot".into(), Value::U64(self.slot)),
-            ("station".into(), Value::U64(self.station)),
-            ("cause".into(), Value::Str(self.cause.label().into())),
-            ("reelection_index".into(), Value::U64(self.reelection_index)),
-        ])
-    }
 }
 
 /// Shared sink receiving every [`ReElectionRecord`] as it happens — wire
@@ -489,9 +464,7 @@ mod tests {
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].station, 5);
-        let v = seen[0].to_json_value();
-        assert_eq!(v.get("ev").unwrap().as_str().unwrap(), "lease_lost");
-        assert_eq!(v.get("cause").unwrap().as_str().unwrap(), "silence");
+        assert_eq!(seen[0].cause, LeaseLossCause::Silence);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use jle_engine::{PerStation, Protocol, Status};
 use jle_radio::cd::Observation;
 use jle_telemetry::{Counter, MetricRegistry};
 use rand::RngCore;
-use serde::Value;
 use std::sync::Arc;
 
 /// Factory building a fresh inner election instance on each (re)start.
@@ -63,19 +62,7 @@ pub enum RestartCause {
     Cap,
 }
 
-impl RestartCause {
-    /// Stable snake_case label for logs and flight-recorder artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            RestartCause::Wedged => "wedged",
-            RestartCause::Crashed => "crashed",
-            RestartCause::Cap => "cap",
-        }
-    }
-}
-
-/// One watchdog firing, ready for a JSONL run log or flight-recorder
-/// context (see [`RestartRecord::to_json_value`]).
+/// One watchdog firing, as a restart sink receives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartRecord {
     /// Slot whose feedback fired the watchdog.
@@ -88,21 +75,6 @@ pub struct RestartRecord {
     pub silence: u64,
     /// Zero-based index of this restart on this station.
     pub restart_index: u32,
-}
-
-impl RestartRecord {
-    /// Render as a structured JSON object
-    /// (`{"ev":"supervisor_restart","cause":"wedged",...}`).
-    pub fn to_json_value(&self) -> Value {
-        Value::Map(vec![
-            ("ev".into(), Value::Str("supervisor_restart".into())),
-            ("slot".into(), Value::U64(self.slot)),
-            ("cause".into(), Value::Str(self.cause.label().into())),
-            ("window".into(), Value::U64(self.window)),
-            ("silence".into(), Value::U64(self.silence)),
-            ("restart_index".into(), Value::U64(self.restart_index as u64)),
-        ])
-    }
 }
 
 /// The supervisor's `jle-metrics-v1` counter family: restarts by
@@ -434,10 +406,6 @@ mod tests {
         assert_eq!((log[0].slot, log[0].window, log[0].restart_index), (3, 4, 0));
         assert_eq!(log[1].cause, RestartCause::Wedged, "busy channel reads as wedged");
         assert_eq!((log[1].slot, log[1].window, log[1].restart_index), (11, 8, 1));
-        let v = log[1].to_json_value();
-        assert_eq!(v.get("ev").unwrap().as_str().unwrap(), "supervisor_restart");
-        assert_eq!(v.get("cause").unwrap().as_str().unwrap(), "wedged");
-        assert_eq!(v.get("window").unwrap().as_u64().unwrap(), 8);
     }
 
     #[test]
